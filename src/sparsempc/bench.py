@@ -44,8 +44,8 @@ def run_benchmarks(n: int = 60000, repeats: int = 3, seed: int = 0):
     tower = generators.generate(
         "layered-core", {"n": n, "depth": max(40, int(30 * np.log2(np.log2(n)))), "d": 3}, seed=seed
     )
-    rand = generators.generate("bounded-degree-random", {"n": n, "d": 4}, seed=seed)
-    pa = generators.generate("preferential-attachment", {"n": n, "m": 3}, seed=seed)
+    rand = generators.generate("bounded-degree-random", {"n": n, "deg": 4}, seed=seed)
+    pa = generators.generate("preferential-attachment", {"n": n, "c": 3}, seed=seed)
     alive = np.ones(tower.n, np.bool_)
     sources = np.flatnonzero(alive)[:: max(1, tower.n // 20000)]
     weights = 1 + np.diff(tower.indptr)

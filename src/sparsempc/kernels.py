@@ -2,14 +2,19 @@
 
 Each kernel has two interchangeable implementations:
 
-* a numba ``@njit`` version (default when numba imports cleanly), and
-* a pure-numpy version, selected by setting ``SPARSEMPC_NO_NUMBA=1`` in the
-  environment (or by flipping :data:`USE_NUMBA` at runtime, which the tests
-  and the benchmark harness do).
+* a numba ``@njit`` version (default when the optional ``jit`` extra, numba,
+  imports cleanly), and
+* a pure-numpy version, used when numba is missing or when
+  ``SPARSEMPC_NO_NUMBA=1`` is set in the environment (or by flipping
+  :data:`USE_NUMBA` at runtime, which the tests and the benchmark harness do).
 
-Both lanes are exercised against each other in the test suite and timed by
-``sparsempc bench``.  All kernels take raw CSR arrays (``indptr``/``indices``)
-so callers can hand them compacted subgraphs.
+In the numpy lane, peeling advances a whole layer per step and the ball scan
+expands the balls of all sources at once over one sorted array of
+``slot * n + node`` keys; degeneracy ordering and bin packing stay
+interpreted loops.  The test suite checks the kernels against brute-force
+oracles or invariants; ``sparsempc bench`` times both lanes.  All kernels take
+raw CSR arrays (``indptr``/``indices``) so callers can hand them compacted
+subgraphs.
 """
 
 from __future__ import annotations
@@ -282,33 +287,52 @@ def _balls_njit(indptr, indices, member, sources, radius, weights):  # pragma: n
 
 
 def _balls_numpy(indptr, indices, member, sources, radius, weights):
-    counts = np.empty(sources.size, np.int64)
-    wsums = np.empty(sources.size, np.int64)
-    for si, s in enumerate(sources):
-        seen = np.zeros(member.size, np.bool_)
-        seen[s] = True
-        frontier = np.array([s], dtype=np.int64)
-        for _ in range(radius):
-            if frontier.size == 0:
-                break
-            _, nb = gather_segments(indptr, indices, frontier)
-            nb = nb[member[nb] & ~seen[nb]]
-            if nb.size == 0:
-                break
-            nb = np.unique(nb)
-            seen[nb] = True
-            frontier = nb
-        counts[si] = int(seen.sum())
-        wsums[si] = int(weights[seen].sum())
+    # All balls expand together.  Ball `slot` (one per entry of `sources`) is
+    # stored as the keys slot*n + node, so one sorted int64 array holds every
+    # ball grouped by slot, and a node reached from two sources is two keys.
+    n = member.size
+    k = sources.size
+    ball = np.arange(k, dtype=np.int64) * n + sources  # sorted: sources < n
+    frontier = ball
+    for _ in range(radius):
+        node = frontier % n
+        lengths = indptr[node + 1] - indptr[node]
+        _, nb = gather_segments(indptr, indices, node)
+        keep = member[nb]
+        cand = np.repeat(frontier - node, lengths)[keep] + nb[keep]
+        # sort and keep first copies (numpy 2.4's hash-based np.unique is ~5x slower)
+        cand.sort()
+        first = np.ones(cand.size, np.bool_)
+        first[1:] = cand[1:] != cand[:-1]
+        cand = cand[first]
+        pos = np.searchsorted(ball, cand)
+        seen = pos < ball.size
+        seen[seen] = ball[pos[seen]] == cand[seen]
+        fresh = ~seen
+        if not fresh.any():
+            break
+        frontier = cand[fresh]
+        ball = np.insert(ball, pos[fresh], frontier)
+    counts = np.bincount(ball // n, minlength=k).astype(np.int64, copy=False)
+    starts = np.cumsum(counts) - counts
+    wsums = np.add.reduceat(weights[ball % n], starts)
     return counts, wsums
 
 
 def ball_stats(indptr, indices, member, sources, radius: int, weights):
     """Per-source size and weight of the radius-``radius`` ball.
 
-    BFS stays inside ``member`` nodes (sources must be members).  Returns
-    ``(counts, weight_sums)``: the number of reached nodes including the
-    source, and the sum of ``weights`` over them.
+    BFS stays inside ``member`` nodes (sources must be members; they may be
+    unsorted or repeated).  Returns ``(counts, weight_sums)``: the number of
+    reached nodes including the source, and the sum of ``weights`` over them,
+    both int64 and exact.
+
+    The numpy lane runs one breadth-first expansion for all sources together:
+    every ball is a run of sorted ``slot * n + node`` keys, each step gathers
+    the frontier's member neighbors, sorts and dedupes them, and drops keys
+    already in a ball with ``searchsorted``; it stops early once no ball
+    grows.  Work and memory are proportional to the total ball volume rather
+    than to ``len(sources) * n``.
     """
     member = np.asarray(member, dtype=np.bool_)
     sources = np.asarray(sources, dtype=np.int64)

@@ -202,12 +202,11 @@ class _BallCache:
         self.clique_send = vdeg_half[ids] ** 2
         self.clique_recv = recv_half - vdeg_half[ids]
         cnt, wsum = ball_stats(g.indptr, g.indices, alive, ids, radius, row_words)
-        cnt_plain, _ = ball_stats(g.indptr, g.indices, alive, ids, radius, ones)
         self.count = np.zeros(g.n, np.int64)
         self.gather = np.zeros(g.n, np.int64)
-        self.count[ids] = cnt_plain
+        self.count[ids] = cnt
         self.gather[ids] = wsum - row_words[ids]  # pulls exclude own row
-        self.added = (cnt_plain - 1) - deg[ids]
+        self.added = (cnt - 1) - deg[ids]
 
     def traffic_weights(self, stored: np.ndarray) -> np.ndarray:
         """Per-node packing weight: the worst single-round volume this node

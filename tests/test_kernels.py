@@ -1,4 +1,4 @@
-"""Kernel lanes: njit and pure-numpy implementations must agree exactly."""
+"""Kernels: lanes must agree exactly, and the numpy lane must match brute-force oracles."""
 
 import numpy as np
 import pytest
@@ -101,7 +101,7 @@ def test_degeneracy_order_lane_parity(both_lanes):
         assert later <= k0
 
 
-@pytest.mark.parametrize("radius", [1, 2, 3])
+@pytest.mark.parametrize("radius", [0, 1, 2, 3, 4, 8])
 def test_ball_stats_matches_bfs_oracle(both_lanes, radius):
     g = _random_graph(60, 120, radius)
     member = np.ones(g.n, bool)
@@ -127,6 +127,108 @@ def test_ball_stats_empty_sources():
         g.indptr, g.indices, np.ones(4, bool), np.empty(0, np.int64), 2, np.ones(4, np.int64)
     )
     assert counts.size == 0 and wsums.size == 0
+
+
+def _oracle_ball_stats(g, member, sources, radius, weights):
+    balls = [ball_members(g, member, int(v), radius) for v in sources]
+    counts = [len(b) for b in balls]
+    wsums = [sum(int(weights[u]) for u in b) for b in balls]
+    return counts, wsums
+
+
+def _assert_ball_stats_match_oracle(g, member, sources, radius, weights):
+    counts, wsums = kernels.ball_stats(g.indptr, g.indices, member, sources, radius, weights)
+    want_counts, want_wsums = _oracle_ball_stats(g, member, sources, radius, weights)
+    assert counts.dtype == np.int64 and wsums.dtype == np.int64
+    assert counts.tolist() == want_counts
+    assert wsums.tolist() == want_wsums
+
+
+def test_ball_stats_unsorted_duplicated_sources():
+    g = _random_graph(40, 70, 3)
+    member = np.ones(g.n, bool)
+    member[[4, 9, 17]] = False
+    sources = np.array([30, 2, 30, 11, 2, 0, 39, 11, 11], np.int64)
+    weights = np.arange(g.n, dtype=np.int64) * 3 + 1
+    _assert_ball_stats_match_oracle(g, member, sources, 2, weights)
+    counts, wsums = kernels.ball_stats(g.indptr, g.indices, member, sources, 2, weights)
+    # each result stays with its own slot, in the caller's order
+    assert counts[0] == counts[2] and wsums[0] == wsums[2]
+    assert counts[3] == counts[7] == counts[8]
+
+
+def test_ball_stats_non_member_bridge_blocks_bfs():
+    # two triangles {0,1,2} and {4,5,6} joined only through node 3
+    edges = np.array([[0, 1], [1, 2], [0, 2], [2, 3], [3, 4], [4, 5], [5, 6], [4, 6]], np.int64)
+    g = build_graph(7, edges)
+    member = np.ones(7, bool)
+    member[3] = False
+    sources = np.array([0, 6, 2], np.int64)
+    weights = np.array([1, 2, 4, 8, 16, 32, 64], np.int64)
+    counts, wsums = kernels.ball_stats(g.indptr, g.indices, member, sources, 8, weights)
+    assert counts.tolist() == [3, 3, 3]
+    assert wsums.tolist() == [7, 112, 7]
+    _assert_ball_stats_match_oracle(g, member, sources, 8, weights)
+    # with the bridge a member, one ball covers the whole graph
+    member[3] = True
+    counts, wsums = kernels.ball_stats(g.indptr, g.indices, member, sources, 8, weights)
+    assert counts.tolist() == [7, 7, 7]
+    assert wsums.tolist() == [127, 127, 127]
+
+
+def test_ball_stats_isolated_source():
+    g = build_graph(5, np.array([[0, 1], [1, 2], [2, 3]], np.int64))
+    member = np.ones(5, bool)
+    weights = np.array([5, 6, 7, 8, 9], np.int64)
+    counts, wsums = kernels.ball_stats(
+        g.indptr, g.indices, member, np.array([4, 0], np.int64), 3, weights
+    )
+    assert counts.tolist() == [1, 4]
+    assert wsums.tolist() == [9, 26]
+    # alone, the isolated source finds no neighbor on the first step
+    counts, wsums = kernels.ball_stats(
+        g.indptr, g.indices, member, np.array([4], np.int64), 3, weights
+    )
+    assert counts.tolist() == [1] and wsums.tolist() == [9]
+
+
+def test_ball_stats_zero_weights():
+    g = _random_graph(50, 90, 8)
+    member = np.ones(g.n, bool)
+    sources = np.flatnonzero(member)
+    zeros = np.zeros(g.n, np.int64)
+    counts, wsums = kernels.ball_stats(g.indptr, g.indices, member, sources, 3, zeros)
+    assert np.all(wsums == 0)
+    assert np.all(counts >= 1)
+    mixed = np.where(np.arange(g.n) % 2 == 0, 0, 5).astype(np.int64)
+    _assert_ball_stats_match_oracle(g, member, sources, 3, mixed)
+
+
+def test_ball_stats_weight_sums_exact_beyond_float():
+    # sums above 2**53 lose their low bits in float64; int64 keeps them
+    g = path_graph(6)
+    member = np.ones(6, bool)
+    weights = 2 ** 53 + np.arange(6, dtype=np.int64)
+    _assert_ball_stats_match_oracle(g, member, np.arange(6, dtype=np.int64), 2, weights)
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from([0, 1, 2, 3, 4, 8]),
+    st.floats(0.3, 1.0),
+)
+@settings(max_examples=80, deadline=None)
+def test_ball_stats_property_matches_oracle(n, seed, radius, keep):
+    r = np.random.default_rng(seed)
+    g = _random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    member = r.random(n) < keep
+    if not member.any():
+        member[int(r.integers(0, n))] = True
+    members = np.flatnonzero(member)
+    sources = r.choice(members, size=int(r.integers(1, 2 * members.size + 1)))
+    weights = r.integers(0, 1000, size=n).astype(np.int64)
+    _assert_ball_stats_match_oracle(g, member, sources, radius, weights)
 
 
 def test_pack_bins_lane_parity(both_lanes):
