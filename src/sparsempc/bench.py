@@ -94,9 +94,9 @@ def main(argv=None) -> int:
     rows = run_benchmarks(args.n, args.repeats, args.seed)
     print(f"{'kernel':28s} {'jit (ms)':>10s} {'numpy (ms)':>11s} {'speedup':>8s}")
     for name, jit, plain in rows:
-        ratio = plain / jit if jit == jit and jit > 0 else float("nan")
-        jtxt = f"{jit * 1e3:10.2f}" if jit == jit else "       n/a"
-        print(f"{name:28s} {jtxt} {plain * 1e3:11.2f} {ratio:8.1f}x")
+        jtxt = f"{jit * 1e3:10.2f}" if jit == jit else f"{'n/a':>10s}"
+        rtxt = f"{plain / jit:7.1f}x" if jit == jit and jit > 0 else f"{'n/a':>8s}"
+        print(f"{name:28s} {jtxt} {plain * 1e3:11.2f} {rtxt}")
     if not kernels.HAS_NUMBA:
         print("numba not importable: jit lane skipped")
     return 0

@@ -1,6 +1,8 @@
-"""Hot loops: batch peeling, degeneracy ordering, bounded-radius ball scans.
+"""Hot loops: batch peeling, degeneracy ordering, bounded-radius ball scans,
+bin packing.
 
-Each kernel has two interchangeable implementations:
+Peeling, degeneracy ordering and the ball scan have two interchangeable
+implementations:
 
 * a numba ``@njit`` version (default when the optional ``jit`` extra, numba,
   imports cleanly), and
@@ -8,13 +10,15 @@ Each kernel has two interchangeable implementations:
   ``SPARSEMPC_NO_NUMBA=1`` is set in the environment (or by flipping
   :data:`USE_NUMBA` at runtime, which the tests and the benchmark harness do).
 
-In the numpy lane, peeling advances a whole layer per step and the ball scan
-expands the balls of all sources at once over one sorted array of
-``slot * n + node`` keys; degeneracy ordering and bin packing stay
-interpreted loops.  The test suite checks the kernels against brute-force
-oracles or invariants; ``sparsempc bench`` times both lanes.  All kernels take
-raw CSR arrays (``indptr``/``indices``) so callers can hand them compacted
-subgraphs.
+In the numpy lane, peeling advances a whole layer per step, drawing each
+small layer from the neighbors of the last one, and can carry the remaining
+degrees from one call to the next; the ball scan expands the balls of all
+sources at once over one sorted array of ``slot * n + node`` keys;
+degeneracy ordering stays an interpreted loop.  Bin packing has one
+implementation, vectorized over prefix sums.  The test suite checks the
+kernels against brute-force oracles or invariants; ``sparsempc bench`` times
+both lanes.  All kernels take raw CSR arrays (``indptr``/``indices``) so
+callers can hand them compacted subgraphs.
 """
 
 from __future__ import annotations
@@ -73,17 +77,9 @@ def alive_degrees(indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray) ->
 
 
 @njit(cache=True)
-def _peel_njit(indptr, indices, alive, d, max_layers):  # pragma: no cover - jit
+def _peel_njit(indptr, indices, alive, d, max_layers, deg):  # pragma: no cover - jit
     n = alive.size
     layer = np.zeros(n, np.int64)
-    deg = np.zeros(n, np.int64)
-    for v in range(n):
-        if alive[v]:
-            c = 0
-            for e in range(indptr[v], indptr[v + 1]):
-                if alive[indices[e]]:
-                    c += 1
-            deg[v] = c
     cur = np.empty(n, np.int64)
     nxt = np.empty(n, np.int64)
     cur_len = 0
@@ -111,24 +107,32 @@ def _peel_njit(indptr, indices, alive, d, max_layers):  # pragma: no cover - jit
     return layer, t
 
 
-def _peel_numpy(indptr, indices, alive, d, max_layers):
+def _peel_numpy(indptr, indices, alive, d, max_layers, deg):
+    # Only neighbors of the layer just peeled lose degree, so the next layer
+    # is drawn from them.  A small layer (rows under n/4 entries, as in deep
+    # towers and in most partition repetitions) sorts its live neighbors
+    # and costs the size of its rows, not n; a large one (the first layers of
+    # a fresh peel) is cheaper as one pass over all n nodes.
     n = alive.size
     layer = np.zeros(n, np.int64)
-    deg = alive_degrees(indptr, indices, alive)
-    unassigned = alive.copy()
-    frontier = unassigned & (deg <= d)
+    frontier = np.flatnonzero(alive & (deg <= d))
     t = 0
-    while t < max_layers and frontier.any():
+    while t < max_layers and frontier.size:
         t += 1
         layer[frontier] = t
-        unassigned &= ~frontier
-        _, nb = gather_segments(indptr, indices, np.flatnonzero(frontier))
-        np.add.at(deg, nb, -1)
-        frontier = unassigned & (deg <= d)
+        _, nb = gather_segments(indptr, indices, frontier)
+        if 4 * nb.size > n:
+            deg -= np.bincount(nb, minlength=n)
+            frontier = np.flatnonzero(alive & (layer == 0) & (deg <= d))
+        else:
+            # with counts, np.unique sorts (without, numpy 2.4 hashes, slower)
+            hit, count = np.unique(nb[alive[nb] & (layer[nb] == 0)], return_counts=True)
+            deg[hit] -= count
+            frontier = hit[deg[hit] <= d]
     return layer, t
 
 
-def peel_layers(indptr, indices, alive, d: int, max_layers: int):
+def peel_layers(indptr, indices, alive, d: int, max_layers: int, deg=None):
     """Batch-peel the alive-induced subgraph with threshold ``d``.
 
     Layer ``t`` (1-based) holds the nodes whose remaining degree is <= d once
@@ -137,11 +141,22 @@ def peel_layers(indptr, indices, alive, d: int, max_layers: int):
     for dead or still-unassigned nodes and ``t`` is the number of layers
     produced.  The caller detects a stall as: some alive node unassigned while
     ``t < max_layers``.
+
+    ``deg`` lets a caller that peels the same subgraph repeatedly carry the
+    degrees instead of recounting them (an O(m) pass) on every call.  It must
+    be an int64 array holding :func:`alive_degrees` on every alive node; it
+    is decremented in place so that afterwards every node left unassigned
+    holds its degree among the unassigned nodes, ready for the next call
+    with those nodes as ``alive``.  Entries of other nodes are unspecified.
     """
     alive = np.asarray(alive, dtype=np.bool_)
+    if deg is None:
+        deg = alive_degrees(indptr, indices, alive)
+    elif not isinstance(deg, np.ndarray) or deg.dtype != np.int64 or deg.shape != alive.shape:
+        raise ValueError("deg must be an int64 array shaped like alive")
     if USE_NUMBA:
-        return _peel_njit(indptr, indices, alive, np.int64(d), np.int64(max_layers))
-    return _peel_numpy(indptr, indices, alive, int(d), int(max_layers))
+        return _peel_njit(indptr, indices, alive, np.int64(d), np.int64(max_layers), deg)
+    return _peel_numpy(indptr, indices, alive, int(d), int(max_layers), deg)
 
 
 # ---------------------------------------------------------------------------
@@ -344,43 +359,37 @@ def ball_stats(indptr, indices, member, sources, radius: int, weights):
     return _balls_numpy(indptr, indices, member, sources, int(radius), weights)
 
 
-@njit(cache=True)
-def _pack_njit(weights, cap):  # pragma: no cover - jit twin of _pack_python
-    out = np.empty(weights.size, np.int64)
-    fill = np.int64(0)
-    b = np.int64(0)
-    for i in range(weights.size):
-        w = weights[i]
-        if fill > 0 and fill + w > cap:
-            b += 1
-            fill = 0
-        out[i] = b
-        fill += w
-    return out
-
-
-def _pack_python(weights, cap):
-    out = np.empty(weights.size, np.int64)
-    fill = 0
-    b = 0
-    for i, w in enumerate(weights.tolist()):
-        if fill > 0 and fill + w > cap:
-            b += 1
-            fill = 0
-        out[i] = b
-        fill += w
-    return out
-
-
 def pack_bins(weights: np.ndarray, cap: int) -> np.ndarray:
-    """Sequential bin packing: walk items in the given order, open a new bin
-    whenever the current one would overflow ``cap``.  Returns a bin id per
-    item.  An item alone may exceed ``cap`` (callers choose cap >= max weight
-    when that matters); every bin except possibly the last is more than half
-    full when all items weigh <= cap/2."""
+    """Sequential (next-fit) bin packing: walk items in the given order and
+    open a new bin when the current one is nonempty by weight and the item
+    would take it above ``cap``.  Returns a bin id per item.  An item alone
+    may exceed ``cap`` (callers choose cap >= max weight when that matters),
+    and a bin whose fill is still 0 absorbs the next item whatever its
+    weight.  Every bin except possibly the last is more than half full when
+    all items weigh <= cap/2.  Weights must be nonnegative.
+
+    The rule runs on the prefix sums ``P``: the bin opened at item ``s``
+    ends before the first item ``j > s`` with ``P[j] > P[s]`` (the bin holds
+    weight) and ``P[j+1] > P[s] + cap`` (the item overflows it).  Both
+    conditions are monotone in ``j``; one ``searchsorted`` finds where the
+    second starts to hold for every possible start at once, and a walk over
+    the bins, not the items, chains the starts.
+    """
     weights = np.ascontiguousarray(weights, dtype=np.int64)
-    if weights.size == 0:
+    n = weights.size
+    if n == 0:
         return np.empty(0, np.int64)
-    if USE_NUMBA:
-        return _pack_njit(weights, np.int64(cap))
-    return _pack_python(weights, int(cap))
+    if weights.min() < 0:
+        raise ValueError("pack_bins needs nonnegative weights")
+    prefix = np.concatenate((np.zeros(1, np.int64), np.cumsum(weights)))
+    overflow = np.searchsorted(prefix, prefix[:-1] + int(cap), side="right") - 1
+    holds = np.arange(1, n + 1)
+    if not weights.all():
+        # a bin of zero weights absorbs the next item whatever its weight:
+        # it holds weight only from one past the next positive item on
+        holds = np.minimum.accumulate(np.where(weights > 0, holds, n + 1)[::-1])[::-1]
+    step = memoryview(np.maximum(overflow, holds))
+    starts = [0]
+    while (s := step[starts[-1]]) < n:
+        starts.append(s)
+    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))

@@ -162,21 +162,21 @@ class ChunkIndex:
 # ---------------------------------------------------------------------------
 
 
-def _removal_round(cluster: Cluster, g: Graph, removed: np.ndarray, alive_after: np.ndarray, label: str) -> None:
-    """Removed nodes tell their still-alive neighbors to strike the edge."""
-    if removed.size == 0:
-        cluster.execute_round_bulk(
-            np.empty(0, np.int64), np.empty(0, np.int64), 1, label=label
-        )
+def _notify_round(cluster: Cluster, g: Graph, senders: np.ndarray, mask: np.ndarray, label: str) -> None:
+    """Distinct ``senders`` push one word along each incident edge whose other
+    end is in ``mask``: removed nodes strike the edge at their still-alive
+    neighbors, winners notify the not-yet-finished phase nodes.  The volumes
+    are counted over the senders' rows, not over all n nodes."""
+    if senders.size == 0:
+        cluster.execute_round_bulk(np.empty(0, np.int64), np.empty(0, np.int64), 1, label=label)
         return
-    src, tgt = gather_segments(g.indptr, g.indices, removed)
-    live = alive_after[tgt]
-    out = np.bincount(src[live], minlength=g.n)[removed]
-    in_cnt = np.bincount(tgt[live], minlength=g.n)
-    in_nodes = np.flatnonzero(in_cnt)
-    cluster.execute_round_volumes(
-        removed, out, in_nodes, in_cnt[in_nodes], label=label
-    )
+    lengths = g.indptr[senders + 1] - g.indptr[senders]
+    _, tgt = gather_segments(g.indptr, g.indices, senders)
+    live = mask[tgt]
+    row = np.repeat(np.arange(senders.size), lengths)
+    out = np.bincount(row[live], minlength=senders.size)
+    in_nodes, in_words = np.unique(tgt[live], return_counts=True)
+    cluster.execute_round_volumes(senders, out, in_nodes, in_words, label=label)
 
 
 class _BallCache:
@@ -270,6 +270,7 @@ def gather_and_peel(
     *,
     alive: np.ndarray,
     cache: _BallCache | None = None,
+    deg: np.ndarray | None = None,
     label_prefix: str = "partition",
 ) -> tuple[np.ndarray, int]:
     """One repetition: each alive node learns its layer-if-at-most-``radius``
@@ -277,12 +278,13 @@ def gather_and_peel(
 
     Radius 1 needs no gathering (degrees are local); it costs one removal
     round.  Radius >= 2 costs one gather round whose volumes come from the
-    iteration ball cache.  Mutates ``alive``.  Raises StallError exactly when
-    the centralized peeling would: a nonempty remainder where nobody has
-    degree <= d.
+    iteration ball cache.  Mutates ``alive``, and ``deg`` (the alive degrees
+    carried across repetitions, see :func:`peel_layers`) when given.  Raises
+    StallError exactly when the centralized peeling would: a nonempty
+    remainder where nobody has degree <= d.
     """
     g = cluster.graph
-    rel, t = peel_layers(g.indptr, g.indices, alive, d, radius)
+    rel, t = peel_layers(g.indptr, g.indices, alive, d, radius, deg=deg)
     removed = np.flatnonzero(rel > 0)
     if radius >= 2:
         cur = np.flatnonzero(alive)
@@ -299,7 +301,7 @@ def gather_and_peel(
         alive[removed] = False
     else:
         alive[removed] = False
-        _removal_round(cluster, g, removed, alive, f"{label_prefix}-peel")
+        _notify_round(cluster, g, removed, alive, f"{label_prefix}-peel")
     if t < radius and alive.any():
         stuck = int(alive.sum())
         raise StallError(
@@ -326,6 +328,8 @@ def mpc_h_partition(
     g = cluster.graph
     members = np.ones(g.n, np.bool_) if alive is None else np.asarray(alive, np.bool_)
     work = members.copy()
+    # only gather_and_peel shrinks `work`, and it keeps these degrees current
+    deg = alive_degrees(g.indptr, g.indices, work)
     layer = np.zeros(g.n, np.int64)
     offset = 0
     chunks = ChunkIndex()
@@ -342,7 +346,7 @@ def mpc_h_partition(
     def run_rep(radius: int, iteration: int, rep: int, cache: _BallCache | None) -> int:
         nonlocal offset
         rel, t = gather_and_peel(
-            cluster, radius, d, alive=work, cache=cache, label_prefix="partition"
+            cluster, radius, d, alive=work, cache=cache, deg=deg, label_prefix="partition"
         )
         removed = np.flatnonzero(rel > 0)
         if removed.size:
@@ -479,20 +483,6 @@ def mpc_mark_propose(
     return DistributedProposals(
         kind=kind, proposals=props, sub=sub, ids=ids, hp_sub=hp_sub, params=dict(params)
     )
-
-
-def _notify_round(cluster: Cluster, g: Graph, senders: np.ndarray, mask: np.ndarray, label: str) -> None:
-    """Senders push one word along each incident edge whose other end is in
-    ``mask`` (the not-yet-finished phase nodes)."""
-    if senders.size == 0:
-        cluster.execute_round_bulk(np.empty(0, np.int64), np.empty(0, np.int64), 1, label=label)
-        return
-    src, tgt = gather_segments(g.indptr, g.indices, senders)
-    live = mask[tgt]
-    out = np.bincount(src[live], minlength=g.n)[senders]
-    inc = np.bincount(tgt[live], minlength=g.n)
-    in_nodes = np.flatnonzero(inc)
-    cluster.execute_round_volumes(senders, out, in_nodes, inc[in_nodes], label=label)
 
 
 def mpc_select(

@@ -206,12 +206,24 @@ class Cluster:
     def _place(self, nodes: np.ndarray, store_w: np.ndarray, phase: int) -> np.ndarray:
         """Pack ``nodes`` (with storage weights) into machines: heaviest first
         with a seeded shuffle among equals, sequential bins of capacity
-        max(heaviest, 2 * ceil(total/M)).  Returns the new machine ids."""
+        max(heaviest, 2 * ceil(total/M)).  Returns the new machine ids.
+
+        The order is by (weight descending, tie hash, node id), sorted by
+        the tie and then stably by weight.  ``nodes`` must be strictly
+        ascending, so that equal hashes keep node order in a stable sort; the
+        hashes are nearly always distinct, and then the faster unstable sort
+        gives the same order."""
+        if np.any(nodes[1:] <= nodes[:-1]):
+            raise ValueError("_place needs strictly ascending node ids")
         pack_w = np.maximum(store_w, 1)
         total = int(pack_w.sum())
         cap = max(int(pack_w.max()), 2 * math.ceil(total / self.cfg.M), 1)
         tie = rng.hash_u64(self.seed, rng.PLACEMENT, phase, nodes)
-        order = np.lexsort((nodes, tie, -pack_w))
+        by_tie = np.argsort(tie)
+        sorted_tie = tie[by_tie]
+        if np.any(sorted_tie[1:] == sorted_tie[:-1]):
+            by_tie = np.argsort(tie, kind="stable")
+        order = by_tie[np.argsort(-pack_w[by_tie], kind="stable")]
         bins = pack_bins(pack_w[order], cap)
         used = int(bins[-1]) + 1 if bins.size else 1
         if used > self.cfg.M:

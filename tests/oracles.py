@@ -159,3 +159,23 @@ def ball_members(g: Graph, alive: np.ndarray, v: int, radius: int) -> set:
                     nxt.append(w)
         frontier = nxt
     return seen
+
+
+# ---------------------------------------------------------------------------
+# next-fit bin packing, one item at a time
+# ---------------------------------------------------------------------------
+
+
+def next_fit_bins(weights, cap: int) -> list:
+    """Bin id per item: open a new bin when the current one holds weight and
+    the item would take it above ``cap``."""
+    out = []
+    fill = 0
+    b = 0
+    for w in weights:
+        if fill > 0 and fill + w > cap:
+            b += 1
+            fill = 0
+        out.append(b)
+        fill += w
+    return out

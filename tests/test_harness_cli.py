@@ -8,7 +8,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
-from sparsempc import cli, harness, reduction
+from sparsempc import cli, harness, kernels, reduction
 from sparsempc.graph import build_graph, load_graph
 
 from oracles import cycle, star
@@ -301,3 +301,14 @@ def test_cli_bench_smoke(capsys):
     assert rc == 0
     out = capsys.readouterr().out
     assert "numpy" in out
+
+
+def test_cli_bench_without_jit_prints_no_nan(capsys, monkeypatch):
+    # without numba there is no jit time, so no speedup either: both read n/a
+    monkeypatch.setattr(kernels, "HAS_NUMBA", False)
+    rc = cli.main(["bench", "--n", "2000", "--repeats", "1", "--seed", "2"])
+    assert rc == 0
+    out = capsys.readouterr().out
+    assert "nan" not in out.lower()
+    rows = [line for line in out.splitlines() if line.startswith("pack_bins")]
+    assert len(rows) == 1 and rows[0].split()[-1] == "n/a"

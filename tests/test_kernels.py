@@ -2,14 +2,14 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsempc import kernels
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
 
-from oracles import ball_members, from_mask, path as path_graph
+from oracles import ball_members, from_mask, next_fit_bins, path as path_graph
 
 
 @pytest.fixture
@@ -231,12 +231,30 @@ def test_ball_stats_property_matches_oracle(n, seed, radius, keep):
     _assert_ball_stats_match_oracle(g, member, sources, radius, weights)
 
 
-def test_pack_bins_lane_parity(both_lanes):
+def test_pack_bins_matches_next_fit_oracle():
     r = np.random.default_rng(1)
     weights = r.integers(1, 40, size=500).astype(np.int64)
-    res = both_lanes(lambda: kernels.pack_bins(weights, 64))
-    for bins in res[1:]:
-        assert np.array_equal(bins, res[0])
+    bins = kernels.pack_bins(weights, 64)
+    assert bins.dtype == np.int64
+    assert bins.tolist() == next_fit_bins(weights.tolist(), 64)
+
+
+@given(
+    st.lists(st.one_of(st.just(0), st.integers(0, 60)), max_size=80),
+    st.one_of(st.just(1), st.integers(0, 50)),
+)
+@example([0, 0, 9, 1], 1)  # a bin of zero weights absorbs an item above cap
+@example([9, 0, 0, 1], 3)  # zero weights after an overflowing item open a bin
+@example([0, 0, 0], 0)
+@settings(max_examples=200, deadline=None)
+def test_pack_bins_property_matches_next_fit_oracle(ws, cap):
+    bins = kernels.pack_bins(np.array(ws, np.int64), cap)
+    assert bins.tolist() == next_fit_bins(ws, cap)
+
+
+def test_pack_bins_rejects_negative_weights():
+    with pytest.raises(ValueError, match="nonnegative"):
+        kernels.pack_bins(np.array([3, -1, 2], np.int64), 4)
 
 
 @given(st.lists(st.integers(1, 50), min_size=0, max_size=80), st.integers(10, 120))
@@ -275,6 +293,50 @@ def test_peel_matches_hand_oracle(n, mask, d):
         assert (got_layer == 0).any()
     else:
         assert np.array_equal(got_layer, want)
+
+
+@given(
+    st.integers(1, 40),
+    st.integers(0, 2 ** 31 - 1),
+    st.integers(1, 3),
+    st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_peel_carried_degrees_match_fresh_calls(n, seed, d, radii):
+    # A partition loop peels the same shrinking subgraph again and again.
+    # Carrying `deg` between calls must give what a fresh call gives, and
+    # leave `deg` equal to the recounted alive degrees of the survivors.
+    # _peel_njit is called directly too: without numba it is plain Python.
+    r = np.random.default_rng(seed)
+    g = _random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    alive = r.random(n) < 0.8
+    peels = {
+        "peel_layers": lambda work, r_, deg: kernels.peel_layers(
+            g.indptr, g.indices, work, d, r_, deg=deg),
+        "numpy": lambda work, r_, deg: kernels._peel_numpy(
+            g.indptr, g.indices, work, d, r_, deg),
+        "njit": lambda work, r_, deg: kernels._peel_njit(
+            g.indptr, g.indices, work, np.int64(d), np.int64(r_), deg),
+    }
+    for name, peel in peels.items():
+        work = alive.copy()
+        deg = kernels.alive_degrees(g.indptr, g.indices, work)
+        for radius in radii:
+            want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, work, d, radius)
+            layer, t = peel(work, radius, deg)
+            assert np.array_equal(layer, want_layer), name
+            assert t == want_t, name
+            work[layer > 0] = False
+            fresh = kernels.alive_degrees(g.indptr, g.indices, work)
+            assert np.array_equal(deg[work], fresh[work]), name
+
+
+def test_peel_layers_rejects_malformed_deg():
+    g = path_graph(4)
+    alive = np.ones(4, bool)
+    for deg in (np.ones(4, np.int32), np.ones(3, np.int64), [1, 2, 2, 1]):
+        with pytest.raises(ValueError, match="deg"):
+            kernels.peel_layers(g.indptr, g.indices, alive, 1, 4, deg=deg)
 
 
 def test_layered_core_exercises_deep_peel(both_lanes):

@@ -7,6 +7,7 @@ from conftest import realize, valid_d
 from oracles import ball_members, complete, cycle, path, star
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView
+from sparsempc.kernels import alive_degrees
 from sparsempc.mpc import (
     REPS_FIRST,
     REPS_LATER,
@@ -167,6 +168,34 @@ def test_gather_and_peel_stall_matches_centralized():
     cl = _cluster(g, 0.8)
     with pytest.raises(StallError, match="stalled"):
         gather_and_peel(cl, 1, 2, alive=np.ones(4, bool))
+
+
+def test_peel_rounds_meter_each_struck_edge():
+    # Radius-1 repetitions with carried degrees: each removal round must
+    # charge one word per edge from a removed node to a still-alive one, on
+    # the machines holding the two ends.
+    g = generate("bounded-degree-random", {"n": 400, "deg": 4}, seed=2)
+    d = valid_d(g)
+    cl = _cluster(g, 0.5)
+    alive = np.ones(g.n, bool)
+    alive[::5] = False
+    deg = alive_degrees(g.indptr, g.indices, alive)
+    while alive.any():
+        before = alive.copy()
+        rel, _ = gather_and_peel(cl, 1, d, alive=alive, deg=deg)
+        assert np.array_equal(alive, before & (rel == 0))
+        sent = np.zeros(cl.machines_used, np.int64)
+        received = np.zeros(cl.machines_used, np.int64)
+        for v in np.flatnonzero(rel).tolist():
+            for u in g.neighbors(v).tolist():
+                if alive[u]:
+                    sent[cl.node_machine[v]] += 1
+                    received[cl.node_machine[u]] += 1
+        trace = cl.traces[-1]
+        assert trace.label == "partition-peel"
+        assert np.array_equal(trace.sent[: sent.size], sent)
+        assert np.array_equal(trace.received[: received.size], received)
+        assert not trace.sent[sent.size:].any() and not trace.received[received.size:].any()
 
 
 def test_connect_cliques_path9_ball_oracle():

@@ -1,14 +1,19 @@
 """Cluster simulation: placement, budgets, routing, rebalance, traces."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from sparsempc import rng, runtime
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
 from sparsempc.runtime import (
     CapacityError,
+    Cluster,
     ClusterConfig,
     MemoryExceeded,
     ReceiveBudgetExceeded,
@@ -262,6 +267,49 @@ def test_agg_depth():
     g4 = path(4)
     cl1 = init_cluster(g4, ClusterConfig(n=4, m=3, delta=0.5, S=10, M=1), seed=0)
     assert cl1.agg_depth() == 0
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(0, 2 ** 31 - 1),
+    st.integers(1, 4),
+    st.sampled_from([None, 1, 2, 3]),
+)
+@settings(max_examples=80, deadline=None)
+def test_place_order_matches_lexsort(n, seed, distinct_weights, tie_classes):
+    """Placement walks nodes by (weight descending, tie hash, node id).  The
+    weights repeat, and with ``tie_classes`` the hashes are folded so that
+    equal ties are forced too.  Packing every node into its own bin makes
+    each node's machine id its position in the walk."""
+    r = np.random.default_rng(seed)
+    g = path(n)
+    keep = r.random(n) < 0.7
+    keep[int(r.integers(n))] = True
+    nodes = np.flatnonzero(keep)
+    store_w = r.integers(0, distinct_weights, size=nodes.size).astype(np.int64) * 5
+    cl = Cluster(g, ClusterConfig(n=n, m=g.m, delta=0.5, S=10 ** 6, M=n), seed=seed)
+    hash_u64 = rng.hash_u64
+
+    def folded(*args):
+        h = hash_u64(*args)
+        return h if tie_classes is None else h % np.uint64(tie_classes)
+
+    with mock.patch.object(runtime.rng, "hash_u64", folded), mock.patch.object(
+        runtime, "pack_bins", lambda w, cap: np.arange(w.size, dtype=np.int64)
+    ):
+        position = cl._place(nodes, store_w, phase=3)
+        tie = folded(cl.seed, rng.PLACEMENT, 3, nodes)
+    want = np.empty(nodes.size, np.int64)
+    want[np.lexsort((nodes, tie, -np.maximum(store_w, 1)))] = np.arange(nodes.size)
+    assert np.array_equal(position, want)
+
+
+@pytest.mark.parametrize("nodes", [[2, 1, 3], [0, 1, 1, 4]])
+def test_place_rejects_nodes_not_strictly_ascending(nodes):
+    g = path(5)
+    cl = Cluster(g, ClusterConfig(n=5, m=4, delta=0.5, S=10, M=5), seed=0)
+    with pytest.raises(ValueError, match="ascending"):
+        cl._place(np.array(nodes, np.int64), np.ones(len(nodes), np.int64), phase=0)
 
 
 def _run_traced_program(tmpdir, name):
