@@ -6,8 +6,9 @@ sparse (low-arboricity) graphs by repeatedly layering the graph with batch
 peeling, running one randomized mark/propose/select round over the layering,
 and finishing the residual low-degree graph greedily.  The same computation
 runs two ways: directly (:func:`sparsempc.reduction.solve`) or on a simulated
-memory-bounded cluster (:func:`sparsempc.mpc.mpc_pipeline`) that meters every
-round, message, and stored word — with bit-identical outputs.
+memory-bounded cluster (:func:`sparsempc.mpc.mpc_pipeline`, which is ``solve``
+with a cluster meter) that meters every round, message, and stored word —
+with bit-identical outputs.
 """
 
 from .graph import Graph, GraphView, build_graph, load_graph, save_graph
@@ -50,7 +51,6 @@ from .mpc import (
     ChunkIndex,
     ExponentiationSchedule,
     compute_schedule,
-    load_pipeline_config,
     mpc_h_partition,
     mpc_pipeline,
 )
@@ -92,7 +92,6 @@ __all__ = [
     "init_cluster",
     "layer_decay_ok",
     "load_graph",
-    "load_pipeline_config",
     "metrics",
     "mpc_h_partition",
     "mpc_pipeline",

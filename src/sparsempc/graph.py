@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import alive_degrees, gather_segments
+from .kernels import alive_degrees
 
 
 class GraphError(ValueError):
@@ -141,12 +141,6 @@ class GraphView:
         remap[ids] = np.arange(ids.size, dtype=np.int64)
         e = self.alive_edges()
         return build_graph(ids.size, remap[e]), ids
-
-
-def neighbors_of_set(g: Graph, nodes: np.ndarray) -> np.ndarray:
-    """Distinct neighbors of any node in ``nodes`` (may include the set itself)."""
-    _, nb = gather_segments(g.indptr, g.indices, np.asarray(nodes, dtype=np.int64))
-    return np.unique(nb)
 
 
 # ---------------------------------------------------------------------------

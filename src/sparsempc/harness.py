@@ -23,6 +23,18 @@ from .peeling import degeneracy
 from .runtime import ClusterConfig
 
 MODES = ("centralized", "mpc", "both")
+SPEC_KEYS = ("instances", "pipeline", "mode", "out")
+INSTANCE_KEYS = ("family", "params", "seeds", "name")
+# every setting _run_one reads
+PIPELINE_KEYS = (
+    "kind", "target_delta", "exponent", "d_floor", "delta", "c_total", "c_pre", "adaptive",
+)
+
+
+def _reject_unknown(where: str, doc: dict, known: tuple) -> None:
+    for key in doc:
+        if key not in known:
+            raise ValueError(f"unknown {where} key {key!r}; known keys: {', '.join(known)}")
 
 
 @dataclass
@@ -37,7 +49,9 @@ class ExperimentSpec:
             raise ValueError("experiment spec names no instances")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        _reject_unknown("pipeline", self.pipeline, PIPELINE_KEYS)
         for inst in self.instances:
+            _reject_unknown("instance", inst, INSTANCE_KEYS)
             seeds = inst.get("seeds")
             if not seeds:
                 raise ValueError(f"instance {inst.get('family')} has no explicit seeds")
@@ -46,6 +60,7 @@ class ExperimentSpec:
     def from_file(cls, path) -> "ExperimentSpec":
         with open(path) as fh:
             doc = json.load(fh)
+        _reject_unknown("spec", doc, SPEC_KEYS)
         return cls(
             instances=doc["instances"],
             pipeline=doc.get("pipeline", {}),
@@ -126,12 +141,7 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
         inv["no_budget_violations"] = not met["violations"]
         rounds, peak = met["rounds"], met["peak_words"]
         if not phases:
-            phases = [
-                {k: ph[k] for k in
-                 ("delta_before", "d_used", "heavy_nodes_before",
-                  "heavy_survivors_after", "delta_after") if k in ph}
-                for ph in met["phases"]
-            ]
+            phases = reduction.ReductionReport(met["phases"]).spec_rows()
         size = int(sol_m.selected.shape[0])
     if mode == "both":
         inv["digests_equal"] = dig_c == dig_m

@@ -1,20 +1,23 @@
 """Cluster execution of the degree-reduction pipeline.
 
+:func:`mpc_pipeline` is :func:`sparsempc.reduction.solve` run with a
+:class:`ClusterMeter`: the shared driver computes every proposal, selection
+and finish round once, and the meter's hooks charge each stage to a
+simulated cluster.  The stage meters live here: the partition, which is
+built on the cluster (:func:`mpc_h_partition`), mark/propose
+(:func:`mpc_mark_propose`), the chunk-wise selection (:func:`mpc_select`)
+and the finish rounds.
+
 The partition is built in repetitions: each repetition peels every node whose
 layer index (within the current remainder) is at most the hop radius, because
 a radius-r ball determines layers up to r.  Hop radii double once per
 iteration by connecting 1-hop neighborhoods into cliques (virtual edges), so
 one repetition of iteration i clears up to 2^i layers in O(1) rounds.  Nodes
 get removed in chunks of consecutive layers; selection later walks the chunks
-in reverse removal order.
-
-Numerically, every coin comes from the same counter streams the centralized
-module uses, drawn on the per-phase compacted subgraph, so layer maps,
-proposal sets, selections, and the final solution are bit-identical to
-:mod:`sparsempc.reduction` outputs.  The cluster side contributes the round,
-traffic, and memory metering: message volumes are computed from real ball
-sizes (bounded-radius BFS) and charged against the machine budgets of
-:mod:`sparsempc.runtime`.
+in reverse removal order.  Its layer map equals the centralized
+:func:`sparsempc.peeling.h_partition` of the phase subgraph.  Message volumes
+are computed from real ball sizes (bounded-radius BFS) and charged against
+the machine budgets of :mod:`sparsempc.runtime`.
 
 Two metering regimes: ``adaptive=False`` (default) runs the fixed repetition
 schedule of an oblivious coordinator and checks progress once per iteration;
@@ -30,24 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import rng
 from .graph import Graph, GraphView
 from .kernels import alive_degrees, ball_stats, gather_segments, peel_layers
 from .peeling import HPartition, StallError
-from .reduction import (
-    PartialSolution,
-    ProposalSet,
-    ReductionReport,
-    _in_degrees,
-    luby_matching_round,
-    luby_mis_round,
-    mark_and_propose_matching,
-    mark_and_propose_mis,
-    mis_probability,
-    phase_threshold,
-    select_matching,
-    select_mis,
-)
+from .reduction import PartialSolution, ProposalSet, solve
 from .runtime import Cluster, ClusterConfig, init_cluster, rebalance
 from .runtime import metrics as runtime_metrics
 
@@ -78,9 +67,6 @@ def compute_schedule(
     delta: float,
     *,
     c_pre: float = 2.0,
-    reps_first: int = REPS_FIRST,
-    reps_later: int = REPS_LATER,
-    allow_custom_reps: bool = False,
 ) -> ExponentiationSchedule:
     """Pick the deepest hop-doubling level k with delta_max^(2^k + 1) <= S.
 
@@ -88,8 +74,6 @@ def compute_schedule(
     schedule flags fallback mode: layer-by-layer peeling at radius 1, no
     virtual edges, k undefined.
     """
-    if not allow_custom_reps and (reps_first, reps_later) != (REPS_FIRST, REPS_LATER):
-        raise ValueError("non-default repetition counts need allow_custom_reps=True")
     delta_max = int(delta_max)
     loglog = math.log2(max(2.0, math.log2(max(2.0, n))))
     pre = int(math.ceil(c_pre * math.log2(max(2.0, (1.0 / delta) * loglog))))
@@ -108,7 +92,7 @@ def compute_schedule(
         while delta_max ** (2 ** (k + 1) + 1) <= S:
             k += 1
     phases = tuple(
-        (i, 2 ** i, reps_first if i == 0 else reps_later) for i in range(k + 1)
+        (i, 2 ** i, REPS_FIRST if i == 0 else REPS_LATER) for i in range(k + 1)
     )
     return ExponentiationSchedule(
         delta_max=delta_max,
@@ -436,63 +420,40 @@ def mpc_h_partition(
 
 
 # ---------------------------------------------------------------------------
-# mark/propose and chunked selection
+# stage meters
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class DistributedProposals:
-    kind: str
-    proposals: ProposalSet  # over compacted phase-subgraph ids
-    sub: Graph
-    ids: np.ndarray  # compacted id -> original id
-    hp_sub: HPartition
-    params: dict
-
-
 def mpc_mark_propose(
-    cluster: Cluster, hp: HPartition, kind: str, params: dict, seed: int
-) -> DistributedProposals:
-    """Marking and proposing over the whole phase subgraph, before any chunk
-    is visited.  Costs one layer-exchange round plus, for matching, a marked-
-    edge round and a proposal round; for the independent set the marks of
-    same-layer neighbors are the only exchange."""
-    g = cluster.graph
-    mask = hp.layer > 0
-    sub, ids = GraphView(g, mask).compact()
-    hp_sub = HPartition(layer=hp.layer[ids].copy(), d=hp.d, ell=hp.ell)
+    cluster: Cluster, sub: Graph, ids: np.ndarray, hp: HPartition, props: ProposalSet
+) -> None:
+    """Meter marking and proposing over the whole phase subgraph ``sub``
+    (compacted ids; ``ids`` maps them back), before any chunk is visited.
+    Costs one layer-exchange round plus, for matching, a marked-edge round
+    and a proposal round; for the independent set the marks of same-layer
+    neighbors are the only exchange."""
     deg = sub.degrees.astype(np.int64)
     cluster.execute_round_volumes(ids, deg, ids, deg, label="markpropose")
-    if kind == "matching":
-        props = mark_and_propose_matching(sub, hp_sub, seed)
+    if props.kind == "matching":
         mk, pr = props.marked, props.proposed
         cluster.execute_round_bulk(ids[mk[:, 0]], ids[mk[:, 1]], 1, label="markpropose")
         cluster.execute_round_bulk(ids[pr[:, 1]], ids[pr[:, 0]], 1, label="markpropose")
-    elif kind == "mis":
-        props = mark_and_propose_mis(sub, hp_sub, params["p"], seed)
+    else:
         is_marked = np.zeros(sub.n, np.bool_)
         is_marked[props.marked] = True
         src = np.repeat(np.arange(sub.n, dtype=np.int64), sub.degrees)
-        same = hp_sub.layer[sub.indices] == hp_sub.layer[src]
+        same = hp.layer[sub.indices] == hp.layer[src]
         flow = same & is_marked[src]
         out = np.bincount(src[flow], minlength=sub.n)
         inc = np.bincount(sub.indices[flow], minlength=sub.n)
         cluster.execute_round_volumes(ids, out, ids, inc, label="markpropose")
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
-    return DistributedProposals(
-        kind=kind, proposals=props, sub=sub, ids=ids, hp_sub=hp_sub, params=dict(params)
-    )
 
 
 def mpc_select(
-    cluster: Cluster,
-    hp: HPartition,
-    kind: str,
-    proposals: DistributedProposals,
-    chunks: ChunkIndex,
-) -> PartialSolution:
-    """Chunk-wise selection in reverse removal order.
+    cluster: Cluster, hp: HPartition, chunks: ChunkIndex, sol: PartialSolution
+) -> None:
+    """Meter the selection ``sol`` (original ids) chunk by chunk, in reverse
+    removal order.
 
     Each chunk member re-gathers its retained radius ball with proposal flags
     (one round), winners notify their neighbors (one round), and for the
@@ -502,23 +463,14 @@ def mpc_select(
     chunk's layer interval going down and the reverse order resolves every
     cross-chunk dependency before it is needed.
     """
-    sub, ids, hp_sub = proposals.sub, proposals.ids, proposals.hp_sub
-    if kind == "matching":
-        sol_sub = select_matching(sub, hp_sub, proposals.proposals)
-    elif kind == "mis":
-        sol_sub = select_mis(sub, hp_sub, proposals.proposals)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     g = cluster.graph
-    removed_orig = np.zeros(g.n, np.bool_)
-    removed_orig[ids[sol_sub.removed]] = True
+    removed = np.zeros(g.n, np.bool_)
+    removed[sol.removed] = True
     pending = hp.layer > 0  # phase nodes whose fate is not yet committed
-    if kind == "matching":
-        sel_edges = ids[sol_sub.selected] if sol_sub.selected.size else sol_sub.selected
-        sel_layer = hp.layer[sel_edges[:, 1]] if sel_edges.size else np.empty(0, np.int64)
+    if sol.kind == "matching":
+        sel_layer = hp.layer[sol.selected[:, 1]]
     else:
-        sel_nodes = ids[sol_sub.selected]
-        sel_layer = hp.layer[sel_nodes]
+        sel_layer = hp.layer[sol.selected]
 
     for c in reversed(chunks.chunks):
         if c.layer_hi - c.layer_lo + 1 > c.radius:
@@ -526,66 +478,85 @@ def mpc_select(
         words = cluster.base_words[c.members] + cluster.extra_words[c.members]
         cluster.execute_round_volumes(c.members, words, c.members, words, label="select")
         in_chunk = (sel_layer >= c.layer_lo) & (sel_layer <= c.layer_hi)
-        if kind == "matching":
-            winners = np.unique(sel_edges[in_chunk]) if sel_edges.size else sel_edges
+        if sol.kind == "matching":
+            winners = np.unique(sol.selected[in_chunk])
             _notify_round(cluster, g, winners, pending, "select")
         else:
-            winners = sel_nodes[in_chunk]
+            winners = sol.selected[in_chunk]
             _notify_round(cluster, g, winners, pending, "select")
             # neighbors of winners leave the graph too; they tell their own
             # neighborhoods, which may live in chunks not yet visited
             _, nb = gather_segments(g.indptr, g.indices, winners)
-            felled = np.unique(nb[pending[nb] & removed_orig[nb]])
+            felled = np.unique(nb[pending[nb] & removed[nb]])
             _notify_round(cluster, g, felled, pending, "select")
-        gone = c.members[removed_orig[c.members]]
+        gone = c.members[removed[c.members]]
         cluster.drop_nodes(gone)
-        keep = c.members[~removed_orig[c.members]]
+        keep = c.members[~removed[c.members]]
         if keep.size:
             cluster.add_extra_words(keep, -cluster.extra_words[keep])
         pending[c.members] = False
-    selected = ids[sol_sub.selected] if sol_sub.selected.size else sol_sub.selected
-    return PartialSolution(kind=kind, selected=selected, removed=ids[sol_sub.removed])
 
 
 # ---------------------------------------------------------------------------
-# finish + full pipeline
+# the cluster meter and the full pipeline
 # ---------------------------------------------------------------------------
 
 
-def _mpc_finish(cluster: Cluster, view: GraphView, kind: str, seed: int) -> PartialSolution:
-    """Round-by-round priority finish on the low-degree remainder; identical
-    output to reduction.finish_greedy under the same seed."""
-    g = view.graph
-    alive = view.alive.copy()
-    total = PartialSolution.empty(kind)
-    sync = 2 * cluster.agg_depth()
-    round_idx = 0
-    while True:
-        if kind == "matching":
-            won = luby_matching_round(g, alive, seed, round_idx)
-            if not won.shape[0]:
-                break
+class ClusterMeter:
+    """Hooks that :func:`sparsempc.reduction.solve` calls at each stage of a
+    phase and at each finish round.  The partition hook builds the layer map
+    on the cluster; every other hook only meters what the driver computed.
+    Collects the per-phase partition stats."""
+
+    def __init__(self, cluster: Cluster, *, c_pre: float = 2.0, adaptive: bool = False):
+        self.cluster = cluster
+        self.c_pre = c_pre
+        self.adaptive = adaptive
+        self.partition_stats: list[dict] = []
+        self._hp: HPartition | None = None  # this phase's layers, original ids
+        self._chunks: ChunkIndex | None = None
+
+    def begin_phase(self, view: GraphView) -> None:
+        rebalance(self.cluster, view.alive, label="rebalance")
+
+    def partition(self, alive: np.ndarray, ids: np.ndarray, d: int, delta: int) -> HPartition:
+        """The phase partition of the ``alive`` subgraph (max degree
+        ``delta``), built on the cluster; returned over the compacted ids
+        ``ids``.  Raises StallError where the centralized peeling would."""
+        cl = self.cluster
+        schedule = compute_schedule(delta, cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre)
+        hp, self._chunks, stats = mpc_h_partition(
+            cl, d, schedule, alive=alive, adaptive=self.adaptive
+        )
+        self.partition_stats.append(stats)
+        self._hp = hp
+        return HPartition(layer=hp.layer[ids], d=hp.d, ell=hp.ell)
+
+    def mark_propose(self, sub: Graph, ids: np.ndarray, hp: HPartition, props: ProposalSet) -> None:
+        mpc_mark_propose(self.cluster, sub, ids, hp, props)
+
+    def select(self, sol: PartialSolution) -> None:
+        mpc_select(self.cluster, self._hp, self._chunks, sol)
+
+    def end_phase(self, view: GraphView) -> None:
+        # survivors' stored rows shrink to their remaining degree
+        srv = np.flatnonzero(view.alive)
+        self.cluster.set_base_words(srv, view.alive_degrees()[srv])
+
+    def finish_round(self, g: Graph, alive: np.ndarray, step: PartialSolution) -> None:
+        """One priority round of the finish: ``step.selected`` joined the
+        solution and ``step.removed`` leave the ``alive`` nodes."""
+        cl = self.cluster
+        after = alive.copy()
+        after[step.removed] = False
+        if step.kind == "matching":  # alive edges exchange priorities
             nodes = np.flatnonzero(alive & (alive_degrees(g.indptr, g.indices, alive) > 0))
-            cluster.execute_round_volumes(nodes, 1, nodes, 1, label="finish")
-            ends = np.unique(won)
-            alive[ends] = False
-            _notify_round(cluster, g, ends, alive, "finish")
-            cluster.drop_nodes(ends)
-            total = total.merge(PartialSolution(kind=kind, selected=won, removed=ends))
-        else:
-            won = luby_mis_round(g, alive, seed, round_idx)
-            if not won.size:
-                break
-            _notify_round(cluster, g, won, alive, "finish")
-            _, nb = gather_segments(g.indptr, g.indices, won)
-            removed = np.unique(np.concatenate([won, nb[alive[nb]]]))
-            alive[removed] = False
-            _notify_round(cluster, g, removed, alive, "finish")
-            cluster.drop_nodes(removed)
-            total = total.merge(PartialSolution(kind=kind, selected=won, removed=removed))
-        cluster.control_rounds(sync, label="finish-sync")
-        round_idx += 1
-    return total
+            cl.execute_round_volumes(nodes, 1, nodes, 1, label="finish")
+        else:  # winners notify their neighbors
+            _notify_round(cl, g, step.selected, alive, "finish")
+        _notify_round(cl, g, step.removed, after, "finish")
+        cl.drop_nodes(step.removed)
+        cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
 
 
 def partition_rounds(met: dict) -> int:
@@ -605,124 +576,27 @@ def mpc_pipeline(
     d_floor: int | None = None,
     c_pre: float = 2.0,
     adaptive: bool = False,
-    max_phases: int = 64,
     name: str = "pipeline",
 ) -> tuple[PartialSolution, dict]:
-    """Degree-reduction phases, then the priority finish, all metered.
+    """:func:`sparsempc.reduction.solve` on a cluster: degree-reduction
+    phases, then the priority finish, all metered, then the collect rounds.
 
-    Mirrors :func:`reduction.solve` decision-for-decision: same per-phase
-    seeds, same thresholds, same stall and no-progress handling, so the
-    returned solution is identical; the metrics carry rounds by label, peak
-    words, violations, per-phase reports and partition stats.
+    The solution is the one ``solve`` returns for the same arguments; the
+    metrics carry rounds by label, peak words, violations, per-phase reports
+    and partition stats.
     """
     cluster = init_cluster(g, cfg, seed, name=name)
-    view = GraphView.full(g)
-    total = PartialSolution.empty(kind)
-    report = ReductionReport()
-    partition_stats: list[dict] = []
-    for phase in range(max_phases):
-        delta = view.max_alive_degree()
-        if delta <= target_delta:
-            break
-        d = phase_threshold(delta, exponent, d_floor)
-        seed_p = rng.derive_seed(seed, phase)
-        rebalance(cluster, view.alive, label="rebalance")
-        schedule = compute_schedule(delta, cfg.S, g.n, cfg.delta, c_pre=c_pre)
-        try:
-            hp, chunks, pstats = mpc_h_partition(
-                cluster, d, schedule, alive=view.alive, adaptive=adaptive
-            )
-        except StallError as exc:
-            report.phases.append(
-                {
-                    "delta_before": int(delta),
-                    "d_used": int(d),
-                    "heavy_nodes_before": 0,
-                    "heavy_survivors_after": 0,
-                    "delta_after": int(delta),
-                    "stalled": True,
-                    "stall_reason": str(exc),
-                }
-            )
-            break
-        partition_stats.append(pstats)
-        params = {"p": mis_probability(d)} if kind == "mis" else {}
-        dist = mpc_mark_propose(cluster, hp, kind, params, seed_p)
-        sol = mpc_select(cluster, hp, kind, dist, chunks)
-
-        sub, ids, hp_sub = dist.sub, dist.ids, dist.hp_sub
-        heavy = d ** 4
-        indeg = _in_degrees(sub, hp_sub)
-        alive_sub = np.ones(sub.n, np.bool_)
-        alive_sub[np.searchsorted(ids, sol.removed)] = False
-        indeg_after = _in_degrees(sub, hp_sub, alive_sub)
-        remainder = view.copy()
-        remainder.alive[sol.removed] = False
-        entry = {
-            "delta_before": int(delta),
-            "d_used": int(d),
-            "heavy_nodes_before": int((indeg >= heavy).sum()),
-            "heavy_survivors_after": int(
-                ((indeg >= heavy) & alive_sub & (indeg_after >= heavy)).sum()
-            ),
-            "delta_after": remainder.max_alive_degree(),
-            "alive_before": int(ids.size),
-            "ell": hp_sub.ell,
-            "layer_sizes": [int(x) for x in hp_sub.layer_sizes()],
-        }
-        total = total.merge(sol)
-        report.phases.append(entry)
-        view = remainder
-        # survivors' stored rows shrink to their remaining degree
-        srv = np.flatnonzero(view.alive)
-        cluster.set_base_words(srv, view.alive_degrees()[srv])
-        if entry["delta_after"] >= delta:
-            entry["reduced"] = False
-            break
-    fin = _mpc_finish(cluster, view, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
-    total = total.merge(fin)
+    meter = ClusterMeter(cluster, c_pre=c_pre, adaptive=adaptive)
+    total, report = solve(
+        g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor, meter=meter
+    )
     cluster.control_rounds(2 * cluster.agg_depth(), label="collect")
     met = runtime_metrics(cluster)
     met["partition_rounds"] = partition_rounds(met)
     met["phases"] = report.phases
-    met["partition_stats"] = partition_stats
+    met["partition_stats"] = meter.partition_stats
     met["kind"] = kind
     met["target_delta"] = int(target_delta)
     met["adaptive"] = bool(adaptive)
     cluster.flush_trace()
     return total, met
-
-
-# ---------------------------------------------------------------------------
-# pipeline config files (key = value lines)
-# ---------------------------------------------------------------------------
-
-_CONFIG_TYPES = {
-    "delta": float,
-    "c_pre": float,
-    "exponent": float,
-    "target_delta": int,
-    "kind": str,
-    "seed": int,
-    "adaptive": lambda s: s.strip().lower() in ("1", "true", "yes", "on"),
-}
-
-
-def parse_pipeline_config(text: str) -> dict:
-    out: dict = {}
-    for lineno, raw in enumerate(text.splitlines(), 1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key = value, got {raw!r}")
-        key, val = (part.strip() for part in line.split("=", 1))
-        if key not in _CONFIG_TYPES:
-            raise ValueError(f"line {lineno}: unknown key {key!r}")
-        out[key] = _CONFIG_TYPES[key](val)
-    return out
-
-
-def load_pipeline_config(path) -> dict:
-    with open(path) as fh:
-        return parse_pipeline_config(fh.read())

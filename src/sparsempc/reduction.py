@@ -1,10 +1,14 @@
-"""Centralized reference pipeline: mark-and-propose, layered selection,
-iterated degree reduction, greedy finish, and maximality checking.
+"""Degree-reduction pipeline: mark-and-propose, layered selection, iterated
+degree reduction, greedy finish, and maximality checking.
+
+:func:`solve` is the only phase driver.  Alone it is the centralized
+reference; with a meter (:class:`sparsempc.mpc.ClusterMeter`) it is the
+cluster execution, whose partition is built on the simulated cluster and
+whose every stage is metered there, so both executions share one computation.
 
 Randomness discipline: every coin is drawn from the counter streams in
-:mod:`sparsempc.rng keyed by node ids of the *phase subgraph* (alive nodes
-renumbered in ascending id order).  The cluster simulation compacts phases
-the same way, which is what makes its outputs bit-identical to this module's.
+:mod:`sparsempc.rng` keyed by node ids of the *phase subgraph* (alive nodes
+renumbered in ascending id order).
 """
 
 from __future__ import annotations
@@ -261,17 +265,22 @@ def mis_probability(d: int) -> float:
     return min(1.0, 1.0 / (d * d))
 
 
-def reduce_once(g_view: GraphView, kind: str, d: int, seed: int):
+def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     """One phase: partition with threshold d, mark/propose, select, strip.
 
     Returns ``(solution-in-original-ids, remainder view, phase report entry)``.
-    Propagates :class:`StallError` from the partition.
+    Propagates :class:`StallError` from the partition.  A ``meter`` (see
+    :class:`sparsempc.mpc.ClusterMeter`) builds the partition on its cluster
+    and meters the proposals and the selection computed here.
     """
     if g_view.alive_count() == 0:
         raise ValueError("reduce_once needs a nonempty graph view")
     sub, ids = g_view.compact()
     delta_before = sub.max_degree()
-    hp = h_partition(sub, d)
+    if meter is None:
+        hp = h_partition(sub, d)
+    else:
+        hp = meter.partition(g_view.alive, ids, d, delta_before)
     if kind == "matching":
         props = mark_and_propose_matching(sub, hp, seed)
         sol_c = select_matching(sub, hp, props)
@@ -280,6 +289,8 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int):
         sol_c = select_mis(sub, hp, props)
     else:
         raise ValueError(f"unknown kind {kind!r}")
+    if meter is not None:
+        meter.mark_propose(sub, ids, hp, props)
 
     heavy = d ** 4
     indeg = _in_degrees(sub, hp)
@@ -291,6 +302,9 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int):
 
     selected = ids[sol_c.selected] if sol_c.selected.size else sol_c.selected
     removed = ids[sol_c.removed]
+    sol = PartialSolution(kind=kind, selected=selected, removed=removed)
+    if meter is not None:
+        meter.select(sol)
     remainder = g_view.copy()
     remainder.alive[removed] = False
     entry = {
@@ -303,7 +317,7 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int):
         "ell": hp.ell,
         "layer_sizes": [int(x) for x in hp.layer_sizes()],
     }
-    return PartialSolution(kind=kind, selected=selected, removed=removed), remainder, entry
+    return sol, remainder, entry
 
 
 def phase_threshold(delta: int, exponent: float, d_floor: int | None = None) -> int:
@@ -323,12 +337,15 @@ def degree_reduce(
     *,
     d_floor: int | None = None,
     max_phases: int = 64,
+    meter=None,
 ):
     """Iterate reduce_once with d = ceil(Δ^exponent) until Δ <= target_delta.
 
     A phase that stalls or fails to decrease Δ ends the loop with a warning
     entry in the report instead of raising — small graphs legitimately hit
-    both cases, and the accumulated solution stays valid either way.
+    both cases, and the accumulated solution stays valid either way.  A
+    ``meter`` is told where each phase begins and ends, and is passed on to
+    :func:`reduce_once`.
     """
     if target_delta < 1:
         raise ValueError("target_delta must be >= 1")
@@ -340,8 +357,12 @@ def degree_reduce(
         if delta <= target_delta:
             break
         d = phase_threshold(delta, exponent, d_floor)
+        if meter is not None:
+            meter.begin_phase(view)
         try:
-            sol, view2, entry = reduce_once(view, kind, d, rng.derive_seed(seed, phase))
+            sol, view2, entry = reduce_once(
+                view, kind, d, rng.derive_seed(seed, phase), meter=meter
+            )
         except StallError as exc:
             report.phases.append(
                 {
@@ -358,6 +379,8 @@ def degree_reduce(
         total = total.merge(sol)
         report.phases.append(entry)
         view = view2
+        if meter is not None:
+            meter.end_phase(view)
         if entry["delta_after"] >= delta:
             entry["reduced"] = False
             break
@@ -414,31 +437,33 @@ def luby_mis_round(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> np
     return nodes[rank[nodes] < nbest[nodes]]
 
 
-def finish_greedy(g_view: GraphView, kind: str, seed: int, *, max_rounds: int = 10_000):
+def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
     """Priority rounds until no alive edges remain (then, for MIS, sweep up the
-    isolated leftovers).  Shared round helpers keep this bit-identical with the
-    cluster execution of the same finish."""
+    isolated leftovers).  Every round removes at least the endpoints of the
+    best-ranked alive edge (or the best-ranked alive node), so the loop ends.
+    A ``meter`` meters each round before its nodes leave."""
     g = g_view.graph
     alive = g_view.alive.copy()
     total = PartialSolution.empty(kind)
-    for round_idx in range(max_rounds):
+    round_idx = 0
+    while True:
         if kind == "matching":
             won = luby_matching_round(g, alive, seed, round_idx)
             if not won.shape[0]:
                 break
-            alive[won[:, 0]] = False
-            alive[won[:, 1]] = False
-            total = total.merge(
-                PartialSolution(kind=kind, selected=won, removed=np.unique(won))
-            )
+            removed = np.unique(won)
         else:
             won = luby_mis_round(g, alive, seed, round_idx)
             if not won.size:
                 break
             _, nb = gather_segments(g.indptr, g.indices, won)
             removed = np.unique(np.concatenate([won, nb[alive[nb]]]))
-            alive[removed] = False
-            total = total.merge(PartialSolution(kind=kind, selected=won, removed=removed))
+        step = PartialSolution(kind=kind, selected=won, removed=removed)
+        if meter is not None:
+            meter.finish_round(g, alive, step)
+        alive[removed] = False
+        total = total.merge(step)
+        round_idx += 1
     return total
 
 
@@ -450,14 +475,15 @@ def solve(
     *,
     exponent: float = 0.1,
     d_floor: int | None = None,
+    meter=None,
 ):
-    """Reference end-to-end run: degree reduction, then the greedy finish on
-    the low-degree remainder.  The cluster pipeline reproduces this output
-    word-for-word given the same arguments."""
+    """End-to-end run: degree reduction, then the greedy finish on the
+    low-degree remainder.  With a ``meter`` this is the cluster pipeline
+    (:func:`sparsempc.mpc.mpc_pipeline`): the same computation, metered."""
     sol, view, report = degree_reduce(
-        g, kind, target_delta, exponent=exponent, seed=seed, d_floor=d_floor
+        g, kind, target_delta, exponent=exponent, seed=seed, d_floor=d_floor, meter=meter
     )
-    fin = finish_greedy(view, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
+    fin = finish_greedy(view, kind, rng.derive_seed(seed, rng.FINISH_PHASE), meter=meter)
     return sol.merge(fin), report
 
 

@@ -5,18 +5,17 @@ is local computation everywhere, then an all-to-all routing step; a machine's
 sent words, received words, and resident words must each stay within its
 capacity S, and any violation aborts the run naming the machine and round.
 
-Two execution paths share the same ledgers:
+A round is described by arrays, one call per round:
+:meth:`Cluster.execute_round_bulk` takes flat src/dst/word message arrays,
+:meth:`Cluster.execute_round_volumes` takes per-node traffic totals (used when
+per-message arrays would be huge), and :meth:`Cluster.control_rounds` meters
+coordinator plumbing.  All of them charge the same ledgers.
 
-* :meth:`Cluster.execute_round` — the per-machine-callback path.  Messages are
-  (destination node, payload) pairs; inboxes are delivered to the callback of
-  the *next* round, matching the synchronous model.
-* :meth:`Cluster.execute_round_bulk` — array path used by the graph pipeline:
-  one call is one full round described by flat src/dst/word arrays.
-
-Messages between nodes hosted on the same machine are local computation and
-cost nothing.  Storage is metered in words: one word per adjacency entry
-(an edge costs two words, one at each endpoint) plus whatever auxiliary words
-the caller registers (virtual adjacency, retained chunk state).
+In a bulk round, messages between nodes hosted on the same machine are local
+computation and cost nothing.  Storage is metered in words: one word per
+adjacency entry (an edge costs two words, one at each endpoint) plus whatever
+auxiliary words the caller registers (virtual adjacency, retained chunk
+state).
 """
 
 from __future__ import annotations
@@ -115,17 +114,6 @@ class RoundTrace:
     received: np.ndarray | None = None
 
 
-@dataclass
-class MachineView:
-    """What one machine sees during a round: its id, resident nodes, and the
-    messages addressed to those nodes in the previous round."""
-
-    id: int
-    nodes: np.ndarray
-    inbox: dict[int, list[tuple[int, np.ndarray]]]
-    round: int
-
-
 _TRACE_KEEP_LIMIT = 4096
 
 
@@ -140,13 +128,11 @@ class Cluster:
         self.round_idx = 0
         self.traces: list[RoundTrace] = []
         self.violations: list[dict] = []
-        self.budget_per_node = min(cfg.S, (cfg.M * cfg.S) // max(1, g.n))
         self.base_words = cfg.edge_words * g.degrees.astype(np.int64)
         self.extra_words = np.zeros(g.n, np.int64)
         self.node_machine = np.zeros(g.n, np.int64)
         self.machines_used = 1
         self.loads = np.zeros(1, np.int64)
-        self._inbox: dict[int, list[tuple[int, np.ndarray]]] = {}
         self._peak_cache: tuple[int, int] | None = None  # (machine, words)
         self._trace_rows: list[dict] | None = None
         trace_dir = os.environ.get("MPC_TRACE_DIR")
@@ -171,11 +157,6 @@ class Cluster:
         delta = np.broadcast_to(np.asarray(delta, np.int64), np.shape(nodes)).copy()
         np.add.at(self.loads, self.node_machine[nodes], delta)
         self.extra_words[nodes] += delta
-        self._peak_cache = None
-
-    def clear_extra_words(self) -> None:
-        np.add.at(self.loads, self.node_machine, -self.extra_words)
-        self.extra_words[:] = 0
         self._peak_cache = None
 
     def drop_nodes(self, nodes: np.ndarray) -> None:
@@ -271,20 +252,10 @@ class Cluster:
             raise exc(f"{kind} budget: {amount} words > S={S}", machine, trace.round)
         return trace
 
-    def _check_and_trace(
-        self,
-        label: str,
-        sent: np.ndarray,
-        received: np.ndarray,
-        *,
-        inbox_words: np.ndarray | None = None,
-    ) -> RoundTrace:
+    def _check_and_trace(self, label: str, sent: np.ndarray, received: np.ndarray) -> RoundTrace:
         """Shared budget check + ledger snapshot.  ``sent``/``received`` may be
         shorter than machines_used; missing tail means zero."""
         words = self.loads
-        if inbox_words is not None:
-            words = words.copy()
-            words[: inbox_words.size] += inbox_words
         peak_m = int(words.argmax()) if words.size else 0
         peak = int(words[peak_m]) if words.size else 0
         ms = int(sent.argmax()) if sent.size else 0
@@ -389,48 +360,6 @@ class Cluster:
                 trace.received = np.full(self.machines_used, words, np.int64)
             self._finish_round(trace)
 
-    def execute_round(self, local_step, label: str = "") -> RoundTrace:
-        """Callback path: run ``local_step(MachineView) -> iterable of
-        (dst_node, payload array)`` on every machine hosting nodes or holding
-        mail, route the messages, deliver them to next round's inboxes."""
-        by_machine: dict[int, MachineView] = {}
-        hosting = np.flatnonzero(self.node_words() > 0)
-        for v in hosting.tolist():
-            m = int(self.node_machine[v])
-            view = by_machine.get(m)
-            if view is None:
-                view = by_machine[m] = MachineView(m, [], {}, self.round_idx)
-            view.nodes.append(v)
-        for v, msgs in self._inbox.items():
-            m = int(self.node_machine[v])
-            view = by_machine.setdefault(
-                m, MachineView(m, [], {}, self.round_idx)
-            )
-            view.inbox[v] = msgs
-        sent = np.zeros(self.machines_used, np.int64)
-        received = np.zeros(self.machines_used, np.int64)
-        inbox_words = np.zeros(self.machines_used, np.int64)
-        next_inbox: dict[int, list[tuple[int, np.ndarray]]] = {}
-        for m in sorted(by_machine):
-            view = by_machine[m]
-            view.nodes = np.asarray(view.nodes, np.int64)
-            out = local_step(view)
-            if not out:
-                continue
-            items = out.items() if isinstance(out, dict) else out
-            for dst, payload in items:
-                payload = np.asarray(payload, np.int64)
-                # the sending node is implicit: attribute to the machine
-                cost = max(1, payload.size) * self.cfg.message_words
-                dst_m = int(self.node_machine[dst])
-                if dst_m != m:
-                    sent[m] += cost
-                    received[dst_m] += cost
-                    inbox_words[dst_m] += cost
-                next_inbox.setdefault(int(dst), []).append((m, payload))
-        self._inbox = next_inbox
-        return self._check_and_trace(label, sent, received, inbox_words=inbox_words)
-
     # -- tracing -------------------------------------------------------------
 
     def _record_rows(self, t: RoundTrace) -> None:
@@ -503,21 +432,17 @@ def rebalance(
     keep: np.ndarray | None = None,
     label: str = "rebalance",
 ) -> Cluster:
-    """Repack alive nodes across machines and recompute the per-node budget
-    floor(M*S/alive) capped at S.  Metered as one data round (the moves) plus
-    an aggregation tree to compute the assignment.
+    """Repack alive nodes across machines.  Metered as one data round (the
+    moves) plus an aggregation tree to compute the assignment.
 
     ``weights`` overrides the packing weights (e.g. predicted gather volume)
     without changing the stored-word ledgers.  ``keep`` marks extra nodes
     whose stored rows must survive and move with the repack even though they
-    no longer count toward the budget (mid-partition, layered nodes retain
-    their gathered balls until selection).
+    are no longer alive (mid-partition, layered nodes retain their gathered
+    balls until selection).
     """
     alive = np.asarray(alive, np.bool_)
-    alive_n = int(alive.sum())
-    cfg = cluster.cfg
-    cluster.budget_per_node = min(cfg.S, (cfg.M * cfg.S) // max(1, alive_n))
-    if alive_n == 0:
+    if not alive.any():
         return cluster
     hold = alive if keep is None else (alive | np.asarray(keep, np.bool_))
     dead = np.flatnonzero(~hold & (cluster.node_words() > 0))
@@ -558,5 +483,4 @@ def metrics(cluster: Cluster) -> dict:
         "M": cluster.cfg.M,
         "machines_used": cluster.machines_used,
         "c_total": cluster.cfg.c_total,
-        "budget_per_node": cluster.budget_per_node,
     }

@@ -57,6 +57,49 @@ def test_spec_from_file(tmp_path):
     assert spec.out.endswith("res")
 
 
+def test_spec_rejects_unknown_pipeline_key():
+    # a misspelt setting must not run silently with its default
+    # (here target_delta=2)
+    doc = {**_spec_doc(), "pipeline": {"target": 5}}
+    with pytest.raises(ValueError, match="unknown pipeline key 'target'"):
+        harness.ExperimentSpec(**doc)
+
+
+def test_spec_rejects_unknown_instance_key():
+    doc = _spec_doc()
+    doc["instances"][1]["seed"] = [3]
+    with pytest.raises(ValueError, match="unknown instance key 'seed'"):
+        harness.ExperimentSpec(**doc)
+
+
+def test_spec_file_rejects_unknown_top_level_key(tmp_path):
+    p = tmp_path / "exp.json"
+    p.write_text(json.dumps({**_spec_doc(), "modes": "centralized"}))
+    with pytest.raises(ValueError, match="unknown spec key 'modes'"):
+        harness.ExperimentSpec.from_file(p)
+
+
+def test_spec_accepts_every_key_the_runner_reads():
+    pipeline = {
+        "kind": "mis", "target_delta": 3, "exponent": 0.2, "d_floor": 3,
+        "delta": 0.6, "c_total": 4.0, "c_pre": 1.0, "adaptive": True,
+    }
+    assert set(pipeline) == set(harness.PIPELINE_KEYS)
+    inst = {"family": "tree", "params": {"n": 40}, "seeds": [0], "name": "t"}
+    assert set(inst) == set(harness.INSTANCE_KEYS)
+    (rec,) = harness.run(harness.ExperimentSpec(instances=[inst], pipeline=pipeline))
+    assert rec.ok(), rec.invariants
+    assert rec.kind == "mis" and rec.instance.startswith("t(")
+
+
+def test_cli_run_rejects_unknown_pipeline_key(tmp_path, capsys):
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps({**_spec_doc(), "pipeline": {"target": 5}}))
+    rc = cli.main(["run", "--spec", str(spec_path)])
+    assert rc == 1
+    assert "unknown pipeline key 'target'" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- run
 
 

@@ -16,12 +16,10 @@ from sparsempc.mpc import (
     compute_schedule,
     connect_cliques,
     gather_and_peel,
-    load_pipeline_config,
     mpc_h_partition,
     mpc_mark_propose,
     mpc_pipeline,
     mpc_select,
-    parse_pipeline_config,
     partition_rounds,
 )
 from sparsempc.peeling import StallError, degeneracy, h_partition
@@ -77,12 +75,6 @@ def test_schedule_repetition_counts_locked():
     s = compute_schedule(3, 10 ** 6, n=1000, delta=0.5)
     assert s.phases[0][2] == REPS_FIRST == 60
     assert all(r == REPS_LATER == 20 for _, _, r in s.phases[1:])
-    with pytest.raises(ValueError, match="allow_custom_reps"):
-        compute_schedule(3, 10 ** 6, n=1000, delta=0.5, reps_first=5)
-    s2 = compute_schedule(
-        3, 10 ** 6, n=1000, delta=0.5, reps_first=5, reps_later=2, allow_custom_reps=True
-    )
-    assert s2.phases[0][2] == 5 and s2.phases[1][2] == 2
 
 
 def test_schedule_preprocessing_layer_count():
@@ -324,53 +316,70 @@ def test_partition_on_restricted_alive_mask():
 # ---------------------------------------------------------------------------
 
 
+def _crossing(cl, src, dst):
+    return int((cl.node_machine[src] != cl.node_machine[dst]).sum())
+
+
 @pytest.mark.parametrize("kind", ["matching", "mis"])
 def test_mark_propose_matches_centralized(kind):
+    # the metered rounds carry exactly the centralized marks and proposals
     g = generate("preferential-attachment", {"n": 300, "c": 2}, seed=2)
     d = valid_d(g)
     hp = h_partition(g, d)
+    ids = np.arange(g.n)
     for seed in (0, 1, 17):
         cl = _cluster(g, 0.8)
-        params = {"p": mis_probability(d)} if kind == "mis" else {}
-        dist = mpc_mark_propose(cl, hp, kind, params, seed)
         if kind == "matching":
-            ref = mark_and_propose_matching(g, hp, seed)
+            props = mark_and_propose_matching(g, hp, seed)
         else:
-            ref = mark_and_propose_mis(g, hp, mis_probability(d), seed)
-        assert np.array_equal(dist.proposals.marked, ref.marked)
-        assert np.array_equal(dist.proposals.proposed, ref.proposed)
-        assert np.array_equal(dist.ids, np.arange(g.n))
+            props = mark_and_propose_mis(g, hp, mis_probability(d), seed)
+        mpc_mark_propose(cl, g, ids, hp, props)
+        rounds = cl.traces
+        assert [t.label for t in rounds] == ["markpropose"] * (3 if kind == "matching" else 2)
+        assert rounds[0].total_sent == rounds[0].total_received == 2 * g.m  # layer exchange
+        if kind == "matching":
+            mk, pr = props.marked, props.proposed
+            assert rounds[1].total_sent == _crossing(cl, mk[:, 0], mk[:, 1])
+            assert rounds[2].total_sent == _crossing(cl, pr[:, 1], pr[:, 0])
+        else:
+            src = np.repeat(ids, g.degrees)
+            same = hp.layer[g.indices] == hp.layer[src]
+            marks_sent = int((same & np.isin(src, props.marked)).sum())
+            assert rounds[1].total_sent == rounds[1].total_received == marks_sent
+        assert metrics(cl)["violations"] == []
 
 
 def test_mark_propose_nothing_routes_nothing():
     g = cycle(4)  # single layer: no oriented edges, no marks
     cl = _cluster(g, 0.9)
     hp = h_partition(g, 2)
-    dist = mpc_mark_propose(cl, hp, "matching", {}, seed=5)
-    assert dist.proposals.marked.shape == (0, 2)
-    assert dist.proposals.proposed.shape == (0, 2)
+    props = mark_and_propose_matching(g, hp, seed=5)
+    assert props.marked.shape == (0, 2)
+    assert props.proposed.shape == (0, 2)
+    mpc_mark_propose(cl, g, np.arange(g.n), hp, props)
     mark_round, propose_round = cl.traces[-2], cl.traces[-1]
     assert mark_round.total_sent == 0 and propose_round.total_sent == 0
 
 
 @pytest.mark.parametrize("kind", ["matching", "mis"])
 def test_select_matches_centralized(kind):
+    # the chunk walk drops exactly the nodes the centralized selection removes
     g = generate("layered-core", {"n": 1024, "depth": 100, "d": 3}, seed=0)
+    assert g.degrees.min() > 0  # so a zero-word node is a dropped one
     cl = _cluster(g, 0.8)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
     hp, chunks, _ = mpc_h_partition(cl, 3, sched)
-    params = {"p": mis_probability(3)} if kind == "mis" else {}
-    dist = mpc_mark_propose(cl, hp, kind, params, seed=9)
-    sol = mpc_select(cl, hp, kind, dist, chunks)
-    ref = (
-        select_matching(g, hp, dist.proposals)
-        if kind == "matching"
-        else select_mis(g, hp, dist.proposals)
-    )
-    assert np.array_equal(sol.selected, ref.selected)
-    assert np.array_equal(sol.removed, ref.removed)
+    if kind == "matching":
+        ref = select_matching(g, hp, mark_and_propose_matching(g, hp, seed=9))
+    else:
+        ref = select_mis(g, hp, mark_and_propose_mis(g, hp, mis_probability(3), seed=9))
+    before = metrics(cl)["rounds_by_label"].get("select", 0)
+    mpc_select(cl, hp, chunks, ref)
+    assert np.array_equal(np.flatnonzero(cl.node_words() == 0), ref.removed)
+    per_chunk = 2 if kind == "matching" else 3
+    assert metrics(cl)["rounds_by_label"]["select"] - before == per_chunk * len(chunks.chunks)
     # every surviving node's scratch space was reclaimed chunk by chunk
-    survivors = np.setdiff1d(np.arange(g.n), sol.removed)
+    survivors = np.setdiff1d(np.arange(g.n), ref.removed)
     assert int(cl.extra_words[survivors].sum()) == 0
     assert metrics(cl)["violations"] == []
 
@@ -417,51 +426,20 @@ def test_pipeline_metrics_shape():
     assert met["target_delta"] == 3
 
 
+@pytest.mark.parametrize("kind", ["matching", "mis"])
+def test_pipeline_rejects_target_delta_like_solve(kind):
+    g = generate("tree", {"n": 150}, seed=0)
+    cfg = ClusterConfig.for_graph(g, 0.5)
+    with pytest.raises(ValueError) as ref:
+        solve(g, kind, 0, seed=4)
+    with pytest.raises(ValueError) as got:
+        mpc_pipeline(g, cfg, kind, 0, seed=4)
+    assert str(got.value) == str(ref.value) == "target_delta must be >= 1"
+
+
 def test_pipeline_trivial_graph_skips_reduction():
     g = path(6)  # max degree 2 <= target: no phases, straight to the finish
     cfg = ClusterConfig.for_graph(g, 0.6)
     sol, met = mpc_pipeline(g, cfg, "matching", 3, seed=0)
     assert met["phases"] == []
     assert verify_maximal(g, sol)
-
-
-# ---------------------------------------------------------------------------
-# pipeline config files
-# ---------------------------------------------------------------------------
-
-
-def test_parse_pipeline_config_roundtrip():
-    text = """
-    # experiment knobs
-    delta = 0.5
-    target_delta = 4
-    kind = matching
-    seed = 9
-    adaptive = yes
-    c_pre = 1.5
-    exponent = 0.2
-    """
-    cfg = parse_pipeline_config(text)
-    assert cfg == {
-        "delta": 0.5,
-        "target_delta": 4,
-        "kind": "matching",
-        "seed": 9,
-        "adaptive": True,
-        "c_pre": 1.5,
-        "exponent": 0.2,
-    }
-
-
-def test_parse_pipeline_config_rejects_unknown_key():
-    with pytest.raises(ValueError, match="unknown key"):
-        parse_pipeline_config("budget = 3")
-    with pytest.raises(ValueError, match="expected key = value"):
-        parse_pipeline_config("deltahalf")
-
-
-def test_load_pipeline_config(tmp_path):
-    p = tmp_path / "run.cfg"
-    p.write_text("delta = 0.3\nadaptive = 0\nkind = mis\n")
-    cfg = load_pipeline_config(p)
-    assert cfg == {"delta": 0.3, "adaptive": False, "kind": "mis"}
