@@ -193,27 +193,34 @@ def _mis_gadget(params, rng):
     return build_graph(n, np.concatenate(edges)), csize
 
 
+# family -> (builder, the parameter keys it reads)
 _BUILDERS = {
-    "tree": _tree,
-    "grid": _grid,
-    "preferential-attachment": _preferential_attachment,
-    "bounded-degree-random": _bounded_degree_random,
-    "layered-core": _layered_core,
-    "matching-gadget": _matching_gadget,
-    "mis-gadget": _mis_gadget,
+    "tree": (_tree, ("n",)),
+    "grid": (_grid, ("n", "rows", "cols")),
+    "preferential-attachment": (_preferential_attachment, ("n", "c")),
+    "bounded-degree-random": (_bounded_degree_random, ("n", "deg", "m")),
+    "layered-core": (_layered_core, ("n", "depth", "d")),
+    "matching-gadget": (_matching_gadget, ("parents", "children", "decoys")),
+    "mis-gadget": (_mis_gadget, ("parents", "cliques", "clique_size")),
 }
 
 
 def generate(family: str, params: dict, seed: int, return_meta: bool = False):
     """Build a corpus instance; deterministic given (family, params, seed).
 
-    With ``return_meta=True`` also returns the sidecar dict, including the
-    family's constructive arboricity bound and the exact degeneracy.
+    An unknown family or parameter key raises ``ValueError`` instead of
+    falling back to a default.  With ``return_meta=True`` also returns the
+    sidecar dict, including the family's constructive arboricity bound and
+    the exact degeneracy.
     """
     if family not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
+    build, keys = _BUILDERS[family]
+    for key in params:
+        if key not in keys:
+            raise ValueError(f"unknown {family} parameter {key!r}; known: {', '.join(keys)}")
     rng = np.random.default_rng(seed)
-    g, bound = _BUILDERS[family](dict(params), rng)
+    g, bound = build(dict(params), rng)
     if not return_meta:
         return g
     meta = {

@@ -1,8 +1,7 @@
 """Hot loops: batch peeling, degeneracy ordering, bounded-radius ball scans,
 bin packing.
 
-Peeling, degeneracy ordering and the ball scan have two interchangeable
-implementations:
+Peeling and the ball scan have two interchangeable implementations:
 
 * a numba ``@njit`` version (default when the optional ``jit`` extra, numba,
   imports cleanly), and
@@ -13,12 +12,13 @@ implementations:
 In the numpy lane, peeling advances a whole layer per step, drawing each
 small layer from the neighbors of the last one, and can carry the remaining
 degrees from one call to the next; the ball scan expands the balls of all
-sources at once over one sorted array of ``slot * n + node`` keys;
-degeneracy ordering stays an interpreted loop.  Bin packing has one
-implementation, vectorized over prefix sums.  The test suite checks the
-kernels against brute-force oracles or invariants; ``sparsempc bench`` times
-both lanes.  All kernels take raw CSR arrays (``indptr``/``indices``) so
-callers can hand them compacted subgraphs.
+sources at once over one sorted array of ``slot * n + node`` keys.
+Degeneracy ordering (one fixed-point peel per core value, on the peel of
+either lane) and bin packing (vectorized over prefix sums) have one
+implementation each.  The test suite checks the kernels against brute-force
+oracles or invariants; ``sparsempc bench`` times both lanes.  All kernels
+take raw CSR arrays (``indptr``/``indices``) so callers can hand them
+compacted subgraphs.
 """
 
 from __future__ import annotations
@@ -154,111 +154,54 @@ def peel_layers(indptr, indices, alive, d: int, max_layers: int, deg=None):
         deg = alive_degrees(indptr, indices, alive)
     elif not isinstance(deg, np.ndarray) or deg.dtype != np.int64 or deg.shape != alive.shape:
         raise ValueError("deg must be an int64 array shaped like alive")
+    return _peel(indptr, indices, alive, d, max_layers, deg)
+
+
+def _peel(indptr, indices, alive, d, max_layers, deg):
     if USE_NUMBA:
         return _peel_njit(indptr, indices, alive, np.int64(d), np.int64(max_layers), deg)
     return _peel_numpy(indptr, indices, alive, int(d), int(max_layers), deg)
 
 
 # ---------------------------------------------------------------------------
-# degeneracy ordering (min-degree removal with bucket queues)
+# degeneracy ordering (one fixed-point peel per core value)
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _degeneracy_njit(indptr, indices):  # pragma: no cover - jit
-    n = indptr.size - 1
-    deg = np.empty(n, np.int64)
-    maxdeg = 0
-    for v in range(n):
-        deg[v] = indptr[v + 1] - indptr[v]
-        if deg[v] > maxdeg:
-            maxdeg = deg[v]
-    bin_start = np.zeros(maxdeg + 2, np.int64)
-    for v in range(n):
-        bin_start[deg[v] + 1] += 1
-    for i in range(1, maxdeg + 2):
-        bin_start[i] += bin_start[i - 1]
-    vert = np.empty(n, np.int64)
-    pos = np.empty(n, np.int64)
-    fill = bin_start[:-1].copy()
-    for v in range(n):
-        p = fill[deg[v]]
-        vert[p] = v
-        pos[v] = p
-        fill[deg[v]] += 1
-    cur = deg.copy()
-    k = 0
-    for i in range(n):
-        v = vert[i]
-        if cur[v] > k:
-            k = cur[v]
-        for e in range(indptr[v], indptr[v + 1]):
-            u = indices[e]
-            if cur[u] > cur[v]:
-                du = cur[u]
-                pu = pos[u]
-                pw = bin_start[du]
-                w = vert[pw]
-                if u != w:
-                    vert[pu] = w
-                    vert[pw] = u
-                    pos[u] = pw
-                    pos[w] = pu
-                bin_start[du] += 1
-                cur[u] -= 1
-    return k, vert, cur
-
-
-def _degeneracy_numpy(indptr, indices):
-    # Same bucket-queue walk as the jit lane, driven from interpreted code.
-    n = indptr.size - 1
-    deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
-    maxdeg = int(deg.max()) if n else 0
-    bin_start = np.zeros(maxdeg + 2, np.int64)
-    np.add.at(bin_start, deg + 1, 1)
-    bin_start = np.cumsum(bin_start)
-    vert = np.argsort(deg, kind="stable").astype(np.int64)
-    pos = np.empty(n, np.int64)
-    pos[vert] = np.arange(n, dtype=np.int64)
-    cur = deg.copy()
-    bs = bin_start.copy()
-    k = 0
-    for i in range(n):
-        v = vert[i]
-        cv = cur[v]
-        if cv > k:
-            k = int(cv)
-        for e in range(indptr[v], indptr[v + 1]):
-            u = indices[e]
-            if cur[u] > cv:
-                du = cur[u]
-                pu = pos[u]
-                pw = bs[du]
-                w = vert[pw]
-                if u != w:
-                    vert[pu] = w
-                    vert[pw] = u
-                    pos[u] = pw
-                    pos[w] = pu
-                bs[du] += 1
-                cur[u] -= 1
-    return k, vert, cur
-
-
 def degeneracy_order(indptr, indices):
-    """Minimum-degree elimination in O(n + m).
+    """Core numbers and a batched peel order in O(n·#core-values + m).
 
-    Returns ``(k, order, core)``: ``k`` is the degeneracy (max degree seen at
-    removal time), ``order`` the removal order (every node has at most ``k``
-    neighbors later in it), and ``core`` the per-node degree at removal.
+    Returns ``(k, order, core)``: ``core[v]`` is the core number of ``v`` (the
+    largest ``c`` such that ``v`` lies in a subgraph of minimum degree ``c``),
+    ``k = max(core)`` is the degeneracy, and ``order`` is a removal order in
+    which every node has at most ``k`` neighbors later than itself.
+
+    Each pass raises the threshold to the minimum remaining degree ``c`` and
+    peels at ``c`` to its fixed point, carrying the degrees from pass to pass:
+    what is left has minimum degree above ``c``, so every node the pass peels
+    has core number exactly ``c``.  ``order`` lists the passes in turn, each
+    by peeling layer and then by id; a node had at most ``c`` unpeeled
+    neighbors when its layer dropped.
     """
     n = indptr.size - 1
-    if n == 0:
-        return 0, np.empty(0, np.int64), np.empty(0, np.int64)
-    if USE_NUMBA:
-        k, order, core = _degeneracy_njit(indptr, indices)
-        return int(k), order, core
-    return _degeneracy_numpy(indptr, indices)
+    deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
+    alive = np.ones(n, np.bool_)
+    core = np.zeros(n, np.int64)
+    passes = []
+    k = 0
+    left = n
+    while left:
+        k = int(deg[alive].min())
+        # the lane function, not peel_layers: the wrapper a tracer installs on
+        # peel_layers would take this kernel's time
+        layer, _ = _peel(indptr, indices, alive, k, n, deg)
+        peeled = np.flatnonzero(layer)
+        passes.append(peeled[np.argsort(layer[peeled], kind="stable")])
+        alive[peeled] = False
+        core[peeled] = k
+        left -= peeled.size
+    order = np.concatenate(passes) if passes else np.empty(0, np.int64)
+    return k, order, core
 
 
 # ---------------------------------------------------------------------------

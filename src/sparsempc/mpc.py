@@ -268,19 +268,25 @@ def gather_and_peel(
     remainder where nobody has degree <= d.
     """
     g = cluster.graph
+    if not alive.any():
+        # faithful repetitions keep running after the subgraph empties; they
+        # are metered as silent rounds without peeling or scanning the n nodes
+        none = np.empty(0, np.int64)
+        if radius >= 2:
+            cluster.execute_round_volumes(none, none, none, none, label=f"{label_prefix}-gather")
+        else:
+            _notify_round(cluster, g, none, alive, f"{label_prefix}-peel")
+        return np.zeros(g.n, np.int64), 0
     rel, t = peel_layers(g.indptr, g.indices, alive, d, radius, deg=deg)
     removed = np.flatnonzero(rel > 0)
     if radius >= 2:
         cur = np.flatnonzero(alive)
-        if cur.size:
-            sent = cache.row_words[cur] * (cache.count[cur] - 1)
-            recv = cache.gather[cur]
-        else:
-            # faithful repetitions keep running after the subgraph empties;
-            # they are metered as silent gather rounds (no cache needed)
-            sent = recv = np.empty(0, np.int64)
         cluster.execute_round_volumes(
-            cur, sent, cur, recv, label=f"{label_prefix}-gather"
+            cur,
+            cache.row_words[cur] * (cache.count[cur] - 1),
+            cur,
+            cache.gather[cur],
+            label=f"{label_prefix}-gather",
         )
         alive[removed] = False
     else:
@@ -327,13 +333,13 @@ def mpc_h_partition(
         "outer_passes": 0,
     }
 
-    def run_rep(radius: int, iteration: int, rep: int, cache: _BallCache | None) -> int:
+    def run_rep(radius: int, iteration: int, rep: int, cache: _BallCache | None) -> None:
         nonlocal offset
         rel, t = gather_and_peel(
             cluster, radius, d, alive=work, cache=cache, deg=deg, label_prefix="partition"
         )
-        removed = np.flatnonzero(rel > 0)
-        if removed.size:
+        if t:  # t == 0 only once `work` is empty: the repetition layers nothing
+            removed = np.flatnonzero(rel > 0)
             layer[removed] = offset + rel[removed]
             chunks.chunks.append(
                 Chunk(
@@ -348,7 +354,6 @@ def mpc_h_partition(
             offset += t
         if adaptive:
             cluster.control_rounds(sync, label="partition-sync")
-        return removed.size
 
     if schedule.fallback:
         rep = 0

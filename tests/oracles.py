@@ -63,6 +63,41 @@ def brute_degeneracy(g: Graph) -> int:
     return best
 
 
+def bucket_degeneracy(g: Graph):
+    """Batagelj-Zaversnik bucket-queue walk (2003), one node at a time.
+
+    Returns ``(k, core)``: the degeneracy and the per-node core number (the
+    degree at removal, raised to the running maximum)."""
+    n = g.n
+    deg = [int(g.indptr[v + 1] - g.indptr[v]) for v in range(n)]
+    maxdeg = max(deg, default=0)
+    bin_start = [0] * (maxdeg + 2)
+    for dv in deg:
+        bin_start[dv + 1] += 1
+    for i in range(1, maxdeg + 2):
+        bin_start[i] += bin_start[i - 1]
+    vert = sorted(range(n), key=lambda v: deg[v])
+    pos = [0] * n
+    for i, v in enumerate(vert):
+        pos[v] = i
+    cur = list(deg)
+    k = 0
+    for i in range(n):
+        v = vert[i]
+        k = max(k, cur[v])
+        for u in g.neighbors(v).tolist():
+            if cur[u] > cur[v]:
+                du = cur[u]
+                pu, pw = pos[u], bin_start[du]
+                w = vert[pw]
+                if u != w:
+                    vert[pu], vert[pw] = w, u
+                    pos[u], pos[w] = pw, pu
+                bin_start[du] += 1
+                cur[u] -= 1
+    return k, np.array(cur, dtype=np.int64)
+
+
 def brute_arboricity(g: Graph) -> int:
     """Nash-Williams: max over subgraphs H of ceil(m_H / (n_H - 1))."""
     assert g.n <= 8

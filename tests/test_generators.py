@@ -128,6 +128,36 @@ def test_unknown_family_rejected():
         generate("hypercube", {"n": 8}, seed=0)
 
 
+# one small instance per family, using every key the family accepts
+EVERY_KEY = {
+    "tree": {"n": 10},
+    "grid": {"n": 16, "rows": 4, "cols": 5},
+    "preferential-attachment": {"n": 30, "c": 2},
+    "bounded-degree-random": {"n": 30, "deg": 4, "m": 20},
+    "layered-core": {"n": 100, "depth": 4, "d": 3},
+    "matching-gadget": {"parents": 2, "children": 5, "decoys": 1},
+    "mis-gadget": {"parents": 2, "cliques": 3, "clique_size": 3},
+}
+
+
+def test_every_family_accepts_all_its_keys():
+    assert set(EVERY_KEY) == set(FAMILIES)
+    for fam, params in EVERY_KEY.items():
+        assert generate(fam, params, seed=0).n > 0
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_unknown_parameter_rejected(family):
+    with pytest.raises(ValueError, match=f"unknown {family} parameter 'foo'"):
+        generate(family, {**EVERY_KEY[family], "foo": 1}, seed=0)
+
+
+def test_misspelt_optional_parameter_rejected():
+    # "cc" used to be dropped silently, building the default c=3
+    with pytest.raises(ValueError, match="unknown preferential-attachment parameter 'cc'"):
+        generate("preferential-attachment", {"n": 300, "cc": 2}, seed=0)
+
+
 def test_meta_sidecar():
     g, meta = generate("grid", {"rows": 4, "cols": 4}, seed=5, return_meta=True)
     assert meta["family"] == "grid"

@@ -145,6 +145,14 @@ def test_run_failure_names_the_instance():
         harness.run(spec)
 
 
+def test_run_rejects_unknown_generator_parameter():
+    spec = harness.ExperimentSpec(
+        instances=[{"family": "tree", "params": {"n": 40, "foo": 1}, "seeds": [0]}]
+    )
+    with pytest.raises(RuntimeError, match="unknown tree parameter 'foo'"):
+        harness.run(spec)
+
+
 def test_centralized_only_mode_leaves_mpc_fields_empty():
     spec = harness.ExperimentSpec(**{**_spec_doc(), "mode": "centralized"})
     records = harness.run(spec)
@@ -310,6 +318,16 @@ def test_cli_compare_graph_file(tmp_path, capsys):
     rc = cli.main(["compare", "--graph", str(out), "--kind", "mis"])
     assert rc == 0
     assert json.loads(capsys.readouterr().out)["equal"]
+
+
+def test_cli_generate_rejects_unknown_parameter(tmp_path, capsys):
+    out = tmp_path / "g.edges"
+    rc = cli.main(
+        ["generate", "--family", "tree", "--params", "n=10,foo=2", "--out", str(out)]
+    )
+    assert rc == 1
+    assert "unknown tree parameter 'foo'" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_compare_needs_a_graph_source(capsys):

@@ -9,7 +9,7 @@ from sparsempc import kernels
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
 
-from oracles import ball_members, from_mask, next_fit_bins, path as path_graph
+from oracles import ball_members, bucket_degeneracy, from_mask, next_fit_bins, path as path_graph
 
 
 @pytest.fixture
@@ -85,20 +85,58 @@ def test_peel_layers_respects_max_layers(both_lanes):
         assert layer.max() <= 3
 
 
-def test_degeneracy_order_lane_parity(both_lanes):
-    g = _random_graph(150, 400, 9)
-    res = both_lanes(lambda: kernels.degeneracy_order(g.indptr, g.indices))
-    k0, order0, core0 = res[0]
-    for k, order, core in res[1:]:
-        assert k == k0
-        assert np.array_equal(order, order0)
-        assert np.array_equal(core, core0)
-    # ordering property: each node has <= k neighbors later in the order
+def _check_degeneracy_order(g):
+    k, order, core = kernels.degeneracy_order(g.indptr, g.indices)
+    want_k, want_core = bucket_degeneracy(g)
+    assert k == want_k
+    assert core.dtype == np.int64 and np.array_equal(core, want_core)
+    assert np.array_equal(np.sort(order), np.arange(g.n))
+    # witness: each node has at most k neighbors later in the order
     pos = np.empty(g.n, np.int64)
-    pos[order0] = np.arange(g.n)
-    for v in range(g.n):
-        later = sum(1 for u in g.neighbors(v) if pos[u] > pos[v])
-        assert later <= k0
+    pos[order] = np.arange(g.n)
+    u, v = g.edges[:, 0], g.edges[:, 1]
+    later = np.bincount(np.where(pos[u] < pos[v], u, v), minlength=g.n)
+    assert later.max(initial=0) <= k
+
+
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("tree", {"n": 3000}),
+        ("grid", {"rows": 40, "cols": 50}),
+        ("preferential-attachment", {"n": 2000, "c": 3}),
+        ("bounded-degree-random", {"n": 2000, "deg": 6}),
+        ("layered-core", {"n": 1500, "depth": 40, "d": 4}),
+        ("matching-gadget", {"parents": 10, "children": 30, "decoys": 3}),
+        ("mis-gadget", {"parents": 4, "cliques": 20, "clique_size": 5}),
+    ],
+)
+def test_degeneracy_order_matches_bucket_oracle(family, params):
+    _check_degeneracy_order(generate(family, params, seed=7))
+
+
+@given(
+    st.integers(0, 40),
+    st.lists(st.tuples(st.integers(0, 39), st.integers(0, 39)), max_size=150),
+)
+@example(0, [])
+@example(1, [])
+@example(12, [(0, 1), (1, 2), (2, 0), (5, 6)])  # isolated nodes beside a triangle
+@example(400, [(i, i + 1) for i in range(399)])  # a long path: one layer per end pair
+@example(8, [(a, b) for b in range(6) for a in range(b)] + [(6, 0)])  # cores 5, 1 and 0
+@settings(max_examples=150, deadline=None)
+def test_degeneracy_order_property_matches_bucket_oracle(n, pairs):
+    edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < n}
+    g = build_graph(n, np.array(sorted(edges), np.int64).reshape(-1, 2))
+    # the peel behind it dispatches by lane; without numba the jit twin runs
+    # as plain Python
+    saved = kernels.USE_NUMBA
+    try:
+        for lane in (False, True):
+            kernels.USE_NUMBA = lane
+            _check_degeneracy_order(g)
+    finally:
+        kernels.USE_NUMBA = saved
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4, 8])

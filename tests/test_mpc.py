@@ -5,6 +5,7 @@ import pytest
 
 from conftest import realize, valid_d
 from oracles import ball_members, complete, cycle, path, star
+from sparsempc import mpc as mpc_mod
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView
 from sparsempc.kernels import alive_degrees
@@ -153,6 +154,26 @@ def test_low_degree_nodes_always_layer_one():
     rel, _ = gather_and_peel(cl, 1, d, alive=alive)
     low = g.degrees <= d
     assert np.all(rel[low] == 1)
+
+
+@pytest.mark.parametrize("radius,label", [(1, "partition-peel"), (2, "partition-gather")])
+def test_empty_repetition_meters_a_silent_round_without_peeling(monkeypatch, radius, label):
+    # After the subgraph empties, the fixed repetition budget keeps running:
+    # each repetition is one zero-volume round under the usual label, and no
+    # peel runs (so no O(n) pass is paid for it).
+    g = path(6)
+    cl = _cluster(g, 0.9)
+    alive = np.zeros(g.n, bool)
+
+    def no_peel(*args, **kwargs):
+        raise AssertionError("peel_layers called on an empty subgraph")
+
+    monkeypatch.setattr(mpc_mod, "peel_layers", no_peel)
+    rel, t = gather_and_peel(cl, radius, 2, alive=alive, deg=np.zeros(g.n, np.int64))
+    assert t == 0 and rel.shape == (g.n,) and not rel.any()
+    (trace,) = cl.traces
+    assert trace.label == label
+    assert trace.total_sent == 0 and trace.total_received == 0
 
 
 def test_gather_and_peel_stall_matches_centralized():
