@@ -1,8 +1,8 @@
-"""Timing harness for the two kernel lanes (numba jit vs pure numpy).
+"""Timing harness for the kernels.
 
-Every hot kernel runs in both lanes on the same inputs, best-of-``repeats``
-wall time; an end-to-end pipeline row shows how much of the total the kernels
-actually dominate.  Jit compilation is warmed up outside the timed region.
+Every hot kernel runs on fixed inputs, best-of-``repeats`` wall time; an
+end-to-end pipeline row shows how much of the total the kernels actually
+dominate.
 """
 
 from __future__ import annotations
@@ -22,22 +22,6 @@ def _time(fn, repeats: int) -> float:
         fn()
         best = min(best, time.perf_counter() - t0)
     return best
-
-
-def _lane_times(fn, repeats: int) -> tuple[float, float]:
-    """(jit_seconds, numpy_seconds); jit is NaN when numba is unavailable."""
-    saved = kernels.USE_NUMBA
-    try:
-        jit = float("nan")
-        if kernels.HAS_NUMBA:
-            kernels.USE_NUMBA = True
-            fn()  # compile
-            jit = _time(fn, repeats)
-        kernels.USE_NUMBA = False
-        plain = _time(fn, repeats)
-    finally:
-        kernels.USE_NUMBA = saved
-    return jit, plain
 
 
 def run_benchmarks(n: int = 60000, repeats: int = 3, seed: int = 0):
@@ -77,28 +61,20 @@ def run_benchmarks(n: int = 60000, repeats: int = 3, seed: int = 0):
             lambda: reduction.solve(tower, "matching", 2, seed=1, d_floor=3),
         ),
     ]
-    out = []
-    for name, fn in rows:
-        jit, plain = _lane_times(fn, repeats)
-        out.append((name, jit, plain))
-    return out
+    return [(name, _time(fn, repeats)) for name, fn in rows]
 
 
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description="kernel lane benchmark (jit vs numpy)")
+    parser = argparse.ArgumentParser(description="kernel timing benchmark")
     parser.add_argument("--n", type=int, default=60000, help="instance size")
     parser.add_argument("--repeats", type=int, default=3)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
 
     rows = run_benchmarks(args.n, args.repeats, args.seed)
-    print(f"{'kernel':28s} {'jit (ms)':>10s} {'numpy (ms)':>11s} {'speedup':>8s}")
-    for name, jit, plain in rows:
-        jtxt = f"{jit * 1e3:10.2f}" if jit == jit else f"{'n/a':>10s}"
-        rtxt = f"{plain / jit:7.1f}x" if jit == jit and jit > 0 else f"{'n/a':>8s}"
-        print(f"{name:28s} {jtxt} {plain * 1e3:11.2f} {rtxt}")
-    if not kernels.HAS_NUMBA:
-        print("numba not importable: jit lane skipped")
+    print(f"{'kernel':28s} {'time (ms)':>10s}")
+    for name, seconds in rows:
+        print(f"{name:28s} {seconds * 1e3:10.2f}")
     return 0
 
 

@@ -155,7 +155,7 @@ def main(argv=None) -> int:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_report)
 
-    p = sub.add_parser("bench", help="time the jit and numpy kernel lanes")
+    p = sub.add_parser("bench", help="time the kernels, best of --repeats")
     p.add_argument("--n", type=int, default=60000)
     p.add_argument("--repeats", type=int, default=3)
     p.add_argument("--seed", type=int, default=0)

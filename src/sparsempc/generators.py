@@ -41,7 +41,7 @@ def _tree(params, rng):
 
 
 def _grid(params, rng):
-    rows = int(params.get("rows") or np.sqrt(int(params["n"])))
+    rows = int(params["rows"] if "rows" in params else np.sqrt(int(params["n"])))
     cols = int(params.get("cols", rows))
     if rows < 1 or cols < 1:
         raise ValueError("grid needs rows, cols >= 1")
@@ -208,24 +208,27 @@ _BUILDERS = {
 def generate(family: str, params: dict, seed: int, return_meta: bool = False):
     """Build a corpus instance; deterministic given (family, params, seed).
 
-    An unknown family or parameter key raises ``ValueError`` instead of
-    falling back to a default.  With ``return_meta=True`` also returns the
-    sidecar dict, including the family's constructive arboricity bound and
-    the exact degeneracy.
+    An unknown family or parameter key, or a parameter value that is not an
+    integer, raises ``ValueError`` instead of falling back to a default or
+    truncating.  With ``return_meta=True`` also returns the sidecar dict,
+    including the family's constructive arboricity bound and the exact
+    degeneracy.
     """
     if family not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
     build, keys = _BUILDERS[family]
-    for key in params:
+    for key, value in params.items():
         if key not in keys:
             raise ValueError(f"unknown {family} parameter {key!r}; known: {', '.join(keys)}")
+        if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
+            raise ValueError(f"{family} parameter {key!r} must be an integer, got {value!r}")
     rng = np.random.default_rng(seed)
     g, bound = build(dict(params), rng)
     if not return_meta:
         return g
     meta = {
         "family": family,
-        "params": {k: int(v) if isinstance(v, (int, np.integer)) else v for k, v in params.items()},
+        "params": {k: int(v) for k, v in params.items()},
         "seed": int(seed),
         "degeneracy": degeneracy(g).degeneracy,
         "arboricity_bound": int(bound),

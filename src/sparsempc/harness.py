@@ -37,6 +37,10 @@ def _reject_unknown(where: str, doc: dict, known: tuple) -> None:
             raise ValueError(f"unknown {where} key {key!r}; known keys: {', '.join(known)}")
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 @dataclass
 class ExperimentSpec:
     instances: list  # dicts: {"family", "params", "seeds": [..], "name"?}
@@ -45,24 +49,40 @@ class ExperimentSpec:
     out: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.instances, list):
+            raise ValueError("spec key 'instances' must be a list of instance objects")
         if not self.instances:
             raise ValueError("experiment spec names no instances")
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
+        if not isinstance(self.pipeline, dict):
+            raise ValueError("spec key 'pipeline' must be an object")
         _reject_unknown("pipeline", self.pipeline, PIPELINE_KEYS)
         for inst in self.instances:
+            if not isinstance(inst, dict):
+                raise ValueError(f"every entry of 'instances' must be an object, got {inst!r}")
             _reject_unknown("instance", inst, INSTANCE_KEYS)
+            if "family" not in inst:
+                raise ValueError(f"instance {inst!r} has no 'family'")
+            if not isinstance(inst.get("params", {}), dict):
+                raise ValueError(f"instance {inst['family']}: 'params' must be an object")
             seeds = inst.get("seeds")
             if not seeds:
-                raise ValueError(f"instance {inst.get('family')} has no explicit seeds")
+                raise ValueError(f"instance {inst['family']} has no explicit seeds")
+            if not isinstance(seeds, list) or not all(_is_int(x) for x in seeds):
+                raise ValueError(
+                    f"instance {inst['family']}: 'seeds' must be a list of ints, got {seeds!r}"
+                )
 
     @classmethod
     def from_file(cls, path) -> "ExperimentSpec":
         with open(path) as fh:
             doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ValueError(f"spec file {path} must hold a JSON object")
         _reject_unknown("spec", doc, SPEC_KEYS)
         return cls(
-            instances=doc["instances"],
+            instances=doc.get("instances"),
             pipeline=doc.get("pipeline", {}),
             mode=doc.get("mode", "both"),
             out=doc.get("out"),

@@ -1,54 +1,30 @@
 """Hot loops: batch peeling, degeneracy ordering, bounded-radius ball scans,
 bin packing.
 
-Peeling and the ball scan have two interchangeable implementations:
-
-* a numba ``@njit`` version (default when the optional ``jit`` extra, numba,
-  imports cleanly), and
-* a pure-numpy version, used when numba is missing or when
-  ``SPARSEMPC_NO_NUMBA=1`` is set in the environment (or by flipping
-  :data:`USE_NUMBA` at runtime, which the tests and the benchmark harness do).
-
-In the numpy lane, peeling advances a whole layer per step, drawing each
-small layer from the neighbors of the last one, and can carry the remaining
-degrees from one call to the next; the ball scan expands the balls of all
-sources at once over one sorted array of ``slot * n + node`` keys.
-Degeneracy ordering (one fixed-point peel per core value, on the peel of
-either lane) and bin packing (vectorized over prefix sums) have one
-implementation each.  The test suite checks the kernels against brute-force
-oracles or invariants; ``sparsempc bench`` times both lanes.  All kernels
-take raw CSR arrays (``indptr``/``indices``) so callers can hand them
-compacted subgraphs.
+Each kernel has one implementation, in numpy.  Peeling advances a whole layer
+per step, drawing each small layer from the neighbors of the last one, and
+can carry the remaining degrees from one call to the next; the ball scan
+expands the balls of all sources at once over one sorted array of
+``slot * n + node`` keys.  Degeneracy ordering runs one fixed-point peel per
+core value, and bin packing is vectorized over prefix sums.  The test suite
+checks the kernels against brute-force oracles or invariants; ``sparsempc
+bench`` times them.  All kernels take raw CSR arrays (``indptr``/``indices``)
+so callers can hand them compacted subgraphs.
 """
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    HAS_NUMBA = False
-
-    def njit(*args, **kwargs):
-        def wrap(fn):
-            return fn
-
-        return wrap if not (args and callable(args[0])) else args[0]
-
-
-USE_NUMBA = HAS_NUMBA and os.environ.get("SPARSEMPC_NO_NUMBA", "") not in ("1", "true", "yes")
+# always False, numpy being the only implementation; perfbench/run.py reads it
+USE_NUMBA = False
 
 
 def gather_segments(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
     """Concatenate the CSR adjacency rows of ``nodes``.
 
     Returns ``(sources, neighbors)`` where ``sources[j]`` is the node whose row
-    produced ``neighbors[j]``.  Pure numpy; cheap enough to not need a jit lane.
+    produced ``neighbors[j]``.
     """
     nodes = np.asarray(nodes, dtype=np.int64)
     starts = indptr[nodes]
@@ -76,38 +52,7 @@ def alive_degrees(indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _peel_njit(indptr, indices, alive, d, max_layers, deg):  # pragma: no cover - jit
-    n = alive.size
-    layer = np.zeros(n, np.int64)
-    cur = np.empty(n, np.int64)
-    nxt = np.empty(n, np.int64)
-    cur_len = 0
-    for v in range(n):
-        if alive[v] and deg[v] <= d:
-            cur[cur_len] = v
-            cur_len += 1
-    t = 0
-    while cur_len > 0 and t < max_layers:
-        t += 1
-        for i in range(cur_len):
-            layer[cur[i]] = t
-        nxt_len = 0
-        for i in range(cur_len):
-            v = cur[i]
-            for e in range(indptr[v], indptr[v + 1]):
-                u = indices[e]
-                if alive[u] and layer[u] == 0:
-                    deg[u] -= 1
-                    if deg[u] == d:
-                        nxt[nxt_len] = u
-                        nxt_len += 1
-        cur, nxt = nxt, cur
-        cur_len = nxt_len
-    return layer, t
-
-
-def _peel_numpy(indptr, indices, alive, d, max_layers, deg):
+def _peel(indptr, indices, alive, d, max_layers, deg):
     # Only neighbors of the layer just peeled lose degree, so the next layer
     # is drawn from them.  A small layer (rows under n/4 entries, as in deep
     # towers and in most partition repetitions) sorts its live neighbors
@@ -154,13 +99,7 @@ def peel_layers(indptr, indices, alive, d: int, max_layers: int, deg=None):
         deg = alive_degrees(indptr, indices, alive)
     elif not isinstance(deg, np.ndarray) or deg.dtype != np.int64 or deg.shape != alive.shape:
         raise ValueError("deg must be an int64 array shaped like alive")
-    return _peel(indptr, indices, alive, d, max_layers, deg)
-
-
-def _peel(indptr, indices, alive, d, max_layers, deg):
-    if USE_NUMBA:
-        return _peel_njit(indptr, indices, alive, np.int64(d), np.int64(max_layers), deg)
-    return _peel_numpy(indptr, indices, alive, int(d), int(max_layers), deg)
+    return _peel(indptr, indices, alive, int(d), int(max_layers), deg)
 
 
 # ---------------------------------------------------------------------------
@@ -182,6 +121,10 @@ def degeneracy_order(indptr, indices):
     has core number exactly ``c``.  ``order`` lists the passes in turn, each
     by peeling layer and then by id; a node had at most ``c`` unpeeled
     neighbors when its layer dropped.
+
+    Each peeling layer costs a fixed run of numpy calls, so graphs that peel
+    in tens of thousands of layers pay for that: a path peels two nodes per
+    layer, so a 65536-node path takes 32768 layers.
     """
     n = indptr.size - 1
     deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
@@ -192,7 +135,7 @@ def degeneracy_order(indptr, indices):
     left = n
     while left:
         k = int(deg[alive].min())
-        # the lane function, not peel_layers: the wrapper a tracer installs on
+        # _peel, not peel_layers: the wrapper a tracer installs on
         # peel_layers would take this kernel's time
         layer, _ = _peel(indptr, indices, alive, k, n, deg)
         peeled = np.flatnonzero(layer)
@@ -209,50 +152,33 @@ def degeneracy_order(indptr, indices):
 # ---------------------------------------------------------------------------
 
 
-@njit(cache=True)
-def _balls_njit(indptr, indices, member, sources, radius, weights):  # pragma: no cover - jit
-    stamp = np.full(member.size, -1, np.int64)
-    queue = np.empty(member.size, np.int64)
-    counts = np.empty(sources.size, np.int64)
-    wsums = np.empty(sources.size, np.int64)
-    for si in range(sources.size):
-        s = sources[si]
-        stamp[s] = si
-        queue[0] = s
-        head = 0
-        tail = 1
-        level_end = 1
-        depth = 0
-        cnt = 1
-        ws = weights[s]
-        while head < tail and depth < radius:
-            while head < level_end:
-                v = queue[head]
-                head += 1
-                for e in range(indptr[v], indptr[v + 1]):
-                    u = indices[e]
-                    if member[u] and stamp[u] != si:
-                        stamp[u] = si
-                        queue[tail] = u
-                        tail += 1
-                        cnt += 1
-                        ws += weights[u]
-            depth += 1
-            level_end = tail
-        counts[si] = cnt
-        wsums[si] = ws
-    return counts, wsums
+def ball_stats(indptr, indices, member, sources, radius: int, weights):
+    """Per-source size and weight of the radius-``radius`` ball.
 
+    BFS stays inside ``member`` nodes (sources must be members; they may be
+    unsorted or repeated).  Returns ``(counts, weight_sums)``: the number of
+    reached nodes including the source, and the sum of ``weights`` over them,
+    both int64 and exact.
 
-def _balls_numpy(indptr, indices, member, sources, radius, weights):
-    # All balls expand together.  Ball `slot` (one per entry of `sources`) is
-    # stored as the keys slot*n + node, so one sorted int64 array holds every
-    # ball grouped by slot, and a node reached from two sources is two keys.
+    All balls expand together in one breadth-first scan: ball ``slot`` (one
+    per entry of ``sources``) is stored as the keys ``slot * n + node``, so
+    one sorted int64 array holds every ball grouped by slot, and a node
+    reached from two sources is two keys.  Each step gathers the frontier's
+    member neighbors, sorts and dedupes them, and drops keys already in a
+    ball with ``searchsorted``; the scan stops early once no ball grows.
+    Work and memory are proportional to the total ball volume rather than to
+    ``len(sources) * n``.
+    """
+    member = np.asarray(member, dtype=np.bool_)
+    sources = np.asarray(sources, dtype=np.int64)
+    weights = np.asarray(weights, dtype=np.int64)
     n = member.size
     k = sources.size
+    if k == 0:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
     ball = np.arange(k, dtype=np.int64) * n + sources  # sorted: sources < n
     frontier = ball
-    for _ in range(radius):
+    for _ in range(int(radius)):
         node = frontier % n
         lengths = indptr[node + 1] - indptr[node]
         _, nb = gather_segments(indptr, indices, node)
@@ -275,31 +201,6 @@ def _balls_numpy(indptr, indices, member, sources, radius, weights):
     starts = np.cumsum(counts) - counts
     wsums = np.add.reduceat(weights[ball % n], starts)
     return counts, wsums
-
-
-def ball_stats(indptr, indices, member, sources, radius: int, weights):
-    """Per-source size and weight of the radius-``radius`` ball.
-
-    BFS stays inside ``member`` nodes (sources must be members; they may be
-    unsorted or repeated).  Returns ``(counts, weight_sums)``: the number of
-    reached nodes including the source, and the sum of ``weights`` over them,
-    both int64 and exact.
-
-    The numpy lane runs one breadth-first expansion for all sources together:
-    every ball is a run of sorted ``slot * n + node`` keys, each step gathers
-    the frontier's member neighbors, sorts and dedupes them, and drops keys
-    already in a ball with ``searchsorted``; it stops early once no ball
-    grows.  Work and memory are proportional to the total ball volume rather
-    than to ``len(sources) * n``.
-    """
-    member = np.asarray(member, dtype=np.bool_)
-    sources = np.asarray(sources, dtype=np.int64)
-    weights = np.asarray(weights, dtype=np.int64)
-    if sources.size == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    if USE_NUMBA:
-        return _balls_njit(indptr, indices, member, sources, np.int64(radius), weights)
-    return _balls_numpy(indptr, indices, member, sources, int(radius), weights)
 
 
 def pack_bins(weights: np.ndarray, cap: int) -> np.ndarray:

@@ -160,23 +160,29 @@ def opt_matching(g: Graph) -> int:
 # ---------------------------------------------------------------------------
 
 
-def hand_peel(g: Graph, d: int):
-    """Returns the layer array, or None when peeling stalls."""
+def hand_peel(g: Graph, d: int, alive=None, max_layers=None):
+    """Layer array of the peel of the ``alive`` nodes (default: all).
+
+    Without ``max_layers``, returns None when peeling stalls.  With it, stops
+    after ``max_layers`` layers or at a stall and leaves the nodes not peeled
+    by then at 0, as ``peel_layers`` does."""
     layer = [0] * g.n
-    alive = set(range(g.n))
-    deg = {v: len(g.neighbors(v)) for v in range(g.n)}
+    left = set(range(g.n)) if alive is None else {v for v in range(g.n) if alive[v]}
+    deg = {v: sum(1 for u in g.neighbors(v).tolist() if u in left) for v in left}
     t = 0
-    while alive:
-        drop = sorted(v for v in alive if deg[v] <= d)
+    while left and (max_layers is None or t < max_layers):
+        drop = sorted(v for v in left if deg[v] <= d)
         if not drop:
-            return None
+            if max_layers is None:
+                return None
+            break
         t += 1
         for v in drop:
             layer[v] = t
-        alive -= set(drop)
+        left -= set(drop)
         for v in drop:
             for u in g.neighbors(v).tolist():
-                if u in alive:
+                if u in left:
                     deg[u] -= 1
     return np.array(layer, dtype=np.int64)
 

@@ -158,6 +158,25 @@ def test_misspelt_optional_parameter_rejected():
         generate("preferential-attachment", {"n": 300, "cc": 2}, seed=0)
 
 
+@pytest.mark.parametrize("value", [300.9, 2.0, True, "10", None])
+def test_non_integral_parameter_rejected(value):
+    # truncating would quietly build another graph: n=300 for 300.9, n=1 for True
+    with pytest.raises(ValueError, match="parameter 'n' must be an integer"):
+        generate("tree", {"n": value}, seed=0)
+
+
+def test_non_integral_optional_parameter_rejected():
+    with pytest.raises(ValueError, match="parameter 'c' must be an integer"):
+        generate("preferential-attachment", {"n": 300, "c": 2.7}, seed=0)
+
+
+@pytest.mark.parametrize("params", [{"rows": 0, "cols": 5}, {"rows": 0, "cols": 5, "n": 100}])
+def test_grid_zero_rows_rejected(params):
+    # an explicit rows=0 is checked, not replaced by sqrt(n)
+    with pytest.raises(ValueError, match="rows, cols >= 1"):
+        generate("grid", params, seed=0)
+
+
 def test_meta_sidecar():
     g, meta = generate("grid", {"rows": 4, "cols": 4}, seed=5, return_meta=True)
     assert meta["family"] == "grid"

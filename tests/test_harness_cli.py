@@ -3,12 +3,13 @@
 import csv
 import io
 import json
+import math
 from dataclasses import asdict
 
 import numpy as np
 import pytest
 
-from sparsempc import cli, harness, kernels, reduction
+from sparsempc import cli, harness, reduction
 from sparsempc.graph import build_graph, load_graph
 
 from oracles import cycle, star
@@ -98,6 +99,35 @@ def test_cli_run_rejects_unknown_pipeline_key(tmp_path, capsys):
     rc = cli.main(["run", "--spec", str(spec_path)])
     assert rc == 1
     assert "unknown pipeline key 'target'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "doc,key",
+    [
+        ({}, "'instances'"),
+        ([_spec_doc()], "JSON object"),
+        ({"instances": {"family": "tree", "seeds": [0]}}, "'instances' must be a list"),
+        ({"instances": ["tree"]}, "entry of 'instances'"),
+        ({"instances": [{"params": {"n": 10}, "seeds": [0]}]}, "'family'"),
+        ({"instances": [{"family": "tree", "params": [1], "seeds": [0]}]}, "'params'"),
+        ({"instances": [{"family": "tree", "params": {"n": 10}, "seeds": 3}]}, "'seeds'"),
+        ({"instances": [{"family": "tree", "params": {"n": 10}, "seeds": [1.5]}]}, "'seeds'"),
+        ({"instances": [{"family": "tree", "params": {"n": 10}, "seeds": [True]}]}, "'seeds'"),
+        ({**_spec_doc(), "pipeline": ["kind"]}, "'pipeline'"),
+    ],
+    ids=[
+        "no-instances", "not-an-object", "instances-object", "instance-not-object",
+        "no-family", "params-list", "seeds-int", "seeds-float", "seeds-bool", "pipeline-list",
+    ],
+)
+def test_cli_run_rejects_malformed_spec_in_one_line(tmp_path, capsys, doc, key):
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps(doc))
+    rc = cli.main(["run", "--spec", str(spec_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sparsempc: error:") and err.count("\n") == 1
+    assert key in err
 
 
 # ---------------------------------------------------------------- run
@@ -330,6 +360,14 @@ def test_cli_generate_rejects_unknown_parameter(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_generate_rejects_non_integral_parameter(tmp_path, capsys):
+    out = tmp_path / "g.edges"
+    rc = cli.main(["generate", "--family", "tree", "--params", "n=2.5", "--out", str(out)])
+    assert rc == 1
+    assert "parameter 'n' must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_compare_needs_a_graph_source(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["compare", "--seed", "1"])
@@ -361,15 +399,20 @@ def test_cli_bench_smoke(capsys):
     rc = cli.main(["bench", "--n", "3000", "--repeats", "1", "--seed", "1"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "numpy" in out
+    assert out.splitlines()[0].split() == ["kernel", "time", "(ms)"]
 
 
-def test_cli_bench_without_jit_prints_no_nan(capsys, monkeypatch):
-    # without numba there is no jit time, so no speedup either: both read n/a
-    monkeypatch.setattr(kernels, "HAS_NUMBA", False)
+def test_cli_bench_prints_one_finite_row_per_kernel(capsys):
     rc = cli.main(["bench", "--n", "2000", "--repeats", "1", "--seed", "2"])
     assert rc == 0
     out = capsys.readouterr().out
-    assert "nan" not in out.lower()
-    rows = [line for line in out.splitlines() if line.startswith("pack_bins")]
-    assert len(rows) == 1 and rows[0].split()[-1] == "n/a"
+    assert "nan" not in out.lower() and "n/a" not in out
+    rows = out.splitlines()[1:]
+    names = [row.rsplit(None, 1)[0] for row in rows]
+    assert names == [
+        "peel_layers(tower)", "peel_layers(random)", "ball_stats(r=2)",
+        "degeneracy_order(pa)", "pack_bins", "solve(matching, tower)",
+    ]
+    for row in rows:
+        ms = float(row.rsplit(None, 1)[1])
+        assert math.isfinite(ms) and ms >= 0

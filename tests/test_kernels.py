@@ -1,4 +1,4 @@
-"""Kernels: lanes must agree exactly, and the numpy lane must match brute-force oracles."""
+"""Kernels: each must match a brute-force oracle or its invariants."""
 
 import numpy as np
 import pytest
@@ -9,26 +9,9 @@ from sparsempc import kernels
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
 
-from oracles import ball_members, bucket_degeneracy, from_mask, next_fit_bins, path as path_graph
-
-
-@pytest.fixture
-def both_lanes():
-    """Run the wrapped callable once per available lane, return the results."""
-
-    def run(fn):
-        out = []
-        saved = kernels.USE_NUMBA
-        lanes = (False, True) if kernels.HAS_NUMBA else (False,)
-        try:
-            for lane in lanes:
-                kernels.USE_NUMBA = lane
-                out.append(fn())
-        finally:
-            kernels.USE_NUMBA = saved
-        return out
-
-    return run
+from oracles import (
+    ball_members, bucket_degeneracy, from_mask, hand_peel, next_fit_bins, path as path_graph,
+)
 
 
 def _random_graph(n, m, seed):
@@ -64,25 +47,29 @@ def test_alive_degrees_counts_only_alive():
     assert deg.tolist() == [1, 1, 0, 1, 1]
 
 
+def _assert_peel_matches_hand_oracle(g, alive, d, max_layers):
+    layer, t = kernels.peel_layers(g.indptr, g.indices, alive, d, max_layers)
+    want = hand_peel(g, d, alive=alive, max_layers=max_layers)
+    assert np.array_equal(layer, want)
+    assert t == want.max(initial=0)
+    return layer, t
+
+
 @pytest.mark.parametrize("d", [1, 2, 3])
-def test_peel_layers_lane_parity(both_lanes, d):
+def test_peel_layers_matches_hand_oracle_with_dead_nodes(d):
     g = _random_graph(200, 500, d)
     alive = np.ones(g.n, bool)
     alive[::7] = False
-    res = both_lanes(lambda: kernels.peel_layers(g.indptr, g.indices, alive, d, g.n))
-    for layer, t in res[1:]:
-        assert np.array_equal(layer, res[0][0])
-        assert t == res[0][1]
+    layer, _ = _assert_peel_matches_hand_oracle(g, alive, d, g.n)
+    assert not layer[~alive].any()
 
 
-def test_peel_layers_respects_max_layers(both_lanes):
+def test_peel_layers_respects_max_layers():
     g = path_graph(40)
-    alive = np.ones(g.n, bool)
-    for layer, t in both_lanes(
-        lambda: kernels.peel_layers(g.indptr, g.indices, alive, 1, 3)
-    ):
-        assert t <= 3
-        assert layer.max() <= 3
+    layer, t = _assert_peel_matches_hand_oracle(g, np.ones(g.n, bool), 1, 3)
+    # a path peels its two ends per layer
+    assert t == 3
+    assert np.count_nonzero(layer) == 6
 
 
 def _check_degeneracy_order(g):
@@ -128,35 +115,21 @@ def test_degeneracy_order_matches_bucket_oracle(family, params):
 def test_degeneracy_order_property_matches_bucket_oracle(n, pairs):
     edges = {(min(a, b), max(a, b)) for a, b in pairs if a != b and max(a, b) < n}
     g = build_graph(n, np.array(sorted(edges), np.int64).reshape(-1, 2))
-    # the peel behind it dispatches by lane; without numba the jit twin runs
-    # as plain Python
-    saved = kernels.USE_NUMBA
-    try:
-        for lane in (False, True):
-            kernels.USE_NUMBA = lane
-            _check_degeneracy_order(g)
-    finally:
-        kernels.USE_NUMBA = saved
+    _check_degeneracy_order(g)
 
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4, 8])
-def test_ball_stats_matches_bfs_oracle(both_lanes, radius):
+def test_ball_stats_matches_bfs_oracle(radius):
     g = _random_graph(60, 120, radius)
     member = np.ones(g.n, bool)
     member[::5] = False
     sources = np.flatnonzero(member)
     weights = np.arange(g.n, dtype=np.int64) + 1
-    res = both_lanes(
-        lambda: kernels.ball_stats(g.indptr, g.indices, member, sources, radius, weights)
-    )
-    counts0, wsums0 = res[0]
-    for counts, wsums in res[1:]:
-        assert np.array_equal(counts, counts0)
-        assert np.array_equal(wsums, wsums0)
+    counts, wsums = kernels.ball_stats(g.indptr, g.indices, member, sources, radius, weights)
     for i, v in enumerate(sources):
         ball = ball_members(g, member, int(v), radius)
-        assert counts0[i] == len(ball)
-        assert wsums0[i] == sum(int(weights[u]) for u in ball)
+        assert counts[i] == len(ball)
+        assert wsums[i] == sum(int(weights[u]) for u in ball)
 
 
 def test_ball_stats_empty_sources():
@@ -321,8 +294,6 @@ def test_pack_bins_single_oversized_item_allowed():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 1023), st.integers(1, 3))
 def test_peel_matches_hand_oracle(n, mask, d):
-    from oracles import hand_peel
-
     g = from_mask(n, mask)
     got_layer, t = kernels.peel_layers(g.indptr, g.indices, np.ones(n, bool), d, n)
     want = hand_peel(g, d)
@@ -344,17 +315,15 @@ def test_peel_carried_degrees_match_fresh_calls(n, seed, d, radii):
     # A partition loop peels the same shrinking subgraph again and again.
     # Carrying `deg` between calls must give what a fresh call gives, and
     # leave `deg` equal to the recounted alive degrees of the survivors.
-    # _peel_njit is called directly too: without numba it is plain Python.
+    # _peel, which degeneracy_order calls directly, is checked too.
     r = np.random.default_rng(seed)
     g = _random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
     alive = r.random(n) < 0.8
     peels = {
         "peel_layers": lambda work, r_, deg: kernels.peel_layers(
             g.indptr, g.indices, work, d, r_, deg=deg),
-        "numpy": lambda work, r_, deg: kernels._peel_numpy(
+        "_peel": lambda work, r_, deg: kernels._peel(
             g.indptr, g.indices, work, d, r_, deg),
-        "njit": lambda work, r_, deg: kernels._peel_njit(
-            g.indptr, g.indices, work, np.int64(d), np.int64(r_), deg),
     }
     for name, peel in peels.items():
         work = alive.copy()
@@ -377,11 +346,7 @@ def test_peel_layers_rejects_malformed_deg():
             kernels.peel_layers(g.indptr, g.indices, alive, 1, 4, deg=deg)
 
 
-def test_layered_core_exercises_deep_peel(both_lanes):
+def test_layered_core_exercises_deep_peel():
     g = generate("layered-core", {"n": 512, "depth": 16, "d": 3}, seed=0)
-    res = both_lanes(
-        lambda: kernels.peel_layers(g.indptr, g.indices, np.ones(g.n, bool), 3, g.n)
-    )
-    for layer, t in res:
-        assert t == 16
-        assert np.array_equal(layer, res[0][0])
+    _, t = _assert_peel_matches_hand_oracle(g, np.ones(g.n, bool), 3, g.n)
+    assert t == 16
