@@ -132,10 +132,7 @@ def _layered_core(params, rng):
             dst = (src * f + t) % sizes[j + 1]
             edges.append(np.stack([starts[j] + src, starts[j + 1] + dst], axis=1))
     top = np.arange(sizes[depth - 1], dtype=np.int64) + starts[depth - 1]
-    ring = np.stack([top, np.roll(top, -1)], axis=1)[: max(0, sizes[depth - 1] - 0)]
-    if sizes[depth - 1] == 2:
-        ring = ring[:1]
-    edges.append(ring)
+    edges.append(np.stack([top, np.roll(top, -1)], axis=1))
     g = build_graph(n, np.concatenate(edges))
     return g, d
 
@@ -193,35 +190,39 @@ def _mis_gadget(params, rng):
     return build_graph(n, np.concatenate(edges)), csize
 
 
-# family -> (builder, the parameter keys it reads)
+# family -> (builder, the parameter keys it reads, the keys it needs: at
+# least one key of each tuple)
 _BUILDERS = {
-    "tree": (_tree, ("n",)),
-    "grid": (_grid, ("n", "rows", "cols")),
-    "preferential-attachment": (_preferential_attachment, ("n", "c")),
-    "bounded-degree-random": (_bounded_degree_random, ("n", "deg", "m")),
-    "layered-core": (_layered_core, ("n", "depth", "d")),
-    "matching-gadget": (_matching_gadget, ("parents", "children", "decoys")),
-    "mis-gadget": (_mis_gadget, ("parents", "cliques", "clique_size")),
+    "tree": (_tree, ("n",), (("n",),)),
+    "grid": (_grid, ("n", "rows", "cols"), (("n", "rows"),)),
+    "preferential-attachment": (_preferential_attachment, ("n", "c"), (("n",),)),
+    "bounded-degree-random": (_bounded_degree_random, ("n", "deg", "m"), (("n",),)),
+    "layered-core": (_layered_core, ("n", "depth", "d"), (("n",), ("depth",))),
+    "matching-gadget": (_matching_gadget, ("parents", "children", "decoys"), ()),
+    "mis-gadget": (_mis_gadget, ("parents", "cliques", "clique_size"), ()),
 }
 
 
 def generate(family: str, params: dict, seed: int, return_meta: bool = False):
     """Build a corpus instance; deterministic given (family, params, seed).
 
-    An unknown family or parameter key, or a parameter value that is not an
-    integer, raises ``ValueError`` instead of falling back to a default or
-    truncating.  With ``return_meta=True`` also returns the sidecar dict,
-    including the family's constructive arboricity bound and the exact
-    degeneracy.
+    An unknown family or parameter key, a parameter value that is not an
+    integer, or a missing required parameter raises ``ValueError`` instead of
+    falling back to a default, truncating or failing inside the builder.
+    With ``return_meta=True`` also returns the sidecar dict, including the
+    family's constructive arboricity bound and the exact degeneracy.
     """
     if family not in _BUILDERS:
         raise ValueError(f"unknown family {family!r}; choose from {FAMILIES}")
-    build, keys = _BUILDERS[family]
+    build, keys, required = _BUILDERS[family]
     for key, value in params.items():
         if key not in keys:
             raise ValueError(f"unknown {family} parameter {key!r}; known: {', '.join(keys)}")
         if not isinstance(value, (int, np.integer)) or isinstance(value, bool):
             raise ValueError(f"{family} parameter {key!r} must be an integer, got {value!r}")
+    for need in required:
+        if not any(key in params for key in need):
+            raise ValueError(f"{family} needs parameter {' or '.join(map(repr, need))}")
     rng = np.random.default_rng(seed)
     g, bound = build(dict(params), rng)
     if not return_meta:

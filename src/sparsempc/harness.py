@@ -25,10 +25,6 @@ from .runtime import ClusterConfig
 MODES = ("centralized", "mpc", "both")
 SPEC_KEYS = ("instances", "pipeline", "mode", "out")
 INSTANCE_KEYS = ("family", "params", "seeds", "name")
-# every setting _run_one reads
-PIPELINE_KEYS = (
-    "kind", "target_delta", "exponent", "d_floor", "delta", "c_total", "c_pre", "adaptive",
-)
 
 
 def _reject_unknown(where: str, doc: dict, known: tuple) -> None:
@@ -39,6 +35,24 @@ def _reject_unknown(where: str, doc: dict, known: tuple) -> None:
 
 def _is_int(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
+
+
+# every setting _run_one reads -> (the check its value must pass, what it must be)
+PIPELINE_TYPES = {
+    "kind": (lambda x: x in reduction.KINDS, "'matching' or 'mis'"),
+    "target_delta": (_is_int, "an integer"),
+    "exponent": (_is_number, "a number"),
+    "d_floor": (lambda x: x is None or _is_int(x), "an integer or null"),
+    "delta": (_is_number, "a number"),
+    "c_total": (_is_number, "a number"),
+    "c_pre": (_is_number, "a number"),
+    "adaptive": (lambda x: isinstance(x, bool), "true or false"),
+}
+PIPELINE_KEYS = tuple(PIPELINE_TYPES)
 
 
 @dataclass
@@ -58,6 +72,10 @@ class ExperimentSpec:
         if not isinstance(self.pipeline, dict):
             raise ValueError("spec key 'pipeline' must be an object")
         _reject_unknown("pipeline", self.pipeline, PIPELINE_KEYS)
+        for key, value in self.pipeline.items():
+            ok, want = PIPELINE_TYPES[key]
+            if not ok(value):
+                raise ValueError(f"pipeline key {key!r} must be {want}, got {value!r}")
         for inst in self.instances:
             if not isinstance(inst, dict):
                 raise ValueError(f"every entry of 'instances' must be an object, got {inst!r}")
@@ -120,10 +138,9 @@ def _instance_name(inst: dict, seed: int) -> str:
 def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
     g = generators.generate(inst["family"], inst.get("params", {}), seed=seed)
     kind = pipeline.get("kind", "matching")
-    target = int(pipeline.get("target_delta", 2))
+    target = pipeline.get("target_delta", 2)
     exponent = float(pipeline.get("exponent", 0.1))
     d_floor = pipeline.get("d_floor")
-    d_floor = int(d_floor) if d_floor is not None else None
     lam = degeneracy(g).degeneracy
     inv: dict = {}
     dig_c = dig_m = None
@@ -153,7 +170,7 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
             exponent=exponent,
             d_floor=d_floor,
             c_pre=float(pipeline.get("c_pre", 2.0)),
-            adaptive=bool(pipeline.get("adaptive", False)),
+            adaptive=pipeline.get("adaptive", False),
             name=_instance_name(inst, seed),
         )
         dig_m = reduction.solution_digest(sol_m, seed)

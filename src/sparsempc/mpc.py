@@ -151,9 +151,6 @@ def _notify_round(cluster: Cluster, g: Graph, senders: np.ndarray, mask: np.ndar
     end is in ``mask``: removed nodes strike the edge at their still-alive
     neighbors, winners notify the not-yet-finished phase nodes.  The volumes
     are counted over the senders' rows, not over all n nodes."""
-    if senders.size == 0:
-        cluster.execute_round_bulk(np.empty(0, np.int64), np.empty(0, np.int64), 1, label=label)
-        return
     lengths = g.indptr[senders + 1] - g.indptr[senders]
     _, tgt = gather_segments(g.indptr, g.indices, senders)
     live = mask[tgt]
@@ -212,7 +209,6 @@ def connect_cliques(
     delta_max: int,
     *,
     cache: _BallCache | None = None,
-    label: str = "partition-clique",
 ) -> dict:
     """Hop-doubling step of an iteration with target radius 2^i >= 2: every
     node shares its current virtual neighbor list with those neighbors, after
@@ -237,7 +233,7 @@ def connect_cliques(
         cache.clique_recv,
         storage_nodes=ids,
         storage_delta=added - cluster.extra_words[ids],
-        label=label,
+        label="partition-clique",
     )
     return {
         "virtual_added_total": int(added.sum()),
@@ -255,7 +251,6 @@ def gather_and_peel(
     alive: np.ndarray,
     cache: _BallCache | None = None,
     deg: np.ndarray | None = None,
-    label_prefix: str = "partition",
 ) -> tuple[np.ndarray, int]:
     """One repetition: each alive node learns its layer-if-at-most-``radius``
     (else "deeper", encoded 0) from its radius-ball and drops out if layered.
@@ -268,14 +263,12 @@ def gather_and_peel(
     remainder where nobody has degree <= d.
     """
     g = cluster.graph
+    label = "partition-gather" if radius >= 2 else "partition-peel"
     if not alive.any():
         # faithful repetitions keep running after the subgraph empties; they
         # are metered as silent rounds without peeling or scanning the n nodes
         none = np.empty(0, np.int64)
-        if radius >= 2:
-            cluster.execute_round_volumes(none, none, none, none, label=f"{label_prefix}-gather")
-        else:
-            _notify_round(cluster, g, none, alive, f"{label_prefix}-peel")
+        cluster.execute_round_volumes(none, none, none, none, label=label)
         return np.zeros(g.n, np.int64), 0
     rel, t = peel_layers(g.indptr, g.indices, alive, d, radius, deg=deg)
     removed = np.flatnonzero(rel > 0)
@@ -286,12 +279,12 @@ def gather_and_peel(
             cache.row_words[cur] * (cache.count[cur] - 1),
             cur,
             cache.gather[cur],
-            label=f"{label_prefix}-gather",
+            label=label,
         )
         alive[removed] = False
     else:
         alive[removed] = False
-        _notify_round(cluster, g, removed, alive, f"{label_prefix}-peel")
+        _notify_round(cluster, g, removed, alive, label)
     if t < radius and alive.any():
         stuck = int(alive.sum())
         raise StallError(
@@ -335,9 +328,7 @@ def mpc_h_partition(
 
     def run_rep(radius: int, iteration: int, rep: int, cache: _BallCache | None) -> None:
         nonlocal offset
-        rel, t = gather_and_peel(
-            cluster, radius, d, alive=work, cache=cache, deg=deg, label_prefix="partition"
-        )
+        rel, t = gather_and_peel(cluster, radius, d, alive=work, cache=cache, deg=deg)
         if t:  # t == 0 only once `work` is empty: the repetition layers nothing
             removed = np.flatnonzero(rel > 0)
             layer[removed] = offset + rel[removed]

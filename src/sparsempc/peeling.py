@@ -89,14 +89,19 @@ def degeneracy(g: Graph) -> ArboricityEstimate:
     )
 
 
-def layer_decay_ok(hp: HPartition, lam: int) -> bool:
-    """Check |layers >= i+1| <= (2·lam/d) · |layers >= i| for all i >= 1.
+def suffix_decay_ok(layer_sizes, d: int, lam: int) -> bool:
+    """Check |layers >= i+1| <= (2·lam/d) · |layers >= i| for all i >= 1,
+    given the layer sizes of a partition with threshold ``d``.
 
     This is the geometric-decay law the partition obeys whenever d > 2·lam
     (lam standing in for the arboricity via the degeneracy bound).
     """
-    suf = hp.suffix_sizes().astype(np.float64)
+    suf = np.cumsum(np.asarray(layer_sizes, np.float64)[::-1])[::-1]
     if suf.size <= 1:
         return True
-    ratio = 2.0 * lam / hp.d
-    return bool((suf[1:] <= ratio * suf[:-1] + 1e-9).all())
+    return bool((suf[1:] <= (2.0 * lam / d) * suf[:-1] + 1e-9).all())
+
+
+def layer_decay_ok(hp: HPartition, lam: int) -> bool:
+    """:func:`suffix_decay_ok` on the layers of ``hp``."""
+    return suffix_decay_ok(hp.layer_sizes(), hp.d, lam)

@@ -23,11 +23,18 @@ import numpy as np
 from . import rng
 from .graph import Graph, GraphView
 from .kernels import gather_segments
-from .peeling import HPartition, StallError, h_partition
+from .peeling import HPartition, StallError, h_partition, suffix_decay_ok
+
+KINDS = ("matching", "mis")
 
 
 class InvariantError(ValueError):
     """A ProposalSet or PartialSolution violates its declared invariants."""
+
+
+def _check_kind(kind) -> None:
+    if kind not in KINDS:
+        raise ValueError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
 
 
 # ---------------------------------------------------------------------------
@@ -273,6 +280,7 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     :class:`sparsempc.mpc.ClusterMeter`) builds the partition on its cluster
     and meters the proposals and the selection computed here.
     """
+    _check_kind(kind)
     if g_view.alive_count() == 0:
         raise ValueError("reduce_once needs a nonempty graph view")
     sub, ids = g_view.compact()
@@ -284,11 +292,9 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     if kind == "matching":
         props = mark_and_propose_matching(sub, hp, seed)
         sol_c = select_matching(sub, hp, props)
-    elif kind == "mis":
+    else:
         props = mark_and_propose_mis(sub, hp, mis_probability(d), seed)
         sol_c = select_mis(sub, hp, props)
-    else:
-        raise ValueError(f"unknown kind {kind!r}")
     if meter is not None:
         meter.mark_propose(sub, ids, hp, props)
 
@@ -347,6 +353,7 @@ def degree_reduce(
     ``meter`` is told where each phase begins and ends, and is passed on to
     :func:`reduce_once`.
     """
+    _check_kind(kind)
     if target_delta < 1:
         raise ValueError("target_delta must be >= 1")
     view = GraphView.full(g)
@@ -442,6 +449,7 @@ def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
     isolated leftovers).  Every round removes at least the endpoints of the
     best-ranked alive edge (or the best-ranked alive node), so the loop ends.
     A ``meter`` meters each round before its nodes leave."""
+    _check_kind(kind)
     g = g_view.graph
     alive = g_view.alive.copy()
     total = PartialSolution.empty(kind)
@@ -531,16 +539,12 @@ class ScheduleResult:
 
 
 def _decay_holds(report: ReductionReport, lam: int) -> bool:
-    for ph in report.phases:
-        if ph.get("stalled"):
-            return False
-        sizes = np.array(ph.get("layer_sizes", []), dtype=np.float64)
-        if sizes.size <= 1:
-            continue
-        suf = np.cumsum(sizes[::-1])[::-1]
-        if (suf[1:] > (2.0 * lam / ph["d_used"]) * suf[:-1] + 1e-9).any():
-            return False
-    return True
+    """The layer-decay law of :func:`sparsempc.peeling.suffix_decay_ok` in
+    every phase of ``report``; a stalled phase fails it."""
+    return all(
+        not ph.get("stalled") and suffix_decay_ok(ph["layer_sizes"], ph["d_used"], lam)
+        for ph in report.phases
+    )
 
 
 def arboricity_schedule(g: Graph, kind: str, seed: int) -> ScheduleResult:

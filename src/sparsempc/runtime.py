@@ -9,13 +9,22 @@ A round is described by arrays, one call per round:
 :meth:`Cluster.execute_round_bulk` takes flat src/dst/word message arrays,
 :meth:`Cluster.execute_round_volumes` takes per-node traffic totals (used when
 per-message arrays would be huge), and :meth:`Cluster.control_rounds` meters
-coordinator plumbing.  All of them charge the same ledgers.
+coordinator plumbing (two words per machine and round).  Each of them turns
+its round into per-machine sent and received words and hands them to one
+recording site, which appends the :class:`RoundTrace`, writes the round's
+``MPC_TRACE_DIR`` rows from the live ledgers and checks the budgets.
 
 In a bulk round, messages between nodes hosted on the same machine are local
 computation and cost nothing.  Storage is metered in words: one word per
 adjacency entry (an edge costs two words, one at each endpoint) plus whatever
 auxiliary words the caller registers (virtual adjacency, retained chunk
 state).
+
+With ``MPC_TRACE_DIR`` set, every round writes one row per machine that
+stores, sends or receives anything (``round``, ``machine``, ``words_used``,
+``sent``, ``received``); past 4096 machines in use a round writes a single
+aggregate row with ``machine`` -1 carrying its maxima.  :meth:`Cluster.flush_trace`
+writes the rows to ``<MPC_TRACE_DIR>/<name>.trace.ndjson``.
 """
 
 from __future__ import annotations
@@ -73,8 +82,6 @@ class ClusterConfig:
     S: int
     M: int
     c_total: float = 4.0
-    edge_words: int = 1  # words per stored adjacency entry (2 per edge total)
-    message_words: int = 1  # multiplier on payload word counts
 
     def __post_init__(self):
         if self.S < 1 or self.M < 1:
@@ -108,12 +115,9 @@ class RoundTrace:
     max_received_machine: int
     total_sent: int
     total_received: int
-    # per-machine snapshots, kept only while the used-machine count is small
-    words_used: np.ndarray | None = None
-    sent: np.ndarray | None = None
-    received: np.ndarray | None = None
 
 
+# past this many machines a traced round is one aggregate row of its maxima
 _TRACE_KEEP_LIMIT = 4096
 
 
@@ -128,12 +132,11 @@ class Cluster:
         self.round_idx = 0
         self.traces: list[RoundTrace] = []
         self.violations: list[dict] = []
-        self.base_words = cfg.edge_words * g.degrees.astype(np.int64)
+        self.base_words = g.degrees.astype(np.int64)
         self.extra_words = np.zeros(g.n, np.int64)
         self.node_machine = np.zeros(g.n, np.int64)
         self.machines_used = 1
         self.loads = np.zeros(1, np.int64)
-        self._peak_cache: tuple[int, int] | None = None  # (machine, words)
         self._trace_rows: list[dict] | None = None
         trace_dir = os.environ.get("MPC_TRACE_DIR")
         if trace_dir:
@@ -151,13 +154,11 @@ class Cluster:
         delta = np.asarray(words, np.int64) - self.base_words[nodes]
         np.add.at(self.loads, self.node_machine[nodes], delta)
         self.base_words[nodes] += delta
-        self._peak_cache = None
 
     def add_extra_words(self, nodes: np.ndarray, delta) -> None:
         delta = np.broadcast_to(np.asarray(delta, np.int64), np.shape(nodes)).copy()
         np.add.at(self.loads, self.node_machine[nodes], delta)
         self.extra_words[nodes] += delta
-        self._peak_cache = None
 
     def drop_nodes(self, nodes: np.ndarray) -> None:
         """Remove finished nodes; their words vanish from their machines."""
@@ -165,16 +166,6 @@ class Cluster:
         np.add.at(self.loads, self.node_machine[nodes], -w)
         self.base_words[nodes] = 0
         self.extra_words[nodes] = 0
-        self._peak_cache = None
-
-    def _loads_peak(self) -> tuple[int, int]:
-        if self._peak_cache is None:
-            if self.loads.size:
-                m = int(self.loads.argmax())
-                self._peak_cache = (m, int(self.loads[m]))
-            else:
-                self._peak_cache = (0, 0)
-        return self._peak_cache
 
     def agg_depth(self) -> int:
         """Rounds for an S-ary aggregation tree over all machines."""
@@ -221,15 +212,44 @@ class Cluster:
         self.loads = np.bincount(mach, weights=self.node_words()[nodes], minlength=used).astype(
             np.int64
         )
-        self._peak_cache = None
 
     # -- round execution ----------------------------------------------------
 
-    def _finish_round(self, trace: RoundTrace) -> RoundTrace:
-        """Append the trace, persist rows, enforce budgets, advance the clock."""
+    def _check_and_trace(self, label: str, sent: np.ndarray, received: np.ndarray) -> RoundTrace:
+        """Record one round, the only place a round is recorded: append its
+        trace, write its trace rows from the live ledgers, enforce the budgets
+        and advance the clock.  ``sent``/``received`` hold per-machine words
+        and may be shorter than machines_used; a missing tail means zero."""
         S = self.cfg.S
+        loads = self.loads
+        peak_m, ms, mr = int(loads.argmax()), int(sent.argmax()), int(received.argmax())
+        trace = RoundTrace(
+            round=self.round_idx,
+            label=label,
+            peak_words=int(loads[peak_m]),
+            peak_machine=peak_m,
+            max_sent=int(sent[ms]),
+            max_sent_machine=ms,
+            max_received=int(received[mr]),
+            max_received_machine=mr,
+            total_sent=int(sent.sum()),
+            total_received=int(received.sum()),
+        )
         self.traces.append(trace)
-        self._record_rows(trace)
+        if self._trace_rows is not None:
+            if self.machines_used > _TRACE_KEEP_LIMIT:
+                # machine -1 marks an aggregate row: per-machine ledgers are
+                # not written at this scale, only the maxima
+                ledgers = [(-1, trace.peak_words, trace.max_sent, trace.max_received)]
+            else:
+                width = max(self.machines_used, loads.size, sent.size, received.size)
+                words, out, inc = (np.pad(a, (0, width - a.size)) for a in (loads, sent, received))
+                active = np.flatnonzero((words > 0) | (out > 0) | (inc > 0))
+                ledgers = zip(active.tolist(), *(a[active].tolist() for a in (words, out, inc)))
+            self._trace_rows.extend(
+                {"round": trace.round, "machine": m, "words_used": w, "sent": o, "received": i}
+                for m, w, o, i in ledgers
+            )
         violation = None
         if trace.max_sent > S:
             violation = ("send", SendBudgetExceeded, trace.max_sent_machine, trace.max_sent)
@@ -252,60 +272,24 @@ class Cluster:
             raise exc(f"{kind} budget: {amount} words > S={S}", machine, trace.round)
         return trace
 
-    def _check_and_trace(self, label: str, sent: np.ndarray, received: np.ndarray) -> RoundTrace:
-        """Shared budget check + ledger snapshot.  ``sent``/``received`` may be
-        shorter than machines_used; missing tail means zero."""
-        words = self.loads
-        peak_m = int(words.argmax()) if words.size else 0
-        peak = int(words[peak_m]) if words.size else 0
-        ms = int(sent.argmax()) if sent.size else 0
-        mr = int(received.argmax()) if received.size else 0
-        trace = RoundTrace(
-            round=self.round_idx,
-            label=label,
-            peak_words=peak,
-            peak_machine=peak_m,
-            max_sent=int(sent[ms]) if sent.size else 0,
-            max_sent_machine=ms,
-            max_received=int(received[mr]) if received.size else 0,
-            max_received_machine=mr,
-            total_sent=int(sent.sum()),
-            total_received=int(received.sum()),
-        )
-        if self.machines_used <= _TRACE_KEEP_LIMIT:
-            width = max(self.machines_used, words.size, sent.size, received.size)
-            pad = lambda a: np.pad(np.asarray(a, np.int64), (0, width - a.size))
-            trace.words_used = pad(words)
-            trace.sent = pad(sent)
-            trace.received = pad(received)
-        return self._finish_round(trace)
-
     def execute_round_bulk(
         self,
         src: np.ndarray,
         dst: np.ndarray,
         words=1,
         *,
-        storage_nodes: np.ndarray | None = None,
-        storage_delta=None,
         label: str = "",
     ) -> RoundTrace:
-        """One round from flat message arrays (src node, dst node, words each).
-
-        ``storage_nodes``/``storage_delta`` register auxiliary words retained
-        past this round (virtual adjacency etc.) before the memory check.
-        """
+        """One round from flat message arrays (src node, dst node, words each)."""
         src = np.asarray(src, np.int64)
         dst = np.asarray(dst, np.int64)
         w = np.broadcast_to(np.asarray(words, np.int64), src.shape)
         sm = self.node_machine[src]
         dm = self.node_machine[dst]
         crossing = sm != dm
-        w = w[crossing] * self.cfg.message_words
+        w = w[crossing]
         sent = np.bincount(sm[crossing], weights=w, minlength=1).astype(np.int64)
         received = np.bincount(dm[crossing], weights=w, minlength=1).astype(np.int64)
-        if storage_nodes is not None:
-            self.add_extra_words(storage_nodes, storage_delta)
         return self._check_and_trace(label, sent, received)
 
     def execute_round_volumes(
@@ -323,7 +307,9 @@ class Cluster:
         sends ``out_words[j]`` words in total, node ``in_nodes[j]`` receives
         ``in_words[j]``.  Used when per-message arrays would be huge (ball
         gathers); same-machine elision is not applied, so ledgers are an upper
-        bound on the true traffic."""
+        bound on the true traffic.  ``storage_nodes``/``storage_delta``
+        register auxiliary words retained past this round (virtual adjacency)
+        before the memory check."""
         out_nodes = np.asarray(out_nodes, np.int64)
         in_nodes = np.asarray(in_nodes, np.int64)
         ow = np.broadcast_to(np.asarray(out_words, np.int64), out_nodes.shape)
@@ -336,59 +322,14 @@ class Cluster:
             self.add_extra_words(storage_nodes, storage_delta)
         return self._check_and_trace(label, sent, received)
 
-    def control_rounds(self, count: int, words: int = 2, label: str = "control") -> None:
+    def control_rounds(self, count: int, label: str = "control") -> None:
         """Meter coordinator plumbing (aggregation/broadcast trees): ``count``
-        rounds in which every machine sends and receives at most ``words``.
-        Uniform ledgers, so no per-machine arrays are materialized."""
+        rounds in which every machine sends and receives two words."""
+        two = np.full(self.machines_used, 2, np.int64)
         for _ in range(int(count)):
-            peak_m, peak = self._loads_peak()
-            trace = RoundTrace(
-                round=self.round_idx,
-                label=label,
-                peak_words=peak,
-                peak_machine=peak_m,
-                max_sent=words,
-                max_sent_machine=0,
-                max_received=words,
-                max_received_machine=0,
-                total_sent=words * self.machines_used,
-                total_received=words * self.machines_used,
-            )
-            if self.machines_used <= _TRACE_KEEP_LIMIT:
-                trace.words_used = self.loads.copy()
-                trace.sent = np.full(self.machines_used, words, np.int64)
-                trace.received = np.full(self.machines_used, words, np.int64)
-            self._finish_round(trace)
+            self._check_and_trace(label, two, two)
 
     # -- tracing -------------------------------------------------------------
-
-    def _record_rows(self, t: RoundTrace) -> None:
-        if self._trace_rows is None:
-            return
-        if t.words_used is not None:
-            active = np.flatnonzero((t.words_used > 0) | (t.sent > 0) | (t.received > 0))
-            for m in active.tolist():
-                self._trace_rows.append(
-                    {
-                        "round": t.round,
-                        "machine": m,
-                        "words_used": int(t.words_used[m]),
-                        "sent": int(t.sent[m]),
-                        "received": int(t.received[m]),
-                    }
-                )
-        else:
-            # machine -1 marks an aggregate row: per-machine ledgers are not
-            # retained at this scale, only the maxima
-            self._trace_rows.append(
-                {
-                    "round": t.round,
-                    "machine": -1,
-                    "words_used": t.peak_words,
-                    "sent": t.max_sent,
-                    "received": t.max_received,
-                }
-            )
 
     def flush_trace(self) -> Path | None:
         if self._trace_rows is None or self._trace_path is None:
@@ -409,10 +350,8 @@ def init_cluster(g: Graph, cfg: ClusterConfig, seed: int, name: str = "run") -> 
     """Place every node (with its whole adjacency) on a machine, heaviest
     first, no machine above max(heaviest node, twice the average load)."""
     cl = Cluster(g, cfg, seed, name=name)
-    if g.n and int(g.max_degree()) * cfg.edge_words > cfg.S:
-        raise CapacityError(
-            f"node adjacency of {int(g.max_degree())} edge-words exceeds S={cfg.S}"
-        )
+    if g.n and int(g.max_degree()) > cfg.S:
+        raise CapacityError(f"node adjacency of {int(g.max_degree())} words exceeds S={cfg.S}")
     nodes = np.arange(g.n, dtype=np.int64)
     if g.n:
         mach = cl._place(nodes, cl.base_words, phase=0)

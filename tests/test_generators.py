@@ -170,6 +170,24 @@ def test_non_integral_optional_parameter_rejected():
         generate("preferential-attachment", {"n": 300, "c": 2.7}, seed=0)
 
 
+@pytest.mark.parametrize(
+    "family,params,key",
+    [
+        ("tree", {}, "'n'"),
+        ("preferential-attachment", {"c": 2}, "'n'"),
+        ("bounded-degree-random", {"deg": 4}, "'n'"),
+        ("grid", {"cols": 5}, "'n' or 'rows'"),
+        ("layered-core", {"depth": 4}, "'n'"),
+        ("layered-core", {"n": 100, "d": 3}, "'depth'"),
+    ],
+    ids=["tree", "pa", "bounded-degree", "grid", "layered-core-n", "layered-core-depth"],
+)
+def test_missing_required_parameter_rejected(family, params, key):
+    # a ValueError naming the key, not a bare KeyError from inside the builder
+    with pytest.raises(ValueError, match=f"{family} needs parameter {key}$"):
+        generate(family, params, seed=0)
+
+
 @pytest.mark.parametrize("params", [{"rows": 0, "cols": 5}, {"rows": 0, "cols": 5, "n": 100}])
 def test_grid_zero_rows_rejected(params):
     # an explicit rows=0 is checked, not replaced by sqrt(n)

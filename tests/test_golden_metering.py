@@ -4,8 +4,12 @@ Every count below was recorded from the cluster execution and must repeat
 exactly: the solution digest, rounds per label, peak stored words, total
 message words and the per-phase partition statistics.  A refactor of the
 phase driver or of a stage meter that shifts a single round, word or
-repetition fails here, even when the solution stays the same.
+repetition fails here, even when the solution stays the same.  The
+``MPC_TRACE_DIR`` file of each case is pinned by its SHA-256, so every
+per-machine ledger row of every round must repeat byte for byte too.
 """
+
+import hashlib
 
 import pytest
 
@@ -145,3 +149,27 @@ def test_pipeline_metering_is_pinned(case, pinned):
         "partition_stats": met["partition_stats"],
     }
     assert got == pinned
+
+
+# SHA-256 of each case's MPC_TRACE_DIR file, by case id
+TRACE_SHA256 = {
+    "layered-core-matching-doubling":
+        "5922488cc0f4807f3e00e2995d288501c99db8b3c59d85e761e5c356e96cccc1",
+    "tree-mis": "dae1d309d70705e4b297f49e744ce8f291df4d72e419b2cc615af3f1cba1810f",
+    "pa-matching": "965eab707c3a6a6446c626063fc8a0e0e934b836fdccae000f21e5c2620830e6",
+    "layered-core-matching-adaptive":
+        "d4d97cbba1ba2b086d27815ad8b99cc11f13e6f3c1d673ec224cc395a284e1a8",
+}
+
+
+@pytest.mark.parametrize(
+    "case,sha256", [pytest.param(p.values[0], TRACE_SHA256[p.id], id=p.id) for p in GOLDEN]
+)
+def test_pipeline_trace_file_is_pinned(case, sha256, tmp_path, monkeypatch):
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
+    family, params, seed, kind, delta, d_floor, adaptive = case
+    g = generate(family, params, seed=seed)
+    cfg = ClusterConfig.for_graph(g, delta)
+    mpc_pipeline(g, cfg, kind, 2, seed, d_floor=d_floor, adaptive=adaptive, name="golden")
+    trace = tmp_path / "golden.trace.ndjson"
+    assert hashlib.sha256(trace.read_bytes()).hexdigest() == sha256

@@ -130,6 +130,52 @@ def test_cli_run_rejects_malformed_spec_in_one_line(tmp_path, capsys, doc, key):
     assert key in err
 
 
+@pytest.mark.parametrize(
+    "pipeline,key",
+    [
+        ({"kind": "Matching"}, "'kind'"),
+        ({"kind": 1}, "'kind'"),
+        ({"target_delta": 2.9}, "'target_delta'"),
+        ({"target_delta": "3"}, "'target_delta'"),
+        ({"target_delta": True}, "'target_delta'"),
+        ({"d_floor": 3.0}, "'d_floor'"),
+        ({"d_floor": False}, "'d_floor'"),
+        ({"exponent": "0.1"}, "'exponent'"),
+        ({"exponent": True}, "'exponent'"),
+        ({"delta": None}, "'delta'"),
+        ({"c_total": [4]}, "'c_total'"),
+        ({"c_pre": "2"}, "'c_pre'"),
+        ({"adaptive": "false"}, "'adaptive'"),
+        ({"adaptive": 0}, "'adaptive'"),
+    ],
+    ids=[
+        "kind-case", "kind-int", "target-float", "target-str", "target-bool", "floor-float",
+        "floor-bool", "exponent-str", "exponent-bool", "delta-null", "c-total-list",
+        "c-pre-str", "adaptive-str", "adaptive-int",
+    ],
+)
+def test_spec_rejects_mistyped_pipeline_value(pipeline, key):
+    # _run_one used to coerce: target_delta 2.9 ran as 2, "false" as adaptive on
+    with pytest.raises(ValueError, match=f"pipeline key {key} must be"):
+        harness.ExperimentSpec(**{**_spec_doc(), "pipeline": pipeline})
+
+
+def test_spec_accepts_integral_numbers_and_no_floor():
+    pipeline = {"exponent": 1, "delta": 1, "c_total": 4, "c_pre": 2, "d_floor": None}
+    spec = harness.ExperimentSpec(**{**_spec_doc(), "pipeline": pipeline})
+    assert spec.pipeline == pipeline
+
+
+def test_cli_run_rejects_mistyped_pipeline_value(tmp_path, capsys):
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps({**_spec_doc(), "pipeline": {"adaptive": "false"}}))
+    rc = cli.main(["run", "--spec", str(spec_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sparsempc: error:") and err.count("\n") == 1
+    assert "pipeline key 'adaptive' must be" in err
+
+
 # ---------------------------------------------------------------- run
 
 
@@ -365,6 +411,15 @@ def test_cli_generate_rejects_non_integral_parameter(tmp_path, capsys):
     rc = cli.main(["generate", "--family", "tree", "--params", "n=2.5", "--out", str(out)])
     assert rc == 1
     assert "parameter 'n' must be an integer" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_cli_generate_without_required_parameter_is_one_error_line(tmp_path, capsys):
+    out = tmp_path / "g.edges"
+    rc = cli.main(["generate", "--family", "tree", "--out", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err == "sparsempc: error: tree needs parameter 'n'\n"
     assert not out.exists()
 
 

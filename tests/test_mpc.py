@@ -1,5 +1,7 @@
 """Cluster pipeline: exponentiation schedules, chunking, oracle equality."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -183,16 +185,20 @@ def test_gather_and_peel_stall_matches_centralized():
         gather_and_peel(cl, 1, 2, alive=np.ones(4, bool))
 
 
-def test_peel_rounds_meter_each_struck_edge():
+def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
     # Radius-1 repetitions with carried degrees: each removal round must
     # charge one word per edge from a removed node to a still-alive one, on
-    # the machines holding the two ends.
+    # the machines holding the two ends.  The per-machine volumes are read
+    # back from the round's MPC_TRACE_DIR rows (a machine without a row
+    # moved nothing).
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
     g = generate("bounded-degree-random", {"n": 400, "deg": 4}, seed=2)
     d = valid_d(g)
     cl = _cluster(g, 0.5)
     alive = np.ones(g.n, bool)
     alive[::5] = False
     deg = alive_degrees(g.indptr, g.indices, alive)
+    want = {}
     while alive.any():
         before = alive.copy()
         rel, _ = gather_and_peel(cl, 1, d, alive=alive, deg=deg)
@@ -206,9 +212,20 @@ def test_peel_rounds_meter_each_struck_edge():
                     received[cl.node_machine[u]] += 1
         trace = cl.traces[-1]
         assert trace.label == "partition-peel"
-        assert np.array_equal(trace.sent[: sent.size], sent)
-        assert np.array_equal(trace.received[: received.size], received)
-        assert not trace.sent[sent.size:].any() and not trace.received[received.size:].any()
+        want[trace.round] = (sent, received)
+    rows = [json.loads(line) for line in cl.flush_trace().read_text().splitlines()]
+    assert all(row["machine"] >= 0 for row in rows)  # per-machine rows
+    width = 1 + max(row["machine"] for row in rows)
+    for rnd, (sent, received) in want.items():
+        got_sent = np.zeros(max(width, sent.size), np.int64)
+        got_received = np.zeros(max(width, received.size), np.int64)
+        for row in rows:
+            if row["round"] == rnd:
+                got_sent[row["machine"]] = row["sent"]
+                got_received[row["machine"]] = row["received"]
+        assert np.array_equal(got_sent[: sent.size], sent)
+        assert np.array_equal(got_received[: received.size], received)
+        assert not got_sent[sent.size:].any() and not got_received[received.size:].any()
 
 
 def test_connect_cliques_path9_ball_oracle():

@@ -6,6 +6,7 @@ import pytest
 from sparsempc import rng
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView, build_graph
+from sparsempc.mpc import ClusterMeter, mpc_pipeline
 from sparsempc.peeling import HPartition, degeneracy, h_partition
 from sparsempc.reduction import (
     InvariantError,
@@ -24,6 +25,7 @@ from sparsempc.reduction import (
     solve,
     verify_maximal,
 )
+from sparsempc.runtime import ClusterConfig, init_cluster
 
 from oracles import complete, cycle, path, star
 
@@ -392,6 +394,34 @@ def test_verify_maximal_mis_cases():
 # ---------------------------------------------------------------------------
 # end-to-end solve, digests, schedule
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("execution", ["centralized", "cluster"])
+def test_unknown_kind_rejected_before_any_work(execution):
+    # with Δ <= target no phase runs, so only the finish used to see the kind:
+    # "Matching" ran the independent-set finish and returned a "Matching"
+    # solution holding an independent set
+    g = generate("tree", {"n": 50}, seed=0)
+    assert g.max_degree() <= 30
+    if execution == "centralized":
+        with pytest.raises(ValueError, match="unknown kind 'Matching'"):
+            solve(g, "Matching", 30, 0)
+    else:
+        cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+        with pytest.raises(ValueError, match="unknown kind 'Matching'"):
+            solve(g, "Matching", 30, 0, meter=ClusterMeter(cl))
+        assert cl.traces == []  # not one round metered
+        with pytest.raises(ValueError, match="unknown kind 'Matching'"):
+            mpc_pipeline(g, ClusterConfig.for_graph(g, 0.5), "Matching", 30, 0)
+
+
+@pytest.mark.parametrize("kind", ["Matching", "vertex-cover", None])
+def test_stages_reject_unknown_kind(kind):
+    g = generate("tree", {"n": 50}, seed=0)
+    with pytest.raises(ValueError, match="unknown kind"):
+        degree_reduce(g, kind, 30)
+    with pytest.raises(ValueError, match="unknown kind"):
+        finish_greedy(GraphView.full(g), kind, seed=0)
 
 
 @pytest.mark.parametrize("kind", ["matching", "mis"])

@@ -130,8 +130,9 @@ def test_memory_violation_from_stored_words():
     g = path(16)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
     with pytest.raises(MemoryExceeded):
-        cl.execute_round_bulk(
+        cl.execute_round_volumes(
             np.array([0]),
+            1,
             np.array([15]),
             1,
             storage_nodes=np.array([0]),
@@ -320,3 +321,44 @@ def test_no_trace_without_env(tmp_path, monkeypatch):
     g = path(6)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
     assert cl.flush_trace() is None
+
+
+def test_trace_past_keep_limit_writes_one_aggregate_row_per_round(tmp_path, monkeypatch):
+    # Past runtime._TRACE_KEEP_LIMIT machines no per-machine rows are kept:
+    # every round is one `machine: -1` row carrying that round's maxima.
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
+    g = path(5000)
+    cfg = ClusterConfig(n=5000, m=4999, delta=0.5, S=4, M=10000)
+    cl = init_cluster(g, cfg, seed=0, name="wide")
+    assert cl.machines_used > runtime._TRACE_KEEP_LIMIT
+    e = g.edges
+    sm, dm = cl.node_machine[e[:, 0]], cl.node_machine[e[:, 1]]
+    cross = sm != dm
+    want_sent = int(np.bincount(sm[cross]).max())
+    want_received = int(np.bincount(dm[cross]).max())
+    want_peak = int(np.bincount(cl.node_machine, weights=g.degrees).max())
+    t = cl.execute_round_bulk(e[:, 0], e[:, 1], 1, label="edges")
+    assert (t.peak_words, t.max_sent, t.max_received) == (want_peak, want_sent, want_received)
+    want_out = int(np.bincount(cl.node_machine[:10], weights=np.full(10, 2)).max())
+    want_in = int(np.bincount(cl.node_machine[10:20], weights=np.full(10, 2)).max())
+    t = cl.execute_round_volumes(np.arange(10), 2, np.arange(10, 20), 2, label="volumes")
+    assert (t.max_sent, t.max_received) == (want_out, want_in)
+    cl.control_rounds(2, label="sync")
+    rebalance(cl, np.ones(g.n, bool))
+    assert cl.machines_used > runtime._TRACE_KEEP_LIMIT
+    assert [t.label for t in cl.traces] == (
+        ["edges", "volumes", "sync", "sync"] + ["rebalance-plan"] * cl.agg_depth() + ["rebalance"]
+    )
+    assert cl.traces[2].max_sent == cl.traces[2].max_received == 2
+    rows = [json.loads(line) for line in cl.flush_trace().read_text().splitlines()]
+    assert rows == [
+        {
+            "round": t.round,
+            "machine": -1,
+            "words_used": t.peak_words,
+            "sent": t.max_sent,
+            "received": t.max_received,
+        }
+        for t in cl.traces
+    ]
+    assert [row["round"] for row in rows] == list(range(len(rows)))
