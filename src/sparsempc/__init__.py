@@ -47,8 +47,6 @@ from .runtime import (
     rebalance,
 )
 from .mpc import (
-    Chunk,
-    ChunkIndex,
     ExponentiationSchedule,
     compute_schedule,
     mpc_h_partition,
@@ -62,8 +60,6 @@ __all__ = [
     "ArboricityEstimate",
     "BudgetError",
     "CapacityError",
-    "Chunk",
-    "ChunkIndex",
     "Cluster",
     "ClusterConfig",
     "ExperimentSpec",

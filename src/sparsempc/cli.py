@@ -9,10 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-
-import numpy as np
 
 from . import generators, harness, mpc, reduction
 from .graph import GraphError, load_graph, save_graph
@@ -77,7 +74,8 @@ def _cmd_compare(args) -> int:
     )
     dig_c = reduction.solution_digest(sol_c, args.seed)
     dig_m = reduction.solution_digest(sol_m, args.seed)
-    ok = dig_c == dig_m and reduction.verify_maximal(g, sol_m) and not met["violations"]
+    maximal = reduction.verify_maximal(g, sol_m)
+    ok = dig_c == dig_m and maximal and not met["violations"]
     print(
         json.dumps(
             {
@@ -86,7 +84,7 @@ def _cmd_compare(args) -> int:
                 "digest_centralized": dig_c,
                 "digest_mpc": dig_m,
                 "equal": dig_c == dig_m,
-                "maximal": reduction.verify_maximal(g, sol_m),
+                "maximal": maximal,
                 "rounds": met["rounds"],
                 "peak_words": met["peak_words"],
                 "violations": met["violations"],
@@ -106,13 +104,7 @@ def _cmd_bench(args) -> int:
 def _cmd_report(args) -> int:
     with open(args.records) as fh:
         rows = json.load(fh)
-    csv_text, summary = harness.report(rows)
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.csv"), "w") as fh:
-        fh.write(csv_text)
-    with open(os.path.join(args.out, "summary.json"), "w") as fh:
-        json.dump(summary, fh, indent=1, sort_keys=True)
-        fh.write("\n")
+    summary = harness.write_report(rows, args.out)
     print(json.dumps(summary, sort_keys=True))
     return 0 if summary["all_pass"] else 1
 

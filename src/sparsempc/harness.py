@@ -215,13 +215,21 @@ def run(spec: ExperimentSpec) -> list[RunRecord]:
         with open(os.path.join(spec.out, "records.json"), "w") as fh:
             json.dump([asdict(r) for r in records], fh, indent=1, sort_keys=True)
             fh.write("\n")
-        csv_text, summary = report(records)
-        with open(os.path.join(spec.out, "report.csv"), "w") as fh:
-            fh.write(csv_text)
-        with open(os.path.join(spec.out, "summary.json"), "w") as fh:
-            json.dump(summary, fh, indent=1, sort_keys=True)
-            fh.write("\n")
+        write_report(records, spec.out)
     return records
+
+
+def write_report(records: list, out: str) -> dict:
+    """Write ``report.csv`` and ``summary.json`` of :func:`report` into the
+    directory ``out`` (created if missing); returns the summary."""
+    csv_text, summary = report(records)
+    os.makedirs(out, exist_ok=True)
+    with open(os.path.join(out, "report.csv"), "w") as fh:
+        fh.write(csv_text)
+    with open(os.path.join(out, "summary.json"), "w") as fh:
+        json.dump(summary, fh, indent=1, sort_keys=True)
+        fh.write("\n")
+    return summary
 
 
 def derive_2approx(g: Graph, sol: reduction.PartialSolution) -> dict:

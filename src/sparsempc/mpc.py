@@ -2,22 +2,24 @@
 
 :func:`mpc_pipeline` is :func:`sparsempc.reduction.solve` run with a
 :class:`ClusterMeter`: the shared driver computes every proposal, selection
-and finish round once, and the meter's hooks charge each stage to a
-simulated cluster.  The stage meters live here: the partition, which is
-built on the cluster (:func:`mpc_h_partition`), mark/propose
-(:func:`mpc_mark_propose`), the chunk-wise selection (:func:`mpc_select`)
-and the finish rounds.
+and finish round once, and the meter has one hook per stage that charges it
+to a simulated cluster.  The stage meters live here: the partition, which
+opens with the phase rebalance and is built on the cluster
+(:func:`mpc_h_partition`), mark/propose (:func:`mpc_mark_propose`), the
+chunk-wise selection (:func:`mpc_select`, after which the survivors' stored
+rows shrink to their remaining degree) and the finish rounds.
 
 The partition is built in repetitions: each repetition peels every node whose
 layer index (within the current remainder) is at most the hop radius, because
 a radius-r ball determines layers up to r.  Hop radii double once per
 iteration by connecting 1-hop neighborhoods into cliques (virtual edges), so
 one repetition of iteration i clears up to 2^i layers in O(1) rounds.  Nodes
-get removed in chunks of consecutive layers; selection later walks the chunks
-in reverse removal order.  Its layer map equals the centralized
-:func:`sparsempc.peeling.h_partition` of the phase subgraph.  Message volumes
-are computed from real ball sizes (bounded-radius BFS) and charged against
-the machine budgets of :mod:`sparsempc.runtime`.
+get removed in chunks of consecutive layers, recorded as ``(last_layer,
+radius)`` pairs in removal order; selection later walks the chunks in reverse
+removal order and reads each chunk's members off the layer map.  The layer
+map equals the centralized :func:`sparsempc.peeling.h_partition` of the phase
+subgraph.  Message volumes are computed from real ball sizes (bounded-radius
+BFS) and charged against the machine budgets of :mod:`sparsempc.runtime`.
 
 Two metering regimes: ``adaptive=False`` (default) runs the fixed repetition
 schedule of an oblivious coordinator and checks progress once per iteration;
@@ -29,14 +31,14 @@ identical in both; only the traces differ.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, GraphView
+from .graph import Graph
 from .kernels import alive_degrees, ball_stats, gather_segments, peel_layers
 from .peeling import HPartition, StallError
-from .reduction import PartialSolution, ProposalSet, solve
+from .reduction import PartialSolution, ProposalSet, check_request, solve
 from .runtime import Cluster, ClusterConfig, init_cluster, rebalance
 from .runtime import metrics as runtime_metrics
 
@@ -52,12 +54,9 @@ REPS_LATER = 20
 @dataclass(frozen=True)
 class ExponentiationSchedule:
     delta_max: int
-    S: int
     k: int | None  # None in fallback mode
-    fallback: bool
     phases: tuple  # ((iteration, radius, repetitions), ...)
     preprocessing_layers: int
-    c_pre: float
 
 
 def compute_schedule(
@@ -71,21 +70,15 @@ def compute_schedule(
     """Pick the deepest hop-doubling level k with delta_max^(2^k + 1) <= S.
 
     When even the first doubling is unaffordable (delta_max^2 > S) the
-    schedule flags fallback mode: layer-by-layer peeling at radius 1, no
-    virtual edges, k undefined.
+    schedule is in fallback mode (k is None): layer-by-layer peeling at
+    radius 1, no virtual edges.
     """
     delta_max = int(delta_max)
     loglog = math.log2(max(2.0, math.log2(max(2.0, n))))
     pre = int(math.ceil(c_pre * math.log2(max(2.0, (1.0 / delta) * loglog))))
     if delta_max >= 2 and delta_max ** 2 > S:
         return ExponentiationSchedule(
-            delta_max=delta_max,
-            S=S,
-            k=None,
-            fallback=True,
-            phases=(),
-            preprocessing_layers=0,
-            c_pre=c_pre,
+            delta_max=delta_max, k=None, phases=(), preprocessing_layers=0
         )
     k = 0
     if delta_max >= 2:
@@ -95,50 +88,8 @@ def compute_schedule(
         (i, 2 ** i, REPS_FIRST if i == 0 else REPS_LATER) for i in range(k + 1)
     )
     return ExponentiationSchedule(
-        delta_max=delta_max,
-        S=S,
-        k=k,
-        fallback=False,
-        phases=phases,
-        preprocessing_layers=pre,
-        c_pre=c_pre,
+        delta_max=delta_max, k=k, phases=phases, preprocessing_layers=pre
     )
-
-
-# ---------------------------------------------------------------------------
-# chunks
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Chunk:
-    layer_lo: int
-    layer_hi: int
-    radius: int
-    iteration: int  # -1 for preprocessing / fallback repetitions
-    repetition: int
-    members: np.ndarray  # original node ids, ascending
-
-
-@dataclass
-class ChunkIndex:
-    chunks: list[Chunk] = field(default_factory=list)
-
-    def validate(self, hp: HPartition) -> None:
-        """Chunks must tile layers 1..ell consecutively in removal order and
-        contain exactly the nodes of their layer interval."""
-        expect = 1
-        for c in self.chunks:
-            if c.layer_lo != expect or c.layer_hi < c.layer_lo:
-                raise ValueError(f"chunk interval broken at layer {expect}")
-            if c.layer_hi - c.layer_lo + 1 > c.radius:
-                raise ValueError("chunk spans more layers than its hop radius")
-            want = np.flatnonzero((hp.layer >= c.layer_lo) & (hp.layer <= c.layer_hi))
-            if not np.array_equal(want, c.members):
-                raise ValueError(f"chunk members disagree with layer map at {c.layer_lo}")
-            expect = c.layer_hi + 1
-        if expect != hp.ell + 1:
-            raise ValueError(f"chunks cover layers 1..{expect - 1}, partition has {hp.ell}")
 
 
 # ---------------------------------------------------------------------------
@@ -226,14 +177,9 @@ def connect_cliques(
         raise AssertionError(
             f"virtual additions {worst} exceed {delta_max}^{radius} = {bound}"
         )
+    cluster.add_extra_words(ids, added - cluster.extra_words[ids])
     cluster.execute_round_volumes(
-        ids,
-        cache.clique_send,
-        ids,
-        cache.clique_recv,
-        storage_nodes=ids,
-        storage_delta=added - cluster.extra_words[ids],
-        label="partition-clique",
+        ids, cache.clique_send, ids, cache.clique_recv, label="partition-clique"
     )
     return {
         "virtual_added_total": int(added.sum()),
@@ -257,10 +203,11 @@ def gather_and_peel(
 
     Radius 1 needs no gathering (degrees are local); it costs one removal
     round.  Radius >= 2 costs one gather round whose volumes come from the
-    iteration ball cache.  Mutates ``alive``, and ``deg`` (the alive degrees
-    carried across repetitions, see :func:`peel_layers`) when given.  Raises
-    StallError exactly when the centralized peeling would: a nonempty
-    remainder where nobody has degree <= d.
+    iteration ball cache (built here when ``cache`` is None).  Mutates
+    ``alive``, and ``deg`` (the alive degrees carried across repetitions, see
+    :func:`peel_layers`) when given.  Raises StallError exactly when the
+    centralized peeling would: a nonempty remainder where nobody has degree
+    <= d.
     """
     g = cluster.graph
     label = "partition-gather" if radius >= 2 else "partition-peel"
@@ -270,6 +217,8 @@ def gather_and_peel(
         none = np.empty(0, np.int64)
         cluster.execute_round_volumes(none, none, none, none, label=label)
         return np.zeros(g.n, np.int64), 0
+    if radius >= 2 and cache is None:
+        cache = _BallCache(g, alive, radius)
     rel, t = peel_layers(g.indptr, g.indices, alive, d, radius, deg=deg)
     removed = np.flatnonzero(rel > 0)
     if radius >= 2:
@@ -300,13 +249,15 @@ def mpc_h_partition(
     *,
     alive: np.ndarray | None = None,
     adaptive: bool = False,
-) -> tuple[HPartition, ChunkIndex, dict]:
+) -> tuple[HPartition, list[tuple[int, int]], dict]:
     """Build the full layer map of the alive subgraph on the cluster.
 
     Returns the partition (global layer indices over original node ids; 0
-    marks nodes outside the alive mask), the chunk removal history, and a
-    stats dict (per-iteration virtual-edge counts, alive counts, repetitions
-    used).  Round traces accumulate on the cluster.
+    marks nodes outside the alive mask), the chunks as ``(last_layer,
+    radius)`` pairs in removal order (each chunk starts one layer above the
+    previous one's last), and a stats dict (per-iteration virtual-edge
+    counts, alive counts, repetitions used).  Round traces accumulate on the
+    cluster.
     """
     g = cluster.graph
     members = np.ones(g.n, np.bool_) if alive is None else np.asarray(alive, np.bool_)
@@ -315,38 +266,29 @@ def mpc_h_partition(
     deg = alive_degrees(g.indptr, g.indices, work)
     layer = np.zeros(g.n, np.int64)
     offset = 0
-    chunks = ChunkIndex()
+    chunks: list[tuple[int, int]] = []
     sync = 2 * cluster.agg_depth()
     stats: dict = {
         "alive_start": int(work.sum()),
-        "fallback": schedule.fallback,
+        "fallback": schedule.k is None,
         "k": schedule.k,
         "preprocessing": {"target_layers": schedule.preprocessing_layers, "reps_used": 0},
         "iterations": [],
         "outer_passes": 0,
     }
 
-    def run_rep(radius: int, iteration: int, rep: int, cache: _BallCache | None) -> None:
+    def run_rep(radius: int, cache: _BallCache | None) -> None:
         nonlocal offset
         rel, t = gather_and_peel(cluster, radius, d, alive=work, cache=cache, deg=deg)
         if t:  # t == 0 only once `work` is empty: the repetition layers nothing
             removed = np.flatnonzero(rel > 0)
             layer[removed] = offset + rel[removed]
-            chunks.chunks.append(
-                Chunk(
-                    layer_lo=offset + 1,
-                    layer_hi=offset + t,
-                    radius=radius,
-                    iteration=iteration,
-                    repetition=rep,
-                    members=removed,
-                )
-            )
             offset += t
+            chunks.append((offset, radius))
         if adaptive:
             cluster.control_rounds(sync, label="partition-sync")
 
-    if schedule.fallback:
+    if schedule.k is None:
         rep = 0
         entry = {"iteration": -1, "radius": 1, "alive_before": int(work.sum()), "reps_used": 0}
         while work.any():
@@ -354,7 +296,7 @@ def mpc_h_partition(
                 rebalance(cluster, work, keep=members, label="partition-rebalance")
                 if not adaptive:
                     cluster.control_rounds(sync, label="partition-sync")
-            run_rep(1, -1, rep, None)
+            run_rep(1, None)
             rep += 1
         entry["reps_used"] = rep
         stats["iterations"].append(entry)
@@ -365,7 +307,7 @@ def mpc_h_partition(
     for rep in range(schedule.preprocessing_layers):
         if not work.any() and adaptive:
             break
-        run_rep(1, -1, rep, None)
+        run_rep(1, None)
         stats["preprocessing"]["reps_used"] = rep + 1
     stats["preprocessing"]["layers_removed"] = offset
 
@@ -403,7 +345,7 @@ def mpc_h_partition(
             for rep in range(reps):
                 if adaptive and not work.any():
                     break
-                run_rep(radius, iteration, rep, cache)
+                run_rep(radius, cache)
                 entry["reps_used"] = rep + 1
             if not adaptive:
                 cluster.control_rounds(sync, label="partition-sync")
@@ -446,10 +388,11 @@ def mpc_mark_propose(
 
 
 def mpc_select(
-    cluster: Cluster, hp: HPartition, chunks: ChunkIndex, sol: PartialSolution
+    cluster: Cluster, hp: HPartition, chunks: list[tuple[int, int]], sol: PartialSolution
 ) -> None:
     """Meter the selection ``sol`` (original ids) chunk by chunk, in reverse
-    removal order.
+    removal order.  ``chunks`` holds the ``(last_layer, radius)`` pairs of
+    :func:`mpc_h_partition`; a chunk's members are the nodes of its layers.
 
     Each chunk member re-gathers its retained radius ball with proposal flags
     (one round), winners notify their neighbors (one round), and for the
@@ -467,13 +410,22 @@ def mpc_select(
         sel_layer = hp.layer[sol.selected[:, 1]]
     else:
         sel_layer = hp.layer[sol.selected]
+    # the phase nodes by layer, ascending ids within a layer (which keeps the
+    # per-chunk gathers sequential); a chunk's members are one slice
+    phase_nodes = np.flatnonzero(pending)
+    by_layer = phase_nodes[np.argsort(hp.layer[phase_nodes], kind="stable")]
+    sorted_layer = hp.layer[by_layer]
 
-    for c in reversed(chunks.chunks):
-        if c.layer_hi - c.layer_lo + 1 > c.radius:
+    for i in reversed(range(len(chunks))):
+        hi, radius = chunks[i]
+        lo = chunks[i - 1][0] + 1 if i else 1
+        if hi - lo + 1 > radius:
             raise AssertionError("chunk wider than its hop radius")
-        words = cluster.base_words[c.members] + cluster.extra_words[c.members]
-        cluster.execute_round_volumes(c.members, words, c.members, words, label="select")
-        in_chunk = (sel_layer >= c.layer_lo) & (sel_layer <= c.layer_hi)
+        start, stop = np.searchsorted(sorted_layer, (lo, hi + 1))
+        members = by_layer[start:stop]
+        words = cluster.base_words[members] + cluster.extra_words[members]
+        cluster.execute_round_volumes(members, words, members, words, label="select")
+        in_chunk = (sel_layer >= lo) & (sel_layer <= hi)
         if sol.kind == "matching":
             winners = np.unique(sol.selected[in_chunk])
             _notify_round(cluster, g, winners, pending, "select")
@@ -485,12 +437,11 @@ def mpc_select(
             _, nb = gather_segments(g.indptr, g.indices, winners)
             felled = np.unique(nb[pending[nb] & removed[nb]])
             _notify_round(cluster, g, felled, pending, "select")
-        gone = c.members[removed[c.members]]
-        cluster.drop_nodes(gone)
-        keep = c.members[~removed[c.members]]
+        cluster.drop_nodes(members[removed[members]])
+        keep = members[~removed[members]]
         if keep.size:
             cluster.add_extra_words(keep, -cluster.extra_words[keep])
-        pending[c.members] = False
+        pending[members] = False
 
 
 # ---------------------------------------------------------------------------
@@ -500,9 +451,10 @@ def mpc_select(
 
 class ClusterMeter:
     """Hooks that :func:`sparsempc.reduction.solve` calls at each stage of a
-    phase and at each finish round.  The partition hook builds the layer map
-    on the cluster; every other hook only meters what the driver computed.
-    Collects the per-phase partition stats."""
+    phase (partition, mark/propose, select) and at each finish round.  The
+    partition hook repacks the cluster and builds the layer map on it; every
+    other hook only meters what the driver computed.  Collects the per-phase
+    partition stats."""
 
     def __init__(self, cluster: Cluster, *, c_pre: float = 2.0, adaptive: bool = False):
         self.cluster = cluster
@@ -510,16 +462,15 @@ class ClusterMeter:
         self.adaptive = adaptive
         self.partition_stats: list[dict] = []
         self._hp: HPartition | None = None  # this phase's layers, original ids
-        self._chunks: ChunkIndex | None = None
-
-    def begin_phase(self, view: GraphView) -> None:
-        rebalance(self.cluster, view.alive, label="rebalance")
+        self._chunks: list[tuple[int, int]] = []
 
     def partition(self, alive: np.ndarray, ids: np.ndarray, d: int, delta: int) -> HPartition:
         """The phase partition of the ``alive`` subgraph (max degree
-        ``delta``), built on the cluster; returned over the compacted ids
-        ``ids``.  Raises StallError where the centralized peeling would."""
+        ``delta``), built on the cluster after the phase rebalance; returned
+        over the compacted ids ``ids``.  Raises StallError where the
+        centralized peeling would."""
         cl = self.cluster
+        rebalance(cl, alive, label="rebalance")
         schedule = compute_schedule(delta, cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre)
         hp, self._chunks, stats = mpc_h_partition(
             cl, d, schedule, alive=alive, adaptive=self.adaptive
@@ -532,12 +483,14 @@ class ClusterMeter:
         mpc_mark_propose(self.cluster, sub, ids, hp, props)
 
     def select(self, sol: PartialSolution) -> None:
+        """Meter the selection, then shrink the survivors' stored rows (the
+        phase's nodes that ``sol`` leaves alive) to their remaining degree."""
+        g = self.cluster.graph
         mpc_select(self.cluster, self._hp, self._chunks, sol)
-
-    def end_phase(self, view: GraphView) -> None:
-        # survivors' stored rows shrink to their remaining degree
-        srv = np.flatnonzero(view.alive)
-        self.cluster.set_base_words(srv, view.alive_degrees()[srv])
+        after = self._hp.layer > 0
+        after[sol.removed] = False
+        srv = np.flatnonzero(after)
+        self.cluster.set_base_words(srv, alive_degrees(g.indptr, g.indices, after)[srv])
 
     def finish_round(self, g: Graph, alive: np.ndarray, step: PartialSolution) -> None:
         """One priority round of the finish: ``step.selected`` joined the
@@ -579,8 +532,10 @@ def mpc_pipeline(
 
     The solution is the one ``solve`` returns for the same arguments; the
     metrics carry rounds by label, peak words, violations, per-phase reports
-    and partition stats.
+    and partition stats.  ``kind`` and ``target_delta`` are checked before
+    any node is placed.
     """
+    check_request(kind, target_delta)
     cluster = init_cluster(g, cfg, seed, name=name)
     meter = ClusterMeter(cluster, c_pre=c_pre, adaptive=adaptive)
     total, report = solve(

@@ -37,6 +37,13 @@ def _check_kind(kind) -> None:
         raise ValueError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
 
 
+def check_request(kind, target_delta) -> None:
+    """Reject a kind or target degree that no run accepts, before any work."""
+    _check_kind(kind)
+    if target_delta < 1:
+        raise ValueError("target_delta must be >= 1")
+
+
 # ---------------------------------------------------------------------------
 # domain types
 # ---------------------------------------------------------------------------
@@ -49,8 +56,6 @@ class ProposalSet:
     # mis: (k,) node arrays.  Always sorted for cross-execution determinism.
     marked: np.ndarray
     proposed: np.ndarray
-    seed: int
-    p: float | None = None  # mis marking probability
 
 
 @dataclass
@@ -149,7 +154,7 @@ def mark_and_propose_matching(g: Graph, hp: HPartition, seed: int) -> ProposalSe
         proposed = proposed[np.lexsort((proposed[:, 0], proposed[:, 1]))]
     else:
         proposed = np.empty((0, 2), np.int64)
-    return ProposalSet(kind="matching", marked=marked, proposed=proposed, seed=int(seed))
+    return ProposalSet(kind="matching", marked=marked, proposed=proposed)
 
 
 def mark_and_propose_mis(g: Graph, hp: HPartition, p: float, seed: int) -> ProposalSet:
@@ -165,11 +170,7 @@ def mark_and_propose_mis(g: Graph, hp: HPartition, p: float, seed: int) -> Propo
     blocked = (cs[g.indptr[1:]] - cs[g.indptr[:-1]]) > 0
     proposed = marked & ~blocked
     return ProposalSet(
-        kind="mis",
-        marked=np.flatnonzero(marked),
-        proposed=np.flatnonzero(proposed),
-        seed=int(seed),
-        p=float(p),
+        kind="mis", marked=np.flatnonzero(marked), proposed=np.flatnonzero(proposed)
     )
 
 
@@ -277,8 +278,9 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
 
     Returns ``(solution-in-original-ids, remainder view, phase report entry)``.
     Propagates :class:`StallError` from the partition.  A ``meter`` (see
-    :class:`sparsempc.mpc.ClusterMeter`) builds the partition on its cluster
-    and meters the proposals and the selection computed here.
+    :class:`sparsempc.mpc.ClusterMeter`) is called once per stage: it builds
+    the partition on its cluster, then meters the proposals and the selection
+    computed here.
     """
     _check_kind(kind)
     if g_view.alive_count() == 0:
@@ -350,12 +352,9 @@ def degree_reduce(
     A phase that stalls or fails to decrease Δ ends the loop with a warning
     entry in the report instead of raising — small graphs legitimately hit
     both cases, and the accumulated solution stays valid either way.  A
-    ``meter`` is told where each phase begins and ends, and is passed on to
-    :func:`reduce_once`.
+    ``meter`` is passed on to :func:`reduce_once`.
     """
-    _check_kind(kind)
-    if target_delta < 1:
-        raise ValueError("target_delta must be >= 1")
+    check_request(kind, target_delta)
     view = GraphView.full(g)
     total = PartialSolution.empty(kind)
     report = ReductionReport()
@@ -364,8 +363,6 @@ def degree_reduce(
         if delta <= target_delta:
             break
         d = phase_threshold(delta, exponent, d_floor)
-        if meter is not None:
-            meter.begin_phase(view)
         try:
             sol, view2, entry = reduce_once(
                 view, kind, d, rng.derive_seed(seed, phase), meter=meter
@@ -386,8 +383,6 @@ def degree_reduce(
         total = total.merge(sol)
         report.phases.append(entry)
         view = view2
-        if meter is not None:
-            meter.end_phase(view)
         if entry["delta_after"] >= delta:
             entry["reduced"] = False
             break

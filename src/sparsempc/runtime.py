@@ -299,17 +299,13 @@ class Cluster:
         in_nodes: np.ndarray,
         in_words: np.ndarray,
         *,
-        storage_nodes: np.ndarray | None = None,
-        storage_delta=None,
         label: str = "",
     ) -> RoundTrace:
         """One round from pre-aggregated per-node traffic: node ``out_nodes[j]``
         sends ``out_words[j]`` words in total, node ``in_nodes[j]`` receives
         ``in_words[j]``.  Used when per-message arrays would be huge (ball
         gathers); same-machine elision is not applied, so ledgers are an upper
-        bound on the true traffic.  ``storage_nodes``/``storage_delta``
-        register auxiliary words retained past this round (virtual adjacency)
-        before the memory check."""
+        bound on the true traffic."""
         out_nodes = np.asarray(out_nodes, np.int64)
         in_nodes = np.asarray(in_nodes, np.int64)
         ow = np.broadcast_to(np.asarray(out_words, np.int64), out_nodes.shape)
@@ -318,8 +314,6 @@ class Cluster:
         received = np.bincount(self.node_machine[in_nodes], weights=iw, minlength=1).astype(
             np.int64
         )
-        if storage_nodes is not None:
-            self.add_extra_words(storage_nodes, storage_delta)
         return self._check_and_trace(label, sent, received)
 
     def control_rounds(self, count: int, label: str = "control") -> None:

@@ -278,7 +278,7 @@ def test_alive_set_shrinks_doubly_exponentially(announce):
     cfg = ClusterConfig.for_graph(g, 0.9, c_total=4.0)
     cl = init_cluster(g, cfg, seed=0)
     sched = mpc.compute_schedule(delta_max, cfg.S, g.n, 0.9, c_pre=0.0)
-    assert not sched.fallback
+    assert sched.k is not None
     _, _, stats = mpc.mpc_h_partition(cl, d, sched, adaptive=False)
     later = [e for e in stats["iterations"] if e["iteration"] >= 1]
     rows = []

@@ -14,8 +14,6 @@ from sparsempc.kernels import alive_degrees
 from sparsempc.mpc import (
     REPS_FIRST,
     REPS_LATER,
-    Chunk,
-    ChunkIndex,
     compute_schedule,
     connect_cliques,
     gather_and_peel,
@@ -27,6 +25,7 @@ from sparsempc.mpc import (
 )
 from sparsempc.peeling import StallError, degeneracy, h_partition
 from sparsempc.reduction import (
+    PartialSolution,
     mark_and_propose_matching,
     mark_and_propose_mis,
     mis_probability,
@@ -51,9 +50,8 @@ def _cluster(g, delta, seed=0):
 def test_schedule_k2_pinned():
     s = compute_schedule(8, 2 ** 15, n=10 ** 6, delta=0.5)
     assert s.k == 2  # 8^5 = 2^15 fits, 8^9 does not
-    assert not s.fallback
     assert [(i, r) for i, r, _ in s.phases] == [(0, 1), (1, 2), (2, 4)]
-    assert 8 ** (2 ** s.k + 1) <= s.S < 8 ** (2 ** (s.k + 1) + 1)
+    assert 8 ** (2 ** s.k + 1) <= 2 ** 15 < 8 ** (2 ** (s.k + 1) + 1)
 
 
 def test_schedule_k1_pinned():
@@ -63,14 +61,14 @@ def test_schedule_k1_pinned():
 
 def test_schedule_fallback_when_square_too_big():
     s = compute_schedule(10, 50, n=100, delta=0.5)
-    assert s.fallback and s.k is None
+    assert s.k is None
     assert s.phases == ()
 
 
 def test_schedule_trivial_degrees():
     for dm in (0, 1):
         s = compute_schedule(dm, 4, n=100, delta=0.5)
-        assert s.k == 0 and not s.fallback
+        assert s.k == 0
         assert s.phases == ((0, 1, REPS_FIRST),)
 
 
@@ -89,19 +87,18 @@ def test_schedule_preprocessing_layer_count():
 
 
 # ---------------------------------------------------------------------------
-# chunk index
+# chunks: (last_layer, radius) pairs in removal order
 # ---------------------------------------------------------------------------
 
 
-def _chunk(lo, hi, radius, members):
-    return Chunk(
-        layer_lo=lo,
-        layer_hi=hi,
-        radius=radius,
-        iteration=0,
-        repetition=0,
-        members=np.asarray(members, np.int64),
-    )
+def _check_chunks(chunks, hp):
+    """The chunk bounds rise strictly to ``hp.ell`` (so the chunks tile
+    layers 1..ell), and no chunk is wider than its hop radius."""
+    last = np.array([0] + [hi for hi, _ in chunks])
+    width = np.diff(last)
+    assert (width >= 1).all()
+    assert last[-1] == hp.ell
+    assert (width <= np.array([r for _, r in chunks], np.int64)).all()
 
 
 def test_chunk_validate_accepts_real_run():
@@ -109,25 +106,19 @@ def test_chunk_validate_accepts_real_run():
     cl = _cluster(g, 0.8)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
     hp, chunks, stats = mpc_h_partition(cl, 3, sched)
-    chunks.validate(hp)
-    for c in chunks.chunks:
-        assert c.layer_hi - c.layer_lo + 1 <= c.radius
-        if c.iteration >= 0:
-            assert c.radius == 2 ** c.iteration
+    _check_chunks(chunks, hp)
+    # every radius is 1 (pre-processing) or an iteration's 2^i
+    assert {r for _, r in chunks} <= {1} | {2 ** i for i, _, _ in sched.phases}
 
 
-def test_chunk_validate_rejects_gaps_and_mismatches():
-    hp = h_partition(star(5), 2)  # layers: leaves 1, center 2
-    good = ChunkIndex([_chunk(1, 1, 1, [1, 2, 3, 4, 5]), _chunk(2, 2, 1, [0])])
-    good.validate(hp)
-    with pytest.raises(ValueError, match="interval broken"):
-        ChunkIndex([_chunk(2, 2, 1, [0])]).validate(hp)
-    with pytest.raises(ValueError, match="members disagree"):
-        ChunkIndex([_chunk(1, 1, 1, [1, 2, 3, 4]), _chunk(2, 2, 1, [0, 5])]).validate(hp)
-    with pytest.raises(ValueError, match="more layers than its hop radius"):
-        ChunkIndex([_chunk(1, 2, 1, list(range(6)))]).validate(hp)
-    with pytest.raises(ValueError, match="partition has"):
-        ChunkIndex([_chunk(1, 1, 1, [1, 2, 3, 4, 5])]).validate(hp)
+def test_select_rejects_chunk_wider_than_its_radius():
+    g = star(5)
+    hp = h_partition(g, 2)  # layers: leaves 1, center 2
+    cl = _cluster(g, 0.9)
+    sol = PartialSolution.empty("mis")
+    mpc_select(cl, hp, [(1, 1), (2, 1)], sol)  # one layer per radius-1 chunk
+    with pytest.raises(AssertionError, match="wider than its hop radius"):
+        mpc_select(_cluster(g, 0.9), hp, [(2, 1)], sol)
 
 
 # ---------------------------------------------------------------------------
@@ -146,6 +137,27 @@ def test_star_center_resolves_on_second_repetition():
     rel2, t2 = gather_and_peel(cl, 1, 2, alive=alive)
     assert rel2[0] == 1 and t2 == 1  # resolved once the leaves are gone
     assert not alive.any()
+
+
+def test_radius_two_repetition_builds_its_ball_cache(tmp_path, monkeypatch):
+    # Without a cache, a radius >= 2 repetition builds the iteration ball
+    # cache itself: layers, depth, round trace and trace rows equal those of
+    # a repetition given an explicit cache.
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
+    g = generate("layered-core", {"n": 300, "depth": 30, "d": 3}, seed=1)
+    alive = np.ones(g.n, bool)
+    alive[::7] = False
+    runs = []
+    for name, cache in (("implicit", None), ("explicit", mpc_mod._BallCache(g, alive, 2))):
+        cfg = ClusterConfig(n=g.n, m=g.m, delta=1.0, S=10 ** 5, M=8)  # gathers fit
+        cl = init_cluster(g, cfg, seed=0, name=name)
+        mask = alive.copy()
+        rel, t = gather_and_peel(cl, 2, 3, alive=mask, cache=cache)
+        runs.append((rel, t, mask, cl.traces, cl.flush_trace().read_text()))
+    (rel, t, mask, traces, rows), (rel_x, t_x, mask_x, traces_x, rows_x) = runs
+    assert t == t_x == 2 and np.array_equal(rel, rel_x) and np.array_equal(mask, mask_x)
+    assert traces == traces_x and [tr.label for tr in traces] == ["partition-gather"]
+    assert traces[0].total_sent > 0 and rows == rows_x
 
 
 def test_low_degree_nodes_always_layer_one():
@@ -263,7 +275,7 @@ def test_deep_tower_uses_cliques_and_matches_oracle():
     ref = h_partition(g, 3)
     assert hp.ell == ref.ell == 100
     assert np.array_equal(hp.layer, ref.layer)
-    chunks.validate(hp)
+    _check_chunks(chunks, hp)
     met = metrics(cl)
     assert met["rounds_by_label"].get("partition-clique", 0) >= 1
     assert met["violations"] == []
@@ -295,7 +307,7 @@ def test_partition_equals_centralized(family, params, delta):
     ref = h_partition(g, d)
     assert np.array_equal(hp.layer, ref.layer)
     assert hp.ell == ref.ell
-    chunks.validate(hp)
+    _check_chunks(chunks, hp)
     assert metrics(cl)["violations"] == []
 
 
@@ -303,10 +315,10 @@ def test_partition_fallback_flag_recorded():
     g = generate("bounded-degree-random", {"n": 500, "deg": 8}, seed=3)
     cl = _cluster(g, 0.45)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.45)
-    assert sched.fallback
+    assert sched.k is None
     hp, chunks, stats = mpc_h_partition(cl, valid_d(g), sched)
     assert stats["fallback"] and stats["k"] is None
-    assert all(c.radius == 1 for c in chunks.chunks)
+    assert all(r == 1 for _, r in chunks)
 
 
 def test_shallow_graph_finishes_within_first_iteration():
@@ -316,13 +328,14 @@ def test_shallow_graph_finishes_within_first_iteration():
     g = generate("tree", {"n": 100}, seed=7)
     cl = _cluster(g, 0.9)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.9, c_pre=0.0)
-    assert not sched.fallback
+    assert sched.k is not None
     assert sched.preprocessing_layers == 0
     hp, chunks, stats = mpc_h_partition(cl, valid_d(g), sched, adaptive=True)
     assert hp.ell <= 60
     assert stats["outer_passes"] == 1
     # nothing was ever deep enough to need a hop radius above 1
-    assert all(c.radius == 1 and c.iteration == 0 for c in chunks.chunks)
+    assert all(r == 1 for _, r in chunks)
+    assert [e["iteration"] for e in stats["iterations"]] == [0]
 
 
 def test_adaptive_and_faithful_agree_on_layers():
@@ -415,7 +428,7 @@ def test_select_matches_centralized(kind):
     mpc_select(cl, hp, chunks, ref)
     assert np.array_equal(np.flatnonzero(cl.node_words() == 0), ref.removed)
     per_chunk = 2 if kind == "matching" else 3
-    assert metrics(cl)["rounds_by_label"]["select"] - before == per_chunk * len(chunks.chunks)
+    assert metrics(cl)["rounds_by_label"]["select"] - before == per_chunk * len(chunks)
     # every surviving node's scratch space was reclaimed chunk by chunk
     survivors = np.setdiff1d(np.arange(g.n), ref.removed)
     assert int(cl.extra_words[survivors].sum()) == 0
@@ -473,6 +486,28 @@ def test_pipeline_rejects_target_delta_like_solve(kind):
     with pytest.raises(ValueError) as got:
         mpc_pipeline(g, cfg, kind, 0, seed=4)
     assert str(got.value) == str(ref.value) == "target_delta must be >= 1"
+
+
+@pytest.mark.parametrize(
+    "kind,target_delta,message",
+    [
+        ("Matching", 30, "unknown kind 'Matching'; choose from matching, mis"),
+        ("matching", 0, "target_delta must be >= 1"),
+    ],
+)
+def test_pipeline_checks_inputs_before_placing_nodes(monkeypatch, kind, target_delta, message):
+    g = generate("tree", {"n": 150}, seed=0)
+    cfg = ClusterConfig.for_graph(g, 0.5)
+
+    def no_placement(*args, **kwargs):
+        raise AssertionError("init_cluster ran before the inputs were checked")
+
+    monkeypatch.setattr(mpc_mod, "init_cluster", no_placement)
+    with pytest.raises(ValueError) as ref:
+        solve(g, kind, target_delta, seed=4)
+    with pytest.raises(ValueError) as got:
+        mpc_pipeline(g, cfg, kind, target_delta, seed=4)
+    assert str(got.value) == str(ref.value) == message
 
 
 def test_pipeline_trivial_graph_skips_reduction():

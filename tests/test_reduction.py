@@ -96,7 +96,6 @@ def test_select_matching_chain_takes_top_edge():
         kind="matching",
         marked=np.array([[0, 1], [1, 2]], np.int64),
         proposed=np.array([[0, 1], [1, 2]], np.int64),
-        seed=0,
     )
     sol = select_matching(g, hp, props)
     assert sol.selected.tolist() == [[1, 2]]
@@ -110,7 +109,6 @@ def test_select_matching_empty():
         kind="matching",
         marked=np.empty((0, 2), np.int64),
         proposed=np.empty((0, 2), np.int64),
-        seed=0,
     )
     sol = select_matching(g, hp, props)
     assert sol.selected.shape == (0, 2) and sol.removed.size == 0
@@ -123,7 +121,6 @@ def test_select_matching_single_proposed_edge():
         kind="matching",
         marked=np.array([[0, 1]], np.int64),
         proposed=np.array([[0, 1]], np.int64),
-        seed=0,
     )
     assert select_matching(g, hp, props).selected.tolist() == [[0, 1]]
 
@@ -135,7 +132,6 @@ def test_select_matching_rejects_double_mark():
         kind="matching",
         marked=np.array([[0, 1], [0, 2]], np.int64),  # node 0 marked twice
         proposed=np.empty((0, 2), np.int64),
-        seed=0,
     )
     with pytest.raises(InvariantError, match="marked more than one"):
         select_matching(g, hp, props)
@@ -187,8 +183,6 @@ def test_select_mis_parent_beats_child():
         kind="mis",
         marked=np.array([0, 1], np.int64),
         proposed=np.array([0, 1], np.int64),
-        seed=0,
-        p=1.0,
     )
     sol = select_mis(g, hp, props)
     assert sol.selected.tolist() == [1]
@@ -202,8 +196,6 @@ def test_select_mis_empty():
         kind="mis",
         marked=np.empty(0, np.int64),
         proposed=np.empty(0, np.int64),
-        seed=0,
-        p=0.5,
     )
     sol = select_mis(g, hp, props)
     assert sol.selected.size == 0 and sol.removed.size == 0
@@ -216,8 +208,6 @@ def test_select_mis_rejects_same_layer_adjacent_proposals():
         kind="mis",
         marked=np.array([0, 1], np.int64),
         proposed=np.array([0, 1], np.int64),
-        seed=0,
-        p=1.0,
     )
     with pytest.raises(InvariantError, match="same-layer"):
         select_mis(g, hp, props)

@@ -129,16 +129,9 @@ def test_receive_budget_violation():
 def test_memory_violation_from_stored_words():
     g = path(16)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl.add_extra_words(np.array([0]), cl.cfg.S + 1)
     with pytest.raises(MemoryExceeded):
-        cl.execute_round_volumes(
-            np.array([0]),
-            1,
-            np.array([15]),
-            1,
-            storage_nodes=np.array([0]),
-            storage_delta=cl.cfg.S + 1,
-            label="hoard",
-        )
+        cl.execute_round_volumes(np.array([0]), 1, np.array([15]), 1, label="hoard")
     assert cl.violations[0]["kind"] == "memory"
 
 
