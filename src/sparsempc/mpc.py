@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .kernels import alive_degrees, ball_stats, gather_segments, peel_layers
+from .kernels import alive_degrees, ball_stats, gather_segments, peel_layers, sorted_unique
 from .peeling import HPartition, StallError
 from .reduction import PartialSolution, ProposalSet, check_request, solve
 from .runtime import Cluster, ClusterConfig, init_cluster, rebalance
@@ -100,15 +100,13 @@ def compute_schedule(
 def _notify_round(cluster: Cluster, g: Graph, senders: np.ndarray, mask: np.ndarray, label: str) -> None:
     """Distinct ``senders`` push one word along each incident edge whose other
     end is in ``mask``: removed nodes strike the edge at their still-alive
-    neighbors, winners notify the not-yet-finished phase nodes.  The volumes
-    are counted over the senders' rows, not over all n nodes."""
-    lengths = g.indptr[senders + 1] - g.indptr[senders]
-    _, tgt = gather_segments(g.indptr, g.indices, senders)
+    neighbors, winners notify the not-yet-finished phase nodes.  The round is
+    handed over as its live (sender, target) pairs with one word each, read
+    off the senders' rows rather than all n nodes; the cluster sums them per
+    machine, so no per-node totals are formed."""
+    src, tgt = gather_segments(g.indptr, g.indices, senders)
     live = mask[tgt]
-    row = np.repeat(np.arange(senders.size), lengths)
-    out = np.bincount(row[live], minlength=senders.size)
-    in_nodes, in_words = np.unique(tgt[live], return_counts=True)
-    cluster.execute_round_volumes(senders, out, in_nodes, in_words, label=label)
+    cluster.execute_round_volumes(src[live], 1, tgt[live], 1, label=label)
 
 
 class _BallCache:
@@ -249,6 +247,7 @@ def mpc_h_partition(
     *,
     alive: np.ndarray | None = None,
     adaptive: bool = False,
+    deg: np.ndarray | None = None,
 ) -> tuple[HPartition, list[tuple[int, int]], dict]:
     """Build the full layer map of the alive subgraph on the cluster.
 
@@ -258,12 +257,17 @@ def mpc_h_partition(
     previous one's last), and a stats dict (per-iteration virtual-edge
     counts, alive counts, repetitions used).  Round traces accumulate on the
     cluster.
+
+    ``deg`` hands over the alive degrees when the caller holds them, under
+    the contract of :func:`peel_layers`: an int64 array holding
+    :func:`alive_degrees` on every alive node, consumed in place.
     """
     g = cluster.graph
     members = np.ones(g.n, np.bool_) if alive is None else np.asarray(alive, np.bool_)
     work = members.copy()
     # only gather_and_peel shrinks `work`, and it keeps these degrees current
-    deg = alive_degrees(g.indptr, g.indices, work)
+    if deg is None:
+        deg = alive_degrees(g.indptr, g.indices, work)
     layer = np.zeros(g.n, np.int64)
     offset = 0
     chunks: list[tuple[int, int]] = []
@@ -369,22 +373,17 @@ def mpc_mark_propose(
     (compacted ids; ``ids`` maps them back), before any chunk is visited.
     Costs one layer-exchange round plus, for matching, a marked-edge round
     and a proposal round; for the independent set the marks of same-layer
-    neighbors are the only exchange."""
-    deg = sub.degrees.astype(np.int64)
-    cluster.execute_round_volumes(ids, deg, ids, deg, label="markpropose")
+    neighbors are the only exchange, one word from each marked node to each
+    same-layer neighbor, read off the marked nodes' rows."""
+    cluster.execute_round_volumes(ids, sub.degrees, ids, sub.degrees, label="markpropose")
     if props.kind == "matching":
         mk, pr = props.marked, props.proposed
         cluster.execute_round_bulk(ids[mk[:, 0]], ids[mk[:, 1]], 1, label="markpropose")
         cluster.execute_round_bulk(ids[pr[:, 1]], ids[pr[:, 0]], 1, label="markpropose")
     else:
-        is_marked = np.zeros(sub.n, np.bool_)
-        is_marked[props.marked] = True
-        src = np.repeat(np.arange(sub.n, dtype=np.int64), sub.degrees)
-        same = hp.layer[sub.indices] == hp.layer[src]
-        flow = same & is_marked[src]
-        out = np.bincount(src[flow], minlength=sub.n)
-        inc = np.bincount(sub.indices[flow], minlength=sub.n)
-        cluster.execute_round_volumes(ids, out, ids, inc, label="markpropose")
+        src, nb = gather_segments(sub.indptr, sub.indices, props.marked)
+        flow = hp.layer[nb] == hp.layer[src]
+        cluster.execute_round_volumes(ids[src[flow]], 1, ids[nb[flow]], 1, label="markpropose")
 
 
 def mpc_select(
@@ -401,41 +400,49 @@ def mpc_select(
     global highest-layer-first sweep because proposal chains never leave a
     chunk's layer interval going down and the reverse order resolves every
     cross-chunk dependency before it is needed.
+
+    The phase nodes and the selection are each sorted by layer once, so a
+    chunk's members and its winners are two slices found by binary search.
+    Both sorts are stable on an unsigned key just wide enough for ``hp.ell``,
+    which numpy sorts by radix.  A chunk's matched edges share no endpoint,
+    so their endpoints need no dedupe; the neighbors that an independent
+    set's winners fell can repeat and are deduped by a sort.
     """
     g = cluster.graph
     removed = np.zeros(g.n, np.bool_)
     removed[sol.removed] = True
     pending = hp.layer > 0  # phase nodes whose fate is not yet committed
-    if sol.kind == "matching":
-        sel_layer = hp.layer[sol.selected[:, 1]]
-    else:
-        sel_layer = hp.layer[sol.selected]
-    # the phase nodes by layer, ascending ids within a layer (which keeps the
-    # per-chunk gathers sequential); a chunk's members are one slice
+    key = np.min_scalar_type(hp.ell)
+
+    def by_layer(nodes: np.ndarray, layer: np.ndarray):
+        order = np.argsort(layer.astype(key), kind="stable")
+        return nodes[order], layer[order]
+
+    # ascending ids within a layer keep the per-chunk gathers sequential
     phase_nodes = np.flatnonzero(pending)
-    by_layer = phase_nodes[np.argsort(hp.layer[phase_nodes], kind="stable")]
-    sorted_layer = hp.layer[by_layer]
+    members_by_layer, member_layer = by_layer(phase_nodes, hp.layer[phase_nodes])
+    if sol.kind == "matching":
+        sel_by_layer, sel_layer = by_layer(sol.selected, hp.layer[sol.selected[:, 1]])
+    else:
+        sel_by_layer, sel_layer = by_layer(sol.selected, hp.layer[sol.selected])
 
     for i in reversed(range(len(chunks))):
         hi, radius = chunks[i]
         lo = chunks[i - 1][0] + 1 if i else 1
         if hi - lo + 1 > radius:
             raise AssertionError("chunk wider than its hop radius")
-        start, stop = np.searchsorted(sorted_layer, (lo, hi + 1))
-        members = by_layer[start:stop]
+        start, stop = np.searchsorted(member_layer, (lo, hi + 1))
+        members = members_by_layer[start:stop]
         words = cluster.base_words[members] + cluster.extra_words[members]
         cluster.execute_round_volumes(members, words, members, words, label="select")
-        in_chunk = (sel_layer >= lo) & (sel_layer <= hi)
-        if sol.kind == "matching":
-            winners = np.unique(sol.selected[in_chunk])
-            _notify_round(cluster, g, winners, pending, "select")
-        else:
-            winners = sol.selected[in_chunk]
-            _notify_round(cluster, g, winners, pending, "select")
+        start, stop = np.searchsorted(sel_layer, (lo, hi + 1))
+        winners = sel_by_layer[start:stop].ravel()
+        _notify_round(cluster, g, winners, pending, "select")
+        if sol.kind == "mis":
             # neighbors of winners leave the graph too; they tell their own
             # neighborhoods, which may live in chunks not yet visited
             _, nb = gather_segments(g.indptr, g.indices, winners)
-            felled = np.unique(nb[pending[nb] & removed[nb]])
+            felled = sorted_unique(nb[pending[nb] & removed[nb]])
             _notify_round(cluster, g, felled, pending, "select")
         cluster.drop_nodes(members[removed[members]])
         keep = members[~removed[members]]
@@ -464,17 +471,33 @@ class ClusterMeter:
         self._hp: HPartition | None = None  # this phase's layers, original ids
         self._chunks: list[tuple[int, int]] = []
 
-    def partition(self, alive: np.ndarray, ids: np.ndarray, d: int, delta: int) -> HPartition:
-        """The phase partition of the ``alive`` subgraph (max degree
-        ``delta``), built on the cluster after the phase rebalance; returned
-        over the compacted ids ``ids``.  Raises StallError where the
-        centralized peeling would."""
+    def partition(self, alive: np.ndarray, ids: np.ndarray, deg: np.ndarray, d: int) -> HPartition:
+        """The phase partition of the ``alive`` subgraph, built on the cluster
+        after the phase rebalance; returned over the compacted ids ``ids``.
+        ``deg`` holds the compacted phase subgraph's degrees.  Raises
+        StallError where the centralized peeling would; a stalled phase still
+        leaves a stats entry (its schedule, ``"stalled": True``)."""
         cl = self.cluster
         rebalance(cl, alive, label="rebalance")
-        schedule = compute_schedule(delta, cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre)
-        hp, self._chunks, stats = mpc_h_partition(
-            cl, d, schedule, alive=alive, adaptive=self.adaptive
+        schedule = compute_schedule(
+            int(deg.max()), cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre
         )
+        full = np.zeros(cl.graph.n, np.int64)
+        full[ids] = deg
+        try:
+            hp, self._chunks, stats = mpc_h_partition(
+                cl, d, schedule, alive=alive, adaptive=self.adaptive, deg=full
+            )
+        except StallError:
+            self.partition_stats.append(
+                {
+                    "alive_start": int(ids.size),
+                    "fallback": schedule.k is None,
+                    "k": schedule.k,
+                    "stalled": True,
+                }
+            )
+            raise
         self.partition_stats.append(stats)
         self._hp = hp
         return HPartition(layer=hp.layer[ids], d=hp.d, ell=hp.ell)
@@ -482,15 +505,15 @@ class ClusterMeter:
     def mark_propose(self, sub: Graph, ids: np.ndarray, hp: HPartition, props: ProposalSet) -> None:
         mpc_mark_propose(self.cluster, sub, ids, hp, props)
 
-    def select(self, sol: PartialSolution) -> None:
+    def select(self, sol: PartialSolution, deg: np.ndarray) -> None:
         """Meter the selection, then shrink the survivors' stored rows (the
-        phase's nodes that ``sol`` leaves alive) to their remaining degree."""
-        g = self.cluster.graph
+        phase's nodes that ``sol`` leaves alive) to their remaining degree,
+        read from ``deg``, the alive degrees of the remainder."""
         mpc_select(self.cluster, self._hp, self._chunks, sol)
         after = self._hp.layer > 0
         after[sol.removed] = False
         srv = np.flatnonzero(after)
-        self.cluster.set_base_words(srv, alive_degrees(g.indptr, g.indices, after)[srv])
+        self.cluster.set_base_words(srv, deg[srv])
 
     def finish_round(self, g: Graph, alive: np.ndarray, step: PartialSolution) -> None:
         """One priority round of the finish: ``step.selected`` joined the
@@ -499,7 +522,10 @@ class ClusterMeter:
         after = alive.copy()
         after[step.removed] = False
         if step.kind == "matching":  # alive edges exchange priorities
-            nodes = np.flatnonzero(alive & (alive_degrees(g.indptr, g.indices, alive) > 0))
+            e = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
+            has_edge = np.zeros(g.n, np.bool_)
+            has_edge[e.ravel()] = True
+            nodes = np.flatnonzero(has_edge)
             cl.execute_round_volumes(nodes, 1, nodes, 1, label="finish")
         else:  # winners notify their neighbors
             _notify_round(cl, g, step.selected, alive, "finish")

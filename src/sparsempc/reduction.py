@@ -22,7 +22,7 @@ import numpy as np
 
 from . import rng
 from .graph import Graph, GraphView
-from .kernels import gather_segments
+from .kernels import gather_segments, sorted_unique
 from .peeling import HPartition, StallError, h_partition, suffix_decay_ok
 
 KINDS = ("matching", "mis")
@@ -80,7 +80,7 @@ class PartialSolution:
         return PartialSolution(
             kind=self.kind,
             selected=sel,
-            removed=np.unique(np.concatenate([self.removed, other.removed])),
+            removed=sorted_unique(np.concatenate([self.removed, other.removed])),
         )
 
 
@@ -280,7 +280,8 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     Propagates :class:`StallError` from the partition.  A ``meter`` (see
     :class:`sparsempc.mpc.ClusterMeter`) is called once per stage: it builds
     the partition on its cluster, then meters the proposals and the selection
-    computed here.
+    computed here.  The remainder's alive degrees are counted once; they give
+    ``delta_after`` and the meter's new row sizes.
     """
     _check_kind(kind)
     if g_view.alive_count() == 0:
@@ -290,7 +291,7 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     if meter is None:
         hp = h_partition(sub, d)
     else:
-        hp = meter.partition(g_view.alive, ids, d, delta_before)
+        hp = meter.partition(g_view.alive, ids, sub.degrees, d)
     if kind == "matching":
         props = mark_and_propose_matching(sub, hp, seed)
         sol_c = select_matching(sub, hp, props)
@@ -311,16 +312,17 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     selected = ids[sol_c.selected] if sol_c.selected.size else sol_c.selected
     removed = ids[sol_c.removed]
     sol = PartialSolution(kind=kind, selected=selected, removed=removed)
-    if meter is not None:
-        meter.select(sol)
     remainder = g_view.copy()
     remainder.alive[removed] = False
+    deg_after = remainder.alive_degrees()
+    if meter is not None:
+        meter.select(sol, deg_after)
     entry = {
         "delta_before": int(delta_before),
         "d_used": int(d),
         "heavy_nodes_before": heavy_before,
         "heavy_survivors_after": heavy_after,
-        "delta_after": remainder.max_alive_degree(),
+        "delta_after": int(deg_after.max()) if deg_after.size else 0,
         "alive_before": int(ids.size),
         "ell": hp.ell,
         "layer_sizes": [int(x) for x in hp.layer_sizes()],
@@ -358,8 +360,8 @@ def degree_reduce(
     view = GraphView.full(g)
     total = PartialSolution.empty(kind)
     report = ReductionReport()
+    delta = view.max_alive_degree()  # then each phase reports the next one
     for phase in range(max_phases):
-        delta = view.max_alive_degree()
         if delta <= target_delta:
             break
         d = phase_threshold(delta, exponent, d_floor)
@@ -386,6 +388,7 @@ def degree_reduce(
         if entry["delta_after"] >= delta:
             entry["reduced"] = False
             break
+        delta = entry["delta_after"]
     return total, view, report
 
 
@@ -491,17 +494,22 @@ def solve(
 
 
 def verify_maximal(g: Graph, sol: PartialSolution) -> bool:
-    """Maximality oracle.  Matching: pairwise non-incident and no edge with two
-    unmatched endpoints.  MIS: independent, and every node selected or adjacent
-    to a selected node."""
+    """Maximality oracle.  Matching: pairwise non-incident edges of ``g`` and no
+    edge with two unmatched endpoints.  MIS: independent, and every node
+    selected or adjacent to a selected node.  Edge membership is a binary
+    search in the keys of ``g.edges``, which are ascending."""
     if sol.kind == "matching":
         sel = sol.selected
         if sel.size:
             ends = sel.ravel()
-            if np.unique(ends).size != ends.size:
+            if sorted_unique(ends).size != ends.size:
                 return False
-            keys = set(_edge_keys(np.sort(sel, axis=1), g.n).tolist())
-            if not keys <= set(_edge_keys(g.edges, g.n).tolist()):
+            edge_keys = _edge_keys(g.edges, g.n)
+            if not edge_keys.size:
+                return False
+            keys = _edge_keys(np.sort(sel, axis=1), g.n)
+            pos = np.minimum(np.searchsorted(edge_keys, keys), edge_keys.size - 1)
+            if (edge_keys[pos] != keys).any():
                 return False
         matched = np.zeros(g.n, np.bool_)
         matched[sel.ravel()] = True

@@ -8,7 +8,8 @@ capacity S, and any violation aborts the run naming the machine and round.
 A round is described by arrays, one call per round:
 :meth:`Cluster.execute_round_bulk` takes flat src/dst/word message arrays,
 :meth:`Cluster.execute_round_volumes` takes per-node traffic totals (used when
-per-message arrays would be huge), and :meth:`Cluster.control_rounds` meters
+per-message arrays would be huge, and for one-word messages given as their
+(sender, target) pairs), and :meth:`Cluster.control_rounds` meters
 coordinator plumbing (two words per machine and round).  Each of them turns
 its round into per-machine sent and received words and hands them to one
 recording site, which appends the :class:`RoundTrace`, writes the round's
@@ -121,6 +122,30 @@ class RoundTrace:
 _TRACE_KEEP_LIMIT = 4096
 
 
+def _packed_order(lightness: np.ndarray, spread: int, tie: np.ndarray) -> np.ndarray | None:
+    """The order of the items by (``lightness``, ``tie``, position) from one
+    sort of uint64 keys holding lightness (values up to ``spread``), the
+    tie's leading bits and the position.  None when two items agree on
+    lightness and leading tie bits, whose order would then come from their
+    positions instead of their full ties, and when too few tie bits fit for
+    that to be rare: with ``n <= 2^pos_bits`` items and ``2 * pos_bits + 5``
+    tie bits it happens with probability below 1/64."""
+    pos_bits = max(1, (tie.size - 1).bit_length())
+    tie_bits = 64 - pos_bits - spread.bit_length()
+    if tie_bits < 2 * pos_bits + 5:
+        return None
+    key = lightness.astype(np.uint64)
+    key <<= np.uint64(tie_bits)
+    key |= tie >> np.uint64(64 - tie_bits)
+    key <<= np.uint64(pos_bits)
+    key |= np.arange(tie.size, dtype=np.uint64)
+    key.sort()
+    head = key >> np.uint64(pos_bits)
+    if np.any(head[1:] == head[:-1]):
+        return None
+    return (key & np.uint64((1 << pos_bits) - 1)).astype(np.int64)
+
+
 class Cluster:
     """Mutable cluster state; create via :func:`init_cluster`."""
 
@@ -162,7 +187,7 @@ class Cluster:
 
     def drop_nodes(self, nodes: np.ndarray) -> None:
         """Remove finished nodes; their words vanish from their machines."""
-        w = self.node_words()[nodes]
+        w = self.base_words[nodes] + self.extra_words[nodes]
         np.add.at(self.loads, self.node_machine[nodes], -w)
         self.base_words[nodes] = 0
         self.extra_words[nodes] = 0
@@ -180,22 +205,29 @@ class Cluster:
         with a seeded shuffle among equals, sequential bins of capacity
         max(heaviest, 2 * ceil(total/M)).  Returns the new machine ids.
 
-        The order is by (weight descending, tie hash, node id), sorted by
-        the tie and then stably by weight.  ``nodes`` must be strictly
-        ascending, so that equal hashes keep node order in a stable sort; the
-        hashes are nearly always distinct, and then the faster unstable sort
-        gives the same order."""
+        The order is by (weight descending, tie hash, node id), that is by
+        the unsigned ``lightness = max(w) - w`` and then by the tie.  Where
+        they fit, lightness, the tie's leading bits and the position go into
+        one uint64 per node, and one plain sort of those gives the order,
+        unless two nodes of equal weight share their leading tie bits.  Else
+        the nodes are sorted stably by the tie and then by lightness, in the
+        narrowest unsigned dtype that holds it (up to 16 bits numpy sorts it
+        by radix).  ``nodes`` must be strictly ascending, so that nodes with
+        equal hashes stay in id order."""
         if np.any(nodes[1:] <= nodes[:-1]):
             raise ValueError("_place needs strictly ascending node ids")
         pack_w = np.maximum(store_w, 1)
         total = int(pack_w.sum())
-        cap = max(int(pack_w.max()), 2 * math.ceil(total / self.cfg.M), 1)
+        heaviest = int(pack_w.max())
+        cap = max(heaviest, 2 * math.ceil(total / self.cfg.M), 1)
         tie = rng.hash_u64(self.seed, rng.PLACEMENT, phase, nodes)
-        by_tie = np.argsort(tie)
-        sorted_tie = tie[by_tie]
-        if np.any(sorted_tie[1:] == sorted_tie[:-1]):
+        lightness = heaviest - pack_w
+        spread = heaviest - int(pack_w.min())
+        order = _packed_order(lightness, spread, tie)
+        if order is None:
             by_tie = np.argsort(tie, kind="stable")
-        order = by_tie[np.argsort(-pack_w[by_tie], kind="stable")]
+            key = lightness[by_tie].astype(np.min_scalar_type(spread))
+            order = by_tie[np.argsort(key, kind="stable")]
         bins = pack_bins(pack_w[order], cap)
         used = int(bins[-1]) + 1 if bins.size else 1
         if used > self.cfg.M:
@@ -206,12 +238,11 @@ class Cluster:
         mach[order] = bins
         return mach
 
-    def _assign(self, nodes: np.ndarray, mach: np.ndarray, used: int) -> None:
+    def _assign(self, nodes: np.ndarray, mach: np.ndarray, used: int, stored: np.ndarray) -> None:
+        """Move ``nodes`` (holding ``stored`` words each) to machines ``mach``."""
         self.node_machine[nodes] = mach
         self.machines_used = used
-        self.loads = np.bincount(mach, weights=self.node_words()[nodes], minlength=used).astype(
-            np.int64
-        )
+        self.loads = np.bincount(mach, weights=stored, minlength=used).astype(np.int64)
 
     # -- round execution ----------------------------------------------------
 
@@ -305,16 +336,21 @@ class Cluster:
         sends ``out_words[j]`` words in total, node ``in_nodes[j]`` receives
         ``in_words[j]``.  Used when per-message arrays would be huge (ball
         gathers); same-machine elision is not applied, so ledgers are an upper
-        bound on the true traffic."""
-        out_nodes = np.asarray(out_nodes, np.int64)
-        in_nodes = np.asarray(in_nodes, np.int64)
-        ow = np.broadcast_to(np.asarray(out_words, np.int64), out_nodes.shape)
-        iw = np.broadcast_to(np.asarray(in_words, np.int64), in_nodes.shape)
-        sent = np.bincount(self.node_machine[out_nodes], weights=ow, minlength=1).astype(np.int64)
-        received = np.bincount(self.node_machine[in_nodes], weights=iw, minlength=1).astype(
-            np.int64
+        bound on the true traffic.  A node may be listed more than once, and
+        either words argument may be one number for every entry: a round
+        of one-word messages is its (sender, target) pairs with words 1."""
+        return self._check_and_trace(
+            label, self._machine_sums(out_nodes, out_words), self._machine_sums(in_nodes, in_words)
         )
-        return self._check_and_trace(label, sent, received)
+
+    def _machine_sums(self, nodes: np.ndarray, words) -> np.ndarray:
+        """Per-machine totals of ``words`` (one per entry of ``nodes``, or one
+        number for all of them)."""
+        mach = self.node_machine[np.asarray(nodes, np.int64)]
+        if np.ndim(words) == 0:
+            return np.bincount(mach, minlength=1) * np.int64(words)
+        w = np.broadcast_to(np.asarray(words, np.int64), mach.shape)
+        return np.bincount(mach, weights=w, minlength=1).astype(np.int64)
 
     def control_rounds(self, count: int, label: str = "control") -> None:
         """Meter coordinator plumbing (aggregation/broadcast trees): ``count``
@@ -349,7 +385,7 @@ def init_cluster(g: Graph, cfg: ClusterConfig, seed: int, name: str = "run") -> 
     nodes = np.arange(g.n, dtype=np.int64)
     if g.n:
         mach = cl._place(nodes, cl.base_words, phase=0)
-        cl._assign(nodes, mach, int(mach.max()) + 1)
+        cl._assign(nodes, mach, int(mach.max()) + 1, cl.base_words)
         if int(cl.loads.max()) > cfg.S:
             raise CapacityError(
                 f"initial placement cannot fit within S={cfg.S} words per machine"
@@ -378,18 +414,19 @@ def rebalance(
     if not alive.any():
         return cluster
     hold = alive if keep is None else (alive | np.asarray(keep, np.bool_))
-    dead = np.flatnonzero(~hold & (cluster.node_words() > 0))
+    words = cluster.node_words()
+    dead = np.flatnonzero(~hold & (words > 0))
     if dead.size:
         cluster.drop_nodes(dead)
     nodes = np.flatnonzero(hold)
-    stored = cluster.node_words()[nodes]
+    stored = words[nodes]  # dropping the dead left these rows as they were
     pack_w = stored if weights is None else np.asarray(weights, np.int64)[nodes]
     old_mach = cluster.node_machine[nodes].copy()
     mach = cluster._place(nodes, pack_w, phase=cluster.round_idx + 1)
     moved = mach != old_mach
     moved_w = stored[moved]
     sent = np.bincount(old_mach[moved], weights=moved_w, minlength=1).astype(np.int64)
-    cluster._assign(nodes, mach, int(mach.max()) + 1)
+    cluster._assign(nodes, mach, int(mach.max()) + 1, stored)
     received = np.bincount(mach[moved], weights=moved_w, minlength=1).astype(np.int64)
     cluster.control_rounds(cluster.agg_depth(), label=label + "-plan")
     cluster._check_and_trace(label, sent, received)

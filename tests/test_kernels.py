@@ -47,6 +47,27 @@ def test_alive_degrees_counts_only_alive():
     assert deg.tolist() == [1, 1, 0, 1, 1]
 
 
+@given(
+    st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=60)
+    | st.lists(st.integers(-3, 3), max_size=60),
+    st.booleans(),
+)
+@example([], False)
+@example([7], False)
+@example([5, 5, 5, 5], False)
+@example([-1, 3, -1, -4, 3], True)
+@settings(max_examples=150, deadline=None)
+def test_sorted_unique_equals_np_unique(values, two_d):
+    a = np.array(values, np.int64)
+    if two_d and a.size % 2 == 0:
+        a = a.reshape(2, -1)  # flattened like np.unique does
+    got = kernels.sorted_unique(a)
+    want = np.unique(a)
+    assert got.dtype == want.dtype
+    assert got.shape == want.shape
+    assert np.array_equal(got, want)
+
+
 def _assert_peel_matches_hand_oracle(g, alive, d, max_layers):
     layer, t = kernels.peel_layers(g.indptr, g.indices, alive, d, max_layers)
     want = hand_peel(g, d, alive=alive, max_layers=max_layers)

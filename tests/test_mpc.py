@@ -321,6 +321,30 @@ def test_partition_fallback_flag_recorded():
     assert all(r == 1 for _, r in chunks)
 
 
+@pytest.mark.parametrize(
+    "family, params, kind, delta, seed, fallback",
+    [
+        ("preferential-attachment", {"n": 3000}, "mis", 0.8, 2, True),
+        ("bounded-degree-random", {"n": 3000, "deg": 6}, "matching", 0.5, 4, False),
+    ],
+)
+def test_stalled_phase_leaves_partition_stats(family, params, kind, delta, seed, fallback):
+    # the phase stalls mid-partition; its partition rounds are counted, so a
+    # stats entry must say which schedule they ran
+    g = generate(family, params, seed=seed)
+    sol, met = mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed)
+    assert met["phases"][-1].get("stalled")
+    assert met["partition_rounds"] > 0
+    stalled = [s for s in met["partition_stats"] if s.get("stalled")]
+    assert len(stalled) == 1 and met["partition_stats"][-1] is stalled[0]
+    entry = stalled[0]
+    assert entry["fallback"] is fallback
+    assert (entry["k"] is None) is fallback
+    assert entry["alive_start"] == g.n  # the first phase stalls here
+    assert len(met["partition_stats"]) == sum(1 for ph in met["phases"] if "ell" in ph) + 1
+    assert verify_maximal(g, sol)
+
+
 def test_shallow_graph_finishes_within_first_iteration():
     # preprocessing disabled so the whole partition must come out of the
     # 60-repetition radius-1 iteration of the first pass; delta is picked

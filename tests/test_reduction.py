@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from sparsempc import rng
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView, build_graph
 from sparsempc.mpc import ClusterMeter, mpc_pipeline
-from sparsempc.peeling import HPartition, degeneracy, h_partition
+from sparsempc.peeling import HPartition, StallError, degeneracy, h_partition
 from sparsempc.reduction import (
     InvariantError,
     PartialSolution,
@@ -17,6 +19,7 @@ from sparsempc.reduction import (
     finish_greedy,
     mark_and_propose_matching,
     mark_and_propose_mis,
+    phase_threshold,
     reduce_once,
     select_matching,
     select_mis,
@@ -244,6 +247,43 @@ def test_reduce_once_remainder_outdegree_bound():
         assert int((hp.layer[nb] >= hp.layer[v]).sum()) <= d
 
 
+@given(
+    st.integers(2, 60),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(["matching", "mis"]),
+    st.integers(1, 4),
+)
+@settings(max_examples=60, deadline=None)
+def test_reduce_once_delta_after_is_remainder_max_degree(n, seed, kind, d):
+    # the phase counts the remainder's degrees once: delta_after must be the
+    # remainder's maximum alive degree, over random graphs and thresholds
+    r = np.random.default_rng(seed)
+    m = int(r.integers(1, 3 * n + 1))
+    edges = {tuple(sorted(map(int, e))) for e in r.integers(0, n, size=(m, 2)) if e[0] != e[1]}
+    g = build_graph(n, np.array(sorted(edges), np.int64).reshape(-1, 2))
+    view = GraphView.full(g)
+    view.alive[r.random(n) < 0.2] = False
+    assume(view.alive_count() > 0)
+    try:
+        sol, rem, entry = reduce_once(view, kind, d=d, seed=seed)
+    except StallError:
+        assume(False)
+    assert entry["delta_after"] == rem.max_alive_degree()
+    assert not rem.alive[sol.removed].any()
+
+
+def test_degree_reduce_next_phase_starts_at_delta_after():
+    g = generate("preferential-attachment", {"n": 1500, "c": 3}, seed=4)
+    sol, view, report = degree_reduce(g, "mis", target_delta=2, seed=2, d_floor=3)
+    assert len(report.phases) >= 2
+    for before, after in zip(report.phases, report.phases[1:]):
+        assert after["delta_before"] == before["delta_after"]
+    # each phase's threshold comes from the degree the loop carried over
+    for ph in report.phases:
+        assert ph["d_used"] == phase_threshold(ph["delta_before"], 0.1, 3)
+    assert report.phases[-1]["delta_after"] == view.max_alive_degree()
+
+
 def test_reduce_once_heavy_parent_gadget():
     # one planted parent, 256 children, d=4 (so the parent's in-degree is d^4):
     # the parent should be matched in essentially every seed
@@ -317,6 +357,21 @@ def test_degree_reduce_report_monotone_and_valid_solution():
 # ---------------------------------------------------------------------------
 
 
+def test_merge_dedupes_overlapping_removed_sets():
+    a = PartialSolution(kind="mis", selected=np.array([4, 0]), removed=np.array([0, 1, 4, 7]))
+    b = PartialSolution(kind="mis", selected=np.array([9]), removed=np.array([9, 7, 1, 8]))
+    merged = a.merge(b)
+    assert merged.removed.tolist() == [0, 1, 4, 7, 8, 9]
+    assert merged.selected.tolist() == [0, 4, 9]
+    assert merged.removed.dtype == np.int64
+    again = merged.merge(b)
+    assert again.removed.tolist() == [0, 1, 4, 7, 8, 9]
+    m1 = PartialSolution(kind="matching", selected=np.array([[2, 5]]), removed=np.array([2, 5]))
+    m2 = PartialSolution(kind="matching", selected=np.array([[0, 3]]), removed=np.array([5, 3, 0, 2]))
+    assert m1.merge(m2).removed.tolist() == [0, 2, 3, 5]
+    assert m1.merge(m2).selected.tolist() == [[0, 3], [2, 5]]
+
+
 def test_finish_edgeless_mis_selects_all():
     g = build_graph(5, np.empty((0, 2), np.int64))
     sol = finish_greedy(GraphView.full(g), "mis", seed=0)
@@ -367,6 +422,24 @@ def test_verify_maximal_matching_cases():
         removed=np.arange(3),
     )
     assert not verify_maximal(g, bad)
+
+
+def test_verify_maximal_rejects_pairs_that_are_not_edges():
+    # the pair's key falls before the first edge key, between two of them,
+    # and past the last; an edgeless graph has no edge to match
+    g = build_graph(5, [[1, 2], [1, 4], [3, 4]])
+    for pair in ([0, 1], [1, 3], [2, 4], [3, 2]):
+        sol = PartialSolution(kind="matching", selected=np.array([pair], np.int64),
+                              removed=np.array(sorted(pair)))
+        assert not verify_maximal(g, sol)
+    ok = PartialSolution(kind="matching", selected=np.array([[2, 1], [3, 4]], np.int64),
+                         removed=np.arange(1, 5))
+    assert verify_maximal(g, ok)
+    empty = build_graph(3, np.empty((0, 2), np.int64))
+    sol = PartialSolution(kind="matching", selected=np.array([[0, 1]], np.int64),
+                          removed=np.arange(2))
+    assert not verify_maximal(empty, sol)
+    assert verify_maximal(empty, PartialSolution.empty("matching"))
 
 
 def test_verify_maximal_mis_cases():

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsempc import rng, runtime
@@ -228,19 +228,24 @@ def test_agg_depth():
     st.integers(0, 2 ** 31 - 1),
     st.integers(1, 4),
     st.sampled_from([None, 1, 2, 3]),
+    st.sampled_from([5, 2 ** 8, 2 ** 16, 2 ** 32]),
 )
-@settings(max_examples=80, deadline=None)
-def test_place_order_matches_lexsort(n, seed, distinct_weights, tie_classes):
+@example(n=40, seed=1, distinct_weights=4, tie_classes=None, scale=2 ** 32)
+@example(n=40, seed=1, distinct_weights=4, tie_classes=2, scale=2 ** 16)
+@settings(max_examples=120, deadline=None)
+def test_place_order_matches_lexsort(n, seed, distinct_weights, tie_classes, scale):
     """Placement walks nodes by (weight descending, tie hash, node id).  The
     weights repeat, and with ``tie_classes`` the hashes are folded so that
-    equal ties are forced too.  Packing every node into its own bin makes
-    each node's machine id its position in the walk."""
+    equal ties are forced too.  ``scale`` spreads the weights past 2^8, 2^16
+    and 2^32, so every width of sort key ``_place`` can pick is exercised.
+    Packing every node into its own bin makes each node's machine id its
+    position in the walk."""
     r = np.random.default_rng(seed)
     g = path(n)
     keep = r.random(n) < 0.7
     keep[int(r.integers(n))] = True
     nodes = np.flatnonzero(keep)
-    store_w = r.integers(0, distinct_weights, size=nodes.size).astype(np.int64) * 5
+    store_w = r.integers(0, distinct_weights, size=nodes.size).astype(np.int64) * scale
     cl = Cluster(g, ClusterConfig(n=n, m=g.m, delta=0.5, S=10 ** 6, M=n), seed=seed)
     hash_u64 = rng.hash_u64
 
