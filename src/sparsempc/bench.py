@@ -33,7 +33,8 @@ def run_benchmarks(n: int = 60000, repeats: int = 3, seed: int = 0):
     alive = np.ones(tower.n, np.bool_)
     sources = np.flatnonzero(alive)[:: max(1, tower.n // 20000)]
     weights = 1 + np.diff(tower.indptr)
-    pack_w = (np.arange(n, dtype=np.int64) * 2654435761 % 97) + 1
+    # heaviest first, as Cluster._place passes them
+    pack_w = np.sort((np.arange(n, dtype=np.int64) * 2654435761 % 97) + 1)[::-1].copy()
 
     rows = [
         (

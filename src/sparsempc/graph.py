@@ -4,7 +4,9 @@ Graphs are simple and undirected.  Internally: a canonical edge array
 (``u < v``, lexicographically sorted) plus CSR adjacency (``indptr`` /
 ``indices``) with every row sorted by neighbor id.  The row ordering is load
 bearing: random choices pick "the k-th candidate in id order", so any code
-path that rebuilds adjacency must preserve it.
+path that rebuilds adjacency must preserve it.  ``GraphView.compact`` keeps
+it without a sort: renumbering the alive nodes in id order is monotone, so
+filtered rows and edges keep their order, and it runs in O(n + m).
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import alive_degrees
+from .kernels import alive_degrees, gather_segments
 
 
 class GraphError(ValueError):
@@ -130,17 +132,29 @@ class GraphView:
         return e[keep]
 
     def compact(self):
-        """Alive-induced subgraph with renumbered ids.
+        """Alive-induced subgraph with renumbered ids, in O(n + m).
 
         Returns ``(graph, ids)`` where ``ids[i]`` is the original id of the
-        compacted node ``i``.  Adjacency row order (ascending neighbor id) is
-        preserved because the renumbering is monotone.
+        compacted node ``i``.  Nothing is sorted or re-validated: the
+        renumbering is monotone, so the alive edges stay canonical and in
+        lexicographic order, and each alive node's row, filtered to its alive
+        neighbors and renumbered, stays ascending.  The rows are gathered in
+        id order and ``indptr`` is the prefix sum of the kept entries.
         """
-        ids = np.flatnonzero(self.alive)
-        remap = np.full(self.graph.n, -1, dtype=np.int64)
+        g = self.graph
+        alive = self.alive
+        ids = np.flatnonzero(alive)
+        remap = np.full(g.n, -1, dtype=np.int64)
         remap[ids] = np.arange(ids.size, dtype=np.int64)
-        e = self.alive_edges()
-        return build_graph(ids.size, remap[e]), ids
+        edges = remap[self.alive_edges()]
+        _, nb = gather_segments(g.indptr, g.indices, ids)
+        keep = alive[nb]
+        # kept entries before each row boundary of the gathered rows
+        kept = np.concatenate((np.zeros(1, np.int64), np.cumsum(keep)))
+        ends = np.cumsum(g.indptr[ids + 1] - g.indptr[ids])
+        indptr = kept[np.concatenate((np.zeros(1, np.int64), ends))]
+        sub = Graph(n=ids.size, edges=edges, indptr=indptr, indices=remap[nb[keep]])
+        return sub, ids
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,9 @@ per step, drawing each small layer from the neighbors of the last one, and
 can carry the remaining degrees from one call to the next; the ball scan
 expands the balls of all sources at once over one sorted array of
 ``slot * n + node`` keys.  Degeneracy ordering runs one fixed-point peel per
-core value, and bin packing is vectorized over prefix sums.  Deduping goes
+core value.  Bin packing takes its items heaviest first and walks runs of
+equal weight, computing each run's bin ids arithmetically: O(n) numpy work
+plus one interpreted step per distinct weight.  Deduping goes
 through :func:`sorted_unique`, a sort, not numpy's hash-based ``np.unique``.
 The test suite
 checks the kernels against brute-force oracles or invariants; ``sparsempc
@@ -71,32 +73,37 @@ def alive_degrees(indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def _peel(indptr, indices, alive, d, max_layers, deg):
+def _peel(indptr, indices, alive, d, max_layers, deg, last_rows=False):
     # Only neighbors of the layer just peeled lose degree, so the next layer
     # is drawn from them.  A small layer (rows under n/4 entries, as in deep
     # towers and in most partition repetitions) sorts its live neighbors
     # and costs the size of its rows, not n; a large one (the first layers of
-    # a fresh peel) is cheaper as one pass over all n nodes.
+    # a fresh peel) is cheaper as one pass over all n nodes, which is skipped
+    # once the layer budget is spent.
     n = alive.size
     layer = np.zeros(n, np.int64)
     frontier = np.flatnonzero(alive & (deg <= d))
+    src = nb = np.empty(0, np.int64)
     t = 0
     while t < max_layers and frontier.size:
         t += 1
         layer[frontier] = t
-        _, nb = gather_segments(indptr, indices, frontier)
+        src, nb = gather_segments(indptr, indices, frontier)
         if 4 * nb.size > n:
             deg -= np.bincount(nb, minlength=n)
-            frontier = np.flatnonzero(alive & (layer == 0) & (deg <= d))
+            if t < max_layers:
+                frontier = np.flatnonzero(alive & (layer == 0) & (deg <= d))
         else:
             # with counts, np.unique sorts (without, numpy 2.4 hashes, slower)
             hit, count = np.unique(nb[alive[nb] & (layer[nb] == 0)], return_counts=True)
             deg[hit] -= count
             frontier = hit[deg[hit] <= d]
+    if last_rows:
+        return layer, t, src, nb
     return layer, t
 
 
-def peel_layers(indptr, indices, alive, d: int, max_layers: int, deg=None):
+def peel_layers(indptr, indices, alive, d: int, max_layers: int, deg=None, *, last_rows=False):
     """Batch-peel the alive-induced subgraph with threshold ``d``.
 
     Layer ``t`` (1-based) holds the nodes whose remaining degree is <= d once
@@ -112,13 +119,18 @@ def peel_layers(indptr, indices, alive, d: int, max_layers: int, deg=None):
     is decremented in place so that afterwards every node left unassigned
     holds its degree among the unassigned nodes, ready for the next call
     with those nodes as ``alive``.  Entries of other nodes are unspecified.
+
+    With ``last_rows`` the result is ``(layer, t, sources, neighbors)``: the
+    CSR rows of the last layer peeled, as :func:`gather_segments` gives them
+    (empty when no layer was), so that a caller peeling one layer at a time
+    can send along them without gathering them again.
     """
     alive = np.asarray(alive, dtype=np.bool_)
     if deg is None:
         deg = alive_degrees(indptr, indices, alive)
     elif not isinstance(deg, np.ndarray) or deg.dtype != np.int64 or deg.shape != alive.shape:
         raise ValueError("deg must be an int64 array shaped like alive")
-    return _peel(indptr, indices, alive, int(d), int(max_layers), deg)
+    return _peel(indptr, indices, alive, int(d), int(max_layers), deg, last_rows)
 
 
 # ---------------------------------------------------------------------------
@@ -218,20 +230,22 @@ def ball_stats(indptr, indices, member, sources, radius: int, weights):
 
 
 def pack_bins(weights: np.ndarray, cap: int) -> np.ndarray:
-    """Sequential (next-fit) bin packing: walk items in the given order and
-    open a new bin when the current one is nonempty by weight and the item
-    would take it above ``cap``.  Returns a bin id per item.  An item alone
-    may exceed ``cap`` (callers choose cap >= max weight when that matters),
-    and a bin whose fill is still 0 absorbs the next item whatever its
-    weight.  Every bin except possibly the last is more than half full when
-    all items weigh <= cap/2.  Weights must be nonnegative.
+    """Sequential (next-fit) bin packing of items given heaviest first: walk
+    the items in order and open a new bin when the current one is nonempty
+    by weight and the item would take it above ``cap``.  Returns a bin id per
+    item.  An item alone may exceed ``cap`` (callers choose cap >= max weight
+    when that matters), and a bin whose fill is still 0 absorbs the next item
+    whatever its weight.  Every bin except possibly the last is more than
+    half full when all items weigh <= cap/2.  Weights must be nonnegative and
+    non-increasing; raises ``ValueError`` otherwise.
 
-    The rule runs on the prefix sums ``P``: the bin opened at item ``s``
-    ends before the first item ``j > s`` with ``P[j] > P[s]`` (the bin holds
-    weight) and ``P[j+1] > P[s] + cap`` (the item overflows it).  Both
-    conditions are monotone in ``j``; one ``searchsorted`` finds where the
-    second starts to hold for every possible start at once, and a walk over
-    the bins, not the items, chains the starts.
+    The walk visits runs of equal weight, not items.  Within a run of weight
+    ``w > 0`` the current bin takes as many items as still fit, and every
+    fresh bin takes ``max(1, cap // w)``, so the run's bin ids are one
+    floor division of the item offsets.  A run of zeros comes last; it joins
+    the current bin unless that bin is already above ``cap`` (one oversized
+    item), in which case it opens one more.  Cost: O(n) numpy work plus one
+    interpreted step per distinct weight.
     """
     weights = np.ascontiguousarray(weights, dtype=np.int64)
     n = weights.size
@@ -239,15 +253,30 @@ def pack_bins(weights: np.ndarray, cap: int) -> np.ndarray:
         return np.empty(0, np.int64)
     if weights.min() < 0:
         raise ValueError("pack_bins needs nonnegative weights")
-    prefix = np.concatenate((np.zeros(1, np.int64), np.cumsum(weights)))
-    overflow = np.searchsorted(prefix, prefix[:-1] + int(cap), side="right") - 1
-    holds = np.arange(1, n + 1)
-    if not weights.all():
-        # a bin of zero weights absorbs the next item whatever its weight:
-        # it holds weight only from one past the next positive item on
-        holds = np.minimum.accumulate(np.where(weights > 0, holds, n + 1)[::-1])[::-1]
-    step = memoryview(np.maximum(overflow, holds))
-    starts = [0]
-    while (s := step[starts[-1]]) < n:
-        starts.append(s)
-    return np.repeat(np.arange(len(starts)), np.diff(starts, append=n))
+    if np.any(weights[1:] > weights[:-1]):
+        raise ValueError("pack_bins needs non-increasing weights (heaviest first)")
+    cap = int(cap)
+    bins = np.empty(n, np.int64)
+    starts = np.flatnonzero(weights[1:] != weights[:-1]) + 1
+    bounds = [0, *starts.tolist(), n]
+    b, fill = 0, 0  # current bin and its weight
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        w = int(weights[s])
+        if w == 0:
+            if fill > cap:
+                b += 1
+                fill = 0
+            bins[s:e] = b
+            continue
+        per_bin = max(1, cap // w)
+        room = per_bin if fill == 0 else max(0, (cap - fill) // w)
+        first = min(e - s, room)
+        bins[s:s + first] = b
+        rest = e - s - first
+        if rest:
+            bins[s + first:e] = np.arange(rest, dtype=np.int64) // per_bin + (b + 1)
+            b += 1 + (rest - 1) // per_bin
+            fill = ((rest - 1) % per_bin + 1) * w
+        else:
+            fill += first * w
+    return bins

@@ -217,7 +217,7 @@ def gather_and_peel(
         return np.zeros(g.n, np.int64), 0
     if radius >= 2 and cache is None:
         cache = _BallCache(g, alive, radius)
-    rel, t = peel_layers(g.indptr, g.indices, alive, d, radius, deg=deg)
+    rel, t, src, nb = peel_layers(g.indptr, g.indices, alive, d, radius, deg=deg, last_rows=True)
     removed = np.flatnonzero(rel > 0)
     if radius >= 2:
         cur = np.flatnonzero(alive)
@@ -230,8 +230,11 @@ def gather_and_peel(
         )
         alive[removed] = False
     else:
+        # the one layer's rows, as the peel gathered them: removed nodes
+        # strike the edges to their still-alive neighbors
         alive[removed] = False
-        _notify_round(cluster, g, removed, alive, label)
+        live = alive[nb]
+        cluster.execute_round_volumes(src[live], 1, nb[live], 1, label=label)
     if t < radius and alive.any():
         stuck = int(alive.sum())
         raise StallError(
@@ -375,7 +378,8 @@ def mpc_mark_propose(
     and a proposal round; for the independent set the marks of same-layer
     neighbors are the only exchange, one word from each marked node to each
     same-layer neighbor, read off the marked nodes' rows."""
-    cluster.execute_round_volumes(ids, sub.degrees, ids, sub.degrees, label="markpropose")
+    deg = sub.degrees
+    cluster.execute_round_volumes(ids, deg, ids, deg, label="markpropose")
     if props.kind == "matching":
         mk, pr = props.marked, props.proposed
         cluster.execute_round_bulk(ids[mk[:, 0]], ids[mk[:, 1]], 1, label="markpropose")
@@ -406,7 +410,8 @@ def mpc_select(
     Both sorts are stable on an unsigned key just wide enough for ``hp.ell``,
     which numpy sorts by radix.  A chunk's matched edges share no endpoint,
     so their endpoints need no dedupe; the neighbors that an independent
-    set's winners fell can repeat and are deduped by a sort.
+    set's winners fell can repeat and are deduped by a sort.  The winners'
+    rows are gathered once, for their notify round and the felled set.
     """
     g = cluster.graph
     removed = np.zeros(g.n, np.bool_)
@@ -437,15 +442,18 @@ def mpc_select(
         cluster.execute_round_volumes(members, words, members, words, label="select")
         start, stop = np.searchsorted(sel_layer, (lo, hi + 1))
         winners = sel_by_layer[start:stop].ravel()
-        _notify_round(cluster, g, winners, pending, "select")
+        src, nb = gather_segments(g.indptr, g.indices, winners)
+        live = pending[nb]
+        cluster.execute_round_volumes(src[live], 1, nb[live], 1, label="select")
         if sol.kind == "mis":
             # neighbors of winners leave the graph too; they tell their own
             # neighborhoods, which may live in chunks not yet visited
-            _, nb = gather_segments(g.indptr, g.indices, winners)
-            felled = sorted_unique(nb[pending[nb] & removed[nb]])
+            felled = sorted_unique(nb[live & removed[nb]])
             _notify_round(cluster, g, felled, pending, "select")
         cluster.drop_nodes(members[removed[members]])
         keep = members[~removed[members]]
+        # only clique steps add extra words, so most chunks carry none
+        keep = keep[cluster.extra_words[keep] != 0]
         if keep.size:
             cluster.add_extra_words(keep, -cluster.extra_words[keep])
         pending[members] = False

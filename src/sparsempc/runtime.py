@@ -338,10 +338,13 @@ class Cluster:
         gathers); same-machine elision is not applied, so ledgers are an upper
         bound on the true traffic.  A node may be listed more than once, and
         either words argument may be one number for every entry: a round
-        of one-word messages is its (sender, target) pairs with words 1."""
-        return self._check_and_trace(
-            label, self._machine_sums(out_nodes, out_words), self._machine_sums(in_nodes, in_words)
-        )
+        of one-word messages is its (sender, target) pairs with words 1.
+        When both sides are the same arrays (an exchange in which every node
+        receives what it sends) the per-machine sums are formed once."""
+        sent = self._machine_sums(out_nodes, out_words)
+        if in_nodes is out_nodes and in_words is out_words:
+            return self._check_and_trace(label, sent, sent)
+        return self._check_and_trace(label, sent, self._machine_sums(in_nodes, in_words))
 
     def _machine_sums(self, nodes: np.ndarray, words) -> np.ndarray:
         """Per-machine totals of ``words`` (one per entry of ``nodes``, or one

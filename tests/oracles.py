@@ -43,6 +43,15 @@ def from_mask(n: int, mask: int) -> Graph:
     return build_graph(n, edges)
 
 
+def compact_by_rebuild(view):
+    """``view.compact()`` by renumbering the alive edges and rebuilding the
+    graph from scratch with ``build_graph`` (validation and sorts included)."""
+    ids = np.flatnonzero(view.alive)
+    remap = np.full(view.graph.n, -1, dtype=np.int64)
+    remap[ids] = np.arange(ids.size, dtype=np.int64)
+    return build_graph(ids.size, remap[view.alive_edges()]), ids
+
+
 # ---------------------------------------------------------------------------
 # degeneracy / arboricity by exhaustion (n <= 8)
 # ---------------------------------------------------------------------------

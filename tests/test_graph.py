@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from sparsempc.graph import (
     DuplicateEdgeError,
@@ -13,7 +13,7 @@ from sparsempc.graph import (
     save_graph,
 )
 
-from oracles import cycle, path, star
+from oracles import compact_by_rebuild, cycle, path, star
 
 
 def test_path_construction():
@@ -103,6 +103,39 @@ def test_view_compact_roundtrip():
     assert sub.m == 2
     assert view.alive_count() == 4
     assert view.max_alive_degree() == 1
+
+
+def _compact_case(n, pairs, alive_bits):
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    view = GraphView.full(build_graph(n, edges))
+    view.alive[:] = [alive_bits >> v & 1 for v in range(n)]
+    return view
+
+
+def _compact_cases(n):
+    node = st.integers(0, max(n - 1, 0))
+    return st.tuples(
+        st.just(n), st.lists(st.tuples(node, node), max_size=40), st.integers(0, 2 ** n - 1)
+    )
+
+
+@given(st.integers(0, 14).flatmap(_compact_cases))
+@example((6, [(0, 1), (1, 2), (2, 5), (3, 4)], 0b111111))  # all alive
+@example((6, [(0, 1), (1, 2), (2, 5), (3, 4)], 0))  # none alive
+@example((6, [(0, 1), (2, 3), (4, 5)], 0b010101))  # alive nodes, no alive edge
+@example((7, [(1, 2), (2, 4), (3, 5), (4, 6)], 0b1011101))  # alive 0 and 3 isolated
+@example((0, [], 0))
+@settings(max_examples=150, deadline=None)
+def test_compact_matches_rebuild_oracle(case):
+    view = _compact_case(*case)
+    sub, ids = view.compact()
+    want, want_ids = compact_by_rebuild(view)
+    assert sub.n == want.n
+    for got, ref in ((ids, want_ids), (sub.edges, want.edges), (sub.indptr, want.indptr),
+                     (sub.indices, want.indices)):
+        assert got.dtype == np.int64
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
 
 
 def test_view_alive_degrees():

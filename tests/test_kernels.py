@@ -265,23 +265,42 @@ def test_ball_stats_property_matches_oracle(n, seed, radius, keep):
 
 def test_pack_bins_matches_next_fit_oracle():
     r = np.random.default_rng(1)
-    weights = r.integers(1, 40, size=500).astype(np.int64)
+    weights = np.sort(r.integers(1, 40, size=500).astype(np.int64))[::-1]
     bins = kernels.pack_bins(weights, 64)
     assert bins.dtype == np.int64
     assert bins.tolist() == next_fit_bins(weights.tolist(), 64)
 
 
-@given(
-    st.lists(st.one_of(st.just(0), st.integers(0, 60)), max_size=80),
-    st.one_of(st.just(1), st.integers(0, 50)),
-)
-@example([0, 0, 9, 1], 1)  # a bin of zero weights absorbs an item above cap
-@example([9, 0, 0, 1], 3)  # zero weights after an overflowing item open a bin
+# heaviest first, as Cluster._place passes them: runs of equal weight (some
+# long), trailing zeros, leading items above cap
+_heaviest_first = st.lists(
+    st.tuples(st.integers(0, 60), st.one_of(st.just(1), st.integers(1, 40))), max_size=12
+).map(lambda runs: sorted((w for w, count in runs for _ in range(count)), reverse=True))
+
+
+@given(_heaviest_first, st.one_of(st.just(0), st.just(1), st.integers(0, 50)))
 @example([0, 0, 0], 0)
+@example([9, 9, 0, 0], 3)  # zeros after an overflowing item open a bin
+@example([5] * 40 + [0] * 5, 1)
+@example([60, 7, 7, 7, 1, 0], 0)
 @settings(max_examples=200, deadline=None)
 def test_pack_bins_property_matches_next_fit_oracle(ws, cap):
     bins = kernels.pack_bins(np.array(ws, np.int64), cap)
     assert bins.tolist() == next_fit_bins(ws, cap)
+
+
+@given(
+    st.lists(st.integers(0, 60), min_size=2, max_size=40).filter(
+        lambda ws: any(b > a for a, b in zip(ws, ws[1:]))
+    ),
+    st.integers(0, 50),
+)
+@example([0, 0, 9, 1], 1)
+@example([9, 0, 0, 1], 3)
+@settings(max_examples=50, deadline=None)
+def test_pack_bins_rejects_increasing_weights(ws, cap):
+    with pytest.raises(ValueError, match="non-increasing"):
+        kernels.pack_bins(np.array(ws, np.int64), cap)
 
 
 def test_pack_bins_rejects_negative_weights():
@@ -289,7 +308,10 @@ def test_pack_bins_rejects_negative_weights():
         kernels.pack_bins(np.array([3, -1, 2], np.int64), 4)
 
 
-@given(st.lists(st.integers(1, 50), min_size=0, max_size=80), st.integers(10, 120))
+@given(
+    st.lists(st.integers(1, 50), min_size=0, max_size=80).map(lambda ws: sorted(ws, reverse=True)),
+    st.integers(10, 120),
+)
 @settings(max_examples=80, deadline=None)
 def test_pack_bins_properties(ws, cap):
     weights = np.array(ws, np.int64)
@@ -357,6 +379,21 @@ def test_peel_carried_degrees_match_fresh_calls(n, seed, d, radii):
             work[layer > 0] = False
             fresh = kernels.alive_degrees(g.indptr, g.indices, work)
             assert np.array_equal(deg[work], fresh[work]), name
+
+
+@given(st.integers(1, 40), st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(0, 4))
+@settings(max_examples=60, deadline=None)
+def test_peel_last_rows_are_the_last_layers_rows(n, seed, d, max_layers):
+    r = np.random.default_rng(seed)
+    g = _random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    alive = r.random(n) < 0.8
+    layer, t, src, nb = kernels.peel_layers(
+        g.indptr, g.indices, alive, d, max_layers, last_rows=True)
+    want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, alive, d, max_layers)
+    assert np.array_equal(layer, want_layer) and t == want_t
+    last = np.flatnonzero(layer == t) if t else np.empty(0, np.int64)
+    want_src, want_nb = kernels.gather_segments(g.indptr, g.indices, last)
+    assert np.array_equal(src, want_src) and np.array_equal(nb, want_nb)
 
 
 def test_peel_layers_rejects_malformed_deg():

@@ -89,6 +89,20 @@ def test_silent_round_has_zero_volume():
     assert t.round == 0 and cl.round_idx == 1
 
 
+def test_volume_round_with_one_array_per_side_pair():
+    # an exchange passes the same arrays as both sides; the per-machine sums
+    # are then formed once and must read as with separate copies
+    g = generate("tree", {"n": 200}, seed=3)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    nodes = np.arange(0, 200, 3)
+    words = cl.node_words()[nodes]
+    shared = cl.execute_round_volumes(nodes, words, nodes, words, label="x")
+    apart = cl.execute_round_volumes(nodes.copy(), words.copy(), nodes, words, label="x")
+    assert shared.total_sent == shared.total_received == int(words.sum())
+    assert (shared.max_sent, shared.max_received) == (apart.max_sent, apart.max_received)
+    assert (shared.total_sent, shared.total_received) == (apart.total_sent, apart.total_received)
+
+
 def test_neighbor_pass_stays_in_budget():
     g = path(16)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
