@@ -20,13 +20,11 @@ from .peeling import (
     degeneracy,
     h_partition,
     layer_decay_ok,
-    orientation_of,
 )
 from .reduction import (
     InvariantError,
     PartialSolution,
     ReductionReport,
-    arboricity_schedule,
     degree_reduce,
     finish_greedy,
     solution_digest,
@@ -76,7 +74,6 @@ __all__ = [
     "RunRecord",
     "SendBudgetExceeded",
     "StallError",
-    "arboricity_schedule",
     "build_graph",
     "compute_schedule",
     "degeneracy",
@@ -91,7 +88,6 @@ __all__ = [
     "metrics",
     "mpc_h_partition",
     "mpc_pipeline",
-    "orientation_of",
     "rebalance",
     "report",
     "run",

@@ -95,12 +95,6 @@ def _cmd_compare(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_bench(args) -> int:
-    from . import bench
-
-    return bench.main([f"--n={args.n}", f"--repeats={args.repeats}", f"--seed={args.seed}"])
-
-
 def _cmd_report(args) -> int:
     with open(args.records) as fh:
         rows = json.load(fh)
@@ -146,12 +140,6 @@ def main(argv=None) -> int:
     p.add_argument("--records", required=True, help="records.json from a run")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=_cmd_report)
-
-    p = sub.add_parser("bench", help="time the kernels, best of --repeats")
-    p.add_argument("--n", type=int, default=60000)
-    p.add_argument("--repeats", type=int, default=3)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(fn=_cmd_bench)
 
     args = parser.parse_args(argv)
     if args.command == "compare" and not (args.graph or args.family):

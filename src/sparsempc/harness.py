@@ -19,7 +19,7 @@ import numpy as np
 
 from . import generators, mpc, reduction
 from .graph import Graph
-from .peeling import degeneracy
+from .peeling import degeneracy, suffix_decay_ok
 from .runtime import ClusterConfig
 
 MODES = ("centralized", "mpc", "both")
@@ -135,6 +135,15 @@ def _instance_name(inst: dict, seed: int) -> str:
     return f"{base}({','.join(parts)})#s{seed}"
 
 
+def _decay_holds(report: reduction.ReductionReport, lam: int) -> bool:
+    """The layer-decay law of :func:`sparsempc.peeling.suffix_decay_ok` in
+    every phase of ``report``; a stalled phase fails it."""
+    return all(
+        not ph.get("stalled") and suffix_decay_ok(ph["layer_sizes"], ph["d_used"], lam)
+        for ph in report.phases
+    )
+
+
 def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
     g = generators.generate(inst["family"], inst.get("params", {}), seed=seed)
     kind = pipeline.get("kind", "matching")
@@ -155,7 +164,7 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
         )
         dig_c = reduction.solution_digest(sol_c, seed)
         inv["maximal_centralized"] = reduction.verify_maximal(g, sol_c)
-        inv["layer_decay"] = reduction._decay_holds(rep_c, lam)
+        inv["layer_decay"] = _decay_holds(rep_c, lam)
         phases = rep_c.spec_rows()
         size = int(sol_c.selected.shape[0])
     if mode in ("mpc", "both"):

@@ -10,9 +10,9 @@ core value.  Bin packing takes its items heaviest first and walks runs of
 equal weight, computing each run's bin ids arithmetically: O(n) numpy work
 plus one interpreted step per distinct weight.  Deduping goes
 through :func:`sorted_unique`, a sort, not numpy's hash-based ``np.unique``.
-The test suite
-checks the kernels against brute-force oracles or invariants; ``sparsempc
-bench`` times them.  All kernels take raw CSR arrays (``indptr``/``indices``)
+The test suite checks the kernels against brute-force oracles or invariants;
+``perfbench/run.py --trace 1`` reports each kernel's self time on the
+benchmark workloads.  All kernels take raw CSR arrays (``indptr``/``indices``)
 so callers can hand them compacted subgraphs.
 """
 

@@ -153,20 +153,18 @@ class _BallCache:
 
 def connect_cliques(
     cluster: Cluster,
-    alive: np.ndarray,
     radius: int,
     delta_max: int,
     *,
-    cache: _BallCache | None = None,
+    cache: _BallCache,
 ) -> dict:
     """Hop-doubling step of an iteration with target radius 2^i >= 2: every
     node shares its current virtual neighbor list with those neighbors, after
-    which virtual adjacency covers distance <= 2^i.  Virtual words land in the
-    storage ledgers; per-node additions are asserted against delta_max^(2^i)
-    and totals are returned for the O(n/Delta)-law bookkeeping."""
-    g = cluster.graph
-    if cache is None:
-        cache = _BallCache(g, alive, radius)
+    which virtual adjacency covers distance <= 2^i.  The alive nodes and
+    their volumes come from the iteration's ball ``cache``.  Virtual words
+    land in the storage ledgers; per-node additions are asserted against
+    delta_max^(2^i) and totals are returned for the O(n/Delta)-law
+    bookkeeping."""
     ids = cache.ids
     added = cache.added
     bound = delta_max ** radius
@@ -201,11 +199,11 @@ def gather_and_peel(
 
     Radius 1 needs no gathering (degrees are local); it costs one removal
     round.  Radius >= 2 costs one gather round whose volumes come from the
-    iteration ball cache (built here when ``cache`` is None).  Mutates
-    ``alive``, and ``deg`` (the alive degrees carried across repetitions, see
-    :func:`peel_layers`) when given.  Raises StallError exactly when the
-    centralized peeling would: a nonempty remainder where nobody has degree
-    <= d.
+    iteration ball ``cache`` that :func:`mpc_h_partition` builds; it may be
+    None only while ``alive`` is empty.  Mutates ``alive``, and ``deg`` (the
+    alive degrees carried across repetitions, see :func:`peel_layers`) when
+    given.  Raises StallError exactly when the centralized peeling would: a
+    nonempty remainder where nobody has degree <= d.
     """
     g = cluster.graph
     label = "partition-gather" if radius >= 2 else "partition-peel"
@@ -215,8 +213,6 @@ def gather_and_peel(
         none = np.empty(0, np.int64)
         cluster.execute_round_volumes(none, none, none, none, label=label)
         return np.zeros(g.n, np.int64), 0
-    if radius >= 2 and cache is None:
-        cache = _BallCache(g, alive, radius)
     rel, t, src, nb = peel_layers(g.indptr, g.indices, alive, d, radius, deg=deg, last_rows=True)
     removed = np.flatnonzero(rel > 0)
     if radius >= 2:
@@ -343,9 +339,7 @@ def mpc_h_partition(
                     weights=cache.traffic_weights(cluster.node_words()),
                     label="partition-rebalance",
                 )
-                vstats = connect_cliques(
-                    cluster, work, radius, schedule.delta_max, cache=cache
-                )
+                vstats = connect_cliques(cluster, radius, schedule.delta_max, cache=cache)
                 entry.update(vstats)
             else:
                 rebalance(cluster, work, keep=members, label="partition-rebalance")

@@ -1,4 +1,4 @@
-"""Batch peeling into layers, degeneracy ordering, and edge orientation.
+"""Batch peeling into layers, degeneracy ordering, and layer-decay checks.
 
 The layer structure ("peel everything with remaining degree <= d, repeat")
 is the backbone of the whole reduction pipeline: it gives each node at most
@@ -52,18 +52,6 @@ def h_partition(g: Graph, d: int) -> HPartition:
         stuck = int((layer == 0).sum())
         raise StallError(f"peeling stalled with {stuck} nodes of remaining degree > {d}")
     return HPartition(layer=layer, d=int(d), ell=int(ell))
-
-
-def orientation_of(hp: HPartition, g: Graph, v: int):
-    """Split adj(v) by layer: (outgoing, incoming, unoriented).
-
-    Outgoing neighbors sit in strictly higher layers (v is their child),
-    incoming in strictly lower, unoriented in the same layer.
-    """
-    nb = g.neighbors(v)
-    lv = hp.layer[v]
-    ln = hp.layer[nb]
-    return list(nb[ln > lv]), list(nb[ln < lv]), list(nb[ln == lv])
 
 
 @dataclass(frozen=True)

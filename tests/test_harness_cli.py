@@ -3,12 +3,13 @@
 import csv
 import io
 import json
-import math
 from dataclasses import asdict
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import sparsempc
 from sparsempc import cli, harness, reduction
 from sparsempc.graph import build_graph, load_graph
 
@@ -450,24 +451,20 @@ def test_cli_missing_records_file_is_an_error_line(tmp_path, capsys):
     assert "sparsempc: error:" in capsys.readouterr().err
 
 
-def test_cli_bench_smoke(capsys):
-    rc = cli.main(["bench", "--n", "3000", "--repeats", "1", "--seed", "1"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert out.splitlines()[0].split() == ["kernel", "time", "(ms)"]
+# ---------------------------------------------------------------- surface
 
 
-def test_cli_bench_prints_one_finite_row_per_kernel(capsys):
-    rc = cli.main(["bench", "--n", "2000", "--repeats", "1", "--seed", "2"])
-    assert rc == 0
-    out = capsys.readouterr().out
-    assert "nan" not in out.lower() and "n/a" not in out
-    rows = out.splitlines()[1:]
-    names = [row.rsplit(None, 1)[0] for row in rows]
-    assert names == [
-        "peel_layers(tower)", "peel_layers(random)", "ball_stats(r=2)",
-        "degeneracy_order(pa)", "pack_bins", "solve(matching, tower)",
-    ]
-    for row in rows:
-        ms = float(row.rsplit(None, 1)[1])
-        assert math.isfinite(ms) and ms >= 0
+def test_public_names_resolve_and_readme_lists_every_verb(capsys):
+    names = sparsempc.__all__
+    assert len(names) == len(set(names))
+    assert [n for n in names if not hasattr(sparsempc, n)] == []
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Command line", 1)[1].split("```text\n", 1)[1].split("```", 1)[0]
+    documented = {line.split()[1] for line in block.splitlines() if line.startswith("sparsempc ")}
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["--help"])
+    assert exc.value.code == 0
+    usage = capsys.readouterr().out
+    listed = set(usage.split("{", 1)[1].split("}", 1)[0].split(","))
+    assert documented == listed

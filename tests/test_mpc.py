@@ -139,27 +139,6 @@ def test_star_center_resolves_on_second_repetition():
     assert not alive.any()
 
 
-def test_radius_two_repetition_builds_its_ball_cache(tmp_path, monkeypatch):
-    # Without a cache, a radius >= 2 repetition builds the iteration ball
-    # cache itself: layers, depth, round trace and trace rows equal those of
-    # a repetition given an explicit cache.
-    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
-    g = generate("layered-core", {"n": 300, "depth": 30, "d": 3}, seed=1)
-    alive = np.ones(g.n, bool)
-    alive[::7] = False
-    runs = []
-    for name, cache in (("implicit", None), ("explicit", mpc_mod._BallCache(g, alive, 2))):
-        cfg = ClusterConfig(n=g.n, m=g.m, delta=1.0, S=10 ** 5, M=8)  # gathers fit
-        cl = init_cluster(g, cfg, seed=0, name=name)
-        mask = alive.copy()
-        rel, t = gather_and_peel(cl, 2, 3, alive=mask, cache=cache)
-        runs.append((rel, t, mask, cl.traces, cl.flush_trace().read_text()))
-    (rel, t, mask, traces, rows), (rel_x, t_x, mask_x, traces_x, rows_x) = runs
-    assert t == t_x == 2 and np.array_equal(rel, rel_x) and np.array_equal(mask, mask_x)
-    assert traces == traces_x and [tr.label for tr in traces] == ["partition-gather"]
-    assert traces[0].total_sent > 0 and rows == rows_x
-
-
 def test_low_degree_nodes_always_layer_one():
     g = generate("preferential-attachment", {"n": 200, "c": 3}, seed=1)
     d = valid_d(g)
@@ -244,7 +223,7 @@ def test_connect_cliques_path9_ball_oracle():
     g = path(9)
     cl = init_cluster(g, ClusterConfig(n=9, m=8, delta=1.0, S=9, M=16), seed=0)
     alive = np.ones(9, bool)
-    stats = connect_cliques(cl, alive, radius=2, delta_max=2)
+    stats = connect_cliques(cl, radius=2, delta_max=2, cache=mpc_mod._BallCache(g, alive, 2))
     for v in range(9):
         ball = ball_members(g, alive, v, 2)
         want_added = len(ball) - 1 - int(g.degrees[v])

@@ -1,4 +1,4 @@
-"""Layer partition, degeneracy, orientation: pinned cases plus brute-force."""
+"""Layer partition, degeneracy, layer decay: pinned cases plus brute-force."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,6 @@ from sparsempc.peeling import (
     degeneracy,
     h_partition,
     layer_decay_ok,
-    orientation_of,
 )
 
 from oracles import brute_arboricity, brute_degeneracy, complete, cycle, from_mask, path, star
@@ -96,22 +95,6 @@ def test_partition_local_degree_bound():
     for v in range(g.n):
         nb = g.neighbors(v)
         assert int((hp.layer[nb] >= hp.layer[v]).sum()) <= d
-
-
-def test_orientation_star():
-    g = star(5)
-    hp = h_partition(g, 2)
-    out, inc, same = orientation_of(hp, g, 1)  # a leaf
-    assert out == [0] and inc == [] and same == []
-    out, inc, same = orientation_of(hp, g, 0)  # the center
-    assert out == [] and sorted(inc) == [1, 2, 3, 4, 5] and same == []
-
-
-def test_orientation_cycle_same_layer():
-    g = cycle(4)
-    hp = h_partition(g, 2)
-    out, inc, same = orientation_of(hp, g, 0)
-    assert out == [] and inc == [] and sorted(same) == [1, 3]
 
 
 @pytest.mark.parametrize(

@@ -14,7 +14,6 @@ from sparsempc.reduction import (
     InvariantError,
     PartialSolution,
     ProposalSet,
-    arboricity_schedule,
     degree_reduce,
     finish_greedy,
     mark_and_propose_matching,
@@ -30,7 +29,7 @@ from sparsempc.reduction import (
 )
 from sparsempc.runtime import ClusterConfig, init_cluster
 
-from oracles import complete, cycle, path, star
+from oracles import cycle, path, star
 
 
 def _manual_hp(layers, d):
@@ -526,31 +525,3 @@ def test_selected_subset_of_proposed_subset_of_marked():
             mprops.marked.tolist()
         )
 
-
-def test_arboricity_schedule_tree_first_estimate():
-    g = generate("tree", {"n": 256}, seed=6)
-    res = arboricity_schedule(g, "matching", seed=0)
-    assert res.estimates == [2]
-    assert res.accepted_estimate == 2
-    assert verify_maximal(g, res.solution)
-
-
-@pytest.mark.parametrize("kind", ["matching", "mis"])
-def test_arboricity_schedule_estimate_round_bound(kind):
-    g = complete(16)  # degeneracy 15
-    res = arboricity_schedule(g, kind, seed=1)
-    k = degeneracy(g).degeneracy
-    bound = int(np.ceil(np.log2(np.log2(k)))) + 1
-    assert len(res.estimates) <= bound
-    assert verify_maximal(g, res.solution)
-
-
-def test_arboricity_schedule_valid_on_corpus():
-    for fam, params in (
-        ("grid", {"rows": 8, "cols": 9}),
-        ("preferential-attachment", {"n": 150, "c": 3}),
-    ):
-        g = generate(fam, params, seed=3)
-        for kind in ("matching", "mis"):
-            res = arboricity_schedule(g, kind, seed=7)
-            assert verify_maximal(g, res.solution)
