@@ -84,10 +84,12 @@ def _peel(indptr, indices, alive, d, max_layers, deg, last_rows=False):
     layer = np.zeros(n, np.int64)
     frontier = np.flatnonzero(alive & (deg <= d))
     src = nb = np.empty(0, np.int64)
+    peeled = []
     t = 0
     while t < max_layers and frontier.size:
         t += 1
         layer[frontier] = t
+        peeled.append(frontier)
         src, nb = gather_segments(indptr, indices, frontier)
         if 4 * nb.size > n:
             deg -= np.bincount(nb, minlength=n)
@@ -99,7 +101,8 @@ def _peel(indptr, indices, alive, d, max_layers, deg, last_rows=False):
             deg[hit] -= count
             frontier = hit[deg[hit] <= d]
     if last_rows:
-        return layer, t, src, nb
+        peeled = np.concatenate(peeled) if peeled else frontier[:0]
+        return layer, t, peeled, src, nb
     return layer, t
 
 
@@ -120,8 +123,10 @@ def peel_layers(indptr, indices, alive, d: int, max_layers: int, deg=None, *, la
     holds its degree among the unassigned nodes, ready for the next call
     with those nodes as ``alive``.  Entries of other nodes are unspecified.
 
-    With ``last_rows`` the result is ``(layer, t, sources, neighbors)``: the
-    CSR rows of the last layer peeled, as :func:`gather_segments` gives them
+    With ``last_rows`` the result is ``(layer, t, peeled, sources,
+    neighbors)``: the layered nodes, layer by layer and ascending within a
+    layer, so that a caller need not scan ``layer`` for them, and the CSR
+    rows of the last layer peeled, as :func:`gather_segments` gives them
     (empty when no layer was), so that a caller peeling one layer at a time
     can send along them without gathering them again.
     """

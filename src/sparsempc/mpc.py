@@ -97,16 +97,21 @@ def compute_schedule(
 # ---------------------------------------------------------------------------
 
 
-def _notify_round(cluster: Cluster, g: Graph, senders: np.ndarray, mask: np.ndarray, label: str) -> None:
+def _notify_round(
+    cluster: Cluster, g: Graph, senders: np.ndarray, mask: np.ndarray, label: str
+) -> np.ndarray:
     """Distinct ``senders`` push one word along each incident edge whose other
     end is in ``mask``: removed nodes strike the edge at their still-alive
     neighbors, winners notify the not-yet-finished phase nodes.  The round is
     handed over as its live (sender, target) pairs with one word each, read
     off the senders' rows rather than all n nodes; the cluster sums them per
-    machine, so no per-node totals are formed."""
+    machine, so no per-node totals are formed.  Returns the targets, one per
+    word sent."""
     src, tgt = gather_segments(g.indptr, g.indices, senders)
     live = mask[tgt]
-    cluster.execute_round_volumes(src[live], 1, tgt[live], 1, label=label)
+    tgt = tgt[live]
+    cluster.execute_round_volumes(src[live], 1, tgt, 1, label=label)
+    return tgt
 
 
 class _BallCache:
@@ -193,9 +198,14 @@ def gather_and_peel(
     alive: np.ndarray,
     cache: _BallCache | None = None,
     deg: np.ndarray | None = None,
-) -> tuple[np.ndarray, int]:
+) -> tuple[np.ndarray, int, np.ndarray]:
     """One repetition: each alive node learns its layer-if-at-most-``radius``
-    (else "deeper", encoded 0) from its radius-ball and drops out if layered.
+    (else "deeper") from its radius-ball and drops out if layered.
+
+    Returns ``(rel, t, removed)``: the ids ``removed`` that this repetition
+    layered, layer by layer (as the peel found them, so no n-wide scan looks
+    for them), their layers ``rel`` (1..t, relative to the repetition) and
+    the number ``t`` of layers it produced.
 
     Radius 1 needs no gathering (degrees are local); it costs one removal
     round.  Radius >= 2 costs one gather round whose volumes come from the
@@ -212,9 +222,10 @@ def gather_and_peel(
         # are metered as silent rounds without peeling or scanning the n nodes
         none = np.empty(0, np.int64)
         cluster.execute_round_volumes(none, none, none, none, label=label)
-        return np.zeros(g.n, np.int64), 0
-    rel, t, src, nb = peel_layers(g.indptr, g.indices, alive, d, radius, deg=deg, last_rows=True)
-    removed = np.flatnonzero(rel > 0)
+        return none, 0, none
+    layer, t, removed, src, nb = peel_layers(
+        g.indptr, g.indices, alive, d, radius, deg=deg, last_rows=True
+    )
     if radius >= 2:
         cur = np.flatnonzero(alive)
         cluster.execute_round_volumes(
@@ -236,7 +247,7 @@ def gather_and_peel(
         raise StallError(
             f"peeling stalled with {stuck} nodes of remaining degree > {d}"
         )
-    return rel, t
+    return layer[removed], t, removed
 
 
 def mpc_h_partition(
@@ -282,10 +293,9 @@ def mpc_h_partition(
 
     def run_rep(radius: int, cache: _BallCache | None) -> None:
         nonlocal offset
-        rel, t = gather_and_peel(cluster, radius, d, alive=work, cache=cache, deg=deg)
+        rel, t, removed = gather_and_peel(cluster, radius, d, alive=work, cache=cache, deg=deg)
         if t:  # t == 0 only once `work` is empty: the repetition layers nothing
-            removed = np.flatnonzero(rel > 0)
-            layer[removed] = offset + rel[removed]
+            layer[removed] = offset + rel
             offset += t
             chunks.append((offset, radius))
         if adaptive:
@@ -472,6 +482,10 @@ class ClusterMeter:
         self.partition_stats: list[dict] = []
         self._hp: HPartition | None = None  # this phase's layers, original ids
         self._chunks: list[tuple[int, int]] = []
+        # the remainder's alive degrees as the last selection left them, then
+        # as the matching finish runs, with its nodes that have a live edge
+        self._deg: np.ndarray | None = None
+        self._busy: np.ndarray | None = None
 
     def partition(self, alive: np.ndarray, ids: np.ndarray, deg: np.ndarray, d: int) -> HPartition:
         """The phase partition of the ``alive`` subgraph, built on the cluster
@@ -516,22 +530,36 @@ class ClusterMeter:
         after[sol.removed] = False
         srv = np.flatnonzero(after)
         self.cluster.set_base_words(srv, deg[srv])
+        self._deg = deg
 
     def finish_round(self, g: Graph, alive: np.ndarray, step: PartialSolution) -> None:
         """One priority round of the finish: ``step.selected`` joined the
-        solution and ``step.removed`` leave the ``alive`` nodes."""
+        solution and ``step.removed`` leave the ``alive`` nodes.
+
+        In a matching round the nodes with a live edge exchange priorities.
+        They are found from the finish's alive degrees, kept current from the
+        rows that the removed nodes' notify round gathers, so no round reads
+        the edge list.  The finish starts on the remainder of the last phase
+        that selected (a stalled phase removes nothing), so the degrees that
+        :meth:`select` received are its starting degrees; they are counted
+        only when no phase selected.  A meter therefore meters at most one
+        finish, after its run's phases."""
         cl = self.cluster
         after = alive.copy()
         after[step.removed] = False
         if step.kind == "matching":  # alive edges exchange priorities
-            e = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
-            has_edge = np.zeros(g.n, np.bool_)
-            has_edge[e.ravel()] = True
-            nodes = np.flatnonzero(has_edge)
-            cl.execute_round_volumes(nodes, 1, nodes, 1, label="finish")
+            if self._busy is None:  # the first round; it updates its own copy
+                deg = self._deg
+                self._deg = alive_degrees(g.indptr, g.indices, alive) if deg is None else deg.copy()
+                self._busy = np.flatnonzero(self._deg)
+            busy = self._busy
+            cl.execute_round_volumes(busy, 1, busy, 1, label="finish")
         else:  # winners notify their neighbors
             _notify_round(cl, g, step.selected, alive, "finish")
-        _notify_round(cl, g, step.removed, after, "finish")
+        struck = _notify_round(cl, g, step.removed, after, "finish")
+        if step.kind == "matching":
+            np.subtract.at(self._deg, struck, 1)
+            self._busy = busy[after[busy] & (self._deg[busy] > 0)]
         cl.drop_nodes(step.removed)
         cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
 

@@ -426,22 +426,29 @@ def luby_matching_round(g: Graph, alive: np.ndarray, seed: int, round_idx: int) 
 
 def luby_mis_round(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> np.ndarray:
     """One priority round: every alive node draws a priority; a node joins iff
-    it beats all alive neighbors.  Isolated alive nodes always join.  Returns
-    selected node ids; the caller removes them and their neighbors."""
+    it beats all alive neighbors in the order of ``(priority, id)``.  Isolated
+    alive nodes always join.  Returns selected node ids; the caller removes
+    them and their neighbors.
+
+    Only the alive nodes draw, and only their rows are read, so a round costs
+    the remainder, not n: priorities are keyed by node id, and ranks are only
+    ever compared between alive neighbors, so leaving the dead nodes out
+    changes no comparison."""
     nodes = np.flatnonzero(alive)
     if not nodes.size:
         return nodes
-    pri = rng.hash_u64(seed, rng.GREEDY_NODE, round_idx, np.arange(g.n))
-    order = np.lexsort((np.arange(g.n), pri))
-    rank = np.empty(g.n, np.int64)
-    rank[order] = np.arange(g.n, dtype=np.int64)
-    e = g.edges
-    live = alive[e[:, 0]] & alive[e[:, 1]]
-    e = e[live]
-    nbest = np.full(g.n, np.iinfo(np.int64).max, np.int64)
-    np.minimum.at(nbest, e[:, 0], rank[e[:, 1]])
-    np.minimum.at(nbest, e[:, 1], rank[e[:, 0]])
-    return nodes[rank[nodes] < nbest[nodes]]
+    pri = rng.hash_u64(seed, rng.GREEDY_NODE, round_idx, nodes)
+    src, nb = gather_segments(g.indptr, g.indices, nodes)
+    live = alive[nb]
+    src, nb = src[live], nb[live]
+    # positions in `nodes`, which is ascending
+    si = np.searchsorted(nodes, src)
+    ni = np.searchsorted(nodes, nb)
+    ps, pn = pri[si], pri[ni]
+    beaten = (pn < ps) | ((pn == ps) & (nb < src))
+    lost = np.zeros(nodes.size, np.bool_)
+    lost[si[beaten]] = True
+    return nodes[~lost]
 
 
 def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
@@ -459,13 +466,13 @@ def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
             won = luby_matching_round(g, alive, seed, round_idx)
             if not won.shape[0]:
                 break
-            removed = np.unique(won)
+            removed = sorted_unique(won)
         else:
             won = luby_mis_round(g, alive, seed, round_idx)
             if not won.size:
                 break
             _, nb = gather_segments(g.indptr, g.indices, won)
-            removed = np.unique(np.concatenate([won, nb[alive[nb]]]))
+            removed = sorted_unique(np.concatenate([won, nb[alive[nb]]]))
         step = PartialSolution(kind=kind, selected=won, removed=removed)
         if meter is not None:
             meter.finish_round(g, alive, step)

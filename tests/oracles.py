@@ -12,6 +12,7 @@ import math
 
 import numpy as np
 
+from sparsempc import rng
 from sparsempc.graph import Graph, build_graph
 
 
@@ -34,6 +35,15 @@ def cycle(n: int) -> Graph:
 
 def complete(n: int) -> Graph:
     return build_graph(n, list(itertools.combinations(range(n), 2)))
+
+
+def random_graph(n: int, m: int, seed: int) -> Graph:
+    """Up to ``m`` distinct random edges on ``n`` nodes (draws that repeat an
+    edge or loop on a node are dropped)."""
+    r = np.random.default_rng(seed)
+    pairs = {(int(a), int(b)) if a < b else (int(b), int(a))
+             for a, b in r.integers(0, n, size=(m, 2)) if a != b}
+    return build_graph(n, np.array(sorted(pairs), np.int64).reshape(-1, 2))
 
 
 def from_mask(n: int, mask: int) -> Graph:
@@ -229,3 +239,69 @@ def next_fit_bins(weights, cap: int) -> list:
         out.append(b)
         fill += w
     return out
+
+
+# ---------------------------------------------------------------------------
+# greedy finish: priority rounds ranked over all n nodes, edge by edge
+# ---------------------------------------------------------------------------
+
+
+def luby_mis_round_all_n(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> np.ndarray:
+    """An independent-set priority round that draws a priority for every one
+    of the n nodes, ranks all of them by ``(priority, id)`` and scans every
+    edge; a node joins iff it ranks below all of its alive neighbors."""
+    nodes = np.flatnonzero(alive)
+    if not nodes.size:
+        return nodes
+    pri = rng.hash_u64(seed, rng.GREEDY_NODE, round_idx, np.arange(g.n))
+    order = np.lexsort((np.arange(g.n), pri))
+    rank = np.empty(g.n, np.int64)
+    rank[order] = np.arange(g.n, dtype=np.int64)
+    e = g.edges
+    live = alive[e[:, 0]] & alive[e[:, 1]]
+    e = e[live]
+    nbest = np.full(g.n, np.iinfo(np.int64).max, np.int64)
+    np.minimum.at(nbest, e[:, 0], rank[e[:, 1]])
+    np.minimum.at(nbest, e[:, 1], rank[e[:, 0]])
+    return nodes[rank[nodes] < nbest[nodes]]
+
+
+def luby_matching_round_by_edge(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> list:
+    """A matching priority round, one alive edge at a time: an edge joins iff
+    its ``(priority, u * n + v)`` is below that of every other alive edge
+    sharing an endpoint."""
+    live = [(u, v) for u, v in g.edges.tolist() if alive[u] and alive[v]]
+    key = {(u, v): (int(rng.hash_u64(seed, rng.GREEDY_EDGE, round_idx, u * g.n + v)), u * g.n + v)
+           for u, v in live}
+    won = []
+    for u, v in live:
+        rivals = [f for f in live if f != (u, v) and {u, v} & set(f)]
+        if all(key[(u, v)] < key[f] for f in rivals):
+            won.append((u, v))
+    return won
+
+
+def finish_by_rounds(g: Graph, alive: np.ndarray, kind: str, seed: int):
+    """The greedy finish from the two oracle rounds above: rounds until one
+    selects nothing, each removing its winners (and, for the independent
+    set, their alive neighbors).  Returns ``(selected, removed)`` as sorted
+    lists (matching edges as ``[u, v]`` pairs)."""
+    alive = np.array(alive, dtype=bool)
+    selected, removed = [], set()
+    round_idx = 0
+    while True:
+        if kind == "matching":
+            won = luby_matching_round_by_edge(g, alive, seed, round_idx)
+            gone = {x for e in won for x in e}
+            selected.extend([u, v] for u, v in won)
+        else:
+            won = luby_mis_round_all_n(g, alive, seed, round_idx).tolist()
+            gone = set(won) | {u for v in won for u in g.neighbors(v).tolist() if alive[u]}
+            selected.extend(won)
+        if not won:
+            break
+        for x in gone:
+            alive[x] = False
+        removed |= gone
+        round_idx += 1
+    return sorted(selected), sorted(removed)

@@ -11,18 +11,12 @@ from sparsempc.graph import build_graph
 
 from oracles import (
     ball_members, bucket_degeneracy, from_mask, hand_peel, next_fit_bins, path as path_graph,
+    random_graph,
 )
 
 
-def _random_graph(n, m, seed):
-    r = np.random.default_rng(seed)
-    pairs = {(int(a), int(b)) if a < b else (int(b), int(a))
-             for a, b in r.integers(0, n, size=(m, 2)) if a != b}
-    return build_graph(n, np.array(sorted(pairs), np.int64).reshape(-1, 2))
-
-
 def test_gather_segments_matches_rows():
-    g = _random_graph(30, 60, 0)
+    g = random_graph(30, 60, 0)
     nodes = np.array([0, 5, 5, 12], np.int64)
     src, nb = kernels.gather_segments(g.indptr, g.indices, nodes)
     want_src, want_nb = [], []
@@ -78,7 +72,7 @@ def _assert_peel_matches_hand_oracle(g, alive, d, max_layers):
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_peel_layers_matches_hand_oracle_with_dead_nodes(d):
-    g = _random_graph(200, 500, d)
+    g = random_graph(200, 500, d)
     alive = np.ones(g.n, bool)
     alive[::7] = False
     layer, _ = _assert_peel_matches_hand_oracle(g, alive, d, g.n)
@@ -141,7 +135,7 @@ def test_degeneracy_order_property_matches_bucket_oracle(n, pairs):
 
 @pytest.mark.parametrize("radius", [0, 1, 2, 3, 4, 8])
 def test_ball_stats_matches_bfs_oracle(radius):
-    g = _random_graph(60, 120, radius)
+    g = random_graph(60, 120, radius)
     member = np.ones(g.n, bool)
     member[::5] = False
     sources = np.flatnonzero(member)
@@ -177,7 +171,7 @@ def _assert_ball_stats_match_oracle(g, member, sources, radius, weights):
 
 
 def test_ball_stats_unsorted_duplicated_sources():
-    g = _random_graph(40, 70, 3)
+    g = random_graph(40, 70, 3)
     member = np.ones(g.n, bool)
     member[[4, 9, 17]] = False
     sources = np.array([30, 2, 30, 11, 2, 0, 39, 11, 11], np.int64)
@@ -225,7 +219,7 @@ def test_ball_stats_isolated_source():
 
 
 def test_ball_stats_zero_weights():
-    g = _random_graph(50, 90, 8)
+    g = random_graph(50, 90, 8)
     member = np.ones(g.n, bool)
     sources = np.flatnonzero(member)
     zeros = np.zeros(g.n, np.int64)
@@ -253,7 +247,7 @@ def test_ball_stats_weight_sums_exact_beyond_float():
 @settings(max_examples=80, deadline=None)
 def test_ball_stats_property_matches_oracle(n, seed, radius, keep):
     r = np.random.default_rng(seed)
-    g = _random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
     member = r.random(n) < keep
     if not member.any():
         member[int(r.integers(0, n))] = True
@@ -360,7 +354,7 @@ def test_peel_carried_degrees_match_fresh_calls(n, seed, d, radii):
     # leave `deg` equal to the recounted alive degrees of the survivors.
     # _peel, which degeneracy_order calls directly, is checked too.
     r = np.random.default_rng(seed)
-    g = _random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
     alive = r.random(n) < 0.8
     peels = {
         "peel_layers": lambda work, r_, deg: kernels.peel_layers(
@@ -385,12 +379,15 @@ def test_peel_carried_degrees_match_fresh_calls(n, seed, d, radii):
 @settings(max_examples=60, deadline=None)
 def test_peel_last_rows_are_the_last_layers_rows(n, seed, d, max_layers):
     r = np.random.default_rng(seed)
-    g = _random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
     alive = r.random(n) < 0.8
-    layer, t, src, nb = kernels.peel_layers(
+    layer, t, peeled, src, nb = kernels.peel_layers(
         g.indptr, g.indices, alive, d, max_layers, last_rows=True)
     want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, alive, d, max_layers)
     assert np.array_equal(layer, want_layer) and t == want_t
+    # the layered nodes layer by layer, ascending within a layer
+    layered = np.flatnonzero(layer)
+    assert np.array_equal(peeled, layered[np.argsort(layer[layered], kind="stable")])
     last = np.flatnonzero(layer == t) if t else np.empty(0, np.int64)
     want_src, want_nb = kernels.gather_segments(g.indptr, g.indices, last)
     assert np.array_equal(src, want_src) and np.array_equal(nb, want_nb)

@@ -1,19 +1,23 @@
 """Cluster pipeline: exponentiation schedules, chunking, oracle equality."""
 
+import itertools
 import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import realize, valid_d
-from oracles import ball_members, complete, cycle, path, star
+from oracles import ball_members, complete, cycle, hand_peel, path, random_graph, star
 from sparsempc import mpc as mpc_mod
 from sparsempc.generators import generate
-from sparsempc.graph import GraphView
+from sparsempc.graph import GraphView, build_graph
 from sparsempc.kernels import alive_degrees
 from sparsempc.mpc import (
     REPS_FIRST,
     REPS_LATER,
+    ClusterMeter,
     compute_schedule,
     connect_cliques,
     gather_and_peel,
@@ -25,7 +29,9 @@ from sparsempc.mpc import (
 )
 from sparsempc.peeling import StallError, degeneracy, h_partition
 from sparsempc.reduction import (
+    KINDS,
     PartialSolution,
+    finish_greedy,
     mark_and_propose_matching,
     mark_and_propose_mis,
     mis_probability,
@@ -130,12 +136,14 @@ def test_star_center_resolves_on_second_repetition():
     g = star(5)
     cl = _cluster(g, 0.9)
     alive = np.ones(g.n, bool)
-    rel, t = gather_and_peel(cl, 1, 2, alive=alive)
+    rel, t, removed = gather_and_peel(cl, 1, 2, alive=alive)
     assert t == 1
-    assert np.all(rel[1:] == 1) and rel[0] == 0  # center still "deeper"
+    # the center is still "deeper"
+    assert removed.tolist() == [1, 2, 3, 4, 5] and rel.tolist() == [1] * 5
     assert alive[0] and not alive[1:].any()
-    rel2, t2 = gather_and_peel(cl, 1, 2, alive=alive)
-    assert rel2[0] == 1 and t2 == 1  # resolved once the leaves are gone
+    rel2, t2, removed2 = gather_and_peel(cl, 1, 2, alive=alive)
+    # resolved once the leaves are gone
+    assert removed2.tolist() == [0] and rel2.tolist() == [1] and t2 == 1
     assert not alive.any()
 
 
@@ -144,16 +152,17 @@ def test_low_degree_nodes_always_layer_one():
     d = valid_d(g)
     cl = _cluster(g, 0.8)
     alive = np.ones(g.n, bool)
-    rel, _ = gather_and_peel(cl, 1, d, alive=alive)
-    low = g.degrees <= d
-    assert np.all(rel[low] == 1)
+    rel, _, removed = gather_and_peel(cl, 1, d, alive=alive)
+    assert np.array_equal(removed, np.flatnonzero(g.degrees <= d))
+    assert np.all(rel == 1)
 
 
 @pytest.mark.parametrize("radius,label", [(1, "partition-peel"), (2, "partition-gather")])
 def test_empty_repetition_meters_a_silent_round_without_peeling(monkeypatch, radius, label):
     # After the subgraph empties, the fixed repetition budget keeps running:
-    # each repetition is one zero-volume round under the usual label, and no
-    # peel runs (so no O(n) pass is paid for it).
+    # each repetition is one zero-volume round under the usual label, no
+    # peel runs (so no O(n) pass is paid for it) and no n-length array is
+    # returned.
     g = path(6)
     cl = _cluster(g, 0.9)
     alive = np.zeros(g.n, bool)
@@ -162,8 +171,8 @@ def test_empty_repetition_meters_a_silent_round_without_peeling(monkeypatch, rad
         raise AssertionError("peel_layers called on an empty subgraph")
 
     monkeypatch.setattr(mpc_mod, "peel_layers", no_peel)
-    rel, t = gather_and_peel(cl, radius, 2, alive=alive, deg=np.zeros(g.n, np.int64))
-    assert t == 0 and rel.shape == (g.n,) and not rel.any()
+    rel, t, removed = gather_and_peel(cl, radius, 2, alive=alive, deg=np.zeros(g.n, np.int64))
+    assert t == 0 and rel.size == 0 and removed.size == 0
     (trace,) = cl.traces
     assert trace.label == label
     assert trace.total_sent == 0 and trace.total_received == 0
@@ -192,11 +201,11 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
     want = {}
     while alive.any():
         before = alive.copy()
-        rel, _ = gather_and_peel(cl, 1, d, alive=alive, deg=deg)
-        assert np.array_equal(alive, before & (rel == 0))
+        _, _, removed = gather_and_peel(cl, 1, d, alive=alive, deg=deg)
+        assert np.array_equal(alive, before & ~np.isin(np.arange(g.n), removed))
         sent = np.zeros(cl.machines_used, np.int64)
         received = np.zeros(cl.machines_used, np.int64)
-        for v in np.flatnonzero(rel).tolist():
+        for v in removed.tolist():
             for u in g.neighbors(v).tolist():
                 if alive[u]:
                     sent[cl.node_machine[v]] += 1
@@ -217,6 +226,40 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
         assert np.array_equal(got_sent[: sent.size], sent)
         assert np.array_equal(got_received[: received.size], received)
         assert not got_sent[sent.size:].any() and not got_received[received.size:].any()
+
+
+def _roomy_cluster(g, machines=16):
+    """A cluster with room for any round on ``g`` spread over several machines."""
+    cfg = ClusterConfig(n=g.n, m=g.m, delta=1.0, S=10 ** 6, M=machines)
+    return init_cluster(g, cfg, seed=0)
+
+
+@given(
+    st.integers(1, 50),
+    st.integers(0, 2 ** 31 - 1),
+    st.integers(1, 3),
+    st.sampled_from([1, 2, 4]),
+)
+@settings(max_examples=60, deadline=None)
+def test_gather_and_peel_returns_the_layered_ids(n, seed, d, radius):
+    # The ids a repetition returns are exactly the nodes the hand peel
+    # layers within the radius (np.flatnonzero(rel > 0) of the full layer
+    # map), each once, with their layers.
+    r = np.random.default_rng(seed)
+    g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    alive = r.random(n) < 0.8
+    want = hand_peel(g, d, alive, max_layers=radius)
+    work = alive.copy()
+    cache = mpc_mod._BallCache(g, work, radius) if radius >= 2 else None
+    try:
+        rel, t, removed = gather_and_peel(_roomy_cluster(g), radius, d, alive=work, cache=cache)
+    except StallError:
+        assert (alive & (want == 0)).any() and want.max(initial=0) < radius
+        return
+    assert np.array_equal(np.sort(removed), np.flatnonzero(want > 0))
+    assert np.array_equal(rel, want[removed])
+    assert t == want.max(initial=0)
+    assert np.array_equal(work, alive & (want == 0))
 
 
 def test_connect_cliques_path9_ball_oracle():
@@ -519,3 +562,78 @@ def test_pipeline_trivial_graph_skips_reduction():
     sol, met = mpc_pipeline(g, cfg, "matching", 3, seed=0)
     assert met["phases"] == []
     assert verify_maximal(g, sol)
+
+
+class _EdgeScanMeter(ClusterMeter):
+    """The finish meter as a full edge scan: in a matching round, every
+    endpoint of an edge with two alive ends exchanges priorities."""
+
+    def finish_round(self, g, alive, step):
+        cl = self.cluster
+        after = alive.copy()
+        after[step.removed] = False
+        if step.kind == "matching":
+            e = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
+            nodes = np.unique(e)
+            cl.execute_round_volumes(nodes, 1, nodes, 1, label="finish")
+        else:
+            mpc_mod._notify_round(cl, g, step.selected, alive, "finish")
+        mpc_mod._notify_round(cl, g, step.removed, after, "finish")
+        cl.drop_nodes(step.removed)
+        cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
+
+
+@given(
+    st.integers(2, 60),
+    st.integers(0, 2 ** 31 - 1),
+    st.floats(0.0, 1.0),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(KINDS),
+)
+@settings(max_examples=50, deadline=None)
+def test_finish_meter_matches_full_edge_scan(n, graph_seed, keep, seed, kind):
+    # The finish meter keeps the alive degrees current instead of scanning
+    # the edge list each round; both must record the same rounds.
+    r = np.random.default_rng(graph_seed)
+    g = random_graph(n, int(r.integers(0, 3 * n + 1)), graph_seed)
+    alive = r.random(n) < keep
+    traces, loads = [], []
+    for meter in (ClusterMeter, _EdgeScanMeter):
+        cl = _roomy_cluster(g)
+        finish_greedy(GraphView(graph=g, alive=alive.copy()), kind, seed, meter=meter(cl))
+        traces.append(cl.traces)
+        loads.append(cl.loads)
+    assert traces[0] == traces[1]
+    assert np.array_equal(loads[0], loads[1])
+    if GraphView(graph=g, alive=alive).alive_edges().size:
+        assert any(t.label == "finish" for t in traces[0])
+
+
+def _star_and_k5():
+    # phase one (d = 10) matches the star's center, phase two (d = 2) stalls
+    # on the K5 that phase one left intact
+    edges = [(0, i) for i in range(1, 101)] + list(itertools.combinations(range(101, 106), 2))
+    return build_graph(106, edges), 1.0, [False, True]
+
+
+@pytest.mark.parametrize(
+    "case",
+    [
+        _star_and_k5,
+        lambda: (generate("tree", {"n": 400}, seed=1), 0.6, [False, False]),
+        lambda: (generate("bounded-degree-random", {"n": 3000, "deg": 6}, seed=4), 0.5, [True]),
+    ],
+    ids=["phase-then-stall", "phase", "stall"],
+)
+def test_pipeline_finish_meter_matches_full_edge_scan(case):
+    # In a run the finish takes its starting degrees from the last phase
+    # that selected, and counts them itself when none did.
+    g, delta, stalls = case()
+    traces = []
+    for meter in (ClusterMeter, _EdgeScanMeter):
+        cl = init_cluster(g, ClusterConfig.for_graph(g, delta), 3)
+        _, report = solve(g, "matching", 2, 3, exponent=0.5, meter=meter(cl))
+        traces.append(cl.traces)
+    assert [ph.get("stalled", False) for ph in report.phases] == stalls
+    assert any(t.label == "finish" for t in traces[0])
+    assert traces[0] == traces[1]

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from sparsempc import rng
@@ -11,11 +11,13 @@ from sparsempc.graph import GraphView, build_graph
 from sparsempc.mpc import ClusterMeter, mpc_pipeline
 from sparsempc.peeling import HPartition, StallError, degeneracy, h_partition
 from sparsempc.reduction import (
+    KINDS,
     InvariantError,
     PartialSolution,
     ProposalSet,
     degree_reduce,
     finish_greedy,
+    luby_mis_round,
     mark_and_propose_matching,
     mark_and_propose_mis,
     phase_threshold,
@@ -29,7 +31,14 @@ from sparsempc.reduction import (
 )
 from sparsempc.runtime import ClusterConfig, init_cluster
 
-from oracles import cycle, path, star
+from oracles import (
+    cycle,
+    finish_by_rounds,
+    luby_mis_round_all_n,
+    path,
+    random_graph,
+    star,
+)
 
 
 def _manual_hp(layers, d):
@@ -397,6 +406,95 @@ def test_finish_respects_dead_nodes():
     view.alive[0] = False
     sol = finish_greedy(view, "matching", seed=1)
     assert sol.selected.tolist() == [[1, 2]]
+
+
+ALIVE_MODES = ("random", "all", "none", "isolated", "one")
+
+
+def _finish_case(n, graph_seed, mode):
+    """A random graph and an alive mask: random, every node, no node, an
+    independent set (alive nodes with only dead neighbors), or one node."""
+    r = np.random.default_rng(graph_seed)
+    g = random_graph(n, int(r.integers(0, 2 * n + 1)), graph_seed)
+    alive = np.zeros(n, bool)
+    if mode == "random":
+        alive = r.random(n) < r.random()
+    elif mode == "all":
+        alive[:] = True
+    elif mode == "isolated":
+        for v in range(n):
+            alive[v] = not alive[g.neighbors(v)].any()
+    elif mode == "one":
+        alive[r.integers(n)] = True
+    return g, alive
+
+
+@example(n=30, graph_seed=4, mode="all", seed=9, round_idx=0)
+@example(n=30, graph_seed=4, mode="none", seed=9, round_idx=0)
+@example(n=30, graph_seed=4, mode="isolated", seed=9, round_idx=2)
+@example(n=30, graph_seed=4, mode="one", seed=9, round_idx=1)
+@given(
+    st.integers(1, 40),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(ALIVE_MODES),
+    st.integers(0, 2 ** 63 - 1),
+    st.integers(0, 2 ** 20),
+)
+@settings(max_examples=80, deadline=None)
+def test_luby_mis_round_matches_all_n_oracle(n, graph_seed, mode, seed, round_idx):
+    g, alive = _finish_case(n, graph_seed, mode)
+    got = luby_mis_round(g, alive, seed, round_idx)
+    assert np.array_equal(got, luby_mis_round_all_n(g, alive, seed, round_idx))
+    if mode in ("isolated", "one", "none"):  # no alive edge: every alive node joins
+        assert np.array_equal(got, np.flatnonzero(alive))
+
+
+@given(st.integers(2, 40), st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 20))
+@settings(max_examples=40, deadline=None)
+def test_luby_mis_round_breaks_priority_ties_by_id(n, graph_seed, round_idx):
+    # Three priority values make ties common; both rounds read the patched
+    # hash, so they must agree on the (priority, id) order.
+    real = rng.hash_u64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "hash_u64", lambda *args: real(*args) % np.uint64(3))
+        g, alive = _finish_case(n, graph_seed, "random")
+        got = luby_mis_round(g, alive, 5, round_idx)
+        assert np.array_equal(got, luby_mis_round_all_n(g, alive, 5, round_idx))
+
+
+def test_mis_round_hashes_exactly_the_alive_ids(monkeypatch):
+    # a finish round's cost follows the remainder: only alive nodes draw
+    g, _ = _finish_case(300, 11, "all")
+    alive = np.random.default_rng(0).random(g.n) < 0.1
+    real = rng.hash_u64
+    hashed = []
+
+    def spy(seed, stream, phase, index):
+        hashed.append(np.array(index, copy=True))
+        return real(seed, stream, phase, index)
+
+    monkeypatch.setattr(rng, "hash_u64", spy)
+    luby_mis_round(g, alive, 3, 1)
+    (ids,) = hashed
+    assert np.array_equal(ids, np.flatnonzero(alive))
+
+
+@example(n=20, graph_seed=6, mode="all", seed=2, kind="matching")
+@example(n=20, graph_seed=6, mode="all", seed=2, kind="mis")
+@given(
+    st.integers(1, 25),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(ALIVE_MODES),
+    st.integers(0, 2 ** 63 - 1),
+    st.sampled_from(KINDS),
+)
+@settings(max_examples=60, deadline=None)
+def test_finish_greedy_matches_oracle_finish(n, graph_seed, mode, seed, kind):
+    g, alive = _finish_case(n, graph_seed, mode)
+    sol = finish_greedy(GraphView(graph=g, alive=alive.copy()), kind, seed)
+    want_selected, want_removed = finish_by_rounds(g, alive, kind, seed)
+    assert sol.selected.tolist() == want_selected
+    assert sol.removed.tolist() == want_removed
 
 
 # ---------------------------------------------------------------------------
