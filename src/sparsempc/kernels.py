@@ -73,16 +73,20 @@ def alive_degrees(indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def _peel(indptr, indices, alive, d, max_layers, deg, last_rows=False):
+def _peel(indptr, indices, alive, d, max_layers, deg, last_rows=False, first=None, layer=None):
     # Only neighbors of the layer just peeled lose degree, so the next layer
     # is drawn from them.  A small layer (rows under n/4 entries, as in deep
     # towers and in most partition repetitions) sorts its live neighbors
     # and costs the size of its rows, not n; a large one (the first layers of
     # a fresh peel) is cheaper as one pass over all n nodes, which is skipped
-    # once the layer budget is spent.
+    # once the layer budget is spent.  Either way `frontier` ends up holding
+    # every unlayered alive node of degree <= d, the next layer, except
+    # after a skipped pass; a caller that peels on can start from it.
     n = alive.size
-    layer = np.zeros(n, np.int64)
-    frontier = np.flatnonzero(alive & (deg <= d))
+    if layer is None:
+        layer = np.zeros(n, np.int64)
+    frontier = np.flatnonzero(alive & (deg <= d)) if first is None else first
+    known = True
     src = nb = np.empty(0, np.int64)
     peeled = []
     t = 0
@@ -93,7 +97,8 @@ def _peel(indptr, indices, alive, d, max_layers, deg, last_rows=False):
         src, nb = gather_segments(indptr, indices, frontier)
         if 4 * nb.size > n:
             deg -= np.bincount(nb, minlength=n)
-            if t < max_layers:
+            known = t < max_layers
+            if known:
                 frontier = np.flatnonzero(alive & (layer == 0) & (deg <= d))
         else:
             # with counts, np.unique sorts (without, numpy 2.4 hashes, slower)
@@ -102,11 +107,14 @@ def _peel(indptr, indices, alive, d, max_layers, deg, last_rows=False):
             frontier = hit[deg[hit] <= d]
     if last_rows:
         peeled = np.concatenate(peeled) if peeled else frontier[:0]
-        return layer, t, peeled, src, nb
+        return layer, t, peeled, src, nb, frontier if known else None
     return layer, t
 
 
-def peel_layers(indptr, indices, alive, d: int, max_layers: int, deg=None, *, last_rows=False):
+def peel_layers(
+    indptr, indices, alive, d: int, max_layers: int, deg=None, *,
+    last_rows=False, first=None, layer=None,
+):
     """Batch-peel the alive-induced subgraph with threshold ``d``.
 
     Layer ``t`` (1-based) holds the nodes whose remaining degree is <= d once
@@ -124,18 +132,32 @@ def peel_layers(indptr, indices, alive, d: int, max_layers: int, deg=None, *, la
     with those nodes as ``alive``.  Entries of other nodes are unspecified.
 
     With ``last_rows`` the result is ``(layer, t, peeled, sources,
-    neighbors)``: the layered nodes, layer by layer and ascending within a
-    layer, so that a caller need not scan ``layer`` for them, and the CSR
-    rows of the last layer peeled, as :func:`gather_segments` gives them
-    (empty when no layer was), so that a caller peeling one layer at a time
-    can send along them without gathering them again.
+    neighbors, next_first)``: the layered nodes, layer by layer and
+    ascending within a layer, so that a caller need not scan ``layer`` for
+    them; the CSR rows of the last layer peeled, as :func:`gather_segments`
+    gives them (empty when no layer was), so that a caller peeling one layer
+    at a time can send along them without gathering them again; and the
+    first layer of the next call on the unassigned nodes with the carried
+    ``deg``, ascending, or None when the peel stopped before computing it
+    (its last layer was a large one).
+
+    Such a next call takes it as ``first`` instead of scanning all n nodes
+    for its first layer, and may pass the same ``layer`` array again instead
+    of a fresh zeroed one: it must be int64, shaped like ``alive`` and 0 on
+    every alive node, and is written in place.  A reused buffer holds stale
+    entries for dead nodes (the layers of earlier calls), so only the
+    entries of the nodes this call layered are its layers.
     """
     alive = np.asarray(alive, dtype=np.bool_)
     if deg is None:
         deg = alive_degrees(indptr, indices, alive)
     elif not isinstance(deg, np.ndarray) or deg.dtype != np.int64 or deg.shape != alive.shape:
         raise ValueError("deg must be an int64 array shaped like alive")
-    return _peel(indptr, indices, alive, int(d), int(max_layers), deg, last_rows)
+    if layer is not None and (
+        not isinstance(layer, np.ndarray) or layer.dtype != np.int64 or layer.shape != alive.shape
+    ):
+        raise ValueError("layer must be an int64 array shaped like alive")
+    return _peel(indptr, indices, alive, int(d), int(max_layers), deg, last_rows, first, layer)
 
 
 # ---------------------------------------------------------------------------

@@ -123,25 +123,39 @@ class _BallCache:
     by their predicted traffic (each node knows its outgoing volume locally
     and learns the incoming one from a sizes-first handshake)."""
 
-    def __init__(self, g: Graph, alive: np.ndarray, radius: int):
+    def __init__(self, g: Graph, alive: np.ndarray, radius: int, deg: np.ndarray):
+        # deg: the alive degrees, as the partition carries them, so no O(m)
+        # pass recounts them (entries of dead nodes are never read)
         self.ids = ids = np.flatnonzero(alive)
-        deg = alive_degrees(g.indptr, g.indices, alive)
         row_words = 1 + deg  # node id + adjacency entries
-        self.row_words = row_words
+        vdeg = deg[ids]
         half = radius // 2
-        ones = np.ones(g.n, np.int64)
-        cnt_half, _ = ball_stats(g.indptr, g.indices, alive, ids, half, ones)
-        vdeg_half = np.zeros(g.n, np.int64)
-        vdeg_half[ids] = cnt_half - 1
-        _, recv_half = ball_stats(g.indptr, g.indices, alive, ids, half, vdeg_half)
-        self.clique_send = vdeg_half[ids] ** 2
-        self.clique_recv = recv_half - vdeg_half[ids]
+        if half == 1:
+            # a radius-1 ball is the node and its alive row: the virtual
+            # degree is the alive degree, and the words received are the
+            # alive neighbors' degrees
+            _, nb = gather_segments(g.indptr, g.indices, ids)
+            cs = np.concatenate((np.zeros(1, np.int64), np.cumsum(np.where(alive[nb], deg[nb], 0))))
+            lengths = g.indptr[ids + 1] - g.indptr[ids]
+            ends = np.cumsum(lengths)
+            self.clique_send = vdeg ** 2
+            self.clique_recv = cs[ends] - cs[ends - lengths]
+        else:
+            ones = np.ones(g.n, np.int64)
+            cnt_half, _ = ball_stats(g.indptr, g.indices, alive, ids, half, ones)
+            vdeg_half = np.zeros(g.n, np.int64)
+            vdeg_half[ids] = cnt_half - 1
+            _, recv_half = ball_stats(g.indptr, g.indices, alive, ids, half, vdeg_half)
+            self.clique_send = vdeg_half[ids] ** 2
+            self.clique_recv = recv_half - vdeg_half[ids]
         cnt, wsum = ball_stats(g.indptr, g.indices, alive, ids, radius, row_words)
-        self.count = np.zeros(g.n, np.int64)
-        self.gather = np.zeros(g.n, np.int64)
-        self.count[ids] = cnt
-        self.gather[ids] = wsum - row_words[ids]  # pulls exclude own row
-        self.added = (cnt - 1) - deg[ids]
+        # per alive node, aligned with ids: the words it sends in a gather
+        # round (its row to every other ball member) and pulls (the other
+        # members' rows)
+        self.send = row_words[ids] * (cnt - 1)
+        self.pull = wsum - row_words[ids]
+        self.added = (cnt - 1) - vdeg
+        self._live = (ids, self.send, self.pull)  # as the last gather round left them
 
     def traffic_weights(self, stored: np.ndarray) -> np.ndarray:
         """Per-node packing weight: the worst single-round volume this node
@@ -150,10 +164,21 @@ class _BallCache:
         w = stored.astype(np.int64, copy=True)
         ids = self.ids
         peak = np.maximum(self.clique_send, self.clique_recv)
-        peak = np.maximum(peak, self.row_words[ids] * (self.count[ids] - 1))
-        peak = np.maximum(peak, self.gather[ids])
+        peak = np.maximum(peak, self.send)
+        peak = np.maximum(peak, self.pull)
         w[ids] = np.maximum(w[ids], peak)
         return w
+
+    def gather_volumes(self, alive: np.ndarray):
+        """``(nodes, send, pull)`` of a gather round: the ``alive`` nodes,
+        ascending, with their gather volumes.  Repetitions only remove
+        nodes, so each call filters what the last one kept instead of
+        scanning all n."""
+        nodes, send, pull = self._live
+        keep = alive[nodes]
+        if not keep.all():
+            self._live = nodes, send, pull = nodes[keep], send[keep], pull[keep]
+        return nodes, send, pull
 
 
 def connect_cliques(
@@ -198,22 +223,27 @@ def gather_and_peel(
     alive: np.ndarray,
     cache: _BallCache | None = None,
     deg: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, np.ndarray]:
+    first: np.ndarray | None = None,
+    layer: np.ndarray | None = None,
+) -> tuple[np.ndarray, int, np.ndarray, np.ndarray | None]:
     """One repetition: each alive node learns its layer-if-at-most-``radius``
     (else "deeper") from its radius-ball and drops out if layered.
 
-    Returns ``(rel, t, removed)``: the ids ``removed`` that this repetition
-    layered, layer by layer (as the peel found them, so no n-wide scan looks
-    for them), their layers ``rel`` (1..t, relative to the repetition) and
-    the number ``t`` of layers it produced.
+    Returns ``(rel, t, removed, next_first)``: the ids ``removed`` that this
+    repetition layered, layer by layer (as the peel found them, so no n-wide
+    scan looks for them), their layers ``rel`` (1..t, relative to the
+    repetition), the number ``t`` of layers it produced, and the first
+    layer of the next repetition, or None when the peel did not compute it.
 
     Radius 1 needs no gathering (degrees are local); it costs one removal
     round.  Radius >= 2 costs one gather round whose volumes come from the
     iteration ball ``cache`` that :func:`mpc_h_partition` builds; it may be
     None only while ``alive`` is empty.  Mutates ``alive``, and ``deg`` (the
-    alive degrees carried across repetitions, see :func:`peel_layers`) when
-    given.  Raises StallError exactly when the centralized peeling would: a
-    nonempty remainder where nobody has degree <= d.
+    alive degrees carried across repetitions) when given.  ``first`` is the
+    last repetition's ``next_first`` and ``layer`` a buffer reused across
+    repetitions (both as in :func:`peel_layers`).  Raises StallError exactly
+    when the centralized peeling would: a nonempty remainder where nobody
+    has degree <= d.
     """
     g = cluster.graph
     label = "partition-gather" if radius >= 2 else "partition-peel"
@@ -222,24 +252,18 @@ def gather_and_peel(
         # are metered as silent rounds without peeling or scanning the n nodes
         none = np.empty(0, np.int64)
         cluster.execute_round_volumes(none, none, none, none, label=label)
-        return none, 0, none
-    layer, t, removed, src, nb = peel_layers(
-        g.indptr, g.indices, alive, d, radius, deg=deg, last_rows=True
-    )
+        return none, 0, none, none
     if radius >= 2:
-        cur = np.flatnonzero(alive)
-        cluster.execute_round_volumes(
-            cur,
-            cache.row_words[cur] * (cache.count[cur] - 1),
-            cur,
-            cache.gather[cur],
-            label=label,
-        )
-        alive[removed] = False
+        cur, send, pull = cache.gather_volumes(alive)
+    layer, t, removed, src, nb, nxt = peel_layers(
+        g.indptr, g.indices, alive, d, radius, deg=deg, last_rows=True, first=first, layer=layer
+    )
+    alive[removed] = False
+    if radius >= 2:
+        cluster.execute_round_volumes(cur, send, cur, pull, label=label)
     else:
         # the one layer's rows, as the peel gathered them: removed nodes
         # strike the edges to their still-alive neighbors
-        alive[removed] = False
         live = alive[nb]
         cluster.execute_round_volumes(src[live], 1, nb[live], 1, label=label)
     if t < radius and alive.any():
@@ -247,7 +271,7 @@ def gather_and_peel(
         raise StallError(
             f"peeling stalled with {stuck} nodes of remaining degree > {d}"
         )
-    return layer[removed], t, removed
+    return layer[removed], t, removed, nxt
 
 
 def mpc_h_partition(
@@ -279,6 +303,10 @@ def mpc_h_partition(
     if deg is None:
         deg = alive_degrees(g.indptr, g.indices, work)
     layer = np.zeros(g.n, np.int64)
+    # the repetitions' own layer buffer, and the next repetition's first
+    # layer whenever the last one computed it (see peel_layers)
+    rep_layer = np.zeros(g.n, np.int64)
+    first = None
     offset = 0
     chunks: list[tuple[int, int]] = []
     sync = 2 * cluster.agg_depth()
@@ -292,8 +320,10 @@ def mpc_h_partition(
     }
 
     def run_rep(radius: int, cache: _BallCache | None) -> None:
-        nonlocal offset
-        rel, t, removed = gather_and_peel(cluster, radius, d, alive=work, cache=cache, deg=deg)
+        nonlocal offset, first
+        rel, t, removed, first = gather_and_peel(
+            cluster, radius, d, alive=work, cache=cache, deg=deg, first=first, layer=rep_layer
+        )
         if t:  # t == 0 only once `work` is empty: the repetition layers nothing
             layer[removed] = offset + rel
             offset += t
@@ -341,7 +371,7 @@ def mpc_h_partition(
                 # by stored words: clique and gather volumes grow with the
                 # squared virtual degree and would pile up on machines that
                 # happen to hold many nodes
-                cache = _BallCache(g, work, radius)
+                cache = _BallCache(g, work, radius, deg)
                 rebalance(
                     cluster,
                     work,
@@ -410,12 +440,14 @@ def mpc_select(
     cross-chunk dependency before it is needed.
 
     The phase nodes and the selection are each sorted by layer once, so a
-    chunk's members and its winners are two slices found by binary search.
-    Both sorts are stable on an unsigned key just wide enough for ``hp.ell``,
-    which numpy sorts by radix.  A chunk's matched edges share no endpoint,
-    so their endpoints need no dedupe; the neighbors that an independent
-    set's winners fell can repeat and are deduped by a sort.  The winners'
-    rows are gathered once, for their notify round and the felled set.
+    chunk's members and its winners are two slices, found by one binary
+    search over all chunk ends.  Both sorts are stable on an unsigned key
+    just wide enough for ``hp.ell``, which numpy sorts by radix.  All
+    winners' rows are gathered once, in that order, so a chunk's rows are a
+    slice too, serving its notify round and the felled set.  A chunk's
+    matched edges share no endpoint, so their endpoints need no dedupe; the
+    neighbors that an independent set's winners fell can repeat and are
+    deduped by a sort.
     """
     g = cluster.graph
     removed = np.zeros(g.n, np.bool_)
@@ -427,26 +459,38 @@ def mpc_select(
         order = np.argsort(layer.astype(key), kind="stable")
         return nodes[order], layer[order]
 
-    # ascending ids within a layer keep the per-chunk gathers sequential
+    # ascending ids within a layer keep the gathers sequential
     phase_nodes = np.flatnonzero(pending)
     members_by_layer, member_layer = by_layer(phase_nodes, hp.layer[phase_nodes])
     if sol.kind == "matching":
         sel_by_layer, sel_layer = by_layer(sol.selected, hp.layer[sol.selected[:, 1]])
     else:
         sel_by_layer, sel_layer = by_layer(sol.selected, hp.layer[sol.selected])
+    # a chunk's members and winners are slices of these; only a chunk's own
+    # step changes its members' words, so they are read once up front
+    words_by_layer = cluster.base_words[members_by_layer] + cluster.extra_words[members_by_layer]
+    gone_by_layer = removed[members_by_layer]
+    winners_by_layer = sel_by_layer.ravel()
+    per_winner = 2 if sol.kind == "matching" else 1  # a matched edge has two
+    src_all, nb_all = gather_segments(g.indptr, g.indices, winners_by_layer)
+    row_off = np.concatenate(
+        (np.zeros(1, np.int64), np.cumsum(g.indptr[winners_by_layer + 1] - g.indptr[winners_by_layer]))
+    )
+    tops = np.array([hi + 1 for hi, _ in chunks], np.int64)
+    member_end = [0, *np.searchsorted(member_layer, tops).tolist()]
+    sel_end = [0, *(np.searchsorted(sel_layer, tops) * per_winner).tolist()]
 
     for i in reversed(range(len(chunks))):
         hi, radius = chunks[i]
         lo = chunks[i - 1][0] + 1 if i else 1
         if hi - lo + 1 > radius:
             raise AssertionError("chunk wider than its hop radius")
-        start, stop = np.searchsorted(member_layer, (lo, hi + 1))
+        start, stop = member_end[i], member_end[i + 1]
         members = members_by_layer[start:stop]
-        words = cluster.base_words[members] + cluster.extra_words[members]
+        words = words_by_layer[start:stop]
         cluster.execute_round_volumes(members, words, members, words, label="select")
-        start, stop = np.searchsorted(sel_layer, (lo, hi + 1))
-        winners = sel_by_layer[start:stop].ravel()
-        src, nb = gather_segments(g.indptr, g.indices, winners)
+        r0, r1 = row_off[sel_end[i]], row_off[sel_end[i + 1]]
+        src, nb = src_all[r0:r1], nb_all[r0:r1]
         live = pending[nb]
         cluster.execute_round_volumes(src[live], 1, nb[live], 1, label="select")
         if sol.kind == "mis":
@@ -454,8 +498,9 @@ def mpc_select(
             # neighborhoods, which may live in chunks not yet visited
             felled = sorted_unique(nb[live & removed[nb]])
             _notify_round(cluster, g, felled, pending, "select")
-        cluster.drop_nodes(members[removed[members]])
-        keep = members[~removed[members]]
+        gone = gone_by_layer[start:stop]
+        cluster.drop_nodes(members[gone])
+        keep = members[~gone]
         # only clique steps add extra words, so most chunks carry none
         keep = keep[cluster.extra_words[keep] != 0]
         if keep.size:

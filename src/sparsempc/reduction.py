@@ -183,17 +183,25 @@ def mark_and_propose_mis(g: Graph, hp: HPartition, p: float, seed: int) -> Propo
 
 
 def _check_matching_proposals(g: Graph, hp: HPartition, props: ProposalSet) -> None:
+    """Raise InvariantError unless every node marks at most one outgoing and
+    proposes at most one incoming edge, marks point child -> parent, and
+    every proposal is a marked edge.  Distinctness is checked by a sort,
+    membership by a binary search in the sorted keys of the marked edges."""
     if props.kind != "matching":
         raise InvariantError(f"expected matching proposals, got {props.kind}")
     mk, pr = props.marked, props.proposed
-    if mk.shape[0] != np.unique(mk[:, 0]).size:
+    if mk.shape[0] != sorted_unique(mk[:, 0]).size:
         raise InvariantError("a node marked more than one outgoing edge")
-    if pr.shape[0] != np.unique(pr[:, 1]).size:
+    if pr.shape[0] != sorted_unique(pr[:, 1]).size:
         raise InvariantError("a node proposed more than one incoming edge")
     if (hp.layer[mk[:, 0]] >= hp.layer[mk[:, 1]]).any():
         raise InvariantError("marked edge not oriented child -> parent")
-    mk_keys = set((mk[:, 0] * g.n + mk[:, 1]).tolist())
-    if not set((pr[:, 0] * g.n + pr[:, 1]).tolist()) <= mk_keys:
+    mk_keys = np.sort(_edge_keys(mk, g.n))
+    pr_keys = _edge_keys(pr, g.n)
+    pos = np.searchsorted(mk_keys, pr_keys)
+    found = pos < mk_keys.size
+    found[found] = mk_keys[pos[found]] == pr_keys[found]
+    if not found.all():
         raise InvariantError("proposed edge was never marked")
 
 
@@ -204,23 +212,37 @@ def select_matching(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolu
     All commits of one layer are simultaneous: within a layer, receiving
     endpoints are distinct (one proposal per node) and senders are distinct
     (one mark per node) and sender != receiver (senders sit strictly lower).
+
+    The proposals are sorted once by receiving layer, highest first (stably,
+    on an unsigned key just wide enough for the layer spread, which numpy
+    sorts by radix), and the sweep walks the runs of equal layer, so it
+    costs the proposals plus one step per receiving layer, not ell passes
+    over every proposal.
     """
     _check_matching_proposals(g, hp, props)
     pr = props.proposed
+    if not pr.shape[0]:
+        return PartialSolution.empty("matching")
+    recv_layer = hp.layer[pr[:, 1]]
+    depth = int(recv_layer.max()) - recv_layer  # 0 for the highest receiving layer
+    order = np.argsort(depth.astype(np.min_scalar_type(int(depth.max()))), kind="stable")
+    child, parent, depth = pr[:, 0][order], pr[:, 1][order], depth[order]
+    bounds = [0, *(np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist(), depth.size]
     alive = np.ones(g.n, dtype=np.bool_)
-    chosen = []
-    if pr.shape[0]:
-        recv_layer = hp.layer[pr[:, 1]]
-        for lv in np.unique(recv_layer)[::-1]:
-            cand = pr[recv_layer == lv]
-            ok = alive[cand[:, 0]] & alive[cand[:, 1]]
-            cand = cand[ok]
-            alive[cand[:, 0]] = False
-            alive[cand[:, 1]] = False
-            chosen.append(cand)
-    selected = np.concatenate(chosen) if chosen else np.empty((0, 2), np.int64)
-    selected = selected[np.lexsort((selected[:, 1], selected[:, 0]))]
-    return PartialSolution(kind="matching", selected=selected, removed=np.unique(selected))
+    commit = np.empty(depth.size, np.bool_)
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        c, p = child[s:e], parent[s:e]
+        ok = alive[c] & alive[p]
+        commit[s:e] = ok
+        alive[c[ok]] = False
+        alive[p[ok]] = False
+    # senders are distinct, so listing the matched children in id order
+    # sorts the edges by (child, parent)
+    mate = np.full(g.n, -1, np.int64)
+    mate[child[commit]] = parent[commit]
+    kids = np.flatnonzero(mate >= 0)
+    selected = np.stack([kids, mate[kids]], axis=1)
+    return PartialSolution(kind="matching", selected=selected, removed=np.flatnonzero(~alive))
 
 
 def _check_mis_proposals(g: Graph, hp: HPartition, props: ProposalSet) -> None:

@@ -253,7 +253,12 @@ class Cluster:
         and may be shorter than machines_used; a missing tail means zero."""
         S = self.cfg.S
         loads = self.loads
-        peak_m, ms, mr = int(loads.argmax()), int(sent.argmax()), int(received.argmax())
+        peak_m, ms = int(loads.argmax()), int(sent.argmax())
+        total_sent = int(sent.sum())
+        if received is sent:  # an exchange: every machine receives what it sends
+            mr, total_received = ms, total_sent
+        else:
+            mr, total_received = int(received.argmax()), int(received.sum())
         trace = RoundTrace(
             round=self.round_idx,
             label=label,
@@ -263,8 +268,8 @@ class Cluster:
             max_sent_machine=ms,
             max_received=int(received[mr]),
             max_received_machine=mr,
-            total_sent=int(sent.sum()),
-            total_received=int(received.sum()),
+            total_sent=total_sent,
+            total_received=total_received,
         )
         self.traces.append(trace)
         if self._trace_rows is not None:
@@ -349,11 +354,20 @@ class Cluster:
     def _machine_sums(self, nodes: np.ndarray, words) -> np.ndarray:
         """Per-machine totals of ``words`` (one per entry of ``nodes``, or one
         number for all of them)."""
+        if not len(nodes):  # a silent side of a round: nothing to sum
+            return np.zeros(1, np.int64)
         mach = self.node_machine[np.asarray(nodes, np.int64)]
-        if np.ndim(words) == 0:
-            return np.bincount(mach, minlength=1) * np.int64(words)
-        w = np.broadcast_to(np.asarray(words, np.int64), mach.shape)
-        return np.bincount(mach, weights=w, minlength=1).astype(np.int64)
+        words = np.asarray(words)
+        if not words.ndim:
+            counts = np.bincount(mach, minlength=1)
+            return counts if words == 1 else counts * np.int64(words)
+        if words.dtype != np.int64 or words.shape != mach.shape:
+            words = np.broadcast_to(words.astype(np.int64, copy=False), mach.shape)
+        # summed in int64: a weighted bincount adds in float64 and converts
+        # back, which takes about twice as long on a round of a few nodes
+        sums = np.zeros(int(mach.max()) + 1, np.int64)
+        np.add.at(sums, mach, words)
+        return sums
 
     def control_rounds(self, count: int, label: str = "control") -> None:
         """Meter coordinator plumbing (aggregation/broadcast trees): ``count``
@@ -424,7 +438,7 @@ def rebalance(
     nodes = np.flatnonzero(hold)
     stored = words[nodes]  # dropping the dead left these rows as they were
     pack_w = stored if weights is None else np.asarray(weights, np.int64)[nodes]
-    old_mach = cluster.node_machine[nodes].copy()
+    old_mach = cluster.node_machine[nodes]
     mach = cluster._place(nodes, pack_w, phase=cluster.round_idx + 1)
     moved = mach != old_mach
     moved_w = stored[moved]

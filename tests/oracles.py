@@ -46,6 +46,13 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     return build_graph(n, np.array(sorted(pairs), np.int64).reshape(-1, 2))
 
 
+def disjoint_paths(k: int, length: int) -> Graph:
+    """``k`` paths of ``length`` nodes each; path ``i`` holds the nodes
+    ``i * length .. (i + 1) * length - 1`` in order."""
+    return build_graph(k * length, [(i * length + j, i * length + j + 1)
+                                    for i in range(k) for j in range(length - 1)])
+
+
 def from_mask(n: int, mask: int) -> Graph:
     """Graph from an edge bitmask over the C(n,2) pairs in lexicographic order."""
     pairs = list(itertools.combinations(range(n), 2))
@@ -239,6 +246,52 @@ def next_fit_bins(weights, cap: int) -> list:
         out.append(b)
         fill += w
     return out
+
+
+# ---------------------------------------------------------------------------
+# matching selection: one pass over every proposal per layer
+# ---------------------------------------------------------------------------
+
+
+def check_matching_proposals_by_sets(g: Graph, hp, props) -> None:
+    """The matching proposal invariants, checked with hash-based ``np.unique``
+    and Python sets; raises ``InvariantError`` with the package's messages."""
+    from sparsempc.reduction import InvariantError
+
+    if props.kind != "matching":
+        raise InvariantError(f"expected matching proposals, got {props.kind}")
+    mk, pr = props.marked, props.proposed
+    if mk.shape[0] != np.unique(mk[:, 0]).size:
+        raise InvariantError("a node marked more than one outgoing edge")
+    if pr.shape[0] != np.unique(pr[:, 1]).size:
+        raise InvariantError("a node proposed more than one incoming edge")
+    if (hp.layer[mk[:, 0]] >= hp.layer[mk[:, 1]]).any():
+        raise InvariantError("marked edge not oriented child -> parent")
+    mk_keys = set((mk[:, 0] * g.n + mk[:, 1]).tolist())
+    if not set((pr[:, 0] * g.n + pr[:, 1]).tolist()) <= mk_keys:
+        raise InvariantError("proposed edge was never marked")
+
+
+def select_matching_per_layer(g: Graph, hp, props):
+    """The highest-layer-first matching sweep, filtering every proposal once
+    per receiving layer: O(ell * proposals).  Returns ``(selected,
+    removed)``, the edges sorted by (child, parent) and the ids sorted."""
+    check_matching_proposals_by_sets(g, hp, props)
+    pr = props.proposed
+    alive = np.ones(g.n, dtype=np.bool_)
+    chosen = []
+    if pr.shape[0]:
+        recv_layer = hp.layer[pr[:, 1]]
+        for lv in np.unique(recv_layer)[::-1]:
+            cand = pr[recv_layer == lv]
+            ok = alive[cand[:, 0]] & alive[cand[:, 1]]
+            cand = cand[ok]
+            alive[cand[:, 0]] = False
+            alive[cand[:, 1]] = False
+            chosen.append(cand)
+    selected = np.concatenate(chosen) if chosen else np.empty((0, 2), np.int64)
+    selected = selected[np.lexsort((selected[:, 1], selected[:, 0]))]
+    return selected, np.unique(selected)
 
 
 # ---------------------------------------------------------------------------

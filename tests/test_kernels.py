@@ -10,8 +10,8 @@ from sparsempc.generators import generate
 from sparsempc.graph import build_graph
 
 from oracles import (
-    ball_members, bucket_degeneracy, from_mask, hand_peel, next_fit_bins, path as path_graph,
-    random_graph,
+    ball_members, bucket_degeneracy, disjoint_paths, from_mask, hand_peel, next_fit_bins,
+    path as path_graph, random_graph,
 )
 
 
@@ -381,7 +381,7 @@ def test_peel_last_rows_are_the_last_layers_rows(n, seed, d, max_layers):
     r = np.random.default_rng(seed)
     g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
     alive = r.random(n) < 0.8
-    layer, t, peeled, src, nb = kernels.peel_layers(
+    layer, t, peeled, src, nb, next_first = kernels.peel_layers(
         g.indptr, g.indices, alive, d, max_layers, last_rows=True)
     want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, alive, d, max_layers)
     assert np.array_equal(layer, want_layer) and t == want_t
@@ -391,6 +391,51 @@ def test_peel_last_rows_are_the_last_layers_rows(n, seed, d, max_layers):
     last = np.flatnonzero(layer == t) if t else np.empty(0, np.int64)
     want_src, want_nb = kernels.gather_segments(g.indptr, g.indices, last)
     assert np.array_equal(src, want_src) and np.array_equal(nb, want_nb)
+    # the next call's first layer, unless the peel stopped on a large layer
+    rest = alive & (layer == 0)
+    fresh = kernels.alive_degrees(g.indptr, g.indices, rest)
+    if next_first is None:
+        assert t == max_layers and 4 * nb.size > n
+    else:
+        assert np.array_equal(next_first, np.flatnonzero(rest & (fresh <= d)))
+
+
+@given(
+    st.sampled_from(["random", "paths"]),
+    st.integers(1, 40),
+    st.integers(0, 2 ** 31 - 1),
+    st.integers(1, 3),
+    st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=8),
+)
+@settings(max_examples=80, deadline=None)
+@example(shape="paths", n=20, seed=3, d=1, radii=[1, 1, 1, 1, 1, 1])
+def test_peel_carried_first_layer_matches_fresh_calls(shape, n, seed, d, radii):
+    # A chain of peels that hands each call the last one's next first layer
+    # and one reused layer buffer must layer the same nodes, with the same
+    # layers and layer count, as fresh calls on the same remainder.  Long
+    # paths peel in many small layers, so their chains carry first layers
+    # of several nodes.
+    r = np.random.default_rng(seed)
+    if shape == "paths":
+        g = disjoint_paths(1 + seed % 4, 16 + n)
+        n = g.n
+    else:
+        g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    work = r.random(n) < 0.8
+    deg = kernels.alive_degrees(g.indptr, g.indices, work)
+    buf = np.zeros(n, np.int64)
+    first = None
+    for radius in radii:
+        want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, work, d, radius)
+        layer, t, peeled, _, _, first = kernels.peel_layers(
+            g.indptr, g.indices, work, d, radius, deg=deg,
+            last_rows=True, first=first, layer=buf)
+        assert layer is buf
+        assert t == want_t
+        want_ids = np.flatnonzero(want_layer)
+        assert np.array_equal(np.sort(peeled), want_ids)
+        assert np.array_equal(layer[peeled], want_layer[peeled])
+        work[peeled] = False
 
 
 def test_peel_layers_rejects_malformed_deg():
@@ -399,6 +444,14 @@ def test_peel_layers_rejects_malformed_deg():
     for deg in (np.ones(4, np.int32), np.ones(3, np.int64), [1, 2, 2, 1]):
         with pytest.raises(ValueError, match="deg"):
             kernels.peel_layers(g.indptr, g.indices, alive, 1, 4, deg=deg)
+
+
+def test_peel_layers_rejects_malformed_layer_buffer():
+    g = path_graph(4)
+    alive = np.ones(4, bool)
+    for buf in (np.zeros(4, np.int32), np.zeros(3, np.int64), [0, 0, 0, 0]):
+        with pytest.raises(ValueError, match="layer"):
+            kernels.peel_layers(g.indptr, g.indices, alive, 1, 4, layer=buf)
 
 
 def test_layered_core_exercises_deep_peel():

@@ -9,11 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import realize, valid_d
-from oracles import ball_members, complete, cycle, hand_peel, path, random_graph, star
+from oracles import (
+    ball_members, complete, cycle, disjoint_paths, hand_peel, path, random_graph, star,
+)
 from sparsempc import mpc as mpc_mod
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView, build_graph
-from sparsempc.kernels import alive_degrees
+from sparsempc.kernels import alive_degrees, ball_stats
 from sparsempc.mpc import (
     REPS_FIRST,
     REPS_LATER,
@@ -136,12 +138,12 @@ def test_star_center_resolves_on_second_repetition():
     g = star(5)
     cl = _cluster(g, 0.9)
     alive = np.ones(g.n, bool)
-    rel, t, removed = gather_and_peel(cl, 1, 2, alive=alive)
+    rel, t, removed, _ = gather_and_peel(cl, 1, 2, alive=alive)
     assert t == 1
     # the center is still "deeper"
     assert removed.tolist() == [1, 2, 3, 4, 5] and rel.tolist() == [1] * 5
     assert alive[0] and not alive[1:].any()
-    rel2, t2, removed2 = gather_and_peel(cl, 1, 2, alive=alive)
+    rel2, t2, removed2, _ = gather_and_peel(cl, 1, 2, alive=alive)
     # resolved once the leaves are gone
     assert removed2.tolist() == [0] and rel2.tolist() == [1] and t2 == 1
     assert not alive.any()
@@ -152,7 +154,7 @@ def test_low_degree_nodes_always_layer_one():
     d = valid_d(g)
     cl = _cluster(g, 0.8)
     alive = np.ones(g.n, bool)
-    rel, _, removed = gather_and_peel(cl, 1, d, alive=alive)
+    rel, _, removed, _ = gather_and_peel(cl, 1, d, alive=alive)
     assert np.array_equal(removed, np.flatnonzero(g.degrees <= d))
     assert np.all(rel == 1)
 
@@ -161,8 +163,8 @@ def test_low_degree_nodes_always_layer_one():
 def test_empty_repetition_meters_a_silent_round_without_peeling(monkeypatch, radius, label):
     # After the subgraph empties, the fixed repetition budget keeps running:
     # each repetition is one zero-volume round under the usual label, no
-    # peel runs (so no O(n) pass is paid for it) and no n-length array is
-    # returned.
+    # peel runs (so no O(n) pass is paid for it), no per-machine sum is
+    # formed and no n-length array is returned.
     g = path(6)
     cl = _cluster(g, 0.9)
     alive = np.zeros(g.n, bool)
@@ -170,9 +172,15 @@ def test_empty_repetition_meters_a_silent_round_without_peeling(monkeypatch, rad
     def no_peel(*args, **kwargs):
         raise AssertionError("peel_layers called on an empty subgraph")
 
+    def no_bincount(*args, **kwargs):
+        raise AssertionError("a silent round summed traffic per machine")
+
     monkeypatch.setattr(mpc_mod, "peel_layers", no_peel)
-    rel, t, removed = gather_and_peel(cl, radius, 2, alive=alive, deg=np.zeros(g.n, np.int64))
-    assert t == 0 and rel.size == 0 and removed.size == 0
+    monkeypatch.setattr(np, "bincount", no_bincount)
+    rel, t, removed, first = gather_and_peel(
+        cl, radius, 2, alive=alive, deg=np.zeros(g.n, np.int64))
+    monkeypatch.undo()
+    assert t == 0 and rel.size == 0 and removed.size == 0 and first.size == 0
     (trace,) = cl.traces
     assert trace.label == label
     assert trace.total_sent == 0 and trace.total_received == 0
@@ -186,7 +194,8 @@ def test_gather_and_peel_stall_matches_centralized():
 
 
 def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
-    # Radius-1 repetitions with carried degrees: each removal round must
+    # Radius-1 repetitions with carried degrees, first layers and layer
+    # buffer, as the partition runs them: each removal round must
     # charge one word per edge from a removed node to a still-alive one, on
     # the machines holding the two ends.  The per-machine volumes are read
     # back from the round's MPC_TRACE_DIR rows (a machine without a row
@@ -198,10 +207,13 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
     alive = np.ones(g.n, bool)
     alive[::5] = False
     deg = alive_degrees(g.indptr, g.indices, alive)
+    buf = np.zeros(g.n, np.int64)
+    first = None
     want = {}
     while alive.any():
         before = alive.copy()
-        _, _, removed = gather_and_peel(cl, 1, d, alive=alive, deg=deg)
+        _, _, removed, first = gather_and_peel(
+            cl, 1, d, alive=alive, deg=deg, first=first, layer=buf)
         assert np.array_equal(alive, before & ~np.isin(np.arange(g.n), removed))
         sent = np.zeros(cl.machines_used, np.int64)
         received = np.zeros(cl.machines_used, np.int64)
@@ -250,9 +262,10 @@ def test_gather_and_peel_returns_the_layered_ids(n, seed, d, radius):
     alive = r.random(n) < 0.8
     want = hand_peel(g, d, alive, max_layers=radius)
     work = alive.copy()
-    cache = mpc_mod._BallCache(g, work, radius) if radius >= 2 else None
+    deg = alive_degrees(g.indptr, g.indices, work)
+    cache = mpc_mod._BallCache(g, work, radius, deg) if radius >= 2 else None
     try:
-        rel, t, removed = gather_and_peel(_roomy_cluster(g), radius, d, alive=work, cache=cache)
+        rel, t, removed, _ = gather_and_peel(_roomy_cluster(g), radius, d, alive=work, cache=cache)
     except StallError:
         assert (alive & (want == 0)).any() and want.max(initial=0) < radius
         return
@@ -262,11 +275,97 @@ def test_gather_and_peel_returns_the_layered_ids(n, seed, d, radius):
     assert np.array_equal(work, alive & (want == 0))
 
 
+@given(
+    st.sampled_from(["random", "paths"]),
+    st.integers(1, 50),
+    st.integers(0, 2 ** 31 - 1),
+    st.integers(1, 3),
+    st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=8),
+)
+@settings(max_examples=40, deadline=None)
+def test_gather_and_peel_chain_carrying_first_layers_matches_fresh_calls(shape, n, seed, d, radii):
+    # Repetitions that hand on their next first layer, their degrees and
+    # one layer buffer must layer what repetitions that rescan give, and
+    # meter the same rounds.  Radius-2+ repetitions share an iteration's
+    # ball cache, as in the partition.
+    r = np.random.default_rng(seed)
+    if shape == "paths":
+        g = disjoint_paths(1 + seed % 4, 16 + n)
+        n = g.n
+    else:
+        g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    alive = r.random(n) < 0.8
+    chains = []
+    for carry in (True, False):
+        cl = _roomy_cluster(g)
+        work = alive.copy()
+        deg = alive_degrees(g.indptr, g.indices, work)
+        buf = np.zeros(g.n, np.int64)
+        first, cache, out = None, {}, []
+        for radius in radii:
+            if radius >= 2 and radius not in cache:
+                cache[radius] = mpc_mod._BallCache(g, work, radius, deg)
+            try:
+                rel, t, removed, nxt = gather_and_peel(
+                    cl, radius, d, alive=work, cache=cache.get(radius), deg=deg,
+                    first=first if carry else None, layer=buf if carry else None)
+            except StallError:
+                out.append("stall")
+                break
+            first = nxt
+            out.append((rel.tolist(), t, removed.tolist()))
+        chains.append((out, [vars(tr) for tr in cl.traces]))
+    assert chains[0] == chains[1]
+
+
+@given(
+    st.integers(1, 50),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from([2, 4]),
+    st.floats(0.3, 1.0),
+)
+@settings(max_examples=40, deadline=None)
+def test_ball_cache_with_carried_degrees_matches_ball_scans(n, seed, radius, keep):
+    # The cache reads the partition's carried degrees (whose dead entries
+    # are stale) instead of recounting them, and sums a radius-1 half ball
+    # from the alive rows instead of scanning balls; every volume must equal
+    # what ball scans over recounted degrees give.
+    r = np.random.default_rng(seed)
+    g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
+    alive = r.random(n) < keep
+    deg = alive_degrees(g.indptr, g.indices, alive)
+    carried = deg.copy()
+    carried[~alive] = r.integers(-5, 50, int((~alive).sum()))
+    got = mpc_mod._BallCache(g, alive, radius, carried)
+    ids = np.flatnonzero(alive)
+    half = radius // 2
+    ones = np.ones(g.n, np.int64)
+    cnt_half, _ = ball_stats(g.indptr, g.indices, alive, ids, half, ones)
+    vdeg_half = np.zeros(g.n, np.int64)
+    vdeg_half[ids] = cnt_half - 1
+    _, recv_half = ball_stats(g.indptr, g.indices, alive, ids, half, vdeg_half)
+    row_words = 1 + deg
+    cnt, wsum = ball_stats(g.indptr, g.indices, alive, ids, radius, row_words)
+    assert np.array_equal(got.ids, ids)
+    assert np.array_equal(got.clique_send, vdeg_half[ids] ** 2)
+    assert np.array_equal(got.clique_recv, recv_half - vdeg_half[ids])
+    assert np.array_equal(got.send, row_words[ids] * (cnt - 1))
+    assert np.array_equal(got.pull, wsum - row_words[ids])
+    assert np.array_equal(got.added, (cnt - 1) - deg[ids])
+    # later gathers list the still-alive nodes only, without an n-wide scan
+    later = alive & (r.random(n) < 0.5)
+    nodes, send, pull = got.gather_volumes(later)
+    assert np.array_equal(nodes, np.flatnonzero(later))
+    sel = np.searchsorted(ids, nodes)
+    assert np.array_equal(send, got.send[sel]) and np.array_equal(pull, got.pull[sel])
+
+
 def test_connect_cliques_path9_ball_oracle():
     g = path(9)
     cl = init_cluster(g, ClusterConfig(n=9, m=8, delta=1.0, S=9, M=16), seed=0)
     alive = np.ones(9, bool)
-    stats = connect_cliques(cl, radius=2, delta_max=2, cache=mpc_mod._BallCache(g, alive, 2))
+    cache = mpc_mod._BallCache(g, alive, 2, alive_degrees(g.indptr, g.indices, alive))
+    stats = connect_cliques(cl, radius=2, delta_max=2, cache=cache)
     for v in range(9):
         ball = ball_members(g, alive, v, 2)
         want_added = len(ball) - 1 - int(g.degrees[v])

@@ -32,11 +32,13 @@ from sparsempc.reduction import (
 from sparsempc.runtime import ClusterConfig, init_cluster
 
 from oracles import (
+    check_matching_proposals_by_sets,
     cycle,
     finish_by_rounds,
     luby_mis_round_all_n,
     path,
     random_graph,
+    select_matching_per_layer,
     star,
 )
 
@@ -146,6 +148,145 @@ def test_select_matching_rejects_double_mark():
     )
     with pytest.raises(InvariantError, match="marked more than one"):
         select_matching(g, hp, props)
+
+
+def _matching_props(marked, proposed):
+    return ProposalSet(
+        kind="matching",
+        marked=np.array(marked, np.int64).reshape(-1, 2),
+        proposed=np.array(proposed, np.int64).reshape(-1, 2),
+    )
+
+
+def _assert_select_matches_oracle(g, hp, props):
+    sol = select_matching(g, hp, props)
+    want_selected, want_removed = select_matching_per_layer(g, hp, props)
+    assert np.array_equal(sol.selected, want_selected)
+    assert np.array_equal(sol.removed, want_removed)
+    return sol
+
+
+def _pinned_select_case(name):
+    if name == "no-proposals":
+        # marks, but no parent proposes
+        return path(3), _manual_hp([1, 2, 3], 1), _matching_props([[0, 1], [1, 2]], [])
+    if name == "one-receiver-layer":
+        # four children in layer 1 propose to four parents in layer 2
+        g = build_graph(8, [(0, 4), (0, 5), (1, 5), (2, 6), (3, 7), (4, 5)])
+        hp = _manual_hp([1, 1, 1, 1, 2, 2, 2, 2], 2)
+        edges = [[0, 4], [1, 5], [2, 6], [3, 7]]
+        return g, hp, _matching_props(edges, edges)
+    if name == "long-chain":
+        # a path climbing one layer per node; each node proposes its only
+        # incoming mark, so the sweep commits every other edge from the top
+        # (from the bottom it would take the other half)
+        edges = [[i, i + 1] for i in range(10)]
+        return path(11), _manual_hp(range(1, 12), 1), _matching_props(edges, edges)
+    if name == "gapped-layers":
+        # receivers in layers 4, 7 and 9; the top commit blocks layer 4
+        g = path(5)
+        hp = _manual_hp([1, 4, 9, 2, 7], 2)
+        edges = [[0, 1], [1, 2], [3, 4]]
+        return g, hp, _matching_props(edges, edges)
+    raise AssertionError(name)
+
+
+@pytest.mark.parametrize(
+    "name,selected",
+    [
+        ("no-proposals", []),
+        ("one-receiver-layer", [[0, 4], [1, 5], [2, 6], [3, 7]]),
+        ("long-chain", [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]),
+        ("gapped-layers", [[1, 2], [3, 4]]),
+    ],
+)
+def test_select_matching_pinned_sweeps(name, selected):
+    g, hp, props = _pinned_select_case(name)
+    sol = _assert_select_matches_oracle(g, hp, props)
+    assert sol.selected.tolist() == selected
+    assert sol.removed.tolist() == sorted(v for e in selected for v in e)
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(["h-partition", "random-layers"]),
+    st.integers(0, 2),
+    st.integers(0, 2 ** 31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_select_matching_matches_per_layer_oracle(n, graph_seed, layers, extra_d, seed):
+    # The one-sort sweep against the per-layer sweep, on the proposals of
+    # an H-partition, or of random (often non-consecutive) layers with
+    # marks and proposals drawn the same way.
+    r = np.random.default_rng(graph_seed)
+    g = random_graph(n, int(r.integers(0, 3 * n + 1)), graph_seed)
+    d = degeneracy(g).degeneracy + extra_d
+    if layers == "h-partition":
+        hp = h_partition(g, max(d, 1))
+    else:
+        hp = _manual_hp(r.choice([1, 2, 3, 5, 8, 13], size=n), d)
+    props = mark_and_propose_matching(g, hp, seed)
+    _assert_select_matches_oracle(g, hp, props)
+
+
+@pytest.mark.parametrize(
+    "case,message",
+    [
+        pytest.param(
+            (build_graph(3, [(0, 2), (1, 2)]), [1, 1, 2], [[0, 2], [1, 2]], [[0, 2], [1, 2]]),
+            "proposed more than one incoming edge",
+            id="node-2-accepts-two-proposals",
+        ),
+        pytest.param(
+            (path(2), [2, 1], [[0, 1]], [[0, 1]]),
+            "not oriented child -> parent",
+            id="mark-from-layer-2-down-to-layer-1",
+        ),
+        pytest.param(
+            (build_graph(3, [(0, 2), (1, 2)]), [1, 1, 2], [[0, 2]], [[1, 2]]),
+            "proposed edge was never marked",
+            id="proposal-1-2-differs-from-mark-0-2-in-its-child",
+        ),
+        pytest.param(
+            (path(2), [1, 2], [], [[0, 1]]),
+            "proposed edge was never marked",
+            id="proposal-without-any-mark",
+        ),
+    ],
+)
+def test_select_matching_rejects_broken_proposals(case, message):
+    # the fourth path, a node marking two edges, has its own test above
+    g, layers, marked, proposed = case
+    hp = _manual_hp(layers, 1)
+    props = _matching_props(marked, proposed)
+    with pytest.raises(InvariantError, match=message):
+        select_matching(g, hp, props)
+    with pytest.raises(InvariantError, match=message):
+        check_matching_proposals_by_sets(g, hp, props)
+
+
+def test_select_matching_rejects_independent_set_proposals():
+    props = ProposalSet(kind="mis", marked=np.array([0]), proposed=np.array([0]))
+    with pytest.raises(InvariantError, match="expected matching proposals, got mis"):
+        select_matching(path(2), _manual_hp([1, 2], 1), props)
+
+
+def test_select_matching_dedupes_by_sort_not_hash(monkeypatch):
+    # numpy 2.4's np.unique hashes, far slower than a sort on integers; the
+    # sweep and its checks must not call it
+    g = generate("layered-core", {"n": 600, "depth": 30, "d": 3}, seed=1)
+    hp = h_partition(g, 3)
+    props = mark_and_propose_matching(g, hp, 5)
+    assert props.proposed.shape[0] > 100
+    want = select_matching_per_layer(g, hp, props)
+
+    def no_unique(*args, **kwargs):
+        raise AssertionError("np.unique called during select_matching")
+
+    monkeypatch.setattr(np, "unique", no_unique)
+    sol = select_matching(g, hp, props)
+    assert np.array_equal(sol.selected, want[0]) and np.array_equal(sol.removed, want[1])
 
 
 # ---------------------------------------------------------------------------
