@@ -8,14 +8,21 @@ round-scaling measurements — ordinary sparse graphs peel in a handful of
 layers, far too few to exercise the multi-phase machinery.
 
 Every generator is deterministic given its seed and records its construction
-parameters plus the exact degeneracy in the metadata sidecar.
+parameters plus the exact degeneracy in the metadata sidecar.  Preferential
+attachment collects each node's targets in a Python ``set`` whose iteration
+order lays out the endpoint pool and so steers every later draw: the graph
+depends on CPython's ``set`` order for small ints (same interpreter, same
+graph).  Its uniforms come in one batch of ``c`` per node from the seed's
+stream, which yields the same doubles as one draw at a time; a repeated
+target's extra draws continue that stream past the batch.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .graph import Graph, build_graph
+from .graph import build_graph
+from .kernels import sorted_unique
 from .peeling import degeneracy
 
 FAMILIES = (
@@ -58,21 +65,30 @@ def _preferential_attachment(params, rng):
         raise ValueError("attachment parameter c must be >= 1")
     if n <= c:
         raise ValueError("preferential-attachment needs n > c")
-    edges = []
-    # endpoint pool; sampling from it is sampling proportional to degree
+    # endpoint pool; sampling from it is sampling proportional to degree.  After
+    # the c+1 seed entries it holds every edge once, as a pair (newer, older).
     pool = list(range(c + 1))
     for u in range(1, c + 1):  # seed clique-ish core: connect first c+1 completely
         for v in range(u):
-            edges.append((v, u))
-            pool.extend((u, v))
+            pool += (u, v)
+    # a node's first c draws come from one batch; each target drawn twice costs
+    # one more draw, which continues the batch (past its end, from the stream)
+    draws = rng.random(c * (n - c - 1)).tolist()
+    k = 0
     for u in range(c + 1, n):
+        size = len(pool)
         targets: set[int] = set()
+        for x in draws[k:k + c]:
+            targets.add(pool[int(x * size)])
+        k += c
         while len(targets) < c:
-            targets.add(pool[int(rng.random() * len(pool))])
+            x = draws[k] if k < len(draws) else rng.random()
+            k += 1
+            targets.add(pool[int(x * size)])
         for v in targets:
-            edges.append((v, u))
-            pool.extend((u, v))
-    return build_graph(n, np.array(edges, dtype=np.int64)), c
+            pool += (u, v)
+    edges = np.fromiter(pool[c + 1:], dtype=np.int64, count=len(pool) - c - 1)
+    return build_graph(n, edges.reshape(-1, 2)), c
 
 
 def _bounded_degree_random(params, rng):
@@ -88,7 +104,7 @@ def _bounded_degree_random(params, rng):
     lo = np.minimum(stubs[:half], stubs[half:2 * half])
     hi = np.maximum(stubs[:half], stubs[half:2 * half])
     keep = lo != hi
-    keys = np.unique(lo[keep] * np.int64(n) + hi[keep])
+    keys = sorted_unique(lo[keep] * np.int64(n) + hi[keep])
     edges = np.stack([keys // n, keys % n], axis=1)
     m_target = params.get("m")
     if m_target is not None:
@@ -178,16 +194,13 @@ def _mis_gadget(params, rng):
         raise ValueError("mis-gadget needs parents, cliques >= 1, clique_size >= 2")
     per = cliques * csize
     n = parents + parents * per
-    edges = []
-    for pid in range(parents):
-        base = parents + pid * per
-        kids = base + np.arange(per, dtype=np.int64)
-        edges.append(np.stack([np.full(per, pid, np.int64), kids], axis=1))
-        for q in range(cliques):
-            mem = base + q * csize + np.arange(csize, dtype=np.int64)
-            iu = np.triu_indices(csize, k=1)
-            edges.append(np.stack([mem[iu[0]], mem[iu[1]]], axis=1))
-    return build_graph(n, np.concatenate(edges)), csize
+    kids = np.arange(parents, n, dtype=np.int64)
+    star = np.stack([np.repeat(np.arange(parents, dtype=np.int64), per), kids], axis=1)
+    # first node of every clique, against each pair of member offsets
+    first = kids[::csize, None]
+    iu = np.triu_indices(csize, k=1)
+    mates = np.stack([(first + iu[0]).ravel(), (first + iu[1]).ravel()], axis=1)
+    return build_graph(n, np.concatenate([star, mates])), csize
 
 
 # family -> (builder, the parameter keys it reads, the keys it needs: at

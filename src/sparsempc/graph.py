@@ -65,15 +65,30 @@ class Graph:
         return f"Graph(n={self.n}, m={self.m})"
 
 
+# the largest n whose edge keys ``u * n + v`` (all below n**2) fit in int64:
+# floor(sqrt(2**63 - 1))
+MAX_NODES = 3_037_000_499
+
+
 def build_graph(n: int, edges) -> Graph:
     """Validate an edge list and build the CSR graph.
 
     Rejects, with distinct exception types: endpoints outside ``[0, n)``
     (:class:`NodeRangeError`), self-loops (:class:`SelfLoopError`), and
-    repeated edges in either orientation (:class:`DuplicateEdgeError`).
+    repeated edges in either orientation (:class:`DuplicateEdgeError`).  A
+    node count above :data:`MAX_NODES` raises :class:`GraphError` before
+    anything n-sized is allocated.
+
+    Each edge is one int64 key ``lo * n + hi``.  One sort of the keys leaves
+    duplicates adjacent and the canonical edges in lexicographic order; one
+    sort of the 2m directed keys ``src * n + dst`` lists the CSR rows in
+    order, each sorted by neighbor id.
     """
     if n < 0:
         raise GraphError(f"negative node count: {n}")
+    if n > MAX_NODES:
+        raise GraphError(
+            f"node count {n} exceeds {MAX_NODES}, the largest whose edge keys fit in int64")
     e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
     if e.size and (e.min() < 0 or e.max() >= n):
         bad = e[(e < 0).any(axis=1) | (e >= n).any(axis=1)][0]
@@ -83,22 +98,19 @@ def build_graph(n: int, edges) -> Graph:
         raise SelfLoopError(f"self-loop at node {v}")
     lo = np.minimum(e[:, 0], e[:, 1])
     hi = np.maximum(e[:, 0], e[:, 1])
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    if lo.size > 1:
-        dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
-        if dup.any():
-            j = int(np.flatnonzero(dup)[0])
-            raise DuplicateEdgeError(f"duplicate edge ({lo[j]}, {hi[j]})")
-    canon = np.stack([lo, hi], axis=1)
+    key = lo * n + hi
+    key.sort()
+    dup = key[1:] == key[:-1]
+    if dup.any():
+        u, v = divmod(int(key[dup.argmax()]), n)
+        raise DuplicateEdgeError(f"duplicate edge ({u}, {v})")
+    lo, hi = np.divmod(key, n)
     # CSR: both directions, rows sorted by neighbor id
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    perm = np.lexsort((dst, src))
+    directed = np.concatenate([key, hi * n + lo])
+    directed.sort()
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return Graph(n=n, edges=canon, indptr=indptr, indices=dst[perm])
+    np.cumsum(np.bincount(e.ravel(), minlength=n), out=indptr[1:])
+    return Graph(n=n, edges=np.stack([lo, hi], axis=1), indptr=indptr, indices=directed % n)
 
 
 @dataclass

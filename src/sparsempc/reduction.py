@@ -153,8 +153,8 @@ def mark_and_propose_matching(g: Graph, hp: HPartition, seed: int) -> ProposalSe
         starts = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
         pick_in = rng.pick_index(seed, rng.PROPOSE_EDGE, 0, np.arange(g.n), counts)
         parents = np.flatnonzero(counts > 0)
+        # one edge per parent, parents ascending: in (parent, child) order
         proposed = by_parent[starts[parents] + pick_in[parents]]
-        proposed = proposed[np.lexsort((proposed[:, 0], proposed[:, 1]))]
     else:
         proposed = np.empty((0, 2), np.int64)
     return ProposalSet(kind="matching", marked=marked, proposed=proposed)

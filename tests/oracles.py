@@ -13,7 +13,14 @@ import math
 import numpy as np
 
 from sparsempc import rng
-from sparsempc.graph import Graph, build_graph
+from sparsempc.graph import (
+    DuplicateEdgeError,
+    Graph,
+    GraphError,
+    NodeRangeError,
+    SelfLoopError,
+    build_graph,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -58,6 +65,36 @@ def from_mask(n: int, mask: int) -> Graph:
     pairs = list(itertools.combinations(range(n), 2))
     edges = [p for bit, p in enumerate(pairs) if mask >> bit & 1]
     return build_graph(n, edges)
+
+
+def build_graph_by_lexsort(n: int, edges) -> Graph:
+    """``build_graph`` by two lexsorts over (lo, hi) column pairs and an
+    unbuffered add for the row counts, with the same checks in the same order."""
+    if n < 0:
+        raise GraphError(f"negative node count: {n}")
+    e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+    if e.size and (e.min() < 0 or e.max() >= n):
+        bad = e[(e < 0).any(axis=1) | (e >= n).any(axis=1)][0]
+        raise NodeRangeError(f"edge ({bad[0]}, {bad[1]}) outside node range [0, {n})")
+    if e.size and (e[:, 0] == e[:, 1]).any():
+        v = int(e[e[:, 0] == e[:, 1]][0, 0])
+        raise SelfLoopError(f"self-loop at node {v}")
+    lo = np.minimum(e[:, 0], e[:, 1])
+    hi = np.maximum(e[:, 0], e[:, 1])
+    order = np.lexsort((hi, lo))
+    lo, hi = lo[order], hi[order]
+    if lo.size > 1:
+        dup = (lo[1:] == lo[:-1]) & (hi[1:] == hi[:-1])
+        if dup.any():
+            j = int(np.flatnonzero(dup)[0])
+            raise DuplicateEdgeError(f"duplicate edge ({lo[j]}, {hi[j]})")
+    src = np.concatenate([lo, hi])
+    dst = np.concatenate([hi, lo])
+    perm = np.lexsort((dst, src))
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.add.at(indptr, src + 1, 1)
+    np.cumsum(indptr, out=indptr)
+    return Graph(n=n, edges=np.stack([lo, hi], axis=1), indptr=indptr, indices=dst[perm])
 
 
 def compact_by_rebuild(view):

@@ -3,7 +3,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sparsempc.graph import (
+    MAX_NODES,
     DuplicateEdgeError,
+    GraphError,
     GraphFormatError,
     GraphView,
     NodeRangeError,
@@ -13,7 +15,7 @@ from sparsempc.graph import (
     save_graph,
 )
 
-from oracles import compact_by_rebuild, cycle, path, star
+from oracles import build_graph_by_lexsort, compact_by_rebuild, cycle, path, star
 
 
 def test_path_construction():
@@ -68,6 +70,76 @@ def test_adjacency_symmetric(case):
         for u in g.neighbors(v).tolist():
             assert v in g.neighbors(u).tolist()
     assert g.m == len(edges)
+
+
+@st.composite
+def _edge_lists(draw):
+    """A simple graph's edges, shuffled and each in a random orientation,
+    with up to three faults inserted anywhere: an endpoint out of range, a
+    self-loop, or a repeat of an edge in the same or the reverse orientation."""
+    n = draw(st.integers(0, 12))
+    node = st.integers(0, max(n - 1, 0))
+    pairs = draw(st.lists(st.tuples(node, node), max_size=40)) if n else []
+    simple = draw(st.permutations(sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})))
+    edges = [(v, u) if draw(st.booleans()) else (u, v) for u, v in simple]
+    for fault in draw(st.lists(st.sampled_from(["range", "loop", "dup", "reversed-dup"]),
+                               max_size=3)):
+        if fault == "range":
+            bad = draw(st.sampled_from([-1, -5, n, n + 3]))
+            e = (bad, draw(node)) if draw(st.booleans()) else (draw(node), bad)
+        elif fault == "loop" and n:
+            v = draw(node)
+            e = (v, v)
+        elif fault in ("dup", "reversed-dup") and edges:
+            u, v = draw(st.sampled_from(edges))
+            e = (u, v) if fault == "dup" else (v, u)
+        else:
+            continue
+        edges.insert(draw(st.integers(0, len(edges))), e)
+    return n, edges
+
+
+@given(_edge_lists())
+@example((0, []))
+@example((1, []))
+@example((5, []))
+@example((4, [(2, 3), (0, 1), (3, 2), (1, 0)]))  # first lexicographic duplicate: (0, 1)
+@example((3, [(0, 0), (0, 3)]))  # out of range is checked before self-loops
+@example((3, [(1, 2), (2, 1), (1, 1)]))  # self-loops before duplicates
+@settings(max_examples=300, deadline=None)
+def test_build_graph_matches_lexsort_oracle(case):
+    n, edges = case
+    arr = np.array(edges, dtype=np.int64).reshape(-1, 2)
+    try:
+        want = build_graph_by_lexsort(n, arr)
+    except GraphError as exc:
+        with pytest.raises(type(exc)) as got:
+            build_graph(n, edges)
+        assert type(got.value) is type(exc) and str(got.value) == str(exc)
+        return
+    g = build_graph(n, edges)
+    assert g.n == want.n
+    for got, ref in ((g.edges, want.edges), (g.indptr, want.indptr), (g.indices, want.indices)):
+        assert got.dtype == np.int64
+        assert got.shape == ref.shape
+        assert np.array_equal(got, ref)
+
+
+def test_max_nodes_is_the_largest_n_whose_keys_fit_int64():
+    # the largest keys are lo * n + hi = (n - 2) * n + n - 1 for an edge and
+    # (n - 1) * n + n - 2 for its directed reverse, both below n**2
+    assert MAX_NODES ** 2 <= 2 ** 63 - 1 < (MAX_NODES + 1) ** 2
+
+
+@pytest.mark.parametrize("n", [MAX_NODES + 1, 2 ** 32])
+def test_node_count_above_key_bound_rejected_before_allocating(n, monkeypatch):
+    def n_sized(*args, **kwargs):
+        raise AssertionError("allocated before the node-count check")
+
+    monkeypatch.setattr(np, "zeros", n_sized)
+    monkeypatch.setattr(np, "bincount", n_sized)
+    with pytest.raises(GraphError, match=f"node count {n} exceeds 3037000499"):
+        build_graph(n, [])
 
 
 def test_roundtrip(tmp_path):

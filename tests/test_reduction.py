@@ -97,6 +97,28 @@ def test_matching_marks_uniform_over_outgoing():
     assert np.all(np.abs(freq - 1 / 3) < 0.03)
 
 
+@pytest.mark.parametrize(
+    "family,params",
+    [
+        ("preferential-attachment", {"n": 400, "c": 3}),
+        ("bounded-degree-random", {"n": 300, "deg": 6}),
+        ("layered-core", {"n": 600, "depth": 30, "d": 3}),
+    ],
+)
+def test_matching_proposals_come_out_in_parent_child_order(family, params):
+    # read off the marks grouped by parent, one per parent, so no sort follows
+    g = generate(family, params, seed=4)
+    hp = h_partition(g, degeneracy(g).degeneracy)
+    child_order_differs = False
+    for seed in range(10):
+        pr = mark_and_propose_matching(g, hp, seed).proposed
+        assert pr.shape[0] > 10
+        assert np.all(np.diff(pr[:, 1]) > 0)  # one per parent, parents ascending
+        assert np.array_equal(pr, pr[np.lexsort((pr[:, 0], pr[:, 1]))])
+        child_order_differs |= not np.all(np.diff(pr[:, 0]) > 0)
+    assert child_order_differs  # the (child, parent) order would be another
+
+
 # ---------------------------------------------------------------------------
 # selection, matching
 # ---------------------------------------------------------------------------
