@@ -6,7 +6,8 @@ Graphs are simple and undirected.  Internally: a canonical edge array
 bearing: random choices pick "the k-th candidate in id order", so any code
 path that rebuilds adjacency must preserve it.  ``GraphView.compact`` keeps
 it without a sort: renumbering the alive nodes in id order is monotone, so
-filtered rows and edges keep their order, and it runs in O(n + m).
+filtered rows and edges keep their order, and it costs n plus the alive
+nodes' rows.
 """
 
 from __future__ import annotations
@@ -137,36 +138,35 @@ class GraphView:
         deg = self.alive_degrees()
         return int(deg.max()) if deg.size else 0
 
-    def alive_edges(self) -> np.ndarray:
-        """Canonical (u, v) rows of edges with both endpoints alive."""
-        e = self.graph.edges
-        keep = self.alive[e[:, 0]] & self.alive[e[:, 1]]
-        return e[keep]
-
     def compact(self):
-        """Alive-induced subgraph with renumbered ids, in O(n + m).
+        """Alive-induced subgraph with renumbered ids, in O(n + alive rows).
 
         Returns ``(graph, ids)`` where ``ids[i]`` is the original id of the
-        compacted node ``i``.  Nothing is sorted or re-validated: the
-        renumbering is monotone, so the alive edges stay canonical and in
-        lexicographic order, and each alive node's row, filtered to its alive
-        neighbors and renumbered, stays ascending.  The rows are gathered in
-        id order and ``indptr`` is the prefix sum of the kept entries.
+        compacted node ``i``.  When every node is alive that is the graph
+        itself and ``arange(n)``.  Otherwise nothing is sorted or
+        re-validated: the alive nodes' rows are gathered in id order and
+        filtered to their alive neighbors, and the renumbering is monotone,
+        so each row stays ascending and the entries with ``src < nb`` are the
+        alive edges, canonical and in lexicographic order.  ``indptr`` is the
+        prefix sum of the kept entries.
         """
         g = self.graph
         alive = self.alive
         ids = np.flatnonzero(alive)
+        if ids.size == g.n:
+            return g, ids
         remap = np.full(g.n, -1, dtype=np.int64)
         remap[ids] = np.arange(ids.size, dtype=np.int64)
-        edges = remap[self.alive_edges()]
-        _, nb = gather_segments(g.indptr, g.indices, ids)
+        src, nb = gather_segments(g.indptr, g.indices, ids)
         keep = alive[nb]
         # kept entries before each row boundary of the gathered rows
         kept = np.concatenate((np.zeros(1, np.int64), np.cumsum(keep)))
         ends = np.cumsum(g.indptr[ids + 1] - g.indptr[ids])
         indptr = kept[np.concatenate((np.zeros(1, np.int64), ends))]
-        sub = Graph(n=ids.size, edges=edges, indptr=indptr, indices=remap[nb[keep]])
-        return sub, ids
+        src, nb = remap[src[keep]], remap[nb[keep]]
+        fwd = src < nb
+        edges = np.stack((src[fwd], nb[fwd]), axis=1)
+        return Graph(n=ids.size, edges=edges, indptr=indptr, indices=nb), ids
 
 
 # ---------------------------------------------------------------------------
@@ -177,13 +177,98 @@ class GraphView:
 # generator metadata: {"family", "params", "seed", "degeneracy"}.
 
 
+# 10**k for k = 0..18, every power below the int64 limit
+_POW10 = 10 ** np.arange(19, dtype=np.int64)
+_MAX_DIGITS = 18  # a number of at most 18 digits fits in int64
+
+
+def _edge_lines(edges: np.ndarray) -> bytes:
+    """The lines ``"u v\n"`` of the nonnegative (m, 2) ``edges``, in ASCII,
+    written digit by digit over the whole array: each number's digit count
+    is a binary search in the powers of ten, and pass ``k`` writes every
+    number's ``k``-th digit from the right."""
+    vals = edges.ravel()
+    if not vals.size:
+        return b""
+    ndig = np.searchsorted(_POW10[1:], vals, side="right") + 1
+    ends = np.cumsum(ndig + 1)  # one past each number's separator
+    buf = np.empty(int(ends[-1]), np.uint8)
+    buf[ends[0::2] - 1] = ord(" ")
+    buf[ends[1::2] - 1] = ord("\n")
+    for k in range(int(ndig.max())):
+        has = ndig > k
+        buf[ends[has] - 2 - k] = ord("0") + vals[has] // _POW10[k] % 10
+    return buf.tobytes()
+
+
 def save_graph(g: Graph, path, meta: dict | None = None) -> None:
     path = Path(path)
-    lines = [f"{g.n} {g.m}\n"]
-    lines.extend(f"{u} {v}\n" for u, v in g.edges)
-    path.write_text("".join(lines))
+    path.write_bytes(f"{g.n} {g.m}\n".encode() + _edge_lines(g.edges))
     if meta is not None:
         Path(str(path) + ".json").write_text(json.dumps(meta, sort_keys=True, indent=1) + "\n")
+
+
+def _edge_line(path, line: str, i: int, prev: tuple) -> tuple[int, int]:
+    """Edge line ``i`` (0-based, after the header) read on its own, checked
+    against the edge ``prev`` on the line before it."""
+    parts = line.split()
+    if len(parts) != 2:
+        raise GraphFormatError(f"{path}: bad edge line {i + 2!r}")
+    u, v = int(parts[0]), int(parts[1])
+    if u >= v:
+        raise GraphFormatError(f"{path}: edge ({u}, {v}) not in u < v form")
+    if (u, v) <= prev:
+        raise GraphFormatError(f"{path}: edges not sorted at line {i + 2}")
+    return u, v
+
+
+def _read_edges(path, body: list[str]) -> np.ndarray:
+    """The (m, 2) edges on the edge lines ``body``, raising for the first
+    offending line what a line-by-line read would.
+
+    When every line is plain, two runs of at most 18 ASCII digits around one
+    space as :func:`save_graph` writes them, the lines are parsed together
+    by digit arithmetic and checked by array comparisons.  Any other body,
+    or one that fails those checks, is read line by line by
+    :func:`_edge_line`, which raises the first offending line's error.
+    """
+    m = len(body)
+    edges = np.zeros((m, 2), np.int64)
+    if m:
+        raw = np.frombuffer("\n".join(body).encode(), np.uint8)
+        # line i is raw[start[i]:end[i]]; mid[i] is the first space at or
+        # after start[i] (the end of the text when there is none)
+        end = np.append(np.flatnonzero(raw == ord("\n")), raw.size)
+        start = np.concatenate((np.zeros(1, np.int64), end[:-1] + 1))
+        spaces = np.flatnonzero(raw == ord(" "))
+        first = np.searchsorted(spaces, start)
+        mid = np.append(spaces, raw.size)[first]
+        ulen, vlen = mid - start, end - mid - 1
+        plain = (
+            (np.diff(np.append(first, spaces.size)) == 1).all()
+            and ((raw - ord("0") < 10) | (raw == ord("\n")) | (raw == ord(" "))).all()
+            and min(ulen.min(), vlen.min()) >= 1
+            and max(ulen.max(), vlen.max()) <= _MAX_DIGITS
+        )
+        if plain:
+            # every line's two numbers, summed digit by digit from the right
+            stop = np.column_stack((mid, end)).ravel()
+            length = np.column_stack((ulen, vlen)).ravel()
+            vals = edges.ravel()
+            for k in range(int(length.max())):
+                digit = (raw[np.maximum(stop - 1 - k, 0)] - ord("0")).astype(np.int64)
+                digit *= _POW10[k]
+                digit[length <= k] = 0
+                vals += digit
+            u, v = edges[:, 0], edges[:, 1]
+            pu = np.concatenate(([-1], u[:-1]))
+            pv = np.concatenate(([-1], v[:-1]))
+            if ((u < v) & ((u > pu) | ((u == pu) & (v > pv)))).all():
+                return edges
+    prev = (-1, -1)
+    for i, line in enumerate(body):
+        edges[i] = prev = _edge_line(path, line, i, prev)
+    return edges
 
 
 def load_graph(path) -> tuple[Graph, dict | None]:
@@ -201,20 +286,7 @@ def load_graph(path) -> tuple[Graph, dict | None]:
         raise GraphFormatError(f"{path}: non-integer header") from exc
     if len(lines) != m + 1:
         raise GraphFormatError(f"{path}: header promises {m} edges, file has {len(lines) - 1}")
-    edges = np.empty((m, 2), dtype=np.int64)
-    prev = (-1, -1)
-    for i, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"{path}: bad edge line {i + 2!r}")
-        u, v = int(parts[0]), int(parts[1])
-        if u >= v:
-            raise GraphFormatError(f"{path}: edge ({u}, {v}) not in u < v form")
-        if (u, v) <= prev:
-            raise GraphFormatError(f"{path}: edges not sorted at line {i + 2}")
-        prev = (u, v)
-        edges[i] = (u, v)
-    g = build_graph(n, edges)
+    g = build_graph(n, _read_edges(path, lines[1:]))
     meta = None
     sidecar = Path(str(path) + ".json")
     if sidecar.exists():

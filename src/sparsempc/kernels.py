@@ -45,12 +45,15 @@ def gather_segments(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
     return sources, indices[index]
 
 
-def sorted_unique(a: np.ndarray) -> np.ndarray:
+def sorted_unique(a: np.ndarray, kind: str | None = None) -> np.ndarray:
     """The distinct values of ``a`` (flattened), ascending: ``np.unique(a)``
     by a sort that keeps the first of each run of equal values.  Without
     counts or indices numpy 2.4's ``np.unique`` hashes, which is far slower
-    on integers (195 ms against 3 ms for ``np.sort`` on 262144 int64)."""
-    a = np.sort(a, axis=None)
+    on integers (195 ms against 3 ms for ``np.sort`` on 262144 int64).
+    ``kind`` goes to ``np.sort``: ``"stable"`` (a merge of the ascending
+    runs it finds, for int64) is the faster one when ``a`` is a
+    concatenation of a few ascending arrays."""
+    a = np.sort(a, axis=None, kind=kind)
     if a.size > 1:
         first = np.empty(a.size, np.bool_)
         first[0] = True

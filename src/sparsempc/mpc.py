@@ -15,9 +15,10 @@ a radius-r ball determines layers up to r.  Hop radii double once per
 iteration by connecting 1-hop neighborhoods into cliques (virtual edges), so
 one repetition of iteration i clears up to 2^i layers in O(1) rounds.  Nodes
 get removed in chunks of consecutive layers, recorded as ``(last_layer,
-radius)`` pairs in removal order; selection later walks the chunks in reverse
-removal order and reads each chunk's members off the layer map.  The layer
-map equals the centralized :func:`sparsempc.peeling.h_partition` of the phase
+radius)`` pairs in removal order, and the nodes themselves are listed in the
+order they were removed; selection later walks the chunks in reverse removal
+order and reads each chunk's members off that list.  The layer map equals
+the centralized :func:`sparsempc.peeling.h_partition` of the phase
 subgraph.  Message volumes are computed from real ball sizes (bounded-radius
 BFS) and charged against the machine budgets of :mod:`sparsempc.runtime`.
 
@@ -282,15 +283,17 @@ def mpc_h_partition(
     alive: np.ndarray | None = None,
     adaptive: bool = False,
     deg: np.ndarray | None = None,
-) -> tuple[HPartition, list[tuple[int, int]], dict]:
+) -> tuple[HPartition, list[tuple[int, int]], np.ndarray, dict]:
     """Build the full layer map of the alive subgraph on the cluster.
 
     Returns the partition (global layer indices over original node ids; 0
     marks nodes outside the alive mask), the chunks as ``(last_layer,
     radius)`` pairs in removal order (each chunk starts one layer above the
-    previous one's last), and a stats dict (per-iteration virtual-edge
-    counts, alive counts, repetitions used).  Round traces accumulate on the
-    cluster.
+    previous one's last), the removal order (the alive nodes as the
+    repetitions removed them: layer by layer, ascending within a layer, so
+    the stable by-layer sort of the alive nodes) and a stats dict
+    (per-iteration virtual-edge counts, alive counts, repetitions used).
+    Round traces accumulate on the cluster.
 
     ``deg`` hands over the alive degrees when the caller holds them, under
     the contract of :func:`peel_layers`: an int64 array holding
@@ -309,9 +312,11 @@ def mpc_h_partition(
     first = None
     offset = 0
     chunks: list[tuple[int, int]] = []
+    order = np.empty(int(work.sum()), np.int64)  # filled as repetitions remove
+    filled = 0
     sync = 2 * cluster.agg_depth()
     stats: dict = {
-        "alive_start": int(work.sum()),
+        "alive_start": order.size,
         "fallback": schedule.k is None,
         "k": schedule.k,
         "preprocessing": {"target_layers": schedule.preprocessing_layers, "reps_used": 0},
@@ -320,7 +325,7 @@ def mpc_h_partition(
     }
 
     def run_rep(radius: int, cache: _BallCache | None) -> None:
-        nonlocal offset, first
+        nonlocal offset, first, filled
         rel, t, removed, first = gather_and_peel(
             cluster, radius, d, alive=work, cache=cache, deg=deg, first=first, layer=rep_layer
         )
@@ -328,6 +333,8 @@ def mpc_h_partition(
             layer[removed] = offset + rel
             offset += t
             chunks.append((offset, radius))
+            order[filled:filled + removed.size] = removed
+            filled += removed.size
         if adaptive:
             cluster.control_rounds(sync, label="partition-sync")
 
@@ -344,7 +351,7 @@ def mpc_h_partition(
         entry["reps_used"] = rep
         stats["iterations"].append(entry)
         stats["ell"] = offset
-        return HPartition(layer=layer, d=d, ell=offset), chunks, stats
+        return HPartition(layer=layer, d=d, ell=offset), chunks, order, stats
 
     # pre-processing: strip the lowest layers one by one to free memory
     for rep in range(schedule.preprocessing_layers):
@@ -395,7 +402,7 @@ def mpc_h_partition(
             raise RuntimeError("partition failed to terminate")
 
     stats["ell"] = offset
-    return HPartition(layer=layer, d=d, ell=offset), chunks, stats
+    return HPartition(layer=layer, d=d, ell=offset), chunks, order, stats
 
 
 # ---------------------------------------------------------------------------
@@ -425,11 +432,17 @@ def mpc_mark_propose(
 
 
 def mpc_select(
-    cluster: Cluster, hp: HPartition, chunks: list[tuple[int, int]], sol: PartialSolution
-) -> None:
+    cluster: Cluster,
+    hp: HPartition,
+    chunks: list[tuple[int, int]],
+    order: np.ndarray,
+    sol: PartialSolution,
+) -> np.ndarray:
     """Meter the selection ``sol`` (original ids) chunk by chunk, in reverse
-    removal order.  ``chunks`` holds the ``(last_layer, radius)`` pairs of
-    :func:`mpc_h_partition`; a chunk's members are the nodes of its layers.
+    removal order.  ``chunks`` and ``order`` are the ``(last_layer,
+    radius)`` pairs and the removal order of :func:`mpc_h_partition`; a
+    chunk's members are the nodes of its layers.  Returns the survivors:
+    the phase nodes that ``sol`` leaves alive, in removal order.
 
     Each chunk member re-gathers its retained radius ball with proposal flags
     (one round), winners notify their neighbors (one round), and for the
@@ -439,37 +452,34 @@ def mpc_select(
     chunk's layer interval going down and the reverse order resolves every
     cross-chunk dependency before it is needed.
 
-    The phase nodes and the selection are each sorted by layer once, so a
-    chunk's members and its winners are two slices, found by one binary
-    search over all chunk ends.  Both sorts are stable on an unsigned key
-    just wide enough for ``hp.ell``, which numpy sorts by radix.  All
-    winners' rows are gathered once, in that order, so a chunk's rows are a
-    slice too, serving its notify round and the felled set.  A chunk's
-    matched edges share no endpoint, so their endpoints need no dedupe; the
-    neighbors that an independent set's winners fell can repeat and are
-    deduped by a sort.
+    The removal order lists the phase nodes by layer, so a chunk's members
+    are a slice of it; the selection is sorted by layer once (stably, on an
+    unsigned key just wide enough for ``hp.ell``, which numpy sorts by
+    radix), so a chunk's winners are a slice too.  Both are found by one
+    binary search over all chunk ends.  All winners' rows are gathered once,
+    in that order, so a chunk's rows are a slice too, serving its notify
+    round and the felled set.  A chunk's matched edges share no endpoint,
+    so their endpoints need no dedupe; the neighbors that an independent
+    set's winners fell can repeat and are deduped by a sort.
     """
     g = cluster.graph
     removed = np.zeros(g.n, np.bool_)
     removed[sol.removed] = True
     pending = hp.layer > 0  # phase nodes whose fate is not yet committed
-    key = np.min_scalar_type(hp.ell)
-
-    def by_layer(nodes: np.ndarray, layer: np.ndarray):
-        order = np.argsort(layer.astype(key), kind="stable")
-        return nodes[order], layer[order]
-
-    # ascending ids within a layer keep the gathers sequential
-    phase_nodes = np.flatnonzero(pending)
-    members_by_layer, member_layer = by_layer(phase_nodes, hp.layer[phase_nodes])
+    member_layer = hp.layer[order]
     if sol.kind == "matching":
-        sel_by_layer, sel_layer = by_layer(sol.selected, hp.layer[sol.selected[:, 1]])
+        sel_layer = hp.layer[sol.selected[:, 1]]
     else:
-        sel_by_layer, sel_layer = by_layer(sol.selected, hp.layer[sol.selected])
+        sel_layer = hp.layer[sol.selected]
+    by_layer = np.argsort(sel_layer.astype(np.min_scalar_type(hp.ell)), kind="stable")
+    sel_by_layer, sel_layer = sol.selected[by_layer], sel_layer[by_layer]
     # a chunk's members and winners are slices of these; only a chunk's own
     # step changes its members' words, so they are read once up front
-    words_by_layer = cluster.base_words[members_by_layer] + cluster.extra_words[members_by_layer]
-    gone_by_layer = removed[members_by_layer]
+    extra_by_layer = cluster.extra_words[order]
+    words_by_layer = cluster.base_words[order] + extra_by_layer
+    # only clique steps add extra words, so most phases carry none
+    reset = bool(extra_by_layer.any())
+    gone_by_layer = removed[order]
     winners_by_layer = sel_by_layer.ravel()
     per_winner = 2 if sol.kind == "matching" else 1  # a matched edge has two
     src_all, nb_all = gather_segments(g.indptr, g.indices, winners_by_layer)
@@ -486,7 +496,7 @@ def mpc_select(
         if hi - lo + 1 > radius:
             raise AssertionError("chunk wider than its hop radius")
         start, stop = member_end[i], member_end[i + 1]
-        members = members_by_layer[start:stop]
+        members = order[start:stop]
         words = words_by_layer[start:stop]
         cluster.execute_round_volumes(members, words, members, words, label="select")
         r0, r1 = row_off[sel_end[i]], row_off[sel_end[i + 1]]
@@ -500,12 +510,13 @@ def mpc_select(
             _notify_round(cluster, g, felled, pending, "select")
         gone = gone_by_layer[start:stop]
         cluster.drop_nodes(members[gone])
-        keep = members[~gone]
-        # only clique steps add extra words, so most chunks carry none
-        keep = keep[cluster.extra_words[keep] != 0]
-        if keep.size:
-            cluster.add_extra_words(keep, -cluster.extra_words[keep])
+        if reset:
+            extra = extra_by_layer[start:stop]
+            keep = ~gone & (extra != 0)
+            if keep.any():
+                cluster.add_extra_words(members[keep], -extra[keep])
         pending[members] = False
+    return order[~gone_by_layer]
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +538,7 @@ class ClusterMeter:
         self.partition_stats: list[dict] = []
         self._hp: HPartition | None = None  # this phase's layers, original ids
         self._chunks: list[tuple[int, int]] = []
+        self._order: np.ndarray | None = None  # this phase's removal order
         # the remainder's alive degrees as the last selection left them, then
         # as the matching finish runs, with its nodes that have a live edge
         self._deg: np.ndarray | None = None
@@ -546,7 +558,7 @@ class ClusterMeter:
         full = np.zeros(cl.graph.n, np.int64)
         full[ids] = deg
         try:
-            hp, self._chunks, stats = mpc_h_partition(
+            hp, self._chunks, self._order, stats = mpc_h_partition(
                 cl, d, schedule, alive=alive, adaptive=self.adaptive, deg=full
             )
         except StallError:
@@ -570,10 +582,7 @@ class ClusterMeter:
         """Meter the selection, then shrink the survivors' stored rows (the
         phase's nodes that ``sol`` leaves alive) to their remaining degree,
         read from ``deg``, the alive degrees of the remainder."""
-        mpc_select(self.cluster, self._hp, self._chunks, sol)
-        after = self._hp.layer > 0
-        after[sol.removed] = False
-        srv = np.flatnonzero(after)
+        srv = mpc_select(self.cluster, self._hp, self._chunks, self._order, sol)
         self.cluster.set_base_words(srv, deg[srv])
         self._deg = deg
 

@@ -70,19 +70,27 @@ class PartialSolution:
         sel = np.empty((0, 2), np.int64) if kind == "matching" else np.empty(0, np.int64)
         return cls(kind=kind, selected=sel, removed=np.empty(0, np.int64))
 
-    def merge(self, other: "PartialSolution") -> "PartialSolution":
-        if other.kind != self.kind:
+    def merge(self, *others: "PartialSolution") -> "PartialSolution":
+        """This solution and ``others`` as one: the selections concatenated
+        and sorted (matched edges by ``(u, v)``), the removed ids deduped.
+
+        A loop that collects its steps merges them once, so the accumulated
+        solution is sorted once, not once per step.  The parts usually hold
+        ascending arrays, so the sorts are stable ones, which merge the
+        ascending runs they find; an edge sorts by its int64 key ``u * (k +
+        1) + v`` for the largest id ``k``, which fits for every node count a
+        :class:`Graph` allows."""
+        parts = (self, *others)
+        if any(p.kind != self.kind for p in others):
             raise ValueError("cannot merge solutions of different kinds")
-        sel = np.concatenate([self.selected, other.selected])
+        sel = np.concatenate([p.selected for p in parts])
         if self.kind == "matching":
-            sel = sel[np.lexsort((sel[:, 1], sel[:, 0]))]
+            key = sel[:, 0] * (int(sel.max(initial=0)) + 1) + sel[:, 1]
+            sel = sel[np.argsort(key, kind="stable")]
         else:
-            sel = np.sort(sel)
-        return PartialSolution(
-            kind=self.kind,
-            selected=sel,
-            removed=sorted_unique(np.concatenate([self.removed, other.removed])),
-        )
+            sel = np.sort(sel, kind="stable")
+        removed = sorted_unique(np.concatenate([p.removed for p in parts]), kind="stable")
+        return PartialSolution(kind=self.kind, selected=sel, removed=removed)
 
 
 @dataclass
@@ -261,22 +269,33 @@ def _check_mis_proposals(g: Graph, hp: HPartition, props: ProposalSet) -> None:
 
 def select_mis(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolution:
     """Sweep layers ell..1; commit alive proposed nodes of the current layer and
-    remove them together with their neighbors."""
+    remove them together with their neighbors.
+
+    All commits of one layer are simultaneous: proposed nodes of one layer
+    are never adjacent.  As in :func:`select_matching`, the proposals are
+    sorted once by layer, highest first, stably on the narrowest unsigned
+    key, and the sweep walks the runs of equal layer, so it costs the
+    proposals plus one step per proposing layer."""
     _check_mis_proposals(g, hp, props)
+    pr = props.proposed
+    if not pr.size:
+        return PartialSolution.empty("mis")
+    depth = hp.layer[pr]
+    depth = int(depth.max()) - depth  # 0 for the highest proposing layer
+    order = np.argsort(depth.astype(np.min_scalar_type(int(depth.max()))), kind="stable")
+    cand, depth = pr[order], depth[order]
+    bounds = [0, *(np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist(), depth.size]
     alive = np.ones(g.n, dtype=np.bool_)
-    chosen = []
-    if props.proposed.size:
-        lay = hp.layer[props.proposed]
-        for lv in np.unique(lay)[::-1]:
-            cand = props.proposed[lay == lv]
-            cand = cand[alive[cand]]
-            chosen.append(cand)
-            alive[cand] = False
-            _, nb = gather_segments(g.indptr, g.indices, cand)
-            alive[nb] = False
-    selected = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, np.int64)
-    removed = np.flatnonzero(~alive)
-    return PartialSolution(kind="mis", selected=selected, removed=removed)
+    commit = np.empty(depth.size, np.bool_)
+    for s, e in zip(bounds[:-1], bounds[1:]):
+        c = cand[s:e]
+        ok = alive[c]
+        commit[s:e] = ok
+        c = c[ok]
+        alive[c] = False
+        _, nb = gather_segments(g.indptr, g.indices, c)
+        alive[nb] = False
+    return PartialSolution(kind="mis", selected=np.sort(cand[commit]), removed=np.flatnonzero(~alive))
 
 
 # ---------------------------------------------------------------------------
@@ -382,9 +401,9 @@ def degree_reduce(
     """
     check_request(kind, target_delta)
     view = GraphView.full(g)
-    total = PartialSolution.empty(kind)
+    parts = []
     report = ReductionReport()
-    delta = view.max_alive_degree()  # then each phase reports the next one
+    delta = g.max_degree()  # then each phase reports the next one
     for phase in range(MAX_PHASES):
         if delta <= target_delta:
             break
@@ -406,14 +425,14 @@ def degree_reduce(
                 }
             )
             break
-        total = total.merge(sol)
+        parts.append(sol)
         report.phases.append(entry)
         view = view2
         if entry["delta_after"] >= delta:
             entry["reduced"] = False
             break
         delta = entry["delta_after"]
-    return total, view, report
+    return PartialSolution.empty(kind).merge(*parts), view, report
 
 
 # ---------------------------------------------------------------------------
@@ -481,7 +500,7 @@ def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
     _check_kind(kind)
     g = g_view.graph
     alive = g_view.alive.copy()
-    total = PartialSolution.empty(kind)
+    steps = []
     round_idx = 0
     while True:
         if kind == "matching":
@@ -499,9 +518,9 @@ def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
         if meter is not None:
             meter.finish_round(g, alive, step)
         alive[removed] = False
-        total = total.merge(step)
+        steps.append(step)
         round_idx += 1
-    return total
+    return PartialSolution.empty(kind).merge(*steps)
 
 
 def solve(

@@ -8,7 +8,9 @@ tautology.
 from __future__ import annotations
 
 import itertools
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 
@@ -17,6 +19,7 @@ from sparsempc.graph import (
     DuplicateEdgeError,
     Graph,
     GraphError,
+    GraphFormatError,
     NodeRangeError,
     SelfLoopError,
     build_graph,
@@ -103,7 +106,53 @@ def compact_by_rebuild(view):
     ids = np.flatnonzero(view.alive)
     remap = np.full(view.graph.n, -1, dtype=np.int64)
     remap[ids] = np.arange(ids.size, dtype=np.int64)
-    return build_graph(ids.size, remap[view.alive_edges()]), ids
+    e = view.graph.edges
+    return build_graph(ids.size, remap[e[view.alive[e[:, 0]] & view.alive[e[:, 1]]]]), ids
+
+
+# ---------------------------------------------------------------------------
+# the on-disk format, one edge line at a time
+# ---------------------------------------------------------------------------
+
+
+def save_graph_by_lines(g: Graph, path) -> None:
+    """``save_graph`` without a sidecar, formatting one line per edge."""
+    lines = [f"{g.n} {g.m}\n"]
+    lines.extend(f"{u} {v}\n" for u, v in g.edges)
+    Path(path).write_text("".join(lines))
+
+
+def load_graph_by_lines(path):
+    """``load_graph``, parsing and checking one edge line at a time."""
+    path = Path(path)
+    lines = path.read_text().splitlines()
+    if not lines:
+        raise GraphFormatError(f"{path}: empty file")
+    head = lines[0].split()
+    if len(head) != 2:
+        raise GraphFormatError(f"{path}: header must be 'n m'")
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError as exc:
+        raise GraphFormatError(f"{path}: non-integer header") from exc
+    if len(lines) != m + 1:
+        raise GraphFormatError(f"{path}: header promises {m} edges, file has {len(lines) - 1}")
+    edges = np.empty((m, 2), dtype=np.int64)
+    prev = (-1, -1)
+    for i, line in enumerate(lines[1:]):
+        parts = line.split()
+        if len(parts) != 2:
+            raise GraphFormatError(f"{path}: bad edge line {i + 2!r}")
+        u, v = int(parts[0]), int(parts[1])
+        if u >= v:
+            raise GraphFormatError(f"{path}: edge ({u}, {v}) not in u < v form")
+        if (u, v) <= prev:
+            raise GraphFormatError(f"{path}: edges not sorted at line {i + 2}")
+        prev = (u, v)
+        edges[i] = (u, v)
+    g = build_graph(n, edges)
+    sidecar = Path(str(path) + ".json")
+    return g, json.loads(sidecar.read_text()) if sidecar.exists() else None
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +335,7 @@ def next_fit_bins(weights, cap: int) -> list:
 
 
 # ---------------------------------------------------------------------------
-# matching selection: one pass over every proposal per layer
+# selection sweeps: one pass over every proposal per layer
 # ---------------------------------------------------------------------------
 
 
@@ -329,6 +378,24 @@ def select_matching_per_layer(g: Graph, hp, props):
     selected = np.concatenate(chosen) if chosen else np.empty((0, 2), np.int64)
     selected = selected[np.lexsort((selected[:, 1], selected[:, 0]))]
     return selected, np.unique(selected)
+
+
+def select_mis_per_layer(g: Graph, hp, props):
+    """The highest-layer-first independent-set sweep, filtering every
+    proposal once per proposing layer: O(ell * proposals).  Returns
+    ``(selected, removed)``, both sorted."""
+    alive = np.ones(g.n, dtype=np.bool_)
+    chosen = []
+    lay = hp.layer[props.proposed]
+    for lv in sorted(set(lay.tolist()), reverse=True):
+        cand = props.proposed[lay == lv]
+        cand = cand[alive[cand]]
+        chosen.append(cand)
+        alive[cand] = False
+        for v in cand.tolist():
+            alive[g.neighbors(v)] = False
+    selected = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, np.int64)
+    return selected, np.flatnonzero(~alive)
 
 
 # ---------------------------------------------------------------------------

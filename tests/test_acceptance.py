@@ -70,7 +70,7 @@ def scaling_grid():
             cfg = ClusterConfig.for_graph(g, delta, c_total=3.0)
             cl = init_cluster(g, cfg, seed=0)
             sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
-            _, _, stats = mpc.mpc_h_partition(cl, 3, sched, adaptive=True)
+            _, _, _, stats = mpc.mpc_h_partition(cl, 3, sched, adaptive=True)
             met = metrics(cl)
             rows.append(
                 {
@@ -124,7 +124,7 @@ def test_cluster_partition_equals_reference_on_corpus(partition_corpus, announce
         cfg = ClusterConfig.for_graph(g, delta, c_total=4.0)
         cl = init_cluster(g, cfg, seed=11)
         sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
-        hp, _, _ = mpc.mpc_h_partition(cl, d, sched, adaptive=True)
+        hp, _, _, _ = mpc.mpc_h_partition(cl, d, sched, adaptive=True)
         if not np.array_equal(hp.layer, ref.layer):
             mismatches += 1
     elapsed = time.perf_counter() - t0
@@ -279,7 +279,7 @@ def test_alive_set_shrinks_doubly_exponentially(announce):
     cl = init_cluster(g, cfg, seed=0)
     sched = mpc.compute_schedule(delta_max, cfg.S, g.n, 0.9, c_pre=0.0)
     assert sched.k is not None
-    _, _, stats = mpc.mpc_h_partition(cl, d, sched, adaptive=False)
+    _, _, _, stats = mpc.mpc_h_partition(cl, d, sched, adaptive=False)
     later = [e for e in stats["iterations"] if e["iteration"] >= 1]
     rows = []
     bad = 0

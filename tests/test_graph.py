@@ -15,7 +15,16 @@ from sparsempc.graph import (
     save_graph,
 )
 
-from oracles import build_graph_by_lexsort, compact_by_rebuild, cycle, path, star
+from oracles import (
+    build_graph_by_lexsort,
+    compact_by_rebuild,
+    cycle,
+    load_graph_by_lines,
+    path,
+    save_graph_by_lines,
+    star,
+)
+from sparsempc.graph import _edge_lines
 
 
 def test_path_construction():
@@ -163,6 +172,109 @@ def test_load_rejects_garbage(tmp_path):
     p.write_text("2 1\n0 0\n")
     with pytest.raises((GraphFormatError, SelfLoopError)):
         load_graph(p)
+
+
+# node counts whose ids cross a power of ten
+_ID_SPANS = [2, 11, 101, 1001, 10 ** 6 + 1]
+
+
+@st.composite
+def _graphs(draw):
+    n = draw(st.sampled_from(_ID_SPANS))
+    node = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(node, node), max_size=30))
+    return build_graph(n, sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v}))
+
+
+def _load_outcome(load, p):
+    try:
+        g, meta = load(p)
+    except Exception as exc:  # the type and the message must agree
+        return type(exc).__name__, str(exc)
+    return g.n, g.edges.tolist(), g.indptr.tolist(), g.indices.tolist(), meta
+
+
+@given(_graphs())
+@example(build_graph(0, []))
+@example(build_graph(12, [(0, 9), (9, 10), (10, 11)]))
+@settings(max_examples=60, deadline=None)
+def test_save_graph_bytes_match_line_oracle(tmp_path_factory, g):
+    d = tmp_path_factory.mktemp("save")
+    save_graph(g, d / "new.g")
+    save_graph_by_lines(g, d / "old.g")
+    assert (d / "new.g").read_bytes() == (d / "old.g").read_bytes()
+
+
+def test_edge_lines_cover_every_int64_digit_count():
+    vals = np.array([0, 9, 10, 99, 10 ** 17, 10 ** 18 - 1, 10 ** 18, 2 ** 63 - 1], np.int64)
+    edges = np.stack([vals, vals[::-1]], axis=1)
+    want = "".join(f"{u} {v}\n" for u, v in edges.tolist()).encode()
+    assert _edge_lines(edges) == want
+
+
+# one line of a valid file replaced by one of these: other whitespace,
+# signs, leading zeros, numbers past int64, non-ASCII digits, garbage
+_LINE_TOKENS = st.sampled_from(
+    ["0", "1", "5", "007", "+3", "-2", "10", "x", "", "\t", "  ", "1 2 3",
+     "9999999999999999999", "99999999999999999999", "١", "4_0"]
+)
+
+
+@given(
+    _graphs(),
+    st.integers(0, 40),
+    st.lists(_LINE_TOKENS, max_size=3).map(" ".join),
+    st.sampled_from(["replace", "insert", "repeat", "drop", "swap", "none"]),
+    st.booleans(),
+)
+@settings(max_examples=300, deadline=None)
+def test_load_graph_matches_line_oracle(tmp_path_factory, g, at, line, edit, recount):
+    # a valid file, edited at one line, with the header's edge count kept or
+    # made to match: the graph, or the exception type and message (the line
+    # number included), must be the oracle's
+    p = tmp_path_factory.mktemp("load") / "g.g"
+    save_graph_by_lines(g, p)
+    lines = p.read_text().splitlines()
+    i = 1 + at % max(len(lines) - 1, 1)
+    if edit == "replace" and i < len(lines):
+        lines[i] = line
+    elif edit == "insert":
+        lines.insert(i, line)
+    elif edit == "repeat" and i < len(lines):
+        lines.insert(i, lines[i])
+    elif edit == "drop" and i < len(lines):
+        del lines[i]
+    elif edit == "swap" and i + 1 < len(lines):
+        lines[i], lines[i + 1] = lines[i + 1], lines[i]
+    if recount:
+        lines[0] = f"{g.n} {len(lines) - 1}"
+    p.write_text("\n".join(lines) + "\n")
+    assert _load_outcome(load_graph, p) == _load_outcome(load_graph_by_lines, p)
+
+
+@pytest.mark.parametrize(
+    "text,message",
+    [
+        ("3 2\n0 1\n1 2 0\n", "bad edge line 3"),
+        ("3 2\n0 1\n2 1\n", r"edge \(2, 1\) not in u < v form"),
+        ("4 3\n0 1\n1 2\n0 3\n", "edges not sorted at line 4"),
+        ("3 2\n0 1\n", "header promises 2 edges, file has 1"),
+    ],
+    ids=["bad-line", "u-not-below-v", "unsorted", "count-differs"],
+)
+def test_load_graph_format_errors_name_the_line(tmp_path, text, message):
+    p = tmp_path / "bad.g"
+    p.write_text(text)
+    with pytest.raises(GraphFormatError, match=message):
+        load_graph(p)
+    assert _load_outcome(load_graph, p) == _load_outcome(load_graph_by_lines, p)
+
+
+def test_compact_all_alive_returns_the_graph():
+    for g in (cycle(7), build_graph(0, [])):
+        sub, ids = GraphView.full(g).compact()
+        assert sub is g
+        assert ids.dtype == np.int64 and np.array_equal(ids, np.arange(g.n))
 
 
 def test_view_compact_roundtrip():

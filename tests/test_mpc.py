@@ -113,7 +113,7 @@ def test_chunk_validate_accepts_real_run():
     g = generate("layered-core", {"n": 600, "depth": 40, "d": 3}, seed=0)
     cl = _cluster(g, 0.8)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-    hp, chunks, stats = mpc_h_partition(cl, 3, sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, 3, sched)
     _check_chunks(chunks, hp)
     # every radius is 1 (pre-processing) or an iteration's 2^i
     assert {r for _, r in chunks} <= {1} | {2 ** i for i, _, _ in sched.phases}
@@ -124,9 +124,10 @@ def test_select_rejects_chunk_wider_than_its_radius():
     hp = h_partition(g, 2)  # layers: leaves 1, center 2
     cl = _cluster(g, 0.9)
     sol = PartialSolution.empty("mis")
-    mpc_select(cl, hp, [(1, 1), (2, 1)], sol)  # one layer per radius-1 chunk
+    order = np.array([1, 2, 3, 4, 5, 0])  # the leaves, then the center
+    mpc_select(cl, hp, [(1, 1), (2, 1)], order, sol)  # one layer per radius-1 chunk
     with pytest.raises(AssertionError, match="wider than its hop radius"):
-        mpc_select(_cluster(g, 0.9), hp, [(2, 1)], sol)
+        mpc_select(_cluster(g, 0.9), hp, [(2, 1)], order, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -381,7 +382,7 @@ def test_radius_one_iterations_add_no_virtual_edges():
     cl = _cluster(g, 0.65)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.65)
     assert sched.k == 0  # 4^2 = 16 <= S=20 < 4^3: only radius-1 iterations
-    hp, chunks, stats = mpc_h_partition(cl, 5, sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, 5, sched)
     met = metrics(cl)
     assert "partition-clique" not in met["rounds_by_label"]
     assert int(cl.extra_words.sum()) == 0
@@ -392,7 +393,7 @@ def test_deep_tower_uses_cliques_and_matches_oracle():
     cl = _cluster(g, 0.8)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
     assert sched.k is not None and sched.k >= 1
-    hp, chunks, stats = mpc_h_partition(cl, 3, sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, 3, sched)
     ref = h_partition(g, 3)
     assert hp.ell == ref.ell == 100
     assert np.array_equal(hp.layer, ref.layer)
@@ -424,7 +425,7 @@ def test_partition_equals_centralized(family, params, delta):
     d = valid_d(g) if family != "layered-core" else 3
     cl = _cluster(g, delta)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, delta)
-    hp, chunks, stats = mpc_h_partition(cl, d, sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, d, sched)
     ref = h_partition(g, d)
     assert np.array_equal(hp.layer, ref.layer)
     assert hp.ell == ref.ell
@@ -437,7 +438,7 @@ def test_partition_fallback_flag_recorded():
     cl = _cluster(g, 0.45)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.45)
     assert sched.k is None
-    hp, chunks, stats = mpc_h_partition(cl, valid_d(g), sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, valid_d(g), sched)
     assert stats["fallback"] and stats["k"] is None
     assert all(r == 1 for _, r in chunks)
 
@@ -475,7 +476,7 @@ def test_shallow_graph_finishes_within_first_iteration():
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.9, c_pre=0.0)
     assert sched.k is not None
     assert sched.preprocessing_layers == 0
-    hp, chunks, stats = mpc_h_partition(cl, valid_d(g), sched, adaptive=True)
+    hp, chunks, _, stats = mpc_h_partition(cl, valid_d(g), sched, adaptive=True)
     assert hp.ell <= 60
     assert stats["outer_passes"] == 1
     # nothing was ever deep enough to need a hop radius above 1
@@ -489,7 +490,7 @@ def test_adaptive_and_faithful_agree_on_layers():
     for adaptive in (False, True):
         cl = _cluster(g, 0.8)
         sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-        hp, chunks, stats = mpc_h_partition(cl, 3, sched, adaptive=adaptive)
+        hp, chunks, _, stats = mpc_h_partition(cl, 3, sched, adaptive=adaptive)
         layers.append(hp.layer)
     assert np.array_equal(layers[0], layers[1])
 
@@ -500,7 +501,7 @@ def test_partition_on_restricted_alive_mask():
     alive[::4] = False
     cl = _cluster(g, 0.6)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.6)
-    hp, chunks, stats = mpc_h_partition(cl, 5, sched, alive=alive)
+    hp, chunks, _, stats = mpc_h_partition(cl, 5, sched, alive=alive)
     sub, ids = GraphView(g, alive).compact()
     ref = h_partition(sub, 5)
     assert np.array_equal(hp.layer[ids], ref.layer)
@@ -557,6 +558,41 @@ def test_mark_propose_nothing_routes_nothing():
     assert mark_round.total_sent == 0 and propose_round.total_sent == 0
 
 
+class _OrderCheckMeter(ClusterMeter):
+    """Checks every phase's removal order against the stable by-layer sort
+    of the phase nodes, and records each partition's doubling level."""
+
+    def __init__(self, cluster, **kwargs):
+        super().__init__(cluster, **kwargs)
+        self.levels = []
+
+    def partition(self, alive, ids, deg, d):
+        hp = super().partition(alive, ids, deg, d)
+        layer = self._hp.layer
+        nodes = np.flatnonzero(layer > 0)
+        want = nodes[np.argsort(layer[nodes], kind="stable")]
+        assert self._order.dtype == np.int64
+        assert np.array_equal(self._order, want)
+        self.levels.append(self.partition_stats[-1]["k"])
+        return hp
+
+
+def test_removal_order_is_the_stable_sort_by_layer():
+    # on the golden instances, which between them run fallback partitions
+    # (k None), radius-1 ones (k = 0) and ball doubling (k >= 1)
+    from test_golden_metering import GOLDEN
+
+    levels = set()
+    for case in GOLDEN:
+        family, params, seed, kind, delta, d_floor, adaptive = case.values[0]
+        g = generate(family, params, seed=seed)
+        meter = _OrderCheckMeter(_cluster(g, delta, seed), adaptive=adaptive)
+        solve(g, kind, 2, seed, d_floor=d_floor, meter=meter)
+        levels.update(meter.levels)
+    assert None in levels and 0 in levels
+    assert any(k is not None and k >= 1 for k in levels)
+
+
 @pytest.mark.parametrize("kind", ["matching", "mis"])
 def test_select_matches_centralized(kind):
     # the chunk walk drops exactly the nodes the centralized selection removes
@@ -564,19 +600,22 @@ def test_select_matches_centralized(kind):
     assert g.degrees.min() > 0  # so a zero-word node is a dropped one
     cl = _cluster(g, 0.8)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-    hp, chunks, _ = mpc_h_partition(cl, 3, sched)
+    hp, chunks, order, _ = mpc_h_partition(cl, 3, sched)
     if kind == "matching":
         ref = select_matching(g, hp, mark_and_propose_matching(g, hp, seed=9))
     else:
         ref = select_mis(g, hp, mark_and_propose_mis(g, hp, mis_probability(3), seed=9))
     before = metrics(cl)["rounds_by_label"].get("select", 0)
-    mpc_select(cl, hp, chunks, ref)
+    survivors = mpc_select(cl, hp, chunks, order, ref)
     assert np.array_equal(np.flatnonzero(cl.node_words() == 0), ref.removed)
+    # the survivors come back in removal order
+    assert np.array_equal(survivors, order[~np.isin(order, ref.removed)])
     per_chunk = 2 if kind == "matching" else 3
     assert metrics(cl)["rounds_by_label"]["select"] - before == per_chunk * len(chunks)
-    # every surviving node's scratch space was reclaimed chunk by chunk
-    survivors = np.setdiff1d(np.arange(g.n), ref.removed)
-    assert int(cl.extra_words[survivors].sum()) == 0
+    # the order covers every node exactly once (the instance layers them all)
+    assert np.array_equal(np.sort(order), np.arange(g.n))
+    # every node the selection keeps had its scratch space reclaimed chunk by chunk
+    assert int(cl.extra_words[np.setdiff1d(np.arange(g.n), ref.removed)].sum()) == 0
     assert metrics(cl)["violations"] == []
 
 
@@ -704,7 +743,7 @@ def test_finish_meter_matches_full_edge_scan(n, graph_seed, keep, seed, kind):
         loads.append(cl.loads)
     assert traces[0] == traces[1]
     assert np.array_equal(loads[0], loads[1])
-    if GraphView(graph=g, alive=alive).alive_edges().size:
+    if (alive[g.edges[:, 0]] & alive[g.edges[:, 1]]).any():
         assert any(t.label == "finish" for t in traces[0])
 
 

@@ -39,6 +39,7 @@ from oracles import (
     path,
     random_graph,
     select_matching_per_layer,
+    select_mis_per_layer,
     star,
 )
 
@@ -387,6 +388,61 @@ def test_select_mis_rejects_same_layer_adjacent_proposals():
         select_mis(g, hp, props)
 
 
+def _assert_select_mis_matches_oracle(g, hp, props):
+    sol = select_mis(g, hp, props)
+    want_selected, want_removed = select_mis_per_layer(g, hp, props)
+    assert sol.selected.dtype == sol.removed.dtype == np.int64
+    assert np.array_equal(sol.selected, want_selected)
+    assert np.array_equal(sol.removed, want_removed)
+    return sol
+
+
+@pytest.mark.parametrize(
+    "layers,proposed,selected",
+    [
+        # nothing proposed
+        ([1, 2, 3, 4, 5, 6], [], []),
+        # one layer: every proposal commits at once
+        ([1, 1, 1, 1, 1, 1], [0, 2, 4], [0, 2, 4]),
+        # a path climbing one layer per node: the sweep takes every other
+        # node from the top (from the bottom it would take the other half)
+        ([1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5], [1, 3, 5]),
+        # gapped layers: node 2 (layer 9) fells 1 and 3 before their layers
+        ([2, 4, 9, 7, 1, 3], [0, 1, 2, 3, 5], [0, 2, 5]),
+    ],
+    ids=["empty", "one-layer", "many-layers", "gapped-layers"],
+)
+def test_select_mis_pinned_sweeps(layers, proposed, selected):
+    hp = _manual_hp(layers, 1)
+    props = ProposalSet(kind="mis", marked=np.array(proposed, np.int64),
+                        proposed=np.array(proposed, np.int64))
+    sol = _assert_select_mis_matches_oracle(path(6), hp, props)
+    assert sol.selected.tolist() == selected
+
+
+@given(
+    st.integers(1, 60),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(["h-partition", "one-layer", "random-layers"]),
+    st.sampled_from([0.02, 0.3, 1.0]),
+    st.integers(0, 2 ** 31 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_select_mis_matches_per_layer_oracle(n, graph_seed, layers, p, seed):
+    # The one-sort sweep against the per-layer sweep, on the proposals of
+    # an H-partition, of a single layer, or of random (often
+    # non-consecutive) layers; at p = 0.02 most draws propose nothing.
+    r = np.random.default_rng(graph_seed)
+    g = random_graph(n, int(r.integers(0, 3 * n + 1)), graph_seed)
+    if layers == "h-partition":
+        hp = h_partition(g, max(degeneracy(g).degeneracy, 1))
+    elif layers == "one-layer":
+        hp = _manual_hp(np.ones(n, np.int64), 1)
+    else:
+        hp = _manual_hp(r.choice([1, 2, 3, 5, 8, 13], size=n), 1)
+    _assert_select_mis_matches_oracle(g, hp, mark_and_propose_mis(g, hp, p, seed))
+
+
 # ---------------------------------------------------------------------------
 # reduce_once / degree_reduce
 # ---------------------------------------------------------------------------
@@ -541,6 +597,65 @@ def test_merge_dedupes_overlapping_removed_sets():
     m2 = PartialSolution(kind="matching", selected=np.array([[0, 3]]), removed=np.array([5, 3, 0, 2]))
     assert m1.merge(m2).removed.tolist() == [0, 2, 3, 5]
     assert m1.merge(m2).selected.tolist() == [[0, 3], [2, 5]]
+
+
+def _fold(total, parts):
+    for p in parts:
+        total = total.merge(p)
+    return total
+
+
+def _solution_parts(kind, draws):
+    # each part: a random selection and a random (possibly overlapping,
+    # unsorted, repeating or empty) removed set
+    shape = (-1, 2) if kind == "matching" else (-1,)
+    return [
+        PartialSolution(kind=kind, selected=np.array(sel, np.int64).reshape(shape),
+                        removed=np.array(rem, np.int64))
+        for sel, rem in draws
+    ]
+
+
+@given(
+    st.sampled_from(KINDS),
+    st.lists(
+        st.tuples(
+            st.lists(st.integers(0, 30), max_size=8).map(lambda v: v[: len(v) // 2 * 2]),
+            st.lists(st.integers(0, 30), max_size=10),
+        ),
+        min_size=1,
+        max_size=6,
+    ),
+)
+@example("mis", [([], []), ([3, 1], [1, 2, 3]), ([], []), ([5], [2, 5, 3])])
+@example("matching", [([0, 4], [0, 4]), ([], [4, 0]), ([0, 4], [])])
+@settings(max_examples=150, deadline=None)
+def test_merge_of_many_equals_fold_of_pairs(kind, draws):
+    # from an empty solution, as the phase and finish loops merge, and from
+    # the first part
+    parts = _solution_parts(kind, draws)
+    empty = PartialSolution.empty(kind)
+    cases = [(empty.merge(*parts), _fold(empty, parts))]
+    if len(parts) > 1:
+        cases.append((parts[0].merge(*parts[1:]), _fold(parts[0], parts[1:])))
+    # and what the merge means: every selection, sorted, and the distinct
+    # removed ids, ascending
+    merged = cases[0][0]
+    assert merged.selected.tolist() == sorted(x for p in parts for x in p.selected.tolist())
+    assert merged.removed.tolist() == sorted({x for p in parts for x in p.removed.tolist()})
+    for got, want in cases:
+        assert got.kind == kind
+        for a, b in ((got.selected, want.selected), (got.removed, want.removed)):
+            assert a.dtype == b.dtype == np.int64
+            assert a.shape == b.shape
+            assert np.array_equal(a, b)
+
+
+def test_merge_rejects_a_part_of_another_kind():
+    with pytest.raises(ValueError, match="different kinds"):
+        PartialSolution.empty("mis").merge(
+            PartialSolution.empty("mis"), PartialSolution.empty("matching")
+        )
 
 
 def test_finish_edgeless_mis_selects_all():
