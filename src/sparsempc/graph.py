@@ -134,10 +134,6 @@ class GraphView:
     def alive_degrees(self) -> np.ndarray:
         return alive_degrees(self.graph.indptr, self.graph.indices, self.alive)
 
-    def max_alive_degree(self) -> int:
-        deg = self.alive_degrees()
-        return int(deg.max()) if deg.size else 0
-
     def compact(self):
         """Alive-induced subgraph with renumbered ids, in O(n + alive rows).
 
@@ -210,11 +206,12 @@ def save_graph(g: Graph, path, meta: dict | None = None) -> None:
 
 def _edge_line(path, line: str, i: int, prev: tuple) -> tuple[int, int]:
     """Edge line ``i`` (0-based, after the header) read on its own, checked
-    against the edge ``prev`` on the line before it."""
-    parts = line.split()
-    if len(parts) != 2:
-        raise GraphFormatError(f"{path}: bad edge line {i + 2!r}")
-    u, v = int(parts[0]), int(parts[1])
+    against the edge ``prev`` on the line before it.  A line that is not two
+    integers within int64 is a bad edge line."""
+    try:
+        u, v = np.array([int(t) for t in line.split()], np.int64).tolist()
+    except (ValueError, OverflowError):
+        raise GraphFormatError(f"{path}: bad edge line {i + 2}") from None
     if u >= v:
         raise GraphFormatError(f"{path}: edge ({u}, {v}) not in u < v form")
     if (u, v) <= prev:

@@ -104,14 +104,14 @@ def _notify_round(
     """Distinct ``senders`` push one word along each incident edge whose other
     end is in ``mask``: removed nodes strike the edge at their still-alive
     neighbors, winners notify the not-yet-finished phase nodes.  The round is
-    handed over as its live (sender, target) pairs with one word each, read
-    off the senders' rows rather than all n nodes; the cluster sums them per
-    machine, so no per-node totals are formed.  Returns the targets, one per
-    word sent."""
+    handed over as its live (sender, target) pairs, read off the senders'
+    rows rather than all n nodes; the cluster counts the pairs that cross
+    machines, so a word to a neighbor on the sender's machine is free.
+    Returns the targets, one per live pair, local ones included."""
     src, tgt = gather_segments(g.indptr, g.indices, senders)
     live = mask[tgt]
     tgt = tgt[live]
-    cluster.execute_round_volumes(src[live], 1, tgt, 1, label=label)
+    cluster.execute_round_bulk(src[live], tgt, label=label)
     return tgt
 
 
@@ -266,7 +266,7 @@ def gather_and_peel(
         # the one layer's rows, as the peel gathered them: removed nodes
         # strike the edges to their still-alive neighbors
         live = alive[nb]
-        cluster.execute_round_volumes(src[live], 1, nb[live], 1, label=label)
+        cluster.execute_round_bulk(src[live], nb[live], label=label)
     if t < radius and alive.any():
         stuck = int(alive.sum())
         raise StallError(
@@ -423,12 +423,12 @@ def mpc_mark_propose(
     cluster.execute_round_volumes(ids, deg, ids, deg, label="markpropose")
     if props.kind == "matching":
         mk, pr = props.marked, props.proposed
-        cluster.execute_round_bulk(ids[mk[:, 0]], ids[mk[:, 1]], 1, label="markpropose")
-        cluster.execute_round_bulk(ids[pr[:, 1]], ids[pr[:, 0]], 1, label="markpropose")
+        cluster.execute_round_bulk(ids[mk[:, 0]], ids[mk[:, 1]], label="markpropose")
+        cluster.execute_round_bulk(ids[pr[:, 1]], ids[pr[:, 0]], label="markpropose")
     else:
         src, nb = gather_segments(sub.indptr, sub.indices, props.marked)
         flow = hp.layer[nb] == hp.layer[src]
-        cluster.execute_round_volumes(ids[src[flow]], 1, ids[nb[flow]], 1, label="markpropose")
+        cluster.execute_round_bulk(ids[src[flow]], ids[nb[flow]], label="markpropose")
 
 
 def mpc_select(
@@ -502,7 +502,7 @@ def mpc_select(
         r0, r1 = row_off[sel_end[i]], row_off[sel_end[i + 1]]
         src, nb = src_all[r0:r1], nb_all[r0:r1]
         live = pending[nb]
-        cluster.execute_round_volumes(src[live], 1, nb[live], 1, label="select")
+        cluster.execute_round_bulk(src[live], nb[live], label="select")
         if sol.kind == "mis":
             # neighbors of winners leave the graph too; they tell their own
             # neighborhoods, which may live in chunks not yet visited
@@ -656,8 +656,5 @@ def mpc_pipeline(
     met["partition_rounds"] = partition_rounds(met)
     met["phases"] = report.phases
     met["partition_stats"] = meter.partition_stats
-    met["kind"] = kind
-    met["target_delta"] = int(target_delta)
-    met["adaptive"] = bool(adaptive)
     cluster.flush_trace()
     return total, met

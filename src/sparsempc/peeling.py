@@ -31,10 +31,6 @@ class HPartition:
         """sizes[i] = |layer i+1| for i in 0..ell-1."""
         return np.bincount(self.layer, minlength=self.ell + 1)[1:]
 
-    def suffix_sizes(self) -> np.ndarray:
-        """suffix[i] = number of nodes in layers >= i+1."""
-        return np.cumsum(self.layer_sizes()[::-1])[::-1]
-
 
 def h_partition(g: Graph, d: int) -> HPartition:
     """Partition nodes into peeling layers with degree threshold ``d``.
@@ -57,8 +53,6 @@ def h_partition(g: Graph, d: int) -> HPartition:
 @dataclass(frozen=True)
 class ArboricityEstimate:
     degeneracy: int
-    lambda_lower: int  # ceil(degeneracy / 2)
-    lambda_upper: int  # degeneracy itself
     witness: np.ndarray  # removal order: each node has <= degeneracy later neighbors
 
 
@@ -69,12 +63,7 @@ def degeneracy(g: Graph) -> ArboricityEstimate:
     which is all the pipeline needs (its guarantees are stated against 2λ).
     """
     k, order, _core = degeneracy_order(g.indptr, g.indices)
-    return ArboricityEstimate(
-        degeneracy=int(k),
-        lambda_lower=(int(k) + 1) // 2,
-        lambda_upper=int(k),
-        witness=order,
-    )
+    return ArboricityEstimate(degeneracy=int(k), witness=order)
 
 
 def suffix_decay_ok(layer_sizes, d: int, lam: int) -> bool:

@@ -6,20 +6,22 @@ sent words, received words, and resident words must each stay within its
 capacity S, and any violation aborts the run naming the machine and round.
 
 A round is described by arrays, one call per round:
-:meth:`Cluster.execute_round_bulk` takes flat src/dst/word message arrays,
-:meth:`Cluster.execute_round_volumes` takes per-node traffic totals (used when
-per-message arrays would be huge, and for one-word messages given as their
-(sender, target) pairs), and :meth:`Cluster.control_rounds` meters
-coordinator plumbing (two words per machine and round).  Each of them turns
-its round into per-machine sent and received words and hands them to one
-recording site, which appends the :class:`RoundTrace`, writes the round's
-``MPC_TRACE_DIR`` rows from the live ledgers and checks the budgets.
+:meth:`Cluster.execute_round_bulk` takes the (sender, target) node pairs of
+a round of one-word messages, :meth:`Cluster.execute_round_volumes` takes
+per-node traffic totals (gathers, clique steps and exchanges, where
+per-message arrays would be huge), and :meth:`Cluster.control_rounds`
+meters coordinator plumbing (two words per machine and round).  Each of them
+turns its round into per-machine sent and received words and hands them to
+one recording site, which appends the :class:`RoundTrace`, writes the
+round's ``MPC_TRACE_DIR`` rows from the live ledgers and checks the budgets.
 
-In a bulk round, messages between nodes hosted on the same machine are local
-computation and cost nothing.  Storage is metered in words: one word per
-adjacency entry (an edge costs two words, one at each endpoint) plus whatever
-auxiliary words the caller registers (virtual adjacency, retained chunk
-state).
+Only words that cross machines are traffic: a pair round drops the pairs
+whose two nodes share a machine, which are local computation.  Per-node
+totals cannot tell local words from crossing ones, so they count every word
+and are an upper bound on the true traffic.  Storage is metered in words:
+one word per adjacency entry (an edge costs two words, one at each
+endpoint) plus whatever auxiliary words the caller registers (virtual
+adjacency, retained chunk state).
 
 With ``MPC_TRACE_DIR`` set, every round writes one row per machine that
 stores, sends or receives anything (``round``, ``machine``, ``words_used``,
@@ -82,7 +84,6 @@ class ClusterConfig:
     delta: float
     S: int
     M: int
-    c_total: float = 4.0
 
     def __post_init__(self):
         if self.S < 1 or self.M < 1:
@@ -101,7 +102,7 @@ class ClusterConfig:
         S = int(math.ceil(n ** delta))
         polylog = max(1.0, math.log2(n))
         M = max(1, int(math.ceil(c_total * max(1, g.m) * polylog / S)))
-        return cls(n=g.n, m=g.m, delta=delta, S=S, M=M, c_total=c_total)
+        return cls(n=g.n, m=g.m, delta=delta, S=S, M=M)
 
 
 @dataclass
@@ -309,23 +310,22 @@ class Cluster:
         return trace
 
     def execute_round_bulk(
-        self,
-        src: np.ndarray,
-        dst: np.ndarray,
-        words=1,
-        *,
-        label: str = "",
+        self, src: np.ndarray, dst: np.ndarray, *, label: str = ""
     ) -> RoundTrace:
-        """One round from flat message arrays (src node, dst node, words each)."""
-        src = np.asarray(src, np.int64)
-        dst = np.asarray(dst, np.int64)
-        w = np.broadcast_to(np.asarray(words, np.int64), src.shape)
+        """One round of one-word messages, node ``src[j]`` to node ``dst[j]``.
+        A pair whose two nodes share a machine is local computation and
+        costs nothing.  Every pair is counted on both sides, then the local
+        pairs, which sit on one machine on both sides, are taken off again,
+        so only the usually few local pairs are copied."""
         sm = self.node_machine[src]
         dm = self.node_machine[dst]
-        crossing = sm != dm
-        w = w[crossing]
-        sent = np.bincount(sm[crossing], weights=w, minlength=1).astype(np.int64)
-        received = np.bincount(dm[crossing], weights=w, minlength=1).astype(np.int64)
+        sent = np.bincount(sm, minlength=1)
+        received = np.bincount(dm, minlength=1)
+        local = sm[sm == dm]
+        if local.size:
+            counts = np.bincount(local)
+            sent[: counts.size] -= counts
+            received[: counts.size] -= counts
         return self._check_and_trace(label, sent, received)
 
     def execute_round_volumes(
@@ -339,13 +339,12 @@ class Cluster:
     ) -> RoundTrace:
         """One round from pre-aggregated per-node traffic: node ``out_nodes[j]``
         sends ``out_words[j]`` words in total, node ``in_nodes[j]`` receives
-        ``in_words[j]``.  Used when per-message arrays would be huge (ball
-        gathers); same-machine elision is not applied, so ledgers are an upper
-        bound on the true traffic.  A node may be listed more than once, and
-        either words argument may be one number for every entry: a round
-        of one-word messages is its (sender, target) pairs with words 1.
-        When both sides are the same arrays (an exchange in which every node
-        receives what it sends) the per-machine sums are formed once."""
+        ``in_words[j]``.  Totals cannot tell local words from crossing ones,
+        so every word counts and the ledgers are an upper bound on the true
+        traffic.  A node may be listed more than once, and either words
+        argument may be one number for every entry.  When both sides are the
+        same arrays (an exchange in which every node receives what it sends)
+        the per-machine sums are formed once."""
         sent = self._machine_sums(out_nodes, out_words)
         if in_nodes is out_nodes and in_words is out_words:
             return self._check_and_trace(label, sent, sent)
@@ -459,7 +458,6 @@ def metrics(cluster: Cluster) -> dict:
         by_label[key] = by_label.get(key, 0) + 1
     return {
         "rounds": len(traces),
-        "normalized_rounds": len(traces) * cluster.cfg.delta,
         "peak_words": max((t.peak_words for t in traces), default=0),
         "max_sent": max((t.max_sent for t in traces), default=0),
         "max_received": max((t.max_received for t in traces), default=0),
@@ -469,5 +467,4 @@ def metrics(cluster: Cluster) -> dict:
         "S": cluster.cfg.S,
         "M": cluster.cfg.M,
         "machines_used": cluster.machines_used,
-        "c_total": cluster.cfg.c_total,
     }

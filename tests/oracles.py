@@ -140,10 +140,13 @@ def load_graph_by_lines(path):
     edges = np.empty((m, 2), dtype=np.int64)
     prev = (-1, -1)
     for i, line in enumerate(lines[1:]):
-        parts = line.split()
-        if len(parts) != 2:
-            raise GraphFormatError(f"{path}: bad edge line {i + 2!r}")
-        u, v = int(parts[0]), int(parts[1])
+        bad = GraphFormatError(f"{path}: bad edge line {i + 2}")
+        try:
+            u, v = (int(t) for t in line.split())
+        except ValueError:  # not two integers
+            raise bad from None
+        if not all(-(2 ** 63) <= x < 2 ** 63 for x in (u, v)):
+            raise bad
         if u >= v:
             raise GraphFormatError(f"{path}: edge ({u}, {v}) not in u < v form")
         if (u, v) <= prev:

@@ -59,7 +59,7 @@ GOLDEN = [
                 select=168,
             ),
             "peak_words": 114,
-            "total_messages": 170390,
+            "total_messages": 170305,
             "partition_stats": [
                 _stats(1024, False, 1, _pre(5, 5, 5), [
                     {"iteration": 0, "radius": 1, "alive_before": 928, "reps_used": 60},
@@ -82,7 +82,7 @@ GOLDEN = [
                 rebalance=2, rebalance_plan=4, select=18,
             ),
             "peak_words": 8,
-            "total_messages": 6384,
+            "total_messages": 6381,
             "partition_stats": [
                 _stats(300, True, None, _pre(0, 0), [_fallback_pass(300, 4)], 0, 4),
                 _stats(173, False, 0, _pre(5, 5, 2), [], 0, 2),
@@ -100,7 +100,7 @@ GOLDEN = [
                 rebalance=2, rebalance_plan=4, select=10,
             ),
             "peak_words": 57,
-            "total_messages": 15837,
+            "total_messages": 15827,
             "partition_stats": [
                 _stats(400, True, None, _pre(0, 0), [_fallback_pass(400, 4)], 0, 4),
                 _stats(270, False, 0, _pre(4, 4, 1), [], 0, 1),
@@ -119,7 +119,7 @@ GOLDEN = [
                 select=148,
             ),
             "peak_words": 113,
-            "total_messages": 138904,
+            "total_messages": 138833,
             "partition_stats": [
                 _stats(900, False, 1, _pre(5, 5, 5), [
                     {"iteration": 0, "radius": 1, "alive_before": 793, "reps_used": 60},
@@ -154,11 +154,11 @@ def test_pipeline_metering_is_pinned(case, pinned):
 # SHA-256 of each case's MPC_TRACE_DIR file, by case id
 TRACE_SHA256 = {
     "layered-core-matching-doubling":
-        "5922488cc0f4807f3e00e2995d288501c99db8b3c59d85e761e5c356e96cccc1",
-    "tree-mis": "dae1d309d70705e4b297f49e744ce8f291df4d72e419b2cc615af3f1cba1810f",
-    "pa-matching": "965eab707c3a6a6446c626063fc8a0e0e934b836fdccae000f21e5c2620830e6",
+        "4629340d3bed18fce1a3a24c1293660d8461d7866f9aad94a8bff59dcd30a158",
+    "tree-mis": "9f59ed78662d582c5cf3a191a6b7afc2206992e79c0e6686c72df50344b1a649",
+    "pa-matching": "92dc1931ee135bc889739b3c9afb47ce8371070e1b541b6216ad53c510626216",
     "layered-core-matching-adaptive":
-        "d4d97cbba1ba2b086d27815ad8b99cc11f13e6f3c1d673ec224cc395a284e1a8",
+        "13038744472e8513fc4f60842ed30586a7cbe156dd20e180631623989fea2975",
 }
 
 

@@ -397,6 +397,15 @@ def test_cli_compare_graph_file(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["equal"]
 
 
+def test_cli_compare_bad_edge_line_is_one_error_line(tmp_path, capsys):
+    # an edge id past int64 names the file and the line, not a traceback
+    out = tmp_path / "g.edges"
+    out.write_text("3 2\n0 1\n0 99999999999999999999\n")
+    rc = cli.main(["compare", "--graph", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"sparsempc: error: {out}: bad edge line 3\n"
+
+
 def test_cli_generate_rejects_unknown_parameter(tmp_path, capsys):
     out = tmp_path / "g.edges"
     rc = cli.main(
@@ -452,6 +461,13 @@ def test_cli_missing_records_file_is_an_error_line(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------- surface
+
+
+def test_readme_quick_start_runs(capsys):
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    block = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})  # its own asserts must hold
+    assert capsys.readouterr().out.split()[-1] == "[]"  # no budget violations
 
 
 def test_public_names_resolve_and_readme_lists_every_verb(capsys):

@@ -197,20 +197,25 @@ def test_gather_and_peel_stall_matches_centralized():
 def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
     # Radius-1 repetitions with carried degrees, first layers and layer
     # buffer, as the partition runs them: each removal round must
-    # charge one word per edge from a removed node to a still-alive one, on
-    # the machines holding the two ends.  The per-machine volumes are read
-    # back from the round's MPC_TRACE_DIR rows (a machine without a row
-    # moved nothing).
+    # charge one word per edge from a removed node to a still-alive one on
+    # another machine, on the machines holding the two ends; an edge whose
+    # ends share a machine is free, and the instance has such edges.  The
+    # per-machine volumes are read back from the round's MPC_TRACE_DIR rows
+    # (a machine without a row moved nothing).
     monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
     g = generate("bounded-degree-random", {"n": 400, "deg": 4}, seed=2)
-    d = valid_d(g)
-    cl = _cluster(g, 0.5)
+    # the degeneracy is the lowest threshold that cannot stall, so the peel
+    # takes several layers; about 16 nodes to a machine, so that some struck
+    # edges stay on one
+    d = degeneracy(g).degeneracy
+    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.5, S=64, M=50), seed=0)
     alive = np.ones(g.n, bool)
     alive[::5] = False
     deg = alive_degrees(g.indptr, g.indices, alive)
     buf = np.zeros(g.n, np.int64)
     first = None
     want = {}
+    local = 0
     while alive.any():
         before = alive.copy()
         _, _, removed, first = gather_and_peel(
@@ -220,12 +225,17 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
         received = np.zeros(cl.machines_used, np.int64)
         for v in removed.tolist():
             for u in g.neighbors(v).tolist():
-                if alive[u]:
+                if not alive[u]:
+                    continue
+                if cl.node_machine[u] == cl.node_machine[v]:
+                    local += 1
+                else:
                     sent[cl.node_machine[v]] += 1
                     received[cl.node_machine[u]] += 1
         trace = cl.traces[-1]
         assert trace.label == "partition-peel"
         want[trace.round] = (sent, received)
+    assert local > 0
     rows = [json.loads(line) for line in cl.flush_trace().read_text().splitlines()]
     assert all(row["machine"] >= 0 for row in rows)  # per-machine rows
     width = 1 + max(row["machine"] for row in rows)
@@ -539,9 +549,9 @@ def test_mark_propose_matches_centralized(kind):
             assert rounds[1].total_sent == _crossing(cl, mk[:, 0], mk[:, 1])
             assert rounds[2].total_sent == _crossing(cl, pr[:, 1], pr[:, 0])
         else:
-            src = np.repeat(ids, g.degrees)
-            same = hp.layer[g.indices] == hp.layer[src]
-            marks_sent = int((same & np.isin(src, props.marked)).sum())
+            src, nb = np.repeat(ids, g.degrees), g.indices
+            flow = (hp.layer[nb] == hp.layer[src]) & np.isin(src, props.marked)
+            marks_sent = _crossing(cl, ids[src[flow]], ids[nb[flow]])
             assert rounds[1].total_sent == rounds[1].total_received == marks_sent
         assert metrics(cl)["violations"] == []
 
@@ -635,7 +645,28 @@ def test_pipeline_matches_centralized_solve(pipeline_corpus, kind):
         assert verify_maximal(g, sol)
         assert met["violations"] == []
         assert met["peak_words"] <= cfg.S
-        assert met["kind"] == kind
+
+
+def test_one_machine_pays_only_for_volume_rounds():
+    # with every node on one machine no (sender, target) pair crosses
+    # machines: the peel's removal rounds and the independent set's finish
+    # notify rounds record nothing, while the rounds metered from per-node
+    # totals (layer exchange, gathers, selection members) keep their totals
+    # (a gather counts every word of its totals, hence the large S)
+    g = generate("layered-core", {"n": 1024, "depth": 100, "d": 3}, seed=0)
+    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.6, S=32 * g.m, M=1), seed=1)
+    solve(g, "mis", 2, 1, d_floor=3, meter=ClusterMeter(cl))
+    assert cl.machines_used == 1
+    sent = {}
+    for t in cl.traces:
+        sent.setdefault(t.label, []).append(t.total_sent)
+    assert sent["partition-peel"] and set(sent["partition-peel"]) == {0}
+    assert sent["finish"] and set(sent["finish"]) == {0}
+    # mark/propose is a layer exchange, then the marks, in every phase
+    assert all(w > 0 for w in sent["markpropose"][::2])
+    assert set(sent["markpropose"][1::2]) == {0}
+    for label in ("partition-clique", "partition-gather", "select"):
+        assert max(sent[label]) > 0, label
 
 
 def test_pipeline_adaptive_same_solution_different_metering():
@@ -644,7 +675,6 @@ def test_pipeline_adaptive_same_solution_different_metering():
     sol_f, met_f = mpc_pipeline(g, cfg, "matching", 4, seed=2, adaptive=False)
     sol_a, met_a = mpc_pipeline(g, cfg, "matching", 4, seed=2, adaptive=True)
     assert solution_digest(sol_f, 2) == solution_digest(sol_a, 2)
-    assert met_f["adaptive"] is False and met_a["adaptive"] is True
     assert partition_rounds(met_f) != partition_rounds(met_a)
 
 
@@ -658,7 +688,6 @@ def test_pipeline_metrics_shape():
     for ph in met["phases"]:
         assert ph["delta_after"] <= ph["delta_before"]
     assert met["rounds"] == sum(met["rounds_by_label"].values())
-    assert met["target_delta"] == 3
 
 
 @pytest.mark.parametrize("kind", ["matching", "mis"])

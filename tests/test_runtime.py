@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sparsempc import rng, runtime
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
+from sparsempc.mpc import _notify_round
 from sparsempc.runtime import (
     CapacityError,
     Cluster,
@@ -23,7 +24,7 @@ from sparsempc.runtime import (
     rebalance,
 )
 
-from oracles import path, star
+from oracles import path, random_graph, star
 
 
 def _loads_consistent(cl):
@@ -106,7 +107,7 @@ def test_volume_round_with_one_array_per_side_pair():
 def test_neighbor_pass_stays_in_budget():
     g = path(16)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
-    t = cl.execute_round_bulk(np.arange(15), np.arange(1, 16), 1, label="shift")
+    t = cl.execute_round_bulk(np.arange(15), np.arange(1, 16), label="shift")
     assert t.total_sent > 0
     assert t.max_sent <= cl.cfg.S and t.max_received <= cl.cfg.S
     assert not cl.violations
@@ -118,7 +119,8 @@ def test_send_budget_violation_names_machine_and_round():
     src_m = int(cl.node_machine[0])
     far = int(np.flatnonzero(cl.node_machine != src_m)[0])
     with pytest.raises(SendBudgetExceeded) as ei:
-        cl.execute_round_bulk(np.array([0]), np.array([far]), cl.cfg.S + 1, label="blast")
+        blast = np.ones(cl.cfg.S + 1, np.int64)
+        cl.execute_round_bulk(0 * blast, far * blast, label="blast")
     assert ei.value.machine == src_m
     assert ei.value.round == 0
     assert "machine" in str(ei.value)
@@ -155,8 +157,63 @@ def test_bulk_round_elides_same_machine_traffic():
     cl = init_cluster(g, cfg, seed=0)
     # everything fits on one machine at this S, so nothing crosses the wire
     assert cl.machines_used == 1
-    t = cl.execute_round_bulk(np.arange(5), np.arange(1, 6), 3, label="local")
+    t = cl.execute_round_bulk(np.arange(5), np.arange(1, 6), label="local")
     assert t.total_sent == 0 and t.total_received == 0
+
+
+def _crossing_ledgers(cl, src, dst):
+    """Per-machine sent and received words of one-word messages ``src[j]``
+    to ``dst[j]``, counted pair by pair, skipping pairs on one machine."""
+    sent = np.zeros(cl.machines_used, np.int64)
+    received = np.zeros(cl.machines_used, np.int64)
+    for u, v in zip(cl.node_machine[src].tolist(), cl.node_machine[dst].tolist()):
+        if u != v:
+            sent[u] += 1
+            received[v] += 1
+    return sent, received
+
+
+@given(
+    st.integers(1, 30),
+    st.integers(1, 6),
+    st.integers(0, 80),
+    st.integers(0, 2 ** 31 - 1),
+)
+@example(n=12, machines=1, pairs=40, seed=3)  # every node on one machine
+@example(n=12, machines=4, pairs=0, seed=3)  # an empty round
+@settings(max_examples=150, deadline=None)
+def test_pair_rounds_count_only_crossing_pairs(n, machines, pairs, seed):
+    """On a random placement, a round of (sender, target) pairs, given
+    directly or as the notify round of the cluster pipeline, records per
+    machine the pairs that cross machines and nothing for the others."""
+    r = np.random.default_rng(seed)
+    g = random_graph(n, 2 * n, seed)
+    cl = Cluster(g, ClusterConfig(n=n, m=g.m, delta=0.5, S=10 ** 6, M=machines), seed=0)
+    cl.node_machine = r.integers(0, machines, size=n)
+    cl.machines_used = machines
+    senders = np.flatnonzero(r.random(n) < 0.5)
+    mask = r.random(n) < 0.5
+    nb_src = np.repeat(np.arange(n), g.degrees)
+    live = np.isin(nb_src, senders) & mask[g.indices]
+    rounds = [
+        (r.integers(0, n, size=pairs), r.integers(0, n, size=pairs)),
+        (nb_src[live], g.indices[live]),
+    ]
+    recorded = []
+    record = cl._check_and_trace
+
+    def capture(label, sent, received):
+        recorded.append((sent, received))
+        return record(label, sent, received)
+
+    with mock.patch.object(cl, "_check_and_trace", capture):
+        cl.execute_round_bulk(*rounds[0], label="pairs")
+        _notify_round(cl, g, senders, mask, "notify")
+    assert len(recorded) == 2
+    for (src, dst), (sent, received) in zip(rounds, recorded):
+        want_sent, want_received = _crossing_ledgers(cl, src, dst)
+        assert np.array_equal(np.pad(sent, (0, machines - sent.size)), want_sent)
+        assert np.array_equal(np.pad(received, (0, machines - received.size)), want_received)
 
 
 def test_rebalance_budget_arithmetic():
@@ -214,14 +271,13 @@ def test_metrics_round_counting():
     m = metrics(cl)
     assert m["rounds"] == 3
     assert m["rounds_by_label"] == {"ping": 3}
-    assert m["normalized_rounds"] == pytest.approx(3 * 0.5)
     assert m["violations"] == []
 
 
 def test_metrics_peak_matches_trace_recomputation():
     g = generate("grid", {"rows": 6, "cols": 6}, seed=0)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.6), seed=1)
-    cl.execute_round_bulk(g.edges[:, 0], g.edges[:, 1], 1, label="a")
+    cl.execute_round_bulk(g.edges[:, 0], g.edges[:, 1], label="a")
     rebalance(cl, np.ones(g.n, bool))
     m = metrics(cl)
     assert m["peak_words"] == max(t.peak_words for t in cl.traces)
@@ -290,13 +346,11 @@ def _run_traced_program(tmpdir, name):
     cfg = ClusterConfig.for_graph(g, 0.5)
     cl = init_cluster(g, cfg, seed=9, name=name)
     alive = np.ones(g.n, bool)
-    cl.execute_round_bulk(g.edges[:, 0], g.edges[:, 1], 1, label="edge-pass")
+    cl.execute_round_bulk(g.edges[:, 0], g.edges[:, 1], label="edge-pass")
     alive[::3] = False
     rebalance(cl, alive)
     cl.control_rounds(2)
-    cl.execute_round_bulk(
-        np.flatnonzero(alive)[:5], np.flatnonzero(alive)[5:10], 2, label="probe"
-    )
+    cl.execute_round_bulk(np.flatnonzero(alive)[:5], np.flatnonzero(alive)[5:10], label="probe")
     path_out = cl.flush_trace()
     return cl, path_out
 
@@ -349,7 +403,7 @@ def test_trace_past_keep_limit_writes_one_aggregate_row_per_round(tmp_path, monk
     want_sent = int(np.bincount(sm[cross]).max())
     want_received = int(np.bincount(dm[cross]).max())
     want_peak = int(np.bincount(cl.node_machine, weights=g.degrees).max())
-    t = cl.execute_round_bulk(e[:, 0], e[:, 1], 1, label="edges")
+    t = cl.execute_round_bulk(e[:, 0], e[:, 1], label="edges")
     assert (t.peak_words, t.max_sent, t.max_received) == (want_peak, want_sent, want_received)
     want_out = int(np.bincount(cl.node_machine[:10], weights=np.full(10, 2)).max())
     want_in = int(np.bincount(cl.node_machine[10:20], weights=np.full(10, 2)).max())
