@@ -76,7 +76,7 @@ def alive_degrees(indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def _peel(indptr, indices, alive, d, max_layers, deg, last_rows=False, first=None, layer=None):
+def _peel(indptr, indices, alive, d, max_layers, deg, first=None, layer=None):
     # Only neighbors of the layer just peeled lose degree, so the next layer
     # is drawn from them.  A small layer (rows under n/4 entries, as in deep
     # towers and in most partition repetitions) sorts its live neighbors
@@ -108,24 +108,21 @@ def _peel(indptr, indices, alive, d, max_layers, deg, last_rows=False, first=Non
             hit, count = np.unique(nb[alive[nb] & (layer[nb] == 0)], return_counts=True)
             deg[hit] -= count
             frontier = hit[deg[hit] <= d]
-    if last_rows:
-        peeled = np.concatenate(peeled) if peeled else frontier[:0]
-        return layer, t, peeled, src, nb, frontier if known else None
-    return layer, t
+    peeled = np.concatenate(peeled) if peeled else frontier[:0]
+    return layer, t, peeled, src, nb, frontier if known else None
 
 
 def peel_layers(
-    indptr, indices, alive, d: int, max_layers: int, deg=None, *,
-    last_rows=False, first=None, layer=None,
+    indptr, indices, alive, d: int, max_layers: int, deg=None, *, first=None, layer=None,
 ):
     """Batch-peel the alive-induced subgraph with threshold ``d``.
 
     Layer ``t`` (1-based) holds the nodes whose remaining degree is <= d once
     layers below ``t`` are gone; all such nodes drop simultaneously.  Stops
-    after ``max_layers`` layers.  Returns ``(layer, t)`` where ``layer`` is 0
-    for dead or still-unassigned nodes and ``t`` is the number of layers
-    produced.  The caller detects a stall as: some alive node unassigned while
-    ``t < max_layers``.
+    after ``max_layers`` layers.  Returns ``(layer, t, peeled, sources,
+    neighbors, next_first)``.  ``layer`` is 0 for dead or still-unassigned
+    nodes and ``t`` is the number of layers produced; the caller detects a
+    stall as: fewer nodes ``peeled`` than alive while ``t < max_layers``.
 
     ``deg`` lets a caller that peels the same subgraph repeatedly carry the
     degrees instead of recounting them (an O(m) pass) on every call.  It must
@@ -134,15 +131,15 @@ def peel_layers(
     holds its degree among the unassigned nodes, ready for the next call
     with those nodes as ``alive``.  Entries of other nodes are unspecified.
 
-    With ``last_rows`` the result is ``(layer, t, peeled, sources,
-    neighbors, next_first)``: the layered nodes, layer by layer and
-    ascending within a layer, so that a caller need not scan ``layer`` for
-    them; the CSR rows of the last layer peeled, as :func:`gather_segments`
-    gives them (empty when no layer was), so that a caller peeling one layer
-    at a time can send along them without gathering them again; and the
-    first layer of the next call on the unassigned nodes with the carried
-    ``deg``, ascending, or None when the peel stopped before computing it
-    (its last layer was a large one).
+    ``peeled`` lists the layered nodes, layer by layer and ascending within
+    a layer, so that a caller need not scan ``layer`` for them.
+    ``sources`` and ``neighbors`` are the CSR rows of the last layer peeled,
+    as :func:`gather_segments` gives them (empty when no layer was), so that
+    a caller peeling one layer at a time can send along them without
+    gathering them again.  ``next_first`` is the first layer of the next
+    call on the unassigned nodes with the carried ``deg``, ascending, or
+    None when the peel stopped before computing it (its last layer was a
+    large one).
 
     Such a next call takes it as ``first`` instead of scanning all n nodes
     for its first layer, and may pass the same ``layer`` array again instead
@@ -160,7 +157,7 @@ def peel_layers(
         not isinstance(layer, np.ndarray) or layer.dtype != np.int64 or layer.shape != alive.shape
     ):
         raise ValueError("layer must be an int64 array shaped like alive")
-    return _peel(indptr, indices, alive, int(d), int(max_layers), deg, last_rows, first, layer)
+    return _peel(indptr, indices, alive, int(d), int(max_layers), deg, first, layer)
 
 
 # ---------------------------------------------------------------------------
@@ -198,9 +195,8 @@ def degeneracy_order(indptr, indices):
         k = int(deg[alive].min())
         # _peel, not peel_layers: the wrapper a tracer installs on
         # peel_layers would take this kernel's time
-        layer, _ = _peel(indptr, indices, alive, k, n, deg)
-        peeled = np.flatnonzero(layer)
-        passes.append(peeled[np.argsort(layer[peeled], kind="stable")])
+        _, _, peeled, _, _, _ = _peel(indptr, indices, alive, k, n, deg)
+        passes.append(peeled)
         alive[peeled] = False
         core[peeled] = k
         left -= peeled.size

@@ -257,7 +257,7 @@ def gather_and_peel(
     if radius >= 2:
         cur, send, pull = cache.gather_volumes(alive)
     layer, t, removed, src, nb, nxt = peel_layers(
-        g.indptr, g.indices, alive, d, radius, deg=deg, last_rows=True, first=first, layer=layer
+        g.indptr, g.indices, alive, d, radius, deg=deg, first=first, layer=layer
     )
     alive[removed] = False
     if radius >= 2:
@@ -338,12 +338,14 @@ def mpc_h_partition(
         if adaptive:
             cluster.control_rounds(sync, label="partition-sync")
 
+    # repacks hold every member, not just `work`: layered nodes keep their
+    # gathered balls until selection; once `work` is empty nothing is repacked
     if schedule.k is None:
         rep = 0
         entry = {"iteration": -1, "radius": 1, "alive_before": int(work.sum()), "reps_used": 0}
         while work.any():
             if rep % 16 == 0:
-                rebalance(cluster, work, keep=members, label="partition-rebalance")
+                rebalance(cluster, members, label="partition-rebalance")
                 if not adaptive:
                     cluster.control_rounds(sync, label="partition-sync")
             run_rep(1, None)
@@ -381,15 +383,14 @@ def mpc_h_partition(
                 cache = _BallCache(g, work, radius, deg)
                 rebalance(
                     cluster,
-                    work,
-                    keep=members,
+                    members,
                     weights=cache.traffic_weights(cluster.node_words()),
                     label="partition-rebalance",
                 )
                 vstats = connect_cliques(cluster, radius, schedule.delta_max, cache=cache)
                 entry.update(vstats)
-            else:
-                rebalance(cluster, work, keep=members, label="partition-rebalance")
+            elif work.any():
+                rebalance(cluster, members, label="partition-rebalance")
             for rep in range(reps):
                 if adaptive and not work.any():
                     break
@@ -646,7 +647,7 @@ def mpc_pipeline(
     any node is placed.
     """
     check_request(kind, target_delta)
-    cluster = init_cluster(g, cfg, seed, name=name)
+    cluster = init_cluster(g, cfg, name=name)
     meter = ClusterMeter(cluster, c_pre=c_pre, adaptive=adaptive)
     total, report = solve(
         g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor, meter=meter

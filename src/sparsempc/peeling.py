@@ -43,9 +43,11 @@ def h_partition(g: Graph, d: int) -> HPartition:
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
     alive = np.ones(g.n, dtype=np.bool_)
-    layer, ell = peel_layers(g.indptr, g.indices, alive, d, max_layers=max(g.n, 1))
-    if (layer == 0).any():
-        stuck = int((layer == 0).sum())
+    layer, ell, peeled, _, _, _ = peel_layers(
+        g.indptr, g.indices, alive, d, max_layers=max(g.n, 1)
+    )
+    if peeled.size < g.n:
+        stuck = g.n - peeled.size
         raise StallError(f"peeling stalled with {stuck} nodes of remaining degree > {d}")
     return HPartition(layer=layer, d=int(d), ell=int(ell))
 

@@ -16,12 +16,12 @@ from __future__ import annotations
 import numpy as np
 
 # Stream tags.  Distinct constants keep the per-purpose streams independent.
+# Placement draws no coins: machines take nodes heaviest first, ties by id.
 MARK_EDGE = 0x11
 PROPOSE_EDGE = 0x12
 MARK_NODE = 0x21
 GREEDY_EDGE = 0x31
 GREEDY_NODE = 0x32
-PLACEMENT = 0x41
 
 # phase tag reserved for the post-reduction greedy finish; both execution
 # paths derive the finish seed from it so their priority rounds line up

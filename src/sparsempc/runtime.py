@@ -40,7 +40,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import rng
 from .graph import Graph
 from .kernels import pack_bins
 
@@ -86,6 +85,7 @@ class ClusterConfig:
     M: int
 
     def __post_init__(self):
+        self._check_delta(self.delta)
         if self.S < 1 or self.M < 1:
             raise ValueError("cluster needs S >= 1 and M >= 1")
         if self.M * self.S < self.m:
@@ -93,11 +93,16 @@ class ClusterConfig:
                 f"total memory M*S = {self.M * self.S} below input size m = {self.m}"
             )
 
+    @staticmethod
+    def _check_delta(delta: float) -> None:
+        """The memory exponent must lie in (0, 1]; NaN does not."""
+        if not (0 < delta <= 1):
+            raise ValueError(f"delta must be in (0, 1], got {delta}")
+
     @classmethod
     def for_graph(cls, g: Graph, delta: float, c_total: float = 4.0) -> "ClusterConfig":
         """S = ceil(n^delta); M sized so M*S covers c_total * m * log2(n) words."""
-        if not (0 < delta <= 1):
-            raise ValueError(f"delta must be in (0, 1], got {delta}")
+        cls._check_delta(delta)  # before n^delta, which NaN would not survive
         n = max(2, g.n)
         S = int(math.ceil(n ** delta))
         polylog = max(1.0, math.log2(n))
@@ -123,37 +128,12 @@ class RoundTrace:
 _TRACE_KEEP_LIMIT = 4096
 
 
-def _packed_order(lightness: np.ndarray, spread: int, tie: np.ndarray) -> np.ndarray | None:
-    """The order of the items by (``lightness``, ``tie``, position) from one
-    sort of uint64 keys holding lightness (values up to ``spread``), the
-    tie's leading bits and the position.  None when two items agree on
-    lightness and leading tie bits, whose order would then come from their
-    positions instead of their full ties, and when too few tie bits fit for
-    that to be rare: with ``n <= 2^pos_bits`` items and ``2 * pos_bits + 5``
-    tie bits it happens with probability below 1/64."""
-    pos_bits = max(1, (tie.size - 1).bit_length())
-    tie_bits = 64 - pos_bits - spread.bit_length()
-    if tie_bits < 2 * pos_bits + 5:
-        return None
-    key = lightness.astype(np.uint64)
-    key <<= np.uint64(tie_bits)
-    key |= tie >> np.uint64(64 - tie_bits)
-    key <<= np.uint64(pos_bits)
-    key |= np.arange(tie.size, dtype=np.uint64)
-    key.sort()
-    head = key >> np.uint64(pos_bits)
-    if np.any(head[1:] == head[:-1]):
-        return None
-    return (key & np.uint64((1 << pos_bits) - 1)).astype(np.int64)
-
-
 class Cluster:
     """Mutable cluster state; create via :func:`init_cluster`."""
 
-    def __init__(self, g: Graph, cfg: ClusterConfig, seed: int, name: str = "run"):
+    def __init__(self, g: Graph, cfg: ClusterConfig, name: str = "run"):
         self.cfg = cfg
         self.graph = g
-        self.seed = int(seed)
         self.name = name
         self.round_idx = 0
         self.traces: list[RoundTrace] = []
@@ -201,34 +181,25 @@ class Cluster:
 
     # -- placement ----------------------------------------------------------
 
-    def _place(self, nodes: np.ndarray, store_w: np.ndarray, phase: int) -> np.ndarray:
-        """Pack ``nodes`` (with storage weights) into machines: heaviest first
-        with a seeded shuffle among equals, sequential bins of capacity
-        max(heaviest, 2 * ceil(total/M)).  Returns the new machine ids.
+    def _place(self, nodes: np.ndarray, store_w: np.ndarray) -> np.ndarray:
+        """Pack ``nodes`` (with storage weights) into machines: heaviest first,
+        ties by node id, sequential bins of capacity max(heaviest, 2 *
+        ceil(total/M)).  Returns the new machine ids.
 
-        The order is by (weight descending, tie hash, node id), that is by
-        the unsigned ``lightness = max(w) - w`` and then by the tie.  Where
-        they fit, lightness, the tie's leading bits and the position go into
-        one uint64 per node, and one plain sort of those gives the order,
-        unless two nodes of equal weight share their leading tie bits.  Else
-        the nodes are sorted stably by the tie and then by lightness, in the
-        narrowest unsigned dtype that holds it (up to 16 bits numpy sorts it
-        by radix).  ``nodes`` must be strictly ascending, so that nodes with
-        equal hashes stay in id order."""
+        The order is one stable sort of the unsigned ``max(w) - w`` in the
+        narrowest dtype that holds it (up to 16 bits numpy sorts it by
+        radix).  ``nodes`` must be strictly ascending, so that equal weights
+        stay in id order: the placement is a function of the set and its
+        weights alone, and repacking an unchanged set moves nothing."""
         if np.any(nodes[1:] <= nodes[:-1]):
             raise ValueError("_place needs strictly ascending node ids")
         pack_w = np.maximum(store_w, 1)
         total = int(pack_w.sum())
         heaviest = int(pack_w.max())
         cap = max(heaviest, 2 * math.ceil(total / self.cfg.M), 1)
-        tie = rng.hash_u64(self.seed, rng.PLACEMENT, phase, nodes)
-        lightness = heaviest - pack_w
         spread = heaviest - int(pack_w.min())
-        order = _packed_order(lightness, spread, tie)
-        if order is None:
-            by_tie = np.argsort(tie, kind="stable")
-            key = lightness[by_tie].astype(np.min_scalar_type(spread))
-            order = by_tie[np.argsort(key, kind="stable")]
+        lightness = (heaviest - pack_w).astype(np.min_scalar_type(spread))
+        order = np.argsort(lightness, kind="stable")
         bins = pack_bins(pack_w[order], cap)
         used = int(bins[-1]) + 1 if bins.size else 1
         if used > self.cfg.M:
@@ -392,15 +363,16 @@ class Cluster:
 # ---------------------------------------------------------------------------
 
 
-def init_cluster(g: Graph, cfg: ClusterConfig, seed: int, name: str = "run") -> Cluster:
+def init_cluster(g: Graph, cfg: ClusterConfig, name: str = "run") -> Cluster:
     """Place every node (with its whole adjacency) on a machine, heaviest
-    first, no machine above max(heaviest node, twice the average load)."""
-    cl = Cluster(g, cfg, seed, name=name)
+    first and ties by id, no machine above max(heaviest node, twice the
+    average load)."""
+    cl = Cluster(g, cfg, name=name)
     if g.n and int(g.max_degree()) > cfg.S:
         raise CapacityError(f"node adjacency of {int(g.max_degree())} words exceeds S={cfg.S}")
     nodes = np.arange(g.n, dtype=np.int64)
     if g.n:
-        mach = cl._place(nodes, cl.base_words, phase=0)
+        mach = cl._place(nodes, cl.base_words)
         cl._assign(nodes, mach, int(mach.max()) + 1, cl.base_words)
         if int(cl.loads.max()) > cfg.S:
             raise CapacityError(
@@ -411,25 +383,27 @@ def init_cluster(g: Graph, cfg: ClusterConfig, seed: int, name: str = "run") -> 
 
 def rebalance(
     cluster: Cluster,
-    alive: np.ndarray,
+    hold: np.ndarray,
     *,
     weights: np.ndarray | None = None,
-    keep: np.ndarray | None = None,
     label: str = "rebalance",
 ) -> Cluster:
-    """Repack alive nodes across machines.  Metered as one data round (the
-    moves) plus an aggregation tree to compute the assignment.
+    """Repack the held nodes across machines and drop every other node's
+    stored rows.  Metered as one data round (the moves) plus an aggregation
+    tree to compute the assignment; an empty ``hold`` changes nothing and
+    costs nothing.
 
-    ``weights`` overrides the packing weights (e.g. predicted gather volume)
-    without changing the stored-word ledgers.  ``keep`` marks extra nodes
-    whose stored rows must survive and move with the repack even though they
-    are no longer alive (mid-partition, layered nodes retain their gathered
-    balls until selection).
+    ``hold`` may list nodes that are no longer alive but whose stored rows
+    must survive and move with the repack (mid-partition, layered nodes
+    retain their gathered balls until selection).  ``weights`` overrides the
+    packing weights (e.g. predicted gather volume) without changing the
+    stored-word ledgers.  The placement depends only on the held set and
+    its packing weights, so repacking an unchanged set with unchanged
+    weights moves no words.
     """
-    alive = np.asarray(alive, np.bool_)
-    if not alive.any():
+    hold = np.asarray(hold, np.bool_)
+    if not hold.any():
         return cluster
-    hold = alive if keep is None else (alive | np.asarray(keep, np.bool_))
     words = cluster.node_words()
     dead = np.flatnonzero(~hold & (words > 0))
     if dead.size:
@@ -438,7 +412,7 @@ def rebalance(
     stored = words[nodes]  # dropping the dead left these rows as they were
     pack_w = stored if weights is None else np.asarray(weights, np.int64)[nodes]
     old_mach = cluster.node_machine[nodes]
-    mach = cluster._place(nodes, pack_w, phase=cluster.round_idx + 1)
+    mach = cluster._place(nodes, pack_w)
     moved = mach != old_mach
     moved_w = stored[moved]
     sent = np.bincount(old_mach[moved], weights=moved_w, minlength=1).astype(np.int64)

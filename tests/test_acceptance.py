@@ -68,7 +68,7 @@ def scaling_grid():
         g = _tower(2 ** ne)
         for delta in SCALING_DELTAS:
             cfg = ClusterConfig.for_graph(g, delta, c_total=3.0)
-            cl = init_cluster(g, cfg, seed=0)
+            cl = init_cluster(g, cfg)
             sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
             _, _, _, stats = mpc.mpc_h_partition(cl, 3, sched, adaptive=True)
             met = metrics(cl)
@@ -122,7 +122,7 @@ def test_cluster_partition_equals_reference_on_corpus(partition_corpus, announce
         ref = h_partition(g, d)
         delta = fitting_delta(g, 0.5)
         cfg = ClusterConfig.for_graph(g, delta, c_total=4.0)
-        cl = init_cluster(g, cfg, seed=11)
+        cl = init_cluster(g, cfg)
         sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
         hp, _, _, _ = mpc.mpc_h_partition(cl, d, sched, adaptive=True)
         if not np.array_equal(hp.layer, ref.layer):
@@ -276,7 +276,7 @@ def test_alive_set_shrinks_doubly_exponentially(announce):
     d = 4
     assert d >= (2 * lam) ** 2
     cfg = ClusterConfig.for_graph(g, 0.9, c_total=4.0)
-    cl = init_cluster(g, cfg, seed=0)
+    cl = init_cluster(g, cfg)
     sched = mpc.compute_schedule(delta_max, cfg.S, g.n, 0.9, c_pre=0.0)
     assert sched.k is not None
     _, _, _, stats = mpc.mpc_h_partition(cl, d, sched, adaptive=False)

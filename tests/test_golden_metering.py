@@ -59,7 +59,7 @@ GOLDEN = [
                 select=168,
             ),
             "peak_words": 114,
-            "total_messages": 170305,
+            "total_messages": 160710,
             "partition_stats": [
                 _stats(1024, False, 1, _pre(5, 5, 5), [
                     {"iteration": 0, "radius": 1, "alive_before": 928, "reps_used": 60},
@@ -82,7 +82,7 @@ GOLDEN = [
                 rebalance=2, rebalance_plan=4, select=18,
             ),
             "peak_words": 8,
-            "total_messages": 6381,
+            "total_messages": 5271,
             "partition_stats": [
                 _stats(300, True, None, _pre(0, 0), [_fallback_pass(300, 4)], 0, 4),
                 _stats(173, False, 0, _pre(5, 5, 2), [], 0, 2),
@@ -100,7 +100,7 @@ GOLDEN = [
                 rebalance=2, rebalance_plan=4, select=10,
             ),
             "peak_words": 57,
-            "total_messages": 15827,
+            "total_messages": 13237,
             "partition_stats": [
                 _stats(400, True, None, _pre(0, 0), [_fallback_pass(400, 4)], 0, 4),
                 _stats(270, False, 0, _pre(4, 4, 1), [], 0, 1),
@@ -119,7 +119,7 @@ GOLDEN = [
                 select=148,
             ),
             "peak_words": 113,
-            "total_messages": 138833,
+            "total_messages": 130323,
             "partition_stats": [
                 _stats(900, False, 1, _pre(5, 5, 5), [
                     {"iteration": 0, "radius": 1, "alive_before": 793, "reps_used": 60},
@@ -154,11 +154,11 @@ def test_pipeline_metering_is_pinned(case, pinned):
 # SHA-256 of each case's MPC_TRACE_DIR file, by case id
 TRACE_SHA256 = {
     "layered-core-matching-doubling":
-        "4629340d3bed18fce1a3a24c1293660d8461d7866f9aad94a8bff59dcd30a158",
-    "tree-mis": "9f59ed78662d582c5cf3a191a6b7afc2206992e79c0e6686c72df50344b1a649",
-    "pa-matching": "92dc1931ee135bc889739b3c9afb47ce8371070e1b541b6216ad53c510626216",
+        "e8e877b4f33e571b979f527979110f39390c54c81d0495b759b07207973cf5b8",
+    "tree-mis": "dba0a895c73f08832c801066e825db81923eed815fb8d8598b76a9a432f8fff8",
+    "pa-matching": "0cfe28ec7cc3fd26589f2ee99878bdbf70cb997f2e9b4815b16ee675af7fd71f",
     "layered-core-matching-adaptive":
-        "13038744472e8513fc4f60842ed30586a7cbe156dd20e180631623989fea2975",
+        "8d051923f3dd632020e8396881db1bfb882dfd3e57cc67ba959956d2eabac1e2",
 }
 
 

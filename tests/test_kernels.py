@@ -63,7 +63,7 @@ def test_sorted_unique_equals_np_unique(values, two_d):
 
 
 def _assert_peel_matches_hand_oracle(g, alive, d, max_layers):
-    layer, t = kernels.peel_layers(g.indptr, g.indices, alive, d, max_layers)
+    layer, t = kernels.peel_layers(g.indptr, g.indices, alive, d, max_layers)[:2]
     want = hand_peel(g, d, alive=alive, max_layers=max_layers)
     assert np.array_equal(layer, want)
     assert t == want.max(initial=0)
@@ -332,7 +332,7 @@ def test_pack_bins_single_oversized_item_allowed():
 @given(st.integers(2, 5), st.integers(0, 1023), st.integers(1, 3))
 def test_peel_matches_hand_oracle(n, mask, d):
     g = from_mask(n, mask)
-    got_layer, t = kernels.peel_layers(g.indptr, g.indices, np.ones(n, bool), d, n)
+    got_layer, t = kernels.peel_layers(g.indptr, g.indices, np.ones(n, bool), d, n)[:2]
     want = hand_peel(g, d)
     if want is None:
         # stall: some node never assigned even with the full layer budget
@@ -358,15 +358,15 @@ def test_peel_carried_degrees_match_fresh_calls(n, seed, d, radii):
     alive = r.random(n) < 0.8
     peels = {
         "peel_layers": lambda work, r_, deg: kernels.peel_layers(
-            g.indptr, g.indices, work, d, r_, deg=deg),
+            g.indptr, g.indices, work, d, r_, deg=deg)[:2],
         "_peel": lambda work, r_, deg: kernels._peel(
-            g.indptr, g.indices, work, d, r_, deg),
+            g.indptr, g.indices, work, d, r_, deg)[:2],
     }
     for name, peel in peels.items():
         work = alive.copy()
         deg = kernels.alive_degrees(g.indptr, g.indices, work)
         for radius in radii:
-            want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, work, d, radius)
+            want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, work, d, radius)[:2]
             layer, t = peel(work, radius, deg)
             assert np.array_equal(layer, want_layer), name
             assert t == want_t, name
@@ -382,9 +382,7 @@ def test_peel_last_rows_are_the_last_layers_rows(n, seed, d, max_layers):
     g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
     alive = r.random(n) < 0.8
     layer, t, peeled, src, nb, next_first = kernels.peel_layers(
-        g.indptr, g.indices, alive, d, max_layers, last_rows=True)
-    want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, alive, d, max_layers)
-    assert np.array_equal(layer, want_layer) and t == want_t
+        g.indptr, g.indices, alive, d, max_layers)
     # the layered nodes layer by layer, ascending within a layer
     layered = np.flatnonzero(layer)
     assert np.array_equal(peeled, layered[np.argsort(layer[layered], kind="stable")])
@@ -426,10 +424,9 @@ def test_peel_carried_first_layer_matches_fresh_calls(shape, n, seed, d, radii):
     buf = np.zeros(n, np.int64)
     first = None
     for radius in radii:
-        want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, work, d, radius)
+        want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, work, d, radius)[:2]
         layer, t, peeled, _, _, first = kernels.peel_layers(
-            g.indptr, g.indices, work, d, radius, deg=deg,
-            last_rows=True, first=first, layer=buf)
+            g.indptr, g.indices, work, d, radius, deg=deg, first=first, layer=buf)
         assert layer is buf
         assert t == want_t
         want_ids = np.flatnonzero(want_layer)

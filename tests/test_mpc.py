@@ -46,8 +46,8 @@ from sparsempc.reduction import (
 from sparsempc.runtime import ClusterConfig, init_cluster, metrics
 
 
-def _cluster(g, delta, seed=0):
-    return init_cluster(g, ClusterConfig.for_graph(g, delta), seed)
+def _cluster(g, delta):
+    return init_cluster(g, ClusterConfig.for_graph(g, delta))
 
 
 # ---------------------------------------------------------------------------
@@ -208,7 +208,7 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
     # takes several layers; about 16 nodes to a machine, so that some struck
     # edges stay on one
     d = degeneracy(g).degeneracy
-    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.5, S=64, M=50), seed=0)
+    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.5, S=64, M=50))
     alive = np.ones(g.n, bool)
     alive[::5] = False
     deg = alive_degrees(g.indptr, g.indices, alive)
@@ -254,7 +254,7 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
 def _roomy_cluster(g, machines=16):
     """A cluster with room for any round on ``g`` spread over several machines."""
     cfg = ClusterConfig(n=g.n, m=g.m, delta=1.0, S=10 ** 6, M=machines)
-    return init_cluster(g, cfg, seed=0)
+    return init_cluster(g, cfg)
 
 
 @given(
@@ -373,7 +373,7 @@ def test_ball_cache_with_carried_degrees_matches_ball_scans(n, seed, radius, kee
 
 def test_connect_cliques_path9_ball_oracle():
     g = path(9)
-    cl = init_cluster(g, ClusterConfig(n=9, m=8, delta=1.0, S=9, M=16), seed=0)
+    cl = init_cluster(g, ClusterConfig(n=9, m=8, delta=1.0, S=9, M=16))
     alive = np.ones(9, bool)
     cache = mpc_mod._BallCache(g, alive, 2, alive_degrees(g.indptr, g.indices, alive))
     stats = connect_cliques(cl, radius=2, delta_max=2, cache=cache)
@@ -596,7 +596,7 @@ def test_removal_order_is_the_stable_sort_by_layer():
     for case in GOLDEN:
         family, params, seed, kind, delta, d_floor, adaptive = case.values[0]
         g = generate(family, params, seed=seed)
-        meter = _OrderCheckMeter(_cluster(g, delta, seed), adaptive=adaptive)
+        meter = _OrderCheckMeter(_cluster(g, delta), adaptive=adaptive)
         solve(g, kind, 2, seed, d_floor=d_floor, meter=meter)
         levels.update(meter.levels)
     assert None in levels and 0 in levels
@@ -654,7 +654,7 @@ def test_one_machine_pays_only_for_volume_rounds():
     # totals (layer exchange, gathers, selection members) keep their totals
     # (a gather counts every word of its totals, hence the large S)
     g = generate("layered-core", {"n": 1024, "depth": 100, "d": 3}, seed=0)
-    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.6, S=32 * g.m, M=1), seed=1)
+    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.6, S=32 * g.m, M=1))
     solve(g, "mis", 2, 1, d_floor=3, meter=ClusterMeter(cl))
     assert cl.machines_used == 1
     sent = {}
@@ -798,7 +798,7 @@ def test_pipeline_finish_meter_matches_full_edge_scan(case):
     g, delta, stalls = case()
     traces = []
     for meter in (ClusterMeter, _EdgeScanMeter):
-        cl = init_cluster(g, ClusterConfig.for_graph(g, delta), 3)
+        cl = init_cluster(g, ClusterConfig.for_graph(g, delta))
         _, report = solve(g, "matching", 2, 3, exponent=0.5, meter=meter(cl))
         traces.append(cl.traces)
     assert [ph.get("stalled", False) for ph in report.phases] == stalls

@@ -845,7 +845,7 @@ def test_unknown_kind_rejected_before_any_work(execution):
         with pytest.raises(ValueError, match="unknown kind 'Matching'"):
             solve(g, "Matching", 30, 0)
     else:
-        cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+        cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
         with pytest.raises(ValueError, match="unknown kind 'Matching'"):
             solve(g, "Matching", 30, 0, meter=ClusterMeter(cl))
         assert cl.traces == []  # not one round metered

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsempc import rng, runtime
+from sparsempc import runtime
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
 from sparsempc.mpc import _notify_round
@@ -47,6 +47,15 @@ def test_config_for_graph_sizes():
         ClusterConfig.for_graph(g, 1.5)
 
 
+@pytest.mark.parametrize("delta", [0, -0.5, 1.5, float("nan")])
+def test_config_rejects_delta_outside_unit_interval(delta):
+    # a directly built config is checked like one from for_graph
+    with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
+        ClusterConfig(n=16, m=15, delta=delta, S=4, M=8)
+    with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
+        ClusterConfig.for_graph(path(16), delta)
+
+
 def test_config_total_memory_validation():
     with pytest.raises(ValueError, match="below input size"):
         ClusterConfig(n=10, m=100, delta=0.5, S=4, M=2)
@@ -55,7 +64,7 @@ def test_config_total_memory_validation():
 def test_init_path_pinned():
     g = path(16)
     cfg = ClusterConfig.for_graph(g, 0.5)
-    cl = init_cluster(g, cfg, seed=0)
+    cl = init_cluster(g, cfg)
     assert cfg.S == 4
     # 30 stored words at <= 4 words per machine forces at least 8 machines
     assert cl.machines_used >= 8
@@ -69,20 +78,20 @@ def test_init_star_over_capacity():
     g = star(5)
     cfg = ClusterConfig(n=6, m=5, delta=0.5, S=4, M=8)
     with pytest.raises(CapacityError, match="exceeds S=4"):
-        init_cluster(g, cfg, seed=0)
+        init_cluster(g, cfg)
 
 
 def test_init_empty_graph():
     g = build_graph(4, np.empty((0, 2), np.int64))
     cfg = ClusterConfig(n=4, m=0, delta=0.5, S=2, M=4)
-    cl = init_cluster(g, cfg, seed=1)
+    cl = init_cluster(g, cfg)
     assert cl.node_words().sum() == 0
     assert metrics(cl)["rounds"] == 0
 
 
 def test_silent_round_has_zero_volume():
     g = path(8)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     none = np.empty(0, np.int64)
     t = cl.execute_round_volumes(none, none, none, none, label="quiet")
     assert t.total_sent == 0 and t.total_received == 0
@@ -94,7 +103,7 @@ def test_volume_round_with_one_array_per_side_pair():
     # an exchange passes the same arrays as both sides; the per-machine sums
     # are then formed once and must read as with separate copies
     g = generate("tree", {"n": 200}, seed=3)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     nodes = np.arange(0, 200, 3)
     words = cl.node_words()[nodes]
     shared = cl.execute_round_volumes(nodes, words, nodes, words, label="x")
@@ -106,7 +115,7 @@ def test_volume_round_with_one_array_per_side_pair():
 
 def test_neighbor_pass_stays_in_budget():
     g = path(16)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     t = cl.execute_round_bulk(np.arange(15), np.arange(1, 16), label="shift")
     assert t.total_sent > 0
     assert t.max_sent <= cl.cfg.S and t.max_received <= cl.cfg.S
@@ -115,7 +124,7 @@ def test_neighbor_pass_stays_in_budget():
 
 def test_send_budget_violation_names_machine_and_round():
     g = path(16)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     src_m = int(cl.node_machine[0])
     far = int(np.flatnonzero(cl.node_machine != src_m)[0])
     with pytest.raises(SendBudgetExceeded) as ei:
@@ -130,7 +139,7 @@ def test_send_budget_violation_names_machine_and_round():
 
 def test_receive_budget_violation():
     g = path(16)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     dst_m = int(cl.node_machine[0])
     # one node on every other machine sends two words to node 0
     machines, first = np.unique(cl.node_machine, return_index=True)
@@ -144,7 +153,7 @@ def test_receive_budget_violation():
 
 def test_memory_violation_from_stored_words():
     g = path(16)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     cl.add_extra_words(np.array([0]), cl.cfg.S + 1)
     with pytest.raises(MemoryExceeded):
         cl.execute_round_volumes(np.array([0]), 1, np.array([15]), 1, label="hoard")
@@ -154,7 +163,7 @@ def test_memory_violation_from_stored_words():
 def test_bulk_round_elides_same_machine_traffic():
     g = path(6)
     cfg = ClusterConfig(n=6, m=5, delta=1.0, S=64, M=1)
-    cl = init_cluster(g, cfg, seed=0)
+    cl = init_cluster(g, cfg)
     # everything fits on one machine at this S, so nothing crosses the wire
     assert cl.machines_used == 1
     t = cl.execute_round_bulk(np.arange(5), np.arange(1, 6), label="local")
@@ -188,7 +197,7 @@ def test_pair_rounds_count_only_crossing_pairs(n, machines, pairs, seed):
     machine the pairs that cross machines and nothing for the others."""
     r = np.random.default_rng(seed)
     g = random_graph(n, 2 * n, seed)
-    cl = Cluster(g, ClusterConfig(n=n, m=g.m, delta=0.5, S=10 ** 6, M=machines), seed=0)
+    cl = Cluster(g, ClusterConfig(n=n, m=g.m, delta=0.5, S=10 ** 6, M=machines))
     cl.node_machine = r.integers(0, machines, size=n)
     cl.machines_used = machines
     senders = np.flatnonzero(r.random(n) < 0.5)
@@ -222,7 +231,7 @@ def test_rebalance_budget_arithmetic():
     # shrinks
     g = build_graph(100, [(i, 50 + i) for i in range(20)])
     cfg = ClusterConfig(n=100, m=20, delta=0.3, S=8, M=25)
-    cl = init_cluster(g, cfg, seed=0)
+    cl = init_cluster(g, cfg)
     alive = np.ones(100, bool)
     rebalance(cl, alive)
     assert _loads_consistent(cl)
@@ -242,7 +251,7 @@ def test_rebalance_budget_arithmetic():
 
 def test_rebalance_empty_alive_is_noop():
     g = path(10)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     before = metrics(cl)["rounds"]
     rebalance(cl, np.zeros(10, bool))
     assert metrics(cl)["rounds"] == before  # no data round consumed
@@ -251,21 +260,20 @@ def test_rebalance_empty_alive_is_noop():
 def test_rebalance_keep_retains_rows_without_budget_weight():
     g = path(12)
     cfg = ClusterConfig(n=12, m=11, delta=0.5, S=8, M=12)
-    cl = init_cluster(g, cfg, seed=0)
-    alive = np.zeros(12, bool)
-    alive[:4] = True
-    keep = np.zeros(12, bool)
-    keep[4:8] = True
-    rebalance(cl, alive, keep=keep)
-    # kept nodes still store their rows; the rest were dropped
-    assert (cl.node_words()[4:8] > 0).all()
+    cl = init_cluster(g, cfg)
+    # the held set: nodes 0-3 still alive, 4-7 retired but keeping their rows
+    hold = np.zeros(12, bool)
+    hold[:8] = True
+    rebalance(cl, hold)
+    # held nodes still store their rows; the rest were dropped
+    assert (cl.node_words()[:8] > 0).all()
     assert cl.node_words()[8:].sum() == 0
     assert _loads_consistent(cl)
 
 
 def test_metrics_round_counting():
     g = path(8)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     assert metrics(cl)["rounds"] == 0
     cl.control_rounds(3, label="ping")
     m = metrics(cl)
@@ -276,7 +284,7 @@ def test_metrics_round_counting():
 
 def test_metrics_peak_matches_trace_recomputation():
     g = generate("grid", {"rows": 6, "cols": 6}, seed=0)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.6), seed=1)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.6))
     cl.execute_round_bulk(g.edges[:, 0], g.edges[:, 1], label="a")
     rebalance(cl, np.ones(g.n, bool))
     m = metrics(cl)
@@ -286,10 +294,10 @@ def test_metrics_peak_matches_trace_recomputation():
 
 def test_agg_depth():
     g = path(8)
-    cl = init_cluster(g, ClusterConfig(n=8, m=7, delta=0.5, S=10, M=100), seed=0)
+    cl = init_cluster(g, ClusterConfig(n=8, m=7, delta=0.5, S=10, M=100))
     assert cl.agg_depth() == 2  # ceil(ln 100 / ln 10)
     g4 = path(4)
-    cl1 = init_cluster(g4, ClusterConfig(n=4, m=3, delta=0.5, S=10, M=1), seed=0)
+    cl1 = init_cluster(g4, ClusterConfig(n=4, m=3, delta=0.5, S=10, M=1))
     assert cl1.agg_depth() == 0
 
 
@@ -297,54 +305,62 @@ def test_agg_depth():
     st.integers(1, 60),
     st.integers(0, 2 ** 31 - 1),
     st.integers(1, 4),
-    st.sampled_from([None, 1, 2, 3]),
     st.sampled_from([5, 2 ** 8, 2 ** 16, 2 ** 32]),
 )
-@example(n=40, seed=1, distinct_weights=4, tie_classes=None, scale=2 ** 32)
-@example(n=40, seed=1, distinct_weights=4, tie_classes=2, scale=2 ** 16)
+@example(n=40, seed=1, distinct_weights=4, scale=2 ** 32)
+@example(n=40, seed=1, distinct_weights=1, scale=5)
 @settings(max_examples=120, deadline=None)
-def test_place_order_matches_lexsort(n, seed, distinct_weights, tie_classes, scale):
-    """Placement walks nodes by (weight descending, tie hash, node id).  The
-    weights repeat, and with ``tie_classes`` the hashes are folded so that
-    equal ties are forced too.  ``scale`` spreads the weights past 2^8, 2^16
-    and 2^32, so every width of sort key ``_place`` can pick is exercised.
-    Packing every node into its own bin makes each node's machine id its
-    position in the walk."""
+def test_place_order_matches_lexsort(n, seed, distinct_weights, scale):
+    """Placement walks nodes by (weight descending, node id); a weight of 0
+    packs as 1.  The weights repeat, so ties are common.  ``scale`` spreads
+    the weights past 2^8, 2^16 and 2^32, so every width of sort key
+    ``_place`` can pick is exercised.  Packing every node into its own bin
+    makes each node's machine id its position in the walk."""
     r = np.random.default_rng(seed)
     g = path(n)
     keep = r.random(n) < 0.7
     keep[int(r.integers(n))] = True
     nodes = np.flatnonzero(keep)
     store_w = r.integers(0, distinct_weights, size=nodes.size).astype(np.int64) * scale
-    cl = Cluster(g, ClusterConfig(n=n, m=g.m, delta=0.5, S=10 ** 6, M=n), seed=seed)
-    hash_u64 = rng.hash_u64
-
-    def folded(*args):
-        h = hash_u64(*args)
-        return h if tie_classes is None else h % np.uint64(tie_classes)
-
-    with mock.patch.object(runtime.rng, "hash_u64", folded), mock.patch.object(
-        runtime, "pack_bins", lambda w, cap: np.arange(w.size, dtype=np.int64)
-    ):
-        position = cl._place(nodes, store_w, phase=3)
-        tie = folded(cl.seed, rng.PLACEMENT, 3, nodes)
+    cl = Cluster(g, ClusterConfig(n=n, m=g.m, delta=0.5, S=10 ** 6, M=n))
+    with mock.patch.object(runtime, "pack_bins", lambda w, cap: np.arange(w.size, dtype=np.int64)):
+        position = cl._place(nodes, store_w)
     want = np.empty(nodes.size, np.int64)
-    want[np.lexsort((nodes, tie, -np.maximum(store_w, 1)))] = np.arange(nodes.size)
+    want[np.lexsort((nodes, -np.maximum(store_w, 1)))] = np.arange(nodes.size)
     assert np.array_equal(position, want)
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+def test_repacking_an_unchanged_set_moves_nothing(weighted):
+    # The placement depends only on the held set and its packing weights,
+    # so a second repack of the same set records a data round of 0 words
+    # and leaves every node where it was.
+    g = generate("tree", {"n": 400}, seed=2)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
+    hold = np.random.default_rng(2).random(g.n) < 0.6
+    weights = g.degrees.astype(np.int64) + 1 if weighted else None
+    rebalance(cl, hold, weights=weights)
+    machine, loads = cl.node_machine.copy(), cl.loads.copy()
+    rebalance(cl, hold, weights=weights)
+    t = cl.traces[-1]
+    assert t.label == "rebalance"
+    assert (t.total_sent, t.total_received) == (0, 0)
+    assert np.array_equal(cl.node_machine, machine)
+    assert np.array_equal(cl.loads, loads)
 
 
 @pytest.mark.parametrize("nodes", [[2, 1, 3], [0, 1, 1, 4]])
 def test_place_rejects_nodes_not_strictly_ascending(nodes):
     g = path(5)
-    cl = Cluster(g, ClusterConfig(n=5, m=4, delta=0.5, S=10, M=5), seed=0)
+    cl = Cluster(g, ClusterConfig(n=5, m=4, delta=0.5, S=10, M=5))
     with pytest.raises(ValueError, match="ascending"):
-        cl._place(np.array(nodes, np.int64), np.ones(len(nodes), np.int64), phase=0)
+        cl._place(np.array(nodes, np.int64), np.ones(len(nodes), np.int64))
 
 
 def _run_traced_program(tmpdir, name):
     g = generate("tree", {"n": 60}, seed=4)
     cfg = ClusterConfig.for_graph(g, 0.5)
-    cl = init_cluster(g, cfg, seed=9, name=name)
+    cl = init_cluster(g, cfg, name=name)
     alive = np.ones(g.n, bool)
     cl.execute_round_bulk(g.edges[:, 0], g.edges[:, 1], label="edge-pass")
     alive[::3] = False
@@ -385,7 +401,7 @@ def test_trace_byte_for_byte_deterministic(tmp_path, monkeypatch):
 def test_no_trace_without_env(tmp_path, monkeypatch):
     monkeypatch.delenv("MPC_TRACE_DIR", raising=False)
     g = path(6)
-    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5), seed=0)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     assert cl.flush_trace() is None
 
 
@@ -395,7 +411,7 @@ def test_trace_past_keep_limit_writes_one_aggregate_row_per_round(tmp_path, monk
     monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
     g = path(5000)
     cfg = ClusterConfig(n=5000, m=4999, delta=0.5, S=4, M=10000)
-    cl = init_cluster(g, cfg, seed=0, name="wide")
+    cl = init_cluster(g, cfg, name="wide")
     assert cl.machines_used > runtime._TRACE_KEEP_LIMIT
     e = g.edges
     sm, dm = cl.node_machine[e[:, 0]], cl.node_machine[e[:, 1]]
