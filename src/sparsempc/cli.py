@@ -31,7 +31,12 @@ def _parse_params(text: str | None) -> dict:
         try:
             out[key.strip()] = int(val)
         except ValueError:
-            out[key.strip()] = float(val)
+            try:
+                out[key.strip()] = float(val)
+            except ValueError:
+                raise SystemExit(
+                    f"bad --params piece {piece!r}, expected a number after '='"
+                ) from None
     return out
 
 
@@ -125,9 +130,10 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_run)
 
     p = sub.add_parser("compare", help="run one instance both ways and diff digests")
-    p.add_argument("--graph", help="edge-list graph file (alternative to --family)")
-    p.add_argument("--family", choices=generators.FAMILIES)
-    p.add_argument("--params")
+    source = p.add_mutually_exclusive_group()
+    source.add_argument("--graph", help="edge-list graph file (alternative to --family)")
+    source.add_argument("--family", choices=generators.FAMILIES)
+    p.add_argument("--params", help="generator parameters for --family, as for generate")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--kind", choices=("matching", "mis"), default="matching")
     p.add_argument("--target-delta", type=int, default=2)
@@ -142,8 +148,11 @@ def main(argv=None) -> int:
     p.set_defaults(fn=_cmd_report)
 
     args = parser.parse_args(argv)
-    if args.command == "compare" and not (args.graph or args.family):
-        parser.error("compare needs --graph or --family")
+    if args.command == "compare":
+        if not (args.graph or args.family):
+            parser.error("compare needs --graph or --family")
+        if args.params is not None and not args.family:
+            parser.error("compare --params needs --family")
     try:
         return args.fn(args)
     except (MPCError, StallError, GraphError, ValueError, RuntimeError, OSError) as exc:

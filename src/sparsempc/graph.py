@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import alive_degrees, gather_segments
+from .kernels import gather_segments
 
 
 class GraphError(ValueError):
@@ -130,9 +130,6 @@ class GraphView:
 
     def alive_count(self) -> int:
         return int(self.alive.sum())
-
-    def alive_degrees(self) -> np.ndarray:
-        return alive_degrees(self.graph.indptr, self.graph.indices, self.alive)
 
     def compact(self):
         """Alive-induced subgraph with renumbered ids, in O(n + alive rows).

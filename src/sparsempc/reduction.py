@@ -170,19 +170,19 @@ def mark_and_propose_matching(g: Graph, hp: HPartition, seed: int) -> ProposalSe
 
 def mark_and_propose_mis(g: Graph, hp: HPartition, p: float, seed: int) -> ProposalSet:
     """Mark each node with probability p; propose marked nodes whose same-layer
-    neighbors are all unmarked."""
+    neighbors are all unmarked.
+
+    Only a marked node can propose, so only the marked rows are read for
+    blocking neighbors: with p = 1/d² that is a small share of the rows."""
     if not (0 < p <= 1):
         raise ValueError(f"p must be in (0, 1], got {p}")
     lay = hp.layer
     marked = rng.uniform(seed, rng.MARK_NODE, 0, np.arange(g.n)) < p
-    src = _edge_sources(g)
-    blocking = marked[g.indices] & (lay[g.indices] == lay[src])
-    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(blocking)])
-    blocked = (cs[g.indptr[1:]] - cs[g.indptr[:-1]]) > 0
-    proposed = marked & ~blocked
-    return ProposalSet(
-        kind="mis", marked=np.flatnonzero(marked), proposed=np.flatnonzero(proposed)
-    )
+    rows = np.flatnonzero(marked)
+    src, nb = gather_segments(g.indptr, g.indices, rows)
+    blocked = np.zeros(g.n, np.bool_)
+    blocked[src[marked[nb] & (lay[nb] == lay[src])]] = True
+    return ProposalSet(kind="mis", marked=rows, proposed=rows[~blocked[rows]])
 
 
 # ---------------------------------------------------------------------------
@@ -303,14 +303,36 @@ def select_mis(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolution:
 # ---------------------------------------------------------------------------
 
 
-def _in_degrees(g: Graph, hp: HPartition, alive: np.ndarray | None = None) -> np.ndarray:
-    """Per-node count of (alive) neighbors in strictly lower layers."""
-    src = _edge_sources(g)
-    mask = hp.layer[g.indices] < hp.layer[src]
-    if alive is not None:
-        mask &= alive[g.indices]
-    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(mask)])
-    return cs[g.indptr[1:]] - cs[g.indptr[:-1]]
+def _heavy_counts(sub: Graph, hp: HPartition, gone: np.ndarray, heavy: int) -> tuple[int, int]:
+    """``(heavy nodes before, heavy survivors after)``: the nodes with at
+    least ``heavy`` neighbors in strictly lower layers, and those of them
+    that stay alive with at least ``heavy`` such neighbors alive, when the
+    mask ``gone`` marks the nodes the phase removes.
+
+    An in-degree of ``heavy`` needs a degree of ``heavy``, so only those
+    rows are read; most phases have none."""
+    deg = sub.degrees
+    rows = np.flatnonzero(deg >= heavy)
+    if not rows.size:
+        return 0, 0
+    src, nb = gather_segments(sub.indptr, sub.indices, rows)
+    lower = hp.layer[nb] < hp.layer[src]
+    # the rows are nonempty, so each starts where the last one ended
+    starts = np.concatenate((np.zeros(1, np.int64), np.cumsum(deg[rows])[:-1]))
+    before = np.add.reduceat(lower, starts, dtype=np.int64)
+    after = np.add.reduceat(lower & ~gone[nb], starts, dtype=np.int64)
+    survivors = (before >= heavy) & ~gone[rows] & (after >= heavy)
+    return int((before >= heavy).sum()), int(survivors.sum())
+
+
+def _remainder_degrees(sub: Graph, removed: np.ndarray, gone: np.ndarray) -> np.ndarray:
+    """The degrees of ``sub`` once the nodes ``removed`` (the mask ``gone``)
+    leave: a node loses one for each removed neighbor, and the removed rows
+    list those; a removed node has degree 0."""
+    _, nb = gather_segments(sub.indptr, sub.indices, removed)
+    deg = sub.degrees - np.bincount(nb, minlength=sub.n)
+    deg[gone] = 0
+    return deg
 
 
 def mis_probability(d: int) -> float:
@@ -324,8 +346,14 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     Propagates :class:`StallError` from the partition.  A ``meter`` (see
     :class:`sparsempc.mpc.ClusterMeter`) is called once per stage: it builds
     the partition on its cluster, then meters the proposals and the selection
-    computed here.  The remainder's alive degrees are counted once; they give
-    ``delta_after`` and the meter's new row sizes.
+    computed here.
+
+    Every pass reads the phase subgraph only, never the whole graph: the
+    heavy statistics read the rows of degree at least d⁴, and the
+    remainder's degrees are the subgraph's degrees less the hits from the
+    removed rows (a node outside the phase is dead and has degree 0).  They
+    give ``delta_after`` and, scattered to full length, the meter's new row
+    sizes.
     """
     _check_kind(kind)
     if g_view.alive_count() == 0:
@@ -345,28 +373,26 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     if meter is not None:
         meter.mark_propose(sub, ids, hp, props)
 
-    heavy = d ** 4
-    indeg = _in_degrees(sub, hp)
-    heavy_before = int((indeg >= heavy).sum())
-    alive_sub = np.ones(sub.n, np.bool_)
-    alive_sub[sol_c.removed] = False
-    indeg_after = _in_degrees(sub, hp, alive_sub)
-    heavy_after = int(((indeg >= heavy) & alive_sub & (indeg_after >= heavy)).sum())
+    gone = np.zeros(sub.n, np.bool_)
+    gone[sol_c.removed] = True
+    heavy_before, heavy_after = _heavy_counts(sub, hp, gone, d ** 4)
+    deg_after = _remainder_degrees(sub, sol_c.removed, gone)
 
     selected = ids[sol_c.selected] if sol_c.selected.size else sol_c.selected
     removed = ids[sol_c.removed]
     sol = PartialSolution(kind=kind, selected=selected, removed=removed)
     remainder = g_view.copy()
     remainder.alive[removed] = False
-    deg_after = remainder.alive_degrees()
     if meter is not None:
-        meter.select(sol, deg_after)
+        full = np.zeros(g_view.graph.n, np.int64)
+        full[ids] = deg_after
+        meter.select(sol, full)
     entry = {
         "delta_before": int(delta_before),
         "d_used": int(d),
         "heavy_nodes_before": heavy_before,
         "heavy_survivors_after": heavy_after,
-        "delta_after": int(deg_after.max()) if deg_after.size else 0,
+        "delta_after": int(deg_after.max()),
         "alive_before": int(ids.size),
         "ell": hp.ell,
         "layer_sizes": [int(x) for x in hp.layer_sizes()],

@@ -129,7 +129,12 @@ _TRACE_KEEP_LIMIT = 4096
 
 
 class Cluster:
-    """Mutable cluster state; create via :func:`init_cluster`."""
+    """Mutable cluster state; create via :func:`init_cluster`.
+
+    The cluster remembers the held nodes and packing weights of its last
+    placement (by :func:`init_cluster` or :func:`rebalance`).  A placement
+    is a function of those two alone, so a :func:`rebalance` that finds
+    both unchanged keeps the layout in place without packing again."""
 
     def __init__(self, g: Graph, cfg: ClusterConfig, name: str = "run"):
         self.cfg = cfg
@@ -143,6 +148,8 @@ class Cluster:
         self.node_machine = np.zeros(g.n, np.int64)
         self.machines_used = 1
         self.loads = np.zeros(1, np.int64)
+        # (nodes, packing weights) of the last placement
+        self._layout: tuple[np.ndarray, np.ndarray] | None = None
         self._trace_rows: list[dict] | None = None
         trace_dir = os.environ.get("MPC_TRACE_DIR")
         if trace_dir:
@@ -210,11 +217,25 @@ class Cluster:
         mach[order] = bins
         return mach
 
-    def _assign(self, nodes: np.ndarray, mach: np.ndarray, used: int, stored: np.ndarray) -> None:
-        """Move ``nodes`` (holding ``stored`` words each) to machines ``mach``."""
+    def _assign(
+        self, nodes: np.ndarray, pack_w: np.ndarray, mach: np.ndarray, stored: np.ndarray
+    ) -> None:
+        """Move ``nodes`` (holding ``stored`` words each) to machines ``mach``,
+        the placement of ``nodes`` under the packing weights ``pack_w``, and
+        remember that layout."""
         self.node_machine[nodes] = mach
-        self.machines_used = used
+        self.machines_used = used = int(mach.max()) + 1
         self.loads = np.bincount(mach, weights=stored, minlength=used).astype(np.int64)
+        # kept in the narrowest dtypes: the layout lives as long as the cluster
+        self._layout = tuple(a.astype(np.min_scalar_type(int(a.max()))) for a in (nodes, pack_w))
+
+    def _is_placed(self, nodes: np.ndarray, pack_w: np.ndarray) -> bool:
+        """Whether the last placement held exactly ``nodes`` under the
+        packing weights ``pack_w``, so that placing them again moves nothing."""
+        last = self._layout
+        return (
+            last is not None and np.array_equal(last[0], nodes) and np.array_equal(last[1], pack_w)
+        )
 
     # -- round execution ----------------------------------------------------
 
@@ -372,8 +393,8 @@ def init_cluster(g: Graph, cfg: ClusterConfig, name: str = "run") -> Cluster:
         raise CapacityError(f"node adjacency of {int(g.max_degree())} words exceeds S={cfg.S}")
     nodes = np.arange(g.n, dtype=np.int64)
     if g.n:
-        mach = cl._place(nodes, cl.base_words)
-        cl._assign(nodes, mach, int(mach.max()) + 1, cl.base_words)
+        words = cl.base_words
+        cl._assign(nodes, words, cl._place(nodes, words), words)
         if int(cl.loads.max()) > cfg.S:
             raise CapacityError(
                 f"initial placement cannot fit within S={cfg.S} words per machine"
@@ -399,7 +420,9 @@ def rebalance(
     packing weights (e.g. predicted gather volume) without changing the
     stored-word ledgers.  The placement depends only on the held set and
     its packing weights, so repacking an unchanged set with unchanged
-    weights moves no words.
+    weights moves no words; when both equal those of the cluster's last
+    placement the packing is skipped, and the repack records the same
+    rounds, its data round moving 0 words.
     """
     hold = np.asarray(hold, np.bool_)
     if not hold.any():
@@ -411,13 +434,16 @@ def rebalance(
     nodes = np.flatnonzero(hold)
     stored = words[nodes]  # dropping the dead left these rows as they were
     pack_w = stored if weights is None else np.asarray(weights, np.int64)[nodes]
-    old_mach = cluster.node_machine[nodes]
-    mach = cluster._place(nodes, pack_w)
-    moved = mach != old_mach
-    moved_w = stored[moved]
-    sent = np.bincount(old_mach[moved], weights=moved_w, minlength=1).astype(np.int64)
-    cluster._assign(nodes, mach, int(mach.max()) + 1, stored)
-    received = np.bincount(mach[moved], weights=moved_w, minlength=1).astype(np.int64)
+    if cluster._is_placed(nodes, pack_w):
+        sent = received = np.zeros(1, np.int64)
+    else:
+        old_mach = cluster.node_machine[nodes]
+        mach = cluster._place(nodes, pack_w)
+        moved = mach != old_mach
+        moved_w = stored[moved]
+        sent = np.bincount(old_mach[moved], weights=moved_w, minlength=1).astype(np.int64)
+        cluster._assign(nodes, pack_w, mach, stored)
+        received = np.bincount(mach[moved], weights=moved_w, minlength=1).astype(np.int64)
     cluster.control_rounds(cluster.agg_depth(), label=label + "-plan")
     cluster._check_and_trace(label, sent, received)
     return cluster

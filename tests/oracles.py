@@ -465,3 +465,55 @@ def finish_by_rounds(g: Graph, alive: np.ndarray, kind: str, seed: int):
         removed |= gone
         round_idx += 1
     return sorted(selected), sorted(removed)
+
+
+# ---------------------------------------------------------------------------
+# full-graph phase statistics: the formulas reduce_once and
+# mark_and_propose_mis used before they read only the rows that can matter
+# ---------------------------------------------------------------------------
+
+
+def _row_of_every_slot(g: Graph) -> np.ndarray:
+    return np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
+
+
+def in_degrees_all_rows(g: Graph, hp, alive=None) -> np.ndarray:
+    """Per-node count of (alive) neighbors in strictly lower layers, read
+    from every row."""
+    src = _row_of_every_slot(g)
+    mask = hp.layer[g.indices] < hp.layer[src]
+    if alive is not None:
+        mask &= alive[g.indices]
+    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(mask)])
+    return cs[g.indptr[1:]] - cs[g.indptr[:-1]]
+
+
+def heavy_counts_all_rows(g: Graph, hp, removed: np.ndarray, heavy: int) -> tuple:
+    """``(heavy_nodes_before, heavy_survivors_after)`` of a phase on ``g``
+    whose selection removed the nodes ``removed``."""
+    alive = np.ones(g.n, np.bool_)
+    alive[removed] = False
+    before = in_degrees_all_rows(g, hp) >= heavy
+    after = in_degrees_all_rows(g, hp, alive) >= heavy
+    return int(before.sum()), int((before & alive & after).sum())
+
+
+def alive_degrees_all_rows(g: Graph, alive: np.ndarray) -> np.ndarray:
+    """Per-node count of alive neighbors over the whole graph, zero for dead
+    nodes, counted from the edge list: each edge with two alive endpoints
+    adds one to both."""
+    e = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
+    deg = np.zeros(g.n, np.int64)
+    np.add.at(deg, e.ravel(), 1)
+    return deg
+
+
+def mis_proposals_all_rows(g: Graph, hp, p: float, seed: int) -> tuple:
+    """``(marked, proposed)`` of the MIS mark-and-propose step, the blocking
+    same-layer neighbors looked up in every row, marked or not."""
+    marked = rng.uniform(seed, rng.MARK_NODE, 0, np.arange(g.n)) < p
+    src = _row_of_every_slot(g)
+    blocking = marked[g.indices] & (hp.layer[g.indices] == hp.layer[src])
+    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(blocking)])
+    blocked = (cs[g.indptr[1:]] - cs[g.indptr[:-1]]) > 0
+    return np.flatnonzero(marked), np.flatnonzero(marked & ~blocked)

@@ -334,6 +334,13 @@ def test_cli_parse_params():
         cli._parse_params("n:10")
 
 
+@pytest.mark.parametrize("text, piece", [("n=", "n="), ("n=10,c=x", "c=x"), ("p=1e", "p=1e")])
+def test_cli_parse_params_names_the_piece_that_is_not_a_number(text, piece):
+    with pytest.raises(SystemExit) as exc:
+        cli._parse_params(text)
+    assert str(exc.value) == f"bad --params piece {piece!r}, expected a number after '='"
+
+
 def test_cli_generate_roundtrip(tmp_path, capsys):
     out = tmp_path / "g.edges"
     rc = cli.main(
@@ -431,6 +438,31 @@ def test_cli_generate_without_required_parameter_is_one_error_line(tmp_path, cap
     err = capsys.readouterr().err
     assert err == "sparsempc: error: tree needs parameter 'n'\n"
     assert not out.exists()
+
+
+def _tree_file(tmp_path, capsys):
+    out = tmp_path / "t.edges"
+    cli.main(["generate", "--family", "tree", "--params", "n=200", "--out", str(out)])
+    capsys.readouterr()
+    return str(out)
+
+
+def test_cli_compare_graph_and_family_are_exclusive(tmp_path, capsys):
+    graph = _tree_file(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--graph", graph, "--family", "grid", "--params", "rows=3,cols=3"])
+    assert exc.value.code == 2
+    assert "argument --family: not allowed with argument --graph" in capsys.readouterr().err
+
+
+def test_cli_compare_params_need_family(tmp_path, capsys):
+    graph = _tree_file(tmp_path, capsys)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["compare", "--graph", graph, "--params", "rows=3,cols=3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "compare --params needs --family" in captured.err
 
 
 def test_cli_compare_needs_a_graph_source(capsys):

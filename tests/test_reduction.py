@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from sparsempc import rng
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView, build_graph
+from sparsempc.kernels import alive_degrees
 from sparsempc.mpc import ClusterMeter, mpc_pipeline
 from sparsempc.peeling import HPartition, StallError, degeneracy, h_partition
 from sparsempc.reduction import (
@@ -20,6 +21,7 @@ from sparsempc.reduction import (
     luby_mis_round,
     mark_and_propose_matching,
     mark_and_propose_mis,
+    mis_probability,
     phase_threshold,
     reduce_once,
     select_matching,
@@ -31,11 +33,15 @@ from sparsempc.reduction import (
 )
 from sparsempc.runtime import ClusterConfig, init_cluster
 
+from conftest import realize, valid_d
 from oracles import (
+    alive_degrees_all_rows,
     check_matching_proposals_by_sets,
     cycle,
     finish_by_rounds,
+    heavy_counts_all_rows,
     luby_mis_round_all_n,
+    mis_proposals_all_rows,
     path,
     random_graph,
     select_matching_per_layer,
@@ -495,7 +501,8 @@ def test_reduce_once_delta_after_is_remainder_max_degree(n, seed, kind, d):
         sol, rem, entry = reduce_once(view, kind, d=d, seed=seed)
     except StallError:
         assume(False)
-    assert entry["delta_after"] == int(rem.alive_degrees().max(initial=0))
+    deg = alive_degrees(g.indptr, g.indices, rem.alive)
+    assert entry["delta_after"] == int(deg.max(initial=0))
     assert not rem.alive[sol.removed].any()
 
 
@@ -508,7 +515,8 @@ def test_degree_reduce_next_phase_starts_at_delta_after():
     # each phase's threshold comes from the degree the loop carried over
     for ph in report.phases:
         assert ph["d_used"] == phase_threshold(ph["delta_before"], 0.1, 3)
-    assert report.phases[-1]["delta_after"] == int(view.alive_degrees().max(initial=0))
+    deg = alive_degrees(g.indptr, g.indices, view.alive)
+    assert report.phases[-1]["delta_after"] == int(deg.max(initial=0))
 
 
 def test_reduce_once_heavy_parent_gadget():
@@ -520,11 +528,103 @@ def test_reduce_once_heavy_parent_gadget():
     assert g.degrees[0] == 256
     fixed = 0
     for seed in range(1000):
-        sol, rem, entry = reduce_once(GraphView.full(g), "matching", d=4, seed=seed)
+        sol, rem, entry = _reduce_once_against_oracles(GraphView.full(g), "matching", 4, seed)
         assert entry["heavy_nodes_before"] >= 1
-        if not rem.alive[0] or rem.alive_degrees()[0] == 0:
+        if not rem.alive[0] or alive_degrees(g.indptr, g.indices, rem.alive)[0] == 0:
             fixed += 1
     assert fixed >= 990
+
+
+class _RecordingMeter:
+    """A meter that builds the centralized partition of the phase and keeps
+    what :func:`reduce_once` hands it: the phase subgraph, its partition and
+    proposals, and the remainder's degrees."""
+
+    def __init__(self, g):
+        self.g = g
+
+    def partition(self, alive, ids, deg, d):
+        return h_partition(GraphView(self.g, alive.copy()).compact()[0], d)
+
+    def mark_propose(self, sub, ids, hp, props):
+        self.sub, self.ids, self.hp, self.props = sub, ids, hp, props
+
+    def select(self, sol, deg):
+        self.deg = deg
+
+
+def _reduce_once_against_oracles(view, kind, d, seed):
+    """:func:`reduce_once`, its heavy statistics, remainder degrees and MIS
+    proposals checked against the formulas that read every row of the phase
+    subgraph or of the whole graph; returns its result."""
+    meter = _RecordingMeter(view.graph)
+    sol, rem, entry = reduce_once(view, kind, d, seed, meter=meter)
+    sub, hp = meter.sub, meter.hp
+    removed = np.searchsorted(meter.ids, sol.removed)
+    heavy = (entry["heavy_nodes_before"], entry["heavy_survivors_after"])
+    assert heavy == heavy_counts_all_rows(sub, hp, removed, d ** 4)
+    want = alive_degrees_all_rows(view.graph, rem.alive)
+    assert meter.deg.dtype == np.int64 and np.array_equal(meter.deg, want)
+    assert entry["delta_after"] == int(want.max())
+    if kind == "mis":
+        marked, proposed = mis_proposals_all_rows(sub, hp, mis_probability(d), seed)
+        assert np.array_equal(meter.props.marked, marked)
+        assert np.array_equal(meter.props.proposed, proposed)
+    return sol, rem, entry
+
+
+def _star_forest(stars, leaves):
+    """``stars`` disjoint stars of ``leaves`` leaves, then as many again
+    whose leaves each hold one pendant node as well.  A hub's block starts
+    with the hub, then its leaves, then their pendants in the same order."""
+    edges, base = [], 0
+    for pendant in (False, True):
+        for _ in range(stars):
+            edges += [(base, base + j) for j in range(1, leaves + 1)]
+            if pendant:
+                edges += [(base + j, base + leaves + j) for j in range(1, leaves + 1)]
+            base += 1 + leaves * (1 + pendant)
+    return build_graph(base, edges)
+
+
+@pytest.mark.parametrize("kind", KINDS)
+def test_phase_statistics_match_full_graph_oracles(pipeline_corpus, kind):
+    """Every phase of the corpus runs, and single phases on 64 stars of 16
+    leaves at d = 2 (heavy = 16), agree with the full-graph formulas.
+
+    No corpus phase has a heavy survivor, so the stars are built for one: a
+    hub is heavy before the phase, and under MIS it survives heavy when none
+    of its leaves is marked, about 1% of hubs.  On the stars whose leaves
+    hold pendants a selected pendant removes its leaf but spares the hub,
+    which then survives below heavy.  Under matching a heavy
+    survivor would need all of its d⁴ children to mark other parents and
+    still stay unmatched, which no instance of this size shows, so only the
+    count before is asserted positive there."""
+    totals = np.zeros(2, np.int64)
+    for spec in pipeline_corpus:
+        g = realize(spec)
+        view, delta, floor = GraphView.full(g), g.max_degree(), None
+        for phase in range(8):
+            if delta <= 2 or not view.alive.any():
+                break
+            d = phase_threshold(delta, 0.1, floor)
+            try:
+                _, view, entry = _reduce_once_against_oracles(view, kind, d, spec["seed"] + phase)
+            except StallError:
+                if floor is not None:
+                    break
+                floor = valid_d(g)  # a threshold that cannot stall
+                continue
+            totals += (entry["heavy_nodes_before"], entry["heavy_survivors_after"])
+            delta = entry["delta_after"]
+    g = _star_forest(32, 16)
+    for seed in range(20):
+        entry = _reduce_once_against_oracles(GraphView.full(g), kind, 2, seed)[2]
+        assert entry["heavy_nodes_before"] == 64
+        totals += (entry["heavy_nodes_before"], entry["heavy_survivors_after"])
+    assert totals[0] > 0
+    if kind == "mis":
+        assert totals[1] > 0
 
 
 def test_degree_reduce_zero_phases_when_under_target():
@@ -541,7 +641,7 @@ def test_degree_reduce_big_star_matches_center_in_one_phase():
     assert len(report.phases) == 1
     assert sol.selected.shape[0] == 1
     assert 0 in sol.selected[0]
-    assert int(view.alive_degrees().max(initial=0)) == 0
+    assert int(alive_degrees(g.indptr, g.indices, view.alive).max(initial=0)) == 0
 
 
 def test_degree_reduce_target_validation():

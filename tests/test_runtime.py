@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparsempc import mpc as mpc_mod
 from sparsempc import runtime
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
@@ -347,6 +348,100 @@ def test_repacking_an_unchanged_set_moves_nothing(weighted):
     assert (t.total_sent, t.total_received) == (0, 0)
     assert np.array_equal(cl.node_machine, machine)
     assert np.array_equal(cl.loads, loads)
+
+
+def _repack_twice(monkeypatch, tmp_path, hold, weights, *, forget):
+    """A cluster on a 400-node tree, repacked once with ``hold`` (``None``:
+    only the initial placement), then again with every node of ``hold``
+    (all nodes when ``None``), its remembered layout cleared first when
+    ``forget``.  Returns the cluster, how often the second repack placed,
+    and the rounds it recorded."""
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
+    g = generate("tree", {"n": 400}, seed=2)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
+    if hold is None:
+        hold = np.ones(g.n, bool)
+    else:
+        rebalance(cl, hold, weights=weights)
+    if forget:
+        cl._layout = None
+    first = len(cl.traces)
+    with mock.patch.object(cl, "_place", wraps=cl._place) as place:
+        rebalance(cl, hold, weights=weights)
+    return cl, place.call_count, cl.traces[first:]
+
+
+@pytest.mark.parametrize("case", ["after-init", "stored", "weighted"])
+def test_unchanged_repack_skips_the_placement_and_records_the_same_rounds(
+    monkeypatch, tmp_path, case
+):
+    # The set and the packing weights of the last placement are unchanged,
+    # so the layout in place is the one a placement would compute: the
+    # repack does no placement work, and its plan and data rounds, the
+    # cluster state and every trace row equal those of a full placement.
+    hold = None if case == "after-init" else np.random.default_rng(2).random(400) < 0.6
+    weights = generate("tree", {"n": 400}, seed=2).degrees + 1 if case == "weighted" else None
+    runs = [_repack_twice(monkeypatch, tmp_path, hold, weights, forget=f) for f in (False, True)]
+    (kept, kept_calls, kept_rounds), (full, full_calls, full_rounds) = runs
+    assert (kept_calls, full_calls) == (0, 1)
+    assert kept_rounds == full_rounds
+    assert [t.label for t in kept_rounds] == ["rebalance-plan"] * kept.agg_depth() + ["rebalance"]
+    assert (kept_rounds[-1].total_sent, kept_rounds[-1].total_received) == (0, 0)
+    assert np.array_equal(kept.node_machine, full.node_machine)
+    assert np.array_equal(kept.loads, full.loads)
+    assert kept.machines_used == full.machines_used
+    assert kept._trace_rows == full._trace_rows
+
+
+@pytest.mark.parametrize(
+    "change", ["set_base_words", "add_extra_words", "drop_nodes", "member", "weight"]
+)
+def test_changed_set_or_weight_runs_a_real_placement(change):
+    g = generate("tree", {"n": 400}, seed=2)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
+    hold = np.random.default_rng(2).random(g.n) < 0.6
+    # a swapped member keeps the size and, with these weights, every weight
+    weights = np.ones(g.n, np.int64) if change in ("member", "weight") else None
+    rebalance(cl, hold, weights=weights)
+    v = int(np.flatnonzero(hold)[0])
+    if change == "set_base_words":
+        cl.set_base_words(np.array([v]), np.array([cl.base_words[v] + 1]))
+    elif change == "add_extra_words":
+        cl.add_extra_words(np.array([v]), 3)
+    elif change == "drop_nodes":
+        cl.drop_nodes(np.array([v]))
+    elif change == "member":
+        hold[v] = False
+        hold[int(np.flatnonzero(~hold)[-1])] = True
+    else:
+        weights[v] = 2
+    with mock.patch.object(cl, "_place", wraps=cl._place) as place:
+        rebalance(cl, hold, weights=weights)
+    assert place.call_count == 1
+    assert _loads_consistent(cl)
+
+
+def test_traced_weight_partition_rebalance_places_for_real():
+    # A radius-2 iteration packs by predicted traffic, weights that differ
+    # from the stored words the previous repack packed by, so its
+    # partition-rebalance runs the placement.
+    g = generate("layered-core", {"n": 1024, "depth": 100, "d": 3}, seed=0)
+    cfg = ClusterConfig.for_graph(g, 0.8)
+    calls = []
+
+    def spy(cluster, hold, *, weights=None, label="rebalance"):
+        before = place.call_count
+        out = runtime.rebalance(cluster, hold, weights=weights, label=label)
+        calls.append((label, weights is not None, place.call_count - before))
+        return out
+
+    with mock.patch.object(Cluster, "_place", autospec=True, side_effect=Cluster._place) as place:
+        with mock.patch.object(mpc_mod, "rebalance", spy):
+            mpc_mod.mpc_pipeline(g, cfg, "matching", 2, 0, d_floor=3)
+    traced = [c for c in calls if c[1]]
+    assert traced and all(c == ("partition-rebalance", True, 1) for c in traced)
+    # phase 1 repacks the set init_cluster placed, twice, with no placement
+    assert calls[:2] == [("rebalance", False, 0), ("partition-rebalance", False, 0)]
 
 
 @pytest.mark.parametrize("nodes", [[2, 1, 3], [0, 1, 1, 4]])
