@@ -129,11 +129,6 @@ def solution_digest(sol: PartialSolution, seed: int) -> str:
 # ---------------------------------------------------------------------------
 
 
-def _edge_sources(g: Graph) -> np.ndarray:
-    """CSR row id for every adjacency slot."""
-    return np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
-
-
 def mark_and_propose_matching(g: Graph, hp: HPartition, seed: int) -> ProposalSet:
     """Each node marks one uniformly-random outgoing (child -> parent) edge;
     each node then proposes one uniformly-random marked incoming edge.
@@ -141,30 +136,32 @@ def mark_and_propose_matching(g: Graph, hp: HPartition, seed: int) -> ProposalSe
     Unoriented (same-layer) edges are never candidates, so top-layer nodes and
     nodes with only same-layer neighbors mark nothing; nodes without marked
     incoming edges propose nothing.
+
+    A row's outgoing slots are a run of the ascending list of all outgoing
+    slots, so a node's mark is its run's first slot plus its draw.  Only the
+    nodes with an outgoing edge, and then the parents with a marked edge,
+    draw; a draw is keyed by node id, so leaving the others out changes no
+    draw.  The marks come out in child order, so one stable sort of their
+    parents (in the narrowest unsigned dtype, which numpy sorts by radix up
+    to 16 bits) groups them by parent in child order.
     """
-    lay = hp.layer
-    src = _edge_sources(g)
-    out_mask = lay[g.indices] > lay[src]
-    # rank of each outgoing slot within its row, in neighbor-id order
-    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(out_mask)])
-    rank = cs[1:] - cs[g.indptr[src]]  # valid where out_mask
-    outdeg = cs[g.indptr[1:]] - cs[g.indptr[:-1]]
-    pick = rng.pick_index(seed, rng.MARK_EDGE, 0, np.arange(g.n), outdeg)
-    hit = out_mask & (rank - 1 == pick[src])  # rank is 1-based at slot positions
-    marked = np.stack([src[hit], g.indices[hit]], axis=1)  # sorted by child id
+    lay = hp.layer.astype(np.min_scalar_type(hp.ell))
+    out_slots = np.flatnonzero(lay[g.indices] > np.repeat(lay, g.degrees))
+    first = np.searchsorted(out_slots, g.indptr)  # outgoing slots before each row
+    outdeg = first[1:] - first[:-1]
+    kids = np.flatnonzero(outdeg)
+    pick = rng.pick_index(seed, rng.MARK_EDGE, 0, kids, outdeg[kids])
+    parent = g.indices[out_slots[first[kids] + pick]]
+    marked = np.stack([kids, parent], axis=1)  # sorted by child id
 
     # group marked edges by parent; pick one per parent in child-id order
-    if marked.shape[0]:
-        order = np.lexsort((marked[:, 0], marked[:, 1]))
-        by_parent = marked[order]
-        counts = np.bincount(by_parent[:, 1], minlength=g.n)
-        starts = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
-        pick_in = rng.pick_index(seed, rng.PROPOSE_EDGE, 0, np.arange(g.n), counts)
-        parents = np.flatnonzero(counts > 0)
-        # one edge per parent, parents ascending: in (parent, child) order
-        proposed = by_parent[starts[parents] + pick_in[parents]]
-    else:
-        proposed = np.empty((0, 2), np.int64)
+    order = np.argsort(parent.astype(np.min_scalar_type(max(g.n - 1, 0))), kind="stable")
+    by_parent = parent[order]
+    starts = np.flatnonzero(np.diff(by_parent, prepend=-1))
+    counts = np.diff(starts, append=by_parent.size)
+    pick_in = rng.pick_index(seed, rng.PROPOSE_EDGE, 0, by_parent[starts], counts)
+    # one edge per parent, parents ascending: in (parent, child) order
+    proposed = marked[order[starts + pick_in]]
     return ProposalSet(kind="matching", marked=marked, proposed=proposed)
 
 
@@ -470,25 +467,27 @@ def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
     return edges[:, 0] * np.int64(n) + edges[:, 1]
 
 
-def luby_matching_round(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> np.ndarray:
-    """One priority round: every alive edge draws a priority; an edge joins the
-    matching iff it beats all alive edges sharing either endpoint.  Returns the
-    (k, 2) selected edges; the caller removes their endpoints."""
-    e = g.edges
-    live = alive[e[:, 0]] & alive[e[:, 1]]
-    e = e[live]
-    if not e.shape[0]:
-        return np.empty((0, 2), np.int64)
-    pri = rng.hash_u64(seed, rng.GREEDY_EDGE, round_idx, _edge_keys(e, g.n))
-    # total order: (priority, edge key); ranks make argmin comparisons exact
-    order = np.lexsort((_edge_keys(e, g.n), pri))
-    rank = np.empty(e.shape[0], np.int64)
-    rank[order] = np.arange(e.shape[0], dtype=np.int64)
-    best = np.full(g.n, np.iinfo(np.int64).max, np.int64)
-    np.minimum.at(best, e[:, 0], rank)
-    np.minimum.at(best, e[:, 1], rank)
-    win = (rank == best[e[:, 0]]) & (rank == best[e[:, 1]])
-    return e[win]
+def luby_matching_round(g: Graph, live: np.ndarray, seed: int, round_idx: int) -> np.ndarray:
+    """One priority round over the ``live`` edges of ``g`` (rows of
+    ``g.edges`` whose endpoints are both alive): every live edge draws a
+    priority, and an edge joins the matching iff its ``(priority, key)`` is
+    the smallest at both of its endpoints.  Returns the (k, 2) selected
+    edges, in the order of ``live``; the caller removes their endpoints.
+
+    The smallest pair at each endpoint is found without a sort: the
+    smallest priority first, then the smallest key among the edges that
+    reach it."""
+    u, v = live[:, 0], live[:, 1]
+    key = _edge_keys(live, g.n)
+    pri = rng.hash_u64(seed, rng.GREEDY_EDGE, round_idx, key)
+    best = np.full(g.n, np.iinfo(np.uint64).max, np.uint64)
+    np.minimum.at(best, u, pri)
+    np.minimum.at(best, v, pri)
+    low_u, low_v = pri == best[u], pri == best[v]
+    tie = np.full(g.n, np.iinfo(np.int64).max, np.int64)
+    np.minimum.at(tie, u[low_u], key[low_u])
+    np.minimum.at(tie, v[low_v], key[low_v])
+    return live[low_u & low_v & (key == tie[u]) & (key == tie[v])]
 
 
 def luby_mis_round(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> np.ndarray:
@@ -522,15 +521,20 @@ def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
     """Priority rounds until no alive edges remain (then, for MIS, sweep up the
     isolated leftovers).  Every round removes at least the endpoints of the
     best-ranked alive edge (or the best-ranked alive node), so the loop ends.
-    A ``meter`` meters each round before its nodes leave."""
+    A ``meter`` meters each round before its nodes leave.
+
+    A matching finish reads ``g.edges`` once: it carries the live edges
+    from round to round and drops those that lost an endpoint."""
     _check_kind(kind)
     g = g_view.graph
     alive = g_view.alive.copy()
+    if kind == "matching":
+        live = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
     steps = []
     round_idx = 0
     while True:
         if kind == "matching":
-            won = luby_matching_round(g, alive, seed, round_idx)
+            won = luby_matching_round(g, live, seed, round_idx)
             if not won.shape[0]:
                 break
             removed = sorted_unique(won)
@@ -544,6 +548,8 @@ def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
         if meter is not None:
             meter.finish_round(g, alive, step)
         alive[removed] = False
+        if kind == "matching":
+            live = live[alive[live[:, 0]] & alive[live[:, 1]]]
         steps.append(step)
         round_idx += 1
     return PartialSolution.empty(kind).merge(*steps)

@@ -134,7 +134,10 @@ class Cluster:
     The cluster remembers the held nodes and packing weights of its last
     placement (by :func:`init_cluster` or :func:`rebalance`).  A placement
     is a function of those two alone, so a :func:`rebalance` that finds
-    both unchanged keeps the layout in place without packing again."""
+    both unchanged keeps the layout in place without packing again.  It
+    also counts the changes to its ledgers, so that a repack by stored
+    words can tell that nothing changed since the last one from the hold
+    mask and that count alone."""
 
     def __init__(self, g: Graph, cfg: ClusterConfig, name: str = "run"):
         self.cfg = cfg
@@ -150,6 +153,11 @@ class Cluster:
         self.loads = np.zeros(1, np.int64)
         # (nodes, packing weights) of the last placement
         self._layout: tuple[np.ndarray, np.ndarray] | None = None
+        # ledger changes so far, and (hold mask, that count) as the last
+        # placement by stored words left them, the mask packed to bits as it
+        # lives as long as the cluster; None when weights packed
+        self._ledger_changes = 0
+        self._settled: tuple[np.ndarray, int] | None = None
         self._trace_rows: list[dict] | None = None
         trace_dir = os.environ.get("MPC_TRACE_DIR")
         if trace_dir:
@@ -167,11 +175,13 @@ class Cluster:
         delta = np.asarray(words, np.int64) - self.base_words[nodes]
         np.add.at(self.loads, self.node_machine[nodes], delta)
         self.base_words[nodes] += delta
+        self._ledger_changes += 1
 
     def add_extra_words(self, nodes: np.ndarray, delta) -> None:
         delta = np.broadcast_to(np.asarray(delta, np.int64), np.shape(nodes)).copy()
         np.add.at(self.loads, self.node_machine[nodes], delta)
         self.extra_words[nodes] += delta
+        self._ledger_changes += 1
 
     def drop_nodes(self, nodes: np.ndarray) -> None:
         """Remove finished nodes; their words vanish from their machines."""
@@ -179,6 +189,7 @@ class Cluster:
         np.add.at(self.loads, self.node_machine[nodes], -w)
         self.base_words[nodes] = 0
         self.extra_words[nodes] = 0
+        self._ledger_changes += 1
 
     def agg_depth(self) -> int:
         """Rounds for an S-ary aggregation tree over all machines."""
@@ -226,6 +237,7 @@ class Cluster:
         self.node_machine[nodes] = mach
         self.machines_used = used = int(mach.max()) + 1
         self.loads = np.bincount(mach, weights=stored, minlength=used).astype(np.int64)
+        self._ledger_changes += 1
         # kept in the narrowest dtypes: the layout lives as long as the cluster
         self._layout = tuple(a.astype(np.min_scalar_type(int(a.max()))) for a in (nodes, pack_w))
 
@@ -235,6 +247,17 @@ class Cluster:
         last = self._layout
         return (
             last is not None and np.array_equal(last[0], nodes) and np.array_equal(last[1], pack_w)
+        )
+
+    def _is_settled(self, hold: np.ndarray) -> bool:
+        """Whether the last placement by stored words held exactly ``hold``
+        and no ledger changed since, so that a repack of ``hold`` by stored
+        words finds the held set and its weights unchanged."""
+        settled = self._settled
+        return (
+            settled is not None
+            and settled[1] == self._ledger_changes
+            and np.array_equal(settled[0], np.packbits(hold))
         )
 
     # -- round execution ----------------------------------------------------
@@ -395,6 +418,7 @@ def init_cluster(g: Graph, cfg: ClusterConfig, name: str = "run") -> Cluster:
     if g.n:
         words = cl.base_words
         cl._assign(nodes, words, cl._place(nodes, words), words)
+        cl._settled = (np.packbits(np.ones(g.n, np.bool_)), cl._ledger_changes)
         if int(cl.loads.max()) > cfg.S:
             raise CapacityError(
                 f"initial placement cannot fit within S={cfg.S} words per machine"
@@ -422,11 +446,30 @@ def rebalance(
     its packing weights, so repacking an unchanged set with unchanged
     weights moves no words; when both equal those of the cluster's last
     placement the packing is skipped, and the repack records the same
-    rounds, its data round moving 0 words.
+    rounds, its data round moving 0 words.  A repack by stored words whose
+    hold mask equals that of the last placement by stored words (the
+    initial one holds every node), with no ledger change since, finds both
+    unchanged without reading the ledgers.
     """
     hold = np.asarray(hold, np.bool_)
     if not hold.any():
         return cluster
+    if weights is None and cluster._is_settled(hold):
+        sent = received = np.zeros(1, np.int64)
+    else:
+        sent, received = _repack(cluster, hold, weights)
+        # every node outside `hold` now stores nothing, and the layout is
+        # the placement of `hold` by its stored words, unless weights packed
+        cluster._settled = (np.packbits(hold), cluster._ledger_changes) if weights is None else None
+    cluster.control_rounds(cluster.agg_depth(), label=label + "-plan")
+    cluster._check_and_trace(label, sent, received)
+    return cluster
+
+
+def _repack(cluster: Cluster, hold: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
+    """Drop the rows outside ``hold`` and place the held nodes, unless the
+    layout in place already is their placement.  Returns the per-machine
+    words the moves send and receive."""
     words = cluster.node_words()
     dead = np.flatnonzero(~hold & (words > 0))
     if dead.size:
@@ -435,18 +478,15 @@ def rebalance(
     stored = words[nodes]  # dropping the dead left these rows as they were
     pack_w = stored if weights is None else np.asarray(weights, np.int64)[nodes]
     if cluster._is_placed(nodes, pack_w):
-        sent = received = np.zeros(1, np.int64)
-    else:
-        old_mach = cluster.node_machine[nodes]
-        mach = cluster._place(nodes, pack_w)
-        moved = mach != old_mach
-        moved_w = stored[moved]
-        sent = np.bincount(old_mach[moved], weights=moved_w, minlength=1).astype(np.int64)
-        cluster._assign(nodes, pack_w, mach, stored)
-        received = np.bincount(mach[moved], weights=moved_w, minlength=1).astype(np.int64)
-    cluster.control_rounds(cluster.agg_depth(), label=label + "-plan")
-    cluster._check_and_trace(label, sent, received)
-    return cluster
+        return np.zeros(1, np.int64), np.zeros(1, np.int64)
+    old_mach = cluster.node_machine[nodes]
+    mach = cluster._place(nodes, pack_w)
+    moved = mach != old_mach
+    moved_w = stored[moved]
+    sent = np.bincount(old_mach[moved], weights=moved_w, minlength=1).astype(np.int64)
+    cluster._assign(nodes, pack_w, mach, stored)
+    received = np.bincount(mach[moved], weights=moved_w, minlength=1).astype(np.int64)
+    return sent, received
 
 
 def metrics(cluster: Cluster) -> dict:

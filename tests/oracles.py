@@ -24,6 +24,7 @@ from sparsempc.graph import (
     SelfLoopError,
     build_graph,
 )
+from sparsempc.reduction import ProposalSet
 
 
 # ---------------------------------------------------------------------------
@@ -468,19 +469,20 @@ def finish_by_rounds(g: Graph, alive: np.ndarray, kind: str, seed: int):
 
 
 # ---------------------------------------------------------------------------
-# full-graph phase statistics: the formulas reduce_once and
-# mark_and_propose_mis used before they read only the rows that can matter
+# full-graph phase statistics: the formulas reduce_once and the
+# mark-and-propose steps used before they read only the rows that can matter
 # ---------------------------------------------------------------------------
 
 
-def _row_of_every_slot(g: Graph) -> np.ndarray:
+def _edge_sources(g: Graph) -> np.ndarray:
+    """CSR row id for every adjacency slot."""
     return np.repeat(np.arange(g.n, dtype=np.int64), g.degrees)
 
 
 def in_degrees_all_rows(g: Graph, hp, alive=None) -> np.ndarray:
     """Per-node count of (alive) neighbors in strictly lower layers, read
     from every row."""
-    src = _row_of_every_slot(g)
+    src = _edge_sources(g)
     mask = hp.layer[g.indices] < hp.layer[src]
     if alive is not None:
         mask &= alive[g.indices]
@@ -512,8 +514,37 @@ def mis_proposals_all_rows(g: Graph, hp, p: float, seed: int) -> tuple:
     """``(marked, proposed)`` of the MIS mark-and-propose step, the blocking
     same-layer neighbors looked up in every row, marked or not."""
     marked = rng.uniform(seed, rng.MARK_NODE, 0, np.arange(g.n)) < p
-    src = _row_of_every_slot(g)
+    src = _edge_sources(g)
     blocking = marked[g.indices] & (hp.layer[g.indices] == hp.layer[src])
     cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(blocking)])
     blocked = (cs[g.indptr[1:]] - cs[g.indptr[:-1]]) > 0
     return np.flatnonzero(marked), np.flatnonzero(marked & ~blocked)
+
+
+def mark_and_propose_matching_by_rank(g: Graph, hp, seed: int):
+    """Matching mark-and-propose that ranks every outgoing slot of every row
+    and lexsorts the marks by (parent, child).  Returns the ProposalSet."""
+    lay = hp.layer
+    src = _edge_sources(g)
+    out_mask = lay[g.indices] > lay[src]
+    # rank of each outgoing slot within its row, in neighbor-id order
+    cs = np.concatenate([np.zeros(1, np.int64), np.cumsum(out_mask)])
+    rank = cs[1:] - cs[g.indptr[src]]  # valid where out_mask
+    outdeg = cs[g.indptr[1:]] - cs[g.indptr[:-1]]
+    pick = rng.pick_index(seed, rng.MARK_EDGE, 0, np.arange(g.n), outdeg)
+    hit = out_mask & (rank - 1 == pick[src])  # rank is 1-based at slot positions
+    marked = np.stack([src[hit], g.indices[hit]], axis=1)  # sorted by child id
+
+    # group marked edges by parent; pick one per parent in child-id order
+    if marked.shape[0]:
+        order = np.lexsort((marked[:, 0], marked[:, 1]))
+        by_parent = marked[order]
+        counts = np.bincount(by_parent[:, 1], minlength=g.n)
+        starts = np.concatenate([np.zeros(1, np.int64), np.cumsum(counts)])
+        pick_in = rng.pick_index(seed, rng.PROPOSE_EDGE, 0, np.arange(g.n), counts)
+        parents = np.flatnonzero(counts > 0)
+        # one edge per parent, parents ascending: in (parent, child) order
+        proposed = by_parent[starts[parents] + pick_in[parents]]
+    else:
+        proposed = np.empty((0, 2), np.int64)
+    return ProposalSet(kind="matching", marked=marked, proposed=proposed)

@@ -18,6 +18,7 @@ from sparsempc.reduction import (
     ProposalSet,
     degree_reduce,
     finish_greedy,
+    luby_matching_round,
     luby_mis_round,
     mark_and_propose_matching,
     mark_and_propose_mis,
@@ -40,7 +41,9 @@ from oracles import (
     cycle,
     finish_by_rounds,
     heavy_counts_all_rows,
+    luby_matching_round_by_edge,
     luby_mis_round_all_n,
+    mark_and_propose_matching_by_rank,
     mis_proposals_all_rows,
     path,
     random_graph,
@@ -124,6 +127,54 @@ def test_matching_proposals_come_out_in_parent_child_order(family, params):
         assert np.array_equal(pr, pr[np.lexsort((pr[:, 0], pr[:, 1]))])
         child_order_differs |= not np.all(np.diff(pr[:, 0]) > 0)
     assert child_order_differs  # the (child, parent) order would be another
+
+
+MARK_SHAPES = ("random", "one-layer", "hub")
+
+
+def _layered_case(n, graph_seed, shape):
+    """A graph and a layer map: random layers on a random graph, every node
+    in one layer (no edge is oriented), or a star whose hub sits above all
+    its leaves, so every leaf marks the hub."""
+    r = np.random.default_rng(graph_seed)
+    if shape == "hub":
+        g = star(n - 1) if n > 1 else build_graph(n, [])
+        layer = np.ones(n, np.int64)
+        layer[:1] = 2
+    else:
+        g = random_graph(n, int(r.integers(0, 3 * n + 1)), graph_seed) if n else build_graph(0, [])
+        layer = r.integers(1, int(r.integers(1, 6)) + 1, size=n)
+        if shape == "one-layer":
+            layer[:] = 1
+    return g, HPartition(layer=layer, d=1, ell=int(layer.max(initial=0)))
+
+
+@example(n=0, graph_seed=0, shape="random", seed=3)
+@example(n=1, graph_seed=0, shape="random", seed=3)
+@example(n=30, graph_seed=5, shape="one-layer", seed=3)
+@example(n=500, graph_seed=0, shape="hub", seed=3)
+@example(n=500, graph_seed=0, shape="hub", seed=4)
+@given(
+    st.integers(0, 60),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(MARK_SHAPES),
+    st.integers(0, 2 ** 63 - 1),
+)
+@settings(max_examples=80, deadline=None)
+def test_matching_proposals_match_rank_oracle(n, graph_seed, shape, seed):
+    # The marks read off the run of outgoing slots and the proposals grouped
+    # by one stable sort of the parents are those of ranking every slot and
+    # lexsorting the marks by (parent, child), array for array.
+    g, hp = _layered_case(n, graph_seed, shape)
+    got = mark_and_propose_matching(g, hp, seed)
+    want = mark_and_propose_matching_by_rank(g, hp, seed)
+    for a, b in ((got.marked, want.marked), (got.proposed, want.proposed)):
+        assert a.dtype == b.dtype and a.shape == b.shape
+        assert np.array_equal(a, b)
+    if shape == "hub" and n > 1:  # every leaf marks the hub, which proposes once
+        assert got.marked.shape[0] == n - 1 and got.proposed.shape[0] == 1
+    if shape == "one-layer" or n < 2:  # no oriented edge: no node marks
+        assert got.marked.shape == (0, 2)
 
 
 # ---------------------------------------------------------------------------
@@ -873,6 +924,26 @@ def test_finish_greedy_matches_oracle_finish(n, graph_seed, mode, seed, kind):
     want_selected, want_removed = finish_by_rounds(g, alive, kind, seed)
     assert sol.selected.tolist() == want_selected
     assert sol.removed.tolist() == want_removed
+
+
+@given(st.integers(2, 30), st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 20))
+@settings(max_examples=40, deadline=None)
+def test_matching_finish_breaks_priority_ties_by_key(n, graph_seed, round_idx):
+    # Three priority values make ties common, so an edge often shares the
+    # smallest priority at an endpoint and wins only by the smaller key.
+    # The round, and the whole finish over carried live edges, must agree
+    # with the edge-by-edge oracle on the (priority, key) order.
+    real = rng.hash_u64
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(rng, "hash_u64", lambda *args: real(*args) % np.uint64(3))
+        g, alive = _finish_case(n, graph_seed, "random")
+        live = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
+        got = luby_matching_round(g, live, 5, round_idx)
+        assert got.tolist() == [list(e) for e in luby_matching_round_by_edge(g, alive, 5, round_idx)]
+        sol = finish_greedy(GraphView(graph=g, alive=alive.copy()), "matching", 5)
+        want_selected, want_removed = finish_by_rounds(g, alive, "matching", 5)
+        assert sol.selected.tolist() == want_selected
+        assert sol.removed.tolist() == want_removed
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Cluster simulation: placement, budgets, routing, rebalance, traces."""
 
 import json
+import tempfile
 from unittest import mock
 
 import numpy as np
@@ -353,9 +354,9 @@ def test_repacking_an_unchanged_set_moves_nothing(weighted):
 def _repack_twice(monkeypatch, tmp_path, hold, weights, *, forget):
     """A cluster on a 400-node tree, repacked once with ``hold`` (``None``:
     only the initial placement), then again with every node of ``hold``
-    (all nodes when ``None``), its remembered layout cleared first when
-    ``forget``.  Returns the cluster, how often the second repack placed,
-    and the rounds it recorded."""
+    (all nodes when ``None``), its remembered layout and settled hold mask
+    cleared first when ``forget``.  Returns the cluster, how often the
+    second repack placed, and the rounds it recorded."""
     monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
     g = generate("tree", {"n": 400}, seed=2)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
@@ -364,7 +365,7 @@ def _repack_twice(monkeypatch, tmp_path, hold, weights, *, forget):
     else:
         rebalance(cl, hold, weights=weights)
     if forget:
-        cl._layout = None
+        cl._layout = cl._settled = None
     first = len(cl.traces)
     with mock.patch.object(cl, "_place", wraps=cl._place) as place:
         rebalance(cl, hold, weights=weights)
@@ -442,6 +443,63 @@ def test_traced_weight_partition_rebalance_places_for_real():
     assert traced and all(c == ("partition-rebalance", True, 1) for c in traced)
     # phase 1 repacks the set init_cluster placed, twice, with no placement
     assert calls[:2] == [("rebalance", False, 0), ("partition-rebalance", False, 0)]
+
+
+LEDGER_STEPS = ("set_base_words", "add_extra_words", "drop_nodes", "nothing",
+                "same-hold", "same-hold", "new-hold", "weighted")
+
+
+def _ledger_walk(seed, *, fast):
+    """A cluster on a 300-node tree through a random walk of changes to
+    held rows' ledgers and of repacks, the first right after the initial
+    placement.  With ``fast`` False every repack forgets the settled hold
+    mask first, so it reads the ledgers.  Returns the cluster, how often
+    each repack placed, and how many repacks took the settled path."""
+    r = np.random.default_rng(seed)
+    g = generate("tree", {"n": 300}, seed=3)
+    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.9, S=4096, M=16))
+    hold = np.ones(g.n, bool)
+    placed = []
+    with mock.patch.object(runtime, "_repack", wraps=runtime._repack) as repack:
+        for step in ["same-hold", *r.choice(LEDGER_STEPS, size=40)]:
+            v = r.choice(np.flatnonzero(hold), size=3, replace=False)  # on held rows
+            if step == "set_base_words":
+                cl.set_base_words(v, r.integers(0, 5, size=3))
+            elif step == "add_extra_words":
+                cl.add_extra_words(v, int(r.integers(1, 3)))
+            elif step == "drop_nodes":
+                cl.drop_nodes(v)
+            elif step != "nothing":
+                if step == "new-hold":
+                    hold = r.random(g.n) < 0.8
+                weights = g.degrees + r.integers(0, 3, g.n) if step == "weighted" else None
+                if not fast:
+                    cl._settled = None
+                with mock.patch.object(cl, "_place", wraps=cl._place) as place:
+                    rebalance(cl, hold, weights=weights)
+                placed.append(place.call_count)
+    return cl, placed, len(placed) - repack.call_count
+
+
+@given(st.integers(0, 2 ** 31 - 1))
+@settings(max_examples=25, deadline=None)
+def test_settled_repack_equals_the_full_path_under_ledger_changes(seed):
+    # A repack by stored words that finds the hold mask of the last one and
+    # no ledger change since skips the ledger reads; between repacks, random
+    # ledger changes, new hold masks and weighted repacks must send it down
+    # the full path.  Either way the placements, rounds, trace rows and
+    # ledgers equal those of a cluster that always reads the ledgers.
+    with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as trace_dir:
+        mp.setenv("MPC_TRACE_DIR", trace_dir)  # so that both record trace rows
+        fast, fast_placed, settled = _ledger_walk(seed, fast=True)
+        full, full_placed, none = _ledger_walk(seed, fast=False)
+    assert settled >= 1 and none == 0
+    assert fast_placed == full_placed
+    assert fast.traces == full.traces
+    assert fast._trace_rows == full._trace_rows
+    for attr in ("node_machine", "loads", "base_words", "extra_words"):
+        assert np.array_equal(getattr(fast, attr), getattr(full, attr)), attr
+    assert fast.machines_used == full.machines_used
 
 
 @pytest.mark.parametrize("nodes", [[2, 1, 3], [0, 1, 1, 4]])
