@@ -40,6 +40,7 @@ from .runtime import (
     MemoryExceeded,
     ReceiveBudgetExceeded,
     SendBudgetExceeded,
+    UnplacedNodeError,
     init_cluster,
     metrics,
     rebalance,
@@ -74,6 +75,7 @@ __all__ = [
     "RunRecord",
     "SendBudgetExceeded",
     "StallError",
+    "UnplacedNodeError",
     "build_graph",
     "compute_schedule",
     "degeneracy",

@@ -5,6 +5,12 @@ is local computation everywhere, then an all-to-all routing step; a machine's
 sent words, received words, and resident words must each stay within its
 capacity S, and any violation aborts the run naming the machine and round.
 
+The placement is ``node_machine``: node v lives on machine
+``node_machine[v]``, or on none (-1) when the last placement
+(:func:`init_cluster` or :func:`rebalance`) did not hold it.  Such a node
+stores nothing, and a ledger change or a round that touches it raises
+:class:`UnplacedNodeError`.
+
 A round is described by arrays, one call per round:
 :meth:`Cluster.execute_round_bulk` takes the (sender, target) node pairs of
 a round of one-word messages, :meth:`Cluster.execute_round_volumes` takes
@@ -50,6 +56,20 @@ class MPCError(RuntimeError):
 
 class CapacityError(MPCError):
     """A node (or an unsplittable placement) cannot fit in one machine."""
+
+
+class UnplacedNodeError(MPCError):
+    """A ledger change or a round touched a node that no machine holds."""
+
+    def __init__(self, node: int):
+        super().__init__(f"node {node} is on no machine: the last placement did not hold it")
+        self.node = int(node)
+
+
+def _unplaced(nodes, machines) -> UnplacedNodeError:
+    """The error naming the first of ``nodes`` whose entry of ``machines``
+    is -1."""
+    return UnplacedNodeError(int(np.asarray(nodes)[machines < 0][0]))
 
 
 class BudgetError(MPCError):
@@ -131,13 +151,9 @@ _TRACE_KEEP_LIMIT = 4096
 class Cluster:
     """Mutable cluster state; create via :func:`init_cluster`.
 
-    The cluster remembers the held nodes and packing weights of its last
-    placement (by :func:`init_cluster` or :func:`rebalance`).  A placement
-    is a function of those two alone, so a :func:`rebalance` that finds
-    both unchanged keeps the layout in place without packing again.  It
-    also counts the changes to its ledgers, so that a repack by stored
-    words can tell that nothing changed since the last one from the hold
-    mask and that count alone."""
+    ``settled`` says that the layout is the placement of the held nodes by
+    their stored words as they are now: a placement by stored words sets it,
+    a placement by other weights and every ledger change clear it."""
 
     def __init__(self, g: Graph, cfg: ClusterConfig, name: str = "run"):
         self.cfg = cfg
@@ -151,13 +167,7 @@ class Cluster:
         self.node_machine = np.zeros(g.n, np.int64)
         self.machines_used = 1
         self.loads = np.zeros(1, np.int64)
-        # (nodes, packing weights) of the last placement
-        self._layout: tuple[np.ndarray, np.ndarray] | None = None
-        # ledger changes so far, and (hold mask, that count) as the last
-        # placement by stored words left them, the mask packed to bits as it
-        # lives as long as the cluster; None when weights packed
-        self._ledger_changes = 0
-        self._settled: tuple[np.ndarray, int] | None = None
+        self.settled = False
         self._trace_rows: list[dict] | None = None
         trace_dir = os.environ.get("MPC_TRACE_DIR")
         if trace_dir:
@@ -173,23 +183,28 @@ class Cluster:
 
     def set_base_words(self, nodes: np.ndarray, words: np.ndarray) -> None:
         delta = np.asarray(words, np.int64) - self.base_words[nodes]
-        np.add.at(self.loads, self.node_machine[nodes], delta)
+        self._charge(nodes, delta)
         self.base_words[nodes] += delta
-        self._ledger_changes += 1
 
     def add_extra_words(self, nodes: np.ndarray, delta) -> None:
         delta = np.broadcast_to(np.asarray(delta, np.int64), np.shape(nodes)).copy()
-        np.add.at(self.loads, self.node_machine[nodes], delta)
+        self._charge(nodes, delta)
         self.extra_words[nodes] += delta
-        self._ledger_changes += 1
 
     def drop_nodes(self, nodes: np.ndarray) -> None:
         """Remove finished nodes; their words vanish from their machines."""
-        w = self.base_words[nodes] + self.extra_words[nodes]
-        np.add.at(self.loads, self.node_machine[nodes], -w)
+        self._charge(nodes, -(self.base_words[nodes] + self.extra_words[nodes]))
         self.base_words[nodes] = 0
         self.extra_words[nodes] = 0
-        self._ledger_changes += 1
+
+    def _charge(self, nodes: np.ndarray, delta: np.ndarray) -> None:
+        """Add ``delta`` words to the machines of ``nodes``, before their
+        ledgers change; the layout is no longer settled."""
+        mach = self.node_machine[nodes]
+        if mach.size and mach.min() < 0:
+            raise _unplaced(nodes, mach)
+        np.add.at(self.loads, mach, delta)
+        self.settled = False
 
     def agg_depth(self) -> int:
         """Rounds for an S-ary aggregation tree over all machines."""
@@ -228,37 +243,13 @@ class Cluster:
         mach[order] = bins
         return mach
 
-    def _assign(
-        self, nodes: np.ndarray, pack_w: np.ndarray, mach: np.ndarray, stored: np.ndarray
-    ) -> None:
-        """Move ``nodes`` (holding ``stored`` words each) to machines ``mach``,
-        the placement of ``nodes`` under the packing weights ``pack_w``, and
-        remember that layout."""
+    def _assign(self, nodes: np.ndarray, mach: np.ndarray, stored: np.ndarray) -> None:
+        """Move ``nodes`` (holding ``stored`` words each) to machines ``mach``;
+        every other node is left on no machine."""
+        self.node_machine.fill(-1)
         self.node_machine[nodes] = mach
         self.machines_used = used = int(mach.max()) + 1
         self.loads = np.bincount(mach, weights=stored, minlength=used).astype(np.int64)
-        self._ledger_changes += 1
-        # kept in the narrowest dtypes: the layout lives as long as the cluster
-        self._layout = tuple(a.astype(np.min_scalar_type(int(a.max()))) for a in (nodes, pack_w))
-
-    def _is_placed(self, nodes: np.ndarray, pack_w: np.ndarray) -> bool:
-        """Whether the last placement held exactly ``nodes`` under the
-        packing weights ``pack_w``, so that placing them again moves nothing."""
-        last = self._layout
-        return (
-            last is not None and np.array_equal(last[0], nodes) and np.array_equal(last[1], pack_w)
-        )
-
-    def _is_settled(self, hold: np.ndarray) -> bool:
-        """Whether the last placement by stored words held exactly ``hold``
-        and no ledger changed since, so that a repack of ``hold`` by stored
-        words finds the held set and its weights unchanged."""
-        settled = self._settled
-        return (
-            settled is not None
-            and settled[1] == self._ledger_changes
-            and np.array_equal(settled[0], np.packbits(hold))
-        )
 
     # -- round execution ----------------------------------------------------
 
@@ -334,8 +325,11 @@ class Cluster:
         so only the usually few local pairs are copied."""
         sm = self.node_machine[src]
         dm = self.node_machine[dst]
-        sent = np.bincount(sm, minlength=1)
-        received = np.bincount(dm, minlength=1)
+        try:
+            sent = np.bincount(sm, minlength=1)
+            received = np.bincount(dm, minlength=1)
+        except ValueError:  # a machine id of -1: a node on no machine
+            raise _unplaced(np.concatenate((src, dst)), np.concatenate((sm, dm))) from None
         local = sm[sm == dm]
         if local.size:
             counts = np.bincount(local)
@@ -370,7 +364,10 @@ class Cluster:
         number for all of them)."""
         if not len(nodes):  # a silent side of a round: nothing to sum
             return np.zeros(1, np.int64)
-        mach = self.node_machine[np.asarray(nodes, np.int64)]
+        nodes = np.asarray(nodes, np.int64)
+        mach = self.node_machine[nodes]
+        if mach.min() < 0:
+            raise _unplaced(nodes, mach)
         words = np.asarray(words)
         if not words.ndim:
             counts = np.bincount(mach, minlength=1)
@@ -417,12 +414,12 @@ def init_cluster(g: Graph, cfg: ClusterConfig, name: str = "run") -> Cluster:
     nodes = np.arange(g.n, dtype=np.int64)
     if g.n:
         words = cl.base_words
-        cl._assign(nodes, words, cl._place(nodes, words), words)
-        cl._settled = (np.packbits(np.ones(g.n, np.bool_)), cl._ledger_changes)
+        cl._assign(nodes, cl._place(nodes, words), words)
         if int(cl.loads.max()) > cfg.S:
             raise CapacityError(
                 f"initial placement cannot fit within S={cfg.S} words per machine"
             )
+    cl.settled = True
     return cl
 
 
@@ -438,55 +435,48 @@ def rebalance(
     tree to compute the assignment; an empty ``hold`` changes nothing and
     costs nothing.
 
-    ``hold`` may list nodes that are no longer alive but whose stored rows
-    must survive and move with the repack (mid-partition, layered nodes
-    retain their gathered balls until selection).  ``weights`` overrides the
-    packing weights (e.g. predicted gather volume) without changing the
+    ``hold`` is a bool mask over all nodes; it may hold nodes that are no
+    longer alive but whose stored rows must survive and move with the
+    repack (mid-partition, layered nodes retain their gathered balls until
+    selection).  ``weights``, nonnegative integers, one per node, overrides
+    the packing weights (e.g. predicted gather volume) without changing the
     stored-word ledgers.  The placement depends only on the held set and
     its packing weights, so repacking an unchanged set with unchanged
-    weights moves no words; when both equal those of the cluster's last
-    placement the packing is skipped, and the repack records the same
-    rounds, its data round moving 0 words.  A repack by stored words whose
-    hold mask equals that of the last placement by stored words (the
-    initial one holds every node), with no ledger change since, finds both
-    unchanged without reading the ledgers.
+    weights moves no words.  When the cluster is settled and ``hold`` is
+    the held set, a repack by stored words is that case without reading
+    the ledgers: it records the same rounds, its data round moving 0 words.
     """
-    hold = np.asarray(hold, np.bool_)
+    n = cluster.graph.n
+    hold = np.asarray(hold)
+    if hold.dtype != np.bool_ or hold.shape != (n,):
+        raise ValueError(f"hold must be a bool array of shape ({n},)")
+    if weights is not None:
+        weights = np.asarray(weights)
+        if weights.dtype.kind not in "iu" or weights.shape != (n,) or (weights < 0).any():
+            raise ValueError(f"weights must be None or nonnegative integers of shape ({n},)")
     if not hold.any():
         return cluster
-    if weights is None and cluster._is_settled(hold):
+    if weights is None and cluster.settled and np.array_equal(hold, cluster.node_machine >= 0):
         sent = received = np.zeros(1, np.int64)
     else:
-        sent, received = _repack(cluster, hold, weights)
-        # every node outside `hold` now stores nothing, and the layout is
-        # the placement of `hold` by its stored words, unless weights packed
-        cluster._settled = (np.packbits(hold), cluster._ledger_changes) if weights is None else None
+        words = cluster.node_words()
+        dead = np.flatnonzero(~hold & (words > 0))
+        if dead.size:
+            cluster.drop_nodes(dead)
+        nodes = np.flatnonzero(hold)
+        stored = words[nodes]  # dropping the dead left these rows as they were
+        pack_w = stored if weights is None else weights[nodes].astype(np.int64)
+        old_mach = cluster.node_machine[nodes]
+        mach = cluster._place(nodes, pack_w)
+        moved = (mach != old_mach) & (stored > 0)  # a node on no machine stores nothing
+        moved_w = stored[moved]
+        sent = np.bincount(old_mach[moved], weights=moved_w, minlength=1).astype(np.int64)
+        received = np.bincount(mach[moved], weights=moved_w, minlength=1).astype(np.int64)
+        cluster._assign(nodes, mach, stored)
+        cluster.settled = weights is None
     cluster.control_rounds(cluster.agg_depth(), label=label + "-plan")
     cluster._check_and_trace(label, sent, received)
     return cluster
-
-
-def _repack(cluster: Cluster, hold: np.ndarray, weights) -> tuple[np.ndarray, np.ndarray]:
-    """Drop the rows outside ``hold`` and place the held nodes, unless the
-    layout in place already is their placement.  Returns the per-machine
-    words the moves send and receive."""
-    words = cluster.node_words()
-    dead = np.flatnonzero(~hold & (words > 0))
-    if dead.size:
-        cluster.drop_nodes(dead)
-    nodes = np.flatnonzero(hold)
-    stored = words[nodes]  # dropping the dead left these rows as they were
-    pack_w = stored if weights is None else np.asarray(weights, np.int64)[nodes]
-    if cluster._is_placed(nodes, pack_w):
-        return np.zeros(1, np.int64), np.zeros(1, np.int64)
-    old_mach = cluster.node_machine[nodes]
-    mach = cluster._place(nodes, pack_w)
-    moved = mach != old_mach
-    moved_w = stored[moved]
-    sent = np.bincount(old_mach[moved], weights=moved_w, minlength=1).astype(np.int64)
-    cluster._assign(nodes, pack_w, mach, stored)
-    received = np.bincount(mach[moved], weights=moved_w, minlength=1).astype(np.int64)
-    return sent, received
 
 
 def metrics(cluster: Cluster) -> dict:

@@ -14,6 +14,7 @@ from sparsempc import runtime
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
 from sparsempc.mpc import _notify_round
+from sparsempc.reduction import solution_digest
 from sparsempc.runtime import (
     CapacityError,
     Cluster,
@@ -27,6 +28,7 @@ from sparsempc.runtime import (
 )
 
 from oracles import path, random_graph, star
+from test_golden_metering import GOLDEN
 
 
 def _loads_consistent(cl):
@@ -351,47 +353,72 @@ def test_repacking_an_unchanged_set_moves_nothing(weighted):
     assert np.array_equal(cl.loads, loads)
 
 
-def _repack_twice(monkeypatch, tmp_path, hold, weights, *, forget):
-    """A cluster on a 400-node tree, repacked once with ``hold`` (``None``:
-    only the initial placement), then again with every node of ``hold``
-    (all nodes when ``None``), its remembered layout and settled hold mask
-    cleared first when ``forget``.  Returns the cluster, how often the
-    second repack placed, and the rounds it recorded."""
-    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
+def _state(cl):
+    return (len(cl.traces), cl.settled, *(
+        getattr(cl, a).copy() for a in ("node_machine", "loads", "base_words", "extra_words")
+    ))
+
+
+def _same_state(a, b):
+    return a[:2] == b[:2] and all(np.array_equal(x, y) for x, y in zip(a[2:], b[2:]))
+
+
+@pytest.mark.parametrize("weighted", [False, True])
+@pytest.mark.parametrize(
+    "step", ["set_base_words", "add_extra_words", "drop_nodes", "pairs", "volumes", "counts"]
+)
+def test_a_node_on_no_machine_raises_and_changes_nothing(step, weighted):
+    # A node the last repack did not hold is on no machine and stores
+    # nothing, so no ledger change or round may charge a machine for it.
     g = generate("tree", {"n": 400}, seed=2)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
-    if hold is None:
-        hold = np.ones(g.n, bool)
+    hold = np.ones(g.n, bool)
+    hold[7] = False
+    rebalance(cl, hold, weights=g.degrees + 1 if weighted else None)
+    assert cl.node_machine[7] == -1 and cl.node_words()[7] == 0
+    nodes = np.array([3, 7])
+    act = {
+        "set_base_words": lambda: cl.set_base_words(nodes, np.array([1, 1])),
+        "add_extra_words": lambda: cl.add_extra_words(nodes, 2),
+        "drop_nodes": lambda: cl.drop_nodes(nodes),
+        "pairs": lambda: cl.execute_round_bulk(np.array([3, 5]), nodes),
+        "volumes": lambda: cl.execute_round_volumes(nodes, np.array([1, 2]), nodes[:1], 1),
+        "counts": lambda: cl.execute_round_volumes(nodes[:1], 1, nodes, 1),
+    }[step]
+    before = _state(cl)
+    with pytest.raises(runtime.UnplacedNodeError, match="node 7 ") as err:
+        act()
+    assert err.value.node == 7
+    assert _same_state(_state(cl), before)
+
+
+@pytest.mark.parametrize("case", [
+    "scalar-hold", "int-hold", "short-hold", "long-weights", "negative-weights", "float-weights",
+])
+def test_rebalance_rejects_a_malformed_hold_or_weights(case):
+    # A hold that is not a bool mask over all nodes, or weights that are not
+    # one nonnegative integer per node, would place a wrong set or pack by
+    # nonsense; the repack refuses them before it changes anything.
+    g = generate("tree", {"n": 400}, seed=2)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
+    hold, weights = np.ones(g.n, bool), None
+    if case == "scalar-hold":
+        hold = True
+    elif case == "int-hold":
+        hold = np.ones(g.n, np.int64)
+    elif case == "short-hold":
+        hold = hold[1:]
+    elif case == "long-weights":
+        weights = np.ones(g.n + 1, np.int64)
+    elif case == "negative-weights":
+        weights = np.ones(g.n, np.int64)
+        weights[5] = -1
     else:
+        weights = np.ones(g.n)
+    before = _state(cl)
+    with pytest.raises(ValueError, match="hold" if case.endswith("hold") else "weights"):
         rebalance(cl, hold, weights=weights)
-    if forget:
-        cl._layout = cl._settled = None
-    first = len(cl.traces)
-    with mock.patch.object(cl, "_place", wraps=cl._place) as place:
-        rebalance(cl, hold, weights=weights)
-    return cl, place.call_count, cl.traces[first:]
-
-
-@pytest.mark.parametrize("case", ["after-init", "stored", "weighted"])
-def test_unchanged_repack_skips_the_placement_and_records_the_same_rounds(
-    monkeypatch, tmp_path, case
-):
-    # The set and the packing weights of the last placement are unchanged,
-    # so the layout in place is the one a placement would compute: the
-    # repack does no placement work, and its plan and data rounds, the
-    # cluster state and every trace row equal those of a full placement.
-    hold = None if case == "after-init" else np.random.default_rng(2).random(400) < 0.6
-    weights = generate("tree", {"n": 400}, seed=2).degrees + 1 if case == "weighted" else None
-    runs = [_repack_twice(monkeypatch, tmp_path, hold, weights, forget=f) for f in (False, True)]
-    (kept, kept_calls, kept_rounds), (full, full_calls, full_rounds) = runs
-    assert (kept_calls, full_calls) == (0, 1)
-    assert kept_rounds == full_rounds
-    assert [t.label for t in kept_rounds] == ["rebalance-plan"] * kept.agg_depth() + ["rebalance"]
-    assert (kept_rounds[-1].total_sent, kept_rounds[-1].total_received) == (0, 0)
-    assert np.array_equal(kept.node_machine, full.node_machine)
-    assert np.array_equal(kept.loads, full.loads)
-    assert kept.machines_used == full.machines_used
-    assert kept._trace_rows == full._trace_rows
+    assert _same_state(_state(cl), before)
 
 
 @pytest.mark.parametrize(
@@ -445,61 +472,120 @@ def test_traced_weight_partition_rebalance_places_for_real():
     assert calls[:2] == [("rebalance", False, 0), ("partition-rebalance", False, 0)]
 
 
-LEDGER_STEPS = ("set_base_words", "add_extra_words", "drop_nodes", "nothing",
-                "same-hold", "same-hold", "new-hold", "weighted")
+WALK_STEPS = ("set_base_words", "add_extra_words", "drop_nodes", "pairs", "volumes",
+              "nothing", "same-hold", "same-hold", "new-hold", "weighted")
 
 
-def _ledger_walk(seed, *, fast):
-    """A cluster on a 300-node tree through a random walk of changes to
-    held rows' ledgers and of repacks, the first right after the initial
-    placement.  With ``fast`` False every repack forgets the settled hold
-    mask first, so it reads the ledgers.  Returns the cluster, how often
-    each repack placed, and how many repacks took the settled path."""
+def _ledger_walk(seed, *, forced):
+    """A cluster on a 300-node tree through a random walk of ledger changes
+    and rounds on nodes drawn from the whole graph, and of repacks, the
+    first right after the initial placement.  A step that touches a node
+    the last repack did not hold must raise and change nothing.  With
+    ``forced`` every repack clears ``settled`` first, so that it places.
+    Returns the cluster and, per repack, whether it placed."""
     r = np.random.default_rng(seed)
     g = generate("tree", {"n": 300}, seed=3)
     cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.9, S=4096, M=16))
     hold = np.ones(g.n, bool)
     placed = []
-    with mock.patch.object(runtime, "_repack", wraps=runtime._repack) as repack:
-        for step in ["same-hold", *r.choice(LEDGER_STEPS, size=40)]:
-            v = r.choice(np.flatnonzero(hold), size=3, replace=False)  # on held rows
-            if step == "set_base_words":
-                cl.set_base_words(v, r.integers(0, 5, size=3))
-            elif step == "add_extra_words":
-                cl.add_extra_words(v, int(r.integers(1, 3)))
-            elif step == "drop_nodes":
-                cl.drop_nodes(v)
-            elif step != "nothing":
-                if step == "new-hold":
-                    hold = r.random(g.n) < 0.8
-                weights = g.degrees + r.integers(0, 3, g.n) if step == "weighted" else None
-                if not fast:
-                    cl._settled = None
-                with mock.patch.object(cl, "_place", wraps=cl._place) as place:
-                    rebalance(cl, hold, weights=weights)
-                placed.append(place.call_count)
-    return cl, placed, len(placed) - repack.call_count
+    for step in ["same-hold", *r.choice(WALK_STEPS, size=40)]:
+        if step in WALK_STEPS[:5]:
+            v = r.choice(g.n, size=3, replace=False)
+            act = {
+                "set_base_words": lambda: cl.set_base_words(v, r.integers(0, 5, size=3)),
+                "add_extra_words": lambda: cl.add_extra_words(v, int(r.integers(1, 3))),
+                "drop_nodes": lambda: cl.drop_nodes(v),
+                "pairs": lambda: cl.execute_round_bulk(v[:2], v[1:], label="pairs"),
+                "volumes": lambda: cl.execute_round_volumes(
+                    v, r.integers(0, 4, size=3), v[::-1], 2, label="volumes"
+                ),
+            }[step]
+            if hold[v].all():
+                act()
+                continue
+            before = _state(cl)
+            with pytest.raises(runtime.UnplacedNodeError) as err:
+                act()
+            assert not hold[err.value.node] and err.value.node in v
+            assert _same_state(_state(cl), before)
+        elif step != "nothing":
+            if step == "new-hold":
+                hold = r.random(g.n) < 0.8
+            weights = g.degrees + r.integers(0, 3, g.n) if step == "weighted" else None
+            if forced:
+                cl.settled = False
+            with mock.patch.object(cl, "_place", wraps=cl._place) as place:
+                rebalance(cl, hold, weights=weights)
+            placed.append(place.called)
+    return cl, placed
 
 
 @given(st.integers(0, 2 ** 31 - 1))
 @settings(max_examples=25, deadline=None)
-def test_settled_repack_equals_the_full_path_under_ledger_changes(seed):
-    # A repack by stored words that finds the hold mask of the last one and
-    # no ledger change since skips the ledger reads; between repacks, random
-    # ledger changes, new hold masks and weighted repacks must send it down
-    # the full path.  Either way the placements, rounds, trace rows and
-    # ledgers equal those of a cluster that always reads the ledgers.
+def test_ledger_walk_over_the_whole_graph_equals_the_forced_placements(seed):
+    # A repack by stored words of the held set of a settled cluster skips
+    # the placement; random ledger changes, new hold masks and weighted
+    # repacks in between must send it down the full path.  Either way the
+    # rounds, trace rows and ledgers equal those of a cluster that places on
+    # every repack, and a step on a node that no machine holds raises.
     with pytest.MonkeyPatch.context() as mp, tempfile.TemporaryDirectory() as trace_dir:
         mp.setenv("MPC_TRACE_DIR", trace_dir)  # so that both record trace rows
-        fast, fast_placed, settled = _ledger_walk(seed, fast=True)
-        full, full_placed, none = _ledger_walk(seed, fast=False)
-    assert settled >= 1 and none == 0
-    assert fast_placed == full_placed
-    assert fast.traces == full.traces
-    assert fast._trace_rows == full._trace_rows
+        kept, kept_placed = _ledger_walk(seed, forced=False)
+        full, full_placed = _ledger_walk(seed, forced=True)
+    assert all(full_placed) and not kept_placed[0]
+    assert kept.traces == full.traces
+    assert kept._trace_rows == full._trace_rows
     for attr in ("node_machine", "loads", "base_words", "extra_words"):
-        assert np.array_equal(getattr(fast, attr), getattr(full, attr)), attr
-    assert fast.machines_used == full.machines_used
+        assert np.array_equal(getattr(kept, attr), getattr(full, attr)), attr
+    assert kept.machines_used == full.machines_used
+
+
+def _pipeline_with_repacks(case, *, forced):
+    """Run ``case`` (as in the golden metering cases) traced.  With
+    ``forced`` every repack clears ``settled`` first, so that it places.
+    Returns the digest, the cluster and how many repacks skipped the
+    placement."""
+    family, params, seed, kind, delta, d_floor, adaptive = case
+    g = generate(family, params, seed=seed)
+    clusters, skips = [], 0
+
+    def repack(cluster, hold, **kwargs):
+        nonlocal skips
+        clusters.append(cluster)
+        if forced:
+            cluster.settled = False
+        before = place.call_count
+        out = runtime.rebalance(cluster, hold, **kwargs)
+        skips += place.call_count == before
+        return out
+
+    with mock.patch.object(Cluster, "_place", autospec=True, side_effect=Cluster._place) as place:
+        with mock.patch.object(mpc_mod, "rebalance", repack):
+            sol, _ = mpc_mod.mpc_pipeline(
+                g, ClusterConfig.for_graph(g, delta), kind, 2, seed,
+                d_floor=d_floor, adaptive=adaptive,
+            )
+    assert all(c is clusters[0] for c in clusters)
+    return solution_digest(sol, seed), clusters[0], skips
+
+
+@pytest.mark.parametrize("case", [
+    *(pytest.param(p.values[0], id=p.id) for p in GOLDEN),
+    pytest.param(
+        ("layered-core", {"n": 2048, "depth": 160, "d": 3}, 1, "matching", 0.8, 3, False),
+        id="layered-core-2048-doubling",
+    ),
+])
+def test_pipeline_repacks_that_skip_the_placement_change_no_round(case, monkeypatch, tmp_path):
+    # Phase 1 repacks the set init_cluster placed, twice, by stored words;
+    # both skip the placement, and forcing it changes no round or row.
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
+    digest, kept, skips = _pipeline_with_repacks(case, forced=False)
+    full_digest, full, none = _pipeline_with_repacks(case, forced=True)
+    assert skips >= 2 and none == 0
+    assert digest == full_digest
+    assert kept.traces == full.traces
+    assert kept._trace_rows == full._trace_rows
 
 
 @pytest.mark.parametrize("nodes", [[2, 1, 3], [0, 1, 1, 4]])
