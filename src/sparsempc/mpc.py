@@ -9,6 +9,18 @@ opens with the phase rebalance and is built on the cluster
 chunk-wise selection (:func:`mpc_select`, after which the survivors' stored
 rows shrink to their remaining degree) and the finish rounds.
 
+Each phase has one id space: its stage meters run on the phase subgraph
+that :func:`sparsempc.reduction.reduce_once` builds (the alive nodes,
+renumbered in ascending id order), with phase-sized masks, layer buffers
+and degrees, so the peel is the kernel run of
+:func:`sparsempc.peeling.h_partition` on the same arrays.  The cluster
+keeps its ledgers by original node id; the phase's ascending ``ids`` (as
+:meth:`sparsempc.graph.GraphView.compact` returns them) translate a node
+only where a round or a ledger change names it.  Only the repacks take
+arrays over all nodes (their hold mask, and the traffic weights of a
+doubling iteration's repack), as :func:`sparsempc.runtime.rebalance` does;
+the finish runs on the whole remainder graph.
+
 The partition is built in repetitions: each repetition peels every node whose
 layer index (within the current remainder) is at most the hop radius, because
 a radius-r ball determines layers up to r.  Hop radii double once per
@@ -98,21 +110,17 @@ def compute_schedule(
 # ---------------------------------------------------------------------------
 
 
-def _notify_round(
-    cluster: Cluster, g: Graph, senders: np.ndarray, mask: np.ndarray, label: str
-) -> np.ndarray:
-    """Distinct ``senders`` push one word along each incident edge whose other
-    end is in ``mask``: removed nodes strike the edge at their still-alive
-    neighbors, winners notify the not-yet-finished phase nodes.  The round is
-    handed over as its live (sender, target) pairs, read off the senders'
-    rows rather than all n nodes; the cluster counts the pairs that cross
-    machines, so a word to a neighbor on the sender's machine is free.
-    Returns the targets, one per live pair, local ones included."""
+def _notify_pairs(g: Graph, senders: np.ndarray, mask: np.ndarray):
+    """The (sender, target) pairs of a notify round, in ``g``'s ids: distinct
+    ``senders`` push one word along each incident edge whose other end is in
+    ``mask`` (removed nodes strike the edge at their still-alive neighbors,
+    winners notify the not-yet-finished phase nodes).  They are read off the
+    senders' rows rather than all nodes; the cluster counts the pairs that
+    cross machines, so a word to a neighbor on the sender's machine is
+    free."""
     src, tgt = gather_segments(g.indptr, g.indices, senders)
     live = mask[tgt]
-    tgt = tgt[live]
-    cluster.execute_round_bulk(src[live], tgt, label=label)
-    return tgt
+    return src[live], tgt[live]
 
 
 class _BallCache:
@@ -122,46 +130,54 @@ class _BallCache:
     repetitions remove nodes, so these stay valid upper bounds for the budget
     ledgers.  Also feeds the iteration-boundary rebalance: nodes are packed
     by their predicted traffic (each node knows its outgoing volume locally
-    and learns the incoming one from a sizes-first handshake)."""
+    and learns the incoming one from a sizes-first handshake).
 
-    def __init__(self, g: Graph, alive: np.ndarray, radius: int, deg: np.ndarray):
+    The balls are scanned in the phase subgraph ``g``, whose nodes have the
+    ascending cluster ids ``ids``; ``nodes`` lists the ``alive`` ones and
+    ``self.ids`` their cluster ids, and every volume is aligned with both."""
+
+    def __init__(
+        self, g: Graph, ids: np.ndarray, alive: np.ndarray, radius: int, deg: np.ndarray
+    ):
         # deg: the alive degrees, as the partition carries them, so no O(m)
         # pass recounts them (entries of dead nodes are never read)
-        self.ids = ids = np.flatnonzero(alive)
+        self.nodes = nodes = np.flatnonzero(alive)
+        self.ids = ids[nodes]
         row_words = 1 + deg  # node id + adjacency entries
-        vdeg = deg[ids]
+        vdeg = deg[nodes]
         half = radius // 2
         if half == 1:
             # a radius-1 ball is the node and its alive row: the virtual
             # degree is the alive degree, and the words received are the
             # alive neighbors' degrees
-            _, nb = gather_segments(g.indptr, g.indices, ids)
+            _, nb = gather_segments(g.indptr, g.indices, nodes)
             cs = np.concatenate((np.zeros(1, np.int64), np.cumsum(np.where(alive[nb], deg[nb], 0))))
-            lengths = g.indptr[ids + 1] - g.indptr[ids]
+            lengths = g.indptr[nodes + 1] - g.indptr[nodes]
             ends = np.cumsum(lengths)
             self.clique_send = vdeg ** 2
             self.clique_recv = cs[ends] - cs[ends - lengths]
         else:
             ones = np.ones(g.n, np.int64)
-            cnt_half, _ = ball_stats(g.indptr, g.indices, alive, ids, half, ones)
+            cnt_half, _ = ball_stats(g.indptr, g.indices, alive, nodes, half, ones)
             vdeg_half = np.zeros(g.n, np.int64)
-            vdeg_half[ids] = cnt_half - 1
-            _, recv_half = ball_stats(g.indptr, g.indices, alive, ids, half, vdeg_half)
-            self.clique_send = vdeg_half[ids] ** 2
-            self.clique_recv = recv_half - vdeg_half[ids]
-        cnt, wsum = ball_stats(g.indptr, g.indices, alive, ids, radius, row_words)
-        # per alive node, aligned with ids: the words it sends in a gather
+            vdeg_half[nodes] = cnt_half - 1
+            _, recv_half = ball_stats(g.indptr, g.indices, alive, nodes, half, vdeg_half)
+            self.clique_send = vdeg_half[nodes] ** 2
+            self.clique_recv = recv_half - vdeg_half[nodes]
+        cnt, wsum = ball_stats(g.indptr, g.indices, alive, nodes, radius, row_words)
+        # per alive node, aligned with nodes: the words it sends in a gather
         # round (its row to every other ball member) and pulls (the other
         # members' rows)
-        self.send = row_words[ids] * (cnt - 1)
-        self.pull = wsum - row_words[ids]
+        self.send = row_words[nodes] * (cnt - 1)
+        self.pull = wsum - row_words[nodes]
         self.added = (cnt - 1) - vdeg
-        self._live = (ids, self.send, self.pull)  # as the last gather round left them
+        self._live = (nodes, self.ids, self.send, self.pull)  # as the last gather round left them
 
     def traffic_weights(self, stored: np.ndarray) -> np.ndarray:
         """Per-node packing weight: the worst single-round volume this node
         contributes during the iteration, floored at its stored words so the
-        storage ledgers stay balanced too.  Full-length array."""
+        storage ledgers stay balanced too.  ``stored`` and the result are
+        indexed by cluster id, as the repack takes them."""
         w = stored.astype(np.int64, copy=True)
         ids = self.ids
         peak = np.maximum(self.clique_send, self.clique_recv)
@@ -171,15 +187,15 @@ class _BallCache:
         return w
 
     def gather_volumes(self, alive: np.ndarray):
-        """``(nodes, send, pull)`` of a gather round: the ``alive`` nodes,
-        ascending, with their gather volumes.  Repetitions only remove
-        nodes, so each call filters what the last one kept instead of
-        scanning all n."""
-        nodes, send, pull = self._live
+        """``(ids, send, pull)`` of a gather round: the cluster ids of the
+        ``alive`` nodes, ascending, with their gather volumes.  Repetitions
+        only remove nodes, so each call filters what the last one kept
+        instead of scanning every node."""
+        nodes, ids, send, pull = self._live
         keep = alive[nodes]
         if not keep.all():
-            self._live = nodes, send, pull = nodes[keep], send[keep], pull[keep]
-        return nodes, send, pull
+            self._live = nodes, ids, send, pull = nodes[keep], ids[keep], send[keep], pull[keep]
+        return ids, send, pull
 
 
 def connect_cliques(
@@ -218,6 +234,8 @@ def connect_cliques(
 
 def gather_and_peel(
     cluster: Cluster,
+    sub: Graph,
+    ids: np.ndarray,
     radius: int,
     d: int,
     *,
@@ -227,37 +245,40 @@ def gather_and_peel(
     first: np.ndarray | None = None,
     layer: np.ndarray | None = None,
 ) -> tuple[np.ndarray, int, np.ndarray, np.ndarray | None]:
-    """One repetition: each alive node learns its layer-if-at-most-``radius``
-    (else "deeper") from its radius-ball and drops out if layered.
+    """One repetition: each alive node of the phase subgraph ``sub`` (whose
+    nodes have the ascending cluster ids ``ids``) learns its
+    layer-if-at-most-``radius`` (else "deeper") from its radius-ball and
+    drops out if layered.  Everything is in ``sub``'s ids except the round,
+    which names cluster nodes.
 
     Returns ``(rel, t, removed, next_first)``: the ids ``removed`` that this
-    repetition layered, layer by layer (as the peel found them, so no n-wide
-    scan looks for them), their layers ``rel`` (1..t, relative to the
+    repetition layered, layer by layer (as the peel found them, so no scan
+    looks for them), their layers ``rel`` (1..t, relative to the
     repetition), the number ``t`` of layers it produced, and the first
     layer of the next repetition, or None when the peel did not compute it.
 
     Radius 1 needs no gathering (degrees are local); it costs one removal
     round.  Radius >= 2 costs one gather round whose volumes come from the
     iteration ball ``cache`` that :func:`mpc_h_partition` builds; it may be
-    None only while ``alive`` is empty.  Mutates ``alive``, and ``deg`` (the
-    alive degrees carried across repetitions) when given.  ``first`` is the
-    last repetition's ``next_first`` and ``layer`` a buffer reused across
-    repetitions (both as in :func:`peel_layers`).  Raises StallError exactly
+    None only while ``alive`` is empty.  Mutates ``alive`` (a mask over
+    ``sub``), and ``deg`` (the alive degrees carried across repetitions)
+    when given.  ``first`` is the last repetition's ``next_first`` and
+    ``layer`` a buffer reused across repetitions (both as in
+    :func:`peel_layers`).  Raises StallError exactly
     when the centralized peeling would: a nonempty remainder where nobody
     has degree <= d.
     """
-    g = cluster.graph
     label = "partition-gather" if radius >= 2 else "partition-peel"
     if not alive.any():
         # faithful repetitions keep running after the subgraph empties; they
-        # are metered as silent rounds without peeling or scanning the n nodes
+        # are metered as silent rounds without peeling
         none = np.empty(0, np.int64)
         cluster.execute_round_volumes(none, none, none, none, label=label)
         return none, 0, none, none
     if radius >= 2:
         cur, send, pull = cache.gather_volumes(alive)
     layer, t, removed, src, nb, nxt = peel_layers(
-        g.indptr, g.indices, alive, d, radius, deg=deg, first=first, layer=layer
+        sub.indptr, sub.indices, alive, d, radius, deg=deg, first=first, layer=layer
     )
     alive[removed] = False
     if radius >= 2:
@@ -266,7 +287,7 @@ def gather_and_peel(
         # the one layer's rows, as the peel gathered them: removed nodes
         # strike the edges to their still-alive neighbors
         live = alive[nb]
-        cluster.execute_round_bulk(src[live], nb[live], label=label)
+        cluster.execute_round_bulk(ids[src[live]], ids[nb[live]], label=label)
     if t < radius and alive.any():
         stuck = int(alive.sum())
         raise StallError(
@@ -277,42 +298,43 @@ def gather_and_peel(
 
 def mpc_h_partition(
     cluster: Cluster,
+    sub: Graph,
+    ids: np.ndarray,
     d: int,
     schedule: ExponentiationSchedule,
     *,
-    alive: np.ndarray | None = None,
     adaptive: bool = False,
-    deg: np.ndarray | None = None,
 ) -> tuple[HPartition, list[tuple[int, int]], np.ndarray, dict]:
-    """Build the full layer map of the alive subgraph on the cluster.
+    """Build the full layer map of the phase subgraph ``sub`` on the cluster.
 
-    Returns the partition (global layer indices over original node ids; 0
-    marks nodes outside the alive mask), the chunks as ``(last_layer,
-    radius)`` pairs in removal order (each chunk starts one layer above the
-    previous one's last), the removal order (the alive nodes as the
-    repetitions removed them: layer by layer, ascending within a layer, so
-    the stable by-layer sort of the alive nodes) and a stats dict
-    (per-iteration virtual-edge counts, alive counts, repetitions used).
-    Round traces accumulate on the cluster.
+    ``ids`` lists the cluster ids of ``sub``'s nodes, ascending, as
+    :meth:`sparsempc.graph.GraphView.compact` returns them; a whole-graph
+    caller passes the graph and ``arange(n)``.  Every returned array is in
+    ``sub``'s ids.
 
-    ``deg`` hands over the alive degrees when the caller holds them, under
-    the contract of :func:`peel_layers`: an int64 array holding
-    :func:`alive_degrees` on every alive node, consumed in place.
+    Returns the partition (layer indices of ``sub``'s nodes, as
+    :func:`sparsempc.peeling.h_partition` of ``sub`` gives them), the chunks
+    as ``(last_layer, radius)`` pairs in removal order (each chunk starts one
+    layer above the previous one's last), the removal order (``sub``'s nodes
+    as the repetitions removed them: layer by layer, ascending within a
+    layer, so the stable by-layer sort) and a stats dict (per-iteration
+    virtual-edge counts, alive counts, repetitions used).  Round traces
+    accumulate on the cluster.
     """
-    g = cluster.graph
-    members = np.ones(g.n, np.bool_) if alive is None else np.asarray(alive, np.bool_)
-    work = members.copy()
+    # the repacks' hold mask, over all cluster nodes as rebalance takes it
+    members = np.zeros(cluster.graph.n, np.bool_)
+    members[ids] = True
+    work = np.ones(sub.n, np.bool_)
     # only gather_and_peel shrinks `work`, and it keeps these degrees current
-    if deg is None:
-        deg = alive_degrees(g.indptr, g.indices, work)
-    layer = np.zeros(g.n, np.int64)
+    deg = sub.degrees
+    layer = np.zeros(sub.n, np.int64)
     # the repetitions' own layer buffer, and the next repetition's first
     # layer whenever the last one computed it (see peel_layers)
-    rep_layer = np.zeros(g.n, np.int64)
+    rep_layer = np.zeros(sub.n, np.int64)
     first = None
     offset = 0
     chunks: list[tuple[int, int]] = []
-    order = np.empty(int(work.sum()), np.int64)  # filled as repetitions remove
+    order = np.empty(sub.n, np.int64)  # filled as repetitions remove
     filled = 0
     sync = 2 * cluster.agg_depth()
     stats: dict = {
@@ -327,7 +349,8 @@ def mpc_h_partition(
     def run_rep(radius: int, cache: _BallCache | None) -> None:
         nonlocal offset, first, filled
         rel, t, removed, first = gather_and_peel(
-            cluster, radius, d, alive=work, cache=cache, deg=deg, first=first, layer=rep_layer
+            cluster, sub, ids, radius, d, alive=work, cache=cache, deg=deg, first=first,
+            layer=rep_layer,
         )
         if t:  # t == 0 only once `work` is empty: the repetition layers nothing
             layer[removed] = offset + rel
@@ -380,7 +403,7 @@ def mpc_h_partition(
                 # by stored words: clique and gather volumes grow with the
                 # squared virtual degree and would pile up on machines that
                 # happen to hold many nodes
-                cache = _BallCache(g, work, radius, deg)
+                cache = _BallCache(sub, ids, work, radius, deg)
                 rebalance(
                     cluster,
                     members,
@@ -399,7 +422,7 @@ def mpc_h_partition(
             if not adaptive:
                 cluster.control_rounds(sync, label="partition-sync")
             stats["iterations"].append(entry)
-        if stats["outer_passes"] > g.n:
+        if stats["outer_passes"] > sub.n:
             raise RuntimeError("partition failed to terminate")
 
     stats["ell"] = offset
@@ -434,16 +457,20 @@ def mpc_mark_propose(
 
 def mpc_select(
     cluster: Cluster,
+    sub: Graph,
+    ids: np.ndarray,
     hp: HPartition,
     chunks: list[tuple[int, int]],
     order: np.ndarray,
     sol: PartialSolution,
 ) -> np.ndarray:
-    """Meter the selection ``sol`` (original ids) chunk by chunk, in reverse
-    removal order.  ``chunks`` and ``order`` are the ``(last_layer,
-    radius)`` pairs and the removal order of :func:`mpc_h_partition`; a
-    chunk's members are the nodes of its layers.  Returns the survivors:
-    the phase nodes that ``sol`` leaves alive, in removal order.
+    """Meter the selection ``sol`` chunk by chunk, in reverse removal order.
+    ``sol``, ``hp``, ``chunks`` and ``order`` are over the phase subgraph
+    ``sub``, whose nodes have the ascending cluster ids ``ids``: the
+    partition and removal order of :func:`mpc_h_partition` and the
+    selection computed on ``sub``.  A chunk's members are the nodes of its
+    layers.  Returns the survivors: the phase nodes (in ``sub``'s ids) that
+    ``sol`` leaves alive, in removal order.
 
     Each chunk member re-gathers its retained radius ball with proposal flags
     (one round), winners notify their neighbors (one round), and for the
@@ -463,10 +490,9 @@ def mpc_select(
     so their endpoints need no dedupe; the neighbors that an independent
     set's winners fell can repeat and are deduped by a sort.
     """
-    g = cluster.graph
-    removed = np.zeros(g.n, np.bool_)
+    removed = np.zeros(sub.n, np.bool_)
     removed[sol.removed] = True
-    pending = hp.layer > 0  # phase nodes whose fate is not yet committed
+    pending = np.ones(sub.n, np.bool_)  # phase nodes whose fate is not yet committed
     member_layer = hp.layer[order]
     if sol.kind == "matching":
         sel_layer = hp.layer[sol.selected[:, 1]]
@@ -475,17 +501,22 @@ def mpc_select(
     by_layer = np.argsort(sel_layer.astype(np.min_scalar_type(hp.ell)), kind="stable")
     sel_by_layer, sel_layer = sol.selected[by_layer], sel_layer[by_layer]
     # a chunk's members and winners are slices of these; only a chunk's own
-    # step changes its members' words, so they are read once up front
-    extra_by_layer = cluster.extra_words[order]
-    words_by_layer = cluster.base_words[order] + extra_by_layer
+    # step changes its members' words, so they are read once up front.  The
+    # members' cluster ids are translated again per chunk: kept for the
+    # whole walk, they raised the benchmark's peak RSS on tree-phases by 2
+    # to 6 MiB (heap layout; the benchmark process keeps freed memory)
+    nodes = ids[order]
+    extra_by_layer = cluster.extra_words[nodes]
+    words_by_layer = cluster.base_words[nodes] + extra_by_layer
+    del nodes
     # only clique steps add extra words, so most phases carry none
     reset = bool(extra_by_layer.any())
     gone_by_layer = removed[order]
     winners_by_layer = sel_by_layer.ravel()
     per_winner = 2 if sol.kind == "matching" else 1  # a matched edge has two
-    src_all, nb_all = gather_segments(g.indptr, g.indices, winners_by_layer)
+    src_all, nb_all = gather_segments(sub.indptr, sub.indices, winners_by_layer)
     row_off = np.concatenate(
-        (np.zeros(1, np.int64), np.cumsum(g.indptr[winners_by_layer + 1] - g.indptr[winners_by_layer]))
+        (np.zeros(1, np.int64), np.cumsum(sub.indptr[winners_by_layer + 1] - sub.indptr[winners_by_layer]))
     )
     tops = np.array([hi + 1 for hi, _ in chunks], np.int64)
     member_end = [0, *np.searchsorted(member_layer, tops).tolist()]
@@ -497,18 +528,19 @@ def mpc_select(
         if hi - lo + 1 > radius:
             raise AssertionError("chunk wider than its hop radius")
         start, stop = member_end[i], member_end[i + 1]
-        members = order[start:stop]
+        members = ids[order[start:stop]]
         words = words_by_layer[start:stop]
         cluster.execute_round_volumes(members, words, members, words, label="select")
         r0, r1 = row_off[sel_end[i]], row_off[sel_end[i + 1]]
         src, nb = src_all[r0:r1], nb_all[r0:r1]
         live = pending[nb]
-        cluster.execute_round_bulk(src[live], nb[live], label="select")
+        cluster.execute_round_bulk(ids[src[live]], ids[nb[live]], label="select")
         if sol.kind == "mis":
             # neighbors of winners leave the graph too; they tell their own
             # neighborhoods, which may live in chunks not yet visited
             felled = sorted_unique(nb[live & removed[nb]])
-            _notify_round(cluster, g, felled, pending, "select")
+            src, tgt = _notify_pairs(sub, felled, pending)
+            cluster.execute_round_bulk(ids[src], ids[tgt], label="select")
         gone = gone_by_layer[start:stop]
         cluster.drop_nodes(members[gone])
         if reset:
@@ -516,7 +548,7 @@ def mpc_select(
             keep = ~gone & (extra != 0)
             if keep.any():
                 cluster.add_extra_words(members[keep], -extra[keep])
-        pending[members] = False
+        pending[order[start:stop]] = False
     return order[~gone_by_layer]
 
 
@@ -530,37 +562,41 @@ class ClusterMeter:
     phase (partition, mark/propose, select) and at each finish round.  The
     partition hook repacks the cluster and builds the layer map on it; every
     other hook only meters what the driver computed.  Collects the per-phase
-    partition stats."""
+    partition stats.  A phase's hooks work in the phase subgraph's ids (see
+    the module docstring)."""
 
     def __init__(self, cluster: Cluster, *, c_pre: float = 2.0, adaptive: bool = False):
         self.cluster = cluster
         self.c_pre = c_pre
         self.adaptive = adaptive
         self.partition_stats: list[dict] = []
-        self._hp: HPartition | None = None  # this phase's layers, original ids
-        self._chunks: list[tuple[int, int]] = []
-        self._order: np.ndarray | None = None  # this phase's removal order
-        # the remainder's alive degrees as the last selection left them, then
-        # as the matching finish runs, with its nodes that have a live edge
+        # this phase's (sub, ids, partition, chunks, removal order), from the
+        # partition hook until the selection has been metered
+        self._phase: tuple | None = None
+        # (ids, remainder degrees) of the last phase that selected, until the
+        # finish's first round
+        self._rest: tuple | None = None
+        # the matching finish's alive degrees (full length) and its nodes
+        # with a live edge
         self._deg: np.ndarray | None = None
         self._busy: np.ndarray | None = None
 
-    def partition(self, alive: np.ndarray, ids: np.ndarray, deg: np.ndarray, d: int) -> HPartition:
-        """The phase partition of the ``alive`` subgraph, built on the cluster
-        after the phase rebalance; returned over the compacted ids ``ids``.
-        ``deg`` holds the compacted phase subgraph's degrees.  Raises
-        StallError where the centralized peeling would; a stalled phase still
-        leaves a stats entry (its schedule, ``"stalled": True``)."""
+    def partition(self, sub: Graph, ids: np.ndarray, d: int) -> HPartition:
+        """The phase partition of the phase subgraph ``sub`` (``ids`` its
+        nodes' cluster ids), built on the cluster after the phase rebalance,
+        over ``sub``'s ids.  Raises StallError where the centralized peeling
+        would; a stalled phase still leaves a stats entry (its schedule,
+        ``"stalled": True``)."""
         cl = self.cluster
-        rebalance(cl, alive, label="rebalance")
+        hold = np.zeros(cl.graph.n, np.bool_)
+        hold[ids] = True
+        rebalance(cl, hold, label="rebalance")
         schedule = compute_schedule(
-            int(deg.max()), cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre
+            sub.max_degree(), cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre
         )
-        full = np.zeros(cl.graph.n, np.int64)
-        full[ids] = deg
         try:
-            hp, self._chunks, self._order, stats = mpc_h_partition(
-                cl, d, schedule, alive=alive, adaptive=self.adaptive, deg=full
+            hp, chunks, order, stats = mpc_h_partition(
+                cl, sub, ids, d, schedule, adaptive=self.adaptive
             )
         except StallError:
             self.partition_stats.append(
@@ -573,19 +609,23 @@ class ClusterMeter:
             )
             raise
         self.partition_stats.append(stats)
-        self._hp = hp
-        return HPartition(layer=hp.layer[ids], d=hp.d, ell=hp.ell)
+        self._phase = (sub, ids, hp, chunks, order)
+        return hp
 
     def mark_propose(self, sub: Graph, ids: np.ndarray, hp: HPartition, props: ProposalSet) -> None:
         mpc_mark_propose(self.cluster, sub, ids, hp, props)
 
     def select(self, sol: PartialSolution, deg: np.ndarray) -> None:
-        """Meter the selection, then shrink the survivors' stored rows (the
-        phase's nodes that ``sol`` leaves alive) to their remaining degree,
-        read from ``deg``, the alive degrees of the remainder."""
-        srv = mpc_select(self.cluster, self._hp, self._chunks, self._order, sol)
-        self.cluster.set_base_words(srv, deg[srv])
-        self._deg = deg
+        """Meter the selection ``sol`` (over the phase subgraph's ids), then
+        shrink the survivors' stored rows (the phase's nodes that ``sol``
+        leaves alive) to their remaining degree, read from ``deg``, the
+        phase subgraph's degrees once ``sol.removed`` has left."""
+        sub, ids, hp, chunks, order = self._phase
+        self._phase = None
+        srv = mpc_select(self.cluster, sub, ids, hp, chunks, order, sol)
+        self.cluster.set_base_words(ids[srv], deg[srv])
+        if sol.kind == "matching":  # only a matching finish reads them
+            self._rest = ids, deg
 
     def finish_round(self, g: Graph, alive: np.ndarray, step: PartialSolution) -> None:
         """One priority round of the finish: ``step.selected`` joined the
@@ -595,28 +635,42 @@ class ClusterMeter:
         They are found from the finish's alive degrees, kept current from the
         rows that the removed nodes' notify round gathers, so no round reads
         the edge list.  The finish starts on the remainder of the last phase
-        that selected (a stalled phase removes nothing), so the degrees that
-        :meth:`select` received are its starting degrees; they are counted
-        only when no phase selected.  A meter therefore meters at most one
-        finish, after its run's phases."""
+        that selected (a stalled phase removes nothing), so the first round
+        builds the full-length degrees once from the remainder degrees that
+        :meth:`select` received; they are counted only when no phase
+        selected.  A meter therefore meters at most one finish, after its
+        run's phases."""
         cl = self.cluster
         after = alive.copy()
         after[step.removed] = False
         if step.kind == "matching":  # alive edges exchange priorities
-            if self._busy is None:  # the first round; it updates its own copy
-                deg = self._deg
-                self._deg = alive_degrees(g.indptr, g.indices, alive) if deg is None else deg.copy()
+            if self._busy is None:  # the first round
+                self._deg = self._finish_degrees(g, alive)
                 self._busy = np.flatnonzero(self._deg)
             busy = self._busy
             cl.execute_round_volumes(busy, 1, busy, 1, label="finish")
         else:  # winners notify their neighbors
-            _notify_round(cl, g, step.selected, alive, "finish")
-        struck = _notify_round(cl, g, step.removed, after, "finish")
+            cl.execute_round_bulk(*_notify_pairs(g, step.selected, alive), label="finish")
+        # the finish runs on the whole graph, whose ids are the cluster's
+        src, struck = _notify_pairs(g, step.removed, after)
+        cl.execute_round_bulk(src, struck, label="finish")
         if step.kind == "matching":
             np.subtract.at(self._deg, struck, 1)
             self._busy = busy[after[busy] & (self._deg[busy] > 0)]
         cl.drop_nodes(step.removed)
         cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
+
+    def _finish_degrees(self, g: Graph, alive: np.ndarray) -> np.ndarray:
+        """The full-length alive degrees at the finish's start: the last
+        selecting phase's remainder degrees, scattered once, or counted when
+        no phase selected."""
+        if self._rest is None:
+            return alive_degrees(g.indptr, g.indices, alive)
+        ids, deg = self._rest
+        self._rest = None
+        full = np.zeros(g.n, np.int64)
+        full[ids] = deg
+        return full
 
 
 def partition_rounds(met: dict) -> int:

@@ -341,16 +341,15 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
 
     Returns ``(solution-in-original-ids, remainder view, phase report entry)``.
     Propagates :class:`StallError` from the partition.  A ``meter`` (see
-    :class:`sparsempc.mpc.ClusterMeter`) is called once per stage: it builds
-    the partition on its cluster, then meters the proposals and the selection
-    computed here.
+    :class:`sparsempc.mpc.ClusterMeter`) is called once per stage with the
+    phase subgraph ``sub`` and its ids: it builds the partition of ``sub``
+    on its cluster, then meters the proposals and the selection computed
+    here, as they are, in ``sub``'s ids.
 
     Every pass reads the phase subgraph only, never the whole graph: the
     heavy statistics read the rows of degree at least d⁴, and the
     remainder's degrees are the subgraph's degrees less the hits from the
-    removed rows (a node outside the phase is dead and has degree 0).  They
-    give ``delta_after`` and, scattered to full length, the meter's new row
-    sizes.
+    removed rows.  They give ``delta_after`` and the meter's new row sizes.
     """
     _check_kind(kind)
     if g_view.alive_count() == 0:
@@ -360,7 +359,7 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     if meter is None:
         hp = h_partition(sub, d)
     else:
-        hp = meter.partition(g_view.alive, ids, sub.degrees, d)
+        hp = meter.partition(sub, ids, d)
     if kind == "matching":
         props = mark_and_propose_matching(sub, hp, seed)
         sol_c = select_matching(sub, hp, props)
@@ -374,16 +373,14 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     gone[sol_c.removed] = True
     heavy_before, heavy_after = _heavy_counts(sub, hp, gone, d ** 4)
     deg_after = _remainder_degrees(sub, sol_c.removed, gone)
+    if meter is not None:
+        meter.select(sol_c, deg_after)
 
     selected = ids[sol_c.selected] if sol_c.selected.size else sol_c.selected
     removed = ids[sol_c.removed]
     sol = PartialSolution(kind=kind, selected=selected, removed=removed)
     remainder = g_view.copy()
     remainder.alive[removed] = False
-    if meter is not None:
-        full = np.zeros(g_view.graph.n, np.int64)
-        full[ids] = deg_after
-        meter.select(sol, full)
     entry = {
         "delta_before": int(delta_before),
         "d_used": int(d),

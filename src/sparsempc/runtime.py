@@ -38,7 +38,7 @@ writes the rows to ``<MPC_TRACE_DIR>/<name>.trace.ndjson``.
 
 from __future__ import annotations
 
-import json
+import itertools
 import math
 import os
 from dataclasses import dataclass
@@ -147,6 +147,10 @@ class RoundTrace:
 # past this many machines a traced round is one aggregate row of its maxima
 _TRACE_KEEP_LIMIT = 4096
 
+# one trace row as ``json.dumps(row, sort_keys=True)`` writes it, filled from
+# a tuple in key order: (machine, received, round, sent, words_used)
+_TRACE_ROW = '{"machine": %d, "received": %d, "round": %d, "sent": %d, "words_used": %d}\n'
+
 
 class Cluster:
     """Mutable cluster state; create via :func:`init_cluster`.
@@ -168,7 +172,8 @@ class Cluster:
         self.machines_used = 1
         self.loads = np.zeros(1, np.int64)
         self.settled = False
-        self._trace_rows: list[dict] | None = None
+        # (machine, received, round, sent, words_used) per row, as _TRACE_ROW takes them
+        self._trace_rows: list[tuple] | None = None
         trace_dir = os.environ.get("MPC_TRACE_DIR")
         if trace_dir:
             self._trace_path = Path(trace_dir) / f"{name}.trace.ndjson"
@@ -283,16 +288,17 @@ class Cluster:
             if self.machines_used > _TRACE_KEEP_LIMIT:
                 # machine -1 marks an aggregate row: per-machine ledgers are
                 # not written at this scale, only the maxima
-                ledgers = [(-1, trace.peak_words, trace.max_sent, trace.max_received)]
+                self._trace_rows.append(
+                    (-1, trace.max_received, trace.round, trace.max_sent, trace.peak_words)
+                )
             else:
                 width = max(self.machines_used, loads.size, sent.size, received.size)
                 words, out, inc = (np.pad(a, (0, width - a.size)) for a in (loads, sent, received))
                 active = np.flatnonzero((words > 0) | (out > 0) | (inc > 0))
-                ledgers = zip(active.tolist(), *(a[active].tolist() for a in (words, out, inc)))
-            self._trace_rows.extend(
-                {"round": trace.round, "machine": m, "words_used": w, "sent": o, "received": i}
-                for m, w, o, i in ledgers
-            )
+                words, out, inc = (a[active].tolist() for a in (words, out, inc))
+                self._trace_rows.extend(
+                    zip(active.tolist(), inc, itertools.repeat(trace.round), out, words)
+                )
         violation = None
         if trace.max_sent > S:
             violation = ("send", SendBudgetExceeded, trace.max_sent_machine, trace.max_sent)
@@ -394,8 +400,7 @@ class Cluster:
             return None
         self._trace_path.parent.mkdir(parents=True, exist_ok=True)
         with open(self._trace_path, "w") as fh:
-            for row in self._trace_rows:
-                fh.write(json.dumps(row, sort_keys=True) + "\n")
+            fh.writelines(map(_TRACE_ROW.__mod__, self._trace_rows))
         return self._trace_path
 
 

@@ -7,9 +7,12 @@ exactly 0 and which may read 0; every other one must be positive, so that
 the traced run cannot pass vacuously.  Both files are read here, read only,
 and each workload's default-seed instance is solved both ways, so that a
 change that would break the benchmark (a new digest, a round label that no
-longer appears) fails the test suite first.
+longer appears) fails the test suite first.  The cluster run's
+``MPC_TRACE_DIR`` file is pinned by its SHA-256 as well, so every round's
+ledger row of the benchmark instances must repeat byte for byte.
 """
 
+import hashlib
 import importlib.util
 import json
 import sys
@@ -46,8 +49,18 @@ LABELS = [
 ]
 
 
+# SHA-256 of each workload's default-seed MPC_TRACE_DIR file; tree-phases
+# runs five phases on strict subsets of its nodes
+TRACE_SHA256 = {
+    "tower-doubling": "30d86bbaa41ff83cb6e9f7f44b52d1a537359ce60f47bfb2ffd2a5200a2094cf",
+    "tree-phases": "947a06b46f11f5515014ee2f4b4a48932842515ecb013315c668b738afd5fcb7",
+    "pa-hubs": "65ba9317aa532d1310f5122c5416d73c08dbd194ec99d5550a7b24d38fc5915d",
+}
+
+
 @pytest.mark.parametrize("name", list(WORKLOADS.WORKLOADS))
-def test_default_seed_instance_meets_the_benchmark_expectations(name):
+def test_default_seed_instance_meets_the_benchmark_expectations(name, tmp_path, monkeypatch):
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
     w = WORKLOADS.WORKLOADS[name]
     seed = WORKLOADS.DEFAULT_SEED
     g = generators.generate(w.family, w.params, seed=seed)
@@ -66,6 +79,8 @@ def test_default_seed_instance_meets_the_benchmark_expectations(name):
     assert fingerprint == w.fingerprint
     assert reduction.solution_digest(msol, seed) == fingerprint["digest"]
     assert not met["violations"]
+    trace = (tmp_path / "pipeline.trace.ndjson").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == TRACE_SHA256[name]
     assert LABELS
     for label in LABELS:
         count = met["rounds_by_label"].get(label, 0)

@@ -1,5 +1,6 @@
 """Cluster pipeline: exponentiation schedules, chunking, oracle equality."""
 
+import hashlib
 import itertools
 import json
 
@@ -113,7 +114,7 @@ def test_chunk_validate_accepts_real_run():
     g = generate("layered-core", {"n": 600, "depth": 40, "d": 3}, seed=0)
     cl = _cluster(g, 0.8)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-    hp, chunks, _, stats = mpc_h_partition(cl, 3, sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), 3, sched)
     _check_chunks(chunks, hp)
     # every radius is 1 (pre-processing) or an iteration's 2^i
     assert {r for _, r in chunks} <= {1} | {2 ** i for i, _, _ in sched.phases}
@@ -125,9 +126,9 @@ def test_select_rejects_chunk_wider_than_its_radius():
     cl = _cluster(g, 0.9)
     sol = PartialSolution.empty("mis")
     order = np.array([1, 2, 3, 4, 5, 0])  # the leaves, then the center
-    mpc_select(cl, hp, [(1, 1), (2, 1)], order, sol)  # one layer per radius-1 chunk
+    mpc_select(cl, g, np.arange(g.n), hp, [(1, 1), (2, 1)], order, sol)  # one layer per radius-1 chunk
     with pytest.raises(AssertionError, match="wider than its hop radius"):
-        mpc_select(_cluster(g, 0.9), hp, [(2, 1)], order, sol)
+        mpc_select(_cluster(g, 0.9), g, np.arange(g.n), hp, [(2, 1)], order, sol)
 
 
 # ---------------------------------------------------------------------------
@@ -139,12 +140,12 @@ def test_star_center_resolves_on_second_repetition():
     g = star(5)
     cl = _cluster(g, 0.9)
     alive = np.ones(g.n, bool)
-    rel, t, removed, _ = gather_and_peel(cl, 1, 2, alive=alive)
+    rel, t, removed, _ = gather_and_peel(cl, g, np.arange(g.n), 1, 2, alive=alive)
     assert t == 1
     # the center is still "deeper"
     assert removed.tolist() == [1, 2, 3, 4, 5] and rel.tolist() == [1] * 5
     assert alive[0] and not alive[1:].any()
-    rel2, t2, removed2, _ = gather_and_peel(cl, 1, 2, alive=alive)
+    rel2, t2, removed2, _ = gather_and_peel(cl, g, np.arange(g.n), 1, 2, alive=alive)
     # resolved once the leaves are gone
     assert removed2.tolist() == [0] and rel2.tolist() == [1] and t2 == 1
     assert not alive.any()
@@ -155,7 +156,7 @@ def test_low_degree_nodes_always_layer_one():
     d = valid_d(g)
     cl = _cluster(g, 0.8)
     alive = np.ones(g.n, bool)
-    rel, _, removed, _ = gather_and_peel(cl, 1, d, alive=alive)
+    rel, _, removed, _ = gather_and_peel(cl, g, np.arange(g.n), 1, d, alive=alive)
     assert np.array_equal(removed, np.flatnonzero(g.degrees <= d))
     assert np.all(rel == 1)
 
@@ -179,7 +180,7 @@ def test_empty_repetition_meters_a_silent_round_without_peeling(monkeypatch, rad
     monkeypatch.setattr(mpc_mod, "peel_layers", no_peel)
     monkeypatch.setattr(np, "bincount", no_bincount)
     rel, t, removed, first = gather_and_peel(
-        cl, radius, 2, alive=alive, deg=np.zeros(g.n, np.int64))
+        cl, g, np.arange(g.n), radius, 2, alive=alive, deg=np.zeros(g.n, np.int64))
     monkeypatch.undo()
     assert t == 0 and rel.size == 0 and removed.size == 0 and first.size == 0
     (trace,) = cl.traces
@@ -191,7 +192,7 @@ def test_gather_and_peel_stall_matches_centralized():
     g = complete(4)
     cl = _cluster(g, 0.8)
     with pytest.raises(StallError, match="stalled"):
-        gather_and_peel(cl, 1, 2, alive=np.ones(4, bool))
+        gather_and_peel(cl, g, np.arange(g.n), 1, 2, alive=np.ones(4, bool))
 
 
 def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
@@ -219,7 +220,7 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
     while alive.any():
         before = alive.copy()
         _, _, removed, first = gather_and_peel(
-            cl, 1, d, alive=alive, deg=deg, first=first, layer=buf)
+            cl, g, np.arange(g.n), 1, d, alive=alive, deg=deg, first=first, layer=buf)
         assert np.array_equal(alive, before & ~np.isin(np.arange(g.n), removed))
         sent = np.zeros(cl.machines_used, np.int64)
         received = np.zeros(cl.machines_used, np.int64)
@@ -274,9 +275,10 @@ def test_gather_and_peel_returns_the_layered_ids(n, seed, d, radius):
     want = hand_peel(g, d, alive, max_layers=radius)
     work = alive.copy()
     deg = alive_degrees(g.indptr, g.indices, work)
-    cache = mpc_mod._BallCache(g, work, radius, deg) if radius >= 2 else None
+    cache = mpc_mod._BallCache(g, np.arange(g.n), work, radius, deg) if radius >= 2 else None
     try:
-        rel, t, removed, _ = gather_and_peel(_roomy_cluster(g), radius, d, alive=work, cache=cache)
+        rel, t, removed, _ = gather_and_peel(
+            _roomy_cluster(g), g, np.arange(g.n), radius, d, alive=work, cache=cache)
     except StallError:
         assert (alive & (want == 0)).any() and want.max(initial=0) < radius
         return
@@ -315,11 +317,11 @@ def test_gather_and_peel_chain_carrying_first_layers_matches_fresh_calls(shape, 
         first, cache, out = None, {}, []
         for radius in radii:
             if radius >= 2 and radius not in cache:
-                cache[radius] = mpc_mod._BallCache(g, work, radius, deg)
+                cache[radius] = mpc_mod._BallCache(g, np.arange(g.n), work, radius, deg)
             try:
                 rel, t, removed, nxt = gather_and_peel(
-                    cl, radius, d, alive=work, cache=cache.get(radius), deg=deg,
-                    first=first if carry else None, layer=buf if carry else None)
+                    cl, g, np.arange(g.n), radius, d, alive=work, cache=cache.get(radius),
+                    deg=deg, first=first if carry else None, layer=buf if carry else None)
             except StallError:
                 out.append("stall")
                 break
@@ -347,7 +349,7 @@ def test_ball_cache_with_carried_degrees_matches_ball_scans(n, seed, radius, kee
     deg = alive_degrees(g.indptr, g.indices, alive)
     carried = deg.copy()
     carried[~alive] = r.integers(-5, 50, int((~alive).sum()))
-    got = mpc_mod._BallCache(g, alive, radius, carried)
+    got = mpc_mod._BallCache(g, np.arange(g.n), alive, radius, carried)
     ids = np.flatnonzero(alive)
     half = radius // 2
     ones = np.ones(g.n, np.int64)
@@ -375,7 +377,7 @@ def test_connect_cliques_path9_ball_oracle():
     g = path(9)
     cl = init_cluster(g, ClusterConfig(n=9, m=8, delta=1.0, S=9, M=16))
     alive = np.ones(9, bool)
-    cache = mpc_mod._BallCache(g, alive, 2, alive_degrees(g.indptr, g.indices, alive))
+    cache = mpc_mod._BallCache(g, np.arange(g.n), alive, 2, alive_degrees(g.indptr, g.indices, alive))
     stats = connect_cliques(cl, radius=2, delta_max=2, cache=cache)
     for v in range(9):
         ball = ball_members(g, alive, v, 2)
@@ -392,7 +394,7 @@ def test_radius_one_iterations_add_no_virtual_edges():
     cl = _cluster(g, 0.65)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.65)
     assert sched.k == 0  # 4^2 = 16 <= S=20 < 4^3: only radius-1 iterations
-    hp, chunks, _, stats = mpc_h_partition(cl, 5, sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), 5, sched)
     met = metrics(cl)
     assert "partition-clique" not in met["rounds_by_label"]
     assert int(cl.extra_words.sum()) == 0
@@ -403,7 +405,7 @@ def test_deep_tower_uses_cliques_and_matches_oracle():
     cl = _cluster(g, 0.8)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
     assert sched.k is not None and sched.k >= 1
-    hp, chunks, _, stats = mpc_h_partition(cl, 3, sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), 3, sched)
     ref = h_partition(g, 3)
     assert hp.ell == ref.ell == 100
     assert np.array_equal(hp.layer, ref.layer)
@@ -435,7 +437,7 @@ def test_partition_equals_centralized(family, params, delta):
     d = valid_d(g) if family != "layered-core" else 3
     cl = _cluster(g, delta)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, delta)
-    hp, chunks, _, stats = mpc_h_partition(cl, d, sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), d, sched)
     ref = h_partition(g, d)
     assert np.array_equal(hp.layer, ref.layer)
     assert hp.ell == ref.ell
@@ -448,7 +450,7 @@ def test_partition_fallback_flag_recorded():
     cl = _cluster(g, 0.45)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.45)
     assert sched.k is None
-    hp, chunks, _, stats = mpc_h_partition(cl, valid_d(g), sched)
+    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), valid_d(g), sched)
     assert stats["fallback"] and stats["k"] is None
     assert all(r == 1 for _, r in chunks)
 
@@ -486,7 +488,7 @@ def test_shallow_graph_finishes_within_first_iteration():
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.9, c_pre=0.0)
     assert sched.k is not None
     assert sched.preprocessing_layers == 0
-    hp, chunks, _, stats = mpc_h_partition(cl, valid_d(g), sched, adaptive=True)
+    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), valid_d(g), sched, adaptive=True)
     assert hp.ell <= 60
     assert stats["outer_passes"] == 1
     # nothing was ever deep enough to need a hop radius above 1
@@ -500,7 +502,7 @@ def test_adaptive_and_faithful_agree_on_layers():
     for adaptive in (False, True):
         cl = _cluster(g, 0.8)
         sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-        hp, chunks, _, stats = mpc_h_partition(cl, 3, sched, adaptive=adaptive)
+        hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), 3, sched, adaptive=adaptive)
         layers.append(hp.layer)
     assert np.array_equal(layers[0], layers[1])
 
@@ -511,11 +513,62 @@ def test_partition_on_restricted_alive_mask():
     alive[::4] = False
     cl = _cluster(g, 0.6)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.6)
-    hp, chunks, _, stats = mpc_h_partition(cl, 5, sched, alive=alive)
     sub, ids = GraphView(g, alive).compact()
+    hp, chunks, _, stats = mpc_h_partition(cl, sub, ids, 5, sched)
     ref = h_partition(sub, 5)
-    assert np.array_equal(hp.layer[ids], ref.layer)
-    assert (hp.layer[~alive] == 0).all()
+    assert np.array_equal(hp.layer, ref.layer)
+    # the partition's repacks held the phase nodes only, so every round
+    # named its nodes by their cluster ids (a node on no machine raises)
+    assert (cl.node_machine[~alive] == -1).all() and (cl.node_machine[alive] >= 0).all()
+
+
+def test_doubling_partition_on_a_strict_subset_is_pinned(tmp_path, monkeypatch):
+    # A phase subgraph that is a strict subset of the graph and still runs a
+    # radius-2 iteration, so that the ball cache's traffic weights, the
+    # clique step and the gather rounds all translate the subgraph's ids to
+    # cluster ids.  Every round and every trace row must repeat those of the
+    # partition of the same nodes over the whole graph (an alive mask), as
+    # recorded before the partition moved to the phase subgraph's ids.
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
+    g = generate("layered-core", {"n": 600, "depth": 90, "d": 3}, seed=0)
+    # drop every other node of the two lowest layers: the tower stays deep
+    alive = ~((h_partition(g, 3).layer <= 2) & (np.arange(g.n) % 2 == 0))
+    sub, ids = GraphView(g, alive).compact()
+    assert 0 < g.n - sub.n < g.n
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.8), name="subset")
+    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
+    hp, chunks, order, stats = mpc_h_partition(cl, sub, ids, 3, sched)
+    assert np.array_equal(hp.layer, h_partition(sub, 3).layer) and hp.ell == 88
+    assert chunks == [(i, 1) for i in range(1, 66)] + [(i, 2) for i in range(67, 88, 2)] + [(88, 2)]
+    assert [(e["radius"], e["alive_before"], e["reps_used"]) for e in stats["iterations"]] == [
+        (1, 525, 60), (2, 115, 20),
+    ]
+    assert stats["iterations"][1]["virtual_added_total"] == 1300
+    assert int(cl.extra_words.sum()) == 1300
+    assert hashlib.sha256(ids[order].tobytes()).hexdigest() == (
+        "309505235b1132cbc5656dc4453e4cb2f3d2b5629dbbbec2ab365d7375863283"
+    )
+    traces = json.dumps([vars(t) for t in cl.traces], sort_keys=True)
+    assert len(cl.traces) == 100
+    assert hashlib.sha256(traces.encode()).hexdigest() == (
+        "329df2ea96ca6e5d77530c4b3162e5790a51f301173dc101bf7a245b5d8c30b1"
+    )
+    rows = cl.flush_trace().read_bytes()
+    assert len(rows.splitlines()) == 14363
+    assert hashlib.sha256(rows).hexdigest() == (
+        "a35d0dfefa736e6de945d354a60433e9e0e5b0ea7cb9c6ed5fd02f4b941c6037"
+    )
+    # placements by weight pack ties in id order, so machine-level records
+    # cannot tell a consistent id shift; the per-node ledgers can: the
+    # virtual words sit on the 115 nodes the clique step reached
+    assert np.flatnonzero(cl.extra_words).tolist() == list(range(485, 600))
+    want = {
+        "node_machine": "eb7f6892f6ee19350701f2f88f5869b6f6c53c83275b232c2c4a8f981bee515a",
+        "extra_words": "bea0ccee1a77aaed127a8f304e220b24256689af165b42ce55b0685a067f9a03",
+        "base_words": "fd9f38c2efafec19f9f7eb4bbf870b9d6f4ed2558c9af0225cd23f5c31734d29",
+    }
+    for name, sha256 in want.items():
+        assert hashlib.sha256(getattr(cl, name).tobytes()).hexdigest() == sha256, name
 
 
 # ---------------------------------------------------------------------------
@@ -576,13 +629,15 @@ class _OrderCheckMeter(ClusterMeter):
         super().__init__(cluster, **kwargs)
         self.levels = []
 
-    def partition(self, alive, ids, deg, d):
-        hp = super().partition(alive, ids, deg, d)
-        layer = self._hp.layer
-        nodes = np.flatnonzero(layer > 0)
-        want = nodes[np.argsort(layer[nodes], kind="stable")]
-        assert self._order.dtype == np.int64
-        assert np.array_equal(self._order, want)
+    def partition(self, sub, ids, d):
+        hp = super().partition(sub, ids, d)
+        _, _, phase_hp, _, order = self._phase
+        assert phase_hp is hp and hp.layer.shape == (sub.n,)
+        # every node of the phase subgraph is layered, in its own ids
+        assert (hp.layer > 0).all()
+        want = np.argsort(hp.layer, kind="stable")
+        assert order.dtype == np.int64
+        assert np.array_equal(order, want)
         self.levels.append(self.partition_stats[-1]["k"])
         return hp
 
@@ -610,13 +665,13 @@ def test_select_matches_centralized(kind):
     assert g.degrees.min() > 0  # so a zero-word node is a dropped one
     cl = _cluster(g, 0.8)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-    hp, chunks, order, _ = mpc_h_partition(cl, 3, sched)
+    hp, chunks, order, _ = mpc_h_partition(cl, g, np.arange(g.n), 3, sched)
     if kind == "matching":
         ref = select_matching(g, hp, mark_and_propose_matching(g, hp, seed=9))
     else:
         ref = select_mis(g, hp, mark_and_propose_mis(g, hp, mis_probability(3), seed=9))
     before = metrics(cl)["rounds_by_label"].get("select", 0)
-    survivors = mpc_select(cl, hp, chunks, order, ref)
+    survivors = mpc_select(cl, g, np.arange(g.n), hp, chunks, order, ref)
     assert np.array_equal(np.flatnonzero(cl.node_words() == 0), ref.removed)
     # the survivors come back in removal order
     assert np.array_equal(survivors, order[~np.isin(order, ref.removed)])
@@ -744,8 +799,8 @@ class _EdgeScanMeter(ClusterMeter):
             nodes = np.unique(e)
             cl.execute_round_volumes(nodes, 1, nodes, 1, label="finish")
         else:
-            mpc_mod._notify_round(cl, g, step.selected, alive, "finish")
-        mpc_mod._notify_round(cl, g, step.removed, after, "finish")
+            cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.selected, alive), label="finish")
+        cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.removed, after), label="finish")
         cl.drop_nodes(step.removed)
         cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
 

@@ -588,34 +588,40 @@ def test_reduce_once_heavy_parent_gadget():
 
 class _RecordingMeter:
     """A meter that builds the centralized partition of the phase and keeps
-    what :func:`reduce_once` hands it: the phase subgraph, its partition and
-    proposals, and the remainder's degrees."""
+    what :func:`reduce_once` hands it: the phase subgraph and its ids, its
+    partition and proposals, and the selection and the remainder's degrees,
+    both in the phase subgraph's ids."""
 
-    def __init__(self, g):
-        self.g = g
-
-    def partition(self, alive, ids, deg, d):
-        return h_partition(GraphView(self.g, alive.copy()).compact()[0], d)
+    def partition(self, sub, ids, d):
+        self.sub, self.ids = sub, ids
+        return h_partition(sub, d)
 
     def mark_propose(self, sub, ids, hp, props):
-        self.sub, self.ids, self.hp, self.props = sub, ids, hp, props
+        assert sub is self.sub and ids is self.ids
+        self.hp, self.props = hp, props
 
     def select(self, sol, deg):
-        self.deg = deg
+        self.sol, self.deg = sol, deg
 
 
 def _reduce_once_against_oracles(view, kind, d, seed):
     """:func:`reduce_once`, its heavy statistics, remainder degrees and MIS
     proposals checked against the formulas that read every row of the phase
     subgraph or of the whole graph; returns its result."""
-    meter = _RecordingMeter(view.graph)
+    meter = _RecordingMeter()
     sol, rem, entry = reduce_once(view, kind, d, seed, meter=meter)
-    sub, hp = meter.sub, meter.hp
-    removed = np.searchsorted(meter.ids, sol.removed)
+    sub, ids, hp = meter.sub, meter.ids, meter.hp
+    assert np.array_equal(ids, np.flatnonzero(view.alive))
+    removed = np.searchsorted(ids, sol.removed)
+    # the meter gets the selection as computed, in the phase subgraph's ids
+    assert np.array_equal(ids[meter.sol.removed], sol.removed)
+    assert np.array_equal(ids[meter.sol.selected], sol.selected)
     heavy = (entry["heavy_nodes_before"], entry["heavy_survivors_after"])
     assert heavy == heavy_counts_all_rows(sub, hp, removed, d ** 4)
+    # the remainder's degrees over the phase nodes; every other node is dead
     want = alive_degrees_all_rows(view.graph, rem.alive)
-    assert meter.deg.dtype == np.int64 and np.array_equal(meter.deg, want)
+    assert not np.delete(want, ids).any()
+    assert meter.deg.dtype == np.int64 and np.array_equal(meter.deg, want[ids])
     assert entry["delta_after"] == int(want.max())
     if kind == "mis":
         marked, proposed = mis_proposals_all_rows(sub, hp, mis_probability(d), seed)

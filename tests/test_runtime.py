@@ -13,7 +13,7 @@ from sparsempc import mpc as mpc_mod
 from sparsempc import runtime
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
-from sparsempc.mpc import _notify_round
+from sparsempc.mpc import _notify_pairs
 from sparsempc.reduction import solution_digest
 from sparsempc.runtime import (
     CapacityError,
@@ -221,7 +221,7 @@ def test_pair_rounds_count_only_crossing_pairs(n, machines, pairs, seed):
 
     with mock.patch.object(cl, "_check_and_trace", capture):
         cl.execute_round_bulk(*rounds[0], label="pairs")
-        _notify_round(cl, g, senders, mask, "notify")
+        cl.execute_round_bulk(*_notify_pairs(g, senders, mask), label="notify")
     assert len(recorded) == 2
     for (src, dst), (sent, received) in zip(rounds, recorded):
         want_sent, want_received = _crossing_ledgers(cl, src, dst)
@@ -614,8 +614,11 @@ def test_trace_persisted_and_reverifiable(tmp_path, monkeypatch):
     monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
     cl, out = _run_traced_program(tmp_path, "prog")
     assert out is not None and out.exists()
-    rows = [json.loads(line) for line in out.read_text().splitlines()]
+    text = out.read_text()
+    rows = [json.loads(line) for line in text.splitlines()]
     assert rows, "trace must not be empty"
+    # byte for byte as json.dumps writes each row, keys sorted
+    assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in rows)
     S = cl.cfg.S
     for row in rows:
         assert set(row) == {"round", "machine", "words_used", "sent", "received"}
@@ -671,8 +674,8 @@ def test_trace_past_keep_limit_writes_one_aggregate_row_per_round(tmp_path, monk
         ["edges", "volumes", "sync", "sync"] + ["rebalance-plan"] * cl.agg_depth() + ["rebalance"]
     )
     assert cl.traces[2].max_sent == cl.traces[2].max_received == 2
-    rows = [json.loads(line) for line in cl.flush_trace().read_text().splitlines()]
-    assert rows == [
+    text = cl.flush_trace().read_text()
+    want = [
         {
             "round": t.round,
             "machine": -1,
@@ -682,4 +685,8 @@ def test_trace_past_keep_limit_writes_one_aggregate_row_per_round(tmp_path, monk
         }
         for t in cl.traces
     ]
+    rows = [json.loads(line) for line in text.splitlines()]
+    assert rows == want
+    # byte for byte as json.dumps writes each row, keys sorted
+    assert text == "".join(json.dumps(row, sort_keys=True) + "\n" for row in want)
     assert [row["round"] for row in rows] == list(range(len(rows)))
