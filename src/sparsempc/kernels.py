@@ -3,7 +3,7 @@ bin packing.
 
 Each kernel has one implementation, in numpy.  Peeling advances a whole layer
 per step, drawing each small layer from the neighbors of the last one, and
-can carry the remaining degrees from one call to the next; the ball scan
+starts from the row lengths, so it counts no degrees; the ball scan
 expands the balls of all sources at once over one sorted array of
 ``slot * n + node`` keys.  Degeneracy ordering runs one fixed-point peel per
 core value.  Bin packing takes its items heaviest first and walks runs of
@@ -63,9 +63,12 @@ def sorted_unique(a: np.ndarray, kind: str | None = None) -> np.ndarray:
 
 
 def alive_degrees(indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray) -> np.ndarray:
-    """Per-node count of alive neighbors (zero for dead nodes)."""
-    hit = alive[indices].astype(np.int64)
-    cs = np.concatenate((np.zeros(1, np.int64), np.cumsum(hit)))
+    """Per-node count of alive neighbors (zero for dead nodes).  The alive
+    hits are summed into one int64 prefix buffer, so the only full-length
+    temporary besides it is the bool hit mask."""
+    cs = np.empty(indices.size + 1, np.int64)
+    cs[0] = 0
+    np.cumsum(alive[indices], dtype=np.int64, out=cs[1:])
     deg = cs[indptr[1:]] - cs[indptr[:-1]]
     deg[~alive] = 0
     return deg
@@ -76,88 +79,50 @@ def alive_degrees(indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray) ->
 # ---------------------------------------------------------------------------
 
 
-def _peel(indptr, indices, alive, d, max_layers, deg, first=None, layer=None):
+def _peel(indptr, indices, d, deg, layer):
+    # Peels the nodes whose `layer` entry is 0, writing layers 1..t in place;
+    # `deg` holds their degrees among themselves and is decremented in place.
     # Only neighbors of the layer just peeled lose degree, so the next layer
     # is drawn from them.  A small layer (rows under n/4 entries, as in deep
-    # towers and in most partition repetitions) sorts its live neighbors
-    # and costs the size of its rows, not n; a large one (the first layers of
-    # a fresh peel) is cheaper as one pass over all n nodes, which is skipped
-    # once the layer budget is spent.  Either way `frontier` ends up holding
-    # every unlayered alive node of degree <= d, the next layer, except
-    # after a skipped pass; a caller that peels on can start from it.
-    n = alive.size
-    if layer is None:
-        layer = np.zeros(n, np.int64)
-    frontier = np.flatnonzero(alive & (deg <= d)) if first is None else first
-    known = True
-    src = nb = np.empty(0, np.int64)
+    # towers) sorts its unpeeled neighbors and costs the size of its rows,
+    # not n; a large one (the first layers of a peel) is cheaper as one pass
+    # over all n nodes.  Returns ``(t, peeled)``.
+    n = layer.size
+    frontier = np.flatnonzero((layer == 0) & (deg <= d))
     peeled = []
     t = 0
-    while t < max_layers and frontier.size:
+    while frontier.size:
         t += 1
         layer[frontier] = t
         peeled.append(frontier)
-        src, nb = gather_segments(indptr, indices, frontier)
+        _, nb = gather_segments(indptr, indices, frontier)
         if 4 * nb.size > n:
             deg -= np.bincount(nb, minlength=n)
-            known = t < max_layers
-            if known:
-                frontier = np.flatnonzero(alive & (layer == 0) & (deg <= d))
+            frontier = np.flatnonzero((layer == 0) & (deg <= d))
         else:
             # with counts, np.unique sorts (without, numpy 2.4 hashes, slower)
-            hit, count = np.unique(nb[alive[nb] & (layer[nb] == 0)], return_counts=True)
+            hit, count = np.unique(nb[layer[nb] == 0], return_counts=True)
             deg[hit] -= count
             frontier = hit[deg[hit] <= d]
     peeled = np.concatenate(peeled) if peeled else frontier[:0]
-    return layer, t, peeled, src, nb, frontier if known else None
+    return t, peeled
 
 
-def peel_layers(
-    indptr, indices, alive, d: int, max_layers: int, deg=None, *, first=None, layer=None,
-):
-    """Batch-peel the alive-induced subgraph with threshold ``d``.
+def peel_layers(indptr, indices, d: int):
+    """Batch-peel the whole CSR graph with threshold ``d``, to its fixed point.
 
     Layer ``t`` (1-based) holds the nodes whose remaining degree is <= d once
-    layers below ``t`` are gone; all such nodes drop simultaneously.  Stops
-    after ``max_layers`` layers.  Returns ``(layer, t, peeled, sources,
-    neighbors, next_first)``.  ``layer`` is 0 for dead or still-unassigned
-    nodes and ``t`` is the number of layers produced; the caller detects a
-    stall as: fewer nodes ``peeled`` than alive while ``t < max_layers``.
-
-    ``deg`` lets a caller that peels the same subgraph repeatedly carry the
-    degrees instead of recounting them (an O(m) pass) on every call.  It must
-    be an int64 array holding :func:`alive_degrees` on every alive node; it
-    is decremented in place so that afterwards every node left unassigned
-    holds its degree among the unassigned nodes, ready for the next call
-    with those nodes as ``alive``.  Entries of other nodes are unspecified.
-
-    ``peeled`` lists the layered nodes, layer by layer and ascending within
-    a layer, so that a caller need not scan ``layer`` for them.
-    ``sources`` and ``neighbors`` are the CSR rows of the last layer peeled,
-    as :func:`gather_segments` gives them (empty when no layer was), so that
-    a caller peeling one layer at a time can send along them without
-    gathering them again.  ``next_first`` is the first layer of the next
-    call on the unassigned nodes with the carried ``deg``, ascending, or
-    None when the peel stopped before computing it (its last layer was a
-    large one).
-
-    Such a next call takes it as ``first`` instead of scanning all n nodes
-    for its first layer, and may pass the same ``layer`` array again instead
-    of a fresh zeroed one: it must be int64, shaped like ``alive`` and 0 on
-    every alive node, and is written in place.  A reused buffer holds stale
-    entries for dead nodes (the layers of earlier calls), so only the
-    entries of the nodes this call layered are its layers.
+    layers below ``t`` are gone; all such nodes drop simultaneously.  Returns
+    ``(layer, t, peeled)``: ``layer`` is 0 for the nodes never peeled (the
+    peel stalled on them: every one has more than ``d`` unpeeled
+    neighbors), ``t`` is the number of layers, and ``peeled`` lists the
+    layered nodes layer by layer, ascending within a layer.  The degrees
+    are the row lengths of ``indptr``, so nothing is counted.
     """
-    alive = np.asarray(alive, dtype=np.bool_)
-    if deg is None:
-        deg = alive_degrees(indptr, indices, alive)
-    elif not isinstance(deg, np.ndarray) or deg.dtype != np.int64 or deg.shape != alive.shape:
-        raise ValueError("deg must be an int64 array shaped like alive")
-    if layer is not None and (
-        not isinstance(layer, np.ndarray) or layer.dtype != np.int64 or layer.shape != alive.shape
-    ):
-        raise ValueError("layer must be an int64 array shaped like alive")
-    return _peel(indptr, indices, alive, int(d), int(max_layers), deg, first, layer)
+    deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
+    layer = np.zeros(deg.size, np.int64)
+    t, peeled = _peel(indptr, indices, int(d), deg, layer)
+    return layer, t, peeled
 
 
 # ---------------------------------------------------------------------------
@@ -186,18 +151,18 @@ def degeneracy_order(indptr, indices):
     """
     n = indptr.size - 1
     deg = (indptr[1:] - indptr[:-1]).astype(np.int64)
-    alive = np.ones(n, np.bool_)
+    # nonzero once peeled: the layer within the node's pass
+    layer = np.zeros(n, np.int64)
     core = np.zeros(n, np.int64)
     passes = []
     k = 0
     left = n
     while left:
-        k = int(deg[alive].min())
+        k = int(deg[layer == 0].min())
         # _peel, not peel_layers: the wrapper a tracer installs on
         # peel_layers would take this kernel's time
-        _, _, peeled, _, _, _ = _peel(indptr, indices, alive, k, n, deg)
+        _, peeled = _peel(indptr, indices, k, deg, layer)
         passes.append(peeled)
-        alive[peeled] = False
         core[peeled] = k
         left -= peeled.size
     order = np.concatenate(passes) if passes else np.empty(0, np.int64)

@@ -1,19 +1,18 @@
 """Cluster execution of the degree-reduction pipeline.
 
 :func:`mpc_pipeline` is :func:`sparsempc.reduction.solve` run with a
-:class:`ClusterMeter`: the shared driver computes every proposal, selection
-and finish round once, and the meter has one hook per stage that charges it
-to a simulated cluster.  The stage meters live here: the partition, which
-opens with the phase rebalance and is built on the cluster
+:class:`ClusterMeter`: the shared driver computes every partition,
+proposal, selection and finish round once, and the meter has one hook per
+stage that charges it to a simulated cluster.  The stage meters live here:
+the partition, which opens with the phase rebalance and replays the
+driver's layer map as the exponentiation schedule's repetitions
 (:func:`mpc_h_partition`), mark/propose (:func:`mpc_mark_propose`), the
 chunk-wise selection (:func:`mpc_select`, after which the survivors' stored
 rows shrink to their remaining degree) and the finish rounds.
 
 Each phase has one id space: its stage meters run on the phase subgraph
 that :func:`sparsempc.reduction.reduce_once` builds (the alive nodes,
-renumbered in ascending id order), with phase-sized masks, layer buffers
-and degrees, so the peel is the kernel run of
-:func:`sparsempc.peeling.h_partition` on the same arrays.  The cluster
+renumbered in ascending id order), with phase-sized arrays.  The cluster
 keeps its ledgers by original node id; the phase's ascending ``ids`` (as
 :meth:`sparsempc.graph.GraphView.compact` returns them) translate a node
 only where a round or a ledger change names it.  Only the repacks take
@@ -21,18 +20,18 @@ arrays over all nodes (their hold mask, and the traffic weights of a
 doubling iteration's repack), as :func:`sparsempc.runtime.rebalance` does;
 the finish runs on the whole remainder graph.
 
-The partition is built in repetitions: each repetition peels every node whose
-layer index (within the current remainder) is at most the hop radius, because
-a radius-r ball determines layers up to r.  Hop radii double once per
-iteration by connecting 1-hop neighborhoods into cliques (virtual edges), so
-one repetition of iteration i clears up to 2^i layers in O(1) rounds.  Nodes
-get removed in chunks of consecutive layers, recorded as ``(last_layer,
-radius)`` pairs in removal order, and the nodes themselves are listed in the
-order they were removed; selection later walks the chunks in reverse removal
-order and reads each chunk's members off that list.  The layer map equals
-the centralized :func:`sparsempc.peeling.h_partition` of the phase
-subgraph.  Message volumes are computed from real ball sizes (bounded-radius
-BFS) and charged against the machine budgets of :mod:`sparsempc.runtime`.
+The partition is metered in repetitions that replay the driver's layer
+map: a radius-r repetition removes the next min(r, remaining) layers,
+because a radius-r ball determines a node's layer up to r.  Hop radii
+double once per iteration by connecting 1-hop neighborhoods into cliques
+(virtual edges), so one repetition of iteration i clears up to 2^i layers
+in O(1) rounds.  Nodes leave in chunks of consecutive layers, recorded as
+``(last_layer, radius)`` pairs, in the layer-by-layer order of the map;
+selection later walks the chunks in reverse and reads each chunk's members
+off that order.  Message volumes are computed from real ball sizes
+(bounded-radius BFS) and charged against the machine budgets of
+:mod:`sparsempc.runtime`.  That the balls do determine the layers is
+checked by the test suite's locality audit, not here.
 
 Two metering regimes: ``adaptive=False`` (default) runs the fixed repetition
 schedule of an oblivious coordinator and checks progress once per iteration;
@@ -49,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .kernels import alive_degrees, ball_stats, gather_segments, peel_layers, sorted_unique
+from .kernels import alive_degrees, ball_stats, gather_segments, sorted_unique
 from .peeling import HPartition, StallError
 from .reduction import PartialSolution, ProposalSet, check_request, solve
 from .runtime import Cluster, ClusterConfig, init_cluster, rebalance
@@ -123,6 +122,60 @@ def _notify_pairs(g: Graph, senders: np.ndarray, mask: np.ndarray):
     return src[live], tgt[live]
 
 
+class _LayerMap:
+    """The driver's layer map ``hp`` of the phase subgraph ``sub`` (whose
+    nodes have the ascending cluster ids ``ids``), as the repetitions replay
+    it.  ``key`` holds each node's layer in the narrowest unsigned dtype,
+    the stuck nodes of a stalled peel above every layer, so a repetition
+    that starts with layers 1..done removed finds the nodes of ``key >
+    done``.  ``ends[L]`` counts the nodes of layers 1..L: they are
+    ``hp.order[:ends[L]]``, and the nodes left are a subtraction."""
+
+    def __init__(self, sub: Graph, ids: np.ndarray, hp: HPartition):
+        self.sub, self.ids, self.hp = sub, ids, hp
+        top = hp.ell + 1
+        self.key = key = hp.layer.astype(np.min_scalar_type(top))
+        key[key == 0] = top
+        # hp.order is sorted by layer, so its keys are too
+        layers = np.arange(top, dtype=key.dtype)
+        self.ends = np.searchsorted(key[hp.order], layers, side="right")
+        self._pairs = None
+
+    def live(self, done: int) -> int:
+        """The phase nodes left once layers 1..``done`` are removed."""
+        return self.sub.n - int(self.ends[done])
+
+    def pairs(self, layer: int):
+        """The (sender, target) cluster ids of the radius-1 round that
+        removes ``layer``: every edge from it to a higher layer or a stuck
+        node, once.  The first call groups all such edges by their lower
+        layer, in one pass over ``sub.edges`` and one stable sort of the
+        narrow lower-layer key, which numpy sorts by radix."""
+        if self._pairs is None:
+            key, top = self.key, self.hp.ell + 1
+            e = self.sub.edges
+            ku, kv = key[e[:, 0]], key[e[:, 1]]
+            low = np.minimum(ku, kv)
+            # a same-layer edge sends nothing: its key goes past every layer
+            # (arithmetic, which is branch-free, rather than a masked store)
+            low += (ku == kv) * (top - low)
+            by = np.argsort(low, kind="stable")
+            ends = np.searchsorted(low[by], np.arange(top, dtype=low.dtype), side="right")
+            by = by[: ends[-1]]
+            # entry 2j + 1 of the flat edge list is edge j's second end:
+            # the lower end's entry is 2j + flip, the higher end's the other
+            flip = ku > kv
+            at = 2 * by
+            at += flip[by]
+            src = self.ids[e.ravel()[at]]
+            at ^= 1
+            dst = self.ids[e.ravel()[at]]
+            self._pairs = src, dst, ends
+        src, dst, ends = self._pairs
+        lo, hi = ends[layer - 1], ends[layer]
+        return src[lo:hi], dst[lo:hi]
+
+
 class _BallCache:
     """Iteration-start ball statistics, computed once and reused by every
     round of the iteration: clique-step volumes at the half radius, gather
@@ -133,25 +186,25 @@ class _BallCache:
     and learns the incoming one from a sizes-first handshake).
 
     The balls are scanned in the phase subgraph ``g``, whose nodes have the
-    ascending cluster ids ``ids``; ``nodes`` lists the ``alive`` ones and
-    ``self.ids`` their cluster ids, and every volume is aligned with both."""
+    ascending cluster ids ``ids``, over its alive nodes: those of ``key >
+    done`` (see :class:`_LayerMap`).  ``nodes`` lists them and ``self.ids``
+    their cluster ids, and every volume is aligned with both."""
 
-    def __init__(
-        self, g: Graph, ids: np.ndarray, alive: np.ndarray, radius: int, deg: np.ndarray
-    ):
-        # deg: the alive degrees, as the partition carries them, so no O(m)
-        # pass recounts them (entries of dead nodes are never read)
+    def __init__(self, g: Graph, ids: np.ndarray, key: np.ndarray, done: int, radius: int):
+        alive = key > done
+        self.key = key
         self.nodes = nodes = np.flatnonzero(alive)
         self.ids = ids[nodes]
+        deg = alive_degrees(g.indptr, g.indices, alive)
         row_words = 1 + deg  # node id + adjacency entries
         vdeg = deg[nodes]
         half = radius // 2
         if half == 1:
             # a radius-1 ball is the node and its alive row: the virtual
             # degree is the alive degree, and the words received are the
-            # alive neighbors' degrees
+            # alive neighbors' degrees (0 for a dead one)
             _, nb = gather_segments(g.indptr, g.indices, nodes)
-            cs = np.concatenate((np.zeros(1, np.int64), np.cumsum(np.where(alive[nb], deg[nb], 0))))
+            cs = np.concatenate((np.zeros(1, np.int64), np.cumsum(deg[nb])))
             lengths = g.indptr[nodes + 1] - g.indptr[nodes]
             ends = np.cumsum(lengths)
             self.clique_send = vdeg ** 2
@@ -186,13 +239,13 @@ class _BallCache:
         w[ids] = np.maximum(w[ids], peak)
         return w
 
-    def gather_volumes(self, alive: np.ndarray):
-        """``(ids, send, pull)`` of a gather round: the cluster ids of the
-        ``alive`` nodes, ascending, with their gather volumes.  Repetitions
-        only remove nodes, so each call filters what the last one kept
-        instead of scanning every node."""
+    def gather_volumes(self, done: int):
+        """``(ids, send, pull)`` of a gather round once layers 1..``done``
+        are removed: the cluster ids of the nodes left, ascending, with
+        their gather volumes.  Repetitions only remove nodes, so each call
+        filters what the last one kept instead of scanning every node."""
         nodes, ids, send, pull = self._live
-        keep = alive[nodes]
+        keep = self.key[nodes] > done
         if not keep.all():
             self._live = nodes, ids, send, pull = nodes[keep], ids[keep], send[keep], pull[keep]
         return ids, send, pull
@@ -234,111 +287,92 @@ def connect_cliques(
 
 def gather_and_peel(
     cluster: Cluster,
-    sub: Graph,
-    ids: np.ndarray,
+    layers: _LayerMap,
+    done: int,
     radius: int,
-    d: int,
     *,
-    alive: np.ndarray,
     cache: _BallCache | None = None,
-    deg: np.ndarray | None = None,
-    first: np.ndarray | None = None,
-    layer: np.ndarray | None = None,
-) -> tuple[np.ndarray, int, np.ndarray, np.ndarray | None]:
-    """One repetition: each alive node of the phase subgraph ``sub`` (whose
-    nodes have the ascending cluster ids ``ids``) learns its
-    layer-if-at-most-``radius`` (else "deeper") from its radius-ball and
-    drops out if layered.  Everything is in ``sub``'s ids except the round,
-    which names cluster nodes.
+) -> tuple[np.ndarray, int, np.ndarray]:
+    """Meter one repetition of hop radius ``radius`` that starts with layers
+    1..``done`` of the phase's layer map ``layers`` removed: each node left
+    learns from its radius ball whether its layer is at most ``done +
+    radius``, and which one, and the layered nodes drop out.  The layers are
+    the driver's; this meters the round that gathers them.
 
-    Returns ``(rel, t, removed, next_first)``: the ids ``removed`` that this
-    repetition layered, layer by layer (as the peel found them, so no scan
-    looks for them), their layers ``rel`` (1..t, relative to the
-    repetition), the number ``t`` of layers it produced, and the first
-    layer of the next repetition, or None when the peel did not compute it.
+    Returns ``(rel, t, removed)``: the ``t`` layers removed, min(radius,
+    layers left), their nodes ``removed`` (in the phase subgraph's ids,
+    layer by layer) and the nodes' layers ``rel`` relative to the
+    repetition (1..t).
 
     Radius 1 needs no gathering (degrees are local); it costs one removal
-    round.  Radius >= 2 costs one gather round whose volumes come from the
-    iteration ball ``cache`` that :func:`mpc_h_partition` builds; it may be
-    None only while ``alive`` is empty.  Mutates ``alive`` (a mask over
-    ``sub``), and ``deg`` (the alive degrees carried across repetitions)
-    when given.  ``first`` is the last repetition's ``next_first`` and
-    ``layer`` a buffer reused across repetitions (both as in
-    :func:`peel_layers`).  Raises StallError exactly
-    when the centralized peeling would: a nonempty remainder where nobody
-    has degree <= d.
+    round, in which every removed node strikes its edges to the nodes left.
+    Radius >= 2 costs one gather round whose volumes come from the iteration
+    ball ``cache`` that :func:`mpc_h_partition` builds; it may be None only
+    while the phase is empty.  A repetition on an empty phase is a silent
+    round.  Raises StallError where the peel stalled: the repetition removes
+    fewer than ``radius`` layers and nodes are left.
     """
     label = "partition-gather" if radius >= 2 else "partition-peel"
-    if not alive.any():
-        # faithful repetitions keep running after the subgraph empties; they
-        # are metered as silent rounds without peeling
-        none = np.empty(0, np.int64)
+    none = np.empty(0, np.int64)
+    live = layers.live(done)
+    if not live:
+        # faithful repetitions keep running after the phase empties; they
+        # are metered as silent rounds
         cluster.execute_round_volumes(none, none, none, none, label=label)
-        return none, 0, none, none
+        return none, 0, none
+    hp = layers.hp
+    t = min(radius, hp.ell - done)
     if radius >= 2:
-        cur, send, pull = cache.gather_volumes(alive)
-    layer, t, removed, src, nb, nxt = peel_layers(
-        sub.indptr, sub.indices, alive, d, radius, deg=deg, first=first, layer=layer
-    )
-    alive[removed] = False
-    if radius >= 2:
+        cur, send, pull = cache.gather_volumes(done)
         cluster.execute_round_volumes(cur, send, cur, pull, label=label)
     else:
-        # the one layer's rows, as the peel gathered them: removed nodes
-        # strike the edges to their still-alive neighbors
-        live = alive[nb]
-        cluster.execute_round_bulk(ids[src[live]], ids[nb[live]], label=label)
-    if t < radius and alive.any():
-        stuck = int(alive.sum())
+        src, dst = layers.pairs(done + 1) if t else (none, none)
+        cluster.execute_round_bulk(src, dst, label=label)
+    ends = layers.ends[done:done + t + 1]
+    left = live - int(ends[-1] - ends[0])
+    if t < radius and left:
         raise StallError(
-            f"peeling stalled with {stuck} nodes of remaining degree > {d}"
+            f"peeling stalled with {left} nodes of remaining degree > {hp.d}", hp
         )
-    return layer[removed], t, removed, nxt
+    rel = np.repeat(np.arange(1, t + 1, dtype=np.int64), np.diff(ends))
+    return rel, t, hp.order[ends[0]:ends[-1]]
 
 
 def mpc_h_partition(
     cluster: Cluster,
     sub: Graph,
     ids: np.ndarray,
-    d: int,
+    hp: HPartition,
     schedule: ExponentiationSchedule,
     *,
     adaptive: bool = False,
-) -> tuple[HPartition, list[tuple[int, int]], np.ndarray, dict]:
-    """Build the full layer map of the phase subgraph ``sub`` on the cluster.
+) -> tuple[list[tuple[int, int]], dict]:
+    """Meter the construction of the layer map ``hp`` of the phase subgraph
+    ``sub`` on the cluster, repetition by repetition, as ``schedule`` runs
+    them.  ``hp`` is the driver's :func:`sparsempc.peeling.h_partition` of
+    ``sub``, or on a stall the layers it peeled first (the stall is metered
+    and raised where the repetitions reach it).
 
     ``ids`` lists the cluster ids of ``sub``'s nodes, ascending, as
     :meth:`sparsempc.graph.GraphView.compact` returns them; a whole-graph
-    caller passes the graph and ``arange(n)``.  Every returned array is in
-    ``sub``'s ids.
+    caller passes the graph and ``arange(n)``.
 
-    Returns the partition (layer indices of ``sub``'s nodes, as
-    :func:`sparsempc.peeling.h_partition` of ``sub`` gives them), the chunks
-    as ``(last_layer, radius)`` pairs in removal order (each chunk starts one
-    layer above the previous one's last), the removal order (``sub``'s nodes
-    as the repetitions removed them: layer by layer, ascending within a
-    layer, so the stable by-layer sort) and a stats dict (per-iteration
-    virtual-edge counts, alive counts, repetitions used).  Round traces
-    accumulate on the cluster.
+    Returns the chunks as ``(last_layer, radius)`` pairs in removal order
+    (each chunk starts one layer above the previous one's last, and a
+    radius-r repetition removes the next min(r, remaining) layers) and a
+    stats dict (per-iteration virtual-edge counts, alive counts,
+    repetitions used).  The nodes leave in the order ``hp.order``.  Round
+    traces accumulate on the cluster.
     """
     # the repacks' hold mask, over all cluster nodes as rebalance takes it
     members = np.zeros(cluster.graph.n, np.bool_)
     members[ids] = True
-    work = np.ones(sub.n, np.bool_)
-    # only gather_and_peel shrinks `work`, and it keeps these degrees current
-    deg = sub.degrees
-    layer = np.zeros(sub.n, np.int64)
-    # the repetitions' own layer buffer, and the next repetition's first
-    # layer whenever the last one computed it (see peel_layers)
-    rep_layer = np.zeros(sub.n, np.int64)
-    first = None
-    offset = 0
+    layers = _LayerMap(sub, ids, hp)
+    done = 0  # layers removed
     chunks: list[tuple[int, int]] = []
-    order = np.empty(sub.n, np.int64)  # filled as repetitions remove
-    filled = 0
     sync = 2 * cluster.agg_depth()
     stats: dict = {
-        "alive_start": order.size,
+        "alive_start": sub.n,
         "fallback": schedule.k is None,
         "k": schedule.k,
         "preprocessing": {"target_layers": schedule.preprocessing_layers, "reps_used": 0},
@@ -347,26 +381,21 @@ def mpc_h_partition(
     }
 
     def run_rep(radius: int, cache: _BallCache | None) -> None:
-        nonlocal offset, first, filled
-        rel, t, removed, first = gather_and_peel(
-            cluster, sub, ids, radius, d, alive=work, cache=cache, deg=deg, first=first,
-            layer=rep_layer,
-        )
-        if t:  # t == 0 only once `work` is empty: the repetition layers nothing
-            layer[removed] = offset + rel
-            offset += t
-            chunks.append((offset, radius))
-            order[filled:filled + removed.size] = removed
-            filled += removed.size
+        nonlocal done
+        _, t, _ = gather_and_peel(cluster, layers, done, radius, cache=cache)
+        if t:  # t == 0 only once the phase is empty: the repetition layers nothing
+            done += t
+            chunks.append((done, radius))
         if adaptive:
             cluster.control_rounds(sync, label="partition-sync")
 
-    # repacks hold every member, not just `work`: layered nodes keep their
-    # gathered balls until selection; once `work` is empty nothing is repacked
+    # repacks hold every member, not just the nodes left: layered nodes keep
+    # their gathered balls until selection; once none is left nothing is
+    # repacked
     if schedule.k is None:
         rep = 0
-        entry = {"iteration": -1, "radius": 1, "alive_before": int(work.sum()), "reps_used": 0}
-        while work.any():
+        entry = {"iteration": -1, "radius": 1, "alive_before": sub.n, "reps_used": 0}
+        while layers.live(done):
             if rep % 16 == 0:
                 rebalance(cluster, members, label="partition-rebalance")
                 if not adaptive:
@@ -375,35 +404,36 @@ def mpc_h_partition(
             rep += 1
         entry["reps_used"] = rep
         stats["iterations"].append(entry)
-        stats["ell"] = offset
-        return HPartition(layer=layer, d=d, ell=offset), chunks, order, stats
+        stats["ell"] = done
+        return chunks, stats
 
     # pre-processing: strip the lowest layers one by one to free memory
     for rep in range(schedule.preprocessing_layers):
-        if not work.any() and adaptive:
+        if adaptive and not layers.live(done):
             break
         run_rep(1, None)
         stats["preprocessing"]["reps_used"] = rep + 1
-    stats["preprocessing"]["layers_removed"] = offset
+    stats["preprocessing"]["layers_removed"] = done
 
-    while work.any():
+    while layers.live(done):
         stats["outer_passes"] += 1
         for iteration, radius, reps in schedule.phases:
-            if not work.any() and adaptive:
+            live = layers.live(done)
+            if adaptive and not live:
                 break
             entry = {
                 "iteration": iteration,
                 "radius": radius,
-                "alive_before": int(work.sum()),
+                "alive_before": live,
                 "reps_used": 0,
             }
             cache = None
-            if radius >= 2 and work.any():
+            if radius >= 2 and live:
                 # pack machines by the traffic this iteration will move, not
                 # by stored words: clique and gather volumes grow with the
                 # squared virtual degree and would pile up on machines that
                 # happen to hold many nodes
-                cache = _BallCache(sub, ids, work, radius, deg)
+                cache = _BallCache(sub, ids, layers.key, done, radius)
                 rebalance(
                     cluster,
                     members,
@@ -412,10 +442,10 @@ def mpc_h_partition(
                 )
                 vstats = connect_cliques(cluster, radius, schedule.delta_max, cache=cache)
                 entry.update(vstats)
-            elif work.any():
+            elif live:
                 rebalance(cluster, members, label="partition-rebalance")
             for rep in range(reps):
-                if adaptive and not work.any():
+                if adaptive and not layers.live(done):
                     break
                 run_rep(radius, cache)
                 entry["reps_used"] = rep + 1
@@ -425,8 +455,8 @@ def mpc_h_partition(
         if stats["outer_passes"] > sub.n:
             raise RuntimeError("partition failed to terminate")
 
-    stats["ell"] = offset
-    return HPartition(layer=layer, d=d, ell=offset), chunks, order, stats
+    stats["ell"] = done
+    return chunks, stats
 
 
 # ---------------------------------------------------------------------------
@@ -461,16 +491,15 @@ def mpc_select(
     ids: np.ndarray,
     hp: HPartition,
     chunks: list[tuple[int, int]],
-    order: np.ndarray,
     sol: PartialSolution,
 ) -> np.ndarray:
     """Meter the selection ``sol`` chunk by chunk, in reverse removal order.
-    ``sol``, ``hp``, ``chunks`` and ``order`` are over the phase subgraph
-    ``sub``, whose nodes have the ascending cluster ids ``ids``: the
-    partition and removal order of :func:`mpc_h_partition` and the
-    selection computed on ``sub``.  A chunk's members are the nodes of its
-    layers.  Returns the survivors: the phase nodes (in ``sub``'s ids) that
-    ``sol`` leaves alive, in removal order.
+    ``sol``, ``hp`` and ``chunks`` are over the phase subgraph ``sub``,
+    whose nodes have the ascending cluster ids ``ids``: the partition, the
+    chunks :func:`mpc_h_partition` metered it in and the selection computed
+    on ``sub``.  A chunk's members are the nodes of its layers.  Returns the
+    survivors: the phase nodes (in ``sub``'s ids) that ``sol`` leaves alive,
+    in removal order.
 
     Each chunk member re-gathers its retained radius ball with proposal flags
     (one round), winners notify their neighbors (one round), and for the
@@ -480,8 +509,8 @@ def mpc_select(
     chunk's layer interval going down and the reverse order resolves every
     cross-chunk dependency before it is needed.
 
-    The removal order lists the phase nodes by layer, so a chunk's members
-    are a slice of it; the selection is sorted by layer once (stably, on an
+    The removal order ``hp.order`` lists the phase nodes by layer, so a
+    chunk's members are a slice of it; the selection is sorted by layer once (stably, on an
     unsigned key just wide enough for ``hp.ell``, which numpy sorts by
     radix), so a chunk's winners are a slice too.  Both are found by one
     binary search over all chunk ends.  All winners' rows are gathered once,
@@ -493,6 +522,7 @@ def mpc_select(
     removed = np.zeros(sub.n, np.bool_)
     removed[sol.removed] = True
     pending = np.ones(sub.n, np.bool_)  # phase nodes whose fate is not yet committed
+    order = hp.order
     member_layer = hp.layer[order]
     if sol.kind == "matching":
         sel_layer = hp.layer[sol.selected[:, 1]]
@@ -559,34 +589,27 @@ def mpc_select(
 
 class ClusterMeter:
     """Hooks that :func:`sparsempc.reduction.solve` calls at each stage of a
-    phase (partition, mark/propose, select) and at each finish round.  The
-    partition hook repacks the cluster and builds the layer map on it; every
-    other hook only meters what the driver computed.  Collects the per-phase
-    partition stats.  A phase's hooks work in the phase subgraph's ids (see
-    the module docstring)."""
+    phase (partition, mark/propose, select) and at each finish round.  Every
+    hook only meters what the driver computed; the partition hook repacks
+    the cluster first and replays the driver's layer map as the schedule's
+    repetitions.  Collects the per-phase partition stats.  A phase's hooks
+    work in the phase subgraph's ids (see the module docstring)."""
 
     def __init__(self, cluster: Cluster, *, c_pre: float = 2.0, adaptive: bool = False):
         self.cluster = cluster
         self.c_pre = c_pre
         self.adaptive = adaptive
         self.partition_stats: list[dict] = []
-        # this phase's (sub, ids, partition, chunks, removal order), from the
-        # partition hook until the selection has been metered
+        # this phase's (sub, ids, partition, chunks), from the partition
+        # hook until the selection has been metered
         self._phase: tuple | None = None
-        # (ids, remainder degrees) of the last phase that selected, until the
-        # finish's first round
-        self._rest: tuple | None = None
-        # the matching finish's alive degrees (full length) and its nodes
-        # with a live edge
-        self._deg: np.ndarray | None = None
-        self._busy: np.ndarray | None = None
 
-    def partition(self, sub: Graph, ids: np.ndarray, d: int) -> HPartition:
-        """The phase partition of the phase subgraph ``sub`` (``ids`` its
-        nodes' cluster ids), built on the cluster after the phase rebalance,
-        over ``sub``'s ids.  Raises StallError where the centralized peeling
-        would; a stalled phase still leaves a stats entry (its schedule,
-        ``"stalled": True``)."""
+    def partition(self, sub: Graph, ids: np.ndarray, hp: HPartition) -> None:
+        """Meter the partition ``hp`` of the phase subgraph ``sub`` (``ids``
+        its nodes' cluster ids) on the cluster, after the phase rebalance.
+        On a partial map (the driver's peel stalled) the repetitions are
+        metered up to the stall, which raises StallError; a stalled phase
+        still leaves a stats entry (its schedule, ``"stalled": True``)."""
         cl = self.cluster
         hold = np.zeros(cl.graph.n, np.bool_)
         hold[ids] = True
@@ -595,9 +618,7 @@ class ClusterMeter:
             sub.max_degree(), cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre
         )
         try:
-            hp, chunks, order, stats = mpc_h_partition(
-                cl, sub, ids, d, schedule, adaptive=self.adaptive
-            )
+            chunks, stats = mpc_h_partition(cl, sub, ids, hp, schedule, adaptive=self.adaptive)
         except StallError:
             self.partition_stats.append(
                 {
@@ -609,8 +630,7 @@ class ClusterMeter:
             )
             raise
         self.partition_stats.append(stats)
-        self._phase = (sub, ids, hp, chunks, order)
-        return hp
+        self._phase = (sub, ids, hp, chunks)
 
     def mark_propose(self, sub: Graph, ids: np.ndarray, hp: HPartition, props: ProposalSet) -> None:
         mpc_mark_propose(self.cluster, sub, ids, hp, props)
@@ -620,57 +640,33 @@ class ClusterMeter:
         shrink the survivors' stored rows (the phase's nodes that ``sol``
         leaves alive) to their remaining degree, read from ``deg``, the
         phase subgraph's degrees once ``sol.removed`` has left."""
-        sub, ids, hp, chunks, order = self._phase
+        sub, ids, hp, chunks = self._phase
         self._phase = None
-        srv = mpc_select(self.cluster, sub, ids, hp, chunks, order, sol)
+        srv = mpc_select(self.cluster, sub, ids, hp, chunks, sol)
         self.cluster.set_base_words(ids[srv], deg[srv])
-        if sol.kind == "matching":  # only a matching finish reads them
-            self._rest = ids, deg
 
-    def finish_round(self, g: Graph, alive: np.ndarray, step: PartialSolution) -> None:
+    def finish_round(
+        self, g: Graph, alive: np.ndarray, step: PartialSolution, live: np.ndarray | None
+    ) -> None:
         """One priority round of the finish: ``step.selected`` joined the
-        solution and ``step.removed`` leave the ``alive`` nodes.
-
-        In a matching round the nodes with a live edge exchange priorities.
-        They are found from the finish's alive degrees, kept current from the
-        rows that the removed nodes' notify round gathers, so no round reads
-        the edge list.  The finish starts on the remainder of the last phase
-        that selected (a stalled phase removes nothing), so the first round
-        builds the full-length degrees once from the remainder degrees that
-        :meth:`select` received; they are counted only when no phase
-        selected.  A meter therefore meters at most one finish, after its
-        run's phases."""
+        solution and ``step.removed`` leave the ``alive`` nodes.  In a
+        matching round the endpoints of the ``live`` edges (the finish's
+        edges with two alive ends, as it carries them) exchange priorities;
+        in an independent-set round the winners notify their neighbors."""
         cl = self.cluster
         after = alive.copy()
         after[step.removed] = False
-        if step.kind == "matching":  # alive edges exchange priorities
-            if self._busy is None:  # the first round
-                self._deg = self._finish_degrees(g, alive)
-                self._busy = np.flatnonzero(self._deg)
-            busy = self._busy
+        if step.kind == "matching":
+            busy = np.zeros(g.n, np.bool_)
+            busy[live] = True
+            busy = np.flatnonzero(busy)
             cl.execute_round_volumes(busy, 1, busy, 1, label="finish")
-        else:  # winners notify their neighbors
+        else:
             cl.execute_round_bulk(*_notify_pairs(g, step.selected, alive), label="finish")
         # the finish runs on the whole graph, whose ids are the cluster's
-        src, struck = _notify_pairs(g, step.removed, after)
-        cl.execute_round_bulk(src, struck, label="finish")
-        if step.kind == "matching":
-            np.subtract.at(self._deg, struck, 1)
-            self._busy = busy[after[busy] & (self._deg[busy] > 0)]
+        cl.execute_round_bulk(*_notify_pairs(g, step.removed, after), label="finish")
         cl.drop_nodes(step.removed)
         cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
-
-    def _finish_degrees(self, g: Graph, alive: np.ndarray) -> np.ndarray:
-        """The full-length alive degrees at the finish's start: the last
-        selecting phase's remainder degrees, scattered once, or counted when
-        no phase selected."""
-        if self._rest is None:
-            return alive_degrees(g.indptr, g.indices, alive)
-        ids, deg = self._rest
-        self._rest = None
-        full = np.zeros(g.n, np.int64)
-        full[ids] = deg
-        return full
 
 
 def partition_rounds(met: dict) -> int:

@@ -18,14 +18,24 @@ from .kernels import degeneracy_order, peel_layers
 
 
 class StallError(RuntimeError):
-    """Peeling cannot make progress: every remaining node has degree > d."""
+    """Peeling cannot make progress: every remaining node has degree > d.
+
+    ``partition`` holds the layers peeled before the stall, with layer 0 for
+    the stuck nodes."""
+
+    def __init__(self, message: str, partition: "HPartition"):
+        super().__init__(message)
+        self.partition = partition
 
 
 @dataclass(frozen=True)
 class HPartition:
-    layer: np.ndarray  # (n,) int64, 1-based layer index
+    layer: np.ndarray  # (n,) int64, 1-based layer index (0: stuck in a stall)
     d: int
     ell: int  # number of nonempty layers == max(layer)
+    # the layered nodes as the peel removed them: layer by layer, ascending
+    # within a layer (the stable sort by layer)
+    order: np.ndarray
 
     def layer_sizes(self) -> np.ndarray:
         """sizes[i] = |layer i+1| for i in 0..ell-1."""
@@ -38,18 +48,17 @@ def h_partition(g: Graph, d: int) -> HPartition:
     Layer 1 holds every node of degree <= d; removing it, layer 2 holds every
     node whose remaining degree is <= d; and so on.  Raises :class:`StallError`
     if at some point no remaining node qualifies (all remaining degrees > d),
-    which cannot happen when d exceeds twice the graph's degeneracy.
+    which cannot happen when d exceeds twice the graph's degeneracy; the
+    error carries the layers peeled until then.
     """
     if d < 1:
         raise ValueError(f"d must be >= 1, got {d}")
-    alive = np.ones(g.n, dtype=np.bool_)
-    layer, ell, peeled, _, _, _ = peel_layers(
-        g.indptr, g.indices, alive, d, max_layers=max(g.n, 1)
-    )
+    layer, ell, peeled = peel_layers(g.indptr, g.indices, d)
+    hp = HPartition(layer=layer, d=int(d), ell=int(ell), order=peeled)
     if peeled.size < g.n:
         stuck = g.n - peeled.size
-        raise StallError(f"peeling stalled with {stuck} nodes of remaining degree > {d}")
-    return HPartition(layer=layer, d=int(d), ell=int(ell))
+        raise StallError(f"peeling stalled with {stuck} nodes of remaining degree > {d}", hp)
+    return hp
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,9 @@ degree reduction, greedy finish, and maximality checking.
 
 :func:`solve` is the only phase driver.  Alone it is the centralized
 reference; with a meter (:class:`sparsempc.mpc.ClusterMeter`) it is the
-cluster execution, whose partition is built on the simulated cluster and
-whose every stage is metered there, so both executions share one computation.
+cluster execution, whose every stage, the partition included, is computed
+here once and metered on the simulated cluster, so both executions share one
+computation.
 
 Randomness discipline: every coin is drawn from the counter streams in
 :mod:`sparsempc.rng` keyed by node ids of the *phase subgraph* (alive nodes
@@ -342,9 +343,10 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
     Returns ``(solution-in-original-ids, remainder view, phase report entry)``.
     Propagates :class:`StallError` from the partition.  A ``meter`` (see
     :class:`sparsempc.mpc.ClusterMeter`) is called once per stage with the
-    phase subgraph ``sub`` and its ids: it builds the partition of ``sub``
-    on its cluster, then meters the proposals and the selection computed
-    here, as they are, in ``sub``'s ids.
+    phase subgraph ``sub`` and its ids, and meters what is computed here, as
+    it is, in ``sub``'s ids: the partition (on a stall, the layers peeled
+    before it, and the meter's own stall propagates), the proposals and the
+    selection.
 
     Every pass reads the phase subgraph only, never the whole graph: the
     heavy statistics read the rows of degree at least d⁴, and the
@@ -356,10 +358,14 @@ def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
         raise ValueError("reduce_once needs a nonempty graph view")
     sub, ids = g_view.compact()
     delta_before = sub.max_degree()
-    if meter is None:
+    try:
         hp = h_partition(sub, d)
-    else:
-        hp = meter.partition(sub, ids, d)
+    except StallError as exc:
+        if meter is not None:
+            meter.partition(sub, ids, exc.partition)
+        raise
+    if meter is not None:
+        meter.partition(sub, ids, hp)
     if kind == "matching":
         props = mark_and_propose_matching(sub, hp, seed)
         sol_c = select_matching(sub, hp, props)
@@ -521,10 +527,12 @@ def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
     A ``meter`` meters each round before its nodes leave.
 
     A matching finish reads ``g.edges`` once: it carries the live edges
-    from round to round and drops those that lost an endpoint."""
+    from round to round and drops those that lost an endpoint.  The meter
+    receives them (None in an independent-set finish)."""
     _check_kind(kind)
     g = g_view.graph
     alive = g_view.alive.copy()
+    live = None
     if kind == "matching":
         live = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
     steps = []
@@ -543,7 +551,7 @@ def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
             removed = sorted_unique(np.concatenate([won, nb[alive[nb]]]))
         step = PartialSolution(kind=kind, selected=won, removed=removed)
         if meter is not None:
-            meter.finish_round(g, alive, step)
+            meter.finish_round(g, alive, step, live)
         alive[removed] = False
         if kind == "matching":
             live = live[alive[live[:, 0]] & alive[live[:, 1]]]

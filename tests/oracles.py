@@ -318,6 +318,28 @@ def ball_members(g: Graph, alive: np.ndarray, v: int, radius: int) -> set:
     return seen
 
 
+def ball_peel(g: Graph, alive: np.ndarray, v: int, radius: int, d: int) -> int:
+    """``v``'s layer in the peel of the ``alive`` nodes with threshold ``d``
+    if it is at most ``radius``, else 0 ("deeper"), computed from the rows
+    of ``v``'s alive radius-``radius`` ball alone: the ball nodes peel
+    ``radius`` layers with their degrees counted over their alive rows, and
+    a node outside the ball is never removed."""
+    ball = ball_members(g, alive, v, radius)
+    rows = {u: [w for w in g.neighbors(u).tolist() if alive[w]] for u in ball}
+    deg = {u: len(row) for u, row in rows.items()}
+    left = set(ball)
+    for t in range(1, radius + 1):
+        drop = [u for u in left if deg[u] <= d]
+        if v in drop:
+            return t
+        left.difference_update(drop)
+        for u in drop:
+            for w in rows[u]:
+                if w in left:
+                    deg[w] -= 1
+    return 0
+
+
 # ---------------------------------------------------------------------------
 # next-fit bin packing, one item at a time
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import fitting_delta, realize, valid_d
-from oracles import from_mask, opt_matching, opt_vertex_cover
+from oracles import ball_peel, from_mask, opt_matching, opt_vertex_cover
 from sparsempc import mpc
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView
@@ -24,6 +24,7 @@ from sparsempc.runtime import ClusterConfig, init_cluster, metrics
 
 # -- pinned tolerances, each next to the value measured on this code --------
 PARTITION_TIME_BUDGET_S = 600.0  # measured ~5 s for the 200-graph corpus
+AUDIT_SAMPLE = 4                 # nodes per chunk from its top layer, the layer above, anywhere
 GADGET_FAILURE_TOL = 0.01        # measured 0 failures in 100_000 parent trials
 MIS_FIX_RATE_MIN = 0.95          # measured 1.0
 MIS_JOIN_BAND = 0.20             # measured mean 20.16 vs expectation 20.38
@@ -70,7 +71,8 @@ def scaling_grid():
             cfg = ClusterConfig.for_graph(g, delta, c_total=3.0)
             cl = init_cluster(g, cfg)
             sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
-            _, _, _, stats = mpc.mpc_h_partition(cl, g, np.arange(g.n), 3, sched, adaptive=True)
+            hp = h_partition(g, 3)
+            _, stats = mpc.mpc_h_partition(cl, g, np.arange(g.n), hp, sched, adaptive=True)
             met = metrics(cl)
             rows.append(
                 {
@@ -112,31 +114,73 @@ def pipeline_sweep(pipeline_corpus):
     return records
 
 
+def _audit_repetitions(g, d, delta, adaptive, rng, counts):
+    """Locality audit of one metered partition of ``g``.  For every chunk
+    ``(hi, radius)``, nodes left at its repetition's start are sampled,
+    :data:`AUDIT_SAMPLE` each from its top layer, from the layer above it
+    (if any) and from all of them.  Each learns its layer from the rows of
+    its alive radius ball alone (:func:`oracles.ball_peel`), and must read
+    its centralized layer relative to the chunk if the chunk removes it,
+    else "deeper".  Tallies ``[repetitions, nodes]`` per radius into
+    ``counts`` and returns the number of mismatches."""
+    hp = h_partition(g, d)
+    cfg = ClusterConfig.for_graph(g, delta, c_total=4.0)
+    cl = init_cluster(g, cfg)
+    sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
+    chunks, _ = mpc.mpc_h_partition(cl, g, np.arange(g.n), hp, sched, adaptive=adaptive)
+    layer = hp.layer
+    bad = 0
+    done = 0
+    for hi, radius in chunks:
+        alive = layer > done
+        pick = [
+            rng.choice(part, min(AUDIT_SAMPLE, part.size), replace=False)
+            for part in (np.flatnonzero(layer == hi), np.flatnonzero(layer == hi + 1),
+                         np.flatnonzero(alive))
+        ]
+        nodes = np.unique(np.concatenate(pick))
+        for v in nodes.tolist():
+            # the chunk's nodes read their layer in it, the others "deeper"
+            want = int(layer[v]) - done if layer[v] <= hi else 0
+            bad += ball_peel(g, alive, v, radius, d) != want
+        tally = counts.setdefault(radius, [0, 0])
+        tally[0] += 1
+        tally[1] += nodes.size
+        done = hi
+    return bad
+
+
 def test_cluster_partition_equals_reference_on_corpus(partition_corpus, announce):
-    """Criterion 1: metered partition == centralized partition, whole corpus."""
+    """Criterion 1: every metered repetition removes the layers its nodes
+    can compute from their gathered balls (locality audit), whole corpus
+    plus the golden doubling instance."""
+    from test_golden_metering import GOLDEN
+
     t0 = time.perf_counter()
+    rng = np.random.default_rng(0)
+    counts: dict = {}
     mismatches = 0
     for spec in partition_corpus:
         g = realize(spec)
-        d = valid_d(g)
-        ref = h_partition(g, d)
-        delta = fitting_delta(g, 0.5)
-        cfg = ClusterConfig.for_graph(g, delta, c_total=4.0)
-        cl = init_cluster(g, cfg)
-        sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
-        hp, _, _, _ = mpc.mpc_h_partition(cl, g, np.arange(g.n), d, sched, adaptive=True)
-        if not np.array_equal(hp.layer, ref.layer):
-            mismatches += 1
+        mismatches += _audit_repetitions(g, valid_d(g), fitting_delta(g, 0.5), True, rng, counts)
+    doubling = next(p.values[0] for p in GOLDEN if p.id == "layered-core-matching-doubling")
+    family, params, seed, _, delta, d_floor, adaptive = doubling
+    g = generate(family, params, seed=seed)
+    mismatches += _audit_repetitions(g, d_floor, delta, adaptive, rng, counts)
     elapsed = time.perf_counter() - t0
-    total = len(partition_corpus)
-    ok = mismatches == 0 and elapsed < PARTITION_TIME_BUDGET_S
+    doubled = sum(reps for radius, (reps, _) in counts.items() if radius >= 2)
+    ok = mismatches == 0 and doubled > 0 and elapsed < PARTITION_TIME_BUDGET_S
     announce(
         1,
         ok,
-        f"{total - mismatches}/{total} layer maps identical in {elapsed:.1f}s "
+        f"{mismatches} ball-local layers disagree with the reference in "
+        f"{len(partition_corpus) + 1} metered partitions, {elapsed:.1f}s "
         f"(budget {PARTITION_TIME_BUDGET_S:.0f}s)",
+        extra=[f"radius {r}: {reps} repetitions, {nodes} nodes audited"
+               for r, (reps, nodes) in sorted(counts.items())],
     )
     assert mismatches == 0
+    assert doubled > 0
     assert elapsed < PARTITION_TIME_BUDGET_S
 
 
@@ -279,7 +323,7 @@ def test_alive_set_shrinks_doubly_exponentially(announce):
     cl = init_cluster(g, cfg)
     sched = mpc.compute_schedule(delta_max, cfg.S, g.n, 0.9, c_pre=0.0)
     assert sched.k is not None
-    _, _, _, stats = mpc.mpc_h_partition(cl, g, np.arange(g.n), d, sched, adaptive=False)
+    _, stats = mpc.mpc_h_partition(cl, g, np.arange(g.n), h_partition(g, d), sched, adaptive=False)
     later = [e for e in stats["iterations"] if e["iteration"] >= 1]
     rows = []
     bad = 0

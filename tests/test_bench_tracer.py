@@ -5,7 +5,9 @@
 only, makes a rename or removal of a traced layer fail the test suite
 instead of only the traced benchmark run.  An attribute that exists but is
 no longer called (the work moved into a private helper) reads 0 seconds in
-the traced run, so the reduction layers are also called through here.
+the traced run, so the reduction layers are also called through here.  The
+repetition counter behind ``mpc.gather_and_peel.productive_ratio`` is
+applied to a metered run's repetitions, so it keeps counting what it says.
 """
 
 import importlib.util
@@ -17,9 +19,10 @@ import numpy as np
 import pytest
 
 import sparsempc  # noqa: F401  (imports every module the tracer looks in)
-from sparsempc import rng
+from sparsempc import mpc, rng
 from sparsempc.generators import generate
 from sparsempc.reduction import degree_reduce, solve
+from sparsempc.runtime import ClusterConfig
 
 import oracles
 
@@ -98,3 +101,37 @@ def test_solve_reaches_every_traced_reduction_layer(tracer, monkeypatch):
     assert sizes[-1] == 0 and sum(sizes) == finish_edges
     solve(generate("tree", {"n": 2000}, seed=2), "mis", 2, 3)
     assert set(calls) == set(wanted.values())
+
+
+def test_repetition_counter_reads_productive_and_silent_repetitions(tracer, monkeypatch):
+    # The traced benchmark's productive_ratio sums the tracer's reader over
+    # every gather_and_peel output.  On a metered doubling run it must count
+    # one productive repetition per chunk, and none of the silent
+    # repetitions that the fixed budget runs once the phase is empty.
+    from test_golden_metering import GOLDEN
+
+    param, read = tracer.COUNTERS["mpc.gather_and_peel"]
+    assert param is None  # it reads the return value
+    reads, silent, chunks = [], [0], [0]
+    gather_and_peel, mpc_h_partition = mpc.gather_and_peel, mpc.mpc_h_partition
+
+    def counted_rep(cluster, layers, done, radius, **kwargs):
+        silent[0] += layers.live(done) == 0
+        out = gather_and_peel(cluster, layers, done, radius, **kwargs)
+        reads.append(int(read(out)))
+        return out
+
+    def counted_partition(*args, **kwargs):
+        out = mpc_h_partition(*args, **kwargs)
+        chunks[0] += len(out[0])
+        return out
+
+    monkeypatch.setattr(mpc, "gather_and_peel", counted_rep)
+    monkeypatch.setattr(mpc, "mpc_h_partition", counted_partition)
+    case = next(p.values[0] for p in GOLDEN if p.id == "layered-core-matching-doubling")
+    family, params, seed, kind, delta, d_floor, adaptive = case
+    g = generate(family, params, seed=seed)
+    mpc.mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor)
+    productive = sum(reads)
+    assert productive == chunks[0] > 0
+    assert len(reads) - productive == silent[0] > 0

@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from sparsempc import kernels
 from sparsempc.generators import generate
-from sparsempc.graph import build_graph
+from sparsempc.graph import GraphView, build_graph
 
 from oracles import (
-    ball_members, bucket_degeneracy, disjoint_paths, from_mask, hand_peel, next_fit_bins,
-    path as path_graph, random_graph,
+    alive_degrees_all_rows, ball_members, bucket_degeneracy, disjoint_paths, from_mask,
+    hand_peel, next_fit_bins, path as path_graph, random_graph,
 )
 
 
@@ -42,6 +42,26 @@ def test_alive_degrees_counts_only_alive():
 
 
 @given(
+    st.integers(0, 40),
+    st.integers(0, 2 ** 31 - 1),
+    st.sampled_from(["random", "all-alive", "all-dead"]),
+)
+@example(0, 0, "random")  # no nodes, no rows
+@example(5, 1, "all-dead")
+@settings(max_examples=80, deadline=None)
+def test_alive_degrees_matches_edge_list_oracle(n, seed, mask):
+    # sparse random graphs have empty rows and isolated nodes; the counts
+    # are int64 and 0 on every dead node
+    r = np.random.default_rng(seed)
+    g = random_graph(n, int(r.integers(0, 2 * n + 1)), seed) if n else build_graph(0, [])
+    alive = {"random": r.random(n) < 0.6, "all-alive": np.ones(n, bool),
+             "all-dead": np.zeros(n, bool)}[mask]
+    deg = kernels.alive_degrees(g.indptr, g.indices, alive)
+    assert deg.dtype == np.int64
+    assert np.array_equal(deg, alive_degrees_all_rows(g, alive))
+
+
+@given(
     st.lists(st.integers(-2 ** 63, 2 ** 63 - 1), max_size=60)
     | st.lists(st.integers(-3, 3), max_size=60),
     st.booleans(),
@@ -62,29 +82,30 @@ def test_sorted_unique_equals_np_unique(values, two_d):
     assert np.array_equal(got, want)
 
 
-def _assert_peel_matches_hand_oracle(g, alive, d, max_layers):
-    layer, t = kernels.peel_layers(g.indptr, g.indices, alive, d, max_layers)[:2]
-    want = hand_peel(g, d, alive=alive, max_layers=max_layers)
-    assert np.array_equal(layer, want)
+def _assert_peel_matches_hand_oracle(g, d):
+    """The peel of the whole graph ``g`` equals the hand peel, a stall
+    leaving the stuck nodes at 0, and lists the layered nodes layer by
+    layer, ascending within a layer."""
+    layer, t, peeled = kernels.peel_layers(g.indptr, g.indices, d)
+    want = hand_peel(g, d, max_layers=g.n)
+    assert layer.dtype == np.int64 and np.array_equal(layer, want)
     assert t == want.max(initial=0)
+    layered = np.flatnonzero(want)
+    assert np.array_equal(peeled, layered[np.argsort(want[layered], kind="stable")])
     return layer, t
 
 
 @pytest.mark.parametrize("d", [1, 2, 3])
 def test_peel_layers_matches_hand_oracle_with_dead_nodes(d):
+    # the dead nodes leave by compaction, as a phase subgraph drops them:
+    # the peel of what is left is the hand peel of the alive nodes
     g = random_graph(200, 500, d)
     alive = np.ones(g.n, bool)
     alive[::7] = False
-    layer, _ = _assert_peel_matches_hand_oracle(g, alive, d, g.n)
-    assert not layer[~alive].any()
-
-
-def test_peel_layers_respects_max_layers():
-    g = path_graph(40)
-    layer, t = _assert_peel_matches_hand_oracle(g, np.ones(g.n, bool), 1, 3)
-    # a path peels its two ends per layer
-    assert t == 3
-    assert np.count_nonzero(layer) == 6
+    sub, ids = GraphView(g, alive).compact()
+    layer, _ = _assert_peel_matches_hand_oracle(sub, d)
+    assert np.array_equal(layer, hand_peel(g, d, alive=alive, max_layers=g.n)[ids])
+    assert layer.any()
 
 
 def _check_degeneracy_order(g):
@@ -331,127 +352,46 @@ def test_pack_bins_single_oversized_item_allowed():
 @settings(max_examples=40, deadline=None)
 @given(st.integers(2, 5), st.integers(0, 1023), st.integers(1, 3))
 def test_peel_matches_hand_oracle(n, mask, d):
-    g = from_mask(n, mask)
-    got_layer, t = kernels.peel_layers(g.indptr, g.indices, np.ones(n, bool), d, n)[:2]
-    want = hand_peel(g, d)
-    if want is None:
-        # stall: some node never assigned even with the full layer budget
-        assert (got_layer == 0).any()
-    else:
-        assert np.array_equal(got_layer, want)
-
-
-@given(
-    st.integers(1, 40),
-    st.integers(0, 2 ** 31 - 1),
-    st.integers(1, 3),
-    st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=6),
-)
-@settings(max_examples=60, deadline=None)
-def test_peel_carried_degrees_match_fresh_calls(n, seed, d, radii):
-    # A partition loop peels the same shrinking subgraph again and again.
-    # Carrying `deg` between calls must give what a fresh call gives, and
-    # leave `deg` equal to the recounted alive degrees of the survivors.
-    # _peel, which degeneracy_order calls directly, is checked too.
-    r = np.random.default_rng(seed)
-    g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
-    alive = r.random(n) < 0.8
-    peels = {
-        "peel_layers": lambda work, r_, deg: kernels.peel_layers(
-            g.indptr, g.indices, work, d, r_, deg=deg)[:2],
-        "_peel": lambda work, r_, deg: kernels._peel(
-            g.indptr, g.indices, work, d, r_, deg)[:2],
-    }
-    for name, peel in peels.items():
-        work = alive.copy()
-        deg = kernels.alive_degrees(g.indptr, g.indices, work)
-        for radius in radii:
-            want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, work, d, radius)[:2]
-            layer, t = peel(work, radius, deg)
-            assert np.array_equal(layer, want_layer), name
-            assert t == want_t, name
-            work[layer > 0] = False
-            fresh = kernels.alive_degrees(g.indptr, g.indices, work)
-            assert np.array_equal(deg[work], fresh[work]), name
-
-
-@given(st.integers(1, 40), st.integers(0, 2 ** 31 - 1), st.integers(1, 3), st.integers(0, 4))
-@settings(max_examples=60, deadline=None)
-def test_peel_last_rows_are_the_last_layers_rows(n, seed, d, max_layers):
-    r = np.random.default_rng(seed)
-    g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
-    alive = r.random(n) < 0.8
-    layer, t, peeled, src, nb, next_first = kernels.peel_layers(
-        g.indptr, g.indices, alive, d, max_layers)
-    # the layered nodes layer by layer, ascending within a layer
-    layered = np.flatnonzero(layer)
-    assert np.array_equal(peeled, layered[np.argsort(layer[layered], kind="stable")])
-    last = np.flatnonzero(layer == t) if t else np.empty(0, np.int64)
-    want_src, want_nb = kernels.gather_segments(g.indptr, g.indices, last)
-    assert np.array_equal(src, want_src) and np.array_equal(nb, want_nb)
-    # the next call's first layer, unless the peel stopped on a large layer
-    rest = alive & (layer == 0)
-    fresh = kernels.alive_degrees(g.indptr, g.indices, rest)
-    if next_first is None:
-        assert t == max_layers and 4 * nb.size > n
-    else:
-        assert np.array_equal(next_first, np.flatnonzero(rest & (fresh <= d)))
+    _assert_peel_matches_hand_oracle(from_mask(n, mask), d)
 
 
 @given(
     st.sampled_from(["random", "paths"]),
     st.integers(1, 40),
     st.integers(0, 2 ** 31 - 1),
-    st.integers(1, 3),
-    st.lists(st.sampled_from([1, 2, 4, 8]), min_size=1, max_size=8),
+    st.lists(st.integers(0, 4), min_size=1, max_size=6),
 )
-@settings(max_examples=80, deadline=None)
-@example(shape="paths", n=20, seed=3, d=1, radii=[1, 1, 1, 1, 1, 1])
-def test_peel_carried_first_layer_matches_fresh_calls(shape, n, seed, d, radii):
-    # A chain of peels that hands each call the last one's next first layer
-    # and one reused layer buffer must layer the same nodes, with the same
-    # layers and layer count, as fresh calls on the same remainder.  Long
-    # paths peel in many small layers, so their chains carry first layers
-    # of several nodes.
+@settings(max_examples=60, deadline=None)
+@example(shape="paths", n=20, seed=3, thresholds=[1])
+def test_peel_carried_degrees_match_fresh_calls(shape, n, seed, thresholds):
+    # degeneracy_order peels one graph again and again, at rising
+    # thresholds, carrying the degrees and the layer buffer from call to
+    # call.  Each call must layer what a fresh peel of the nodes left
+    # layers, and leave the degrees of the nodes still unpeeled equal to
+    # their recounted degrees among themselves.  Long paths peel in many
+    # small layers, each drawn from the last one's neighbors.
     r = np.random.default_rng(seed)
     if shape == "paths":
         g = disjoint_paths(1 + seed % 4, 16 + n)
         n = g.n
     else:
         g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
-    work = r.random(n) < 0.8
-    deg = kernels.alive_degrees(g.indptr, g.indices, work)
-    buf = np.zeros(n, np.int64)
-    first = None
-    for radius in radii:
-        want_layer, want_t = kernels.peel_layers(g.indptr, g.indices, work, d, radius)[:2]
-        layer, t, peeled, _, _, first = kernels.peel_layers(
-            g.indptr, g.indices, work, d, radius, deg=deg, first=first, layer=buf)
-        assert layer is buf
+    deg = g.degrees.astype(np.int64)
+    layer = np.zeros(n, np.int64)
+    for d in thresholds:
+        left = layer == 0
+        sub, ids = GraphView(g, left).compact()
+        want, want_t, want_peeled = kernels.peel_layers(sub.indptr, sub.indices, d)
+        t, peeled = kernels._peel(g.indptr, g.indices, d, deg, layer)
         assert t == want_t
-        want_ids = np.flatnonzero(want_layer)
-        assert np.array_equal(np.sort(peeled), want_ids)
-        assert np.array_equal(layer[peeled], want_layer[peeled])
-        work[peeled] = False
-
-
-def test_peel_layers_rejects_malformed_deg():
-    g = path_graph(4)
-    alive = np.ones(4, bool)
-    for deg in (np.ones(4, np.int32), np.ones(3, np.int64), [1, 2, 2, 1]):
-        with pytest.raises(ValueError, match="deg"):
-            kernels.peel_layers(g.indptr, g.indices, alive, 1, 4, deg=deg)
-
-
-def test_peel_layers_rejects_malformed_layer_buffer():
-    g = path_graph(4)
-    alive = np.ones(4, bool)
-    for buf in (np.zeros(4, np.int32), np.zeros(3, np.int64), [0, 0, 0, 0]):
-        with pytest.raises(ValueError, match="layer"):
-            kernels.peel_layers(g.indptr, g.indices, alive, 1, 4, layer=buf)
+        assert np.array_equal(peeled, ids[want_peeled])
+        assert np.array_equal(layer[left], want)
+        rest = layer == 0
+        fresh = kernels.alive_degrees(g.indptr, g.indices, rest)
+        assert np.array_equal(deg[rest], fresh[rest])
 
 
 def test_layered_core_exercises_deep_peel():
     g = generate("layered-core", {"n": 512, "depth": 16, "d": 3}, seed=0)
-    _, t = _assert_peel_matches_hand_oracle(g, np.ones(g.n, bool), 3, g.n)
+    _, t = _assert_peel_matches_hand_oracle(g, 3)
     assert t == 16

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import realize, valid_d
 from oracles import (
-    ball_members, complete, cycle, disjoint_paths, hand_peel, path, random_graph, star,
+    ball_members, complete, cycle, hand_peel, path, random_graph, star,
 )
 from sparsempc import mpc as mpc_mod
 from sparsempc.generators import generate
@@ -102,19 +102,34 @@ def test_schedule_preprocessing_layer_count():
 
 def _check_chunks(chunks, hp):
     """The chunk bounds rise strictly to ``hp.ell`` (so the chunks tile
-    layers 1..ell), and no chunk is wider than its hop radius."""
+    layers 1..ell), no chunk is wider than its hop radius, and a chunk is
+    narrower only where the layers ran out."""
     last = np.array([0] + [hi for hi, _ in chunks])
     width = np.diff(last)
+    radius = np.array([r for _, r in chunks], np.int64)
     assert (width >= 1).all()
     assert last[-1] == hp.ell
-    assert (width <= np.array([r for _, r in chunks], np.int64)).all()
+    assert (width <= radius).all()
+    assert (width[:-1] == radius[:-1]).all()
+
+
+def _metered_partition(g, d, delta, *, adaptive=False, c_pre=2.0):
+    """The driver's partition of ``g`` and the chunks and stats of its
+    metered construction on a fresh cluster with memory exponent ``delta``;
+    the removal order is the stable sort by layer."""
+    hp = h_partition(g, d)
+    assert np.array_equal(hp.order, np.argsort(hp.layer, kind="stable"))
+    cl = _cluster(g, delta)
+    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, delta, c_pre=c_pre)
+    chunks, stats = mpc_h_partition(cl, g, np.arange(g.n), hp, sched, adaptive=adaptive)
+    assert stats["ell"] == hp.ell
+    return hp, chunks, stats, cl
 
 
 def test_chunk_validate_accepts_real_run():
     g = generate("layered-core", {"n": 600, "depth": 40, "d": 3}, seed=0)
-    cl = _cluster(g, 0.8)
+    hp, chunks, stats, cl = _metered_partition(g, 3, 0.8)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), 3, sched)
     _check_chunks(chunks, hp)
     # every radius is 1 (pre-processing) or an iteration's 2^i
     assert {r for _, r in chunks} <= {1} | {2 ** i for i, _, _ in sched.phases}
@@ -125,10 +140,10 @@ def test_select_rejects_chunk_wider_than_its_radius():
     hp = h_partition(g, 2)  # layers: leaves 1, center 2
     cl = _cluster(g, 0.9)
     sol = PartialSolution.empty("mis")
-    order = np.array([1, 2, 3, 4, 5, 0])  # the leaves, then the center
-    mpc_select(cl, g, np.arange(g.n), hp, [(1, 1), (2, 1)], order, sol)  # one layer per radius-1 chunk
+    assert hp.order.tolist() == [1, 2, 3, 4, 5, 0]  # the leaves, then the center
+    mpc_select(cl, g, np.arange(g.n), hp, [(1, 1), (2, 1)], sol)  # one layer per radius-1 chunk
     with pytest.raises(AssertionError, match="wider than its hop radius"):
-        mpc_select(_cluster(g, 0.9), g, np.arange(g.n), hp, [(2, 1)], order, sol)
+        mpc_select(_cluster(g, 0.9), g, np.arange(g.n), hp, [(2, 1)], sol)
 
 
 # ---------------------------------------------------------------------------
@@ -136,27 +151,39 @@ def test_select_rejects_chunk_wider_than_its_radius():
 # ---------------------------------------------------------------------------
 
 
+def _layer_map(g, d):
+    """The replay state of the driver's partition of the whole graph ``g``
+    (its peel may stall: the map is then the partial one)."""
+    try:
+        hp = h_partition(g, d)
+    except StallError as exc:
+        hp = exc.partition
+    return mpc_mod._LayerMap(g, np.arange(g.n), hp)
+
+
 def test_star_center_resolves_on_second_repetition():
     g = star(5)
     cl = _cluster(g, 0.9)
-    alive = np.ones(g.n, bool)
-    rel, t, removed, _ = gather_and_peel(cl, g, np.arange(g.n), 1, 2, alive=alive)
+    layers = _layer_map(g, 2)
+    rel, t, removed = gather_and_peel(cl, layers, 0, 1)
     assert t == 1
     # the center is still "deeper"
     assert removed.tolist() == [1, 2, 3, 4, 5] and rel.tolist() == [1] * 5
-    assert alive[0] and not alive[1:].any()
-    rel2, t2, removed2, _ = gather_and_peel(cl, g, np.arange(g.n), 1, 2, alive=alive)
+    assert layers.live(1) == 1
+    rel2, t2, removed2 = gather_and_peel(cl, layers, 1, 1)
     # resolved once the leaves are gone
     assert removed2.tolist() == [0] and rel2.tolist() == [1] and t2 == 1
-    assert not alive.any()
+    assert layers.live(2) == 0
+    # the leaves strike their edges to the center, then nothing is left
+    assert [tr.label for tr in cl.traces] == ["partition-peel"] * 2
+    assert cl.traces[1].total_sent == 0
 
 
 def test_low_degree_nodes_always_layer_one():
     g = generate("preferential-attachment", {"n": 200, "c": 3}, seed=1)
     d = valid_d(g)
     cl = _cluster(g, 0.8)
-    alive = np.ones(g.n, bool)
-    rel, _, removed, _ = gather_and_peel(cl, g, np.arange(g.n), 1, d, alive=alive)
+    rel, _, removed = gather_and_peel(cl, _layer_map(g, d), 0, 1)
     assert np.array_equal(removed, np.flatnonzero(g.degrees <= d))
     assert np.all(rel == 1)
 
@@ -165,24 +192,24 @@ def test_low_degree_nodes_always_layer_one():
 def test_empty_repetition_meters_a_silent_round_without_peeling(monkeypatch, radius, label):
     # After the subgraph empties, the fixed repetition budget keeps running:
     # each repetition is one zero-volume round under the usual label, no
-    # peel runs (so no O(n) pass is paid for it), no per-machine sum is
-    # formed and no n-length array is returned.
+    # pairs are grouped and no volumes read (so no O(m) pass is paid for
+    # it), no per-machine sum is formed and no n-length array is returned.
     g = path(6)
     cl = _cluster(g, 0.9)
-    alive = np.zeros(g.n, bool)
+    layers = _layer_map(g, 2)
+    done = layers.hp.ell
 
-    def no_peel(*args, **kwargs):
-        raise AssertionError("peel_layers called on an empty subgraph")
+    def no_pairs(*args, **kwargs):
+        raise AssertionError("pairs grouped for an empty subgraph")
 
     def no_bincount(*args, **kwargs):
         raise AssertionError("a silent round summed traffic per machine")
 
-    monkeypatch.setattr(mpc_mod, "peel_layers", no_peel)
+    monkeypatch.setattr(mpc_mod._LayerMap, "pairs", no_pairs)
     monkeypatch.setattr(np, "bincount", no_bincount)
-    rel, t, removed, first = gather_and_peel(
-        cl, g, np.arange(g.n), radius, 2, alive=alive, deg=np.zeros(g.n, np.int64))
+    rel, t, removed = gather_and_peel(cl, layers, done, radius)
     monkeypatch.undo()
-    assert t == 0 and rel.size == 0 and removed.size == 0 and first.size == 0
+    assert t == 0 and rel.size == 0 and removed.size == 0
     (trace,) = cl.traces
     assert trace.label == label
     assert trace.total_sent == 0 and trace.total_received == 0
@@ -191,18 +218,26 @@ def test_empty_repetition_meters_a_silent_round_without_peeling(monkeypatch, rad
 def test_gather_and_peel_stall_matches_centralized():
     g = complete(4)
     cl = _cluster(g, 0.8)
-    with pytest.raises(StallError, match="stalled"):
-        gather_and_peel(cl, g, np.arange(g.n), 1, 2, alive=np.ones(4, bool))
+    with pytest.raises(StallError) as ref:
+        h_partition(g, 2)
+    layers = mpc_mod._LayerMap(g, np.arange(g.n), ref.value.partition)
+    with pytest.raises(StallError) as got:
+        gather_and_peel(cl, layers, 0, 1)
+    assert str(got.value) == str(ref.value)
+    assert str(ref.value) == "peeling stalled with 4 nodes of remaining degree > 2"
+    assert got.value.partition is ref.value.partition
+    (trace,) = cl.traces  # the stalled repetition's round is metered first
+    assert trace.label == "partition-peel" and trace.total_sent == 0
 
 
 def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
-    # Radius-1 repetitions with carried degrees, first layers and layer
-    # buffer, as the partition runs them: each removal round must
-    # charge one word per edge from a removed node to a still-alive one on
-    # another machine, on the machines holding the two ends; an edge whose
-    # ends share a machine is free, and the instance has such edges.  The
-    # per-machine volumes are read back from the round's MPC_TRACE_DIR rows
-    # (a machine without a row moved nothing).
+    # Radius-1 repetitions on a phase subgraph, as the partition runs them:
+    # each removal round must charge one word per edge from a removed node
+    # to a still-alive one on another machine, on the machines holding the
+    # two ends; an edge whose ends share a machine is free, and the
+    # instance has such edges.  The per-machine volumes are read back from
+    # the round's MPC_TRACE_DIR rows (a machine without a row moved
+    # nothing).
     monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
     g = generate("bounded-degree-random", {"n": 400, "deg": 4}, seed=2)
     # the degeneracy is the lowest threshold that cannot stall, so the peel
@@ -212,19 +247,17 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
     cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.5, S=64, M=50))
     alive = np.ones(g.n, bool)
     alive[::5] = False
-    deg = alive_degrees(g.indptr, g.indices, alive)
-    buf = np.zeros(g.n, np.int64)
-    first = None
+    sub, ids = GraphView(g, alive).compact()
+    layers = mpc_mod._LayerMap(sub, ids, h_partition(sub, d))
+    assert layers.hp.ell >= 3
     want = {}
     local = 0
-    while alive.any():
-        before = alive.copy()
-        _, _, removed, first = gather_and_peel(
-            cl, g, np.arange(g.n), 1, d, alive=alive, deg=deg, first=first, layer=buf)
-        assert np.array_equal(alive, before & ~np.isin(np.arange(g.n), removed))
+    for done in range(layers.hp.ell):
+        _, _, removed = gather_and_peel(cl, layers, done, 1)
+        alive[ids[removed]] = False
         sent = np.zeros(cl.machines_used, np.int64)
         received = np.zeros(cl.machines_used, np.int64)
-        for v in removed.tolist():
+        for v in ids[removed].tolist():
             for u in g.neighbors(v).tolist():
                 if not alive[u]:
                     continue
@@ -236,7 +269,7 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
         trace = cl.traces[-1]
         assert trace.label == "partition-peel"
         want[trace.round] = (sent, received)
-    assert local > 0
+    assert local > 0 and not alive.any()
     rows = [json.loads(line) for line in cl.flush_trace().read_text().splitlines()]
     assert all(row["machine"] >= 0 for row in rows)  # per-machine rows
     width = 1 + max(row["machine"] for row in rows)
@@ -263,72 +296,39 @@ def _roomy_cluster(g, machines=16):
     st.integers(0, 2 ** 31 - 1),
     st.integers(1, 3),
     st.sampled_from([1, 2, 4]),
+    st.integers(0, 6),
 )
 @settings(max_examples=60, deadline=None)
-def test_gather_and_peel_returns_the_layered_ids(n, seed, d, radius):
-    # The ids a repetition returns are exactly the nodes the hand peel
-    # layers within the radius (np.flatnonzero(rel > 0) of the full layer
-    # map), each once, with their layers.
+def test_gather_and_peel_returns_the_layered_ids(n, seed, d, radius, done):
+    # A repetition that starts with layers 1..done removed removes the next
+    # min(radius, left) layers of the driver's map: its ids are the slice of
+    # the removal order (the stable sort by layer) holding those layers, with
+    # their layers relative to the repetition.  It raises StallError exactly
+    # where the hand peel stalls within its reach.
     r = np.random.default_rng(seed)
     g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
-    alive = r.random(n) < 0.8
-    want = hand_peel(g, d, alive, max_layers=radius)
-    work = alive.copy()
-    deg = alive_degrees(g.indptr, g.indices, work)
-    cache = mpc_mod._BallCache(g, np.arange(g.n), work, radius, deg) if radius >= 2 else None
+    want = hand_peel(g, d, max_layers=n)
+    ell = int(want.max(initial=0))
+    done = min(done, ell)
+    layers = _layer_map(g, d)
+    assert np.array_equal(layers.hp.layer, want)
+    cache = None
+    if radius >= 2:
+        cache = mpc_mod._BallCache(g, np.arange(g.n), layers.key, done, radius)
+    stuck = (want == 0).any()
     try:
-        rel, t, removed, _ = gather_and_peel(
-            _roomy_cluster(g), g, np.arange(g.n), radius, d, alive=work, cache=cache)
+        rel, t, removed = gather_and_peel(
+            _roomy_cluster(g), layers, done, radius, cache=cache)
     except StallError:
-        assert (alive & (want == 0)).any() and want.max(initial=0) < radius
+        assert stuck and ell - done < radius
         return
-    assert np.array_equal(np.sort(removed), np.flatnonzero(want > 0))
-    assert np.array_equal(rel, want[removed])
-    assert t == want.max(initial=0)
-    assert np.array_equal(work, alive & (want == 0))
-
-
-@given(
-    st.sampled_from(["random", "paths"]),
-    st.integers(1, 50),
-    st.integers(0, 2 ** 31 - 1),
-    st.integers(1, 3),
-    st.lists(st.sampled_from([1, 2, 4]), min_size=1, max_size=8),
-)
-@settings(max_examples=40, deadline=None)
-def test_gather_and_peel_chain_carrying_first_layers_matches_fresh_calls(shape, n, seed, d, radii):
-    # Repetitions that hand on their next first layer, their degrees and
-    # one layer buffer must layer what repetitions that rescan give, and
-    # meter the same rounds.  Radius-2+ repetitions share an iteration's
-    # ball cache, as in the partition.
-    r = np.random.default_rng(seed)
-    if shape == "paths":
-        g = disjoint_paths(1 + seed % 4, 16 + n)
-        n = g.n
-    else:
-        g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
-    alive = r.random(n) < 0.8
-    chains = []
-    for carry in (True, False):
-        cl = _roomy_cluster(g)
-        work = alive.copy()
-        deg = alive_degrees(g.indptr, g.indices, work)
-        buf = np.zeros(g.n, np.int64)
-        first, cache, out = None, {}, []
-        for radius in radii:
-            if radius >= 2 and radius not in cache:
-                cache[radius] = mpc_mod._BallCache(g, np.arange(g.n), work, radius, deg)
-            try:
-                rel, t, removed, nxt = gather_and_peel(
-                    cl, g, np.arange(g.n), radius, d, alive=work, cache=cache.get(radius),
-                    deg=deg, first=first if carry else None, layer=buf if carry else None)
-            except StallError:
-                out.append("stall")
-                break
-            first = nxt
-            out.append((rel.tolist(), t, removed.tolist()))
-        chains.append((out, [vars(tr) for tr in cl.traces]))
-    assert chains[0] == chains[1]
+    assert not (stuck and ell - done < radius)
+    assert t == min(radius, ell - done)
+    take = (want > done) & (want <= done + t)
+    by_layer = np.flatnonzero(take)[np.argsort(want[take], kind="stable")]
+    assert np.array_equal(removed, by_layer)
+    assert np.array_equal(rel, want[removed] - done)
+    assert layers.live(done + t) == n - int((want > 0).sum()) + int((want > done + t).sum())
 
 
 @given(
@@ -338,18 +338,18 @@ def test_gather_and_peel_chain_carrying_first_layers_matches_fresh_calls(shape, 
     st.floats(0.3, 1.0),
 )
 @settings(max_examples=40, deadline=None)
-def test_ball_cache_with_carried_degrees_matches_ball_scans(n, seed, radius, keep):
-    # The cache reads the partition's carried degrees (whose dead entries
-    # are stale) instead of recounting them, and sums a radius-1 half ball
-    # from the alive rows instead of scanning balls; every volume must equal
-    # what ball scans over recounted degrees give.
+def test_ball_cache_matches_ball_scans(n, seed, radius, keep):
+    # The cache counts the alive degrees at the iteration's start and sums
+    # a radius-1 half ball from the alive rows instead of scanning balls;
+    # every volume must equal what ball scans give.  Alive are the nodes
+    # whose key is above the layers removed.
     r = np.random.default_rng(seed)
     g = random_graph(n, int(r.integers(0, 3 * n + 1)), seed)
     alive = r.random(n) < keep
+    later = alive & (r.random(n) < 0.5)
+    key = alive.astype(np.uint8) + later  # 0 removed, 1 removed later, 2 left
     deg = alive_degrees(g.indptr, g.indices, alive)
-    carried = deg.copy()
-    carried[~alive] = r.integers(-5, 50, int((~alive).sum()))
-    got = mpc_mod._BallCache(g, np.arange(g.n), alive, radius, carried)
+    got = mpc_mod._BallCache(g, np.arange(g.n), key, 0, radius)
     ids = np.flatnonzero(alive)
     half = radius // 2
     ones = np.ones(g.n, np.int64)
@@ -365,9 +365,8 @@ def test_ball_cache_with_carried_degrees_matches_ball_scans(n, seed, radius, kee
     assert np.array_equal(got.send, row_words[ids] * (cnt - 1))
     assert np.array_equal(got.pull, wsum - row_words[ids])
     assert np.array_equal(got.added, (cnt - 1) - deg[ids])
-    # later gathers list the still-alive nodes only, without an n-wide scan
-    later = alive & (r.random(n) < 0.5)
-    nodes, send, pull = got.gather_volumes(later)
+    # later gathers list the nodes left only, without an n-wide scan
+    nodes, send, pull = got.gather_volumes(1)
     assert np.array_equal(nodes, np.flatnonzero(later))
     sel = np.searchsorted(ids, nodes)
     assert np.array_equal(send, got.send[sel]) and np.array_equal(pull, got.pull[sel])
@@ -377,7 +376,7 @@ def test_connect_cliques_path9_ball_oracle():
     g = path(9)
     cl = init_cluster(g, ClusterConfig(n=9, m=8, delta=1.0, S=9, M=16))
     alive = np.ones(9, bool)
-    cache = mpc_mod._BallCache(g, np.arange(g.n), alive, 2, alive_degrees(g.indptr, g.indices, alive))
+    cache = mpc_mod._BallCache(g, np.arange(g.n), np.ones(9, np.uint8), 0, 2)
     stats = connect_cliques(cl, radius=2, delta_max=2, cache=cache)
     for v in range(9):
         ball = ball_members(g, alive, v, 2)
@@ -391,10 +390,8 @@ def test_connect_cliques_path9_ball_oracle():
 
 def test_radius_one_iterations_add_no_virtual_edges():
     g = generate("grid", {"rows": 10, "cols": 10}, seed=0)
-    cl = _cluster(g, 0.65)
-    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.65)
-    assert sched.k == 0  # 4^2 = 16 <= S=20 < 4^3: only radius-1 iterations
-    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), 5, sched)
+    hp, chunks, stats, cl = _metered_partition(g, 5, 0.65)
+    assert stats["k"] == 0  # 4^2 = 16 <= S=20 < 4^3: only radius-1 iterations
     met = metrics(cl)
     assert "partition-clique" not in met["rounds_by_label"]
     assert int(cl.extra_words.sum()) == 0
@@ -402,14 +399,11 @@ def test_radius_one_iterations_add_no_virtual_edges():
 
 def test_deep_tower_uses_cliques_and_matches_oracle():
     g = generate("layered-core", {"n": 1024, "depth": 100, "d": 3}, seed=0)
-    cl = _cluster(g, 0.8)
-    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-    assert sched.k is not None and sched.k >= 1
-    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), 3, sched)
-    ref = h_partition(g, 3)
-    assert hp.ell == ref.ell == 100
-    assert np.array_equal(hp.layer, ref.layer)
+    hp, chunks, stats, cl = _metered_partition(g, 3, 0.8)
+    assert stats["k"] is not None and stats["k"] >= 1
+    assert hp.ell == 100
     _check_chunks(chunks, hp)
+    assert max(r for _, r in chunks) >= 2
     met = metrics(cl)
     assert met["rounds_by_label"].get("partition-clique", 0) >= 1
     assert met["violations"] == []
@@ -433,24 +427,18 @@ def test_deep_tower_uses_cliques_and_matches_oracle():
     ],
 )
 def test_partition_equals_centralized(family, params, delta):
+    # the metered repetitions remove the centralized layers in chunks no
+    # wider than their radius, in the stable by-layer order
     g = generate(family, params, seed=3)
     d = valid_d(g) if family != "layered-core" else 3
-    cl = _cluster(g, delta)
-    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, delta)
-    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), d, sched)
-    ref = h_partition(g, d)
-    assert np.array_equal(hp.layer, ref.layer)
-    assert hp.ell == ref.ell
+    hp, chunks, stats, cl = _metered_partition(g, d, delta)
     _check_chunks(chunks, hp)
     assert metrics(cl)["violations"] == []
 
 
 def test_partition_fallback_flag_recorded():
     g = generate("bounded-degree-random", {"n": 500, "deg": 8}, seed=3)
-    cl = _cluster(g, 0.45)
-    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.45)
-    assert sched.k is None
-    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), valid_d(g), sched)
+    hp, chunks, stats, cl = _metered_partition(g, valid_d(g), 0.45)
     assert stats["fallback"] and stats["k"] is None
     assert all(r == 1 for _, r in chunks)
 
@@ -484,11 +472,9 @@ def test_shallow_graph_finishes_within_first_iteration():
     # 60-repetition radius-1 iteration of the first pass; delta is picked
     # high enough that max_degree**2 fits in S (no fallback path)
     g = generate("tree", {"n": 100}, seed=7)
-    cl = _cluster(g, 0.9)
-    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.9, c_pre=0.0)
-    assert sched.k is not None
-    assert sched.preprocessing_layers == 0
-    hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), valid_d(g), sched, adaptive=True)
+    hp, chunks, stats, cl = _metered_partition(g, valid_d(g), 0.9, adaptive=True, c_pre=0.0)
+    assert stats["k"] is not None
+    assert stats["preprocessing"]["target_layers"] == 0
     assert hp.ell <= 60
     assert stats["outer_passes"] == 1
     # nothing was ever deep enough to need a hop radius above 1
@@ -497,14 +483,14 @@ def test_shallow_graph_finishes_within_first_iteration():
 
 
 def test_adaptive_and_faithful_agree_on_layers():
+    # both regimes remove the same layers in the same chunks; only their
+    # sync rounds and idle repetitions differ
     g = generate("layered-core", {"n": 900, "depth": 80, "d": 3}, seed=5)
-    layers = []
-    for adaptive in (False, True):
-        cl = _cluster(g, 0.8)
-        sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-        hp, chunks, _, stats = mpc_h_partition(cl, g, np.arange(g.n), 3, sched, adaptive=adaptive)
-        layers.append(hp.layer)
-    assert np.array_equal(layers[0], layers[1])
+    runs = [_metered_partition(g, 3, 0.8, adaptive=adaptive) for adaptive in (False, True)]
+    (hp, faithful, _, cl_f), (_, adaptive, _, cl_a) = runs
+    _check_chunks(faithful, hp)
+    assert faithful == adaptive and max(r for _, r in faithful) >= 2
+    assert cl_f.round_idx != cl_a.round_idx
 
 
 def test_partition_on_restricted_alive_mask():
@@ -514,9 +500,9 @@ def test_partition_on_restricted_alive_mask():
     cl = _cluster(g, 0.6)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.6)
     sub, ids = GraphView(g, alive).compact()
-    hp, chunks, _, stats = mpc_h_partition(cl, sub, ids, 5, sched)
-    ref = h_partition(sub, 5)
-    assert np.array_equal(hp.layer, ref.layer)
+    hp = h_partition(sub, 5)
+    chunks, stats = mpc_h_partition(cl, sub, ids, hp, sched)
+    _check_chunks(chunks, hp)
     # the partition's repacks held the phase nodes only, so every round
     # named its nodes by their cluster ids (a node on no machine raises)
     assert (cl.node_machine[~alive] == -1).all() and (cl.node_machine[alive] >= 0).all()
@@ -537,8 +523,10 @@ def test_doubling_partition_on_a_strict_subset_is_pinned(tmp_path, monkeypatch):
     assert 0 < g.n - sub.n < g.n
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.8), name="subset")
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-    hp, chunks, order, stats = mpc_h_partition(cl, sub, ids, 3, sched)
-    assert np.array_equal(hp.layer, h_partition(sub, 3).layer) and hp.ell == 88
+    hp = h_partition(sub, 3)
+    chunks, stats = mpc_h_partition(cl, sub, ids, hp, sched)
+    order = hp.order
+    assert hp.ell == 88
     assert chunks == [(i, 1) for i in range(1, 66)] + [(i, 2) for i in range(67, 88, 2)] + [(88, 2)]
     assert [(e["radius"], e["alive_before"], e["reps_used"]) for e in stats["iterations"]] == [
         (1, 525, 60), (2, 115, 20),
@@ -629,17 +617,17 @@ class _OrderCheckMeter(ClusterMeter):
         super().__init__(cluster, **kwargs)
         self.levels = []
 
-    def partition(self, sub, ids, d):
-        hp = super().partition(sub, ids, d)
-        _, _, phase_hp, _, order = self._phase
+    def partition(self, sub, ids, hp):
+        super().partition(sub, ids, hp)
+        _, _, phase_hp, chunks = self._phase
         assert phase_hp is hp and hp.layer.shape == (sub.n,)
         # every node of the phase subgraph is layered, in its own ids
         assert (hp.layer > 0).all()
         want = np.argsort(hp.layer, kind="stable")
-        assert order.dtype == np.int64
-        assert np.array_equal(order, want)
+        assert hp.order.dtype == np.int64
+        assert np.array_equal(hp.order, want)
+        _check_chunks(chunks, hp)
         self.levels.append(self.partition_stats[-1]["k"])
-        return hp
 
 
 def test_removal_order_is_the_stable_sort_by_layer():
@@ -663,15 +651,14 @@ def test_select_matches_centralized(kind):
     # the chunk walk drops exactly the nodes the centralized selection removes
     g = generate("layered-core", {"n": 1024, "depth": 100, "d": 3}, seed=0)
     assert g.degrees.min() > 0  # so a zero-word node is a dropped one
-    cl = _cluster(g, 0.8)
-    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
-    hp, chunks, order, _ = mpc_h_partition(cl, g, np.arange(g.n), 3, sched)
+    hp, chunks, _, cl = _metered_partition(g, 3, 0.8)
+    order = hp.order
     if kind == "matching":
         ref = select_matching(g, hp, mark_and_propose_matching(g, hp, seed=9))
     else:
         ref = select_mis(g, hp, mark_and_propose_mis(g, hp, mis_probability(3), seed=9))
     before = metrics(cl)["rounds_by_label"].get("select", 0)
-    survivors = mpc_select(cl, g, np.arange(g.n), hp, chunks, order, ref)
+    survivors = mpc_select(cl, g, np.arange(g.n), hp, chunks, ref)
     assert np.array_equal(np.flatnonzero(cl.node_words() == 0), ref.removed)
     # the survivors come back in removal order
     assert np.array_equal(survivors, order[~np.isin(order, ref.removed)])
@@ -790,7 +777,7 @@ class _EdgeScanMeter(ClusterMeter):
     """The finish meter as a full edge scan: in a matching round, every
     endpoint of an edge with two alive ends exchanges priorities."""
 
-    def finish_round(self, g, alive, step):
+    def finish_round(self, g, alive, step, live):
         cl = self.cluster
         after = alive.copy()
         after[step.removed] = False

@@ -119,7 +119,7 @@ def test_layer_decay_law(family, params):
 def test_decay_check_rejects_fabricated_partition():
     from sparsempc.peeling import HPartition
 
-    fake = HPartition(layer=np.array([1, 2, 2, 2, 2]), d=10, ell=2)
+    fake = HPartition(layer=np.array([1, 2, 2, 2, 2]), d=10, ell=2, order=np.arange(5))
     assert not layer_decay_ok(fake, 1)  # 4 > (2/10) * 5
 
 

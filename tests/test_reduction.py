@@ -55,7 +55,8 @@ from oracles import (
 
 def _manual_hp(layers, d):
     layer = np.asarray(layers, np.int64)
-    return HPartition(layer=layer, d=d, ell=int(layer.max()))
+    order = np.argsort(layer, kind="stable")
+    return HPartition(layer=layer, d=d, ell=int(layer.max()), order=order)
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +147,8 @@ def _layered_case(n, graph_seed, shape):
         layer = r.integers(1, int(r.integers(1, 6)) + 1, size=n)
         if shape == "one-layer":
             layer[:] = 1
-    return g, HPartition(layer=layer, d=1, ell=int(layer.max(initial=0)))
+    order = np.argsort(layer, kind="stable")
+    return g, HPartition(layer=layer, d=1, ell=int(layer.max(initial=0)), order=order)
 
 
 @example(n=0, graph_seed=0, shape="random", seed=3)
@@ -587,18 +589,16 @@ def test_reduce_once_heavy_parent_gadget():
 
 
 class _RecordingMeter:
-    """A meter that builds the centralized partition of the phase and keeps
-    what :func:`reduce_once` hands it: the phase subgraph and its ids, its
-    partition and proposals, and the selection and the remainder's degrees,
-    both in the phase subgraph's ids."""
+    """A meter that keeps what :func:`reduce_once` hands it: the phase
+    subgraph and its ids, its partition and proposals, and the selection and
+    the remainder's degrees, both in the phase subgraph's ids."""
 
-    def partition(self, sub, ids, d):
-        self.sub, self.ids = sub, ids
-        return h_partition(sub, d)
+    def partition(self, sub, ids, hp):
+        self.sub, self.ids, self.hp = sub, ids, hp
 
     def mark_propose(self, sub, ids, hp, props):
-        assert sub is self.sub and ids is self.ids
-        self.hp, self.props = hp, props
+        assert sub is self.sub and ids is self.ids and hp is self.hp
+        self.props = props
 
     def select(self, sol, deg):
         self.sol, self.deg = sol, deg
