@@ -26,12 +26,15 @@ because a radius-r ball determines a node's layer up to r.  Hop radii
 double once per iteration by connecting 1-hop neighborhoods into cliques
 (virtual edges), so one repetition of iteration i clears up to 2^i layers
 in O(1) rounds.  Nodes leave in chunks of consecutive layers, recorded as
-``(last_layer, radius)`` pairs, in the layer-by-layer order of the map;
-selection later walks the chunks in reverse and reads each chunk's members
-off that order.  Message volumes are computed from real ball sizes
-(bounded-radius BFS) and charged against the machine budgets of
-:mod:`sparsempc.runtime`.  That the balls do determine the layers is
-checked by the test suite's locality audit, not here.
+``(last_layer, radius)`` pairs, in the layer-by-layer order of the map.
+The selection walks the chunks in reverse, the order in which the driver's
+highest-layer-first sweep commits its winners, so a chunk's members are a
+slice of the map's removal order and its winners a slice of the driver's
+selection, which lists them in commit order.  Message volumes are computed
+from real ball sizes (bounded-radius BFS) and charged against the machine
+budgets of :mod:`sparsempc.runtime`.  That the balls do determine the
+layers, and that the chunk walk commits what the sweep does, is checked by
+the test suite's locality audits, not here.
 
 Two metering regimes: ``adaptive=False`` (default) runs the fixed repetition
 schedule of an oblivious coordinator and checks progress once per iteration;
@@ -274,9 +277,7 @@ def connect_cliques(
             f"virtual additions {worst} exceed {delta_max}^{radius} = {bound}"
         )
     cluster.add_extra_words(ids, added - cluster.extra_words[ids])
-    cluster.execute_round_volumes(
-        ids, cache.clique_send, ids, cache.clique_recv, label="partition-clique"
-    )
+    cluster.execute_round_volumes(ids, cache.clique_send, cache.clique_recv, label="partition-clique")
     return {
         "virtual_added_total": int(added.sum()),
         "virtual_added_max": worst,
@@ -318,13 +319,13 @@ def gather_and_peel(
     if not live:
         # faithful repetitions keep running after the phase empties; they
         # are metered as silent rounds
-        cluster.execute_round_volumes(none, none, none, none, label=label)
+        cluster.execute_round_volumes(none, none, label=label)
         return none, 0, none
     hp = layers.hp
     t = min(radius, hp.ell - done)
     if radius >= 2:
         cur, send, pull = cache.gather_volumes(done)
-        cluster.execute_round_volumes(cur, send, cur, pull, label=label)
+        cluster.execute_round_volumes(cur, send, pull, label=label)
     else:
         src, dst = layers.pairs(done + 1) if t else (none, none)
         cluster.execute_round_bulk(src, dst, label=label)
@@ -340,22 +341,21 @@ def gather_and_peel(
 
 def mpc_h_partition(
     cluster: Cluster,
-    sub: Graph,
-    ids: np.ndarray,
-    hp: HPartition,
+    layers: _LayerMap,
     schedule: ExponentiationSchedule,
     *,
     adaptive: bool = False,
 ) -> tuple[list[tuple[int, int]], dict]:
-    """Meter the construction of the layer map ``hp`` of the phase subgraph
-    ``sub`` on the cluster, repetition by repetition, as ``schedule`` runs
-    them.  ``hp`` is the driver's :func:`sparsempc.peeling.h_partition` of
-    ``sub``, or on a stall the layers it peeled first (the stall is metered
-    and raised where the repetitions reach it).
+    """Meter the construction of the layer map ``layers.hp`` of the phase
+    subgraph ``layers.sub`` on the cluster, repetition by repetition, as
+    ``schedule`` runs them.  ``hp`` is the driver's
+    :func:`sparsempc.peeling.h_partition` of ``sub``, or on a stall the
+    layers it peeled first (the stall is metered and raised where the
+    repetitions reach it).
 
-    ``ids`` lists the cluster ids of ``sub``'s nodes, ascending, as
+    ``layers.ids`` lists the cluster ids of ``sub``'s nodes, ascending, as
     :meth:`sparsempc.graph.GraphView.compact` returns them; a whole-graph
-    caller passes the graph and ``arange(n)``.
+    caller passes ``_LayerMap(g, arange(n), h_partition(g, d))``.
 
     Returns the chunks as ``(last_layer, radius)`` pairs in removal order
     (each chunk starts one layer above the previous one's last, and a
@@ -364,10 +364,10 @@ def mpc_h_partition(
     repetitions used).  The nodes leave in the order ``hp.order``.  Round
     traces accumulate on the cluster.
     """
+    sub, ids = layers.sub, layers.ids
     # the repacks' hold mask, over all cluster nodes as rebalance takes it
     members = np.zeros(cluster.graph.n, np.bool_)
     members[ids] = True
-    layers = _LayerMap(sub, ids, hp)
     done = 0  # layers removed
     chunks: list[tuple[int, int]] = []
     sync = 2 * cluster.agg_depth()
@@ -452,8 +452,6 @@ def mpc_h_partition(
             if not adaptive:
                 cluster.control_rounds(sync, label="partition-sync")
             stats["iterations"].append(entry)
-        if stats["outer_passes"] > sub.n:
-            raise RuntimeError("partition failed to terminate")
 
     stats["ell"] = done
     return chunks, stats
@@ -474,7 +472,7 @@ def mpc_mark_propose(
     neighbors are the only exchange, one word from each marked node to each
     same-layer neighbor, read off the marked nodes' rows."""
     deg = sub.degrees
-    cluster.execute_round_volumes(ids, deg, ids, deg, label="markpropose")
+    cluster.execute_round_volumes(ids, deg, label="markpropose")
     if props.kind == "matching":
         mk, pr = props.marked, props.proposed
         cluster.execute_round_bulk(ids[mk[:, 0]], ids[mk[:, 1]], label="markpropose")
@@ -487,19 +485,16 @@ def mpc_mark_propose(
 
 def mpc_select(
     cluster: Cluster,
-    sub: Graph,
-    ids: np.ndarray,
-    hp: HPartition,
+    layers: _LayerMap,
     chunks: list[tuple[int, int]],
     sol: PartialSolution,
 ) -> np.ndarray:
     """Meter the selection ``sol`` chunk by chunk, in reverse removal order.
-    ``sol``, ``hp`` and ``chunks`` are over the phase subgraph ``sub``,
-    whose nodes have the ascending cluster ids ``ids``: the partition, the
-    chunks :func:`mpc_h_partition` metered it in and the selection computed
-    on ``sub``.  A chunk's members are the nodes of its layers.  Returns the
-    survivors: the phase nodes (in ``sub``'s ids) that ``sol`` leaves alive,
-    in removal order.
+    ``sol`` is the selection computed on the phase subgraph ``layers.sub``
+    with its partition ``layers.hp``, and ``chunks`` the chunks
+    :func:`mpc_h_partition` metered that partition in; a chunk's members
+    are the nodes of its layers.  Returns the survivors: the phase nodes (in
+    ``sub``'s ids) that ``sol`` leaves alive, in removal order.
 
     Each chunk member re-gathers its retained radius ball with proposal flags
     (one round), winners notify their neighbors (one round), and for the
@@ -509,32 +504,27 @@ def mpc_select(
     chunk's layer interval going down and the reverse order resolves every
     cross-chunk dependency before it is needed.
 
-    The removal order ``hp.order`` lists the phase nodes by layer, so a
-    chunk's members are a slice of it; the selection is sorted by layer once (stably, on an
-    unsigned key just wide enough for ``hp.ell``, which numpy sorts by
-    radix), so a chunk's winners are a slice too.  Both are found by one
-    binary search over all chunk ends.  All winners' rows are gathered once,
-    in that order, so a chunk's rows are a slice too, serving its notify
-    round and the felled set.  A chunk's matched edges share no endpoint,
-    so their endpoints need no dedupe; the neighbors that an independent
-    set's winners fell can repeat and are deduped by a sort.
+    The walk reads the driver's results, it sorts nothing: a chunk's members
+    are the slice of the removal order ``hp.order`` between the layer map's
+    prefix counts ``layers.ends`` at the chunk's bounds, and since ``sol``
+    lists its winners in commit order, highest layer first, a chunk's
+    winners are a contiguous run of them, found by one binary search over
+    the winners' layers.  All winners' rows are gathered once, in that
+    order, so a chunk's rows are a slice too, serving its notify round and
+    the felled set.  A chunk's matched edges share no endpoint, so their
+    endpoints need no dedupe; the neighbors that an independent set's
+    winners fell can repeat and are deduped by a sort.
     """
+    sub, ids, hp = layers.sub, layers.ids, layers.hp
     removed = np.zeros(sub.n, np.bool_)
     removed[sol.removed] = True
     pending = np.ones(sub.n, np.bool_)  # phase nodes whose fate is not yet committed
     order = hp.order
-    member_layer = hp.layer[order]
-    if sol.kind == "matching":
-        sel_layer = hp.layer[sol.selected[:, 1]]
-    else:
-        sel_layer = hp.layer[sol.selected]
-    by_layer = np.argsort(sel_layer.astype(np.min_scalar_type(hp.ell)), kind="stable")
-    sel_by_layer, sel_layer = sol.selected[by_layer], sel_layer[by_layer]
-    # a chunk's members and winners are slices of these; only a chunk's own
-    # step changes its members' words, so they are read once up front.  The
-    # members' cluster ids are translated again per chunk: kept for the
-    # whole walk, they raised the benchmark's peak RSS on tree-phases by 2
-    # to 6 MiB (heap layout; the benchmark process keeps freed memory)
+    # a chunk's members are slices of these; only a chunk's own step changes
+    # its members' words, so they are read once up front.  The members'
+    # cluster ids are translated again per chunk: kept for the whole walk,
+    # they raised the benchmark's peak RSS on tree-phases by 2 to 6 MiB
+    # (heap layout; the benchmark process keeps freed memory)
     nodes = ids[order]
     extra_by_layer = cluster.extra_words[nodes]
     words_by_layer = cluster.base_words[nodes] + extra_by_layer
@@ -542,26 +532,28 @@ def mpc_select(
     # only clique steps add extra words, so most phases carry none
     reset = bool(extra_by_layer.any())
     gone_by_layer = removed[order]
-    winners_by_layer = sel_by_layer.ravel()
-    per_winner = 2 if sol.kind == "matching" else 1  # a matched edge has two
-    src_all, nb_all = gather_segments(sub.indptr, sub.indices, winners_by_layer)
+    winners = sol.selected.ravel()
+    src_all, nb_all = gather_segments(sub.indptr, sub.indices, winners)
     row_off = np.concatenate(
-        (np.zeros(1, np.int64), np.cumsum(sub.indptr[winners_by_layer + 1] - sub.indptr[winners_by_layer]))
+        (np.zeros(1, np.int64), np.cumsum(sub.indptr[winners + 1] - sub.indptr[winners]))
     )
-    tops = np.array([hi + 1 for hi, _ in chunks], np.int64)
-    member_end = [0, *np.searchsorted(member_layer, tops).tolist()]
-    sel_end = [0, *(np.searchsorted(sel_layer, tops) * per_winner).tolist()]
+    # bounds[i] is the layer below chunk i; the winners above a layer are a
+    # prefix of the selection, whose layer ranks (0 for the top) ascend
+    bounds = [0, *(hi for hi, _ in chunks)]
+    per_winner = 2 if sol.kind == "matching" else 1  # a matched edge has two
+    rank = hp.ell - hp.layer[sol.selected[:, 1] if per_winner == 2 else sol.selected]
+    above = (np.searchsorted(rank, hp.ell - np.array(bounds)) * per_winner).tolist()
+    member_end = layers.ends[bounds].tolist()
 
     for i in reversed(range(len(chunks))):
         hi, radius = chunks[i]
-        lo = chunks[i - 1][0] + 1 if i else 1
-        if hi - lo + 1 > radius:
+        if hi - bounds[i] > radius:
             raise AssertionError("chunk wider than its hop radius")
         start, stop = member_end[i], member_end[i + 1]
         members = ids[order[start:stop]]
         words = words_by_layer[start:stop]
-        cluster.execute_round_volumes(members, words, members, words, label="select")
-        r0, r1 = row_off[sel_end[i]], row_off[sel_end[i + 1]]
+        cluster.execute_round_volumes(members, words, label="select")
+        r0, r1 = row_off[above[i + 1]], row_off[above[i]]
         src, nb = src_all[r0:r1], nb_all[r0:r1]
         live = pending[nb]
         cluster.execute_round_bulk(ids[src[live]], ids[nb[live]], label="select")
@@ -600,8 +592,8 @@ class ClusterMeter:
         self.c_pre = c_pre
         self.adaptive = adaptive
         self.partition_stats: list[dict] = []
-        # this phase's (sub, ids, partition, chunks), from the partition
-        # hook until the selection has been metered
+        # this phase's (layer map, chunks), from the partition hook until
+        # the selection has been metered
         self._phase: tuple | None = None
 
     def partition(self, sub: Graph, ids: np.ndarray, hp: HPartition) -> None:
@@ -617,8 +609,9 @@ class ClusterMeter:
         schedule = compute_schedule(
             sub.max_degree(), cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre
         )
+        layers = _LayerMap(sub, ids, hp)
         try:
-            chunks, stats = mpc_h_partition(cl, sub, ids, hp, schedule, adaptive=self.adaptive)
+            chunks, stats = mpc_h_partition(cl, layers, schedule, adaptive=self.adaptive)
         except StallError:
             self.partition_stats.append(
                 {
@@ -630,7 +623,7 @@ class ClusterMeter:
             )
             raise
         self.partition_stats.append(stats)
-        self._phase = (sub, ids, hp, chunks)
+        self._phase = (layers, chunks)
 
     def mark_propose(self, sub: Graph, ids: np.ndarray, hp: HPartition, props: ProposalSet) -> None:
         mpc_mark_propose(self.cluster, sub, ids, hp, props)
@@ -640,10 +633,10 @@ class ClusterMeter:
         shrink the survivors' stored rows (the phase's nodes that ``sol``
         leaves alive) to their remaining degree, read from ``deg``, the
         phase subgraph's degrees once ``sol.removed`` has left."""
-        sub, ids, hp, chunks = self._phase
+        layers, chunks = self._phase
         self._phase = None
-        srv = mpc_select(self.cluster, sub, ids, hp, chunks, sol)
-        self.cluster.set_base_words(ids[srv], deg[srv])
+        srv = mpc_select(self.cluster, layers, chunks, sol)
+        self.cluster.set_base_words(layers.ids[srv], deg[srv])
 
     def finish_round(
         self, g: Graph, alive: np.ndarray, step: PartialSolution, live: np.ndarray | None
@@ -660,7 +653,7 @@ class ClusterMeter:
             busy = np.zeros(g.n, np.bool_)
             busy[live] = True
             busy = np.flatnonzero(busy)
-            cl.execute_round_volumes(busy, 1, busy, 1, label="finish")
+            cl.execute_round_volumes(busy, 1, label="finish")
         else:
             cl.execute_round_bulk(*_notify_pairs(g, step.selected, alive), label="finish")
         # the finish runs on the whole graph, whose ids are the cluster's

@@ -62,8 +62,12 @@ class ProposalSet:
 
 @dataclass
 class PartialSolution:
+    """A selection and the nodes it takes out of the graph.  A phase's
+    selection lists its matched edges or nodes in commit order (see
+    :func:`select_matching`) until :meth:`merge` sorts the run's solution."""
+
     kind: str
-    selected: np.ndarray  # matching: (k, 2) canonical edges; mis: (k,) nodes
+    selected: np.ndarray  # matching: (k, 2) edges; mis: (k,) nodes
     removed: np.ndarray  # node ids taken out of the graph by this solution
 
     @classmethod
@@ -76,11 +80,12 @@ class PartialSolution:
         and sorted (matched edges by ``(u, v)``), the removed ids deduped.
 
         A loop that collects its steps merges them once, so the accumulated
-        solution is sorted once, not once per step.  The parts usually hold
-        ascending arrays, so the sorts are stable ones, which merge the
-        ascending runs they find; an edge sorts by its int64 key ``u * (k +
-        1) + v`` for the largest id ``k``, which fits for every node count a
-        :class:`Graph` allows."""
+        solution is sorted once, not once per step.  A finish step holds
+        ascending arrays and a phase's independent set, in commit order,
+        one ascending run per layer, so the sorts are stable ones, which
+        merge the ascending runs they find; an edge sorts by its int64 key
+        ``u * (k + 1) + v`` for the largest id ``k``, which fits for every
+        node count a :class:`Graph` allows."""
         parts = (self, *others)
         if any(p.kind != self.kind for p in others):
             raise ValueError("cannot merge solutions of different kinds")
@@ -223,7 +228,9 @@ def select_matching(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolu
     on an unsigned key just wide enough for the layer spread, which numpy
     sorts by radix), and the sweep walks the runs of equal layer, so it
     costs the proposals plus one step per receiving layer, not ell passes
-    over every proposal.
+    over every proposal.  The matched ``(child, parent)`` edges come out in
+    the order the sweep commits them: receiving layer highest first, then
+    the proposals' own order.
     """
     _check_matching_proposals(g, hp, props)
     pr = props.proposed
@@ -242,13 +249,7 @@ def select_matching(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolu
         commit[s:e] = ok
         alive[c[ok]] = False
         alive[p[ok]] = False
-    # senders are distinct, so listing the matched children in id order
-    # sorts the edges by (child, parent)
-    mate = np.full(g.n, -1, np.int64)
-    mate[child[commit]] = parent[commit]
-    kids = np.flatnonzero(mate >= 0)
-    selected = np.stack([kids, mate[kids]], axis=1)
-    return PartialSolution(kind="matching", selected=selected, removed=np.flatnonzero(~alive))
+    return PartialSolution(kind="matching", selected=pr[order[commit]], removed=np.flatnonzero(~alive))
 
 
 def _check_mis_proposals(g: Graph, hp: HPartition, props: ProposalSet) -> None:
@@ -273,7 +274,9 @@ def select_mis(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolution:
     are never adjacent.  As in :func:`select_matching`, the proposals are
     sorted once by layer, highest first, stably on the narrowest unsigned
     key, and the sweep walks the runs of equal layer, so it costs the
-    proposals plus one step per proposing layer."""
+    proposals plus one step per proposing layer.  The nodes come out in the
+    order the sweep commits them: proposing layer highest first, then the
+    proposals' own order."""
     _check_mis_proposals(g, hp, props)
     pr = props.proposed
     if not pr.size:
@@ -293,7 +296,7 @@ def select_mis(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolution:
         alive[c] = False
         _, nb = gather_segments(g.indptr, g.indices, c)
         alive[nb] = False
-    return PartialSolution(kind="mis", selected=np.sort(cand[commit]), removed=np.flatnonzero(~alive))
+    return PartialSolution(kind="mis", selected=cand[commit], removed=np.flatnonzero(~alive))
 
 
 # ---------------------------------------------------------------------------

@@ -98,8 +98,6 @@ class MemoryExceeded(BudgetError):
 
 @dataclass(frozen=True)
 class ClusterConfig:
-    n: int
-    m: int
     delta: float
     S: int
     M: int
@@ -108,10 +106,6 @@ class ClusterConfig:
         self._check_delta(self.delta)
         if self.S < 1 or self.M < 1:
             raise ValueError("cluster needs S >= 1 and M >= 1")
-        if self.M * self.S < self.m:
-            raise ValueError(
-                f"total memory M*S = {self.M * self.S} below input size m = {self.m}"
-            )
 
     @staticmethod
     def _check_delta(delta: float) -> None:
@@ -127,7 +121,7 @@ class ClusterConfig:
         S = int(math.ceil(n ** delta))
         polylog = max(1.0, math.log2(n))
         M = max(1, int(math.ceil(c_total * max(1, g.m) * polylog / S)))
-        return cls(n=g.n, m=g.m, delta=delta, S=S, M=M)
+        return cls(delta=delta, S=S, M=M)
 
 
 @dataclass
@@ -345,25 +339,24 @@ class Cluster:
 
     def execute_round_volumes(
         self,
-        out_nodes: np.ndarray,
-        out_words: np.ndarray,
-        in_nodes: np.ndarray,
-        in_words: np.ndarray,
+        nodes: np.ndarray,
+        sent: np.ndarray,
+        received: np.ndarray | None = None,
         *,
         label: str = "",
     ) -> RoundTrace:
-        """One round from pre-aggregated per-node traffic: node ``out_nodes[j]``
-        sends ``out_words[j]`` words in total, node ``in_nodes[j]`` receives
-        ``in_words[j]``.  Totals cannot tell local words from crossing ones,
-        so every word counts and the ledgers are an upper bound on the true
-        traffic.  A node may be listed more than once, and either words
-        argument may be one number for every entry.  When both sides are the
-        same arrays (an exchange in which every node receives what it sends)
-        the per-machine sums are formed once."""
-        sent = self._machine_sums(out_nodes, out_words)
-        if in_nodes is out_nodes and in_words is out_words:
-            return self._check_and_trace(label, sent, sent)
-        return self._check_and_trace(label, sent, self._machine_sums(in_nodes, in_words))
+        """One round from pre-aggregated per-node traffic: node ``nodes[j]``
+        sends ``sent[j]`` words in total and receives ``received[j]``.
+        Totals cannot tell local words from crossing ones, so every word
+        counts and the ledgers are an upper bound on the true traffic.  A
+        node may be listed more than once, and either words argument may be
+        one number for every entry.  ``received=None`` is an exchange, in
+        which every node receives what it sends: the per-machine sums are
+        formed once."""
+        out = self._machine_sums(nodes, sent)
+        if received is None:
+            return self._check_and_trace(label, out, out)
+        return self._check_and_trace(label, out, self._machine_sums(nodes, received))
 
     def _machine_sums(self, nodes: np.ndarray, words) -> np.ndarray:
         """Per-machine totals of ``words`` (one per entry of ``nodes``, or one
@@ -412,7 +405,10 @@ class Cluster:
 def init_cluster(g: Graph, cfg: ClusterConfig, name: str = "run") -> Cluster:
     """Place every node (with its whole adjacency) on a machine, heaviest
     first and ties by id, no machine above max(heaviest node, twice the
-    average load)."""
+    average load).  Raises ValueError when the total memory ``M*S`` is
+    below the graph's ``m``."""
+    if cfg.M * cfg.S < g.m:
+        raise ValueError(f"total memory M*S = {cfg.M * cfg.S} below input size m = {g.m}")
     cl = Cluster(g, cfg, name=name)
     if g.n and int(g.max_degree()) > cfg.S:
         raise CapacityError(f"node adjacency of {int(g.max_degree())} words exceeds S={cfg.S}")

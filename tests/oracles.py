@@ -384,43 +384,47 @@ def check_matching_proposals_by_sets(g: Graph, hp, props) -> None:
         raise InvariantError("proposed edge was never marked")
 
 
+def sweep_layers(g: Graph, hp, props, alive: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    """The highest-layer-first sweep over layers ``hi`` down to ``lo`` only,
+    from the fates in the mask ``alive``, which it updates: each layer
+    filters the proposals it receives (matching) or makes (independent
+    set) once.  Returns the layers' commits in commit order (layer highest
+    first, then the proposals' own order)."""
+    pr = props.proposed
+    lay = hp.layer[pr[:, 1]] if props.kind == "matching" else hp.layer[pr]
+    chosen = [pr[:0]]
+    for lv in range(hi, lo - 1, -1):
+        cand = pr[lay == lv]
+        if props.kind == "matching":
+            cand = cand[alive[cand[:, 0]] & alive[cand[:, 1]]]
+            alive[cand[:, 0]] = False
+            alive[cand[:, 1]] = False
+        else:
+            cand = cand[alive[cand]]
+            alive[cand] = False
+            for v in cand.tolist():
+                alive[g.neighbors(v)] = False
+        chosen.append(cand)
+    return np.concatenate(chosen)
+
+
 def select_matching_per_layer(g: Graph, hp, props):
     """The highest-layer-first matching sweep, filtering every proposal once
     per receiving layer: O(ell * proposals).  Returns ``(selected,
-    removed)``, the edges sorted by (child, parent) and the ids sorted."""
+    removed)``: the edges in commit order (receiving layer highest first,
+    then the proposals' own order) and the ids sorted."""
     check_matching_proposals_by_sets(g, hp, props)
-    pr = props.proposed
-    alive = np.ones(g.n, dtype=np.bool_)
-    chosen = []
-    if pr.shape[0]:
-        recv_layer = hp.layer[pr[:, 1]]
-        for lv in np.unique(recv_layer)[::-1]:
-            cand = pr[recv_layer == lv]
-            ok = alive[cand[:, 0]] & alive[cand[:, 1]]
-            cand = cand[ok]
-            alive[cand[:, 0]] = False
-            alive[cand[:, 1]] = False
-            chosen.append(cand)
-    selected = np.concatenate(chosen) if chosen else np.empty((0, 2), np.int64)
-    selected = selected[np.lexsort((selected[:, 1], selected[:, 0]))]
+    selected = sweep_layers(g, hp, props, np.ones(g.n, np.bool_), 1, hp.ell)
     return selected, np.unique(selected)
 
 
 def select_mis_per_layer(g: Graph, hp, props):
     """The highest-layer-first independent-set sweep, filtering every
     proposal once per proposing layer: O(ell * proposals).  Returns
-    ``(selected, removed)``, both sorted."""
+    ``(selected, removed)``: the nodes in commit order (proposing layer
+    highest first, then the proposals' own order) and the ids sorted."""
     alive = np.ones(g.n, dtype=np.bool_)
-    chosen = []
-    lay = hp.layer[props.proposed]
-    for lv in sorted(set(lay.tolist()), reverse=True):
-        cand = props.proposed[lay == lv]
-        cand = cand[alive[cand]]
-        chosen.append(cand)
-        alive[cand] = False
-        for v in cand.tolist():
-            alive[g.neighbors(v)] = False
-    selected = np.sort(np.concatenate(chosen)) if chosen else np.empty(0, np.int64)
+    selected = sweep_layers(g, hp, props, alive, 1, hp.ell)
     return selected, np.flatnonzero(~alive)
 
 

@@ -8,12 +8,13 @@ the tolerance is the contract, the measurement is why it is believable.
 
 import math
 import time
+from unittest import mock
 
 import numpy as np
 import pytest
 
 from conftest import fitting_delta, realize, valid_d
-from oracles import ball_peel, from_mask, opt_matching, opt_vertex_cover
+from oracles import ball_peel, from_mask, opt_matching, opt_vertex_cover, sweep_layers
 from sparsempc import mpc
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView
@@ -72,7 +73,8 @@ def scaling_grid():
             cl = init_cluster(g, cfg)
             sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
             hp = h_partition(g, 3)
-            _, stats = mpc.mpc_h_partition(cl, g, np.arange(g.n), hp, sched, adaptive=True)
+            layers = mpc._LayerMap(g, np.arange(g.n), hp)
+            _, stats = mpc.mpc_h_partition(cl, layers, sched, adaptive=True)
             met = metrics(cl)
             rows.append(
                 {
@@ -127,7 +129,8 @@ def _audit_repetitions(g, d, delta, adaptive, rng, counts):
     cfg = ClusterConfig.for_graph(g, delta, c_total=4.0)
     cl = init_cluster(g, cfg)
     sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
-    chunks, _ = mpc.mpc_h_partition(cl, g, np.arange(g.n), hp, sched, adaptive=adaptive)
+    layers = mpc._LayerMap(g, np.arange(g.n), hp)
+    chunks, _ = mpc.mpc_h_partition(cl, layers, sched, adaptive=adaptive)
     layer = hp.layer
     bad = 0
     done = 0
@@ -182,6 +185,96 @@ def test_cluster_partition_equals_reference_on_corpus(partition_corpus, announce
     assert mismatches == 0
     assert doubled > 0
     assert elapsed < PARTITION_TIME_BUDGET_S
+
+
+class _SelectionRecorder(mpc.ClusterMeter):
+    """A cluster meter that keeps, per phase, what the selection audit
+    reads: the phase subgraph, its partition and proposals, the selection,
+    and the chunks in the order the selection meter visits them, read off
+    its rounds (the members of each ``select`` volume round, in the phase
+    subgraph's ids)."""
+
+    def __init__(self, cluster, **kwargs):
+        super().__init__(cluster, **kwargs)
+        self.phases = []
+
+    def mark_propose(self, sub, ids, hp, props):
+        super().mark_propose(sub, ids, hp, props)
+        self._proposed = (sub, ids, hp, props)
+
+    def select(self, sol, deg):
+        sub, ids, hp, props = self._proposed
+        cl = self.cluster
+        with mock.patch.object(cl, "execute_round_volumes", wraps=cl.execute_round_volumes) as rounds:
+            super().select(sol, deg)
+        visited = [
+            np.searchsorted(ids, call.args[0])
+            for call in rounds.call_args_list
+            if call.kwargs["label"] == "select"
+        ]
+        self.phases.append((sub, hp, props, sol, visited))
+
+
+def _audit_selection(sub, hp, props, sol, visited):
+    """Locality audit of one metered selection.  Each chunk, in the order
+    the meter visits it, recomputes its commits from the proposals whose
+    layer lies in the chunk and the fates committed by the chunks visited
+    before it (:func:`oracles.sweep_layers`); they must be ``sol``
+    restricted to the chunk, and the fates at the end ``sol.removed``.
+    Returns ``(mismatches, chunks spanning more than one layer)``."""
+    alive = np.ones(sub.n, np.bool_)
+    sel = sol.selected
+    sel_layer = hp.layer[sel[:, 1]] if sol.kind == "matching" else hp.layer[sel]
+    bad = wide = 0
+    for members in visited:
+        lo, hi = int(hp.layer[members].min()), int(hp.layer[members].max())
+        # a chunk's members are all the nodes of its layers
+        bad += members.size != int(((hp.layer >= lo) & (hp.layer <= hi)).sum())
+        wide += hi > lo
+        got = sweep_layers(sub, hp, props, alive, lo, hi)
+        bad += not np.array_equal(got, sel[(sel_layer >= lo) & (sel_layer <= hi)])
+    # the chunks tile the phase, and their fates are the selection's
+    bad += not np.array_equal(np.sort(np.concatenate(visited)), np.arange(sub.n))
+    bad += not np.array_equal(np.flatnonzero(~alive), sol.removed)
+    return bad, wide
+
+
+def test_cluster_selection_commits_chunk_by_chunk(announce):
+    """Criterion 1, selection half: the selection meter walks the chunks in
+    an order in which each chunk's commits follow from the proposals of its
+    own layers and the fates the chunks before it committed, on every
+    metered phase of the golden instances and of an independent set run
+    with ball doubling (k >= 1)."""
+    from test_golden_metering import GOLDEN
+
+    cases = [(p.id, p.values[0]) for p in GOLDEN]
+    cases.append((
+        "layered-core-mis-doubling",
+        ("layered-core", {"n": 1024, "depth": 100, "d": 3}, 0, "mis", 0.8, 3, False),
+    ))
+    mismatches = 0
+    rows = []
+    doubled_wide = 0
+    for name, (family, params, seed, kind, delta, d_floor, adaptive) in cases:
+        g = generate(family, params, seed=seed)
+        meter = _SelectionRecorder(init_cluster(g, ClusterConfig.for_graph(g, delta)), adaptive=adaptive)
+        solve(g, kind, 2, seed, d_floor=d_floor, meter=meter)
+        chunks = wide = winners = 0
+        for phase in meter.phases:
+            bad, w = _audit_selection(*phase)
+            mismatches += bad
+            chunks += len(phase[4])
+            wide += w
+            winners += len(phase[3].selected)
+        if any(s["k"] is not None and s["k"] >= 1 for s in meter.partition_stats):
+            doubled_wide += wide
+        rows.append(f"{name}: {len(meter.phases)} phases, {chunks} chunks audited "
+                    f"({wide} of several layers), {winners} winners")
+    ok = mismatches == 0 and doubled_wide > 0
+    announce(1, ok, f"{mismatches} chunk selections disagree with the reference sweep "
+                    f"in {len(cases)} metered runs", extra=rows)
+    assert mismatches == 0
+    assert doubled_wide > 0
 
 
 def test_layer_tails_decay_geometrically(partition_corpus, announce):
@@ -323,7 +416,9 @@ def test_alive_set_shrinks_doubly_exponentially(announce):
     cl = init_cluster(g, cfg)
     sched = mpc.compute_schedule(delta_max, cfg.S, g.n, 0.9, c_pre=0.0)
     assert sched.k is not None
-    _, stats = mpc.mpc_h_partition(cl, g, np.arange(g.n), h_partition(g, d), sched, adaptive=False)
+    _, stats = mpc.mpc_h_partition(
+        cl, mpc._LayerMap(g, np.arange(g.n), h_partition(g, d)), sched, adaptive=False
+    )
     later = [e for e in stats["iterations"] if e["iteration"] >= 1]
     rows = []
     bad = 0

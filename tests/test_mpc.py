@@ -51,6 +51,12 @@ def _cluster(g, delta):
     return init_cluster(g, ClusterConfig.for_graph(g, delta))
 
 
+def _whole(g, hp):
+    """The layer map ``hp`` of the whole graph ``g``, as the stage meters
+    take it."""
+    return mpc_mod._LayerMap(g, np.arange(g.n), hp)
+
+
 # ---------------------------------------------------------------------------
 # schedule arithmetic
 # ---------------------------------------------------------------------------
@@ -121,7 +127,7 @@ def _metered_partition(g, d, delta, *, adaptive=False, c_pre=2.0):
     assert np.array_equal(hp.order, np.argsort(hp.layer, kind="stable"))
     cl = _cluster(g, delta)
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, delta, c_pre=c_pre)
-    chunks, stats = mpc_h_partition(cl, g, np.arange(g.n), hp, sched, adaptive=adaptive)
+    chunks, stats = mpc_h_partition(cl, _whole(g, hp), sched, adaptive=adaptive)
     assert stats["ell"] == hp.ell
     return hp, chunks, stats, cl
 
@@ -141,9 +147,9 @@ def test_select_rejects_chunk_wider_than_its_radius():
     cl = _cluster(g, 0.9)
     sol = PartialSolution.empty("mis")
     assert hp.order.tolist() == [1, 2, 3, 4, 5, 0]  # the leaves, then the center
-    mpc_select(cl, g, np.arange(g.n), hp, [(1, 1), (2, 1)], sol)  # one layer per radius-1 chunk
+    mpc_select(cl, _whole(g, hp), [(1, 1), (2, 1)], sol)  # one layer per radius-1 chunk
     with pytest.raises(AssertionError, match="wider than its hop radius"):
-        mpc_select(_cluster(g, 0.9), g, np.arange(g.n), hp, [(2, 1)], sol)
+        mpc_select(_cluster(g, 0.9), _whole(g, hp), [(2, 1)], sol)
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +164,7 @@ def _layer_map(g, d):
         hp = h_partition(g, d)
     except StallError as exc:
         hp = exc.partition
-    return mpc_mod._LayerMap(g, np.arange(g.n), hp)
+    return _whole(g, hp)
 
 
 def test_star_center_resolves_on_second_repetition():
@@ -244,7 +250,7 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
     # takes several layers; about 16 nodes to a machine, so that some struck
     # edges stay on one
     d = degeneracy(g).degeneracy
-    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.5, S=64, M=50))
+    cl = init_cluster(g, ClusterConfig(delta=0.5, S=64, M=50))
     alive = np.ones(g.n, bool)
     alive[::5] = False
     sub, ids = GraphView(g, alive).compact()
@@ -287,7 +293,7 @@ def test_peel_rounds_meter_each_struck_edge(tmp_path, monkeypatch):
 
 def _roomy_cluster(g, machines=16):
     """A cluster with room for any round on ``g`` spread over several machines."""
-    cfg = ClusterConfig(n=g.n, m=g.m, delta=1.0, S=10 ** 6, M=machines)
+    cfg = ClusterConfig(delta=1.0, S=10 ** 6, M=machines)
     return init_cluster(g, cfg)
 
 
@@ -374,7 +380,7 @@ def test_ball_cache_matches_ball_scans(n, seed, radius, keep):
 
 def test_connect_cliques_path9_ball_oracle():
     g = path(9)
-    cl = init_cluster(g, ClusterConfig(n=9, m=8, delta=1.0, S=9, M=16))
+    cl = init_cluster(g, ClusterConfig(delta=1.0, S=9, M=16))
     alive = np.ones(9, bool)
     cache = mpc_mod._BallCache(g, np.arange(g.n), np.ones(9, np.uint8), 0, 2)
     stats = connect_cliques(cl, radius=2, delta_max=2, cache=cache)
@@ -501,7 +507,7 @@ def test_partition_on_restricted_alive_mask():
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.6)
     sub, ids = GraphView(g, alive).compact()
     hp = h_partition(sub, 5)
-    chunks, stats = mpc_h_partition(cl, sub, ids, hp, sched)
+    chunks, stats = mpc_h_partition(cl, mpc_mod._LayerMap(sub, ids, hp), sched)
     _check_chunks(chunks, hp)
     # the partition's repacks held the phase nodes only, so every round
     # named its nodes by their cluster ids (a node on no machine raises)
@@ -524,7 +530,7 @@ def test_doubling_partition_on_a_strict_subset_is_pinned(tmp_path, monkeypatch):
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.8), name="subset")
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
     hp = h_partition(sub, 3)
-    chunks, stats = mpc_h_partition(cl, sub, ids, hp, sched)
+    chunks, stats = mpc_h_partition(cl, mpc_mod._LayerMap(sub, ids, hp), sched)
     order = hp.order
     assert hp.ell == 88
     assert chunks == [(i, 1) for i in range(1, 66)] + [(i, 2) for i in range(67, 88, 2)] + [(88, 2)]
@@ -619,8 +625,8 @@ class _OrderCheckMeter(ClusterMeter):
 
     def partition(self, sub, ids, hp):
         super().partition(sub, ids, hp)
-        _, _, phase_hp, chunks = self._phase
-        assert phase_hp is hp and hp.layer.shape == (sub.n,)
+        layers, chunks = self._phase
+        assert layers.hp is hp and hp.layer.shape == (sub.n,)
         # every node of the phase subgraph is layered, in its own ids
         assert (hp.layer > 0).all()
         want = np.argsort(hp.layer, kind="stable")
@@ -658,7 +664,7 @@ def test_select_matches_centralized(kind):
     else:
         ref = select_mis(g, hp, mark_and_propose_mis(g, hp, mis_probability(3), seed=9))
     before = metrics(cl)["rounds_by_label"].get("select", 0)
-    survivors = mpc_select(cl, g, np.arange(g.n), hp, chunks, ref)
+    survivors = mpc_select(cl, _whole(g, hp), chunks, ref)
     assert np.array_equal(np.flatnonzero(cl.node_words() == 0), ref.removed)
     # the survivors come back in removal order
     assert np.array_equal(survivors, order[~np.isin(order, ref.removed)])
@@ -696,7 +702,7 @@ def test_one_machine_pays_only_for_volume_rounds():
     # totals (layer exchange, gathers, selection members) keep their totals
     # (a gather counts every word of its totals, hence the large S)
     g = generate("layered-core", {"n": 1024, "depth": 100, "d": 3}, seed=0)
-    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.6, S=32 * g.m, M=1))
+    cl = init_cluster(g, ClusterConfig(delta=0.6, S=32 * g.m, M=1))
     solve(g, "mis", 2, 1, d_floor=3, meter=ClusterMeter(cl))
     assert cl.machines_used == 1
     sent = {}
@@ -784,7 +790,7 @@ class _EdgeScanMeter(ClusterMeter):
         if step.kind == "matching":
             e = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
             nodes = np.unique(e)
-            cl.execute_round_volumes(nodes, 1, nodes, 1, label="finish")
+            cl.execute_round_volumes(nodes, 1, label="finish")
         else:
             cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.selected, alive), label="finish")
         cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.removed, after), label="finish")

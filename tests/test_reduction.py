@@ -245,6 +245,8 @@ def _assert_select_matches_oracle(g, hp, props):
     want_selected, want_removed = select_matching_per_layer(g, hp, props)
     assert np.array_equal(sol.selected, want_selected)
     assert np.array_equal(sol.removed, want_removed)
+    # commit order: the receiving layers never increase
+    assert (np.diff(hp.layer[sol.selected[:, 1]]) <= 0).all()
     return sol
 
 
@@ -261,7 +263,7 @@ def _pinned_select_case(name):
     if name == "long-chain":
         # a path climbing one layer per node; each node proposes its only
         # incoming mark, so the sweep commits every other edge from the top
-        # (from the bottom it would take the other half)
+        # down (from the bottom it would take the other half)
         edges = [[i, i + 1] for i in range(10)]
         return path(11), _manual_hp(range(1, 12), 1), _matching_props(edges, edges)
     if name == "gapped-layers":
@@ -278,7 +280,7 @@ def _pinned_select_case(name):
     [
         ("no-proposals", []),
         ("one-receiver-layer", [[0, 4], [1, 5], [2, 6], [3, 7]]),
-        ("long-chain", [[1, 2], [3, 4], [5, 6], [7, 8], [9, 10]]),
+        ("long-chain", [[9, 10], [7, 8], [5, 6], [3, 4], [1, 2]]),
         ("gapped-layers", [[1, 2], [3, 4]]),
     ],
 )
@@ -453,6 +455,8 @@ def _assert_select_mis_matches_oracle(g, hp, props):
     assert sol.selected.dtype == sol.removed.dtype == np.int64
     assert np.array_equal(sol.selected, want_selected)
     assert np.array_equal(sol.removed, want_removed)
+    # commit order: the proposing layers never increase
+    assert (np.diff(hp.layer[sol.selected]) <= 0).all()
     return sol
 
 
@@ -464,10 +468,10 @@ def _assert_select_mis_matches_oracle(g, hp, props):
         # one layer: every proposal commits at once
         ([1, 1, 1, 1, 1, 1], [0, 2, 4], [0, 2, 4]),
         # a path climbing one layer per node: the sweep takes every other
-        # node from the top (from the bottom it would take the other half)
-        ([1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5], [1, 3, 5]),
+        # node from the top down (from the bottom it would take the other half)
+        ([1, 2, 3, 4, 5, 6], [0, 1, 2, 3, 4, 5], [5, 3, 1]),
         # gapped layers: node 2 (layer 9) fells 1 and 3 before their layers
-        ([2, 4, 9, 7, 1, 3], [0, 1, 2, 3, 5], [0, 2, 5]),
+        ([2, 4, 9, 7, 1, 3], [0, 1, 2, 3, 5], [2, 5, 0]),
     ],
     ids=["empty", "one-layer", "many-layers", "gapped-layers"],
 )

@@ -44,7 +44,7 @@ def test_config_for_graph_sizes():
     g = path(16)
     cfg = ClusterConfig.for_graph(g, 0.5)
     assert cfg.S == 4  # ceil(16^0.5)
-    assert cfg.M * cfg.S >= cfg.m
+    assert cfg.M * cfg.S >= g.m
     with pytest.raises(ValueError):
         ClusterConfig.for_graph(g, 0.0)
     with pytest.raises(ValueError):
@@ -55,14 +55,18 @@ def test_config_for_graph_sizes():
 def test_config_rejects_delta_outside_unit_interval(delta):
     # a directly built config is checked like one from for_graph
     with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
-        ClusterConfig(n=16, m=15, delta=delta, S=4, M=8)
+        ClusterConfig(delta=delta, S=4, M=8)
     with pytest.raises(ValueError, match=r"delta must be in \(0, 1\]"):
         ClusterConfig.for_graph(path(16), delta)
 
 
 def test_config_total_memory_validation():
-    with pytest.raises(ValueError, match="below input size"):
-        ClusterConfig(n=10, m=100, delta=0.5, S=4, M=2)
+    # a config is checked against the graph it is to hold when it places it
+    g = path(101)  # m = 100 words of input, M*S = 8
+    cfg = ClusterConfig(delta=0.5, S=4, M=2)
+    with pytest.raises(ValueError, match="below input size m = 100"):
+        init_cluster(g, cfg)
+    init_cluster(path(3), cfg)  # m = 2 fits
 
 
 def test_init_path_pinned():
@@ -80,14 +84,14 @@ def test_init_path_pinned():
 
 def test_init_star_over_capacity():
     g = star(5)
-    cfg = ClusterConfig(n=6, m=5, delta=0.5, S=4, M=8)
+    cfg = ClusterConfig(delta=0.5, S=4, M=8)
     with pytest.raises(CapacityError, match="exceeds S=4"):
         init_cluster(g, cfg)
 
 
 def test_init_empty_graph():
     g = build_graph(4, np.empty((0, 2), np.int64))
-    cfg = ClusterConfig(n=4, m=0, delta=0.5, S=2, M=4)
+    cfg = ClusterConfig(delta=0.5, S=2, M=4)
     cl = init_cluster(g, cfg)
     assert cl.node_words().sum() == 0
     assert metrics(cl)["rounds"] == 0
@@ -97,21 +101,21 @@ def test_silent_round_has_zero_volume():
     g = path(8)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     none = np.empty(0, np.int64)
-    t = cl.execute_round_volumes(none, none, none, none, label="quiet")
+    t = cl.execute_round_volumes(none, none, label="quiet")
     assert t.total_sent == 0 and t.total_received == 0
     assert t.label == "quiet"
     assert t.round == 0 and cl.round_idx == 1
 
 
 def test_volume_round_with_one_array_per_side_pair():
-    # an exchange passes the same arrays as both sides; the per-machine sums
-    # are then formed once and must read as with separate copies
+    # an exchange passes no received words; the per-machine sums are then
+    # formed once and must read as with the sent words passed again
     g = generate("tree", {"n": 200}, seed=3)
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     nodes = np.arange(0, 200, 3)
     words = cl.node_words()[nodes]
-    shared = cl.execute_round_volumes(nodes, words, nodes, words, label="x")
-    apart = cl.execute_round_volumes(nodes.copy(), words.copy(), nodes, words, label="x")
+    shared = cl.execute_round_volumes(nodes, words, label="x")
+    apart = cl.execute_round_volumes(nodes, words, words.copy(), label="x")
     assert shared.total_sent == shared.total_received == int(words.sum())
     assert (shared.max_sent, shared.max_received) == (apart.max_sent, apart.max_received)
     assert (shared.total_sent, shared.total_received) == (apart.total_sent, apart.total_received)
@@ -150,7 +154,10 @@ def test_receive_budget_violation():
     src = first[machines != dst_m]
     assert 2 * src.size > cl.cfg.S
     with pytest.raises(ReceiveBudgetExceeded) as ei:
-        cl.execute_round_volumes(src, 2, np.array([0]), np.array([2 * src.size]))
+        # the senders receive nothing, node 0 sends nothing
+        nodes = np.append(src, 0)
+        sent = np.append(np.full(src.size, 2), 0)
+        cl.execute_round_volumes(nodes, sent, np.append(np.zeros(src.size, np.int64), 2 * src.size))
     assert ei.value.machine == dst_m
     assert cl.violations[0]["kind"] == "receive"
 
@@ -160,13 +167,13 @@ def test_memory_violation_from_stored_words():
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
     cl.add_extra_words(np.array([0]), cl.cfg.S + 1)
     with pytest.raises(MemoryExceeded):
-        cl.execute_round_volumes(np.array([0]), 1, np.array([15]), 1, label="hoard")
+        cl.execute_round_volumes(np.array([0, 15]), 1, label="hoard")
     assert cl.violations[0]["kind"] == "memory"
 
 
 def test_bulk_round_elides_same_machine_traffic():
     g = path(6)
-    cfg = ClusterConfig(n=6, m=5, delta=1.0, S=64, M=1)
+    cfg = ClusterConfig(delta=1.0, S=64, M=1)
     cl = init_cluster(g, cfg)
     # everything fits on one machine at this S, so nothing crosses the wire
     assert cl.machines_used == 1
@@ -201,7 +208,7 @@ def test_pair_rounds_count_only_crossing_pairs(n, machines, pairs, seed):
     machine the pairs that cross machines and nothing for the others."""
     r = np.random.default_rng(seed)
     g = random_graph(n, 2 * n, seed)
-    cl = Cluster(g, ClusterConfig(n=n, m=g.m, delta=0.5, S=10 ** 6, M=machines))
+    cl = Cluster(g, ClusterConfig(delta=0.5, S=10 ** 6, M=machines))
     cl.node_machine = r.integers(0, machines, size=n)
     cl.machines_used = machines
     senders = np.flatnonzero(r.random(n) < 0.5)
@@ -234,7 +241,7 @@ def test_rebalance_budget_arithmetic():
     # the stored words of the nodes each machine holds as the population
     # shrinks
     g = build_graph(100, [(i, 50 + i) for i in range(20)])
-    cfg = ClusterConfig(n=100, m=20, delta=0.3, S=8, M=25)
+    cfg = ClusterConfig(delta=0.3, S=8, M=25)
     cl = init_cluster(g, cfg)
     alive = np.ones(100, bool)
     rebalance(cl, alive)
@@ -263,7 +270,7 @@ def test_rebalance_empty_alive_is_noop():
 
 def test_rebalance_keep_retains_rows_without_budget_weight():
     g = path(12)
-    cfg = ClusterConfig(n=12, m=11, delta=0.5, S=8, M=12)
+    cfg = ClusterConfig(delta=0.5, S=8, M=12)
     cl = init_cluster(g, cfg)
     # the held set: nodes 0-3 still alive, 4-7 retired but keeping their rows
     hold = np.zeros(12, bool)
@@ -298,10 +305,10 @@ def test_metrics_peak_matches_trace_recomputation():
 
 def test_agg_depth():
     g = path(8)
-    cl = init_cluster(g, ClusterConfig(n=8, m=7, delta=0.5, S=10, M=100))
+    cl = init_cluster(g, ClusterConfig(delta=0.5, S=10, M=100))
     assert cl.agg_depth() == 2  # ceil(ln 100 / ln 10)
     g4 = path(4)
-    cl1 = init_cluster(g4, ClusterConfig(n=4, m=3, delta=0.5, S=10, M=1))
+    cl1 = init_cluster(g4, ClusterConfig(delta=0.5, S=10, M=1))
     assert cl1.agg_depth() == 0
 
 
@@ -326,7 +333,7 @@ def test_place_order_matches_lexsort(n, seed, distinct_weights, scale):
     keep[int(r.integers(n))] = True
     nodes = np.flatnonzero(keep)
     store_w = r.integers(0, distinct_weights, size=nodes.size).astype(np.int64) * scale
-    cl = Cluster(g, ClusterConfig(n=n, m=g.m, delta=0.5, S=10 ** 6, M=n))
+    cl = Cluster(g, ClusterConfig(delta=0.5, S=10 ** 6, M=n))
     with mock.patch.object(runtime, "pack_bins", lambda w, cap: np.arange(w.size, dtype=np.int64)):
         position = cl._place(nodes, store_w)
     want = np.empty(nodes.size, np.int64)
@@ -382,8 +389,8 @@ def test_a_node_on_no_machine_raises_and_changes_nothing(step, weighted):
         "add_extra_words": lambda: cl.add_extra_words(nodes, 2),
         "drop_nodes": lambda: cl.drop_nodes(nodes),
         "pairs": lambda: cl.execute_round_bulk(np.array([3, 5]), nodes),
-        "volumes": lambda: cl.execute_round_volumes(nodes, np.array([1, 2]), nodes[:1], 1),
-        "counts": lambda: cl.execute_round_volumes(nodes[:1], 1, nodes, 1),
+        "volumes": lambda: cl.execute_round_volumes(nodes, np.array([1, 2]), 1),
+        "counts": lambda: cl.execute_round_volumes(nodes, 1),
     }[step]
     before = _state(cl)
     with pytest.raises(runtime.UnplacedNodeError, match="node 7 ") as err:
@@ -485,7 +492,7 @@ def _ledger_walk(seed, *, forced):
     Returns the cluster and, per repack, whether it placed."""
     r = np.random.default_rng(seed)
     g = generate("tree", {"n": 300}, seed=3)
-    cl = init_cluster(g, ClusterConfig(n=g.n, m=g.m, delta=0.9, S=4096, M=16))
+    cl = init_cluster(g, ClusterConfig(delta=0.9, S=4096, M=16))
     hold = np.ones(g.n, bool)
     placed = []
     for step in ["same-hold", *r.choice(WALK_STEPS, size=40)]:
@@ -497,7 +504,7 @@ def _ledger_walk(seed, *, forced):
                 "drop_nodes": lambda: cl.drop_nodes(v),
                 "pairs": lambda: cl.execute_round_bulk(v[:2], v[1:], label="pairs"),
                 "volumes": lambda: cl.execute_round_volumes(
-                    v, r.integers(0, 4, size=3), v[::-1], 2, label="volumes"
+                    v, r.integers(0, 4, size=3), 2, label="volumes"
                 ),
             }[step]
             if hold[v].all():
@@ -591,7 +598,7 @@ def test_pipeline_repacks_that_skip_the_placement_change_no_round(case, monkeypa
 @pytest.mark.parametrize("nodes", [[2, 1, 3], [0, 1, 1, 4]])
 def test_place_rejects_nodes_not_strictly_ascending(nodes):
     g = path(5)
-    cl = Cluster(g, ClusterConfig(n=5, m=4, delta=0.5, S=10, M=5))
+    cl = Cluster(g, ClusterConfig(delta=0.5, S=10, M=5))
     with pytest.raises(ValueError, match="ascending"):
         cl._place(np.array(nodes, np.int64), np.ones(len(nodes), np.int64))
 
@@ -652,7 +659,7 @@ def test_trace_past_keep_limit_writes_one_aggregate_row_per_round(tmp_path, monk
     # every round is one `machine: -1` row carrying that round's maxima.
     monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
     g = path(5000)
-    cfg = ClusterConfig(n=5000, m=4999, delta=0.5, S=4, M=10000)
+    cfg = ClusterConfig(delta=0.5, S=4, M=10000)
     cl = init_cluster(g, cfg, name="wide")
     assert cl.machines_used > runtime._TRACE_KEEP_LIMIT
     e = g.edges
@@ -665,7 +672,9 @@ def test_trace_past_keep_limit_writes_one_aggregate_row_per_round(tmp_path, monk
     assert (t.peak_words, t.max_sent, t.max_received) == (want_peak, want_sent, want_received)
     want_out = int(np.bincount(cl.node_machine[:10], weights=np.full(10, 2)).max())
     want_in = int(np.bincount(cl.node_machine[10:20], weights=np.full(10, 2)).max())
-    t = cl.execute_round_volumes(np.arange(10), 2, np.arange(10, 20), 2, label="volumes")
+    # nodes 0..9 send, nodes 10..19 receive
+    two = np.repeat([2, 0], 10)
+    t = cl.execute_round_volumes(np.arange(20), two, two[::-1], label="volumes")
     assert (t.max_sent, t.max_received) == (want_out, want_in)
     cl.control_rounds(2, label="sync")
     rebalance(cl, np.ones(g.n, bool))
