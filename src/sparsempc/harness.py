@@ -71,6 +71,8 @@ class ExperimentSpec:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
         if not isinstance(self.pipeline, dict):
             raise ValueError("spec key 'pipeline' must be an object")
+        if self.out is not None and not isinstance(self.out, str):
+            raise ValueError(f"spec key 'out' must be a string or null, got {self.out!r}")
         _reject_unknown("pipeline", self.pipeline, PIPELINE_KEYS)
         for key, value in self.pipeline.items():
             ok, want = PIPELINE_TYPES[key]
@@ -82,6 +84,8 @@ class ExperimentSpec:
             _reject_unknown("instance", inst, INSTANCE_KEYS)
             if "family" not in inst:
                 raise ValueError(f"instance {inst!r} has no 'family'")
+            if "name" in inst and not (isinstance(inst["name"], str) and inst["name"]):
+                raise ValueError(f"instance {inst['family']}: 'name' must be a nonempty string")
             if not isinstance(inst.get("params", {}), dict):
                 raise ValueError(f"instance {inst['family']}: 'params' must be an object")
             seeds = inst.get("seeds")

@@ -13,12 +13,10 @@ rows shrink to their remaining degree) and the finish rounds.
 Each phase has one id space: its stage meters run on the phase subgraph
 that :func:`sparsempc.reduction.reduce_once` builds (the alive nodes,
 renumbered in ascending id order), with phase-sized arrays.  The cluster
-keeps its ledgers by original node id; the phase's ascending ``ids`` (as
+keeps its ledger by original node id; the phase's ascending ``ids`` (as
 :meth:`sparsempc.graph.GraphView.compact` returns them) translate a node
-only where a round or a ledger change names it.  Only the repacks take
-arrays over all nodes (their hold mask, and the traffic weights of a
-doubling iteration's repack), as :func:`sparsempc.runtime.rebalance` does;
-the finish runs on the whole remainder graph.
+only where a round, a ledger change or a repack names it.  The finish runs
+on the whole remainder graph.
 
 The partition is metered in repetitions that replay the driver's layer
 map: a radius-r repetition removes the next min(r, remaining) layers,
@@ -132,7 +130,10 @@ class _LayerMap:
     the stuck nodes of a stalled peel above every layer, so a repetition
     that starts with layers 1..done removed finds the nodes of ``key >
     done``.  ``ends[L]`` counts the nodes of layers 1..L: they are
-    ``hp.order[:ends[L]]``, and the nodes left are a subtraction."""
+    ``hp.order[:ends[L]]``, and the nodes left are a subtraction.
+    ``virtual`` holds each node's virtual words, which the clique steps of
+    :func:`connect_cliques` store and :func:`mpc_select` gives back; it is
+    None until a clique step runs."""
 
     def __init__(self, sub: Graph, ids: np.ndarray, hp: HPartition):
         self.sub, self.ids, self.hp = sub, ids, hp
@@ -142,6 +143,7 @@ class _LayerMap:
         # hp.order is sorted by layer, so its keys are too
         layers = np.arange(top, dtype=key.dtype)
         self.ends = np.searchsorted(key[hp.order], layers, side="right")
+        self.virtual: np.ndarray | None = None
         self._pairs = None
 
     def live(self, done: int) -> int:
@@ -184,7 +186,7 @@ class _BallCache:
     round of the iteration: clique-step volumes at the half radius, gather
     volumes and virtual additions at the full radius.  Balls only shrink as
     repetitions remove nodes, so these stay valid upper bounds for the budget
-    ledgers.  Also feeds the iteration-boundary rebalance: nodes are packed
+    ledger.  Also feeds the iteration-boundary rebalance: nodes are packed
     by their predicted traffic (each node knows its outgoing volume locally
     and learns the incoming one from a sizes-first handshake).
 
@@ -232,14 +234,15 @@ class _BallCache:
     def traffic_weights(self, stored: np.ndarray) -> np.ndarray:
         """Per-node packing weight: the worst single-round volume this node
         contributes during the iteration, floored at its stored words so the
-        storage ledgers stay balanced too.  ``stored`` and the result are
-        indexed by cluster id, as the repack takes them."""
+        storage ledger stays balanced too.  ``stored`` and the result have
+        one entry per phase node, as the repack of the phase's ids takes
+        them."""
         w = stored.astype(np.int64, copy=True)
-        ids = self.ids
+        nodes = self.nodes
         peak = np.maximum(self.clique_send, self.clique_recv)
         peak = np.maximum(peak, self.send)
         peak = np.maximum(peak, self.pull)
-        w[ids] = np.maximum(w[ids], peak)
+        w[nodes] = np.maximum(w[nodes], peak)
         return w
 
     def gather_volumes(self, done: int):
@@ -256,6 +259,7 @@ class _BallCache:
 
 def connect_cliques(
     cluster: Cluster,
+    layers: _LayerMap,
     radius: int,
     delta_max: int,
     *,
@@ -264,19 +268,22 @@ def connect_cliques(
     """Hop-doubling step of an iteration with target radius 2^i >= 2: every
     node shares its current virtual neighbor list with those neighbors, after
     which virtual adjacency covers distance <= 2^i.  The alive nodes and
-    their volumes come from the iteration's ball ``cache``.  Virtual words
-    land in the storage ledgers; per-node additions are asserted against
-    delta_max^(2^i) and totals are returned for the O(n/Delta)-law
-    bookkeeping."""
-    ids = cache.ids
-    added = cache.added
+    their volumes come from the iteration's ball ``cache``.  A node's
+    virtual words, which replace those of the phase's last clique step, are
+    kept in ``layers.virtual`` and stored on its machine; per-node additions
+    are asserted against delta_max^(2^i) and totals are returned for the
+    O(n/Delta)-law bookkeeping."""
+    nodes, ids, added = cache.nodes, cache.ids, cache.added
     bound = delta_max ** radius
     worst = int(added.max()) if added.size else 0
     if worst > bound:
         raise AssertionError(
             f"virtual additions {worst} exceed {delta_max}^{radius} = {bound}"
         )
-    cluster.add_extra_words(ids, added - cluster.extra_words[ids])
+    if layers.virtual is None:
+        layers.virtual = np.zeros(layers.sub.n, np.int64)
+    cluster.set_words(ids, cluster.words[ids] - layers.virtual[nodes] + added)
+    layers.virtual[nodes] = added
     cluster.execute_round_volumes(ids, cache.clique_send, cache.clique_recv, label="partition-clique")
     return {
         "virtual_added_total": int(added.sum()),
@@ -365,9 +372,6 @@ def mpc_h_partition(
     traces accumulate on the cluster.
     """
     sub, ids = layers.sub, layers.ids
-    # the repacks' hold mask, over all cluster nodes as rebalance takes it
-    members = np.zeros(cluster.graph.n, np.bool_)
-    members[ids] = True
     done = 0  # layers removed
     chunks: list[tuple[int, int]] = []
     sync = 2 * cluster.agg_depth()
@@ -389,15 +393,15 @@ def mpc_h_partition(
         if adaptive:
             cluster.control_rounds(sync, label="partition-sync")
 
-    # repacks hold every member, not just the nodes left: layered nodes keep
-    # their gathered balls until selection; once none is left nothing is
-    # repacked
+    # repacks hold every phase node, not just the nodes left: layered nodes
+    # keep their gathered balls until selection; once none is left nothing
+    # is repacked
     if schedule.k is None:
         rep = 0
         entry = {"iteration": -1, "radius": 1, "alive_before": sub.n, "reps_used": 0}
         while layers.live(done):
             if rep % 16 == 0:
-                rebalance(cluster, members, label="partition-rebalance")
+                rebalance(cluster, ids, label="partition-rebalance")
                 if not adaptive:
                     cluster.control_rounds(sync, label="partition-sync")
             run_rep(1, None)
@@ -436,14 +440,14 @@ def mpc_h_partition(
                 cache = _BallCache(sub, ids, layers.key, done, radius)
                 rebalance(
                     cluster,
-                    members,
-                    weights=cache.traffic_weights(cluster.node_words()),
+                    ids,
+                    weights=cache.traffic_weights(cluster.words[ids]),
                     label="partition-rebalance",
                 )
-                vstats = connect_cliques(cluster, radius, schedule.delta_max, cache=cache)
+                vstats = connect_cliques(cluster, layers, radius, schedule.delta_max, cache=cache)
                 entry.update(vstats)
             elif live:
-                rebalance(cluster, members, label="partition-rebalance")
+                rebalance(cluster, ids, label="partition-rebalance")
             for rep in range(reps):
                 if adaptive and not layers.live(done):
                     break
@@ -525,12 +529,9 @@ def mpc_select(
     # cluster ids are translated again per chunk: kept for the whole walk,
     # they raised the benchmark's peak RSS on tree-phases by 2 to 6 MiB
     # (heap layout; the benchmark process keeps freed memory)
-    nodes = ids[order]
-    extra_by_layer = cluster.extra_words[nodes]
-    words_by_layer = cluster.base_words[nodes] + extra_by_layer
-    del nodes
-    # only clique steps add extra words, so most phases carry none
-    reset = bool(extra_by_layer.any())
+    words_by_layer = cluster.words[ids[order]]
+    # only clique steps add virtual words, so most phases carry none
+    virtual = None if layers.virtual is None else layers.virtual[order]
     gone_by_layer = removed[order]
     winners = sol.selected.ravel()
     src_all, nb_all = gather_segments(sub.indptr, sub.indices, winners)
@@ -563,13 +564,11 @@ def mpc_select(
             felled = sorted_unique(nb[live & removed[nb]])
             src, tgt = _notify_pairs(sub, felled, pending)
             cluster.execute_round_bulk(ids[src], ids[tgt], label="select")
-        gone = gone_by_layer[start:stop]
-        cluster.drop_nodes(members[gone])
-        if reset:
-            extra = extra_by_layer[start:stop]
-            keep = ~gone & (extra != 0)
-            if keep.any():
-                cluster.add_extra_words(members[keep], -extra[keep])
+        # the removed members drop their rows, the others their virtual words
+        left = words if virtual is None else words - virtual[start:stop]
+        left = np.where(gone_by_layer[start:stop], 0, left)
+        change = left != words
+        cluster.set_words(members[change], left[change])
         pending[order[start:stop]] = False
     return order[~gone_by_layer]
 
@@ -603,9 +602,7 @@ class ClusterMeter:
         metered up to the stall, which raises StallError; a stalled phase
         still leaves a stats entry (its schedule, ``"stalled": True``)."""
         cl = self.cluster
-        hold = np.zeros(cl.graph.n, np.bool_)
-        hold[ids] = True
-        rebalance(cl, hold, label="rebalance")
+        rebalance(cl, ids, label="rebalance")
         schedule = compute_schedule(
             sub.max_degree(), cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre
         )
@@ -636,7 +633,7 @@ class ClusterMeter:
         layers, chunks = self._phase
         self._phase = None
         srv = mpc_select(self.cluster, layers, chunks, sol)
-        self.cluster.set_base_words(layers.ids[srv], deg[srv])
+        self.cluster.set_words(layers.ids[srv], deg[srv])
 
     def finish_round(
         self, g: Graph, alive: np.ndarray, step: PartialSolution, live: np.ndarray | None
@@ -658,7 +655,7 @@ class ClusterMeter:
             cl.execute_round_bulk(*_notify_pairs(g, step.selected, alive), label="finish")
         # the finish runs on the whole graph, whose ids are the cluster's
         cl.execute_round_bulk(*_notify_pairs(g, step.removed, after), label="finish")
-        cl.drop_nodes(step.removed)
+        cl.set_words(step.removed, 0)
         cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
 
 

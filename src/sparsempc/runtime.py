@@ -5,11 +5,11 @@ is local computation everywhere, then an all-to-all routing step; a machine's
 sent words, received words, and resident words must each stay within its
 capacity S, and any violation aborts the run naming the machine and round.
 
-The placement is ``node_machine``: node v lives on machine
-``node_machine[v]``, or on none (-1) when the last placement
-(:func:`init_cluster` or :func:`rebalance`) did not hold it.  Such a node
-stores nothing, and a ledger change or a round that touches it raises
-:class:`UnplacedNodeError`.
+The cluster stores one word count per node and a placement: node v
+stores ``words[v]`` words on machine ``node_machine[v]``, or on none (-1)
+when the last placement (:func:`init_cluster` or :func:`rebalance`) did
+not hold it.  Such a node stores nothing, and a ledger change or a round
+that touches it raises :class:`UnplacedNodeError`.
 
 A round is described by arrays, one call per round:
 :meth:`Cluster.execute_round_bulk` takes the (sender, target) node pairs of
@@ -19,15 +19,15 @@ per-message arrays would be huge), and :meth:`Cluster.control_rounds`
 meters coordinator plumbing (two words per machine and round).  Each of them
 turns its round into per-machine sent and received words and hands them to
 one recording site, which appends the :class:`RoundTrace`, writes the
-round's ``MPC_TRACE_DIR`` rows from the live ledgers and checks the budgets.
+round's ``MPC_TRACE_DIR`` rows from the live loads and checks the budgets.
 
 Only words that cross machines are traffic: a pair round drops the pairs
 whose two nodes share a machine, which are local computation.  Per-node
 totals cannot tell local words from crossing ones, so they count every word
 and are an upper bound on the true traffic.  Storage is metered in words:
-one word per adjacency entry (an edge costs two words, one at each
-endpoint) plus whatever auxiliary words the caller registers (virtual
-adjacency, retained chunk state).
+a node starts with one word per adjacency entry (an edge costs two words,
+one at each endpoint), and the caller sets its words as they change
+(virtual adjacency, shrinking rows, finished nodes).
 
 With ``MPC_TRACE_DIR`` set, every round writes one row per machine that
 stores, sends or receives anything (``round``, ``machine``, ``words_used``,
@@ -149,6 +149,8 @@ _TRACE_ROW = '{"machine": %d, "received": %d, "round": %d, "sent": %d, "words_us
 class Cluster:
     """Mutable cluster state; create via :func:`init_cluster`.
 
+    The cluster stores one word count per node, ``words``, on the machine
+    ``node_machine`` names; ``loads`` holds the per-machine sums.
     ``settled`` says that the layout is the placement of the held nodes by
     their stored words as they are now: a placement by stored words sets it,
     a placement by other weights and every ledger change clear it."""
@@ -160,8 +162,7 @@ class Cluster:
         self.round_idx = 0
         self.traces: list[RoundTrace] = []
         self.violations: list[dict] = []
-        self.base_words = g.degrees.astype(np.int64)
-        self.extra_words = np.zeros(g.n, np.int64)
+        self.words = g.degrees.astype(np.int64)
         self.node_machine = np.zeros(g.n, np.int64)
         self.machines_used = 1
         self.loads = np.zeros(1, np.int64)
@@ -177,32 +178,16 @@ class Cluster:
 
     # -- storage bookkeeping (free local operations, no round consumed) ----
 
-    def node_words(self) -> np.ndarray:
-        return self.base_words + self.extra_words
-
-    def set_base_words(self, nodes: np.ndarray, words: np.ndarray) -> None:
-        delta = np.asarray(words, np.int64) - self.base_words[nodes]
-        self._charge(nodes, delta)
-        self.base_words[nodes] += delta
-
-    def add_extra_words(self, nodes: np.ndarray, delta) -> None:
-        delta = np.broadcast_to(np.asarray(delta, np.int64), np.shape(nodes)).copy()
-        self._charge(nodes, delta)
-        self.extra_words[nodes] += delta
-
-    def drop_nodes(self, nodes: np.ndarray) -> None:
-        """Remove finished nodes; their words vanish from their machines."""
-        self._charge(nodes, -(self.base_words[nodes] + self.extra_words[nodes]))
-        self.base_words[nodes] = 0
-        self.extra_words[nodes] = 0
-
-    def _charge(self, nodes: np.ndarray, delta: np.ndarray) -> None:
-        """Add ``delta`` words to the machines of ``nodes``, before their
-        ledgers change; the layout is no longer settled."""
+    def set_words(self, nodes: np.ndarray, words) -> None:
+        """Store ``words`` words on each of the distinct ``nodes`` (one value
+        per node, or one number for all) and on their machines; 0 drops a
+        node.  The layout is no longer settled."""
         mach = self.node_machine[nodes]
         if mach.size and mach.min() < 0:
             raise _unplaced(nodes, mach)
+        delta = np.asarray(words, np.int64) - self.words[nodes]
         np.add.at(self.loads, mach, delta)
+        self.words[nodes] += delta
         self.settled = False
 
     def agg_depth(self) -> int:
@@ -220,11 +205,10 @@ class Cluster:
 
         The order is one stable sort of the unsigned ``max(w) - w`` in the
         narrowest dtype that holds it (up to 16 bits numpy sorts it by
-        radix).  ``nodes`` must be strictly ascending, so that equal weights
-        stay in id order: the placement is a function of the set and its
-        weights alone, and repacking an unchanged set moves nothing."""
-        if np.any(nodes[1:] <= nodes[:-1]):
-            raise ValueError("_place needs strictly ascending node ids")
+        radix).  ``nodes`` is strictly ascending (:func:`rebalance` checks
+        it), so that equal weights stay in id order: the placement is a
+        function of the set and its weights alone, and repacking an
+        unchanged set moves nothing."""
         pack_w = np.maximum(store_w, 1)
         total = int(pack_w.sum())
         heaviest = int(pack_w.max())
@@ -254,7 +238,7 @@ class Cluster:
 
     def _check_and_trace(self, label: str, sent: np.ndarray, received: np.ndarray) -> RoundTrace:
         """Record one round, the only place a round is recorded: append its
-        trace, write its trace rows from the live ledgers, enforce the budgets
+        trace, write its trace rows from the live loads, enforce the budgets
         and advance the clock.  ``sent``/``received`` hold per-machine words
         and may be shorter than machines_used; a missing tail means zero."""
         S = self.cfg.S
@@ -414,7 +398,7 @@ def init_cluster(g: Graph, cfg: ClusterConfig, name: str = "run") -> Cluster:
         raise CapacityError(f"node adjacency of {int(g.max_degree())} words exceeds S={cfg.S}")
     nodes = np.arange(g.n, dtype=np.int64)
     if g.n:
-        words = cl.base_words
+        words = cl.words
         cl._assign(nodes, cl._place(nodes, words), words)
         if int(cl.loads.max()) > cfg.S:
             raise CapacityError(
@@ -426,47 +410,53 @@ def init_cluster(g: Graph, cfg: ClusterConfig, name: str = "run") -> Cluster:
 
 def rebalance(
     cluster: Cluster,
-    hold: np.ndarray,
+    nodes: np.ndarray,
     *,
     weights: np.ndarray | None = None,
     label: str = "rebalance",
 ) -> Cluster:
-    """Repack the held nodes across machines and drop every other node's
+    """Repack the held ``nodes`` across machines and drop every other node's
     stored rows.  Metered as one data round (the moves) plus an aggregation
-    tree to compute the assignment; an empty ``hold`` changes nothing and
+    tree to compute the assignment; an empty ``nodes`` changes nothing and
     costs nothing.
 
-    ``hold`` is a bool mask over all nodes; it may hold nodes that are no
-    longer alive but whose stored rows must survive and move with the
+    ``nodes`` lists node ids, strictly ascending; it may hold nodes that are
+    no longer alive but whose stored rows must survive and move with the
     repack (mid-partition, layered nodes retain their gathered balls until
-    selection).  ``weights``, nonnegative integers, one per node, overrides
-    the packing weights (e.g. predicted gather volume) without changing the
-    stored-word ledgers.  The placement depends only on the held set and
-    its packing weights, so repacking an unchanged set with unchanged
-    weights moves no words.  When the cluster is settled and ``hold`` is
-    the held set, a repack by stored words is that case without reading
-    the ledgers: it records the same rounds, its data round moving 0 words.
+    selection).  ``weights``, nonnegative integers, one per entry of
+    ``nodes``, overrides the packing weights (e.g. predicted gather volume)
+    without changing the stored words.  The placement depends only on the
+    held set and its packing weights, so repacking an unchanged set with
+    unchanged weights moves no words.  When the cluster is settled and
+    ``nodes`` is the held set, a repack by stored words is that case
+    without reading the ledger: it records the same rounds, its data round
+    moving 0 words.
     """
     n = cluster.graph.n
-    hold = np.asarray(hold)
-    if hold.dtype != np.bool_ or hold.shape != (n,):
-        raise ValueError(f"hold must be a bool array of shape ({n},)")
+    nodes = np.asarray(nodes)
+    if nodes.dtype.kind not in "iu" or nodes.ndim != 1 or np.any(nodes[1:] <= nodes[:-1]):
+        raise ValueError("nodes must be a strictly ascending 1-D array of integer node ids")
+    if nodes.size and (nodes[0] < 0 or nodes[-1] >= n):
+        raise ValueError(f"nodes must lie in [0, {n})")
     if weights is not None:
         weights = np.asarray(weights)
-        if weights.dtype.kind not in "iu" or weights.shape != (n,) or (weights < 0).any():
-            raise ValueError(f"weights must be None or nonnegative integers of shape ({n},)")
-    if not hold.any():
+        if weights.dtype.kind not in "iu" or weights.shape != nodes.shape or (weights < 0).any():
+            raise ValueError("weights must be None or nonnegative integers, one per node")
+    if not nodes.size:
         return cluster
+    # one n-wide mask serves the settled test and the search for the dead:
+    # a search of the held ids instead measured slower
+    hold = np.zeros(n, np.bool_)
+    hold[nodes] = True
     if weights is None and cluster.settled and np.array_equal(hold, cluster.node_machine >= 0):
         sent = received = np.zeros(1, np.int64)
     else:
-        words = cluster.node_words()
+        words = cluster.words
         dead = np.flatnonzero(~hold & (words > 0))
         if dead.size:
-            cluster.drop_nodes(dead)
-        nodes = np.flatnonzero(hold)
+            cluster.set_words(dead, 0)
         stored = words[nodes]  # dropping the dead left these rows as they were
-        pack_w = stored if weights is None else weights[nodes].astype(np.int64)
+        pack_w = stored if weights is None else weights.astype(np.int64)
         old_mach = cluster.node_machine[nodes]
         mach = cluster._place(nodes, pack_w)
         moved = (mach != old_mach) & (stored > 0)  # a node on no machine stores nothing

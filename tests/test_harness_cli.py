@@ -115,13 +115,21 @@ def test_cli_run_rejects_unknown_pipeline_key(tmp_path, capsys):
         ({"instances": [{"family": "tree", "params": {"n": 10}, "seeds": [1.5]}]}, "'seeds'"),
         ({"instances": [{"family": "tree", "params": {"n": 10}, "seeds": [True]}]}, "'seeds'"),
         ({**_spec_doc(), "pipeline": ["kind"]}, "'pipeline'"),
+        ({"instances": [{"family": "tree", "seeds": [0], "name": []}]}, "'name'"),
+        ({"instances": [{"family": "tree", "seeds": [0], "name": ""}]}, "'name'"),
+        ({**_spec_doc(), "out": 5}, "'out'"),
     ],
     ids=[
         "no-instances", "not-an-object", "instances-object", "instance-not-object",
         "no-family", "params-list", "seeds-int", "seeds-float", "seeds-bool", "pipeline-list",
+        "name-list", "name-empty", "out-int",
     ],
 )
-def test_cli_run_rejects_malformed_spec_in_one_line(tmp_path, capsys, doc, key):
+def test_cli_run_rejects_malformed_spec_in_one_line(tmp_path, capsys, monkeypatch, doc, key):
+    # a name that is not a nonempty string was replaced by the family name,
+    # and an "out" that is not a string ran every instance before it failed
+    ran = []
+    monkeypatch.setattr(harness, "_run_one", lambda *args: ran.append(args))
     spec_path = tmp_path / "exp.json"
     spec_path.write_text(json.dumps(doc))
     rc = cli.main(["run", "--spec", str(spec_path)])
@@ -129,6 +137,7 @@ def test_cli_run_rejects_malformed_spec_in_one_line(tmp_path, capsys, doc, key):
     err = capsys.readouterr().err
     assert err.startswith("sparsempc: error:") and err.count("\n") == 1
     assert key in err
+    assert not ran
 
 
 @pytest.mark.parametrize(

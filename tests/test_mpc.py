@@ -382,16 +382,19 @@ def test_connect_cliques_path9_ball_oracle():
     g = path(9)
     cl = init_cluster(g, ClusterConfig(delta=1.0, S=9, M=16))
     alive = np.ones(9, bool)
+    layers = _whole(g, h_partition(g, 2))
+    assert layers.virtual is None  # until a clique step runs
     cache = mpc_mod._BallCache(g, np.arange(g.n), np.ones(9, np.uint8), 0, 2)
-    stats = connect_cliques(cl, radius=2, delta_max=2, cache=cache)
+    stats = connect_cliques(cl, layers, radius=2, delta_max=2, cache=cache)
     for v in range(9):
         ball = ball_members(g, alive, v, 2)
         want_added = len(ball) - 1 - int(g.degrees[v])
-        assert cl.extra_words[v] == want_added
+        assert layers.virtual[v] == want_added
+        assert cl.words[v] == g.degrees[v] + want_added
     # node 4 reaches 2..6: two virtual additions beyond its original edges
-    assert cl.extra_words[4] == 2
+    assert layers.virtual[4] == 2
     assert stats["virtual_added_max"] <= stats["virtual_bound_per_node"] == 4
-    assert stats["virtual_added_total"] == int(cl.extra_words.sum())
+    assert stats["virtual_added_total"] == int(layers.virtual.sum())
 
 
 def test_radius_one_iterations_add_no_virtual_edges():
@@ -400,7 +403,8 @@ def test_radius_one_iterations_add_no_virtual_edges():
     assert stats["k"] == 0  # 4^2 = 16 <= S=20 < 4^3: only radius-1 iterations
     met = metrics(cl)
     assert "partition-clique" not in met["rounds_by_label"]
-    assert int(cl.extra_words.sum()) == 0
+    # the repacks held every node, so each stores its row and no virtual word
+    assert np.array_equal(cl.words, g.degrees)
 
 
 def test_deep_tower_uses_cliques_and_matches_oracle():
@@ -530,7 +534,8 @@ def test_doubling_partition_on_a_strict_subset_is_pinned(tmp_path, monkeypatch):
     cl = init_cluster(g, ClusterConfig.for_graph(g, 0.8), name="subset")
     sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
     hp = h_partition(sub, 3)
-    chunks, stats = mpc_h_partition(cl, mpc_mod._LayerMap(sub, ids, hp), sched)
+    layers = mpc_mod._LayerMap(sub, ids, hp)
+    chunks, stats = mpc_h_partition(cl, layers, sched)
     order = hp.order
     assert hp.ell == 88
     assert chunks == [(i, 1) for i in range(1, 66)] + [(i, 2) for i in range(67, 88, 2)] + [(88, 2)]
@@ -538,7 +543,7 @@ def test_doubling_partition_on_a_strict_subset_is_pinned(tmp_path, monkeypatch):
         (1, 525, 60), (2, 115, 20),
     ]
     assert stats["iterations"][1]["virtual_added_total"] == 1300
-    assert int(cl.extra_words.sum()) == 1300
+    assert int(layers.virtual.sum()) == 1300
     assert hashlib.sha256(ids[order].tobytes()).hexdigest() == (
         "309505235b1132cbc5656dc4453e4cb2f3d2b5629dbbbec2ab365d7375863283"
     )
@@ -553,16 +558,20 @@ def test_doubling_partition_on_a_strict_subset_is_pinned(tmp_path, monkeypatch):
         "a35d0dfefa736e6de945d354a60433e9e0e5b0ea7cb9c6ed5fd02f4b941c6037"
     )
     # placements by weight pack ties in id order, so machine-level records
-    # cannot tell a consistent id shift; the per-node ledgers can: the
-    # virtual words sit on the 115 nodes the clique step reached
-    assert np.flatnonzero(cl.extra_words).tolist() == list(range(485, 600))
+    # cannot tell a consistent id shift; the per-node words can: the
+    # virtual words, scattered to cluster ids, sit on the 115 nodes the
+    # clique step reached
+    virtual = np.zeros(g.n, np.int64)
+    virtual[ids] = layers.virtual
+    assert np.flatnonzero(virtual).tolist() == list(range(485, 600))
     want = {
         "node_machine": "eb7f6892f6ee19350701f2f88f5869b6f6c53c83275b232c2c4a8f981bee515a",
-        "extra_words": "bea0ccee1a77aaed127a8f304e220b24256689af165b42ce55b0685a067f9a03",
-        "base_words": "fd9f38c2efafec19f9f7eb4bbf870b9d6f4ed2558c9af0225cd23f5c31734d29",
+        "virtual": "bea0ccee1a77aaed127a8f304e220b24256689af165b42ce55b0685a067f9a03",
+        "words": "82ac1e105c9e2e993217ce107b67731304c3b62987ec8d0a710f0071edbb5c2b",
     }
+    got = {"node_machine": cl.node_machine, "virtual": virtual, "words": cl.words}
     for name, sha256 in want.items():
-        assert hashlib.sha256(getattr(cl, name).tobytes()).hexdigest() == sha256, name
+        assert hashlib.sha256(got[name].tobytes()).hexdigest() == sha256, name
 
 
 # ---------------------------------------------------------------------------
@@ -657,23 +666,30 @@ def test_select_matches_centralized(kind):
     # the chunk walk drops exactly the nodes the centralized selection removes
     g = generate("layered-core", {"n": 1024, "depth": 100, "d": 3}, seed=0)
     assert g.degrees.min() > 0  # so a zero-word node is a dropped one
-    hp, chunks, _, cl = _metered_partition(g, 3, 0.8)
+    hp = h_partition(g, 3)
+    cl = _cluster(g, 0.8)
+    layers = _whole(g, hp)
+    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, 0.8)
+    chunks, _ = mpc_h_partition(cl, layers, sched)
+    assert layers.virtual.any()  # the clique step stored virtual words
     order = hp.order
     if kind == "matching":
         ref = select_matching(g, hp, mark_and_propose_matching(g, hp, seed=9))
     else:
         ref = select_mis(g, hp, mark_and_propose_mis(g, hp, mis_probability(3), seed=9))
     before = metrics(cl)["rounds_by_label"].get("select", 0)
-    survivors = mpc_select(cl, _whole(g, hp), chunks, ref)
-    assert np.array_equal(np.flatnonzero(cl.node_words() == 0), ref.removed)
+    survivors = mpc_select(cl, layers, chunks, ref)
+    assert np.array_equal(np.flatnonzero(cl.words == 0), ref.removed)
     # the survivors come back in removal order
     assert np.array_equal(survivors, order[~np.isin(order, ref.removed)])
     per_chunk = 2 if kind == "matching" else 3
     assert metrics(cl)["rounds_by_label"]["select"] - before == per_chunk * len(chunks)
     # the order covers every node exactly once (the instance layers them all)
     assert np.array_equal(np.sort(order), np.arange(g.n))
-    # every node the selection keeps had its scratch space reclaimed chunk by chunk
-    assert int(cl.extra_words[np.setdiff1d(np.arange(g.n), ref.removed)].sum()) == 0
+    # every node the selection keeps had its virtual words reclaimed chunk by
+    # chunk: it stores its row again
+    kept = np.setdiff1d(np.arange(g.n), ref.removed)
+    assert np.array_equal(cl.words[kept], g.degrees[kept])
     assert metrics(cl)["violations"] == []
 
 
@@ -794,7 +810,7 @@ class _EdgeScanMeter(ClusterMeter):
         else:
             cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.selected, alive), label="finish")
         cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.removed, after), label="finish")
-        cl.drop_nodes(step.removed)
+        cl.set_words(step.removed, 0)
         cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
 
 
