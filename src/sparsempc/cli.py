@@ -92,6 +92,7 @@ def _cmd_compare(args) -> int:
                 "maximal": maximal,
                 "rounds": met["rounds"],
                 "peak_words": met["peak_words"],
+                "stop_reason": rep.stop_reason,
                 "violations": met["violations"],
             },
             sort_keys=True,

@@ -125,6 +125,7 @@ class RunRecord:
     digest_mpc: str | None
     solution_size: int
     phases: list
+    stop_reason: str  # why the reduction ended (reduction.STOP_REASONS)
     rounds: int | None
     peak_words: int | None
     invariants: dict  # name -> bool
@@ -158,6 +159,7 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
     inv: dict = {}
     dig_c = dig_m = None
     phases: list = []
+    stop = None
     rounds = peak = None
     size = 0
 
@@ -170,6 +172,7 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
         inv["maximal_centralized"] = reduction.verify_maximal(g, sol_c)
         inv["layer_decay"] = _decay_holds(rep_c, lam)
         phases = rep_c.spec_rows()
+        stop = rep_c.stop_reason
         size = int(sol_c.selected.shape[0])
     if mode in ("mpc", "both"):
         delta = float(pipeline.get("delta", 0.5))
@@ -192,6 +195,7 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
         rounds, peak = met["rounds"], met["peak_words"]
         if not phases:
             phases = reduction.ReductionReport(met["phases"]).spec_rows()
+        stop = met["stop_reason"]
         size = int(sol_m.selected.shape[0])
     if mode == "both":
         inv["digests_equal"] = dig_c == dig_m
@@ -208,6 +212,7 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
         digest_mpc=dig_m,
         solution_size=size,
         phases=phases,
+        stop_reason=stop,
         rounds=rounds,
         peak_words=peak,
         invariants=inv,

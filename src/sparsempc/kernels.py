@@ -70,7 +70,7 @@ def alive_degrees(indptr: np.ndarray, indices: np.ndarray, alive: np.ndarray) ->
     cs[0] = 0
     np.cumsum(alive[indices], dtype=np.int64, out=cs[1:])
     deg = cs[indptr[1:]] - cs[indptr[:-1]]
-    deg[~alive] = 0
+    deg *= alive  # arithmetic, which is branch-free, rather than a masked store
     return deg
 
 

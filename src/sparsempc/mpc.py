@@ -4,11 +4,12 @@
 :class:`ClusterMeter`: the shared driver computes every partition,
 proposal, selection and finish round once, and the meter has one hook per
 stage that charges it to a simulated cluster.  The stage meters live here:
-the partition, which opens with the phase rebalance and replays the
-driver's layer map as the exponentiation schedule's repetitions
-(:func:`mpc_h_partition`), mark/propose (:func:`mpc_mark_propose`), the
-chunk-wise selection (:func:`mpc_select`, after which the survivors' stored
-rows shrink to their remaining degree) and the finish rounds.
+the partition, which replays the phase's layer map as the exponentiation
+schedule's repetitions (:func:`mpc_h_partition`), mark/propose
+(:func:`mpc_mark_propose`), the chunk-wise selection (:func:`mpc_select`,
+after which the survivors' stored rows shrink to their remaining degree)
+and the finish rounds.  The remainder is placed once per stage (see
+:class:`ClusterMeter`).
 
 Each phase has one id space: its stage meters run on the phase subgraph
 that :func:`sparsempc.reduction.reduce_once` builds (the alive nodes,
@@ -139,7 +140,7 @@ class _LayerMap:
         self.sub, self.ids, self.hp = sub, ids, hp
         top = hp.ell + 1
         self.key = key = hp.layer.astype(np.min_scalar_type(top))
-        key[key == 0] = top
+        key += (key == 0) * key.dtype.type(top)  # arithmetic rather than a masked store
         # hp.order is sorted by layer, so its keys are too
         layers = np.arange(top, dtype=key.dtype)
         self.ends = np.searchsorted(key[hp.order], layers, side="right")
@@ -498,7 +499,8 @@ def mpc_select(
     with its partition ``layers.hp``, and ``chunks`` the chunks
     :func:`mpc_h_partition` metered that partition in; a chunk's members
     are the nodes of its layers.  Returns the survivors: the phase nodes (in
-    ``sub``'s ids) that ``sol`` leaves alive, in removal order.
+    ``sub``'s ids) that ``sol`` leaves alive, ascending, so that the ledger
+    change that shrinks their rows sees ascending ids.
 
     Each chunk member re-gathers its retained radius ball with proposal flags
     (one round), winners notify their neighbors (one round), and for the
@@ -570,7 +572,7 @@ def mpc_select(
         change = left != words
         cluster.set_words(members[change], left[change])
         pending[order[start:stop]] = False
-    return order[~gone_by_layer]
+    return np.flatnonzero(~removed)
 
 
 # ---------------------------------------------------------------------------
@@ -581,10 +583,16 @@ def mpc_select(
 class ClusterMeter:
     """Hooks that :func:`sparsempc.reduction.solve` calls at each stage of a
     phase (partition, mark/propose, select) and at each finish round.  Every
-    hook only meters what the driver computed; the partition hook repacks
-    the cluster first and replays the driver's layer map as the schedule's
-    repetitions.  Collects the per-phase partition stats.  A phase's hooks
-    work in the phase subgraph's ids (see the module docstring)."""
+    hook only meters what ``solve`` computed; the partition hook replays
+    the phase's layer map as the schedule's repetitions.  Collects the
+    per-phase partition stats.  A phase's hooks work in the phase
+    subgraph's ids (see the module docstring).
+
+    The remainder is placed once per stage: :func:`init_cluster` places the
+    first stage's, and a later stage (a phase, or the finish) opens with
+    one repack of the remainder it starts from when a selection has been
+    metered since the last placement.  After a stall nothing was selected,
+    so the finish keeps the stalled phase's placement."""
 
     def __init__(self, cluster: Cluster, *, c_pre: float = 2.0, adaptive: bool = False):
         self.cluster = cluster
@@ -594,15 +602,26 @@ class ClusterMeter:
         # this phase's (layer map, chunks), from the partition hook until
         # the selection has been metered
         self._phase: tuple | None = None
+        # a selection was metered since the last placement
+        self._reselected = False
+
+    def place_remainder(self, nodes: np.ndarray) -> None:
+        """Open a stage on the remainder ``nodes`` (cluster ids, ascending):
+        repack them if a selection changed the remainder since the last
+        placement."""
+        if self._reselected:
+            rebalance(self.cluster, nodes, label="rebalance")
+            self._reselected = False
 
     def partition(self, sub: Graph, ids: np.ndarray, hp: HPartition) -> None:
         """Meter the partition ``hp`` of the phase subgraph ``sub`` (``ids``
-        its nodes' cluster ids) on the cluster, after the phase rebalance.
-        On a partial map (the driver's peel stalled) the repetitions are
-        metered up to the stall, which raises StallError; a stalled phase
-        still leaves a stats entry (its schedule, ``"stalled": True``)."""
+        its nodes' cluster ids) on the cluster, once the phase's remainder
+        is placed (:meth:`place_remainder`).  On a partial map (the peel
+        stalled) the repetitions are metered up to the stall, which
+        raises StallError; a stalled phase still leaves a stats entry (its
+        schedule, ``"stalled": True``)."""
         cl = self.cluster
-        rebalance(cl, ids, label="rebalance")
+        self.place_remainder(ids)
         schedule = compute_schedule(
             sub.max_degree(), cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre
         )
@@ -634,6 +653,7 @@ class ClusterMeter:
         self._phase = None
         srv = mpc_select(self.cluster, layers, chunks, sol)
         self.cluster.set_words(layers.ids[srv], deg[srv])
+        self._reselected = True
 
     def finish_round(
         self, g: Graph, alive: np.ndarray, step: PartialSolution, live: np.ndarray | None
@@ -642,8 +662,12 @@ class ClusterMeter:
         solution and ``step.removed`` leave the ``alive`` nodes.  In a
         matching round the endpoints of the ``live`` edges (the finish's
         edges with two alive ends, as it carries them) exchange priorities;
-        in an independent-set round the winners notify their neighbors."""
+        in an independent-set round the winners notify their neighbors.
+        The first round opens the finish on the ``alive`` nodes
+        (:meth:`place_remainder`)."""
         cl = self.cluster
+        if self._reselected:  # a finish after a selection: list its remainder once
+            self.place_remainder(np.flatnonzero(alive))
         after = alive.copy()
         after[step.removed] = False
         if step.kind == "matching":
@@ -682,9 +706,9 @@ def mpc_pipeline(
     phases, then the priority finish, all metered, then the collect rounds.
 
     The solution is the one ``solve`` returns for the same arguments; the
-    metrics carry rounds by label, peak words, violations, per-phase reports
-    and partition stats.  ``kind`` and ``target_delta`` are checked before
-    any node is placed.
+    metrics carry rounds by label, peak words, violations, per-phase reports,
+    why the reduction ended (``stop_reason``) and partition stats.  ``kind``
+    and ``target_delta`` are checked before any node is placed.
     """
     check_request(kind, target_delta)
     cluster = init_cluster(g, cfg, name=name)
@@ -696,6 +720,7 @@ def mpc_pipeline(
     met = runtime_metrics(cluster)
     met["partition_rounds"] = partition_rounds(met)
     met["phases"] = report.phases
+    met["stop_reason"] = report.stop_reason
     met["partition_stats"] = meter.partition_stats
     cluster.flush_trace()
     return total, met

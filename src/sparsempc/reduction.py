@@ -28,6 +28,8 @@ from .peeling import HPartition, StallError, h_partition
 
 KINDS = ("matching", "mis")
 MAX_PHASES = 64  # degree_reduce runs at most this many phases
+# why degree_reduce ended, as ReductionReport.stop_reason names it
+STOP_REASONS = ("target", "one-layer", "stalled", "not-reduced", "max-phases")
 
 
 class InvariantError(ValueError):
@@ -102,6 +104,7 @@ class PartialSolution:
 @dataclass
 class ReductionReport:
     phases: list[dict] = field(default_factory=list)
+    stop_reason: str | None = None  # one of STOP_REASONS once degree_reduce ends
 
     def spec_rows(self) -> list[dict]:
         keys = ("delta_before", "d_used", "heavy_nodes_before", "heavy_survivors_after", "delta_after")
@@ -332,7 +335,7 @@ def _remainder_degrees(sub: Graph, removed: np.ndarray, gone: np.ndarray) -> np.
     list those; a removed node has degree 0."""
     _, nb = gather_segments(sub.indptr, sub.indices, removed)
     deg = sub.degrees - np.bincount(nb, minlength=sub.n)
-    deg[gone] = 0
+    deg *= ~gone  # arithmetic, which is branch-free, rather than a masked store
     return deg
 
 
@@ -423,20 +426,29 @@ def degree_reduce(
 ):
     """Iterate reduce_once with d = ceil(Δ^exponent) until Δ <= target_delta.
 
-    A phase that stalls or fails to decrease Δ ends the loop with a warning
-    entry in the report instead of raising — small graphs legitimately hit
-    both cases, and the accumulated solution stays valid either way.  A
-    ``meter`` is passed on to :func:`reduce_once`.
+    A matching phase at Δ <= d is not run: every node peels into layer 1,
+    and :func:`mark_and_propose_matching` marks no same-layer edge, so the
+    phase would select nothing.  An independent-set phase of one layer does
+    remove nodes and runs.  A phase that stalls or fails to decrease Δ ends
+    the loop with a warning entry in the report instead of raising — small
+    graphs legitimately hit both cases, and the accumulated solution stays
+    valid either way.  The report's ``stop_reason`` says which of
+    :data:`STOP_REASONS` ended the loop.  A ``meter`` is passed on to
+    :func:`reduce_once`.
     """
     check_request(kind, target_delta)
     view = GraphView.full(g)
     parts = []
-    report = ReductionReport()
+    report = ReductionReport(stop_reason="max-phases")
     delta = g.max_degree()  # then each phase reports the next one
     for phase in range(MAX_PHASES):
         if delta <= target_delta:
+            report.stop_reason = "target"
             break
         d = phase_threshold(delta, exponent, d_floor)
+        if kind == "matching" and delta <= d:
+            report.stop_reason = "one-layer"
+            break
         try:
             sol, view2, entry = reduce_once(
                 view, kind, d, rng.derive_seed(seed, phase), meter=meter
@@ -453,12 +465,14 @@ def degree_reduce(
                     "stall_reason": str(exc),
                 }
             )
+            report.stop_reason = "stalled"
             break
         parts.append(sol)
         report.phases.append(entry)
         view = view2
         if entry["delta_after"] >= delta:
             entry["reduced"] = False
+            report.stop_reason = "not-reduced"
             break
         delta = entry["delta_after"]
     return PartialSolution.empty(kind).merge(*parts), view, report

@@ -167,6 +167,8 @@ class Cluster:
         self.machines_used = 1
         self.loads = np.zeros(1, np.int64)
         self.settled = False
+        # set_words' slot per node for its repeated-id check, allocated on first use
+        self._slots: np.ndarray | None = None
         # (machine, received, round, sent, words_used) per row, as _TRACE_ROW takes them
         self._trace_rows: list[tuple] | None = None
         trace_dir = os.environ.get("MPC_TRACE_DIR")
@@ -181,14 +183,36 @@ class Cluster:
     def set_words(self, nodes: np.ndarray, words) -> None:
         """Store ``words`` words on each of the distinct ``nodes`` (one value
         per node, or one number for all) and on their machines; 0 drops a
-        node.  The layout is no longer settled."""
+        node.  The layout is no longer settled.  A repeated id raises
+        ValueError and changes nothing."""
+        nodes = np.asarray(nodes)
         mach = self.node_machine[nodes]
         if mach.size and mach.min() < 0:
             raise _unplaced(nodes, mach)
+        self._check_distinct(nodes)
         delta = np.asarray(words, np.int64) - self.words[nodes]
         np.add.at(self.loads, mach, delta)
         self.words[nodes] += delta
         self.settled = False
+
+    def _check_distinct(self, nodes: np.ndarray) -> None:
+        """Raise ValueError if ``nodes`` (valid ids) repeats one.  Strictly
+        ascending ids, as most callers pass, are distinct.  Otherwise each
+        entry writes its position into its node's slot, and a repeated node
+        keeps only one of its positions, so another entry reads a position
+        not its own.  It sorts nothing, and the slots are allocated once per
+        cluster."""
+        k = nodes.size
+        if k < 2 or (nodes[1:] > nodes[:-1]).all():
+            return
+        if self._slots is None:
+            self._slots = np.empty(self.graph.n, np.min_scalar_type(self.graph.n))
+        if k > self._slots.size:  # more ids than nodes: one repeats
+            raise ValueError("set_words got a repeated node id")
+        ramp = np.arange(k, dtype=self._slots.dtype)
+        self._slots[nodes] = ramp
+        if not np.array_equal(self._slots[nodes], ramp):
+            raise ValueError("set_words got a repeated node id")
 
     def agg_depth(self) -> int:
         """Rounds for an S-ary aggregation tree over all machines."""

@@ -48,6 +48,14 @@ def complete(n: int) -> Graph:
     return build_graph(n, list(itertools.combinations(range(n), 2)))
 
 
+def star_and_k5() -> Graph:
+    """A 100-leaf star (center 0) beside a K5 (nodes 101..105): a matching
+    phase at d = 10 matches the star's center and leaves Δ 4, at which
+    d = 2 stalls on the K5."""
+    edges = [(0, i) for i in range(1, 101)] + list(itertools.combinations(range(101, 106), 2))
+    return build_graph(106, edges)
+
+
 def random_graph(n: int, m: int, seed: int) -> Graph:
     """Up to ``m`` distinct random edges on ``n`` nodes (draws that repeat an
     edge or loop on a node are dropped)."""

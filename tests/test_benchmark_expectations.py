@@ -52,10 +52,13 @@ LABELS = [
 # SHA-256 of each workload's default-seed MPC_TRACE_DIR file; tree-phases
 # runs five phases on strict subsets of its nodes
 TRACE_SHA256 = {
-    "tower-doubling": "30d86bbaa41ff83cb6e9f7f44b52d1a537359ce60f47bfb2ffd2a5200a2094cf",
-    "tree-phases": "947a06b46f11f5515014ee2f4b4a48932842515ecb013315c668b738afd5fcb7",
-    "pa-hubs": "65ba9317aa532d1310f5122c5416d73c08dbd194ec99d5550a7b24d38fc5915d",
+    "tower-doubling": "6aeec2ccebb70980d8be4b0aa19f3e15035a62e04a4c87d873a5ad3dbb4f887a",
+    "tree-phases": "4f66be082c72a5b42391359354dc391c5bf3175ea3c861ca35f040508a4af166",
+    "pa-hubs": "67ee004b51e0bc7310818a6af02154fcdfb54ce6f71888031ec37b158cf965ff",
 }
+# why each workload's default-seed reduction ends: both matching workloads
+# reach a phase at Δ <= d, which would select nothing and is not run
+STOP_REASON = {"tower-doubling": "one-layer", "tree-phases": "not-reduced", "pa-hubs": "one-layer"}
 
 
 @pytest.mark.parametrize("name", list(WORKLOADS.WORKLOADS))
@@ -79,6 +82,9 @@ def test_default_seed_instance_meets_the_benchmark_expectations(name, tmp_path, 
     assert fingerprint == w.fingerprint
     assert reduction.solution_digest(msol, seed) == fingerprint["digest"]
     assert not met["violations"]
+    assert met["stop_reason"] == STOP_REASON[name]
+    if w.kind == "matching":  # a matching phase of one layer selects nothing
+        assert all(ph["ell"] >= 2 for ph in met["phases"])
     trace = (tmp_path / "pipeline.trace.ndjson").read_bytes()
     assert hashlib.sha256(trace).hexdigest() == TRACE_SHA256[name]
     assert LABELS

@@ -53,13 +53,14 @@ GOLDEN = [
         {
             "digest": "23761844a5cd8bd8ff7a4ae1d3910c535a89bf7e7d73a8b4310a3f531fecee2c",
             "rounds_by_label": _rounds(
-                collect=4, finish=4, finish_sync=8, markpropose=6, partition_clique=1,
-                partition_gather=20, partition_peel=70, partition_rebalance=2,
-                partition_rebalance_plan=4, partition_sync=8, rebalance=2, rebalance_plan=4,
-                select=168,
+                collect=4, finish=4, finish_sync=8, markpropose=3, partition_clique=1,
+                partition_gather=20, partition_peel=65, partition_rebalance=2,
+                partition_rebalance_plan=4, partition_sync=8, rebalance=1, rebalance_plan=2,
+                select=166,
             ),
             "peak_words": 114,
-            "total_messages": 160710,
+            "total_messages": 159838,
+            "stop_reason": "one-layer",
             "partition_stats": [
                 _stats(1024, False, 1, _pre(5, 5, 5), [
                     {"iteration": 0, "radius": 1, "alive_before": 928, "reps_used": 60},
@@ -67,7 +68,6 @@ GOLDEN = [
                      "virtual_added_total": 2160, "virtual_added_max": 14,
                      "virtual_bound_per_node": 25, "alive": 198},
                 ], 1, 100),
-                _stats(154, False, 2, _pre(5, 5, 1), [], 0, 1),
             ],
         },
         id="layered-core-matching-doubling",
@@ -82,7 +82,8 @@ GOLDEN = [
                 rebalance=2, rebalance_plan=4, select=18,
             ),
             "peak_words": 8,
-            "total_messages": 5271,
+            "total_messages": 4384,
+            "stop_reason": "not-reduced",
             "partition_stats": [
                 _stats(300, True, None, _pre(0, 0), [_fallback_pass(300, 4)], 0, 4),
                 _stats(173, False, 0, _pre(5, 5, 2), [], 0, 2),
@@ -95,15 +96,15 @@ GOLDEN = [
         {
             "digest": "da427021a75e78d8e507a9a7ddbf327289dfcb0be45292d19052ecd72db44979",
             "rounds_by_label": _rounds(
-                collect=4, finish=4, finish_sync=8, markpropose=6, partition_peel=8,
+                collect=4, finish=4, finish_sync=8, markpropose=3, partition_peel=4,
                 partition_rebalance=1, partition_rebalance_plan=2, partition_sync=4,
-                rebalance=2, rebalance_plan=4, select=10,
+                rebalance=1, rebalance_plan=2, select=8,
             ),
             "peak_words": 57,
-            "total_messages": 13237,
+            "total_messages": 12145,
+            "stop_reason": "one-layer",
             "partition_stats": [
                 _stats(400, True, None, _pre(0, 0), [_fallback_pass(400, 4)], 0, 4),
-                _stats(270, False, 0, _pre(4, 4, 1), [], 0, 1),
             ],
         },
         id="pa-matching",
@@ -113,13 +114,14 @@ GOLDEN = [
         {
             "digest": "e04138a208621c5f215ffacf6407f77754af46473ecfc6bfd17a4f42b2b3dabf",
             "rounds_by_label": _rounds(
-                collect=4, finish=4, finish_sync=8, markpropose=6, partition_clique=1,
-                partition_gather=8, partition_peel=66, partition_rebalance=2,
-                partition_rebalance_plan=4, partition_sync=296, rebalance=2, rebalance_plan=4,
-                select=148,
+                collect=4, finish=4, finish_sync=8, markpropose=3, partition_clique=1,
+                partition_gather=8, partition_peel=65, partition_rebalance=2,
+                partition_rebalance_plan=4, partition_sync=292, rebalance=1, rebalance_plan=2,
+                select=146,
             ),
             "peak_words": 113,
-            "total_messages": 130323,
+            "total_messages": 129007,
+            "stop_reason": "one-layer",
             "partition_stats": [
                 _stats(900, False, 1, _pre(5, 5, 5), [
                     {"iteration": 0, "radius": 1, "alive_before": 793, "reps_used": 60},
@@ -127,7 +129,6 @@ GOLDEN = [
                      "virtual_added_total": 834, "virtual_added_max": 14,
                      "virtual_bound_per_node": 25, "alive": 78},
                 ], 1, 80),
-                _stats(146, False, 1, _pre(5, 1, 1), [], 0, 1),
             ],
         },
         id="layered-core-matching-adaptive",
@@ -146,19 +147,22 @@ def test_pipeline_metering_is_pinned(case, pinned):
         "rounds_by_label": met["rounds_by_label"],
         "peak_words": met["peak_words"],
         "total_messages": met["total_messages"],
+        "stop_reason": met["stop_reason"],
         "partition_stats": met["partition_stats"],
     }
     assert got == pinned
+    if kind == "matching":  # a matching phase of one layer selects nothing
+        assert all(ph["ell"] >= 2 for ph in met["phases"])
 
 
 # SHA-256 of each case's MPC_TRACE_DIR file, by case id
 TRACE_SHA256 = {
     "layered-core-matching-doubling":
-        "e8e877b4f33e571b979f527979110f39390c54c81d0495b759b07207973cf5b8",
-    "tree-mis": "dba0a895c73f08832c801066e825db81923eed815fb8d8598b76a9a432f8fff8",
-    "pa-matching": "0cfe28ec7cc3fd26589f2ee99878bdbf70cb997f2e9b4815b16ee675af7fd71f",
+        "f735d6e07572af1277c833c63b7655d5faf4beb9a94d9c652c10b23cff6fda7e",
+    "tree-mis": "a820761237e38d9b9df563ab9d0d263fee744277c41d64dada65f8d606bed0a0",
+    "pa-matching": "11cec89f6c02ed4faaab9072f03c128fcdfe3c0bf5901b247a3a694ecb8c7f7e",
     "layered-core-matching-adaptive":
-        "8d051923f3dd632020e8396881db1bfb882dfd3e57cc67ba959956d2eabac1e2",
+        "39d37df9d1069d20017cc7f4acdb0e1232690e620f55ae57f21ae486fc92365d",
 }
 
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import sparsempc
-from sparsempc import cli, harness, reduction
+from sparsempc import cli, generators, harness, reduction
 from sparsempc.graph import build_graph, load_graph
 
 from oracles import cycle, star
@@ -199,6 +199,14 @@ def test_run_records_and_cross_check():
         assert r.digest_centralized == r.digest_mpc
         assert r.rounds is not None and r.rounds > 0
         assert r.peak_words is not None
+
+
+@pytest.mark.parametrize("mode", harness.MODES)
+def test_run_records_say_why_the_reduction_ended(mode):
+    spec = harness.ExperimentSpec(**{**_spec_doc(), "mode": mode})
+    for r in harness.run(spec):
+        g = generators.generate(r.family, r.params, seed=r.seed)
+        assert r.stop_reason == reduction.solve(g, "matching", 2, r.seed)[1].stop_reason
 
 
 def test_run_is_deterministic():
@@ -401,6 +409,8 @@ def test_cli_compare_family(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["equal"] and doc["maximal"]
     assert doc["violations"] == []
+    g = generators.generate("tree", {"n": 80}, seed=3)
+    assert doc["stop_reason"] == reduction.solve(g, "matching", 2, 3)[1].stop_reason
 
 
 def test_cli_compare_graph_file(tmp_path, capsys):

@@ -1,7 +1,6 @@
 """Cluster pipeline: exponentiation schedules, chunking, oracle equality."""
 
 import hashlib
-import itertools
 import json
 
 import numpy as np
@@ -11,11 +10,11 @@ from hypothesis import strategies as st
 
 from conftest import realize, valid_d
 from oracles import (
-    ball_members, complete, cycle, hand_peel, path, random_graph, star,
+    ball_members, complete, cycle, hand_peel, path, random_graph, star, star_and_k5,
 )
 from sparsempc import mpc as mpc_mod
 from sparsempc.generators import generate
-from sparsempc.graph import GraphView, build_graph
+from sparsempc.graph import GraphView
 from sparsempc.kernels import alive_degrees, ball_stats
 from sparsempc.mpc import (
     REPS_FIRST,
@@ -680,8 +679,8 @@ def test_select_matches_centralized(kind):
     before = metrics(cl)["rounds_by_label"].get("select", 0)
     survivors = mpc_select(cl, layers, chunks, ref)
     assert np.array_equal(np.flatnonzero(cl.words == 0), ref.removed)
-    # the survivors come back in removal order
-    assert np.array_equal(survivors, order[~np.isin(order, ref.removed)])
+    # the survivors come back ascending
+    assert np.array_equal(survivors, np.setdiff1d(np.arange(g.n), ref.removed))
     per_chunk = 2 if kind == "matching" else 3
     assert metrics(cl)["rounds_by_label"]["select"] - before == per_chunk * len(chunks)
     # the order covers every node exactly once (the instance layers them all)
@@ -797,10 +796,13 @@ def test_pipeline_trivial_graph_skips_reduction():
 
 class _EdgeScanMeter(ClusterMeter):
     """The finish meter as a full edge scan: in a matching round, every
-    endpoint of an edge with two alive ends exchanges priorities."""
+    endpoint of an edge with two alive ends exchanges priorities.  It opens
+    the finish as the cluster meter does, repacking the remainder after a
+    metered selection."""
 
     def finish_round(self, g, alive, step, live):
         cl = self.cluster
+        self.place_remainder(np.flatnonzero(alive))
         after = alive.copy()
         after[step.removed] = False
         if step.kind == "matching":
@@ -840,17 +842,10 @@ def test_finish_meter_matches_full_edge_scan(n, graph_seed, keep, seed, kind):
         assert any(t.label == "finish" for t in traces[0])
 
 
-def _star_and_k5():
-    # phase one (d = 10) matches the star's center, phase two (d = 2) stalls
-    # on the K5 that phase one left intact
-    edges = [(0, i) for i in range(1, 101)] + list(itertools.combinations(range(101, 106), 2))
-    return build_graph(106, edges), 1.0, [False, True]
-
-
 @pytest.mark.parametrize(
     "case",
     [
-        _star_and_k5,
+        lambda: (star_and_k5(), 1.0, [False, True]),
         lambda: (generate("tree", {"n": 400}, seed=1), 0.6, [False, False]),
         lambda: (generate("bounded-degree-random", {"n": 3000, "deg": 6}, seed=4), 0.5, [True]),
     ],

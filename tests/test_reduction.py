@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from sparsempc import rng
+from sparsempc import reduction, rng
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView, build_graph
 from sparsempc.kernels import alive_degrees
@@ -13,6 +13,7 @@ from sparsempc.mpc import ClusterMeter, mpc_pipeline
 from sparsempc.peeling import HPartition, StallError, degeneracy, h_partition
 from sparsempc.reduction import (
     KINDS,
+    STOP_REASONS,
     InvariantError,
     PartialSolution,
     ProposalSet,
@@ -38,6 +39,7 @@ from conftest import realize, valid_d
 from oracles import (
     alive_degrees_all_rows,
     check_matching_proposals_by_sets,
+    complete,
     cycle,
     finish_by_rounds,
     heavy_counts_all_rows,
@@ -50,6 +52,7 @@ from oracles import (
     select_matching_per_layer,
     select_mis_per_layer,
     star,
+    star_and_k5,
 )
 
 
@@ -738,6 +741,59 @@ def test_degree_reduce_report_monotone_and_valid_solution():
             e = g.edges
             assert not (sel[e[:, 0]] & sel[e[:, 1]]).any()
         assert not view.alive[sol.removed].any()
+
+
+# reason -> (graph, kind, keyword arguments, phases in the report)
+STOP_CASES = {
+    # Δ 2 is the target: no phase runs
+    "target": (lambda: path(6), "matching", {}, 0),
+    # Δ 4 at d 4: every node peels into layer 1, so the phase is not run
+    "one-layer": (lambda: star(4), "matching", {"d_floor": 4}, 0),
+    # d = ⌈4^0.1⌉ = 2 peels nothing of the K5
+    "stalled": (lambda: complete(5), "matching", {}, 1),
+    # the golden tree-mis case: the second phase leaves Δ at 5
+    "not-reduced": (lambda: generate("tree", {"n": 300}, seed=1), "mis", {}, 2),
+    # one phase allowed, and it lowers Δ from 100 to 4
+    "max-phases": (star_and_k5, "matching", {"exponent": 0.5}, 1),
+}
+
+
+@pytest.mark.parametrize("reason", STOP_CASES)
+def test_every_run_reports_why_its_reduction_ended(reason, monkeypatch):
+    graph, kind, kwargs, phases = STOP_CASES[reason]
+    if reason == "max-phases":
+        monkeypatch.setattr(reduction, "MAX_PHASES", 1)
+    g = graph()
+    _, _, report = degree_reduce(g, kind, 2, seed=1, **kwargs)
+    assert report.stop_reason == reason
+    assert len(report.phases) == phases
+    assert solve(g, kind, 2, 1, **kwargs)[1].stop_reason == reason
+    _, met = mpc_pipeline(g, ClusterConfig.for_graph(g, 1.0), kind, 2, 1, **kwargs)
+    assert met["stop_reason"] == reason
+    assert STOP_REASONS == tuple(STOP_CASES)
+
+
+def test_a_matching_phase_at_delta_at_most_d_selects_nothing(partition_corpus):
+    # The fact the matching stop rule rests on: at d >= Δ every node peels
+    # into layer 1, and a matching phase marks no same-layer edge, so it
+    # selects and removes nothing.
+    for i, spec in enumerate(partition_corpus):
+        g = realize(spec)
+        delta = g.max_degree()
+        d = phase_threshold(delta, 0.1, delta + i % 2)
+        sol, rem, entry = reduce_once(GraphView.full(g), "matching", d, spec["seed"])
+        assert entry["ell"] == 1, spec
+        assert sol.selected.shape == (0, 2) and not sol.removed.size, spec
+        assert rem.alive.all() and entry["delta_after"] == delta, spec
+
+
+def test_an_independent_set_phase_of_one_layer_still_runs():
+    # a one-layer independent-set phase removes nodes, so the stop rule
+    # leaves it to run
+    g = generate("grid", {"rows": 20, "cols": 20}, seed=0)
+    sol, view, report = degree_reduce(g, "mis", 2, seed=0, d_floor=g.max_degree())
+    assert report.phases[0]["ell"] == 1
+    assert sol.selected.size and not view.alive[sol.removed].any()
 
 
 # ---------------------------------------------------------------------------
