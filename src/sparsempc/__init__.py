@@ -4,11 +4,11 @@ cluster simulator.
 The package solves maximal matching and maximal independent set on uniformly
 sparse (low-arboricity) graphs by repeatedly layering the graph with batch
 peeling, running one randomized mark/propose/select round over the layering,
-and finishing the residual low-degree graph greedily.  The same computation
-runs two ways: directly (:func:`sparsempc.reduction.solve`) or on a simulated
-memory-bounded cluster (:func:`sparsempc.mpc.mpc_pipeline`, which is ``solve``
-with a cluster meter) that meters every round, message, and stored word —
-with bit-identical outputs.
+and finishing the residual low-degree graph greedily.  The driver yields a
+record per phase and per finish round, drained directly
+(:func:`sparsempc.reduction.solve`) or by a simulated memory-bounded cluster
+(:func:`sparsempc.mpc.mpc_pipeline`) that meters each record's rounds,
+messages, and stored words — with bit-identical outputs.
 """
 
 from .graph import Graph, GraphView, build_graph, load_graph, save_graph

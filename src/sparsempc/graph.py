@@ -125,12 +125,6 @@ class GraphView:
     def full(cls, g: Graph) -> "GraphView":
         return cls(graph=g, alive=np.ones(g.n, dtype=np.bool_))
 
-    def copy(self) -> "GraphView":
-        return GraphView(graph=self.graph, alive=self.alive.copy())
-
-    def alive_count(self) -> int:
-        return int(self.alive.sum())
-
     def compact(self):
         """Alive-induced subgraph with renumbered ids, in O(n + alive rows).
 

@@ -1,23 +1,23 @@
 """Cluster execution of the degree-reduction pipeline.
 
-:func:`mpc_pipeline` is :func:`sparsempc.reduction.solve` run with a
-:class:`ClusterMeter`: the shared driver computes every partition,
-proposal, selection and finish round once, and the meter has one hook per
-stage that charges it to a simulated cluster.  The stage meters live here:
-the partition, which replays the phase's layer map as the exponentiation
-schedule's repetitions (:func:`mpc_h_partition`), mark/propose
-(:func:`mpc_mark_propose`), the chunk-wise selection (:func:`mpc_select`,
-after which the survivors' stored rows shrink to their remaining degree)
-and the finish rounds.  The remainder is placed once per stage (see
-:class:`ClusterMeter`).
+:func:`mpc_pipeline` drains the record stream of
+:func:`sparsempc.reduction.solve_records`, the same loops that
+:func:`sparsempc.reduction.solve` drains: the driver computes every
+partition, proposal, selection and finish round once, and this module only
+charges each record to a simulated cluster.  :func:`mpc_phase` meters a
+phase record: the partition, which replays the phase's layer map as the
+exponentiation schedule's repetitions (:func:`mpc_h_partition`),
+mark/propose (:func:`mpc_mark_propose`) and the chunk-wise selection
+(:func:`mpc_select`, after which the survivors' stored rows shrink to their
+remaining degree).  :func:`mpc_finish_round` meters a finish round.  The
+remainder is placed once per stage (see :func:`mpc_pipeline`).
 
-Each phase has one id space: its stage meters run on the phase subgraph
-that :func:`sparsempc.reduction.reduce_once` builds (the alive nodes,
-renumbered in ascending id order), with phase-sized arrays.  The cluster
-keeps its ledger by original node id; the phase's ascending ``ids`` (as
-:meth:`sparsempc.graph.GraphView.compact` returns them) translate a node
-only where a round, a ledger change or a repack names it.  The finish runs
-on the whole remainder graph.
+Each phase has one id space: its stage meters run on the phase subgraph of
+the record (the alive nodes, renumbered in ascending id order), with
+phase-sized arrays.  The cluster keeps its ledger by original node id; the
+record's ascending ``ids`` (as :meth:`sparsempc.graph.GraphView.compact`
+returns them) translate a node only where a round, a ledger change or a
+repack names it.  The finish runs on the whole remainder graph.
 
 The partition is metered in repetitions that replay the driver's layer
 map: a radius-r repetition removes the next min(r, remaining) layers,
@@ -52,7 +52,7 @@ import numpy as np
 from .graph import Graph
 from .kernels import alive_degrees, ball_stats, gather_segments, sorted_unique
 from .peeling import HPartition, StallError
-from .reduction import PartialSolution, ProposalSet, check_request, solve
+from .reduction import FinishRound, PartialSolution, Phase, ProposalSet, check_request, solve_records
 from .runtime import Cluster, ClusterConfig, init_cluster, rebalance
 from .runtime import metrics as runtime_metrics
 
@@ -576,111 +576,54 @@ def mpc_select(
 
 
 # ---------------------------------------------------------------------------
-# the cluster meter and the full pipeline
+# record meters and the full pipeline
 # ---------------------------------------------------------------------------
 
 
-class ClusterMeter:
-    """Hooks that :func:`sparsempc.reduction.solve` calls at each stage of a
-    phase (partition, mark/propose, select) and at each finish round.  Every
-    hook only meters what ``solve`` computed; the partition hook replays
-    the phase's layer map as the schedule's repetitions.  Collects the
-    per-phase partition stats.  A phase's hooks work in the phase
-    subgraph's ids (see the module docstring).
+def mpc_phase(cluster: Cluster, ph: Phase, *, c_pre: float = 2.0, adaptive: bool = False) -> dict:
+    """Meter the phase record ``ph`` on the cluster, whose remainder is
+    placed: the partition replay, mark/propose and the selection, after
+    which the survivors' rows shrink to their degree in ``ph.deg``.  Returns
+    the partition stats.  A stalled record is metered up to the stall; a
+    replay that disagrees with the record about the stall raises
+    AssertionError."""
+    sub, ids = ph.sub, ph.ids
+    schedule = compute_schedule(
+        sub.max_degree(), cluster.cfg.S, cluster.graph.n, cluster.cfg.delta, c_pre=c_pre
+    )
+    layers = _LayerMap(sub, ids, ph.hp)
+    try:
+        chunks, stats = mpc_h_partition(cluster, layers, schedule, adaptive=adaptive)
+    except StallError as exc:
+        if ph.sol is not None:
+            raise AssertionError("the partition replay stalled where the driver did not") from exc
+        return {"alive_start": sub.n, "fallback": schedule.k is None, "k": schedule.k, "stalled": True}
+    if ph.sol is None:
+        raise AssertionError("the partition replay of a stalled phase did not stall")
+    mpc_mark_propose(cluster, sub, ids, ph.hp, ph.props)
+    srv = mpc_select(cluster, layers, chunks, ph.sol)
+    cluster.set_words(ids[srv], ph.deg[srv])
+    return stats
 
-    The remainder is placed once per stage: :func:`init_cluster` places the
-    first stage's, and a later stage (a phase, or the finish) opens with
-    one repack of the remainder it starts from when a selection has been
-    metered since the last placement.  After a stall nothing was selected,
-    so the finish keeps the stalled phase's placement."""
 
-    def __init__(self, cluster: Cluster, *, c_pre: float = 2.0, adaptive: bool = False):
-        self.cluster = cluster
-        self.c_pre = c_pre
-        self.adaptive = adaptive
-        self.partition_stats: list[dict] = []
-        # this phase's (layer map, chunks), from the partition hook until
-        # the selection has been metered
-        self._phase: tuple | None = None
-        # a selection was metered since the last placement
-        self._reselected = False
-
-    def place_remainder(self, nodes: np.ndarray) -> None:
-        """Open a stage on the remainder ``nodes`` (cluster ids, ascending):
-        repack them if a selection changed the remainder since the last
-        placement."""
-        if self._reselected:
-            rebalance(self.cluster, nodes, label="rebalance")
-            self._reselected = False
-
-    def partition(self, sub: Graph, ids: np.ndarray, hp: HPartition) -> None:
-        """Meter the partition ``hp`` of the phase subgraph ``sub`` (``ids``
-        its nodes' cluster ids) on the cluster, once the phase's remainder
-        is placed (:meth:`place_remainder`).  On a partial map (the peel
-        stalled) the repetitions are metered up to the stall, which
-        raises StallError; a stalled phase still leaves a stats entry (its
-        schedule, ``"stalled": True``)."""
-        cl = self.cluster
-        self.place_remainder(ids)
-        schedule = compute_schedule(
-            sub.max_degree(), cl.cfg.S, cl.graph.n, cl.cfg.delta, c_pre=self.c_pre
-        )
-        layers = _LayerMap(sub, ids, hp)
-        try:
-            chunks, stats = mpc_h_partition(cl, layers, schedule, adaptive=self.adaptive)
-        except StallError:
-            self.partition_stats.append(
-                {
-                    "alive_start": int(ids.size),
-                    "fallback": schedule.k is None,
-                    "k": schedule.k,
-                    "stalled": True,
-                }
-            )
-            raise
-        self.partition_stats.append(stats)
-        self._phase = (layers, chunks)
-
-    def mark_propose(self, sub: Graph, ids: np.ndarray, hp: HPartition, props: ProposalSet) -> None:
-        mpc_mark_propose(self.cluster, sub, ids, hp, props)
-
-    def select(self, sol: PartialSolution, deg: np.ndarray) -> None:
-        """Meter the selection ``sol`` (over the phase subgraph's ids), then
-        shrink the survivors' stored rows (the phase's nodes that ``sol``
-        leaves alive) to their remaining degree, read from ``deg``, the
-        phase subgraph's degrees once ``sol.removed`` has left."""
-        layers, chunks = self._phase
-        self._phase = None
-        srv = mpc_select(self.cluster, layers, chunks, sol)
-        self.cluster.set_words(layers.ids[srv], deg[srv])
-        self._reselected = True
-
-    def finish_round(
-        self, g: Graph, alive: np.ndarray, step: PartialSolution, live: np.ndarray | None
-    ) -> None:
-        """One priority round of the finish: ``step.selected`` joined the
-        solution and ``step.removed`` leave the ``alive`` nodes.  In a
-        matching round the endpoints of the ``live`` edges (the finish's
-        edges with two alive ends, as it carries them) exchange priorities;
-        in an independent-set round the winners notify their neighbors.
-        The first round opens the finish on the ``alive`` nodes
-        (:meth:`place_remainder`)."""
-        cl = self.cluster
-        if self._reselected:  # a finish after a selection: list its remainder once
-            self.place_remainder(np.flatnonzero(alive))
-        after = alive.copy()
-        after[step.removed] = False
-        if step.kind == "matching":
-            busy = np.zeros(g.n, np.bool_)
-            busy[live] = True
-            busy = np.flatnonzero(busy)
-            cl.execute_round_volumes(busy, 1, label="finish")
-        else:
-            cl.execute_round_bulk(*_notify_pairs(g, step.selected, alive), label="finish")
-        # the finish runs on the whole graph, whose ids are the cluster's
-        cl.execute_round_bulk(*_notify_pairs(g, step.removed, after), label="finish")
-        cl.set_words(step.removed, 0)
-        cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
+def mpc_finish_round(cluster: Cluster, rnd: FinishRound) -> None:
+    """Meter one priority round of the finish, which runs on the cluster's
+    whole graph, whose ids are the cluster's.  In a matching round the
+    endpoints of the live edges exchange priorities; in an independent-set
+    round the winners notify their neighbors.  Then the removed nodes
+    strike their edges at the nodes left and drop their rows."""
+    g, alive, step = cluster.graph, rnd.alive, rnd.step
+    after = alive.copy()
+    after[step.removed] = False
+    if step.kind == "matching":
+        busy = np.zeros(g.n, np.bool_)
+        busy[rnd.live] = True
+        cluster.execute_round_volumes(np.flatnonzero(busy), 1, label="finish")
+    else:
+        cluster.execute_round_bulk(*_notify_pairs(g, step.selected, alive), label="finish")
+    cluster.execute_round_bulk(*_notify_pairs(g, step.removed, after), label="finish")
+    cluster.set_words(step.removed, 0)
+    cluster.control_rounds(2 * cluster.agg_depth(), label="finish-sync")
 
 
 def partition_rounds(met: dict) -> int:
@@ -709,18 +652,40 @@ def mpc_pipeline(
     metrics carry rounds by label, peak words, violations, per-phase reports,
     why the reduction ended (``stop_reason``) and partition stats.  ``kind``
     and ``target_delta`` are checked before any node is placed.
+
+    Each record of :func:`sparsempc.reduction.solve_records` is metered,
+    then released before the next is computed.  :func:`init_cluster` places
+    the first stage's remainder, and a later stage (a phase, or the finish)
+    opens with one repack of its remainder when a selection has been
+    metered since the last placement; a stall selects nothing.
     """
     check_request(kind, target_delta)
     cluster = init_cluster(g, cfg, name=name)
-    meter = ClusterMeter(cluster, c_pre=c_pre, adaptive=adaptive)
-    total, report = solve(
-        g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor, meter=meter
-    )
+    records = solve_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor)
+    partition_stats = []
+    placed = True  # no selection was metered since the last placement
+    while True:
+        try:
+            rec = next(records)
+        except StopIteration as end:
+            total, report = end.value
+            break
+        if isinstance(rec, Phase):
+            if not placed:
+                rebalance(cluster, rec.ids, label="rebalance")
+            partition_stats.append(mpc_phase(cluster, rec, c_pre=c_pre, adaptive=adaptive))
+            placed = rec.sol is None
+        else:
+            if not placed:
+                rebalance(cluster, np.flatnonzero(rec.alive), label="rebalance")
+                placed = True
+            mpc_finish_round(cluster, rec)
+        del rec
     cluster.control_rounds(2 * cluster.agg_depth(), label="collect")
     met = runtime_metrics(cluster)
     met["partition_rounds"] = partition_rounds(met)
     met["phases"] = report.phases
     met["stop_reason"] = report.stop_reason
-    met["partition_stats"] = meter.partition_stats
+    met["partition_stats"] = partition_stats
     cluster.flush_trace()
     return total, met

@@ -1,11 +1,14 @@
 """Degree-reduction pipeline: mark-and-propose, layered selection, iterated
 degree reduction, greedy finish, and maximality checking.
 
-:func:`solve` is the only phase driver.  Alone it is the centralized
-reference; with a meter (:class:`sparsempc.mpc.ClusterMeter`) it is the
-cluster execution, whose every stage, the partition included, is computed
-here once and metered on the simulated cluster, so both executions share one
-computation.
+The phase driver is two loops written as generators of records:
+:func:`phase_records` yields one :class:`Phase` per reduction phase (its
+subgraph, partition, proposals, selection and remainder degrees), and
+:func:`finish_rounds` one :class:`FinishRound` per priority round of the
+finish.  :func:`degree_reduce`, :func:`finish_greedy` and :func:`solve`
+drain them; :func:`sparsempc.mpc.mpc_pipeline` drains the same records and
+meters each one on the simulated cluster, so both executions share one
+computation.  Nothing here knows of the cluster.
 
 Randomness discipline: every coin is drawn from the counter streams in
 :mod:`sparsempc.rng` keyed by node ids of the *phase subgraph* (alive nodes
@@ -343,67 +346,73 @@ def mis_probability(d: int) -> float:
     return min(1.0, 1.0 / (d * d))
 
 
-def reduce_once(g_view: GraphView, kind: str, d: int, seed: int, *, meter=None):
-    """One phase: partition with threshold d, mark/propose, select, strip.
+@dataclass
+class Phase:
+    """What one reduction phase computed, in the ids of its subgraph ``sub``
+    of alive nodes (node i is ``ids[i]``): the partition, the proposals, the
+    selection and ``sub``'s degrees once the selection has left.  A stalled
+    phase holds only ``sub``, ``ids`` and the layers peeled before the stall."""
 
-    Returns ``(solution-in-original-ids, remainder view, phase report entry)``.
-    Propagates :class:`StallError` from the partition.  A ``meter`` (see
-    :class:`sparsempc.mpc.ClusterMeter`) is called once per stage with the
-    phase subgraph ``sub`` and its ids, and meters what is computed here, as
-    it is, in ``sub``'s ids: the partition (on a stall, the layers peeled
-    before it, and the meter's own stall propagates), the proposals and the
-    selection.
+    sub: Graph
+    ids: np.ndarray
+    hp: HPartition
+    props: ProposalSet | None = None
+    sol: PartialSolution | None = None
+    deg: np.ndarray | None = None
+
+    def solution(self) -> PartialSolution:
+        """The selection in original node ids."""
+        sol, ids = self.sol, self.ids
+        return PartialSolution(kind=sol.kind, selected=ids[sol.selected], removed=ids[sol.removed])
+
+
+def reduce_once(sub: Graph, ids: np.ndarray, kind: str, d: int, seed: int):
+    """One phase on the subgraph ``sub`` of the alive nodes, whose original
+    ids are ``ids`` (as :meth:`sparsempc.graph.GraphView.compact` returns
+    them): partition with threshold d, mark/propose, select.
+
+    Returns ``(record, phase report entry)``: the :class:`Phase` record, and
+    on a stall the partial record and an entry marked ``stalled``.
 
     Every pass reads the phase subgraph only, never the whole graph: the
     heavy statistics read the rows of degree at least d⁴, and the
     remainder's degrees are the subgraph's degrees less the hits from the
-    removed rows.  They give ``delta_after`` and the meter's new row sizes.
+    removed rows.  They give ``delta_after`` and the record's ``deg``.
     """
     _check_kind(kind)
-    if g_view.alive_count() == 0:
-        raise ValueError("reduce_once needs a nonempty graph view")
-    sub, ids = g_view.compact()
-    delta_before = sub.max_degree()
+    if not sub.n:
+        raise ValueError("reduce_once needs a nonempty phase subgraph")
+    delta_before = int(sub.max_degree())
+    entry = {
+        "delta_before": delta_before,
+        "d_used": int(d),
+        "heavy_nodes_before": 0,
+        "heavy_survivors_after": 0,
+        "delta_after": delta_before,
+    }
     try:
         hp = h_partition(sub, d)
     except StallError as exc:
-        if meter is not None:
-            meter.partition(sub, ids, exc.partition)
-        raise
-    if meter is not None:
-        meter.partition(sub, ids, hp)
+        entry.update(stalled=True, stall_reason=str(exc))
+        return Phase(sub, ids, exc.partition), entry
     if kind == "matching":
         props = mark_and_propose_matching(sub, hp, seed)
-        sol_c = select_matching(sub, hp, props)
+        sol = select_matching(sub, hp, props)
     else:
         props = mark_and_propose_mis(sub, hp, mis_probability(d), seed)
-        sol_c = select_mis(sub, hp, props)
-    if meter is not None:
-        meter.mark_propose(sub, ids, hp, props)
+        sol = select_mis(sub, hp, props)
 
     gone = np.zeros(sub.n, np.bool_)
-    gone[sol_c.removed] = True
-    heavy_before, heavy_after = _heavy_counts(sub, hp, gone, d ** 4)
-    deg_after = _remainder_degrees(sub, sol_c.removed, gone)
-    if meter is not None:
-        meter.select(sol_c, deg_after)
-
-    selected = ids[sol_c.selected] if sol_c.selected.size else sol_c.selected
-    removed = ids[sol_c.removed]
-    sol = PartialSolution(kind=kind, selected=selected, removed=removed)
-    remainder = g_view.copy()
-    remainder.alive[removed] = False
-    entry = {
-        "delta_before": int(delta_before),
-        "d_used": int(d),
-        "heavy_nodes_before": heavy_before,
-        "heavy_survivors_after": heavy_after,
-        "delta_after": int(deg_after.max()),
-        "alive_before": int(ids.size),
-        "ell": hp.ell,
-        "layer_sizes": [int(x) for x in hp.layer_sizes()],
-    }
-    return sol, remainder, entry
+    gone[sol.removed] = True
+    entry["heavy_nodes_before"], entry["heavy_survivors_after"] = _heavy_counts(sub, hp, gone, d ** 4)
+    deg = _remainder_degrees(sub, sol.removed, gone)
+    entry.update(
+        delta_after=int(deg.max()),
+        alive_before=int(ids.size),
+        ell=hp.ell,
+        layer_sizes=[int(x) for x in hp.layer_sizes()],
+    )
+    return Phase(sub, ids, hp, props, sol, deg), entry
 
 
 def phase_threshold(delta: int, exponent: float, d_floor: int | None = None) -> int:
@@ -414,30 +423,15 @@ def phase_threshold(delta: int, exponent: float, d_floor: int | None = None) -> 
     return d
 
 
-def degree_reduce(
-    g: Graph,
-    kind: str,
-    target_delta: int,
-    exponent: float = 0.1,
-    seed: int = 0,
-    *,
-    d_floor: int | None = None,
-    meter=None,
+def phase_records(
+    g: Graph, kind: str, target_delta: int, seed: int, *, exponent: float = 0.1, d_floor: int | None = None
 ):
-    """Iterate reduce_once with d = ceil(Δ^exponent) until Δ <= target_delta.
-
-    A matching phase at Δ <= d is not run: every node peels into layer 1,
-    and :func:`mark_and_propose_matching` marks no same-layer edge, so the
-    phase would select nothing.  An independent-set phase of one layer does
-    remove nodes and runs.  A phase that stalls or fails to decrease Δ ends
-    the loop with a warning entry in the report instead of raising — small
-    graphs legitimately hit both cases, and the accumulated solution stays
-    valid either way.  The report's ``stop_reason`` says which of
-    :data:`STOP_REASONS` ended the loop.  A ``meter`` is passed on to
-    :func:`reduce_once`.
-    """
+    """:func:`degree_reduce` as a stream: yields each phase's record and
+    returns what ``degree_reduce`` returns; a bad request raises first.  A
+    record is translated to original ids after it is consumed and released
+    before the next phase is computed; a stalled record ends the stream."""
     check_request(kind, target_delta)
-    view = GraphView.full(g)
+    alive = np.ones(g.n, np.bool_)
     parts = []
     report = ReductionReport(stop_reason="max-phases")
     delta = g.max_degree()  # then each phase reports the next one
@@ -449,33 +443,54 @@ def degree_reduce(
         if kind == "matching" and delta <= d:
             report.stop_reason = "one-layer"
             break
-        try:
-            sol, view2, entry = reduce_once(
-                view, kind, d, rng.derive_seed(seed, phase), meter=meter
-            )
-        except StallError as exc:
-            report.phases.append(
-                {
-                    "delta_before": int(delta),
-                    "d_used": int(d),
-                    "heavy_nodes_before": 0,
-                    "heavy_survivors_after": 0,
-                    "delta_after": int(delta),
-                    "stalled": True,
-                    "stall_reason": str(exc),
-                }
-            )
+        ph, entry = reduce_once(*GraphView(g, alive).compact(), kind, d, rng.derive_seed(seed, phase))
+        report.phases.append(entry)
+        yield ph
+        if ph.sol is None:
             report.stop_reason = "stalled"
             break
-        parts.append(sol)
-        report.phases.append(entry)
-        view = view2
+        parts.append(ph.solution())
+        del ph  # the next phase is computed without this one's arrays
+        alive[parts[-1].removed] = False
         if entry["delta_after"] >= delta:
             entry["reduced"] = False
             report.stop_reason = "not-reduced"
             break
         delta = entry["delta_after"]
-    return PartialSolution.empty(kind).merge(*parts), view, report
+    return PartialSolution.empty(kind).merge(*parts), GraphView(g, alive), report
+
+
+def _drain(records):
+    """Run a record stream to its end and return its result."""
+    while True:
+        try:
+            next(records)
+        except StopIteration as end:
+            return end.value
+
+
+def degree_reduce(
+    g: Graph,
+    kind: str,
+    target_delta: int,
+    exponent: float = 0.1,
+    seed: int = 0,
+    *,
+    d_floor: int | None = None,
+):
+    """Iterate reduce_once with d = ceil(Δ^exponent) until Δ <= target_delta.
+
+    A matching phase at Δ <= d is not run: every node peels into layer 1,
+    and :func:`mark_and_propose_matching` marks no same-layer edge, so the
+    phase would select nothing.  An independent-set phase of one layer does
+    remove nodes and runs.  A phase that stalls or fails to decrease Δ ends
+    the loop with a warning entry in the report instead of raising — small
+    graphs legitimately hit both cases, and the accumulated solution stays
+    valid either way.  The report's ``stop_reason`` says which of
+    :data:`STOP_REASONS` ended the loop.  Returns ``(solution, remainder
+    view, report)``; :func:`phase_records` is the same loop, phase by phase.
+    """
+    return _drain(phase_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor))
 
 
 # ---------------------------------------------------------------------------
@@ -537,15 +552,21 @@ def luby_mis_round(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> np
     return nodes[~lost]
 
 
-def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
-    """Priority rounds until no alive edges remain (then, for MIS, sweep up the
-    isolated leftovers).  Every round removes at least the endpoints of the
-    best-ranked alive edge (or the best-ranked alive node), so the loop ends.
-    A ``meter`` meters each round before its nodes leave.
+@dataclass
+class FinishRound:
+    """One priority round of the finish on the whole graph: ``step.selected``
+    joins the solution and ``step.removed`` leave the ``alive`` nodes (the
+    finish's own mask, which changes once the record is consumed).  A
+    matching round holds the ``live`` edges, whose ends are both alive."""
 
-    A matching finish reads ``g.edges`` once: it carries the live edges
-    from round to round and drops those that lost an endpoint.  The meter
-    receives them (None in an independent-set finish)."""
+    alive: np.ndarray
+    step: PartialSolution
+    live: np.ndarray | None
+
+
+def finish_rounds(g_view: GraphView, kind: str, seed: int):
+    """:func:`finish_greedy` as a stream: yields each round's record and
+    returns the finish's solution; a bad kind raises first."""
     _check_kind(kind)
     g = g_view.graph
     alive = g_view.alive.copy()
@@ -567,14 +588,34 @@ def finish_greedy(g_view: GraphView, kind: str, seed: int, *, meter=None):
             _, nb = gather_segments(g.indptr, g.indices, won)
             removed = sorted_unique(np.concatenate([won, nb[alive[nb]]]))
         step = PartialSolution(kind=kind, selected=won, removed=removed)
-        if meter is not None:
-            meter.finish_round(g, alive, step, live)
+        yield FinishRound(alive, step, live)
         alive[removed] = False
         if kind == "matching":
             live = live[alive[live[:, 0]] & alive[live[:, 1]]]
         steps.append(step)
         round_idx += 1
     return PartialSolution.empty(kind).merge(*steps)
+
+
+def finish_greedy(g_view: GraphView, kind: str, seed: int):
+    """Priority rounds until no alive edges remain (then, for MIS, sweep up the
+    isolated leftovers).  Every round removes at least the endpoints of the
+    best-ranked alive edge (or the best-ranked alive node), so the loop ends.
+
+    A matching finish reads ``g.edges`` once: it carries the live edges
+    from round to round and drops those that lost an endpoint.
+    :func:`finish_rounds` is the same loop, round by round."""
+    return _drain(finish_rounds(g_view, kind, seed))
+
+
+def solve_records(
+    g: Graph, kind: str, target_delta: int, seed: int, *, exponent: float = 0.1, d_floor: int | None = None
+):
+    """:func:`solve` as one stream, the phase records then the finish rounds;
+    returns what ``solve`` returns."""
+    sol, view, report = yield from phase_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor)
+    fin = yield from finish_rounds(view, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
+    return sol.merge(fin), report
 
 
 def solve(
@@ -585,15 +626,14 @@ def solve(
     *,
     exponent: float = 0.1,
     d_floor: int | None = None,
-    meter=None,
 ):
     """End-to-end run: degree reduction, then the greedy finish on the
-    low-degree remainder.  With a ``meter`` this is the cluster pipeline
-    (:func:`sparsempc.mpc.mpc_pipeline`): the same computation, metered."""
+    low-degree remainder.  :func:`sparsempc.mpc.mpc_pipeline` meters the
+    same run, record by record (:func:`solve_records`)."""
     sol, view, report = degree_reduce(
-        g, kind, target_delta, exponent=exponent, seed=seed, d_floor=d_floor, meter=meter
+        g, kind, target_delta, exponent=exponent, seed=seed, d_floor=d_floor
     )
-    fin = finish_greedy(view, kind, rng.derive_seed(seed, rng.FINISH_PHASE), meter=meter)
+    fin = finish_greedy(view, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
     return sol.merge(fin), report
 
 

@@ -187,32 +187,31 @@ def test_cluster_partition_equals_reference_on_corpus(partition_corpus, announce
     assert elapsed < PARTITION_TIME_BUDGET_S
 
 
-class _SelectionRecorder(mpc.ClusterMeter):
-    """A cluster meter that keeps, per phase, what the selection audit
-    reads: the phase subgraph, its partition and proposals, the selection,
-    and the chunks in the order the selection meter visits them, read off
-    its rounds (the members of each ``select`` volume round, in the phase
-    subgraph's ids)."""
+def _recorded_selections(g, cfg, kind, seed, d_floor, adaptive):
+    """Run :func:`mpc.mpc_pipeline` and keep, per phase record it meters
+    with a selection, what the selection audit reads: the phase subgraph,
+    its partition and proposals, the selection, and the chunks in the order
+    the selection meter visits them, read off its rounds (the members of
+    each ``select`` volume round, in the phase subgraph's ids).  Returns
+    them and the run's partition stats."""
+    phases = []
+    meter_phase = mpc.mpc_phase
 
-    def __init__(self, cluster, **kwargs):
-        super().__init__(cluster, **kwargs)
-        self.phases = []
+    def recording(cluster, ph, **kwargs):
+        with mock.patch.object(cluster, "execute_round_volumes", wraps=cluster.execute_round_volumes) as rounds:
+            stats = meter_phase(cluster, ph, **kwargs)
+        if ph.sol is not None:
+            visited = [
+                np.searchsorted(ph.ids, call.args[0])
+                for call in rounds.call_args_list
+                if call.kwargs["label"] == "select"
+            ]
+            phases.append((ph.sub, ph.hp, ph.props, ph.sol, visited))
+        return stats
 
-    def mark_propose(self, sub, ids, hp, props):
-        super().mark_propose(sub, ids, hp, props)
-        self._proposed = (sub, ids, hp, props)
-
-    def select(self, sol, deg):
-        sub, ids, hp, props = self._proposed
-        cl = self.cluster
-        with mock.patch.object(cl, "execute_round_volumes", wraps=cl.execute_round_volumes) as rounds:
-            super().select(sol, deg)
-        visited = [
-            np.searchsorted(ids, call.args[0])
-            for call in rounds.call_args_list
-            if call.kwargs["label"] == "select"
-        ]
-        self.phases.append((sub, hp, props, sol, visited))
+    with mock.patch.object(mpc, "mpc_phase", recording):
+        _, met = mpc.mpc_pipeline(g, cfg, kind, 2, seed, d_floor=d_floor, adaptive=adaptive)
+    return phases, met["partition_stats"]
 
 
 def _audit_selection(sub, hp, props, sol, visited):
@@ -257,18 +256,19 @@ def test_cluster_selection_commits_chunk_by_chunk(announce):
     doubled_wide = 0
     for name, (family, params, seed, kind, delta, d_floor, adaptive) in cases:
         g = generate(family, params, seed=seed)
-        meter = _SelectionRecorder(init_cluster(g, ClusterConfig.for_graph(g, delta)), adaptive=adaptive)
-        solve(g, kind, 2, seed, d_floor=d_floor, meter=meter)
+        phases, partition_stats = _recorded_selections(
+            g, ClusterConfig.for_graph(g, delta), kind, seed, d_floor, adaptive
+        )
         chunks = wide = winners = 0
-        for phase in meter.phases:
+        for phase in phases:
             bad, w = _audit_selection(*phase)
             mismatches += bad
             chunks += len(phase[4])
             wide += w
             winners += len(phase[3].selected)
-        if any(s["k"] is not None and s["k"] >= 1 for s in meter.partition_stats):
+        if any(s["k"] is not None and s["k"] >= 1 for s in partition_stats):
             doubled_wide += wide
-        rows.append(f"{name}: {len(meter.phases)} phases, {chunks} chunks audited "
+        rows.append(f"{name}: {len(phases)} phases, {chunks} chunks audited "
                     f"({wide} of several layers), {winners} winners")
     ok = mismatches == 0 and doubled_wide > 0
     announce(1, ok, f"{mismatches} chunk selections disagree with the reference sweep "
@@ -307,8 +307,9 @@ def test_matching_round_clears_heavy_parents(announce):
     failures = 0
     trials = 0
     for seed in range(1000):
-        _, rem, _ = reduce_once(GraphView.full(g), "matching", d, seed)
-        alive = rem.alive
+        ph, _ = reduce_once(*GraphView.full(g).compact(), "matching", d, seed)
+        alive = np.ones(g.n, np.bool_)  # the phase subgraph is the whole graph
+        alive[ph.sol.removed] = False
         kid_alive = alive[child0:].reshape(parents, per).sum(axis=1)
         failures += int((alive[:parents] & (kid_alive >= per)).sum())
         trials += parents
@@ -335,10 +336,11 @@ def test_mis_round_settles_heavy_parents(announce):
     join_sum = 0
     trials = 0
     for seed in range(1000):
-        sol, rem, _ = reduce_once(GraphView.full(g), "mis", d, seed)
-        alive = rem.alive
+        ph, _ = reduce_once(*GraphView.full(g).compact(), "mis", d, seed)
+        alive = np.ones(g.n, np.bool_)  # the phase subgraph is the whole graph
+        alive[ph.sol.removed] = False
         sel = np.zeros(g.n, np.bool_)
-        sel[sol.selected] = True
+        sel[ph.sol.selected] = True
         kid_alive = alive[parents:].reshape(parents, per).sum(axis=1)
         fixed += int((~alive[:parents] | (kid_alive < per)).sum())
         join_sum += int(sel[parents:].sum())

@@ -288,7 +288,7 @@ def test_view_compact_roundtrip():
     assert list(ids) == [1, 2, 4, 5]
     # surviving edges: (1,2) and (4,5)
     assert sub.m == 2
-    assert view.alive_count() == 4
+    assert int(view.alive.sum()) == 4
     assert int(alive_degrees(g.indptr, g.indices, view.alive).max(initial=0)) == 1
 
 

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -19,21 +21,22 @@ from sparsempc.kernels import alive_degrees, ball_stats
 from sparsempc.mpc import (
     REPS_FIRST,
     REPS_LATER,
-    ClusterMeter,
     compute_schedule,
     connect_cliques,
     gather_and_peel,
     mpc_h_partition,
     mpc_mark_propose,
+    mpc_finish_round,
     mpc_pipeline,
     mpc_select,
     partition_rounds,
 )
+from sparsempc import peeling, reduction
 from sparsempc.peeling import StallError, degeneracy, h_partition
 from sparsempc.reduction import (
     KINDS,
     PartialSolution,
-    finish_greedy,
+    finish_rounds,
     mark_and_propose_matching,
     mark_and_propose_mis,
     mis_probability,
@@ -43,7 +46,7 @@ from sparsempc.reduction import (
     solve,
     verify_maximal,
 )
-from sparsempc.runtime import ClusterConfig, init_cluster, metrics
+from sparsempc.runtime import Cluster, ClusterConfig, init_cluster, metrics
 
 
 def _cluster(g, delta):
@@ -623,41 +626,108 @@ def test_mark_propose_nothing_routes_nothing():
     assert mark_round.total_sent == 0 and propose_round.total_sent == 0
 
 
-class _OrderCheckMeter(ClusterMeter):
-    """Checks every phase's removal order against the stable by-layer sort
-    of the phase nodes, and records each partition's doubling level."""
+def _metered_phases(monkeypatch, case):
+    """Run the golden ``case`` through :func:`mpc_pipeline` and return, per
+    phase record it meters, a dict of the record (``ph``), the layer map and
+    chunks its partition replay made, and the partition stats."""
+    family, params, seed, kind, delta, d_floor, adaptive = case
+    g = generate(family, params, seed=seed)
+    phases = []
+    meter_phase, replay = mpc_mod.mpc_phase, mpc_mod.mpc_h_partition
 
-    def __init__(self, cluster, **kwargs):
-        super().__init__(cluster, **kwargs)
-        self.levels = []
+    def metering(cluster, ph, **kwargs):
+        phases.append({"ph": ph})
+        phases[-1]["stats"] = meter_phase(cluster, ph, **kwargs)
+        return phases[-1]["stats"]
 
-    def partition(self, sub, ids, hp):
-        super().partition(sub, ids, hp)
-        layers, chunks = self._phase
-        assert layers.hp is hp and hp.layer.shape == (sub.n,)
-        # every node of the phase subgraph is layered, in its own ids
-        assert (hp.layer > 0).all()
-        want = np.argsort(hp.layer, kind="stable")
-        assert hp.order.dtype == np.int64
-        assert np.array_equal(hp.order, want)
-        _check_chunks(chunks, hp)
-        self.levels.append(self.partition_stats[-1]["k"])
+    def replaying(cluster, layers, schedule, **kwargs):
+        chunks, stats = replay(cluster, layers, schedule, **kwargs)
+        phases[-1].update(layers=layers, chunks=chunks)
+        return chunks, stats
+
+    with monkeypatch.context() as m:
+        m.setattr(mpc_mod, "mpc_phase", metering)
+        m.setattr(mpc_mod, "mpc_h_partition", replaying)
+        mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor, adaptive=adaptive)
+    return phases
 
 
-def test_removal_order_is_the_stable_sort_by_layer():
+def test_removal_order_is_the_stable_sort_by_layer(monkeypatch):
     # on the golden instances, which between them run fallback partitions
-    # (k None), radius-1 ones (k = 0) and ball doubling (k >= 1)
+    # (k None), radius-1 ones (k = 0) and ball doubling (k >= 1), every
+    # metered phase's removal order is the stable by-layer sort of its nodes
     from test_golden_metering import GOLDEN
 
     levels = set()
     for case in GOLDEN:
-        family, params, seed, kind, delta, d_floor, adaptive = case.values[0]
-        g = generate(family, params, seed=seed)
-        meter = _OrderCheckMeter(_cluster(g, delta), adaptive=adaptive)
-        solve(g, kind, 2, seed, d_floor=d_floor, meter=meter)
-        levels.update(meter.levels)
+        for phase in _metered_phases(monkeypatch, case.values[0]):
+            sub, hp = phase["ph"].sub, phase["ph"].hp
+            assert phase["layers"].hp is hp and hp.layer.shape == (sub.n,)
+            # every node of the phase subgraph is layered, in its own ids
+            assert (hp.layer > 0).all()
+            want = np.argsort(hp.layer, kind="stable")
+            assert hp.order.dtype == np.int64
+            assert np.array_equal(hp.order, want)
+            _check_chunks(phase["chunks"], hp)
+            levels.add(phase["stats"]["k"])
     assert None in levels and 0 in levels
     assert any(k is not None and k >= 1 for k in levels)
+
+
+@pytest.mark.parametrize("case_id", ["layered-core-matching-doubling", "tree-mis"])
+def test_no_round_is_metered_inside_the_driver(monkeypatch, case_id):
+    # the cluster meters the driver's records between phases: while a round
+    # is recorded, no frame of the driver's phase or finish is running
+    from test_golden_metering import GOLDEN
+
+    driver = {
+        reduction.reduce_once.__code__, peeling.h_partition.__code__,
+        reduction.degree_reduce.__code__, reduction.finish_greedy.__code__,
+    }
+    record = Cluster._check_and_trace
+    inside = []
+
+    def checked(self, *args, **kwargs):
+        frame, codes = sys._getframe(1), set()
+        while frame is not None:
+            codes.add(frame.f_code)
+            frame = frame.f_back
+        inside.append(bool(codes & driver))
+        return record(self, *args, **kwargs)
+
+    monkeypatch.setattr(Cluster, "_check_and_trace", checked)
+    case = next(p.values[0] for p in GOLDEN if p.id == case_id)
+    family, params, seed, kind, delta, d_floor, adaptive = case
+    g = generate(family, params, seed=seed)
+    _, met = mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor)
+    assert len(inside) == met["rounds"] > 50  # every round was seen
+    assert not any(inside)
+
+
+def test_each_phase_record_is_released_before_the_next_is_computed(monkeypatch):
+    # a random tree under the independent set, as the tree-phases benchmark
+    # runs it: phase 1's subgraph is the graph itself, and from phase 2 on
+    # each phase's compacted rows are gone when the next phase starts
+    # compacting its remainder, so before its record arrives
+    g = generate("tree", {"n": 4096}, seed=0)
+    refs, starts = [], []
+    meter_phase, compact = mpc_mod.mpc_phase, GraphView.compact
+
+    def metering(cluster, ph, **kwargs):
+        assert all(ref() is None for ref in refs[1:])
+        refs.append(weakref.ref(ph.sub.indices))
+        return meter_phase(cluster, ph, **kwargs)
+
+    def compacting(view):
+        starts.append(all(ref() is None for ref in refs[1:]))
+        return compact(view)
+
+    monkeypatch.setattr(mpc_mod, "mpc_phase", metering)
+    monkeypatch.setattr(GraphView, "compact", compacting)
+    _, met = mpc_pipeline(g, ClusterConfig.for_graph(g, 0.5), "mis", 2, 0)
+    assert len(met["phases"]) == len(refs) == len(starts) >= 3
+    assert all(starts)
+    assert refs[0]() is g.indices
 
 
 @pytest.mark.parametrize("kind", ["matching", "mis"])
@@ -710,15 +780,24 @@ def test_pipeline_matches_centralized_solve(pipeline_corpus, kind):
         assert met["peak_words"] <= cfg.S
 
 
-def test_one_machine_pays_only_for_volume_rounds():
+def _pipeline_cluster(monkeypatch, g, cfg, *args, **kwargs):
+    """``(cluster, metrics)`` of ``mpc_pipeline(g, cfg, *args, **kwargs)``:
+    the cluster it meters on, and the metrics it returns."""
+    made = []
+    with monkeypatch.context() as m:
+        m.setattr(mpc_mod, "init_cluster", lambda *a, **k: made.append(init_cluster(*a, **k)) or made[-1])
+        _, met = mpc_pipeline(g, cfg, *args, **kwargs)
+    return made[0], met
+
+
+def test_one_machine_pays_only_for_volume_rounds(monkeypatch):
     # with every node on one machine no (sender, target) pair crosses
     # machines: the peel's removal rounds and the independent set's finish
     # notify rounds record nothing, while the rounds metered from per-node
     # totals (layer exchange, gathers, selection members) keep their totals
     # (a gather counts every word of its totals, hence the large S)
     g = generate("layered-core", {"n": 1024, "depth": 100, "d": 3}, seed=0)
-    cl = init_cluster(g, ClusterConfig(delta=0.6, S=32 * g.m, M=1))
-    solve(g, "mis", 2, 1, d_floor=3, meter=ClusterMeter(cl))
+    cl, _ = _pipeline_cluster(monkeypatch, g, ClusterConfig(delta=0.6, S=32 * g.m, M=1), "mis", 2, 1, d_floor=3)
     assert cl.machines_used == 1
     sent = {}
     for t in cl.traces:
@@ -794,26 +873,21 @@ def test_pipeline_trivial_graph_skips_reduction():
     assert verify_maximal(g, sol)
 
 
-class _EdgeScanMeter(ClusterMeter):
+def _edge_scan_finish_round(cl, rnd):
     """The finish meter as a full edge scan: in a matching round, every
-    endpoint of an edge with two alive ends exchanges priorities.  It opens
-    the finish as the cluster meter does, repacking the remainder after a
-    metered selection."""
-
-    def finish_round(self, g, alive, step, live):
-        cl = self.cluster
-        self.place_remainder(np.flatnonzero(alive))
-        after = alive.copy()
-        after[step.removed] = False
-        if step.kind == "matching":
-            e = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
-            nodes = np.unique(e)
-            cl.execute_round_volumes(nodes, 1, label="finish")
-        else:
-            cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.selected, alive), label="finish")
-        cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.removed, after), label="finish")
-        cl.set_words(step.removed, 0)
-        cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
+    endpoint of an edge with two alive ends exchanges priorities."""
+    g, alive, step = cl.graph, rnd.alive, rnd.step
+    after = alive.copy()
+    after[step.removed] = False
+    if step.kind == "matching":
+        e = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
+        nodes = np.unique(e)
+        cl.execute_round_volumes(nodes, 1, label="finish")
+    else:
+        cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.selected, alive), label="finish")
+    cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.removed, after), label="finish")
+    cl.set_words(step.removed, 0)
+    cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
 
 
 @given(
@@ -831,9 +905,10 @@ def test_finish_meter_matches_full_edge_scan(n, graph_seed, keep, seed, kind):
     g = random_graph(n, int(r.integers(0, 3 * n + 1)), graph_seed)
     alive = r.random(n) < keep
     traces, loads = [], []
-    for meter in (ClusterMeter, _EdgeScanMeter):
+    for meter in (mpc_finish_round, _edge_scan_finish_round):
         cl = _roomy_cluster(g)
-        finish_greedy(GraphView(graph=g, alive=alive.copy()), kind, seed, meter=meter(cl))
+        for rnd in finish_rounds(GraphView(graph=g, alive=alive.copy()), kind, seed):
+            meter(cl, rnd)
         traces.append(cl.traces)
         loads.append(cl.loads)
     assert traces[0] == traces[1]
@@ -851,15 +926,15 @@ def test_finish_meter_matches_full_edge_scan(n, graph_seed, keep, seed, kind):
     ],
     ids=["phase-then-stall", "phase", "stall"],
 )
-def test_pipeline_finish_meter_matches_full_edge_scan(case):
+def test_pipeline_finish_meter_matches_full_edge_scan(case, monkeypatch):
     # In a run the finish takes its starting degrees from the last phase
     # that selected, and counts them itself when none did.
     g, delta, stalls = case()
     traces = []
-    for meter in (ClusterMeter, _EdgeScanMeter):
-        cl = init_cluster(g, ClusterConfig.for_graph(g, delta))
-        _, report = solve(g, "matching", 2, 3, exponent=0.5, meter=meter(cl))
+    for meter in (mpc_finish_round, _edge_scan_finish_round):
+        monkeypatch.setattr(mpc_mod, "mpc_finish_round", meter)
+        cl, met = _pipeline_cluster(monkeypatch, g, ClusterConfig.for_graph(g, delta), "matching", 2, 3, exponent=0.5)
         traces.append(cl.traces)
-    assert [ph.get("stalled", False) for ph in report.phases] == stalls
+    assert [ph.get("stalled", False) for ph in met["phases"]] == stalls
     assert any(t.label == "finish" for t in traces[0])
     assert traces[0] == traces[1]

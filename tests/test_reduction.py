@@ -1,5 +1,8 @@
 """Mark-and-propose, selection sweeps, iterated reduction, greedy finish."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -9,8 +12,8 @@ from sparsempc import reduction, rng
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView, build_graph
 from sparsempc.kernels import alive_degrees
-from sparsempc.mpc import ClusterMeter, mpc_pipeline
-from sparsempc.peeling import HPartition, StallError, degeneracy, h_partition
+from sparsempc.mpc import mpc_pipeline
+from sparsempc.peeling import HPartition, degeneracy, h_partition
 from sparsempc.reduction import (
     KINDS,
     STOP_REASONS,
@@ -31,9 +34,10 @@ from sparsempc.reduction import (
     solution_digest,
     solution_to_json,
     solve,
+    solve_records,
     verify_maximal,
 )
-from sparsempc.runtime import ClusterConfig, init_cluster
+from sparsempc.runtime import ClusterConfig
 
 from conftest import realize, valid_d
 from oracles import (
@@ -514,11 +518,18 @@ def test_select_mis_matches_per_layer_oracle(n, graph_seed, layers, p, seed):
 # ---------------------------------------------------------------------------
 
 
+def _remainder(view, ph):
+    """The alive mask of ``view`` once the record ``ph``'s selection left."""
+    alive = view.alive.copy()
+    alive[ph.solution().removed] = False
+    return alive
+
+
 def test_reduce_once_edgeless_mis_selects_all():
     g = build_graph(6, np.empty((0, 2), np.int64))
-    sol, rem, entry = reduce_once(GraphView.full(g), "mis", d=1, seed=0)
-    assert sorted(sol.selected.tolist()) == list(range(6))
-    assert rem.alive_count() == 0
+    ph, entry = reduce_once(*GraphView.full(g).compact(), "mis", d=1, seed=0)
+    assert sorted(ph.sol.selected.tolist()) == list(range(6))
+    assert not _remainder(GraphView.full(g), ph).any()
     assert entry["delta_before"] == 0
 
 
@@ -527,15 +538,15 @@ def test_reduce_once_empty_view_rejected():
     view = GraphView.full(g)
     view.alive[:] = False
     with pytest.raises(ValueError, match="nonempty"):
-        reduce_once(view, "matching", d=1, seed=0)
+        reduce_once(*view.compact(), "matching", d=1, seed=0)
 
 
 def test_reduce_once_remainder_outdegree_bound():
     g = generate("preferential-attachment", {"n": 300, "c": 3}, seed=5)
     d = 2 * degeneracy(g).degeneracy + 1
-    sol, rem, entry = reduce_once(GraphView.full(g), "matching", d=d, seed=1)
+    ph, entry = reduce_once(*GraphView.full(g).compact(), "matching", d=d, seed=1)
     hp = h_partition(g, d)  # full graph == compacted view here
-    for v in np.flatnonzero(rem.alive):
+    for v in np.flatnonzero(_remainder(GraphView.full(g), ph)):
         nb = g.neighbors(v)
         assert int((hp.layer[nb] >= hp.layer[v]).sum()) <= d
 
@@ -556,14 +567,14 @@ def test_reduce_once_delta_after_is_remainder_max_degree(n, seed, kind, d):
     g = build_graph(n, np.array(sorted(edges), np.int64).reshape(-1, 2))
     view = GraphView.full(g)
     view.alive[r.random(n) < 0.2] = False
-    assume(view.alive_count() > 0)
-    try:
-        sol, rem, entry = reduce_once(view, kind, d=d, seed=seed)
-    except StallError:
-        assume(False)
-    deg = alive_degrees(g.indptr, g.indices, rem.alive)
+    assume(view.alive.any())
+    ph, entry = reduce_once(*view.compact(), kind, d=d, seed=seed)
+    assume(ph.sol is not None)  # not a stall
+    rem = _remainder(view, ph)
+    deg = alive_degrees(g.indptr, g.indices, rem)
     assert entry["delta_after"] == int(deg.max(initial=0))
-    assert not rem.alive[sol.removed].any()
+    # the selection removes phase nodes only
+    assert view.alive[ph.solution().removed].all()
 
 
 def test_degree_reduce_next_phase_starts_at_delta_after():
@@ -595,45 +606,37 @@ def test_reduce_once_heavy_parent_gadget():
     assert fixed >= 990
 
 
-class _RecordingMeter:
-    """A meter that keeps what :func:`reduce_once` hands it: the phase
-    subgraph and its ids, its partition and proposals, and the selection and
-    the remainder's degrees, both in the phase subgraph's ids."""
-
-    def partition(self, sub, ids, hp):
-        self.sub, self.ids, self.hp = sub, ids, hp
-
-    def mark_propose(self, sub, ids, hp, props):
-        assert sub is self.sub and ids is self.ids and hp is self.hp
-        self.props = props
-
-    def select(self, sol, deg):
-        self.sol, self.deg = sol, deg
-
-
 def _reduce_once_against_oracles(view, kind, d, seed):
-    """:func:`reduce_once`, its heavy statistics, remainder degrees and MIS
-    proposals checked against the formulas that read every row of the phase
-    subgraph or of the whole graph; returns its result."""
-    meter = _RecordingMeter()
-    sol, rem, entry = reduce_once(view, kind, d, seed, meter=meter)
-    sub, ids, hp = meter.sub, meter.ids, meter.hp
+    """:func:`reduce_once` on the alive nodes of ``view``: the phase record's
+    heavy statistics, remainder degrees and MIS proposals checked against
+    the formulas that read every row of the phase subgraph or of the whole
+    graph.  Returns ``(selection in original ids, remainder view, entry)``,
+    or None on a stall."""
+    sub, ids = view.compact()
+    ph, entry = reduce_once(sub, ids, kind, d, seed)
+    assert ph.sub is sub and ph.ids is ids
+    if ph.sol is None:
+        assert entry["stalled"] and ph.props is ph.deg is None
+        return None
+    hp = ph.hp
     assert np.array_equal(ids, np.flatnonzero(view.alive))
+    sol = ph.solution()
     removed = np.searchsorted(ids, sol.removed)
-    # the meter gets the selection as computed, in the phase subgraph's ids
-    assert np.array_equal(ids[meter.sol.removed], sol.removed)
-    assert np.array_equal(ids[meter.sol.selected], sol.selected)
+    # the record holds the selection as computed, in the phase subgraph's ids
+    assert np.array_equal(ids[ph.sol.removed], sol.removed)
+    assert np.array_equal(ids[ph.sol.selected], sol.selected)
     heavy = (entry["heavy_nodes_before"], entry["heavy_survivors_after"])
     assert heavy == heavy_counts_all_rows(sub, hp, removed, d ** 4)
     # the remainder's degrees over the phase nodes; every other node is dead
+    rem = GraphView(view.graph, _remainder(view, ph))
     want = alive_degrees_all_rows(view.graph, rem.alive)
     assert not np.delete(want, ids).any()
-    assert meter.deg.dtype == np.int64 and np.array_equal(meter.deg, want[ids])
+    assert ph.deg.dtype == np.int64 and np.array_equal(ph.deg, want[ids])
     assert entry["delta_after"] == int(want.max())
     if kind == "mis":
         marked, proposed = mis_proposals_all_rows(sub, hp, mis_probability(d), seed)
-        assert np.array_equal(meter.props.marked, marked)
-        assert np.array_equal(meter.props.proposed, proposed)
+        assert np.array_equal(ph.props.marked, marked)
+        assert np.array_equal(ph.props.proposed, proposed)
     return sol, rem, entry
 
 
@@ -672,13 +675,13 @@ def test_phase_statistics_match_full_graph_oracles(pipeline_corpus, kind):
             if delta <= 2 or not view.alive.any():
                 break
             d = phase_threshold(delta, 0.1, floor)
-            try:
-                _, view, entry = _reduce_once_against_oracles(view, kind, d, spec["seed"] + phase)
-            except StallError:
+            got = _reduce_once_against_oracles(view, kind, d, spec["seed"] + phase)
+            if got is None:  # the phase stalled
                 if floor is not None:
                     break
                 floor = valid_d(g)  # a threshold that cannot stall
                 continue
+            _, view, entry = got
             totals += (entry["heavy_nodes_before"], entry["heavy_survivors_after"])
             delta = entry["delta_after"]
     g = _star_forest(32, 16)
@@ -781,10 +784,10 @@ def test_a_matching_phase_at_delta_at_most_d_selects_nothing(partition_corpus):
         g = realize(spec)
         delta = g.max_degree()
         d = phase_threshold(delta, 0.1, delta + i % 2)
-        sol, rem, entry = reduce_once(GraphView.full(g), "matching", d, spec["seed"])
+        ph, entry = reduce_once(*GraphView.full(g).compact(), "matching", d, spec["seed"])
         assert entry["ell"] == 1, spec
-        assert sol.selected.shape == (0, 2) and not sol.removed.size, spec
-        assert rem.alive.all() and entry["delta_after"] == delta, spec
+        assert ph.sol.selected.shape == (0, 2) and not ph.sol.removed.size, spec
+        assert _remainder(GraphView.full(g), ph).all() and entry["delta_after"] == delta, spec
 
 
 def test_an_independent_set_phase_of_one_layer_still_runs():
@@ -1082,10 +1085,10 @@ def test_unknown_kind_rejected_before_any_work(execution):
         with pytest.raises(ValueError, match="unknown kind 'Matching'"):
             solve(g, "Matching", 30, 0)
     else:
-        cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
+        # the stream the cluster meters raises before its first record, so
+        # not one round is metered
         with pytest.raises(ValueError, match="unknown kind 'Matching'"):
-            solve(g, "Matching", 30, 0, meter=ClusterMeter(cl))
-        assert cl.traces == []  # not one round metered
+            next(solve_records(g, "Matching", 30, 0))
         with pytest.raises(ValueError, match="unknown kind 'Matching'"):
             mpc_pipeline(g, ClusterConfig.for_graph(g, 0.5), "Matching", 30, 0)
 
@@ -1138,3 +1141,26 @@ def test_selected_subset_of_proposed_subset_of_marked():
             mprops.marked.tolist()
         )
 
+
+
+def test_the_driver_knows_nothing_of_the_cluster():
+    # the cluster meters the driver's records from outside: no function of
+    # the driver takes a meter, and its module imports no cluster code
+    funcs = [f for _, f in inspect.getmembers(reduction, inspect.isfunction)]
+    for _, cls in inspect.getmembers(reduction, inspect.isclass):
+        if cls.__module__ == reduction.__name__:
+            funcs += [f for _, f in inspect.getmembers(cls, inspect.isfunction)]
+    mine = [f for f in funcs if f.__module__ == reduction.__name__]
+    assert reduction.reduce_once in mine and reduction.Phase.solution in mine
+    for f in mine:
+        assert "meter" not in inspect.signature(f).parameters, f.__qualname__
+    imported = set()
+    for node in ast.walk(ast.parse(inspect.getsource(reduction))):
+        if isinstance(node, ast.ImportFrom):
+            imported.add(("." * node.level) + (node.module or ""))
+            imported.update(f"{'.' * node.level}{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+    assert ".rng" in imported  # the walk does see the driver's imports
+    for name in imported:
+        assert not name.lstrip(".").removeprefix("sparsempc.").startswith(("mpc", "runtime")), name

@@ -8,6 +8,7 @@ graph.  Each case pins the SHA-256 of its ``MPC_TRACE_DIR`` file and of its
 reduction ended and partition stats included).
 """
 
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -20,10 +21,10 @@ from hypothesis import strategies as st
 from oracles import complete, hand_peel, random_graph
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView, build_graph
-from sparsempc.mpc import mpc_pipeline
+from sparsempc.mpc import mpc_phase, mpc_pipeline
 from sparsempc.peeling import StallError, h_partition
-from sparsempc.reduction import reduce_once
-from sparsempc.runtime import ClusterConfig
+from sparsempc.reduction import Phase, reduce_once
+from sparsempc.runtime import ClusterConfig, init_cluster
 
 # (family, params, graph seed, kind, memory exponent, adaptive) ->
 # (rounds, total messages, metrics SHA-256, trace SHA-256)
@@ -152,21 +153,38 @@ def test_stall_error_partition_equals_the_hand_peel(n, seed, d):
         _assert_partial_map(g, d)
 
 
-class _PartitionMeter:
-    def partition(self, sub, ids, hp):
-        self.sub, self.ids, self.hp = sub, ids, hp
-
-
-def test_reduce_once_meters_the_partial_map_then_raises():
-    # the driver hands the meter the layers peeled before the stall, in the
-    # phase subgraph's ids, and raises the stall itself
+def test_reduce_once_records_the_partial_map_of_a_stall():
+    # the driver's stalled record holds the layers peeled before the stall,
+    # in the phase subgraph's ids, and nothing else; its report entry says
+    # why the phase stalled
     g = _tail_and_clique()
     alive = np.ones(g.n, bool)
     alive[:4] = False
-    meter = _PartitionMeter()
-    with pytest.raises(StallError, match="peeling stalled with 6 nodes"):
-        reduce_once(GraphView(g, alive), "matching", 1, 0, meter=meter)
     sub, ids = GraphView(g, alive).compact()
-    assert np.array_equal(meter.ids, ids)
-    assert np.array_equal(meter.hp.layer, hand_peel(sub, 1, max_layers=sub.n))
-    assert meter.hp.ell == 26
+    ph, entry = reduce_once(sub, ids, "matching", 1, 0)
+    assert ph.sub is sub and ph.ids is ids
+    assert np.array_equal(ph.hp.layer, hand_peel(sub, 1, max_layers=sub.n))
+    assert ph.hp.ell == 26
+    assert ph.props is ph.sol is ph.deg is None
+    assert entry["stalled"] and entry["stall_reason"].startswith("peeling stalled with 6 nodes")
+
+
+def test_the_replay_must_agree_with_the_driver_about_stalls():
+    # a doctored record in each direction: a complete map handed over as a
+    # stall, and a partial map handed over as a complete phase
+    g = _tail_and_clique()
+    ids = np.arange(g.n)
+    with pytest.raises(StallError) as err:
+        h_partition(g, 1)
+    complete_ph, _ = reduce_once(g, ids, "matching", 6, 0)
+    assert complete_ph.sol is not None
+    cfg = ClusterConfig.for_graph(g, 1.0)
+    with pytest.raises(AssertionError, match="replay of a stalled phase did not stall"):
+        mpc_phase(init_cluster(g, cfg), Phase(g, ids, complete_ph.hp))
+    doctored = dataclasses.replace(complete_ph, hp=err.value.partition)
+    with pytest.raises(AssertionError, match="replay stalled where the driver did not"):
+        mpc_phase(init_cluster(g, cfg), doctored)
+    # the undoctored records are metered as they are
+    assert "stalled" not in mpc_phase(init_cluster(g, cfg), complete_ph)
+    stalled = Phase(g, ids, err.value.partition)
+    assert mpc_phase(init_cluster(g, cfg), stalled)["stalled"]
