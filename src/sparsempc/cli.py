@@ -136,7 +136,7 @@ def main(argv=None) -> int:
     source.add_argument("--family", choices=generators.FAMILIES)
     p.add_argument("--params", help="generator parameters for --family, as for generate")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kind", choices=("matching", "mis"), default="matching")
+    p.add_argument("--kind", choices=reduction.KINDS, default="matching")
     p.add_argument("--target-delta", type=int, default=2)
     p.add_argument("--d-floor", type=int)
     p.add_argument("--delta", type=float, default=0.5, help="memory exponent")

@@ -5,8 +5,8 @@ Graphs are simple and undirected.  Internally: a canonical edge array
 ``indices``) with every row sorted by neighbor id.  The row ordering is load
 bearing: random choices pick "the k-th candidate in id order", so any code
 path that rebuilds adjacency must preserve it.  ``GraphView.compact`` keeps
-it without a sort: renumbering the alive nodes in id order is monotone, so
-filtered rows and edges keep their order, and it costs n plus the alive
+it without a sort: renumbering the kept nodes in id order is monotone, so
+filtered rows and edges keep their order, and it costs n plus the kept
 nodes' rows.
 """
 
@@ -116,14 +116,10 @@ def build_graph(n: int, edges) -> Graph:
 
 @dataclass
 class GraphView:
-    """A graph plus an alive mask; the unit the reduction pipeline works on."""
+    """A graph plus a mask of the nodes to keep; :meth:`compact` keeps them."""
 
     graph: Graph
     alive: np.ndarray  # bool (n,)
-
-    @classmethod
-    def full(cls, g: Graph) -> "GraphView":
-        return cls(graph=g, alive=np.ones(g.n, dtype=np.bool_))
 
     def compact(self):
         """Alive-induced subgraph with renumbered ids, in O(n + alive rows).

@@ -281,8 +281,8 @@ def report(records: list) -> tuple[str, dict]:
     buf = io.StringIO()
     w = csv.DictWriter(buf, fieldnames=_CSV_COLS, lineterminator="\n")
     w.writeheader()
-    for r in records:
-        r = asdict(r) if isinstance(r, RunRecord) else r
+    rows = [asdict(r) if isinstance(r, RunRecord) else r for r in records]
+    for r in rows:
         w.writerow(
             {
                 "instance": r["instance"],
@@ -303,7 +303,6 @@ def report(records: list) -> tuple[str, dict]:
                 ),
             }
         )
-    rows = [asdict(r) if isinstance(r, RunRecord) else r for r in records]
     failed = [r["instance"] for r in rows if not all(r["invariants"].values())]
     summary = {
         "records": len(rows),

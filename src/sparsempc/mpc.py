@@ -9,15 +9,14 @@ phase record: the partition, which replays the phase's layer map as the
 exponentiation schedule's repetitions (:func:`mpc_h_partition`),
 mark/propose (:func:`mpc_mark_propose`) and the chunk-wise selection
 (:func:`mpc_select`, after which the survivors' stored rows shrink to their
-remaining degree).  :func:`mpc_finish_round` meters a finish round.  The
-remainder is placed once per stage (see :func:`mpc_pipeline`).
+degree in the phase's remainder).  :func:`mpc_finish_round` meters a finish
+round.  The remainder is placed once per stage (see :func:`mpc_pipeline`).
 
-Each phase has one id space: its stage meters run on the phase subgraph of
-the record (the alive nodes, renumbered in ascending id order), with
-phase-sized arrays.  The cluster keeps its ledger by original node id; the
-record's ascending ``ids`` (as :meth:`sparsempc.graph.GraphView.compact`
-returns them) translate a node only where a round, a ledger change or a
-repack names it.  The finish runs on the whole remainder graph.
+Each record has one id space: its meters run on the record's subgraph (a
+phase's alive nodes, or the finish's remainder, renumbered in ascending id
+order), with arrays of its size.  The cluster keeps its ledger by original
+node id; the record's ascending ``ids`` translate a node only where a
+round, a ledger change or a repack names it.
 
 The partition is metered in repetitions that replay the driver's layer
 map: a radius-r repetition removes the next min(r, remaining) layers,
@@ -73,6 +72,11 @@ class ExponentiationSchedule:
     preprocessing_layers: int
 
 
+def _check_c_pre(c_pre) -> None:
+    if not 0 <= c_pre < math.inf:  # also false for NaN
+        raise ValueError(f"c_pre must be a finite number >= 0, got {c_pre}")
+
+
 def compute_schedule(
     delta_max: int,
     S: int,
@@ -87,6 +91,7 @@ def compute_schedule(
     schedule is in fallback mode (k is None): layer-by-layer peeling at
     radius 1, no virtual edges.
     """
+    _check_c_pre(c_pre)
     delta_max = int(delta_max)
     loglog = math.log2(max(2.0, math.log2(max(2.0, n))))
     pre = int(math.ceil(c_pre * math.log2(max(2.0, (1.0 / delta) * loglog))))
@@ -111,9 +116,9 @@ def compute_schedule(
 # ---------------------------------------------------------------------------
 
 
-def _notify_pairs(g: Graph, senders: np.ndarray, mask: np.ndarray):
-    """The (sender, target) pairs of a notify round, in ``g``'s ids: distinct
-    ``senders`` push one word along each incident edge whose other end is in
+def _notify_pairs(g: Graph, ids: np.ndarray, senders: np.ndarray, mask: np.ndarray):
+    """The (sender, target) pairs of a notify round, translated to cluster
+    ids through ``g``'s node ids ``ids``: distinct ``senders`` push one word along each incident edge whose other end is in
     ``mask`` (removed nodes strike the edge at their still-alive neighbors,
     winners notify the not-yet-finished phase nodes).  They are read off the
     senders' rows rather than all nodes; the cluster counts the pairs that
@@ -121,7 +126,7 @@ def _notify_pairs(g: Graph, senders: np.ndarray, mask: np.ndarray):
     free."""
     src, tgt = gather_segments(g.indptr, g.indices, senders)
     live = mask[tgt]
-    return src[live], tgt[live]
+    return ids[src[live]], ids[tgt[live]]
 
 
 class _LayerMap:
@@ -493,14 +498,13 @@ def mpc_select(
     layers: _LayerMap,
     chunks: list[tuple[int, int]],
     sol: PartialSolution,
-) -> np.ndarray:
+) -> None:
     """Meter the selection ``sol`` chunk by chunk, in reverse removal order.
     ``sol`` is the selection computed on the phase subgraph ``layers.sub``
     with its partition ``layers.hp``, and ``chunks`` the chunks
     :func:`mpc_h_partition` metered that partition in; a chunk's members
-    are the nodes of its layers.  Returns the survivors: the phase nodes (in
-    ``sub``'s ids) that ``sol`` leaves alive, ascending, so that the ledger
-    change that shrinks their rows sees ascending ids.
+    are the nodes of its layers.  The removed members drop their rows, the
+    others their virtual words.
 
     Each chunk member re-gathers its retained radius ball with proposal flags
     (one round), winners notify their neighbors (one round), and for the
@@ -564,15 +568,13 @@ def mpc_select(
             # neighbors of winners leave the graph too; they tell their own
             # neighborhoods, which may live in chunks not yet visited
             felled = sorted_unique(nb[live & removed[nb]])
-            src, tgt = _notify_pairs(sub, felled, pending)
-            cluster.execute_round_bulk(ids[src], ids[tgt], label="select")
+            cluster.execute_round_bulk(*_notify_pairs(sub, ids, felled, pending), label="select")
         # the removed members drop their rows, the others their virtual words
         left = words if virtual is None else words - virtual[start:stop]
         left = np.where(gone_by_layer[start:stop], 0, left)
         change = left != words
         cluster.set_words(members[change], left[change])
         pending[order[start:stop]] = False
-    return np.flatnonzero(~removed)
 
 
 # ---------------------------------------------------------------------------
@@ -583,7 +585,7 @@ def mpc_select(
 def mpc_phase(cluster: Cluster, ph: Phase, *, c_pre: float = 2.0, adaptive: bool = False) -> dict:
     """Meter the phase record ``ph`` on the cluster, whose remainder is
     placed: the partition replay, mark/propose and the selection, after
-    which the survivors' rows shrink to their degree in ``ph.deg``.  Returns
+    which the survivors' rows shrink to their degree in ``ph.rest``.  Returns
     the partition stats.  A stalled record is metered up to the stall; a
     replay that disagrees with the record about the stall raises
     AssertionError."""
@@ -601,28 +603,29 @@ def mpc_phase(cluster: Cluster, ph: Phase, *, c_pre: float = 2.0, adaptive: bool
     if ph.sol is None:
         raise AssertionError("the partition replay of a stalled phase did not stall")
     mpc_mark_propose(cluster, sub, ids, ph.hp, ph.props)
-    srv = mpc_select(cluster, layers, chunks, ph.sol)
-    cluster.set_words(ids[srv], ph.deg[srv])
+    mpc_select(cluster, layers, chunks, ph.sol)
+    cluster.set_words(ph.rest_ids, ph.rest.degrees)
     return stats
 
 
 def mpc_finish_round(cluster: Cluster, rnd: FinishRound) -> None:
-    """Meter one priority round of the finish, which runs on the cluster's
-    whole graph, whose ids are the cluster's.  In a matching round the
-    endpoints of the live edges exchange priorities; in an independent-set
-    round the winners notify their neighbors.  Then the removed nodes
-    strike their edges at the nodes left and drop their rows."""
-    g, alive, step = cluster.graph, rnd.alive, rnd.step
+    """Meter one priority round of the finish, which runs on the remainder
+    subgraph ``rnd.sub``; ``rnd.ids`` translates its nodes to the cluster's
+    ids.  In a matching round the endpoints of the live edges exchange
+    priorities; in an independent-set round the winners notify their
+    neighbors.  Then the removed nodes strike their edges at the nodes left
+    and drop their rows."""
+    sub, ids, alive, step = rnd.sub, rnd.ids, rnd.alive, rnd.step
     after = alive.copy()
     after[step.removed] = False
     if step.kind == "matching":
-        busy = np.zeros(g.n, np.bool_)
+        busy = np.zeros(sub.n, np.bool_)
         busy[rnd.live] = True
-        cluster.execute_round_volumes(np.flatnonzero(busy), 1, label="finish")
+        cluster.execute_round_volumes(ids[np.flatnonzero(busy)], 1, label="finish")
     else:
-        cluster.execute_round_bulk(*_notify_pairs(g, step.selected, alive), label="finish")
-    cluster.execute_round_bulk(*_notify_pairs(g, step.removed, after), label="finish")
-    cluster.set_words(step.removed, 0)
+        cluster.execute_round_bulk(*_notify_pairs(sub, ids, step.selected, alive), label="finish")
+    cluster.execute_round_bulk(*_notify_pairs(sub, ids, step.removed, after), label="finish")
+    cluster.set_words(ids[step.removed], 0)
     cluster.control_rounds(2 * cluster.agg_depth(), label="finish-sync")
 
 
@@ -650,8 +653,8 @@ def mpc_pipeline(
 
     The solution is the one ``solve`` returns for the same arguments; the
     metrics carry rounds by label, peak words, violations, per-phase reports,
-    why the reduction ended (``stop_reason``) and partition stats.  ``kind``
-    and ``target_delta`` are checked before any node is placed.
+    why the reduction ended (``stop_reason``) and partition stats.  The
+    arguments are checked before any node is placed.
 
     Each record of :func:`sparsempc.reduction.solve_records` is metered,
     then released before the next is computed.  :func:`init_cluster` places
@@ -659,7 +662,8 @@ def mpc_pipeline(
     opens with one repack of its remainder when a selection has been
     metered since the last placement; a stall selects nothing.
     """
-    check_request(kind, target_delta)
+    check_request(kind, target_delta, exponent, d_floor)
+    _check_c_pre(c_pre)
     cluster = init_cluster(g, cfg, name=name)
     records = solve_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor)
     partition_stats = []
@@ -670,16 +674,14 @@ def mpc_pipeline(
         except StopIteration as end:
             total, report = end.value
             break
+        if not placed:
+            rebalance(cluster, rec.ids, label="rebalance")
         if isinstance(rec, Phase):
-            if not placed:
-                rebalance(cluster, rec.ids, label="rebalance")
             partition_stats.append(mpc_phase(cluster, rec, c_pre=c_pre, adaptive=adaptive))
             placed = rec.sol is None
         else:
-            if not placed:
-                rebalance(cluster, np.flatnonzero(rec.alive), label="rebalance")
-                placed = True
             mpc_finish_round(cluster, rec)
+            placed = True
         del rec
     cluster.control_rounds(2 * cluster.agg_depth(), label="collect")
     met = runtime_metrics(cluster)

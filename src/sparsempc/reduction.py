@@ -3,16 +3,18 @@ degree reduction, greedy finish, and maximality checking.
 
 The phase driver is two loops written as generators of records:
 :func:`phase_records` yields one :class:`Phase` per reduction phase (its
-subgraph, partition, proposals, selection and remainder degrees), and
+subgraph, partition, proposals, selection and remainder subgraph), and
 :func:`finish_rounds` one :class:`FinishRound` per priority round of the
-finish.  :func:`degree_reduce`, :func:`finish_greedy` and :func:`solve`
-drain them; :func:`sparsempc.mpc.mpc_pipeline` drains the same records and
+finish.  Phases nest: each runs on the remainder subgraph of the one before,
+and the finish on the last.  :func:`degree_reduce`, :func:`finish_greedy`
+and :func:`solve` drain them; :func:`sparsempc.mpc.mpc_pipeline` drains the same records and
 meters each one on the simulated cluster, so both executions share one
 computation.  Nothing here knows of the cluster.
 
 Randomness discipline: every coin is drawn from the counter streams in
-:mod:`sparsempc.rng` keyed by node ids of the *phase subgraph* (alive nodes
-renumbered in ascending id order).
+:mod:`sparsempc.rng`, a phase's keyed by node ids of the *phase subgraph*
+(alive nodes renumbered in ascending id order), the finish's by *original*
+ids: node ids and edge keys ``ids[u]·n + ids[v]`` for the input's ``n``.
 """
 
 from __future__ import annotations
@@ -44,11 +46,15 @@ def _check_kind(kind) -> None:
         raise ValueError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
 
 
-def check_request(kind, target_delta) -> None:
-    """Reject a kind or target degree that no run accepts, before any work."""
+def check_request(kind, target_delta, exponent=0.1, d_floor=None) -> None:
+    """Reject a request that no run accepts, before any work."""
     _check_kind(kind)
     if target_delta < 1:
         raise ValueError("target_delta must be >= 1")
+    if not 0 < exponent <= 1:  # also false for NaN
+        raise ValueError(f"exponent must be a number in (0, 1], got {exponent!r}")
+    if d_floor is not None and d_floor < 1:
+        raise ValueError(f"d_floor must be >= 1 or None, got {d_floor!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +338,6 @@ def _heavy_counts(sub: Graph, hp: HPartition, gone: np.ndarray, heavy: int) -> t
     return int((before >= heavy).sum()), int(survivors.sum())
 
 
-def _remainder_degrees(sub: Graph, removed: np.ndarray, gone: np.ndarray) -> np.ndarray:
-    """The degrees of ``sub`` once the nodes ``removed`` (the mask ``gone``)
-    leave: a node loses one for each removed neighbor, and the removed rows
-    list those; a removed node has degree 0."""
-    _, nb = gather_segments(sub.indptr, sub.indices, removed)
-    deg = sub.degrees - np.bincount(nb, minlength=sub.n)
-    deg *= ~gone  # arithmetic, which is branch-free, rather than a masked store
-    return deg
-
-
 def mis_probability(d: int) -> float:
     return min(1.0, 1.0 / (d * d))
 
@@ -350,15 +346,17 @@ def mis_probability(d: int) -> float:
 class Phase:
     """What one reduction phase computed, in the ids of its subgraph ``sub``
     of alive nodes (node i is ``ids[i]``): the partition, the proposals, the
-    selection and ``sub``'s degrees once the selection has left.  A stalled
-    phase holds only ``sub``, ``ids`` and the layers peeled before the stall."""
+    selection, and the remainder ``rest``, the subgraph of the nodes the
+    selection leaves, whose original ids are ``rest_ids``.  A stalled phase
+    holds only ``sub``, ``ids`` and the layers peeled before the stall."""
 
     sub: Graph
     ids: np.ndarray
     hp: HPartition
     props: ProposalSet | None = None
     sol: PartialSolution | None = None
-    deg: np.ndarray | None = None
+    rest: Graph | None = None
+    rest_ids: np.ndarray | None = None
 
     def solution(self) -> PartialSolution:
         """The selection in original node ids."""
@@ -368,16 +366,16 @@ class Phase:
 
 def reduce_once(sub: Graph, ids: np.ndarray, kind: str, d: int, seed: int):
     """One phase on the subgraph ``sub`` of the alive nodes, whose original
-    ids are ``ids`` (as :meth:`sparsempc.graph.GraphView.compact` returns
-    them): partition with threshold d, mark/propose, select.
+    ids are ``ids``, ascending (the previous phase's remainder): partition
+    with threshold d, mark/propose, select.
 
     Returns ``(record, phase report entry)``: the :class:`Phase` record, and
     on a stall the partial record and an entry marked ``stalled``.
 
     Every pass reads the phase subgraph only, never the whole graph: the
     heavy statistics read the rows of degree at least d⁴, and the
-    remainder's degrees are the subgraph's degrees less the hits from the
-    removed rows.  They give ``delta_after`` and the record's ``deg``.
+    remainder, whose maximum degree is ``delta_after``, is compacted from
+    ``sub`` with a phase-sized remap.
     """
     _check_kind(kind)
     if not sub.n:
@@ -405,14 +403,14 @@ def reduce_once(sub: Graph, ids: np.ndarray, kind: str, d: int, seed: int):
     gone = np.zeros(sub.n, np.bool_)
     gone[sol.removed] = True
     entry["heavy_nodes_before"], entry["heavy_survivors_after"] = _heavy_counts(sub, hp, gone, d ** 4)
-    deg = _remainder_degrees(sub, sol.removed, gone)
+    rest, kept = GraphView(sub, ~gone).compact()
     entry.update(
-        delta_after=int(deg.max()),
+        delta_after=rest.max_degree(),
         alive_before=int(ids.size),
         ell=hp.ell,
         layer_sizes=[int(x) for x in hp.layer_sizes()],
     )
-    return Phase(sub, ids, hp, props, sol, deg), entry
+    return Phase(sub, ids, hp, props, sol, rest, ids[kept]), entry
 
 
 def phase_threshold(delta: int, exponent: float, d_floor: int | None = None) -> int:
@@ -428,10 +426,11 @@ def phase_records(
 ):
     """:func:`degree_reduce` as a stream: yields each phase's record and
     returns what ``degree_reduce`` returns; a bad request raises first.  A
-    record is translated to original ids after it is consumed and released
-    before the next phase is computed; a stalled record ends the stream."""
-    check_request(kind, target_delta)
-    alive = np.ones(g.n, np.bool_)
+    record is translated to original ids after it is consumed and released,
+    all but its remainder, on which the next phase runs; a stalled record
+    ends the stream and leaves its own subgraph as the remainder."""
+    check_request(kind, target_delta, exponent, d_floor)
+    sub, ids = g, np.arange(g.n)
     parts = []
     report = ReductionReport(stop_reason="max-phases")
     delta = g.max_degree()  # then each phase reports the next one
@@ -443,21 +442,21 @@ def phase_records(
         if kind == "matching" and delta <= d:
             report.stop_reason = "one-layer"
             break
-        ph, entry = reduce_once(*GraphView(g, alive).compact(), kind, d, rng.derive_seed(seed, phase))
+        ph, entry = reduce_once(sub, ids, kind, d, rng.derive_seed(seed, phase))
         report.phases.append(entry)
         yield ph
         if ph.sol is None:
             report.stop_reason = "stalled"
             break
         parts.append(ph.solution())
+        sub, ids = ph.rest, ph.rest_ids
         del ph  # the next phase is computed without this one's arrays
-        alive[parts[-1].removed] = False
         if entry["delta_after"] >= delta:
             entry["reduced"] = False
             report.stop_reason = "not-reduced"
             break
         delta = entry["delta_after"]
-    return PartialSolution.empty(kind).merge(*parts), GraphView(g, alive), report
+    return PartialSolution.empty(kind).merge(*parts), (sub, ids), report
 
 
 def _drain(records):
@@ -487,8 +486,9 @@ def degree_reduce(
     the loop with a warning entry in the report instead of raising — small
     graphs legitimately hit both cases, and the accumulated solution stays
     valid either way.  The report's ``stop_reason`` says which of
-    :data:`STOP_REASONS` ended the loop.  Returns ``(solution, remainder
-    view, report)``; :func:`phase_records` is the same loop, phase by phase.
+    :data:`STOP_REASONS` ended the loop.  Returns ``(solution, (sub, ids),
+    report)`` with the remainder subgraph ``sub`` of the original ids
+    ``ids``; :func:`phase_records` is the same loop, phase by phase.
     """
     return _drain(phase_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor))
 
@@ -502,18 +502,18 @@ def _edge_keys(edges: np.ndarray, n: int) -> np.ndarray:
     return edges[:, 0] * np.int64(n) + edges[:, 1]
 
 
-def luby_matching_round(g: Graph, live: np.ndarray, seed: int, round_idx: int) -> np.ndarray:
+def luby_matching_round(g: Graph, live: np.ndarray, key: np.ndarray, seed: int, round_idx: int) -> np.ndarray:
     """One priority round over the ``live`` edges of ``g`` (rows of
-    ``g.edges`` whose endpoints are both alive): every live edge draws a
-    priority, and an edge joins the matching iff its ``(priority, key)`` is
-    the smallest at both of its endpoints.  Returns the (k, 2) selected
-    edges, in the order of ``live``; the caller removes their endpoints.
+    ``g.edges`` whose endpoints are both alive), of the original edge keys
+    ``key``: every live edge draws a priority, and an edge joins the
+    matching iff its ``(priority, key)`` is the smallest at both of its
+    endpoints.  Returns the (k, 2) selected edges, in the order of ``live``;
+    the caller removes their endpoints.
 
     The smallest pair at each endpoint is found without a sort: the
     smallest priority first, then the smallest key among the edges that
     reach it."""
     u, v = live[:, 0], live[:, 1]
-    key = _edge_keys(live, g.n)
     pri = rng.hash_u64(seed, rng.GREEDY_EDGE, round_idx, key)
     best = np.full(g.n, np.iinfo(np.uint64).max, np.uint64)
     np.minimum.at(best, u, pri)
@@ -525,11 +525,12 @@ def luby_matching_round(g: Graph, live: np.ndarray, seed: int, round_idx: int) -
     return live[low_u & low_v & (key == tie[u]) & (key == tie[v])]
 
 
-def luby_mis_round(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> np.ndarray:
-    """One priority round: every alive node draws a priority; a node joins iff
-    it beats all alive neighbors in the order of ``(priority, id)``.  Isolated
-    alive nodes always join.  Returns selected node ids; the caller removes
-    them and their neighbors.
+def luby_mis_round(g: Graph, ids: np.ndarray, alive: np.ndarray, seed: int, round_idx: int) -> np.ndarray:
+    """One priority round: every alive node of ``g`` draws a priority keyed
+    by its original id in the ascending ``ids``; a node joins iff it beats
+    all alive neighbors in the order of ``(priority, id)``.  Isolated alive
+    nodes always join.  Returns selected node ids; the caller removes them
+    and their neighbors.
 
     Only the alive nodes draw, and only their rows are read, so a round costs
     the remainder, not n: priorities are keyed by node id, and ranks are only
@@ -538,7 +539,7 @@ def luby_mis_round(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> np
     nodes = np.flatnonzero(alive)
     if not nodes.size:
         return nodes
-    pri = rng.hash_u64(seed, rng.GREEDY_NODE, round_idx, nodes)
+    pri = rng.hash_u64(seed, rng.GREEDY_NODE, round_idx, ids[nodes])
     src, nb = gather_segments(g.indptr, g.indices, nodes)
     live = alive[nb]
     src, nb = src[live], nb[live]
@@ -554,58 +555,61 @@ def luby_mis_round(g: Graph, alive: np.ndarray, seed: int, round_idx: int) -> np
 
 @dataclass
 class FinishRound:
-    """One priority round of the finish on the whole graph: ``step.selected``
-    joins the solution and ``step.removed`` leave the ``alive`` nodes (the
-    finish's own mask, which changes once the record is consumed).  A
-    matching round holds the ``live`` edges, whose ends are both alive."""
+    """One priority round of the finish on the remainder subgraph ``sub``
+    (node i is ``ids[i]``), in ``sub``'s ids: ``step.selected`` joins the
+    solution and ``step.removed`` leave the ``alive`` nodes (the finish's own
+    mask, which changes once the record is consumed).  A matching round
+    holds the ``live`` edges, whose ends are both alive."""
 
+    sub: Graph
+    ids: np.ndarray
     alive: np.ndarray
     step: PartialSolution
     live: np.ndarray | None
 
 
-def finish_rounds(g_view: GraphView, kind: str, seed: int):
+def finish_rounds(sub: Graph, ids: np.ndarray, n: int, kind: str, seed: int):
     """:func:`finish_greedy` as a stream: yields each round's record and
     returns the finish's solution; a bad kind raises first."""
     _check_kind(kind)
-    g = g_view.graph
-    alive = g_view.alive.copy()
-    live = None
+    alive = np.ones(sub.n, np.bool_)
+    live = key = None
     if kind == "matching":
-        live = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
+        live = sub.edges
+        key = _edge_keys(ids[live], n)
     steps = []
     round_idx = 0
     while True:
         if kind == "matching":
-            won = luby_matching_round(g, live, seed, round_idx)
+            won = luby_matching_round(sub, live, key, seed, round_idx)
             if not won.shape[0]:
                 break
             removed = sorted_unique(won)
         else:
-            won = luby_mis_round(g, alive, seed, round_idx)
+            won = luby_mis_round(sub, ids, alive, seed, round_idx)
             if not won.size:
                 break
-            _, nb = gather_segments(g.indptr, g.indices, won)
+            _, nb = gather_segments(sub.indptr, sub.indices, won)
             removed = sorted_unique(np.concatenate([won, nb[alive[nb]]]))
-        step = PartialSolution(kind=kind, selected=won, removed=removed)
-        yield FinishRound(alive, step, live)
+        yield FinishRound(sub, ids, alive, PartialSolution(kind, won, removed), live)
         alive[removed] = False
         if kind == "matching":
-            live = live[alive[live[:, 0]] & alive[live[:, 1]]]
-        steps.append(step)
+            keep = alive[live[:, 0]] & alive[live[:, 1]]
+            live, key = live[keep], key[keep]
+        steps.append(PartialSolution(kind, ids[won], ids[removed]))
         round_idx += 1
     return PartialSolution.empty(kind).merge(*steps)
 
 
-def finish_greedy(g_view: GraphView, kind: str, seed: int):
-    """Priority rounds until no alive edges remain (then, for MIS, sweep up the
-    isolated leftovers).  Every round removes at least the endpoints of the
-    best-ranked alive edge (or the best-ranked alive node), so the loop ends.
-
-    A matching finish reads ``g.edges`` once: it carries the live edges
-    from round to round and drops those that lost an endpoint.
+def finish_greedy(sub: Graph, ids: np.ndarray, n: int, kind: str, seed: int):
+    """Priority rounds on the remainder ``(sub, ids)`` of an ``n``-node graph
+    until no alive edges remain (then, for MIS, sweep up the isolated
+    leftovers); returns the solution in original ids.  Every round removes
+    at least the endpoints of the best-ranked alive edge (or the best-ranked
+    alive node), so the loop ends.  A matching finish keys ``sub.edges``
+    once and carries the live edges and their keys from round to round.
     :func:`finish_rounds` is the same loop, round by round."""
-    return _drain(finish_rounds(g_view, kind, seed))
+    return _drain(finish_rounds(sub, ids, n, kind, seed))
 
 
 def solve_records(
@@ -613,8 +617,8 @@ def solve_records(
 ):
     """:func:`solve` as one stream, the phase records then the finish rounds;
     returns what ``solve`` returns."""
-    sol, view, report = yield from phase_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor)
-    fin = yield from finish_rounds(view, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
+    sol, (sub, ids), report = yield from phase_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor)
+    fin = yield from finish_rounds(sub, ids, g.n, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
     return sol.merge(fin), report
 
 
@@ -630,10 +634,10 @@ def solve(
     """End-to-end run: degree reduction, then the greedy finish on the
     low-degree remainder.  :func:`sparsempc.mpc.mpc_pipeline` meters the
     same run, record by record (:func:`solve_records`)."""
-    sol, view, report = degree_reduce(
+    sol, (sub, ids), report = degree_reduce(
         g, kind, target_delta, exponent=exponent, seed=seed, d_floor=d_floor
     )
-    fin = finish_greedy(view, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
+    fin = finish_greedy(sub, ids, g.n, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
     return sol.merge(fin), report
 
 

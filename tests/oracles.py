@@ -109,6 +109,14 @@ def build_graph_by_lexsort(n: int, edges) -> Graph:
     return Graph(n=n, edges=np.stack([lo, hi], axis=1), indptr=indptr, indices=dst[perm])
 
 
+def alive_mask(n: int, ids) -> np.ndarray:
+    """The n-wide mask of the nodes ``ids``, as a remainder ``(sub, ids)``
+    names them."""
+    alive = np.zeros(n, np.bool_)
+    alive[ids] = True
+    return alive
+
+
 def compact_by_rebuild(view):
     """``view.compact()`` by renumbering the alive edges and rebuilding the
     graph from scratch with ``build_graph`` (validation and sorts included)."""

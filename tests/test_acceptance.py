@@ -17,7 +17,6 @@ from conftest import fitting_delta, realize, valid_d
 from oracles import ball_peel, from_mask, opt_matching, opt_vertex_cover, sweep_layers
 from sparsempc import mpc
 from sparsempc.generators import generate
-from sparsempc.graph import GraphView
 from sparsempc.harness import derive_2approx
 from sparsempc.peeling import degeneracy, h_partition, layer_decay_ok
 from sparsempc.reduction import reduce_once, solution_digest, solve, verify_maximal
@@ -307,7 +306,7 @@ def test_matching_round_clears_heavy_parents(announce):
     failures = 0
     trials = 0
     for seed in range(1000):
-        ph, _ = reduce_once(*GraphView.full(g).compact(), "matching", d, seed)
+        ph, _ = reduce_once(g, np.arange(g.n), "matching", d, seed)
         alive = np.ones(g.n, np.bool_)  # the phase subgraph is the whole graph
         alive[ph.sol.removed] = False
         kid_alive = alive[child0:].reshape(parents, per).sum(axis=1)
@@ -336,7 +335,7 @@ def test_mis_round_settles_heavy_parents(announce):
     join_sum = 0
     trials = 0
     for seed in range(1000):
-        ph, _ = reduce_once(*GraphView.full(g).compact(), "mis", d, seed)
+        ph, _ = reduce_once(g, np.arange(g.n), "mis", d, seed)
         alive = np.ones(g.n, np.bool_)  # the phase subgraph is the whole graph
         alive[ph.sol.removed] = False
         sel = np.zeros(g.n, np.bool_)

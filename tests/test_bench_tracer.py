@@ -57,10 +57,10 @@ def _finish_rounds(g, seed):
     """``(rounds that select, edges they select)`` in the matching finish of
     ``solve(g, "matching", 2, seed, d_floor=7)``, replayed with the
     edge-by-edge oracle round."""
-    _, view, _ = degree_reduce(g, "matching", 2, seed=seed, d_floor=7)
-    alive, finish_seed = view.alive.copy(), rng.derive_seed(seed, rng.FINISH_PHASE)
+    _, (_, ids), _ = degree_reduce(g, "matching", 2, seed=seed, d_floor=7)
+    alive, finish_seed = oracles.alive_mask(g.n, ids), rng.derive_seed(seed, rng.FINISH_PHASE)
     rounds = edges = 0
-    while won := oracles.luby_matching_round_by_edge(view.graph, alive, finish_seed, rounds):
+    while won := oracles.luby_matching_round_by_edge(g, alive, finish_seed, rounds):
         alive[np.array(won).ravel()] = False
         rounds += 1
         edges += len(won)

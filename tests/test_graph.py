@@ -275,14 +275,14 @@ def test_load_graph_format_errors_name_the_line(tmp_path, text, message):
 
 def test_compact_all_alive_returns_the_graph():
     for g in (cycle(7), build_graph(0, [])):
-        sub, ids = GraphView.full(g).compact()
+        sub, ids = GraphView(g, np.ones(g.n, bool)).compact()
         assert sub is g
         assert ids.dtype == np.int64 and np.array_equal(ids, np.arange(g.n))
 
 
 def test_view_compact_roundtrip():
     g = path(6)
-    view = GraphView.full(g)
+    view = GraphView(g, np.ones(g.n, bool))
     view.alive[np.array([0, 3])] = False
     sub, ids = view.compact()
     assert list(ids) == [1, 2, 4, 5]
@@ -294,9 +294,8 @@ def test_view_compact_roundtrip():
 
 def _compact_case(n, pairs, alive_bits):
     edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
-    view = GraphView.full(build_graph(n, edges))
-    view.alive[:] = [alive_bits >> v & 1 for v in range(n)]
-    return view
+    alive = np.array([alive_bits >> v & 1 for v in range(n)], bool)
+    return GraphView(build_graph(n, edges), alive)
 
 
 def _compact_cases(n):
@@ -327,7 +326,7 @@ def test_compact_matches_rebuild_oracle(case):
 
 def test_view_alive_degrees():
     g = star(5)
-    view = GraphView.full(g)
+    view = GraphView(g, np.ones(g.n, bool))
     assert int(alive_degrees(g.indptr, g.indices, view.alive).max(initial=0)) == 5
     view.alive[np.array([1, 2, 3])] = False
     deg = alive_degrees(g.indptr, g.indices, view.alive)

@@ -247,6 +247,24 @@ def test_run_rejects_unknown_generator_parameter():
         harness.run(spec)
 
 
+@pytest.mark.parametrize(
+    "pipeline,message",
+    [
+        ({"d_floor": 0}, "d_floor must be >= 1"),
+        ({"exponent": 0.0}, r"exponent must be a number in \(0, 1\]"),
+        ({"c_total": 0}, "c_total must be a finite number > 0"),
+        ({"c_pre": -3}, "c_pre must be a finite number >= 0"),
+    ],
+    ids=["floor", "exponent", "c-total", "c-pre"],
+)
+def test_run_rejects_a_pipeline_number_out_of_range(pipeline, message):
+    spec = harness.ExperimentSpec(
+        instances=[{"family": "tree", "params": {"n": 40}, "seeds": [0]}], pipeline=pipeline
+    )
+    with pytest.raises(RuntimeError, match=r"instance tree\(n=40\)#s0: " + message):
+        harness.run(spec)
+
+
 def test_centralized_only_mode_leaves_mpc_fields_empty():
     spec = harness.ExperimentSpec(**{**_spec_doc(), "mode": "centralized"})
     records = harness.run(spec)

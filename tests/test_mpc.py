@@ -730,6 +730,73 @@ def test_each_phase_record_is_released_before_the_next_is_computed(monkeypatch):
     assert refs[0]() is g.indices
 
 
+@pytest.mark.parametrize(
+    "family,params,kind,d_floor,delta",
+    [
+        ("tree", {"n": 4096}, "mis", None, 0.5),
+        ("preferential-attachment", {"n": 4096, "c": 3}, "matching", 3, 0.8),
+    ],
+    ids=["tree-mis", "pa-matching"],
+)
+def test_phases_nest_and_the_finish_runs_on_the_remainder(monkeypatch, family, params, kind, d_floor, delta):
+    # Each phase runs on the remainder of the one before it, and compacts
+    # its own survivors: no compaction reads the input graph after phase 1.
+    # The finish runs on the last remainder, and every array of its rounds
+    # has the remainder's length.
+    g = generate(family, params, seed=0)
+    compact = GraphView.compact
+    meter_phase, meter_round = mpc_mod.mpc_phase, mpc_mod.mpc_finish_round
+    calls, phases, rounds = [], [], []
+
+    def compacting(view):
+        out = compact(view)
+        calls.append((view.graph, view.alive.size, out[0]))
+        return out
+
+    def metering(cluster, ph, **kwargs):
+        phases.append(ph)
+        stats = meter_phase(cluster, ph, **kwargs)
+        # the survivors store their rows in the remainder
+        assert np.array_equal(cluster.words[ph.rest_ids], ph.rest.degrees)
+        return stats
+
+    def metering_round(cluster, rnd):
+        rounds.append(rnd)
+        return meter_round(cluster, rnd)
+
+    monkeypatch.setattr(GraphView, "compact", compacting)
+    monkeypatch.setattr(mpc_mod, "mpc_phase", metering)
+    monkeypatch.setattr(mpc_mod, "mpc_finish_round", metering_round)
+    ref, report = solve(g, kind, 2, 0, d_floor=d_floor)
+    # the reference run: one compaction per phase, of that phase's subgraph,
+    # whose output the next compaction reads
+    assert len(calls) == len(report.phases) >= 2
+    for (graph, width, _), entry in zip(calls, report.phases):
+        assert graph.n == width == entry["alive_before"]
+    assert calls[0][0] is g
+    for (_, _, rest), (graph, _, _) in zip(calls, calls[1:]):
+        assert graph is rest and graph.n < g.n
+    calls.clear()
+    sol, met = mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, 0, d_floor=d_floor)
+    assert solution_digest(sol, 0) == solution_digest(ref, 0)
+    assert len(phases) == len(calls) == len(met["phases"])
+    assert phases[0].sub is g and np.array_equal(phases[0].ids, np.arange(g.n))
+    for ph, (graph, width, rest) in zip(phases, calls):
+        assert graph is ph.sub and width == ph.sub.n and rest is ph.rest
+        assert np.array_equal(ph.rest_ids, np.setdiff1d(ph.ids, ph.solution().removed))
+    for before, ph in zip(phases, phases[1:]):
+        assert ph.sub is before.rest and ph.ids is before.rest_ids
+    last = phases[-1]
+    assert 0 < last.rest.n < g.n and len(rounds) >= 2
+    for rnd in rounds:
+        assert rnd.sub is last.rest and rnd.ids is last.rest_ids
+        assert rnd.alive.shape == rnd.ids.shape == (last.rest.n,)
+        for nodes in (rnd.step.selected, rnd.step.removed) + ((rnd.live,) if kind == "matching" else ()):
+            assert nodes.size and nodes.max() < last.rest.n
+    if kind == "matching":
+        assert rounds[0].live is last.rest.edges
+
+
 @pytest.mark.parametrize("kind", ["matching", "mis"])
 def test_select_matches_centralized(kind):
     # the chunk walk drops exactly the nodes the centralized selection removes
@@ -747,10 +814,8 @@ def test_select_matches_centralized(kind):
     else:
         ref = select_mis(g, hp, mark_and_propose_mis(g, hp, mis_probability(3), seed=9))
     before = metrics(cl)["rounds_by_label"].get("select", 0)
-    survivors = mpc_select(cl, layers, chunks, ref)
+    assert mpc_select(cl, layers, chunks, ref) is None
     assert np.array_equal(np.flatnonzero(cl.words == 0), ref.removed)
-    # the survivors come back ascending
-    assert np.array_equal(survivors, np.setdiff1d(np.arange(g.n), ref.removed))
     per_chunk = 2 if kind == "matching" else 3
     assert metrics(cl)["rounds_by_label"]["select"] - before == per_chunk * len(chunks)
     # the order covers every node exactly once (the instance layers them all)
@@ -865,6 +930,58 @@ def test_pipeline_checks_inputs_before_placing_nodes(monkeypatch, kind, target_d
     assert str(got.value) == str(ref.value) == message
 
 
+_BAD_FLOOR, _BAD_EXPONENT = "d_floor must be >= 1", r"exponent must be a number in \(0, 1\]"
+THRESHOLD_CASES = {
+    "floor-negative": ({"d_floor": -3}, _BAD_FLOOR),
+    "floor-zero": ({"d_floor": 0}, _BAD_FLOOR),
+    "exponent-negative": ({"exponent": -1.0}, _BAD_EXPONENT),
+    "exponent-zero": ({"exponent": 0.0}, _BAD_EXPONENT),
+    "exponent-above-one": ({"exponent": 1.5}, _BAD_EXPONENT),
+    "exponent-nan": ({"exponent": float("nan")}, _BAD_EXPONENT),
+    "exponent-inf": ({"exponent": float("inf")}, _BAD_EXPONENT),
+}
+
+
+@pytest.mark.parametrize("case", THRESHOLD_CASES)
+def test_every_pipeline_rejects_a_bad_threshold_before_any_work(monkeypatch, case):
+    # a floor below 1 used to be ignored, and an exponent outside (0, 1]
+    # ran every phase at d = 1 (NaN and inf raised from math.ceil)
+    kwargs, message = THRESHOLD_CASES[case]
+    g = generate("tree", {"n": 150}, seed=0)
+    cfg = ClusterConfig.for_graph(g, 0.5)
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the inputs were checked")
+
+    monkeypatch.setattr(reduction, "reduce_once", no_work)
+    monkeypatch.setattr(mpc_mod, "init_cluster", no_work)
+    with pytest.raises(ValueError, match=message):
+        solve(g, "mis", 2, 0, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        reduction.degree_reduce(g, "mis", 2, **kwargs)
+    with pytest.raises(ValueError, match=message):
+        next(reduction.phase_records(g, "mis", 2, 0, **kwargs))
+    with pytest.raises(ValueError, match=message):
+        mpc_pipeline(g, cfg, "mis", 2, 0, **kwargs)
+
+
+@pytest.mark.parametrize("c_pre", [-3.0, float("nan"), float("inf")])
+def test_a_bad_preprocessing_constant_is_rejected_before_any_work(monkeypatch, c_pre):
+    # c_pre = -3 used to record preprocessing_layers = -7; NaN and inf
+    # raised from math.ceil.  A graph under the target runs no phase, and
+    # so no schedule, yet the pipeline still rejects the constant.
+    with pytest.raises(ValueError, match="c_pre must be a finite number >= 0"):
+        compute_schedule(3, 10 ** 6, n=2 ** 16, delta=0.5, c_pre=c_pre)
+
+    def no_placement(*args, **kwargs):
+        raise AssertionError("init_cluster ran before the inputs were checked")
+
+    monkeypatch.setattr(mpc_mod, "init_cluster", no_placement)
+    g = path(6)
+    with pytest.raises(ValueError, match="c_pre must be a finite number >= 0"):
+        mpc_pipeline(g, ClusterConfig.for_graph(g, 0.6), "matching", 3, 0, c_pre=c_pre)
+
+
 def test_pipeline_trivial_graph_skips_reduction():
     g = path(6)  # max degree 2 <= target: no phases, straight to the finish
     cfg = ClusterConfig.for_graph(g, 0.6)
@@ -874,9 +991,13 @@ def test_pipeline_trivial_graph_skips_reduction():
 
 
 def _edge_scan_finish_round(cl, rnd):
-    """The finish meter as a full edge scan: in a matching round, every
-    endpoint of an edge with two alive ends exchanges priorities."""
-    g, alive, step = cl.graph, rnd.alive, rnd.step
+    """The finish meter as a full edge scan of the cluster's whole graph, in
+    original ids: in a matching round, every endpoint of an edge with two
+    alive ends exchanges priorities."""
+    g, ids = cl.graph, rnd.ids
+    alive = np.zeros(g.n, bool)
+    alive[ids[rnd.alive]] = True
+    step = PartialSolution(rnd.step.kind, ids[rnd.step.selected], ids[rnd.step.removed])
     after = alive.copy()
     after[step.removed] = False
     if step.kind == "matching":
@@ -884,8 +1005,8 @@ def _edge_scan_finish_round(cl, rnd):
         nodes = np.unique(e)
         cl.execute_round_volumes(nodes, 1, label="finish")
     else:
-        cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.selected, alive), label="finish")
-    cl.execute_round_bulk(*mpc_mod._notify_pairs(g, step.removed, after), label="finish")
+        cl.execute_round_bulk(*mpc_mod._notify_pairs(g, np.arange(g.n), step.selected, alive), label="finish")
+    cl.execute_round_bulk(*mpc_mod._notify_pairs(g, np.arange(g.n), step.removed, after), label="finish")
     cl.set_words(step.removed, 0)
     cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
 
@@ -907,7 +1028,7 @@ def test_finish_meter_matches_full_edge_scan(n, graph_seed, keep, seed, kind):
     traces, loads = [], []
     for meter in (mpc_finish_round, _edge_scan_finish_round):
         cl = _roomy_cluster(g)
-        for rnd in finish_rounds(GraphView(graph=g, alive=alive.copy()), kind, seed):
+        for rnd in finish_rounds(*GraphView(graph=g, alive=alive).compact(), g.n, kind, seed):
             meter(cl, rnd)
         traces.append(cl.traces)
         loads.append(cl.loads)

@@ -42,7 +42,9 @@ from sparsempc.runtime import ClusterConfig
 from conftest import realize, valid_d
 from oracles import (
     alive_degrees_all_rows,
+    alive_mask,
     check_matching_proposals_by_sets,
+    compact_by_rebuild,
     complete,
     cycle,
     finish_by_rounds,
@@ -518,6 +520,11 @@ def test_select_mis_matches_per_layer_oracle(n, graph_seed, layers, p, seed):
 # ---------------------------------------------------------------------------
 
 
+def _full(g):
+    """The view of every node of ``g``."""
+    return GraphView(g, np.ones(g.n, bool))
+
+
 def _remainder(view, ph):
     """The alive mask of ``view`` once the record ``ph``'s selection left."""
     alive = view.alive.copy()
@@ -527,15 +534,15 @@ def _remainder(view, ph):
 
 def test_reduce_once_edgeless_mis_selects_all():
     g = build_graph(6, np.empty((0, 2), np.int64))
-    ph, entry = reduce_once(*GraphView.full(g).compact(), "mis", d=1, seed=0)
+    ph, entry = reduce_once(g, np.arange(g.n), "mis", d=1, seed=0)
     assert sorted(ph.sol.selected.tolist()) == list(range(6))
-    assert not _remainder(GraphView.full(g), ph).any()
+    assert not _remainder(_full(g), ph).any()
     assert entry["delta_before"] == 0
 
 
 def test_reduce_once_empty_view_rejected():
     g = path(3)
-    view = GraphView.full(g)
+    view = _full(g)
     view.alive[:] = False
     with pytest.raises(ValueError, match="nonempty"):
         reduce_once(*view.compact(), "matching", d=1, seed=0)
@@ -544,9 +551,9 @@ def test_reduce_once_empty_view_rejected():
 def test_reduce_once_remainder_outdegree_bound():
     g = generate("preferential-attachment", {"n": 300, "c": 3}, seed=5)
     d = 2 * degeneracy(g).degeneracy + 1
-    ph, entry = reduce_once(*GraphView.full(g).compact(), "matching", d=d, seed=1)
+    ph, entry = reduce_once(g, np.arange(g.n), "matching", d=d, seed=1)
     hp = h_partition(g, d)  # full graph == compacted view here
-    for v in np.flatnonzero(_remainder(GraphView.full(g), ph)):
+    for v in np.flatnonzero(_remainder(_full(g), ph)):
         nb = g.neighbors(v)
         assert int((hp.layer[nb] >= hp.layer[v]).sum()) <= d
 
@@ -565,7 +572,7 @@ def test_reduce_once_delta_after_is_remainder_max_degree(n, seed, kind, d):
     m = int(r.integers(1, 3 * n + 1))
     edges = {tuple(sorted(map(int, e))) for e in r.integers(0, n, size=(m, 2)) if e[0] != e[1]}
     g = build_graph(n, np.array(sorted(edges), np.int64).reshape(-1, 2))
-    view = GraphView.full(g)
+    view = _full(g)
     view.alive[r.random(n) < 0.2] = False
     assume(view.alive.any())
     ph, entry = reduce_once(*view.compact(), kind, d=d, seed=seed)
@@ -579,14 +586,14 @@ def test_reduce_once_delta_after_is_remainder_max_degree(n, seed, kind, d):
 
 def test_degree_reduce_next_phase_starts_at_delta_after():
     g = generate("preferential-attachment", {"n": 1500, "c": 3}, seed=4)
-    sol, view, report = degree_reduce(g, "mis", target_delta=2, seed=2, d_floor=3)
+    sol, (_, ids), report = degree_reduce(g, "mis", target_delta=2, seed=2, d_floor=3)
     assert len(report.phases) >= 2
     for before, after in zip(report.phases, report.phases[1:]):
         assert after["delta_before"] == before["delta_after"]
     # each phase's threshold comes from the degree the loop carried over
     for ph in report.phases:
         assert ph["d_used"] == phase_threshold(ph["delta_before"], 0.1, 3)
-    deg = alive_degrees(g.indptr, g.indices, view.alive)
+    deg = alive_degrees(g.indptr, g.indices, alive_mask(g.n, ids))
     assert report.phases[-1]["delta_after"] == int(deg.max(initial=0))
 
 
@@ -599,7 +606,7 @@ def test_reduce_once_heavy_parent_gadget():
     assert g.degrees[0] == 256
     fixed = 0
     for seed in range(1000):
-        sol, rem, entry = _reduce_once_against_oracles(GraphView.full(g), "matching", 4, seed)
+        sol, rem, entry = _reduce_once_against_oracles(_full(g), "matching", 4, seed)
         assert entry["heavy_nodes_before"] >= 1
         if not rem.alive[0] or alive_degrees(g.indptr, g.indices, rem.alive)[0] == 0:
             fixed += 1
@@ -608,15 +615,16 @@ def test_reduce_once_heavy_parent_gadget():
 
 def _reduce_once_against_oracles(view, kind, d, seed):
     """:func:`reduce_once` on the alive nodes of ``view``: the phase record's
-    heavy statistics, remainder degrees and MIS proposals checked against
-    the formulas that read every row of the phase subgraph or of the whole
-    graph.  Returns ``(selection in original ids, remainder view, entry)``,
-    or None on a stall."""
+    heavy statistics, remainder and MIS proposals checked against the
+    formulas that read every row of the phase subgraph or of the whole
+    graph, and the remainder subgraph against the whole graph's survivors
+    rebuilt from scratch.  Returns ``(selection in original ids, remainder
+    view, entry)``, or None on a stall."""
     sub, ids = view.compact()
     ph, entry = reduce_once(sub, ids, kind, d, seed)
     assert ph.sub is sub and ph.ids is ids
     if ph.sol is None:
-        assert entry["stalled"] and ph.props is ph.deg is None
+        assert entry["stalled"] and ph.props is ph.rest is ph.rest_ids is None
         return None
     hp = ph.hp
     assert np.array_equal(ids, np.flatnonzero(view.alive))
@@ -631,7 +639,13 @@ def _reduce_once_against_oracles(view, kind, d, seed):
     rem = GraphView(view.graph, _remainder(view, ph))
     want = alive_degrees_all_rows(view.graph, rem.alive)
     assert not np.delete(want, ids).any()
-    assert ph.deg.dtype == np.int64 and np.array_equal(ph.deg, want[ids])
+    rest, rest_ids = compact_by_rebuild(rem)
+    assert np.array_equal(ph.rest_ids, rest_ids)
+    for got, ref in ((ph.rest.edges, rest.edges), (ph.rest.indptr, rest.indptr),
+                     (ph.rest.indices, rest.indices)):
+        assert got.dtype == np.int64 and np.array_equal(got, ref)
+    deg = ph.rest.degrees
+    assert deg.dtype == np.int64 and np.array_equal(deg, want[ph.rest_ids])
     assert entry["delta_after"] == int(want.max())
     if kind == "mis":
         marked, proposed = mis_proposals_all_rows(sub, hp, mis_probability(d), seed)
@@ -670,7 +684,7 @@ def test_phase_statistics_match_full_graph_oracles(pipeline_corpus, kind):
     totals = np.zeros(2, np.int64)
     for spec in pipeline_corpus:
         g = realize(spec)
-        view, delta, floor = GraphView.full(g), g.max_degree(), None
+        view, delta, floor = _full(g), g.max_degree(), None
         for phase in range(8):
             if delta <= 2 or not view.alive.any():
                 break
@@ -686,7 +700,7 @@ def test_phase_statistics_match_full_graph_oracles(pipeline_corpus, kind):
             delta = entry["delta_after"]
     g = _star_forest(32, 16)
     for seed in range(20):
-        entry = _reduce_once_against_oracles(GraphView.full(g), kind, 2, seed)[2]
+        entry = _reduce_once_against_oracles(_full(g), kind, 2, seed)[2]
         assert entry["heavy_nodes_before"] == 64
         totals += (entry["heavy_nodes_before"], entry["heavy_survivors_after"])
     assert totals[0] > 0
@@ -696,19 +710,20 @@ def test_phase_statistics_match_full_graph_oracles(pipeline_corpus, kind):
 
 def test_degree_reduce_zero_phases_when_under_target():
     g = path(5)
-    sol, view, report = degree_reduce(g, "matching", target_delta=2, seed=0)
+    sol, (sub, ids), report = degree_reduce(g, "matching", target_delta=2, seed=0)
     assert report.phases == []
     assert sol.selected.shape[0] == 0
-    assert view.alive.all()
+    assert sub is g and alive_mask(g.n, ids).all()
 
 
 def test_degree_reduce_big_star_matches_center_in_one_phase():
     g = star(1000)
-    sol, view, report = degree_reduce(g, "matching", target_delta=10, seed=42)
+    sol, (sub, ids), report = degree_reduce(g, "matching", target_delta=10, seed=42)
     assert len(report.phases) == 1
     assert sol.selected.shape[0] == 1
     assert 0 in sol.selected[0]
-    assert int(alive_degrees(g.indptr, g.indices, view.alive).max(initial=0)) == 0
+    assert int(alive_degrees(g.indptr, g.indices, alive_mask(g.n, ids)).max(initial=0)) == 0
+    assert sub.n == ids.size and sub.m == 0
 
 
 def test_degree_reduce_target_validation():
@@ -721,7 +736,7 @@ def test_degree_reduce_phase_count_bound():
     # actually shrank the degree
     g = generate("preferential-attachment", {"n": 2000, "c": 3}, seed=9)
     delta = g.max_degree()
-    sol, view, report = degree_reduce(g, "matching", target_delta=3, seed=1, d_floor=3)
+    sol, _, report = degree_reduce(g, "matching", target_delta=3, seed=1, d_floor=3)
     if all(ph.get("reduced", True) and not ph.get("stalled") for ph in report.phases):
         bound = int(np.ceil(np.log2(np.log2(delta)))) + 5
         assert len(report.phases) <= bound
@@ -732,7 +747,7 @@ def test_degree_reduce_phase_count_bound():
 def test_degree_reduce_report_monotone_and_valid_solution():
     g = generate("bounded-degree-random", {"n": 400, "deg": 8}, seed=2)
     for kind in ("matching", "mis"):
-        sol, view, report = degree_reduce(g, kind, target_delta=3, seed=3, d_floor=3)
+        sol, (_, ids), report = degree_reduce(g, kind, target_delta=3, seed=3, d_floor=3)
         for ph in report.phases:
             assert ph["delta_after"] <= ph["delta_before"]
         if kind == "matching":
@@ -743,7 +758,7 @@ def test_degree_reduce_report_monotone_and_valid_solution():
             sel[sol.selected] = True
             e = g.edges
             assert not (sel[e[:, 0]] & sel[e[:, 1]]).any()
-        assert not view.alive[sol.removed].any()
+        assert not alive_mask(g.n, ids)[sol.removed].any()
 
 
 # reason -> (graph, kind, keyword arguments, phases in the report)
@@ -784,19 +799,19 @@ def test_a_matching_phase_at_delta_at_most_d_selects_nothing(partition_corpus):
         g = realize(spec)
         delta = g.max_degree()
         d = phase_threshold(delta, 0.1, delta + i % 2)
-        ph, entry = reduce_once(*GraphView.full(g).compact(), "matching", d, spec["seed"])
+        ph, entry = reduce_once(g, np.arange(g.n), "matching", d, spec["seed"])
         assert entry["ell"] == 1, spec
         assert ph.sol.selected.shape == (0, 2) and not ph.sol.removed.size, spec
-        assert _remainder(GraphView.full(g), ph).all() and entry["delta_after"] == delta, spec
+        assert _remainder(_full(g), ph).all() and entry["delta_after"] == delta, spec
 
 
 def test_an_independent_set_phase_of_one_layer_still_runs():
     # a one-layer independent-set phase removes nodes, so the stop rule
     # leaves it to run
     g = generate("grid", {"rows": 20, "cols": 20}, seed=0)
-    sol, view, report = degree_reduce(g, "mis", 2, seed=0, d_floor=g.max_degree())
+    sol, (_, ids), report = degree_reduce(g, "mis", 2, seed=0, d_floor=g.max_degree())
     assert report.phases[0]["ell"] == 1
-    assert sol.selected.size and not view.alive[sol.removed].any()
+    assert sol.selected.size and not alive_mask(g.n, ids)[sol.removed].any()
 
 
 # ---------------------------------------------------------------------------
@@ -880,29 +895,29 @@ def test_merge_rejects_a_part_of_another_kind():
 
 def test_finish_edgeless_mis_selects_all():
     g = build_graph(5, np.empty((0, 2), np.int64))
-    sol = finish_greedy(GraphView.full(g), "mis", seed=0)
+    sol = finish_greedy(g, np.arange(g.n), g.n, "mis", seed=0)
     assert sorted(sol.selected.tolist()) == list(range(5))
 
 
 def test_finish_single_edge_matching():
     g = path(2)
-    sol = finish_greedy(GraphView.full(g), "matching", seed=5)
+    sol = finish_greedy(g, np.arange(g.n), g.n, "matching", seed=5)
     assert sol.selected.tolist() == [[0, 1]]
 
 
 def test_finish_c5_mis_size_two():
     g = cycle(5)
     for seed in range(20):
-        sol = finish_greedy(GraphView.full(g), "mis", seed)
+        sol = finish_greedy(g, np.arange(g.n), g.n, "mis", seed)
         assert sol.selected.size == 2
         assert verify_maximal(g, sol)
 
 
 def test_finish_respects_dead_nodes():
     g = path(3)
-    view = GraphView.full(g)
+    view = _full(g)
     view.alive[0] = False
-    sol = finish_greedy(view, "matching", seed=1)
+    sol = finish_greedy(*view.compact(), g.n, "matching", seed=1)
     assert sol.selected.tolist() == [[1, 2]]
 
 
@@ -941,10 +956,13 @@ def _finish_case(n, graph_seed, mode):
 @settings(max_examples=80, deadline=None)
 def test_luby_mis_round_matches_all_n_oracle(n, graph_seed, mode, seed, round_idx):
     g, alive = _finish_case(n, graph_seed, mode)
-    got = luby_mis_round(g, alive, seed, round_idx)
+    got = luby_mis_round(g, np.arange(g.n), alive, seed, round_idx)
     assert np.array_equal(got, luby_mis_round_all_n(g, alive, seed, round_idx))
     if mode in ("isolated", "one", "none"):  # no alive edge: every alive node joins
         assert np.array_equal(got, np.flatnonzero(alive))
+    # the round on the alive nodes' subgraph, keyed by their original ids
+    sub, ids = GraphView(g, alive).compact()
+    assert np.array_equal(ids[luby_mis_round(sub, ids, np.ones(sub.n, bool), seed, round_idx)], got)
 
 
 @given(st.integers(2, 40), st.integers(0, 2 ** 31 - 1), st.integers(0, 2 ** 20))
@@ -956,7 +974,7 @@ def test_luby_mis_round_breaks_priority_ties_by_id(n, graph_seed, round_idx):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(rng, "hash_u64", lambda *args: real(*args) % np.uint64(3))
         g, alive = _finish_case(n, graph_seed, "random")
-        got = luby_mis_round(g, alive, 5, round_idx)
+        got = luby_mis_round(g, np.arange(g.n), alive, 5, round_idx)
         assert np.array_equal(got, luby_mis_round_all_n(g, alive, 5, round_idx))
 
 
@@ -972,7 +990,7 @@ def test_mis_round_hashes_exactly_the_alive_ids(monkeypatch):
         return real(seed, stream, phase, index)
 
     monkeypatch.setattr(rng, "hash_u64", spy)
-    luby_mis_round(g, alive, 3, 1)
+    luby_mis_round(g, np.arange(g.n), alive, 3, 1)
     (ids,) = hashed
     assert np.array_equal(ids, np.flatnonzero(alive))
 
@@ -989,7 +1007,7 @@ def test_mis_round_hashes_exactly_the_alive_ids(monkeypatch):
 @settings(max_examples=60, deadline=None)
 def test_finish_greedy_matches_oracle_finish(n, graph_seed, mode, seed, kind):
     g, alive = _finish_case(n, graph_seed, mode)
-    sol = finish_greedy(GraphView(graph=g, alive=alive.copy()), kind, seed)
+    sol = finish_greedy(*GraphView(graph=g, alive=alive).compact(), g.n, kind, seed)
     want_selected, want_removed = finish_by_rounds(g, alive, kind, seed)
     assert sol.selected.tolist() == want_selected
     assert sol.removed.tolist() == want_removed
@@ -1007,9 +1025,9 @@ def test_matching_finish_breaks_priority_ties_by_key(n, graph_seed, round_idx):
         mp.setattr(rng, "hash_u64", lambda *args: real(*args) % np.uint64(3))
         g, alive = _finish_case(n, graph_seed, "random")
         live = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
-        got = luby_matching_round(g, live, 5, round_idx)
+        got = luby_matching_round(g, live, live[:, 0] * g.n + live[:, 1], 5, round_idx)
         assert got.tolist() == [list(e) for e in luby_matching_round_by_edge(g, alive, 5, round_idx)]
-        sol = finish_greedy(GraphView(graph=g, alive=alive.copy()), "matching", 5)
+        sol = finish_greedy(*GraphView(graph=g, alive=alive).compact(), g.n, "matching", 5)
         want_selected, want_removed = finish_by_rounds(g, alive, "matching", 5)
         assert sol.selected.tolist() == want_selected
         assert sol.removed.tolist() == want_removed
@@ -1099,7 +1117,7 @@ def test_stages_reject_unknown_kind(kind):
     with pytest.raises(ValueError, match="unknown kind"):
         degree_reduce(g, kind, 30)
     with pytest.raises(ValueError, match="unknown kind"):
-        finish_greedy(GraphView.full(g), kind, seed=0)
+        finish_greedy(g, np.arange(g.n), g.n, kind, seed=0)
 
 
 @pytest.mark.parametrize("kind", ["matching", "mis"])

@@ -64,6 +64,13 @@ def test_config_rejects_delta_outside_unit_interval(delta):
         ClusterConfig.for_graph(path(16), delta)
 
 
+@pytest.mark.parametrize("c_total", [0, -5, float("nan"), float("inf")])
+def test_config_for_graph_rejects_a_bad_memory_constant(c_total):
+    # 0 and -5 used to give M = 1; NaN and inf raised from math.ceil
+    with pytest.raises(ValueError, match="c_total must be a finite number > 0"):
+        ClusterConfig.for_graph(path(16), 0.5, c_total=c_total)
+
+
 def test_config_total_memory_validation():
     # a config is checked against the graph it is to hold when it places it
     g = path(101)  # m = 100 words of input, M*S = 8
@@ -232,7 +239,7 @@ def test_pair_rounds_count_only_crossing_pairs(n, machines, pairs, seed):
 
     with mock.patch.object(cl, "_check_and_trace", capture):
         cl.execute_round_bulk(*rounds[0], label="pairs")
-        cl.execute_round_bulk(*_notify_pairs(g, senders, mask), label="notify")
+        cl.execute_round_bulk(*_notify_pairs(g, np.arange(g.n), senders, mask), label="notify")
     assert len(recorded) == 2
     for (src, dst), (sent, received) in zip(rounds, recorded):
         want_sent, want_received = _crossing_ledgers(cl, src, dst)

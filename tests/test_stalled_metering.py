@@ -165,7 +165,7 @@ def test_reduce_once_records_the_partial_map_of_a_stall():
     assert ph.sub is sub and ph.ids is ids
     assert np.array_equal(ph.hp.layer, hand_peel(sub, 1, max_layers=sub.n))
     assert ph.hp.ell == 26
-    assert ph.props is ph.sol is ph.deg is None
+    assert ph.props is ph.sol is ph.rest is ph.rest_ids is None
     assert entry["stalled"] and entry["stall_reason"].startswith("peeling stalled with 6 nodes")
 
 
