@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .kernels import gather_segments
+from .kernels import gather_neighbors
 
 
 class GraphError(ValueError):
@@ -127,11 +127,12 @@ class GraphView:
         Returns ``(graph, ids)`` where ``ids[i]`` is the original id of the
         compacted node ``i``.  When every node is alive that is the graph
         itself and ``arange(n)``.  Otherwise nothing is sorted or
-        re-validated: the alive nodes' rows are gathered in id order and
-        filtered to their alive neighbors, and the renumbering is monotone,
-        so each row stays ascending and the entries with ``src < nb`` are the
-        alive edges, canonical and in lexicographic order.  ``indptr`` is the
-        prefix sum of the kept entries.
+        re-validated: the alive nodes' rows are gathered in id order, without
+        their sources, and filtered to their alive neighbors, and the
+        renumbering is monotone, so each row stays ascending.  ``indptr`` is
+        the prefix sum of the kept entries, and the row ids are built for the
+        kept entries only, from it; the entries with ``src < nb`` are the
+        alive edges, canonical and in lexicographic order.
         """
         g = self.graph
         alive = self.alive
@@ -140,13 +141,14 @@ class GraphView:
             return g, ids
         remap = np.full(g.n, -1, dtype=np.int64)
         remap[ids] = np.arange(ids.size, dtype=np.int64)
-        src, nb = gather_segments(g.indptr, g.indices, ids)
+        nb = gather_neighbors(g.indptr, g.indices, ids)
         keep = alive[nb]
         # kept entries before each row boundary of the gathered rows
         kept = np.concatenate((np.zeros(1, np.int64), np.cumsum(keep)))
         ends = np.cumsum(g.indptr[ids + 1] - g.indptr[ids])
         indptr = kept[np.concatenate((np.zeros(1, np.int64), ends))]
-        src, nb = remap[src[keep]], remap[nb[keep]]
+        nb = remap[nb[keep]]
+        src = np.repeat(np.arange(ids.size, dtype=np.int64), indptr[1:] - indptr[:-1])
         fwd = src < nb
         edges = np.stack((src[fwd], nb[fwd]), axis=1)
         return Graph(n=ids.size, edges=edges, indptr=indptr, indices=nb), ids

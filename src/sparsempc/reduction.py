@@ -28,7 +28,7 @@ import numpy as np
 
 from . import rng
 from .graph import Graph, GraphView
-from .kernels import gather_segments, sorted_unique
+from .kernels import gather_neighbors, gather_segments, sorted_unique
 from .peeling import HPartition, StallError, h_partition
 
 KINDS = ("matching", "mis")
@@ -69,17 +69,23 @@ class ProposalSet:
     # mis: (k,) node arrays.  Always sorted for cross-execution determinism.
     marked: np.ndarray
     proposed: np.ndarray
+    # mis, as mark_and_propose_mis read them: the marked rows ``(src, nb)``
+    # and their same-layer mask, handed to the cluster meter
+    marked_rows: tuple[np.ndarray, np.ndarray, np.ndarray] | None = None
 
 
 @dataclass
 class PartialSolution:
     """A selection and the nodes it takes out of the graph.  A phase's
     selection lists its matched edges or nodes in commit order (see
-    :func:`select_matching`) until :meth:`merge` sorts the run's solution."""
+    :func:`select_matching`) until :meth:`merge` sorts the run's solution.
+    An independent-set phase's selection also holds ``rows``, the winners'
+    neighbors as :func:`select_mis` gathered them, for the cluster meter."""
 
     kind: str
     selected: np.ndarray  # matching: (k, 2) edges; mis: (k,) nodes
     removed: np.ndarray  # node ids taken out of the graph by this solution
+    rows: list[np.ndarray] | None = None
 
     @classmethod
     def empty(cls, kind: str) -> "PartialSolution":
@@ -188,16 +194,20 @@ def mark_and_propose_mis(g: Graph, hp: HPartition, p: float, seed: int) -> Propo
     neighbors are all unmarked.
 
     Only a marked node can propose, so only the marked rows are read for
-    blocking neighbors: with p = 1/d² that is a small share of the rows."""
+    blocking neighbors: with p = 1/d² that is a small share of the rows.
+    The proposals carry those rows and their same-layer mask as
+    ``marked_rows``: the marks the cluster exchanges are the same-layer
+    entries, so its meter reads them rather than the rows again."""
     if not (0 < p <= 1):
         raise ValueError(f"p must be in (0, 1], got {p}")
     lay = hp.layer
     marked = rng.uniform(seed, rng.MARK_NODE, 0, np.arange(g.n)) < p
     rows = np.flatnonzero(marked)
     src, nb = gather_segments(g.indptr, g.indices, rows)
+    same = lay[nb] == lay[src]
     blocked = np.zeros(g.n, np.bool_)
-    blocked[src[marked[nb] & (lay[nb] == lay[src])]] = True
-    return ProposalSet(kind="mis", marked=rows, proposed=rows[~blocked[rows]])
+    blocked[src[marked[nb] & same]] = True
+    return ProposalSet(kind="mis", marked=rows, proposed=rows[~blocked[rows]], marked_rows=(src, nb, same))
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +298,16 @@ def select_mis(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolution:
     key, and the sweep walks the runs of equal layer, so it costs the
     proposals plus one step per proposing layer.  The nodes come out in the
     order the sweep commits them: proposing layer highest first, then the
-    proposals' own order."""
+    proposals' own order.  The selection's ``rows`` are the neighbor arrays
+    the sweep gathered, one per proposing layer: concatenated, they are the
+    winners' rows in commit order, which the cluster meter's notify rounds
+    read."""
     _check_mis_proposals(g, hp, props)
     pr = props.proposed
     if not pr.size:
-        return PartialSolution.empty("mis")
+        sol = PartialSolution.empty("mis")
+        sol.rows = []
+        return sol
     depth = hp.layer[pr]
     depth = int(depth.max()) - depth  # 0 for the highest proposing layer
     order = np.argsort(depth.astype(np.min_scalar_type(int(depth.max()))), kind="stable")
@@ -300,15 +315,17 @@ def select_mis(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolution:
     bounds = [0, *(np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist(), depth.size]
     alive = np.ones(g.n, dtype=np.bool_)
     commit = np.empty(depth.size, np.bool_)
+    rows = []
     for s, e in zip(bounds[:-1], bounds[1:]):
         c = cand[s:e]
         ok = alive[c]
         commit[s:e] = ok
         c = c[ok]
         alive[c] = False
-        _, nb = gather_segments(g.indptr, g.indices, c)
+        nb = gather_neighbors(g.indptr, g.indices, c)
         alive[nb] = False
-    return PartialSolution(kind="mis", selected=cand[commit], removed=np.flatnonzero(~alive))
+        rows.append(nb)
+    return PartialSolution(kind="mis", selected=cand[commit], removed=np.flatnonzero(~alive), rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -589,7 +606,7 @@ def finish_rounds(sub: Graph, ids: np.ndarray, n: int, kind: str, seed: int):
             won = luby_mis_round(sub, ids, alive, seed, round_idx)
             if not won.size:
                 break
-            _, nb = gather_segments(sub.indptr, sub.indices, won)
+            nb = gather_neighbors(sub.indptr, sub.indices, won)
             removed = sorted_unique(np.concatenate([won, nb[alive[nb]]]))
         yield FinishRound(sub, ids, alive, PartialSolution(kind, won, removed), live)
         alive[removed] = False

@@ -113,12 +113,17 @@ class ClusterConfig:
         if not (0 < delta <= 1):
             raise ValueError(f"delta must be in (0, 1], got {delta}")
 
+    @staticmethod
+    def _check_c_total(c_total: float) -> None:
+        """The storage factor of :meth:`for_graph` must be finite and > 0."""
+        if not 0 < c_total < math.inf:  # also false for NaN
+            raise ValueError(f"c_total must be a finite number > 0, got {c_total}")
+
     @classmethod
     def for_graph(cls, g: Graph, delta: float, c_total: float = 4.0) -> "ClusterConfig":
         """S = ceil(n^delta); M sized so M*S covers c_total * m * log2(n) words."""
         cls._check_delta(delta)  # before n^delta, which NaN would not survive
-        if not 0 < c_total < math.inf:  # also false for NaN
-            raise ValueError(f"c_total must be a finite number > 0, got {c_total}")
+        cls._check_c_total(c_total)
         n = max(2, g.n)
         S = int(math.ceil(n ** delta))
         polylog = max(1.0, math.log2(n))

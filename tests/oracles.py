@@ -127,6 +127,17 @@ def compact_by_rebuild(view):
     return build_graph(ids.size, remap[e[view.alive[e[:, 0]] & view.alive[e[:, 1]]]]), ids
 
 
+def rows_by_loop(g: Graph, nodes) -> tuple[list, list]:
+    """``(sources, neighbors)`` of the rows of ``nodes``, in the order given,
+    one neighbor at a time off ``g.neighbors``."""
+    sources, neighbors = [], []
+    for v in nodes:
+        for u in g.neighbors(int(v)):
+            sources.append(int(v))
+            neighbors.append(int(u))
+    return sources, neighbors
+
+
 # ---------------------------------------------------------------------------
 # the on-disk format, one edge line at a time
 # ---------------------------------------------------------------------------

@@ -103,6 +103,37 @@ def test_solve_reaches_every_traced_reduction_layer(tracer, monkeypatch):
     assert set(calls) == set(wanted.values())
 
 
+def test_mpc_pipeline_reaches_every_traced_mpc_and_runtime_layer(tracer, monkeypatch):
+    # As above for the cluster run: one independent-set and one matching
+    # mpc_pipeline must call every traced sparsempc.mpc and
+    # sparsempc.runtime function through a site the tracer wraps, except
+    # connect_cliques, which runs only when balls double.  A meter that
+    # stopped calling a bound name would read 0 seconds in the traced run.
+    wanted = {}
+    for layer, entries in tracer.LAYERS.items():
+        if layer.split(".")[0] in ("mpc", "runtime") and layer != "mpc.connect_cliques":
+            for module_name, attr in entries:
+                wanted[id(_resolve(module_name, attr))] = attr
+    calls = Counter()
+    for _layer, owner, name, original in tracer.Tracer("check")._find_sites():
+        if id(original) not in wanted:
+            continue
+
+        def counted(*args, _fn=original, _attr=wanted[id(original)], **kwargs):
+            calls[_attr] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+
+    for family, params, kind, delta in (
+        ("tree", {"n": 2000}, "mis", 0.5),
+        ("preferential-attachment", {"n": 400, "c": 3}, "matching", 0.8),
+    ):
+        g = generate(family, params, seed=2)
+        mpc.mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, 3)
+    assert set(calls) == set(wanted.values())
+
+
 def test_repetition_counter_reads_productive_and_silent_repetitions(tracer, monkeypatch):
     # The traced benchmark's productive_ratio sums the tracer's reader over
     # every gather_and_peel output.  On a metered doubling run it must count

@@ -308,6 +308,8 @@ def _compact_cases(n):
 @given(st.integers(0, 14).flatmap(_compact_cases))
 @example((6, [(0, 1), (1, 2), (2, 5), (3, 4)], 0b111111))  # all alive
 @example((6, [(0, 1), (1, 2), (2, 5), (3, 4)], 0))  # none alive
+@example((6, [(0, 1), (1, 2), (2, 5), (3, 4)], 0b000100))  # one alive: node 2, of two edges
+@example((6, [(0, 1), (1, 2), (2, 5), (3, 4)], 0b111011))  # all but node 2 alive
 @example((6, [(0, 1), (2, 3), (4, 5)], 0b010101))  # alive nodes, no alive edge
 @example((7, [(1, 2), (2, 4), (3, 5), (4, 6)], 0b1011101))  # alive 0 and 3 isolated
 @example((0, [], 0))
@@ -321,7 +323,7 @@ def test_compact_matches_rebuild_oracle(case):
                      (sub.indices, want.indices)):
         assert got.dtype == np.int64
         assert got.shape == ref.shape
-        assert np.array_equal(got, ref)
+        assert got.tobytes() == ref.tobytes()
 
 
 def test_view_alive_degrees():

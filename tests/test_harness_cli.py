@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import re
 from dataclasses import asdict
 from pathlib import Path
 
@@ -247,22 +248,44 @@ def test_run_rejects_unknown_generator_parameter():
         harness.run(spec)
 
 
-@pytest.mark.parametrize(
+OUT_OF_RANGE = pytest.mark.parametrize(
     "pipeline,message",
     [
         ({"d_floor": 0}, "d_floor must be >= 1"),
         ({"exponent": 0.0}, r"exponent must be a number in \(0, 1\]"),
+        ({"target_delta": 0}, "target_delta must be >= 1"),
+        ({"delta": 1.5}, r"delta must be in \(0, 1\]"),
         ({"c_total": 0}, "c_total must be a finite number > 0"),
         ({"c_pre": -3}, "c_pre must be a finite number >= 0"),
     ],
-    ids=["floor", "exponent", "c-total", "c-pre"],
+    ids=["floor", "exponent", "target", "delta", "c-total", "c-pre"],
 )
+
+
+@OUT_OF_RANGE
 def test_run_rejects_a_pipeline_number_out_of_range(pipeline, message):
-    spec = harness.ExperimentSpec(
-        instances=[{"family": "tree", "params": {"n": 40}, "seeds": [0]}], pipeline=pipeline
-    )
-    with pytest.raises(RuntimeError, match=r"instance tree\(n=40\)#s0: " + message):
-        harness.run(spec)
+    # the spec itself is refused, by the checks the runs apply, so that no
+    # instance is generated and solved before the bad number is found
+    with pytest.raises(ValueError, match=message):
+        harness.ExperimentSpec(
+            instances=[{"family": "tree", "params": {"n": 40}, "seeds": [0]}], pipeline=pipeline
+        )
+
+
+@OUT_OF_RANGE
+def test_cli_run_generates_no_instance_for_a_number_out_of_range(
+    tmp_path, capsys, monkeypatch, pipeline, message
+):
+    generated = []
+    monkeypatch.setattr(generators, "generate", lambda *args, **kwargs: generated.append(args))
+    spec_path = tmp_path / "exp.json"
+    spec_path.write_text(json.dumps({**_spec_doc(), "pipeline": pipeline}))
+    rc = cli.main(["run", "--spec", str(spec_path)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("sparsempc: error:") and err.count("\n") == 1
+    assert re.search(message, err)
+    assert not generated
 
 
 def test_centralized_only_mode_leaves_mpc_fields_empty():

@@ -11,7 +11,7 @@ from sparsempc.graph import GraphView, build_graph
 
 from oracles import (
     alive_degrees_all_rows, ball_members, bucket_degeneracy, disjoint_paths, from_mask,
-    hand_peel, next_fit_bins, path as path_graph, random_graph,
+    hand_peel, next_fit_bins, path as path_graph, random_graph, rows_by_loop,
 )
 
 
@@ -32,6 +32,25 @@ def test_gather_segments_empty():
     g = path_graph(3)
     src, nb = kernels.gather_segments(g.indptr, g.indices, np.empty(0, np.int64))
     assert src.size == 0 and nb.size == 0
+
+
+@pytest.mark.parametrize(
+    "nodes",
+    [[], [3], [3, 3, 0], [12, 0, 5, 5, 29, 0], [29, 3, 12], list(range(30))[::-1]],
+    ids=["empty", "zero-degree", "zero-degree-repeated", "repeated-unsorted", "mixed", "all-reversed"],
+)
+def test_gather_neighbors_matches_row_loop(nodes):
+    # node 3 keeps no edge, so its row is empty; 29 is the last row
+    g = random_graph(30, 60, 0)
+    g = build_graph(30, [(u, v) for u, v in g.edges.tolist() if 3 not in (u, v)])
+    assert g.degrees[3] == 0 and g.degrees[29] > 0
+    nodes = np.array(nodes, np.int64)
+    want_src, want_nb = rows_by_loop(g, nodes)
+    nb = kernels.gather_neighbors(g.indptr, g.indices, nodes)
+    assert nb.dtype == np.int64 and nb.tolist() == want_nb
+    src, nb = kernels.gather_segments(g.indptr, g.indices, nodes)
+    assert src.dtype == nb.dtype == np.int64
+    assert src.tolist() == want_src and nb.tolist() == want_nb
 
 
 def test_alive_degrees_counts_only_alive():

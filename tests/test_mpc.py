@@ -36,6 +36,7 @@ from sparsempc.peeling import StallError, degeneracy, h_partition
 from sparsempc.reduction import (
     KINDS,
     PartialSolution,
+    ProposalSet,
     finish_rounds,
     mark_and_propose_matching,
     mark_and_propose_mis,
@@ -147,7 +148,10 @@ def test_select_rejects_chunk_wider_than_its_radius():
     g = star(5)
     hp = h_partition(g, 2)  # layers: leaves 1, center 2
     cl = _cluster(g, 0.9)
-    sol = PartialSolution.empty("mis")
+    # an empty selection, as the sweep returns it: with its (empty) rows
+    none = np.empty(0, np.int64)
+    sol = select_mis(g, hp, ProposalSet(kind="mis", marked=none, proposed=none))
+    assert sol.selected.size == 0 and sol.rows == []
     assert hp.order.tolist() == [1, 2, 3, 4, 5, 0]  # the leaves, then the center
     mpc_select(cl, _whole(g, hp), [(1, 1), (2, 1)], sol)  # one layer per radius-1 chunk
     with pytest.raises(AssertionError, match="wider than its hop radius"):
@@ -598,7 +602,7 @@ def test_mark_propose_matches_centralized(kind):
             props = mark_and_propose_matching(g, hp, seed)
         else:
             props = mark_and_propose_mis(g, hp, mis_probability(d), seed)
-        mpc_mark_propose(cl, g, ids, hp, props)
+        mpc_mark_propose(cl, g, ids, props)
         rounds = cl.traces
         assert [t.label for t in rounds] == ["markpropose"] * (3 if kind == "matching" else 2)
         assert rounds[0].total_sent == rounds[0].total_received == 2 * g.m  # layer exchange
@@ -621,7 +625,7 @@ def test_mark_propose_nothing_routes_nothing():
     props = mark_and_propose_matching(g, hp, seed=5)
     assert props.marked.shape == (0, 2)
     assert props.proposed.shape == (0, 2)
-    mpc_mark_propose(cl, g, np.arange(g.n), hp, props)
+    mpc_mark_propose(cl, g, np.arange(g.n), props)
     mark_round, propose_round = cl.traces[-2], cl.traces[-1]
     assert mark_round.total_sent == 0 and propose_round.total_sent == 0
 
@@ -795,6 +799,52 @@ def test_phases_nest_and_the_finish_runs_on_the_remainder(monkeypatch, family, p
             assert nodes.size and nodes.max() < last.rest.n
     if kind == "matching":
         assert rounds[0].live is last.rest.edges
+
+
+def test_metered_mis_phases_read_the_rows_the_driver_handed_over(monkeypatch):
+    # Mark/propose and the winners' notify rounds read the rows that
+    # mark_and_propose_mis and select_mis gathered, so the meter gathers no
+    # row for them: in a selection it gathers once per chunk, for the nodes
+    # the chunk's winners fell, and the finish gathers as before.
+    g = generate("tree", {"n": 3000}, seed=4)
+    stage = []  # the meter running, and what it gathers
+    log = {"markpropose": [], "select": [], "finish": []}
+
+    def spy(gather):
+        def spying(indptr, indices, nodes):
+            if stage:
+                stage[-1].append(np.array(nodes, np.int64))
+            return gather(indptr, indices, nodes)
+        return spying
+
+    def staged(name, meter):
+        def metering(*args):
+            stage.append([])
+            try:
+                meter(*args)
+            finally:
+                log[name].append((args, stage.pop()))
+        return metering
+
+    # every row gather of the kernels that the meters can call
+    for gather in ("gather_segments", "gather_neighbors"):
+        if hasattr(mpc_mod, gather):
+            monkeypatch.setattr(mpc_mod, gather, spy(getattr(mpc_mod, gather)))
+    for name, meter in (("markpropose", "mpc_mark_propose"), ("select", "mpc_select"),
+                        ("finish", "mpc_finish_round")):
+        monkeypatch.setattr(mpc_mod, meter, staged(name, getattr(mpc_mod, meter)))
+    sol, met = mpc_pipeline(g, ClusterConfig.for_graph(g, 0.5), "mis", 2, 4)
+    assert verify_maximal(g, sol) and not met["violations"]
+    assert len(log["select"]) == len(log["markpropose"]) >= 2
+    assert all(not gathered for _, gathered in log["markpropose"])
+    felled = 0
+    for (_cluster, layers, chunks, sel), gathered in log["select"]:
+        assert len(gathered) == len(chunks)
+        nodes = np.concatenate(gathered)
+        assert np.isin(nodes, sel.removed).all() and not np.isin(nodes, sel.selected).any()
+        felled += nodes.size
+    assert felled > 0
+    assert log["finish"] and all(gathered for _, gathered in log["finish"])
 
 
 @pytest.mark.parametrize("kind", ["matching", "mis"])

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from sparsempc import reduction, rng
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView, build_graph
-from sparsempc.kernels import alive_degrees
+from sparsempc.kernels import alive_degrees, gather_segments
 from sparsempc.mpc import mpc_pipeline
 from sparsempc.peeling import HPartition, degeneracy, h_partition
 from sparsempc.reduction import (
@@ -55,6 +55,7 @@ from oracles import (
     mis_proposals_all_rows,
     path,
     random_graph,
+    rows_by_loop,
     select_matching_per_layer,
     select_mis_per_layer,
     star,
@@ -513,6 +514,33 @@ def test_select_mis_matches_per_layer_oracle(n, graph_seed, layers, p, seed):
     else:
         hp = _manual_hp(r.choice([1, 2, 3, 5, 8, 13], size=n), 1)
     _assert_select_mis_matches_oracle(g, hp, mark_and_propose_mis(g, hp, p, seed))
+
+
+def test_mis_records_hand_over_the_rows_they_read(pipeline_corpus):
+    # A phase record hands the cluster meter the rows its driver read, and
+    # they are what a fresh read gives: the selection's rows are the
+    # winners' rows in commit order, one array per proposing layer, and the
+    # same-layer entries of the proposals' marked rows are the marked
+    # nodes' same-layer pairs, found one neighbor at a time.
+    handed = pairs = 0
+    for spec in pipeline_corpus:
+        g = realize(spec)
+        for ph in reduction.phase_records(g, "mis", 2, spec["seed"]):
+            if ph.sol is None:
+                continue
+            sub, hp, props, sol = ph.sub, ph.hp, ph.props, ph.sol
+            _, want = gather_segments(sub.indptr, sub.indices, sol.selected)
+            got = np.concatenate([np.empty(0, np.int64), *sol.rows])
+            assert got.dtype == np.int64 and np.array_equal(got, want)
+            assert len(sol.rows) == np.unique(hp.layer[props.proposed]).size
+            src, nb, same = props.marked_rows
+            want_src, want_nb = rows_by_loop(sub, props.marked)
+            assert src.tolist() == want_src and nb.tolist() == want_nb
+            flow = [(v, u) for v, u in zip(want_src, want_nb) if hp.layer[v] == hp.layer[u]]
+            assert list(zip(src[same].tolist(), nb[same].tolist())) == flow
+            handed += got.size
+            pairs += len(flow)
+    assert handed > 0 and pairs > 0
 
 
 # ---------------------------------------------------------------------------
