@@ -19,7 +19,6 @@ from .peeling import (
     StallError,
     degeneracy,
     h_partition,
-    layer_decay_ok,
 )
 from .reduction import (
     InvariantError,
@@ -85,7 +84,6 @@ __all__ = [
     "generate",
     "h_partition",
     "init_cluster",
-    "layer_decay_ok",
     "load_graph",
     "metrics",
     "mpc_h_partition",

@@ -65,18 +65,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    # the settings flags given, by the spec keys they name, checked and
+    # completed as a spec's pipeline table is, before any graph is read
+    given = {key: getattr(args, key, None) for key in harness.PIPELINE_KEYS}
+    p = harness.check_pipeline({key: v for key, v in given.items() if v is not None})
     if args.graph:
         g, _meta = load_graph(args.graph)
     else:
         g = generators.generate(args.family, _parse_params(args.params), seed=args.seed)
-    sol_c, rep = reduction.solve(
-        g, args.kind, args.target_delta, args.seed, d_floor=args.d_floor
-    )
-    cfg = ClusterConfig.for_graph(g, args.delta)
-    sol_m, met = mpc.mpc_pipeline(
-        g, cfg, args.kind, args.target_delta, args.seed,
-        d_floor=args.d_floor, adaptive=args.adaptive,
-    )
+    sol_c, rep = reduction.solve(g, p["kind"], p["target_delta"], args.seed, d_floor=p["d_floor"])
+    cfg = ClusterConfig.for_graph(g, p["delta"], c_total=p["c_total"])
+    sol_m, met = mpc.mpc_pipeline(g, cfg, p["kind"], p["target_delta"], args.seed, d_floor=p["d_floor"])
     dig_c = reduction.solution_digest(sol_c, args.seed)
     dig_m = reduction.solution_digest(sol_m, args.seed)
     maximal = reduction.verify_maximal(g, sol_m)
@@ -136,11 +135,11 @@ def main(argv=None) -> int:
     source.add_argument("--family", choices=generators.FAMILIES)
     p.add_argument("--params", help="generator parameters for --family, as for generate")
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--kind", choices=reduction.KINDS, default="matching")
-    p.add_argument("--target-delta", type=int, default=2)
+    # the pipeline settings default to the spec's (harness.PIPELINE_DEFAULTS)
+    p.add_argument("--kind", choices=reduction.KINDS)
+    p.add_argument("--target-delta", type=int)
     p.add_argument("--d-floor", type=int)
-    p.add_argument("--delta", type=float, default=0.5, help="memory exponent")
-    p.add_argument("--adaptive", action="store_true")
+    p.add_argument("--delta", type=float, help="memory exponent")
     p.set_defaults(fn=_cmd_compare)
 
     p = sub.add_parser("report", help="rebuild CSV/summary from saved records")

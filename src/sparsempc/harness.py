@@ -41,29 +41,41 @@ def _is_number(x) -> bool:
     return isinstance(x, (int, float, np.integer, np.floating)) and not isinstance(x, bool)
 
 
-# every setting _run_one reads -> (the check its value must pass, what it must be)
+# every setting a run reads -> (the check its value must pass, what it must be):
+# the request of mpc.mpc_pipeline, then the cluster of ClusterConfig.for_graph
 PIPELINE_TYPES = {
     "kind": (lambda x: x in reduction.KINDS, "'matching' or 'mis'"),
     "target_delta": (_is_int, "an integer"),
-    "exponent": (_is_number, "a number"),
     "d_floor": (lambda x: x is None or _is_int(x), "an integer or null"),
     "delta": (_is_number, "a number"),
     "c_total": (_is_number, "a number"),
-    "c_pre": (_is_number, "a number"),
-    "adaptive": (lambda x: isinstance(x, bool), "true or false"),
 }
 PIPELINE_KEYS = tuple(PIPELINE_TYPES)
-# the value _run_one takes for a setting the spec leaves out
+# the value a run takes for a setting the spec leaves out
 PIPELINE_DEFAULTS = {
     "kind": "matching",
     "target_delta": 2,
-    "exponent": 0.1,
     "d_floor": None,
     "delta": 0.5,
     "c_total": 4.0,
-    "c_pre": 2.0,
-    "adaptive": False,
 }
+
+
+def check_pipeline(settings: dict) -> dict:
+    """``settings`` merged with :data:`PIPELINE_DEFAULTS`, once every key is
+    known and every value has its type and lies in the range of the check
+    the runs apply, so that a bad setting fails before any instance is
+    generated and solved."""
+    _reject_unknown("pipeline", settings, PIPELINE_KEYS)
+    for key, value in settings.items():
+        ok, want = PIPELINE_TYPES[key]
+        if not ok(value):
+            raise ValueError(f"pipeline key {key!r} must be {want}, got {value!r}")
+    p = {**PIPELINE_DEFAULTS, **settings}
+    reduction.check_request(p["kind"], p["target_delta"], p["d_floor"])
+    ClusterConfig._check_delta(p["delta"])
+    ClusterConfig._check_c_total(p["c_total"])
+    return p
 
 
 @dataclass
@@ -84,18 +96,7 @@ class ExperimentSpec:
             raise ValueError("spec key 'pipeline' must be an object")
         if self.out is not None and not isinstance(self.out, str):
             raise ValueError(f"spec key 'out' must be a string or null, got {self.out!r}")
-        _reject_unknown("pipeline", self.pipeline, PIPELINE_KEYS)
-        for key, value in self.pipeline.items():
-            ok, want = PIPELINE_TYPES[key]
-            if not ok(value):
-                raise ValueError(f"pipeline key {key!r} must be {want}, got {value!r}")
-        # the ranges, by the checks the runs apply, so that a bad number
-        # fails here and not once an instance is generated and solved
-        p = {**PIPELINE_DEFAULTS, **self.pipeline}
-        reduction.check_request(p["kind"], p["target_delta"], p["exponent"], p["d_floor"])
-        ClusterConfig._check_delta(p["delta"])
-        ClusterConfig._check_c_total(p["c_total"])
-        mpc._check_c_pre(p["c_pre"])
+        check_pipeline(self.pipeline)
         for inst in self.instances:
             if not isinstance(inst, dict):
                 raise ValueError(f"every entry of 'instances' must be an object, got {inst!r}")
@@ -168,11 +169,10 @@ def _decay_holds(report: reduction.ReductionReport, lam: int) -> bool:
 
 
 def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
+    pipeline = check_pipeline(pipeline)
     g = generators.generate(inst["family"], inst.get("params", {}), seed=seed)
-    pipeline = {**PIPELINE_DEFAULTS, **pipeline}
     kind = pipeline["kind"]
     target = pipeline["target_delta"]
-    exponent = float(pipeline["exponent"])
     d_floor = pipeline["d_floor"]
     lam = degeneracy(g).degeneracy
     inv: dict = {}
@@ -184,9 +184,7 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
 
     sol_c = rep_c = None
     if mode in ("centralized", "both"):
-        sol_c, rep_c = reduction.solve(
-            g, kind, target, seed, exponent=exponent, d_floor=d_floor
-        )
+        sol_c, rep_c = reduction.solve(g, kind, target, seed, d_floor=d_floor)
         dig_c = reduction.solution_digest(sol_c, seed)
         inv["maximal_centralized"] = reduction.verify_maximal(g, sol_c)
         inv["layer_decay"] = _decay_holds(rep_c, lam)
@@ -194,19 +192,9 @@ def _run_one(inst: dict, seed: int, pipeline: dict, mode: str) -> RunRecord:
         stop = rep_c.stop_reason
         size = int(sol_c.selected.shape[0])
     if mode in ("mpc", "both"):
-        delta = float(pipeline["delta"])
-        cfg = ClusterConfig.for_graph(g, delta, c_total=float(pipeline["c_total"]))
+        cfg = ClusterConfig.for_graph(g, float(pipeline["delta"]), c_total=float(pipeline["c_total"]))
         sol_m, met = mpc.mpc_pipeline(
-            g,
-            cfg,
-            kind,
-            target,
-            seed,
-            exponent=exponent,
-            d_floor=d_floor,
-            c_pre=float(pipeline["c_pre"]),
-            adaptive=pipeline["adaptive"],
-            name=_instance_name(inst, seed),
+            g, cfg, kind, target, seed, d_floor=d_floor, name=_instance_name(inst, seed)
         )
         dig_m = reduction.solution_digest(sol_m, seed)
         inv["maximal_mpc"] = reduction.verify_maximal(g, sol_m)

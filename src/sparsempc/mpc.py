@@ -34,11 +34,13 @@ budgets of :mod:`sparsempc.runtime`.  That the balls do determine the
 layers, and that the chunk walk commits what the sweep does, is checked by
 the test suite's locality audits, not here.
 
-Two metering regimes: ``adaptive=False`` (default) runs the fixed repetition
-schedule of an oblivious coordinator and checks progress once per iteration;
-``adaptive=True`` pays an aggregation-tree sync after every repetition and
-stops a repetition loop as soon as the remainder is exhausted.  Outputs are
-identical in both; only the traces differ.
+The pipeline meters one regime: the fixed repetition schedule of an
+oblivious coordinator, which checks progress once per iteration.
+:func:`mpc_h_partition` alone also takes ``adaptive=True``, which pays an
+aggregation-tree sync after every repetition and stops a repetition loop as
+soon as the remainder is exhausted; it removes the same layers in the same
+chunks, and only the rounds differ.  The acceptance suite's round-count
+criterion (criterion 8) fits its scaling grid with it.
 """
 
 from __future__ import annotations
@@ -57,6 +59,7 @@ from .runtime import metrics as runtime_metrics
 
 REPS_FIRST = 60
 REPS_LATER = 20
+C_PRE = 2.0  # preprocessing layers: ceil(C_PRE * log2((1/delta) * log2 log2 n))
 
 
 # ---------------------------------------------------------------------------
@@ -72,29 +75,18 @@ class ExponentiationSchedule:
     preprocessing_layers: int
 
 
-def _check_c_pre(c_pre) -> None:
-    if not 0 <= c_pre < math.inf:  # also false for NaN
-        raise ValueError(f"c_pre must be a finite number >= 0, got {c_pre}")
-
-
-def compute_schedule(
-    delta_max: int,
-    S: int,
-    n: int,
-    delta: float,
-    *,
-    c_pre: float = 2.0,
-) -> ExponentiationSchedule:
-    """Pick the deepest hop-doubling level k with delta_max^(2^k + 1) <= S.
+def compute_schedule(delta_max: int, S: int, n: int, delta: float) -> ExponentiationSchedule:
+    """Pick the deepest hop-doubling level k with delta_max^(2^k + 1) <= S,
+    after ceil(:data:`C_PRE` · log2((1/delta) · log2 log2 n)) radius-1
+    preprocessing layers.
 
     When even the first doubling is unaffordable (delta_max^2 > S) the
     schedule is in fallback mode (k is None): layer-by-layer peeling at
-    radius 1, no virtual edges.
+    radius 1, no virtual edges and no preprocessing.
     """
-    _check_c_pre(c_pre)
     delta_max = int(delta_max)
     loglog = math.log2(max(2.0, math.log2(max(2.0, n))))
-    pre = int(math.ceil(c_pre * math.log2(max(2.0, (1.0 / delta) * loglog))))
+    pre = int(math.ceil(C_PRE * math.log2(max(2.0, (1.0 / delta) * loglog))))
     if delta_max >= 2 and delta_max ** 2 > S:
         return ExponentiationSchedule(
             delta_max=delta_max, k=None, phases=(), preprocessing_layers=0
@@ -376,6 +368,10 @@ def mpc_h_partition(
     stats dict (per-iteration virtual-edge counts, alive counts,
     repetitions used).  The nodes leave in the order ``hp.order``.  Round
     traces accumulate on the cluster.
+
+    ``adaptive=True`` meters the other regime of the module docstring, a
+    sync after every repetition and no repetition once the phase is empty;
+    :func:`mpc_phase` never sets it.
     """
     sub, ids = layers.sub, layers.ids
     done = 0  # layers removed
@@ -589,7 +585,7 @@ def mpc_select(
 # ---------------------------------------------------------------------------
 
 
-def mpc_phase(cluster: Cluster, ph: Phase, *, c_pre: float = 2.0, adaptive: bool = False) -> dict:
+def mpc_phase(cluster: Cluster, ph: Phase) -> dict:
     """Meter the phase record ``ph`` on the cluster, whose remainder is
     placed: the partition replay, mark/propose and the selection, after
     which the survivors' rows shrink to their degree in ``ph.rest``.  Returns
@@ -597,12 +593,10 @@ def mpc_phase(cluster: Cluster, ph: Phase, *, c_pre: float = 2.0, adaptive: bool
     replay that disagrees with the record about the stall raises
     AssertionError."""
     sub, ids = ph.sub, ph.ids
-    schedule = compute_schedule(
-        sub.max_degree(), cluster.cfg.S, cluster.graph.n, cluster.cfg.delta, c_pre=c_pre
-    )
+    schedule = compute_schedule(sub.max_degree(), cluster.cfg.S, cluster.graph.n, cluster.cfg.delta)
     layers = _LayerMap(sub, ids, ph.hp)
     try:
-        chunks, stats = mpc_h_partition(cluster, layers, schedule, adaptive=adaptive)
+        chunks, stats = mpc_h_partition(cluster, layers, schedule)
     except StallError as exc:
         if ph.sol is not None:
             raise AssertionError("the partition replay stalled where the driver did not") from exc
@@ -649,10 +643,7 @@ def mpc_pipeline(
     target_delta: int,
     seed: int,
     *,
-    exponent: float = 0.1,
     d_floor: int | None = None,
-    c_pre: float = 2.0,
-    adaptive: bool = False,
     name: str = "pipeline",
 ) -> tuple[PartialSolution, dict]:
     """:func:`sparsempc.reduction.solve` on a cluster: degree-reduction
@@ -661,7 +652,11 @@ def mpc_pipeline(
     The solution is the one ``solve`` returns for the same arguments; the
     metrics carry rounds by label, peak words, violations, per-phase reports,
     why the reduction ended (``stop_reason``) and partition stats.  The
-    arguments are checked before any node is placed.
+    arguments are checked before any node is placed.  The request is the
+    one ``solve`` takes, so the peeling threshold comes from
+    :data:`sparsempc.reduction.EXPONENT` and ``d_floor``; the cluster's
+    size, from ``cfg``; and each phase's schedule, from
+    :func:`compute_schedule` with its constant :data:`C_PRE`.
 
     Each record of :func:`sparsempc.reduction.solve_records` is metered,
     then released before the next is computed.  :func:`init_cluster` places
@@ -669,10 +664,9 @@ def mpc_pipeline(
     opens with one repack of its remainder when a selection has been
     metered since the last placement; a stall selects nothing.
     """
-    check_request(kind, target_delta, exponent, d_floor)
-    _check_c_pre(c_pre)
+    check_request(kind, target_delta, d_floor)
     cluster = init_cluster(g, cfg, name=name)
-    records = solve_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor)
+    records = solve_records(g, kind, target_delta, seed, d_floor=d_floor)
     partition_stats = []
     placed = True  # no selection was metered since the last placement
     while True:
@@ -684,7 +678,7 @@ def mpc_pipeline(
         if not placed:
             rebalance(cluster, rec.ids, label="rebalance")
         if isinstance(rec, Phase):
-            partition_stats.append(mpc_phase(cluster, rec, c_pre=c_pre, adaptive=adaptive))
+            partition_stats.append(mpc_phase(cluster, rec))
             placed = rec.sol is None
         else:
             mpc_finish_round(cluster, rec)

@@ -88,8 +88,3 @@ def suffix_decay_ok(layer_sizes, d: int, lam: int) -> bool:
     if suf.size <= 1:
         return True
     return bool((suf[1:] <= (2.0 * lam / d) * suf[:-1] + 1e-9).all())
-
-
-def layer_decay_ok(hp: HPartition, lam: int) -> bool:
-    """:func:`suffix_decay_ok` on the layers of ``hp``."""
-    return suffix_decay_ok(hp.layer_sizes(), hp.d, lam)

@@ -33,6 +33,7 @@ from .peeling import HPartition, StallError, h_partition
 
 KINDS = ("matching", "mis")
 MAX_PHASES = 64  # degree_reduce runs at most this many phases
+EXPONENT = 0.1  # a phase at max degree Δ peels with threshold d = ceil(Δ^EXPONENT)
 # why degree_reduce ended, as ReductionReport.stop_reason names it
 STOP_REASONS = ("target", "one-layer", "stalled", "not-reduced", "max-phases")
 
@@ -46,13 +47,11 @@ def _check_kind(kind) -> None:
         raise ValueError(f"unknown kind {kind!r}; choose from {', '.join(KINDS)}")
 
 
-def check_request(kind, target_delta, exponent=0.1, d_floor=None) -> None:
+def check_request(kind, target_delta, d_floor=None) -> None:
     """Reject a request that no run accepts, before any work."""
     _check_kind(kind)
     if target_delta < 1:
         raise ValueError("target_delta must be >= 1")
-    if not 0 < exponent <= 1:  # also false for NaN
-        raise ValueError(f"exponent must be a number in (0, 1], got {exponent!r}")
     if d_floor is not None and d_floor < 1:
         raise ValueError(f"d_floor must be >= 1 or None, got {d_floor!r}")
 
@@ -215,6 +214,18 @@ def mark_and_propose_mis(g: Graph, hp: HPartition, p: float, seed: int) -> Propo
 # ---------------------------------------------------------------------------
 
 
+def _highest_layer_first(layer: np.ndarray) -> tuple[np.ndarray, list[int]]:
+    """The sweep's walk over items on the layers ``layer`` (nonempty):
+    ``order`` sorts them by layer, highest first, stably on an unsigned key
+    just wide enough for the layer spread (which numpy sorts by radix), and
+    ``bounds`` holds the starts of the runs of equal layer in that order,
+    then its end."""
+    depth = int(layer.max()) - layer  # 0 for the highest layer
+    order = np.argsort(depth.astype(np.min_scalar_type(int(depth.max()))), kind="stable")
+    depth = depth[order]
+    return order, [0, *(np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist(), depth.size]
+
+
 def _check_matching_proposals(g: Graph, hp: HPartition, props: ProposalSet) -> None:
     """Raise InvariantError unless every node marks at most one outgoing and
     proposes at most one incoming edge, marks point child -> parent, and
@@ -246,25 +257,21 @@ def select_matching(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolu
     endpoints are distinct (one proposal per node) and senders are distinct
     (one mark per node) and sender != receiver (senders sit strictly lower).
 
-    The proposals are sorted once by receiving layer, highest first (stably,
-    on an unsigned key just wide enough for the layer spread, which numpy
-    sorts by radix), and the sweep walks the runs of equal layer, so it
-    costs the proposals plus one step per receiving layer, not ell passes
-    over every proposal.  The matched ``(child, parent)`` edges come out in
-    the order the sweep commits them: receiving layer highest first, then
-    the proposals' own order.
+    The proposals are sorted once by receiving layer, highest first
+    (:func:`_highest_layer_first`), and the sweep walks the runs of equal
+    layer, so it costs the proposals plus one step per receiving layer, not
+    ell passes over every proposal.  The matched ``(child, parent)`` edges
+    come out in the order the sweep commits them: receiving layer highest
+    first, then the proposals' own order.
     """
     _check_matching_proposals(g, hp, props)
     pr = props.proposed
     if not pr.shape[0]:
         return PartialSolution.empty("matching")
-    recv_layer = hp.layer[pr[:, 1]]
-    depth = int(recv_layer.max()) - recv_layer  # 0 for the highest receiving layer
-    order = np.argsort(depth.astype(np.min_scalar_type(int(depth.max()))), kind="stable")
-    child, parent, depth = pr[:, 0][order], pr[:, 1][order], depth[order]
-    bounds = [0, *(np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist(), depth.size]
+    order, bounds = _highest_layer_first(hp.layer[pr[:, 1]])
+    child, parent = pr[:, 0][order], pr[:, 1][order]
     alive = np.ones(g.n, dtype=np.bool_)
-    commit = np.empty(depth.size, np.bool_)
+    commit = np.empty(order.size, np.bool_)
     for s, e in zip(bounds[:-1], bounds[1:]):
         c, p = child[s:e], parent[s:e]
         ok = alive[c] & alive[p]
@@ -294,27 +301,23 @@ def select_mis(g: Graph, hp: HPartition, props: ProposalSet) -> PartialSolution:
 
     All commits of one layer are simultaneous: proposed nodes of one layer
     are never adjacent.  As in :func:`select_matching`, the proposals are
-    sorted once by layer, highest first, stably on the narrowest unsigned
-    key, and the sweep walks the runs of equal layer, so it costs the
-    proposals plus one step per proposing layer.  The nodes come out in the
-    order the sweep commits them: proposing layer highest first, then the
-    proposals' own order.  The selection's ``rows`` are the neighbor arrays
-    the sweep gathered, one per proposing layer: concatenated, they are the
-    winners' rows in commit order, which the cluster meter's notify rounds
-    read."""
+    sorted once by layer, highest first, and the sweep walks the runs of
+    equal layer, so it costs the proposals plus one step per proposing
+    layer.  The nodes come out in the order the sweep commits them:
+    proposing layer highest first, then the proposals' own order.  The
+    selection's ``rows`` are the neighbor arrays the sweep gathered, one per
+    proposing layer: concatenated, they are the winners' rows in commit
+    order, which the cluster meter's notify rounds read."""
     _check_mis_proposals(g, hp, props)
     pr = props.proposed
     if not pr.size:
         sol = PartialSolution.empty("mis")
         sol.rows = []
         return sol
-    depth = hp.layer[pr]
-    depth = int(depth.max()) - depth  # 0 for the highest proposing layer
-    order = np.argsort(depth.astype(np.min_scalar_type(int(depth.max()))), kind="stable")
-    cand, depth = pr[order], depth[order]
-    bounds = [0, *(np.flatnonzero(depth[1:] != depth[:-1]) + 1).tolist(), depth.size]
+    order, bounds = _highest_layer_first(hp.layer[pr])
+    cand = pr[order]
     alive = np.ones(g.n, dtype=np.bool_)
-    commit = np.empty(depth.size, np.bool_)
+    commit = np.empty(order.size, np.bool_)
     rows = []
     for s, e in zip(bounds[:-1], bounds[1:]):
         c = cand[s:e]
@@ -430,23 +433,22 @@ def reduce_once(sub: Graph, ids: np.ndarray, kind: str, d: int, seed: int):
     return Phase(sub, ids, hp, props, sol, rest, ids[kept]), entry
 
 
-def phase_threshold(delta: int, exponent: float, d_floor: int | None = None) -> int:
-    """The peeling threshold for a phase at max degree ``delta``."""
-    d = max(1, math.ceil(delta ** exponent - 1e-9))
+def phase_threshold(delta: int, d_floor: int | None = None) -> int:
+    """The peeling threshold for a phase at max degree ``delta``:
+    ceil(delta^:data:`EXPONENT`), at least ``d_floor``."""
+    d = max(1, math.ceil(delta ** EXPONENT - 1e-9))
     if d_floor is not None:
         d = max(d, d_floor)
     return d
 
 
-def phase_records(
-    g: Graph, kind: str, target_delta: int, seed: int, *, exponent: float = 0.1, d_floor: int | None = None
-):
+def phase_records(g: Graph, kind: str, target_delta: int, seed: int, *, d_floor: int | None = None):
     """:func:`degree_reduce` as a stream: yields each phase's record and
     returns what ``degree_reduce`` returns; a bad request raises first.  A
     record is translated to original ids after it is consumed and released,
     all but its remainder, on which the next phase runs; a stalled record
     ends the stream and leaves its own subgraph as the remainder."""
-    check_request(kind, target_delta, exponent, d_floor)
+    check_request(kind, target_delta, d_floor)
     sub, ids = g, np.arange(g.n)
     parts = []
     report = ReductionReport(stop_reason="max-phases")
@@ -455,7 +457,7 @@ def phase_records(
         if delta <= target_delta:
             report.stop_reason = "target"
             break
-        d = phase_threshold(delta, exponent, d_floor)
+        d = phase_threshold(delta, d_floor)
         if kind == "matching" and delta <= d:
             report.stop_reason = "one-layer"
             break
@@ -485,16 +487,9 @@ def _drain(records):
             return end.value
 
 
-def degree_reduce(
-    g: Graph,
-    kind: str,
-    target_delta: int,
-    exponent: float = 0.1,
-    seed: int = 0,
-    *,
-    d_floor: int | None = None,
-):
-    """Iterate reduce_once with d = ceil(Δ^exponent) until Δ <= target_delta.
+def degree_reduce(g: Graph, kind: str, target_delta: int, seed: int = 0, *, d_floor: int | None = None):
+    """Iterate reduce_once with the threshold d of :func:`phase_threshold`
+    until Δ <= target_delta.
 
     A matching phase at Δ <= d is not run: every node peels into layer 1,
     and :func:`mark_and_propose_matching` marks no same-layer edge, so the
@@ -507,7 +502,7 @@ def degree_reduce(
     report)`` with the remainder subgraph ``sub`` of the original ids
     ``ids``; :func:`phase_records` is the same loop, phase by phase.
     """
-    return _drain(phase_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor))
+    return _drain(phase_records(g, kind, target_delta, seed, d_floor=d_floor))
 
 
 # ---------------------------------------------------------------------------
@@ -629,31 +624,19 @@ def finish_greedy(sub: Graph, ids: np.ndarray, n: int, kind: str, seed: int):
     return _drain(finish_rounds(sub, ids, n, kind, seed))
 
 
-def solve_records(
-    g: Graph, kind: str, target_delta: int, seed: int, *, exponent: float = 0.1, d_floor: int | None = None
-):
+def solve_records(g: Graph, kind: str, target_delta: int, seed: int, *, d_floor: int | None = None):
     """:func:`solve` as one stream, the phase records then the finish rounds;
     returns what ``solve`` returns."""
-    sol, (sub, ids), report = yield from phase_records(g, kind, target_delta, seed, exponent=exponent, d_floor=d_floor)
+    sol, (sub, ids), report = yield from phase_records(g, kind, target_delta, seed, d_floor=d_floor)
     fin = yield from finish_rounds(sub, ids, g.n, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
     return sol.merge(fin), report
 
 
-def solve(
-    g: Graph,
-    kind: str,
-    target_delta: int,
-    seed: int,
-    *,
-    exponent: float = 0.1,
-    d_floor: int | None = None,
-):
+def solve(g: Graph, kind: str, target_delta: int, seed: int, *, d_floor: int | None = None):
     """End-to-end run: degree reduction, then the greedy finish on the
     low-degree remainder.  :func:`sparsempc.mpc.mpc_pipeline` meters the
     same run, record by record (:func:`solve_records`)."""
-    sol, (sub, ids), report = degree_reduce(
-        g, kind, target_delta, exponent=exponent, seed=seed, d_floor=d_floor
-    )
+    sol, (sub, ids), report = degree_reduce(g, kind, target_delta, seed=seed, d_floor=d_floor)
     fin = finish_greedy(sub, ids, g.n, kind, rng.derive_seed(seed, rng.FINISH_PHASE))
     return sol.merge(fin), report
 

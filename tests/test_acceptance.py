@@ -6,6 +6,7 @@ numeric pin below sits next to the value measured on this implementation;
 the tolerance is the contract, the measurement is why it is believable.
 """
 
+import dataclasses
 import math
 import time
 from unittest import mock
@@ -18,9 +19,9 @@ from oracles import ball_peel, from_mask, opt_matching, opt_vertex_cover, sweep_
 from sparsempc import mpc
 from sparsempc.generators import generate
 from sparsempc.harness import derive_2approx
-from sparsempc.peeling import degeneracy, h_partition, layer_decay_ok
+from sparsempc.peeling import degeneracy, h_partition, suffix_decay_ok
 from sparsempc.reduction import reduce_once, solution_digest, solve, verify_maximal
-from sparsempc.runtime import ClusterConfig, init_cluster, metrics
+from sparsempc.runtime import BudgetError, ClusterConfig, init_cluster, metrics
 
 # -- pinned tolerances, each next to the value measured on this code --------
 PARTITION_TIME_BUDGET_S = 600.0  # measured ~5 s for the 200-graph corpus
@@ -59,9 +60,10 @@ def _tower(n: int):
 def scaling_grid():
     """One metered partition per (n, delta) cell of the pinned scaling grid.
 
-    Shared by the memory criterion (virtual-edge ratios, violations) and the
-    round-complexity criterion (round counts), so the expensive runs happen
-    once.
+    Shared by the memory criterion (virtual-edge ratios, budget breaches)
+    and the round-complexity criterion (round counts), so the expensive runs
+    happen once.  A breach raises BudgetError from the round that made it;
+    the cell records it and the rounds metered up to it.
     """
     rows = []
     vmax_by_exp: dict[int, float] = {}
@@ -73,18 +75,20 @@ def scaling_grid():
             sched = mpc.compute_schedule(g.max_degree(), cfg.S, g.n, delta)
             hp = h_partition(g, 3)
             layers = mpc._LayerMap(g, np.arange(g.n), hp)
-            _, stats = mpc.mpc_h_partition(cl, layers, sched, adaptive=True)
-            met = metrics(cl)
+            try:
+                _, stats = mpc.mpc_h_partition(cl, layers, sched, adaptive=True)
+            except BudgetError:
+                stats = None
             rows.append(
                 {
                     "log2n": ne,
                     "delta": delta,
                     "rounds": cl.round_idx,
-                    "violations": len(met["violations"]),
-                    "peak_ok": met["peak_words"] <= cfg.S,
+                    "budget_errors": int(stats is None),
+                    "peak_ok": metrics(cl)["peak_words"] <= cfg.S,
                 }
             )
-            for e in stats["iterations"]:
+            for e in stats["iterations"] if stats else ():
                 if e.get("radius", 1) >= 2 and "virtual_added_total" in e:
                     ratio = e["virtual_added_total"] / max(1, stats["alive_start"])
                     vmax_by_exp[ne] = max(vmax_by_exp.get(ne, 0.0), ratio)
@@ -93,7 +97,9 @@ def scaling_grid():
 
 @pytest.fixture(scope="session")
 def pipeline_sweep(pipeline_corpus):
-    """Both solvers, both executions, 50 seeds per instance and kind."""
+    """Both solvers, both executions, 50 seeds per instance and kind.  A
+    cluster run that breaches a budget raises BudgetError; its record counts
+    the breach and has no cluster solution."""
     records = []
     for spec in pipeline_corpus:
         g = realize(spec)
@@ -101,15 +107,19 @@ def pipeline_sweep(pipeline_corpus):
         for kind in ("matching", "mis"):
             for seed in range(50):
                 sol_c, _ = solve(g, kind, 2, seed)
-                sol_m, met = mpc.mpc_pipeline(g, cfg, kind, 2, seed, adaptive=True)
+                try:
+                    sol_m, met = mpc.mpc_pipeline(g, cfg, kind, 2, seed)
+                except BudgetError:
+                    sol_m = None
                 records.append(
                     {
                         "instance": f"{spec['family']}/{kind}#s{seed}",
                         "maximal_centralized": verify_maximal(g, sol_c),
-                        "maximal_mpc": verify_maximal(g, sol_m),
-                        "digests_equal": solution_digest(sol_c, 0) == solution_digest(sol_m, 0),
-                        "violations": len(met["violations"]),
-                        "peak_ok": met["peak_words"] <= met["S"],
+                        "maximal_mpc": sol_m is not None and verify_maximal(g, sol_m),
+                        "digests_equal": sol_m is not None
+                        and solution_digest(sol_c, 0) == solution_digest(sol_m, 0),
+                        "budget_errors": int(sol_m is None),
+                        "peak_ok": sol_m is not None and met["peak_words"] <= met["S"],
                     }
                 )
     return records
@@ -166,9 +176,9 @@ def test_cluster_partition_equals_reference_on_corpus(partition_corpus, announce
         g = realize(spec)
         mismatches += _audit_repetitions(g, valid_d(g), fitting_delta(g, 0.5), True, rng, counts)
     doubling = next(p.values[0] for p in GOLDEN if p.id == "layered-core-matching-doubling")
-    family, params, seed, _, delta, d_floor, adaptive = doubling
+    family, params, seed, _, delta, d_floor = doubling
     g = generate(family, params, seed=seed)
-    mismatches += _audit_repetitions(g, d_floor, delta, adaptive, rng, counts)
+    mismatches += _audit_repetitions(g, d_floor, delta, False, rng, counts)
     elapsed = time.perf_counter() - t0
     doubled = sum(reps for radius, (reps, _) in counts.items() if radius >= 2)
     ok = mismatches == 0 and doubled > 0 and elapsed < PARTITION_TIME_BUDGET_S
@@ -186,7 +196,7 @@ def test_cluster_partition_equals_reference_on_corpus(partition_corpus, announce
     assert elapsed < PARTITION_TIME_BUDGET_S
 
 
-def _recorded_selections(g, cfg, kind, seed, d_floor, adaptive):
+def _recorded_selections(g, cfg, kind, seed, d_floor):
     """Run :func:`mpc.mpc_pipeline` and keep, per phase record it meters
     with a selection, what the selection audit reads: the phase subgraph,
     its partition and proposals, the selection, and the chunks in the order
@@ -196,9 +206,9 @@ def _recorded_selections(g, cfg, kind, seed, d_floor, adaptive):
     phases = []
     meter_phase = mpc.mpc_phase
 
-    def recording(cluster, ph, **kwargs):
+    def recording(cluster, ph):
         with mock.patch.object(cluster, "execute_round_volumes", wraps=cluster.execute_round_volumes) as rounds:
-            stats = meter_phase(cluster, ph, **kwargs)
+            stats = meter_phase(cluster, ph)
         if ph.sol is not None:
             visited = [
                 np.searchsorted(ph.ids, call.args[0])
@@ -209,7 +219,7 @@ def _recorded_selections(g, cfg, kind, seed, d_floor, adaptive):
         return stats
 
     with mock.patch.object(mpc, "mpc_phase", recording):
-        _, met = mpc.mpc_pipeline(g, cfg, kind, 2, seed, d_floor=d_floor, adaptive=adaptive)
+        _, met = mpc.mpc_pipeline(g, cfg, kind, 2, seed, d_floor=d_floor)
     return phases, met["partition_stats"]
 
 
@@ -248,16 +258,14 @@ def test_cluster_selection_commits_chunk_by_chunk(announce):
     cases = [(p.id, p.values[0]) for p in GOLDEN]
     cases.append((
         "layered-core-mis-doubling",
-        ("layered-core", {"n": 1024, "depth": 100, "d": 3}, 0, "mis", 0.8, 3, False),
+        ("layered-core", {"n": 1024, "depth": 100, "d": 3}, 0, "mis", 0.8, 3),
     ))
     mismatches = 0
     rows = []
     doubled_wide = 0
-    for name, (family, params, seed, kind, delta, d_floor, adaptive) in cases:
+    for name, (family, params, seed, kind, delta, d_floor) in cases:
         g = generate(family, params, seed=seed)
-        phases, partition_stats = _recorded_selections(
-            g, ClusterConfig.for_graph(g, delta), kind, seed, d_floor, adaptive
-        )
+        phases, partition_stats = _recorded_selections(g, ClusterConfig.for_graph(g, delta), kind, seed, d_floor)
         chunks = wide = winners = 0
         for phase in phases:
             bad, w = _audit_selection(*phase)
@@ -284,7 +292,7 @@ def test_layer_tails_decay_geometrically(partition_corpus, announce):
         g = realize(spec)
         lam = degeneracy(g).degeneracy
         for d in (2 * lam + 1, 4 * lam):
-            if not layer_decay_ok(h_partition(g, d), lam):
+            if not suffix_decay_ok(h_partition(g, d).layer_sizes(), d, lam):
                 bad += 1
             checked += 1
     ok = bad == 0
@@ -371,9 +379,10 @@ def test_solutions_maximal_and_identical_across_executions(pipeline_sweep, annou
 
 def test_memory_budgets_and_virtual_edge_constant(pipeline_sweep, scaling_grid, announce):
     """Criterion 6: no budget violations anywhere, and the clique connector's
-    virtual edges stay under a recorded constant times the alive count."""
-    sweep_viol = sum(r["violations"] for r in pipeline_sweep)
-    grid_viol = sum(r["violations"] for r in scaling_grid["rows"])
+    virtual edges stay under a recorded constant times the alive count.  A
+    violation raises BudgetError, so the runs that raised one are counted."""
+    sweep_viol = sum(r["budget_errors"] for r in pipeline_sweep)
+    grid_viol = sum(r["budget_errors"] for r in scaling_grid["rows"])
     peak_bad = [r for r in pipeline_sweep if not r["peak_ok"]]
     peak_bad += [r for r in scaling_grid["rows"] if not r["peak_ok"]]
     ratios = scaling_grid["vmax_by_exp"]
@@ -415,7 +424,7 @@ def test_alive_set_shrinks_doubly_exponentially(announce):
     assert d >= (2 * lam) ** 2
     cfg = ClusterConfig.for_graph(g, 0.9, c_total=4.0)
     cl = init_cluster(g, cfg)
-    sched = mpc.compute_schedule(delta_max, cfg.S, g.n, 0.9, c_pre=0.0)
+    sched = dataclasses.replace(mpc.compute_schedule(delta_max, cfg.S, g.n, 0.9), preprocessing_layers=0)
     assert sched.k is not None
     _, stats = mpc.mpc_h_partition(
         cl, mpc._LayerMap(g, np.arange(g.n), h_partition(g, d)), sched, adaptive=False

@@ -160,7 +160,7 @@ def test_repetition_counter_reads_productive_and_silent_repetitions(tracer, monk
     monkeypatch.setattr(mpc, "gather_and_peel", counted_rep)
     monkeypatch.setattr(mpc, "mpc_h_partition", counted_partition)
     case = next(p.values[0] for p in GOLDEN if p.id == "layered-core-matching-doubling")
-    family, params, seed, kind, delta, d_floor, adaptive = case
+    family, params, seed, kind, delta, d_floor = case
     g = generate(family, params, seed=seed)
     mpc.mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor)
     productive = sum(reads)

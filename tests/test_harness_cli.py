@@ -1,6 +1,7 @@
 """Experiment harness and command-line behavior."""
 
 import csv
+import inspect
 import io
 import json
 import re
@@ -11,8 +12,9 @@ import numpy as np
 import pytest
 
 import sparsempc
-from sparsempc import cli, generators, harness, reduction
+from sparsempc import cli, generators, harness, mpc, reduction
 from sparsempc.graph import build_graph, load_graph
+from sparsempc.runtime import ClusterConfig
 
 from oracles import cycle, star
 
@@ -83,10 +85,7 @@ def test_spec_file_rejects_unknown_top_level_key(tmp_path):
 
 
 def test_spec_accepts_every_key_the_runner_reads():
-    pipeline = {
-        "kind": "mis", "target_delta": 3, "exponent": 0.2, "d_floor": 3,
-        "delta": 0.6, "c_total": 4.0, "c_pre": 1.0, "adaptive": True,
-    }
+    pipeline = {"kind": "mis", "target_delta": 3, "d_floor": 3, "delta": 0.6, "c_total": 4.0}
     assert set(pipeline) == set(harness.PIPELINE_KEYS)
     inst = {"family": "tree", "params": {"n": 40}, "seeds": [0], "name": "t"}
     assert set(inst) == set(harness.INSTANCE_KEYS)
@@ -151,40 +150,60 @@ def test_cli_run_rejects_malformed_spec_in_one_line(tmp_path, capsys, monkeypatc
         ({"target_delta": True}, "'target_delta'"),
         ({"d_floor": 3.0}, "'d_floor'"),
         ({"d_floor": False}, "'d_floor'"),
-        ({"exponent": "0.1"}, "'exponent'"),
-        ({"exponent": True}, "'exponent'"),
         ({"delta": None}, "'delta'"),
         ({"c_total": [4]}, "'c_total'"),
-        ({"c_pre": "2"}, "'c_pre'"),
-        ({"adaptive": "false"}, "'adaptive'"),
-        ({"adaptive": 0}, "'adaptive'"),
     ],
     ids=[
         "kind-case", "kind-int", "target-float", "target-str", "target-bool", "floor-float",
-        "floor-bool", "exponent-str", "exponent-bool", "delta-null", "c-total-list",
-        "c-pre-str", "adaptive-str", "adaptive-int",
+        "floor-bool", "delta-null", "c-total-list",
     ],
 )
 def test_spec_rejects_mistyped_pipeline_value(pipeline, key):
-    # _run_one used to coerce: target_delta 2.9 ran as 2, "false" as adaptive on
+    # _run_one used to coerce: target_delta 2.9 ran as 2
     with pytest.raises(ValueError, match=f"pipeline key {key} must be"):
         harness.ExperimentSpec(**{**_spec_doc(), "pipeline": pipeline})
 
 
 def test_spec_accepts_integral_numbers_and_no_floor():
-    pipeline = {"exponent": 1, "delta": 1, "c_total": 4, "c_pre": 2, "d_floor": None}
+    pipeline = {"delta": 1, "c_total": 4, "d_floor": None}
     spec = harness.ExperimentSpec(**{**_spec_doc(), "pipeline": pipeline})
     assert spec.pipeline == pipeline
 
 
 def test_cli_run_rejects_mistyped_pipeline_value(tmp_path, capsys):
     spec_path = tmp_path / "exp.json"
-    spec_path.write_text(json.dumps({**_spec_doc(), "pipeline": {"adaptive": "false"}}))
+    spec_path.write_text(json.dumps({**_spec_doc(), "pipeline": {"d_floor": "3"}}))
     rc = cli.main(["run", "--spec", str(spec_path)])
     assert rc == 1
     err = capsys.readouterr().err
     assert err.startswith("sparsempc: error:") and err.count("\n") == 1
-    assert "pipeline key 'adaptive' must be" in err
+    assert "pipeline key 'd_floor' must be" in err
+
+
+@pytest.mark.parametrize("key,value", [("exponent", 0.1), ("c_pre", 2.0), ("adaptive", False)])
+def test_spec_rejects_the_settings_that_became_constants(key, value):
+    # the peeling exponent and the preprocessing constant are the constants
+    # reduction.EXPONENT and mpc.C_PRE, and the pipeline meters one regime:
+    # a spec that still sets one of them is refused, even at the value the
+    # run would take, rather than run without it
+    with pytest.raises(ValueError, match=f"unknown pipeline key '{key}'"):
+        harness.ExperimentSpec(**{**_spec_doc(), "pipeline": {key: value}})
+
+
+def test_config_surfaces_name_the_same_settings(capsys):
+    # the spec's pipeline table is the request of mpc_pipeline plus the
+    # cluster of ClusterConfig.for_graph, and every settings flag of
+    # compare names one of its keys: a setting added to one surface only
+    # fails here
+    request = set(inspect.signature(mpc.mpc_pipeline).parameters) - {"g", "cfg", "seed", "name"}
+    cluster = set(inspect.signature(ClusterConfig.for_graph).parameters) - {"g"}
+    assert request == {"kind", "target_delta", "d_floor"}
+    assert set(harness.PIPELINE_KEYS) == request | cluster == set(harness.PIPELINE_DEFAULTS)
+    with pytest.raises(SystemExit):
+        cli.main(["compare", "--help"])
+    flags = set(re.findall(r"--([a-z-]+)", capsys.readouterr().out))
+    settings = flags - {"help", "graph", "family", "params", "seed"}
+    assert settings and {f.replace("-", "_") for f in settings} <= set(harness.PIPELINE_KEYS)
 
 
 # ---------------------------------------------------------------- run
@@ -252,13 +271,11 @@ OUT_OF_RANGE = pytest.mark.parametrize(
     "pipeline,message",
     [
         ({"d_floor": 0}, "d_floor must be >= 1"),
-        ({"exponent": 0.0}, r"exponent must be a number in \(0, 1\]"),
         ({"target_delta": 0}, "target_delta must be >= 1"),
         ({"delta": 1.5}, r"delta must be in \(0, 1\]"),
         ({"c_total": 0}, "c_total must be a finite number > 0"),
-        ({"c_pre": -3}, "c_pre must be a finite number >= 0"),
     ],
-    ids=["floor", "exponent", "target", "delta", "c-total", "c-pre"],
+    ids=["floor", "target", "delta", "c-total"],
 )
 
 
@@ -452,6 +469,17 @@ def test_cli_compare_family(capsys):
     assert doc["violations"] == []
     g = generators.generate("tree", {"n": 80}, seed=3)
     assert doc["stop_reason"] == reduction.solve(g, "matching", 2, 3)[1].stop_reason
+
+
+def test_cli_compare_checks_its_settings_before_any_work(capsys, monkeypatch):
+    # compare used to solve the instance first and only then find that
+    # --delta lies outside (0, 1]
+    calls = []
+    monkeypatch.setattr(reduction, "solve", lambda *args, **kwargs: calls.append(args))
+    rc = cli.main(["compare", "--family", "tree", "--params", "n=300", "--delta", "1.5"])
+    assert rc == 1
+    assert capsys.readouterr().err == "sparsempc: error: delta must be in (0, 1], got 1.5\n"
+    assert not calls
 
 
 def test_cli_compare_graph_file(tmp_path, capsys):

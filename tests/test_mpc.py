@@ -1,5 +1,6 @@
 """Cluster pipeline: exponentiation schedules, chunking, oracle equality."""
 
+import dataclasses
 import hashlib
 import json
 import sys
@@ -96,11 +97,12 @@ def test_schedule_repetition_counts_locked():
     assert all(r == REPS_LATER == 20 for _, _, r in s.phases[1:])
 
 
-def test_schedule_preprocessing_layer_count():
-    # c_pre * log2((1/delta) * log2 log2 n), rounded up
+def test_schedule_preprocessing_layer_count(monkeypatch):
+    # C_PRE * log2((1/delta) * log2 log2 n), rounded up
     s = compute_schedule(3, 10 ** 6, n=2 ** 16, delta=0.5)
     assert s.preprocessing_layers == 6  # ceil(2 * log2(2 * 4))
-    s0 = compute_schedule(3, 10 ** 6, n=2 ** 16, delta=0.5, c_pre=0.0)
+    monkeypatch.setattr(mpc_mod, "C_PRE", 0.0)
+    s0 = compute_schedule(3, 10 ** 6, n=2 ** 16, delta=0.5)
     assert s0.preprocessing_layers == 0
 
 
@@ -122,14 +124,17 @@ def _check_chunks(chunks, hp):
     assert (width[:-1] == radius[:-1]).all()
 
 
-def _metered_partition(g, d, delta, *, adaptive=False, c_pre=2.0):
+def _metered_partition(g, d, delta, *, adaptive=False, preprocess=True):
     """The driver's partition of ``g`` and the chunks and stats of its
-    metered construction on a fresh cluster with memory exponent ``delta``;
-    the removal order is the stable sort by layer."""
+    metered construction on a fresh cluster with memory exponent ``delta``,
+    with or without the schedule's preprocessing layers; the removal order
+    is the stable sort by layer."""
     hp = h_partition(g, d)
     assert np.array_equal(hp.order, np.argsort(hp.layer, kind="stable"))
     cl = _cluster(g, delta)
-    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, delta, c_pre=c_pre)
+    sched = compute_schedule(g.max_degree(), cl.cfg.S, g.n, delta)
+    if not preprocess:
+        sched = dataclasses.replace(sched, preprocessing_layers=0)
     chunks, stats = mpc_h_partition(cl, _whole(g, hp), sched, adaptive=adaptive)
     assert stats["ell"] == hp.ell
     return hp, chunks, stats, cl
@@ -488,7 +493,7 @@ def test_shallow_graph_finishes_within_first_iteration():
     # 60-repetition radius-1 iteration of the first pass; delta is picked
     # high enough that max_degree**2 fits in S (no fallback path)
     g = generate("tree", {"n": 100}, seed=7)
-    hp, chunks, stats, cl = _metered_partition(g, valid_d(g), 0.9, adaptive=True, c_pre=0.0)
+    hp, chunks, stats, cl = _metered_partition(g, valid_d(g), 0.9, adaptive=True, preprocess=False)
     assert stats["k"] is not None
     assert stats["preprocessing"]["target_layers"] == 0
     assert hp.ell <= 60
@@ -634,7 +639,7 @@ def _metered_phases(monkeypatch, case):
     """Run the golden ``case`` through :func:`mpc_pipeline` and return, per
     phase record it meters, a dict of the record (``ph``), the layer map and
     chunks its partition replay made, and the partition stats."""
-    family, params, seed, kind, delta, d_floor, adaptive = case
+    family, params, seed, kind, delta, d_floor = case
     g = generate(family, params, seed=seed)
     phases = []
     meter_phase, replay = mpc_mod.mpc_phase, mpc_mod.mpc_h_partition
@@ -652,7 +657,7 @@ def _metered_phases(monkeypatch, case):
     with monkeypatch.context() as m:
         m.setattr(mpc_mod, "mpc_phase", metering)
         m.setattr(mpc_mod, "mpc_h_partition", replaying)
-        mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor, adaptive=adaptive)
+        mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor)
     return phases
 
 
@@ -701,7 +706,7 @@ def test_no_round_is_metered_inside_the_driver(monkeypatch, case_id):
 
     monkeypatch.setattr(Cluster, "_check_and_trace", checked)
     case = next(p.values[0] for p in GOLDEN if p.id == case_id)
-    family, params, seed, kind, delta, d_floor, adaptive = case
+    family, params, seed, kind, delta, d_floor = case
     g = generate(family, params, seed=seed)
     _, met = mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor)
     assert len(inside) == met["rounds"] > 50  # every round was seen
@@ -926,15 +931,6 @@ def test_one_machine_pays_only_for_volume_rounds(monkeypatch):
         assert max(sent[label]) > 0, label
 
 
-def test_pipeline_adaptive_same_solution_different_metering():
-    g = generate("layered-core", {"n": 900, "depth": 80, "d": 3}, seed=5)
-    cfg = ClusterConfig.for_graph(g, 0.8)
-    sol_f, met_f = mpc_pipeline(g, cfg, "matching", 4, seed=2, adaptive=False)
-    sol_a, met_a = mpc_pipeline(g, cfg, "matching", 4, seed=2, adaptive=True)
-    assert solution_digest(sol_f, 2) == solution_digest(sol_a, 2)
-    assert partition_rounds(met_f) != partition_rounds(met_a)
-
-
 def test_pipeline_metrics_shape():
     g = generate("tree", {"n": 150}, seed=0)
     cfg = ClusterConfig.for_graph(g, 0.5)
@@ -980,22 +976,15 @@ def test_pipeline_checks_inputs_before_placing_nodes(monkeypatch, kind, target_d
     assert str(got.value) == str(ref.value) == message
 
 
-_BAD_FLOOR, _BAD_EXPONENT = "d_floor must be >= 1", r"exponent must be a number in \(0, 1\]"
 THRESHOLD_CASES = {
-    "floor-negative": ({"d_floor": -3}, _BAD_FLOOR),
-    "floor-zero": ({"d_floor": 0}, _BAD_FLOOR),
-    "exponent-negative": ({"exponent": -1.0}, _BAD_EXPONENT),
-    "exponent-zero": ({"exponent": 0.0}, _BAD_EXPONENT),
-    "exponent-above-one": ({"exponent": 1.5}, _BAD_EXPONENT),
-    "exponent-nan": ({"exponent": float("nan")}, _BAD_EXPONENT),
-    "exponent-inf": ({"exponent": float("inf")}, _BAD_EXPONENT),
+    "floor-negative": ({"d_floor": -3}, "d_floor must be >= 1"),
+    "floor-zero": ({"d_floor": 0}, "d_floor must be >= 1"),
 }
 
 
 @pytest.mark.parametrize("case", THRESHOLD_CASES)
 def test_every_pipeline_rejects_a_bad_threshold_before_any_work(monkeypatch, case):
-    # a floor below 1 used to be ignored, and an exponent outside (0, 1]
-    # ran every phase at d = 1 (NaN and inf raised from math.ceil)
+    # a floor below 1 used to be ignored
     kwargs, message = THRESHOLD_CASES[case]
     g = generate("tree", {"n": 150}, seed=0)
     cfg = ClusterConfig.for_graph(g, 0.5)
@@ -1013,23 +1002,6 @@ def test_every_pipeline_rejects_a_bad_threshold_before_any_work(monkeypatch, cas
         next(reduction.phase_records(g, "mis", 2, 0, **kwargs))
     with pytest.raises(ValueError, match=message):
         mpc_pipeline(g, cfg, "mis", 2, 0, **kwargs)
-
-
-@pytest.mark.parametrize("c_pre", [-3.0, float("nan"), float("inf")])
-def test_a_bad_preprocessing_constant_is_rejected_before_any_work(monkeypatch, c_pre):
-    # c_pre = -3 used to record preprocessing_layers = -7; NaN and inf
-    # raised from math.ceil.  A graph under the target runs no phase, and
-    # so no schedule, yet the pipeline still rejects the constant.
-    with pytest.raises(ValueError, match="c_pre must be a finite number >= 0"):
-        compute_schedule(3, 10 ** 6, n=2 ** 16, delta=0.5, c_pre=c_pre)
-
-    def no_placement(*args, **kwargs):
-        raise AssertionError("init_cluster ran before the inputs were checked")
-
-    monkeypatch.setattr(mpc_mod, "init_cluster", no_placement)
-    g = path(6)
-    with pytest.raises(ValueError, match="c_pre must be a finite number >= 0"):
-        mpc_pipeline(g, ClusterConfig.for_graph(g, 0.6), "matching", 3, 0, c_pre=c_pre)
 
 
 def test_pipeline_trivial_graph_skips_reduction():
@@ -1101,10 +1073,11 @@ def test_pipeline_finish_meter_matches_full_edge_scan(case, monkeypatch):
     # In a run the finish takes its starting degrees from the last phase
     # that selected, and counts them itself when none did.
     g, delta, stalls = case()
+    monkeypatch.setattr(reduction, "EXPONENT", 0.5)
     traces = []
     for meter in (mpc_finish_round, _edge_scan_finish_round):
         monkeypatch.setattr(mpc_mod, "mpc_finish_round", meter)
-        cl, met = _pipeline_cluster(monkeypatch, g, ClusterConfig.for_graph(g, delta), "matching", 2, 3, exponent=0.5)
+        cl, met = _pipeline_cluster(monkeypatch, g, ClusterConfig.for_graph(g, delta), "matching", 2, 3)
         traces.append(cl.traces)
     assert [ph.get("stalled", False) for ph in met["phases"]] == stalls
     assert any(t.label == "finish" for t in traces[0])

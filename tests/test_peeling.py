@@ -10,7 +10,7 @@ from sparsempc.peeling import (
     StallError,
     degeneracy,
     h_partition,
-    layer_decay_ok,
+    suffix_decay_ok,
 )
 
 from oracles import brute_arboricity, brute_degeneracy, complete, cycle, from_mask, path, star
@@ -113,14 +113,14 @@ def test_layer_decay_law(family, params):
     lam = degeneracy(g).degeneracy  # upper proxy for arboricity
     for d in (2 * lam + 1, 4 * lam, 8 * lam):
         hp = h_partition(g, d)
-        assert layer_decay_ok(hp, lam)
+        assert suffix_decay_ok(hp.layer_sizes(), hp.d, lam)
 
 
 def test_decay_check_rejects_fabricated_partition():
     from sparsempc.peeling import HPartition
 
     fake = HPartition(layer=np.array([1, 2, 2, 2, 2]), d=10, ell=2, order=np.arange(5))
-    assert not layer_decay_ok(fake, 1)  # 4 > (2/10) * 5
+    assert not suffix_decay_ok(fake.layer_sizes(), fake.d, 1)  # 4 > (2/10) * 5
 
 
 def test_suffix_sizes():

@@ -620,7 +620,7 @@ def test_degree_reduce_next_phase_starts_at_delta_after():
         assert after["delta_before"] == before["delta_after"]
     # each phase's threshold comes from the degree the loop carried over
     for ph in report.phases:
-        assert ph["d_used"] == phase_threshold(ph["delta_before"], 0.1, 3)
+        assert ph["d_used"] == phase_threshold(ph["delta_before"], 3)
     deg = alive_degrees(g.indptr, g.indices, alive_mask(g.n, ids))
     assert report.phases[-1]["delta_after"] == int(deg.max(initial=0))
 
@@ -716,7 +716,7 @@ def test_phase_statistics_match_full_graph_oracles(pipeline_corpus, kind):
         for phase in range(8):
             if delta <= 2 or not view.alive.any():
                 break
-            d = phase_threshold(delta, 0.1, floor)
+            d = phase_threshold(delta, floor)
             got = _reduce_once_against_oracles(view, kind, d, spec["seed"] + phase)
             if got is None:  # the phase stalled
                 if floor is not None:
@@ -799,8 +799,8 @@ STOP_CASES = {
     "stalled": (lambda: complete(5), "matching", {}, 1),
     # the golden tree-mis case: the second phase leaves Δ at 5
     "not-reduced": (lambda: generate("tree", {"n": 300}, seed=1), "mis", {}, 2),
-    # one phase allowed, and it lowers Δ from 100 to 4
-    "max-phases": (star_and_k5, "matching", {"exponent": 0.5}, 1),
+    # one phase allowed, and at EXPONENT 0.5 it lowers Δ from 100 to 4
+    "max-phases": (star_and_k5, "matching", {}, 1),
 }
 
 
@@ -809,6 +809,7 @@ def test_every_run_reports_why_its_reduction_ended(reason, monkeypatch):
     graph, kind, kwargs, phases = STOP_CASES[reason]
     if reason == "max-phases":
         monkeypatch.setattr(reduction, "MAX_PHASES", 1)
+        monkeypatch.setattr(reduction, "EXPONENT", 0.5)
     g = graph()
     _, _, report = degree_reduce(g, kind, 2, seed=1, **kwargs)
     assert report.stop_reason == reason
@@ -826,7 +827,7 @@ def test_a_matching_phase_at_delta_at_most_d_selects_nothing(partition_corpus):
     for i, spec in enumerate(partition_corpus):
         g = realize(spec)
         delta = g.max_degree()
-        d = phase_threshold(delta, 0.1, delta + i % 2)
+        d = phase_threshold(delta, delta + i % 2)
         ph, entry = reduce_once(g, np.arange(g.n), "matching", d, spec["seed"])
         assert entry["ell"] == 1, spec
         assert ph.sol.selected.shape == (0, 2) and not ph.sol.removed.size, spec

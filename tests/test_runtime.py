@@ -596,7 +596,7 @@ def test_loads_balance_at_every_round_of_a_golden_run():
     # its clique step stores virtual words and its selection gives them
     # back), the loads are the per-machine sums of the placed nodes' words,
     # and a node on no machine stores 0 words.
-    family, params, seed, kind, delta, d_floor, adaptive = GOLDEN[0].values[0]
+    family, params, seed, kind, delta, d_floor = GOLDEN[0].values[0]
     g = generate(family, params, seed=seed)
     record = Cluster._check_and_trace
     labels = []
@@ -607,9 +607,7 @@ def test_loads_balance_at_every_round_of_a_golden_run():
         return record(cluster, label, sent, received)
 
     with mock.patch.object(Cluster, "_check_and_trace", checked):
-        _, met = mpc_mod.mpc_pipeline(
-            g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor, adaptive=adaptive
-        )
+        _, met = mpc_mod.mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor)
     assert len(labels) == met["rounds"] == 288
     assert {"partition-clique", "select", "finish", "rebalance"} <= set(labels)
 
@@ -619,7 +617,7 @@ def _pipeline_with_repacks(case, *, forced):
     ``forced`` every repack clears ``settled`` first, so that it places.
     Returns the digest, the cluster and how many repacks skipped the
     placement."""
-    family, params, seed, kind, delta, d_floor, adaptive = case
+    family, params, seed, kind, delta, d_floor = case
     g = generate(family, params, seed=seed)
     clusters, skips = [], 0
 
@@ -635,10 +633,7 @@ def _pipeline_with_repacks(case, *, forced):
 
     with mock.patch.object(Cluster, "_place", autospec=True, side_effect=Cluster._place) as place:
         with mock.patch.object(mpc_mod, "rebalance", repack):
-            sol, _ = mpc_mod.mpc_pipeline(
-                g, ClusterConfig.for_graph(g, delta), kind, 2, seed,
-                d_floor=d_floor, adaptive=adaptive,
-            )
+            sol, _ = mpc_mod.mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor)
     assert all(c is clusters[0] for c in clusters)
     return solution_digest(sol, seed), clusters[0], skips
 
@@ -646,7 +641,7 @@ def _pipeline_with_repacks(case, *, forced):
 @pytest.mark.parametrize("case", [
     *(pytest.param(p.values[0], id=p.id) for p in GOLDEN),
     pytest.param(
-        ("layered-core", {"n": 2048, "depth": 160, "d": 3}, 1, "matching", 0.8, 3, False),
+        ("layered-core", {"n": 2048, "depth": 160, "d": 3}, 1, "matching", 0.8, 3),
         id="layered-core-2048-doubling",
     ),
 ])

@@ -21,37 +21,25 @@ from hypothesis import strategies as st
 from oracles import complete, hand_peel, random_graph
 from sparsempc.generators import generate
 from sparsempc.graph import GraphView, build_graph
-from sparsempc.mpc import mpc_phase, mpc_pipeline
+from sparsempc.mpc import _LayerMap, compute_schedule, mpc_h_partition, mpc_phase, mpc_pipeline
 from sparsempc.peeling import StallError, h_partition
 from sparsempc.reduction import Phase, reduce_once
-from sparsempc.runtime import ClusterConfig, init_cluster
+from sparsempc.runtime import ClusterConfig, init_cluster, metrics
 
-# (family, params, graph seed, kind, memory exponent, adaptive) ->
+# (family, params, graph seed, kind, memory exponent) ->
 # (rounds, total messages, metrics SHA-256, trace SHA-256)
 STALLED = [
     pytest.param(
-        ("preferential-attachment", {"n": 2000, "c": 3}, 7, "matching", 0.7, False),
+        ("preferential-attachment", {"n": 2000, "c": 3}, 7, "matching", 0.7),
         (42, 13843, "0fc3730938a8f242ff518d7fc9eff5d63084e3c4f4440914aabac5786d9eeaeb",
          "5ce9da8265bdf3f3f4481266b5b4357c30b36de693005b2e81c7d8057dff3230"),
         id="readme-quick-start",
     ),
     pytest.param(
-        ("preferential-attachment", {"n": 2000, "c": 3}, 7, "matching", 0.7, True),
-        (38, 12939, "55c0fa4a88332fc0e905b2beac2b7cde26b7a24a150ee6bd70dd72e3bfd4bd1d",
-         "b2bc223921a30fdec734f8b5c1f372713d1f5d6d8b8f6a883cb14f807b7929fe"),
-        id="readme-quick-start-adaptive",
-    ),
-    pytest.param(
-        ("bounded-degree-random", {"n": 300, "deg": 4}, 1, "mis", 0.6, False),
+        ("bounded-degree-random", {"n": 300, "deg": 4}, 1, "mis", 0.6),
         (24, 10010, "1b4984555b4313b0d30e5d72fd34544364e4b259890c9a07e970ea339cbdea2c",
          "fdb5ad6ef0eedf790c4facd1e3b77b648a5ff08b8b754e6abccbcd07e2fac972"),
         id="bounded-degree-mis",
-    ),
-    pytest.param(
-        ("bounded-degree-random", {"n": 300, "deg": 4}, 1, "matching", 0.6, True),
-        (28, 12705, "8c2f09f72dc59436dc18e30e4fcc151ee0c9ad30a919031c4951b664c255ed36",
-         "e0770224e3633af3a2b04367d7d4e69f973f73b6dc2a24bb6510cd4d6c1b0eb2"),
-        id="bounded-degree-matching-adaptive",
     ),
 ]
 
@@ -59,11 +47,9 @@ STALLED = [
 @pytest.mark.parametrize("case,pinned", STALLED)
 def test_stalled_run_is_pinned(case, pinned, tmp_path, monkeypatch):
     monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
-    family, params, graph_seed, kind, delta, adaptive = case
+    family, params, graph_seed, kind, delta = case
     g = generate(family, params, seed=graph_seed)
-    _, met = mpc_pipeline(
-        g, ClusterConfig.for_graph(g, delta), kind, 2, 0, adaptive=adaptive, name="stalled"
-    )
+    _, met = mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, 0, name="stalled")
     assert met["phases"][0].get("stalled") and met["partition_stats"][0].get("stalled")
     assert met["stop_reason"] == "stalled"
     # phase 1 runs on the placement init_cluster made, and the stall
@@ -77,17 +63,18 @@ def test_stalled_run_is_pinned(case, pinned, tmp_path, monkeypatch):
     assert hashlib.sha256(trace).hexdigest() == trace_sha
 
 
-def test_stall_in_a_gather_repetition_is_pinned(tmp_path, monkeypatch):
-    # A deep tower beside a K6 that no threshold of 3 peels: the partition
-    # doubles to radius 2 and the stall falls in a gather repetition
-    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
+def _tower_and_k6():
+    """A deep tower beside a K6 that no threshold of 3 peels: the partition
+    doubles to radius 2 and the stall falls in a gather repetition."""
     tower = generate("layered-core", {"n": 800, "depth": 90, "d": 3}, seed=1)
     k6 = [(tower.n + a, tower.n + b) for a, b in itertools.combinations(range(6), 2)]
-    g = build_graph(tower.n + 6, [*tower.edges.tolist(), *k6])
-    _, met = mpc_pipeline(
-        g, ClusterConfig.for_graph(g, 0.8), "matching", 2, 3, exponent=0.3, d_floor=3,
-        name="stalled",
-    )
+    return build_graph(tower.n + 6, [*tower.edges.tolist(), *k6])
+
+
+def test_stall_in_a_gather_repetition_is_pinned(tmp_path, monkeypatch):
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
+    g = _tower_and_k6()
+    _, met = mpc_pipeline(g, ClusterConfig.for_graph(g, 0.8), "matching", 2, 3, d_floor=3, name="stalled")
     reason = met["phases"][0]["stall_reason"]
     assert reason == "peeling stalled with 6 nodes of remaining degree > 3"
     (stats,) = met["partition_stats"]
@@ -102,6 +89,28 @@ def test_stall_in_a_gather_repetition_is_pinned(tmp_path, monkeypatch):
     assert hashlib.sha256(trace).hexdigest() == (
         "b61833c6fa4ed4e76c5ddae1201cfa74bafdb96d651c3797b79fc3286fca8e33"
     )
+
+
+def test_adaptive_replay_of_a_stall_meters_the_faithful_rounds():
+    # the adaptive regime syncs after every repetition but stops early only
+    # once no node is left, which a stall never reaches: its replay of a
+    # stalled layer map raises after the peel and gather rounds of the
+    # faithful replay
+    g = _tower_and_k6()
+    with pytest.raises(StallError) as err:
+        h_partition(g, 3)
+    cfg = ClusterConfig.for_graph(g, 0.8)
+    schedule = compute_schedule(g.max_degree(), cfg.S, g.n, cfg.delta)
+    rounds = []
+    for adaptive in (False, True):
+        cluster = init_cluster(g, cfg)
+        layers = _LayerMap(g, np.arange(g.n), err.value.partition)
+        with pytest.raises(StallError, match="peeling stalled with 6 nodes"):
+            mpc_h_partition(cluster, layers, schedule, adaptive=adaptive)
+        by_label = metrics(cluster)["rounds_by_label"]
+        rounds.append((by_label["partition-peel"], by_label["partition-gather"]))
+    assert rounds[0] == rounds[1]
+    assert rounds[0][1] == 13  # the stall falls in a gather repetition
 
 
 def _tail_and_clique():
