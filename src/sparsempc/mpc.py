@@ -16,7 +16,9 @@ Each record has one id space: its meters run on the record's subgraph (a
 phase's alive nodes, or the finish's remainder, renumbered in ascending id
 order), with arrays of its size.  The cluster keeps its ledger by original
 node id; the record's ascending ``ids`` translate a node only where a
-round, a ledger change or a repack names it.
+round, a ledger change or a repack names it, and a record of the whole
+graph, whose ``ids`` are ``arange(n)``, translates nothing
+(:func:`_translator`).
 
 The partition is metered in repetitions that replay the driver's layer
 map: a radius-r repetition removes the next min(r, remaining) layers,
@@ -108,9 +110,22 @@ def compute_schedule(delta_max: int, S: int, n: int, delta: float) -> Exponentia
 # ---------------------------------------------------------------------------
 
 
-def _notify_pairs(g: Graph, ids: np.ndarray, senders: np.ndarray, mask: np.ndarray):
+def _translator(ids: np.ndarray):
+    """The map from a record's node ids to the cluster's, given the record's
+    ascending cluster ids ``ids``: ``ids[nodes]``, or none at all for a
+    record of the whole graph.  Phase 1's subgraph is the graph itself
+    (:meth:`sparsempc.graph.GraphView.compact` returns it when every node is
+    alive) and its ids are ``arange(n)``; ascending distinct ids are that
+    identity exactly when the last one is ``ids.size - 1``."""
+    if ids.size and ids[-1] != ids.size - 1:
+        return ids.__getitem__
+    return lambda nodes: nodes
+
+
+def _notify_pairs(g: Graph, to_cluster, senders: np.ndarray, mask: np.ndarray):
     """The (sender, target) pairs of a notify round, translated to cluster
-    ids through ``g``'s node ids ``ids``: distinct ``senders`` push one word along each incident edge whose other end is in
+    ids by the record's :func:`_translator` ``to_cluster``: distinct
+    ``senders`` push one word along each incident edge whose other end is in
     ``mask`` (removed nodes strike the edge at their still-alive neighbors,
     winners notify the not-yet-finished phase nodes).  They are read off the
     senders' rows rather than all nodes; the cluster counts the pairs that
@@ -118,7 +133,7 @@ def _notify_pairs(g: Graph, ids: np.ndarray, senders: np.ndarray, mask: np.ndarr
     free."""
     src, tgt = gather_segments(g.indptr, g.indices, senders)
     live = mask[tgt]
-    return ids[src[live]], ids[tgt[live]]
+    return to_cluster(src[live]), to_cluster(tgt[live])
 
 
 class _LayerMap:
@@ -131,10 +146,12 @@ class _LayerMap:
     ``hp.order[:ends[L]]``, and the nodes left are a subtraction.
     ``virtual`` holds each node's virtual words, which the clique steps of
     :func:`connect_cliques` store and :func:`mpc_select` gives back; it is
-    None until a clique step runs."""
+    None until a clique step runs.  ``to_cluster`` is the phase's
+    :func:`_translator`."""
 
     def __init__(self, sub: Graph, ids: np.ndarray, hp: HPartition):
         self.sub, self.ids, self.hp = sub, ids, hp
+        self.to_cluster = _translator(ids)
         top = hp.ell + 1
         self.key = key = hp.layer.astype(np.min_scalar_type(top))
         key += (key == 0) * key.dtype.type(top)  # arithmetic rather than a masked store
@@ -170,9 +187,9 @@ class _LayerMap:
             flip = ku > kv
             at = 2 * by
             at += flip[by]
-            src = self.ids[e.ravel()[at]]
+            src = self.to_cluster(e.ravel()[at])
             at ^= 1
-            dst = self.ids[e.ravel()[at]]
+            dst = self.to_cluster(e.ravel()[at])
             self._pairs = src, dst, ends
         src, dst, ends = self._pairs
         lo, hi = ends[layer - 1], ends[layer]
@@ -478,15 +495,15 @@ def mpc_mark_propose(cluster: Cluster, sub: Graph, ids: np.ndarray, props: Propo
     marked rows, which :func:`sparsempc.reduction.mark_and_propose_mis`
     gathered and hands over as ``props.marked_rows``, so nothing is gathered
     here."""
-    deg = sub.degrees
+    deg, to = sub.degrees, _translator(ids)
     cluster.execute_round_volumes(ids, deg, label="markpropose")
     if props.kind == "matching":
         mk, pr = props.marked, props.proposed
-        cluster.execute_round_bulk(ids[mk[:, 0]], ids[mk[:, 1]], label="markpropose")
-        cluster.execute_round_bulk(ids[pr[:, 1]], ids[pr[:, 0]], label="markpropose")
+        cluster.execute_round_bulk(to(mk[:, 0]), to(mk[:, 1]), label="markpropose")
+        cluster.execute_round_bulk(to(pr[:, 1]), to(pr[:, 0]), label="markpropose")
     else:
         src, nb, same = props.marked_rows
-        cluster.execute_round_bulk(ids[src[same]], ids[nb[same]], label="markpropose")
+        cluster.execute_round_bulk(to(src[same]), to(nb[same]), label="markpropose")
 
 
 def mpc_select(
@@ -500,7 +517,10 @@ def mpc_select(
     with its partition ``layers.hp``, and ``chunks`` the chunks
     :func:`mpc_h_partition` metered that partition in; a chunk's members
     are the nodes of its layers.  The removed members drop their rows, the
-    others their virtual words.
+    others their virtual words.  Both are slices: one ``flatnonzero`` per
+    phase lists the removed members' positions in the removal order, and
+    the kept ones' that hold virtual words (only in a phase with clique
+    steps), and a chunk's are the run between its member bounds.
 
     Each chunk member re-gathers its retained radius ball with proposal flags
     (one round), winners notify their neighbors (one round), and for the
@@ -525,7 +545,7 @@ def mpc_select(
     need no dedupe; the neighbors that an independent set's winners fell
     can repeat and are deduped by a sort.
     """
-    sub, ids, hp = layers.sub, layers.ids, layers.hp
+    sub, hp, to = layers.sub, layers.hp, layers.to_cluster
     removed = np.zeros(sub.n, np.bool_)
     removed[sol.removed] = True
     pending = np.ones(sub.n, np.bool_)  # phase nodes whose fate is not yet committed
@@ -535,10 +555,7 @@ def mpc_select(
     # cluster ids are translated again per chunk: kept for the whole walk,
     # they raised the benchmark's peak RSS on tree-phases by 2 to 6 MiB
     # (heap layout; the benchmark process keeps freed memory)
-    words_by_layer = cluster.words[ids[order]]
-    # only clique steps add virtual words, so most phases carry none
-    virtual = None if layers.virtual is None else layers.virtual[order]
-    gone_by_layer = removed[order]
+    words_by_layer = cluster.words[to(order)]
     winners = sol.selected.ravel()
     lengths = sub.indptr[winners + 1] - sub.indptr[winners]
     if sol.kind == "matching":
@@ -554,29 +571,37 @@ def mpc_select(
     rank = hp.ell - hp.layer[sol.selected[:, 1] if per_winner == 2 else sol.selected]
     above = (np.searchsorted(rank, hp.ell - np.array(bounds)) * per_winner).tolist()
     member_end = layers.ends[bounds].tolist()
+    gone = removed[order]
+    gone_at = np.flatnonzero(gone)
+    gone_end = np.searchsorted(gone_at, member_end).tolist()
+    if layers.virtual is not None:  # only clique steps add virtual words
+        virtual = layers.virtual[order]
+        back_at = np.flatnonzero(virtual * ~gone)
+        back_end = np.searchsorted(back_at, member_end).tolist()
 
     for i in reversed(range(len(chunks))):
         hi, radius = chunks[i]
         if hi - bounds[i] > radius:
             raise AssertionError("chunk wider than its hop radius")
         start, stop = member_end[i], member_end[i + 1]
-        members = ids[order[start:stop]]
-        words = words_by_layer[start:stop]
-        cluster.execute_round_volumes(members, words, label="select")
+        cluster.execute_round_volumes(to(order[start:stop]), words_by_layer[start:stop], label="select")
         r0, r1 = row_off[above[i + 1]], row_off[above[i]]
         src, nb = src_all[r0:r1], nb_all[r0:r1]
         live = pending[nb]
-        cluster.execute_round_bulk(ids[src[live]], ids[nb[live]], label="select")
+        cluster.execute_round_bulk(to(src[live]), to(nb[live]), label="select")
         if sol.kind == "mis":
             # neighbors of winners leave the graph too; they tell their own
-            # neighborhoods, which may live in chunks not yet visited
-            felled = sorted_unique(nb[live & removed[nb]])
-            cluster.execute_round_bulk(*_notify_pairs(sub, ids, felled, pending), label="select")
+            # neighborhoods, which may live in chunks not yet visited.  Every
+            # neighbor of a winner is removed (select_mis removes them all),
+            # so the live ones are the felled ones
+            felled = sorted_unique(nb[live])
+            cluster.execute_round_bulk(*_notify_pairs(sub, to, felled, pending), label="select")
         # the removed members drop their rows, the others their virtual words
-        left = words if virtual is None else words - virtual[start:stop]
-        left = np.where(gone_by_layer[start:stop], 0, left)
-        change = left != words
-        cluster.set_words(members[change], left[change])
+        cluster.set_words(to(order[gone_at[gone_end[i]:gone_end[i + 1]]]), 0)
+        if layers.virtual is not None:
+            at = back_at[back_end[i]:back_end[i + 1]]
+            if at.size:
+                cluster.set_words(to(order[at]), words_by_layer[at] - virtual[at])
         pending[order[start:stop]] = False
 
 
@@ -616,17 +641,17 @@ def mpc_finish_round(cluster: Cluster, rnd: FinishRound) -> None:
     priorities; in an independent-set round the winners notify their
     neighbors.  Then the removed nodes strike their edges at the nodes left
     and drop their rows."""
-    sub, ids, alive, step = rnd.sub, rnd.ids, rnd.alive, rnd.step
+    sub, alive, step, to = rnd.sub, rnd.alive, rnd.step, _translator(rnd.ids)
     after = alive.copy()
     after[step.removed] = False
     if step.kind == "matching":
         busy = np.zeros(sub.n, np.bool_)
         busy[rnd.live] = True
-        cluster.execute_round_volumes(ids[np.flatnonzero(busy)], 1, label="finish")
+        cluster.execute_round_volumes(to(np.flatnonzero(busy)), 1, label="finish")
     else:
-        cluster.execute_round_bulk(*_notify_pairs(sub, ids, step.selected, alive), label="finish")
-    cluster.execute_round_bulk(*_notify_pairs(sub, ids, step.removed, after), label="finish")
-    cluster.set_words(ids[step.removed], 0)
+        cluster.execute_round_bulk(*_notify_pairs(sub, to, step.selected, alive), label="finish")
+    cluster.execute_round_bulk(*_notify_pairs(sub, to, step.removed, after), label="finish")
+    cluster.set_words(to(step.removed), 0)
     cluster.control_rounds(2 * cluster.agg_depth(), label="finish-sync")
 
 

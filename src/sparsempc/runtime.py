@@ -449,7 +449,9 @@ def rebalance(
     """Repack the held ``nodes`` across machines and drop every other node's
     stored rows.  Metered as one data round (the moves) plus an aggregation
     tree to compute the assignment; an empty ``nodes`` changes nothing and
-    costs nothing.
+    costs nothing.  In the data round a held node whose machine changes
+    sends its stored words from the old machine and receives them on the
+    new one; a node that was on no machine stores none, so it moves none.
 
     ``nodes`` lists node ids, strictly ascending; it may hold nodes that are
     no longer alive but whose stored rows must survive and move with the
@@ -490,11 +492,14 @@ def rebalance(
         pack_w = stored if weights is None else weights.astype(np.int64)
         old_mach = cluster.node_machine[nodes]
         mach = cluster._place(nodes, pack_w)
-        moved = (mach != old_mach) & (stored > 0)  # a node on no machine stores nothing
-        moved_w = stored[moved]
-        sent = np.bincount(old_mach[moved], weights=moved_w, minlength=1).astype(np.int64)
-        received = np.bincount(mach[moved], weights=moved_w, minlength=1).astype(np.int64)
+        # the words each node moves; a node on no machine (-1) stores 0, so
+        # whichever machine its index lands on gains nothing
+        moved = stored * (mach != old_mach)
+        sent = np.zeros(cluster.machines_used, np.int64)  # the machines before the repack
+        np.add.at(sent, old_mach, moved)
         cluster._assign(nodes, mach, stored)
+        received = np.zeros(cluster.machines_used, np.int64)
+        np.add.at(received, mach, moved)
         cluster.settled = weights is None
     cluster.control_rounds(cluster.agg_depth(), label=label + "-plan")
     cluster._check_and_trace(label, sent, received)

@@ -253,13 +253,9 @@ def test_cluster_selection_commits_chunk_by_chunk(announce):
     own layers and the fates the chunks before it committed, on every
     metered phase of the golden instances and of an independent set run
     with ball doubling (k >= 1)."""
-    from test_golden_metering import GOLDEN
+    from test_golden_metering import GOLDEN, MIS_DOUBLING
 
-    cases = [(p.id, p.values[0]) for p in GOLDEN]
-    cases.append((
-        "layered-core-mis-doubling",
-        ("layered-core", {"n": 1024, "depth": 100, "d": 3}, 0, "mis", 0.8, 3),
-    ))
+    cases = [(p.id, p.values[0]) for p in (*GOLDEN, MIS_DOUBLING)]
     mismatches = 0
     rows = []
     doubled_wide = 0

@@ -14,6 +14,7 @@ import hashlib
 import numpy as np
 import pytest
 
+from sparsempc import mpc as mpc_mod
 from sparsempc.generators import generate
 from sparsempc.mpc import _LayerMap, compute_schedule, mpc_h_partition, mpc_pipeline
 from sparsempc.peeling import h_partition
@@ -114,7 +115,38 @@ GOLDEN = [
 ]
 
 
-@pytest.mark.parametrize("case,pinned", GOLDEN)
+# the one independent-set run with ball doubling: its 83 chunks are the
+# only ones in which the selection gives back an independent set's virtual
+# words (198 nodes hold some).  Kept out of GOLDEN, whose case list other
+# tests read.
+MIS_DOUBLING = pytest.param(
+    ("layered-core", {"n": 1024, "depth": 100, "d": 3}, 0, "mis", 0.8, 3),
+    {
+        "digest": "91c51fa8031612d0aea0c35a6e2164fb5ec1f0eb5d9ef9e84ee6261431aa9f0f",
+        "rounds_by_label": _rounds(
+            collect=4, finish=6, finish_sync=12, markpropose=2, partition_clique=1,
+            partition_gather=20, partition_peel=65, partition_rebalance=2,
+            partition_rebalance_plan=4, partition_sync=8, rebalance=1, rebalance_plan=2,
+            select=249,
+        ),
+        "peak_words": 114,
+        "total_messages": 163166,
+        "stop_reason": "not-reduced",
+        "partition_stats": [
+            _stats(1024, False, 1, _pre(5, 5, 5), [
+                {"iteration": 0, "radius": 1, "alive_before": 928, "reps_used": 60},
+                {"iteration": 1, "radius": 2, "alive_before": 198, "reps_used": 20,
+                 "virtual_added_total": 2160, "virtual_added_max": 14,
+                 "virtual_bound_per_node": 25, "alive": 198},
+            ], 1, 100),
+        ],
+    },
+    id="layered-core-mis-doubling",
+)
+PINNED = [*GOLDEN, MIS_DOUBLING]
+
+
+@pytest.mark.parametrize("case,pinned", PINNED)
 def test_pipeline_metering_is_pinned(case, pinned):
     family, params, seed, kind, delta, d_floor = case
     g = generate(family, params, seed=seed)
@@ -139,20 +171,64 @@ TRACE_SHA256 = {
         "f735d6e07572af1277c833c63b7655d5faf4beb9a94d9c652c10b23cff6fda7e",
     "tree-mis": "a820761237e38d9b9df563ab9d0d263fee744277c41d64dada65f8d606bed0a0",
     "pa-matching": "11cec89f6c02ed4faaab9072f03c128fcdfe3c0bf5901b247a3a694ecb8c7f7e",
+    "layered-core-mis-doubling":
+        "2b567d946f68b9310eaccc1a6ab669a4091b173c9d1ab06b5b727b77cc0eb884",
 }
+TRACED = [pytest.param(p.values[0], TRACE_SHA256[p.id], id=p.id) for p in PINNED]
 
 
-@pytest.mark.parametrize(
-    "case,sha256", [pytest.param(p.values[0], TRACE_SHA256[p.id], id=p.id) for p in GOLDEN]
-)
-def test_pipeline_trace_file_is_pinned(case, sha256, tmp_path, monkeypatch):
+def _trace_sha256(case, tmp_path, monkeypatch):
+    """The SHA-256 of the ``MPC_TRACE_DIR`` file of one pipeline run."""
     monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))
     family, params, seed, kind, delta, d_floor = case
     g = generate(family, params, seed=seed)
     cfg = ClusterConfig.for_graph(g, delta)
     mpc_pipeline(g, cfg, kind, 2, seed, d_floor=d_floor, name="golden")
     trace = tmp_path / "golden.trace.ndjson"
-    assert hashlib.sha256(trace.read_bytes()).hexdigest() == sha256
+    return hashlib.sha256(trace.read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("case,sha256", TRACED)
+def test_pipeline_trace_file_is_pinned(case, sha256, tmp_path, monkeypatch):
+    assert _trace_sha256(case, tmp_path, monkeypatch) == sha256
+
+
+@pytest.mark.parametrize("case,sha256", TRACED)
+def test_translating_a_whole_graph_record_writes_the_same_trace(case, sha256, tmp_path, monkeypatch):
+    # A record of the whole graph (phase 1's) skips the id translation; with
+    # every record made to translate, each trace byte must repeat.
+    monkeypatch.setattr(mpc_mod, "_translator", lambda ids: ids.__getitem__)
+    assert _trace_sha256(case, tmp_path, monkeypatch) == sha256
+
+
+def test_only_a_record_of_the_whole_graph_skips_the_translation(monkeypatch):
+    # Phase 1 of this run is the whole graph, the second phase and the
+    # finish run on remainders; every record's translator must map node i
+    # to ids[i], and only the whole graph's may hand its nodes back as they
+    # are.
+    seen = []
+    real = mpc_mod._translator
+
+    def spy(ids):
+        to = real(ids)
+        seen.append((ids, to))
+        return to
+
+    monkeypatch.setattr(mpc_mod, "_translator", spy)
+    family, params, seed, kind, delta, d_floor = GOLDEN[1].values[0]
+    g = generate(family, params, seed=seed)
+    mpc_pipeline(g, ClusterConfig.for_graph(g, delta), kind, 2, seed, d_floor=d_floor)
+    whole = 0
+    for ids, to in seen:
+        probe = np.arange(ids.size)
+        assert np.array_equal(to(probe), ids)
+        is_whole = np.array_equal(ids, probe)
+        assert (to(probe) is probe) == is_whole
+        whole += is_whole
+    assert 0 < whole < len(seen)
+    for ids in ([], [0], [3], [0, 1, 3], [1, 2, 3]):
+        ids = np.array(ids, np.int64)
+        assert np.array_equal(real(ids)(np.arange(ids.size)), ids)
 
 
 def test_adaptive_partition_metering_is_pinned():

@@ -1022,13 +1022,14 @@ def _edge_scan_finish_round(cl, rnd):
     step = PartialSolution(rnd.step.kind, ids[rnd.step.selected], ids[rnd.step.removed])
     after = alive.copy()
     after[step.removed] = False
+    same = mpc_mod._translator(np.arange(g.n))
     if step.kind == "matching":
         e = g.edges[alive[g.edges[:, 0]] & alive[g.edges[:, 1]]]
         nodes = np.unique(e)
         cl.execute_round_volumes(nodes, 1, label="finish")
     else:
-        cl.execute_round_bulk(*mpc_mod._notify_pairs(g, np.arange(g.n), step.selected, alive), label="finish")
-    cl.execute_round_bulk(*mpc_mod._notify_pairs(g, np.arange(g.n), step.removed, after), label="finish")
+        cl.execute_round_bulk(*mpc_mod._notify_pairs(g, same, step.selected, alive), label="finish")
+    cl.execute_round_bulk(*mpc_mod._notify_pairs(g, same, step.removed, after), label="finish")
     cl.set_words(step.removed, 0)
     cl.control_rounds(2 * cl.agg_depth(), label="finish-sync")
 

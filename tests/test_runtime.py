@@ -13,7 +13,7 @@ from sparsempc import mpc as mpc_mod
 from sparsempc import runtime
 from sparsempc.generators import generate
 from sparsempc.graph import build_graph
-from sparsempc.mpc import _notify_pairs
+from sparsempc.mpc import _notify_pairs, _translator
 from sparsempc.reduction import solution_digest
 from sparsempc.runtime import (
     CapacityError,
@@ -239,7 +239,7 @@ def test_pair_rounds_count_only_crossing_pairs(n, machines, pairs, seed):
 
     with mock.patch.object(cl, "_check_and_trace", capture):
         cl.execute_round_bulk(*rounds[0], label="pairs")
-        cl.execute_round_bulk(*_notify_pairs(g, np.arange(g.n), senders, mask), label="notify")
+        cl.execute_round_bulk(*_notify_pairs(g, _translator(np.arange(g.n)), senders, mask), label="notify")
     assert len(recorded) == 2
     for (src, dst), (sent, received) in zip(rounds, recorded):
         want_sent, want_received = _crossing_ledgers(cl, src, dst)
@@ -364,6 +364,64 @@ def test_repacking_an_unchanged_set_moves_nothing(weighted):
     assert (t.total_sent, t.total_received) == (0, 0)
     assert np.array_equal(cl.node_machine, machine)
     assert np.array_equal(cl.loads, loads)
+
+
+# each case's repacks after the initial placement, as (held set, packing
+# weights or None) built from the tree and a generator
+REPACKS = {
+    "shrinking": lambda g, r: [
+        (np.arange(g.n), None), (np.arange(2 * g.n // 3), None), (np.arange(g.n // 3), None),
+    ],
+    # the odd nodes come back on no machine, storing 0 words
+    "takes-back": lambda g, r: [(np.arange(0, g.n, 2), None), (np.arange(g.n), None)],
+    # every node of the second set was dropped by the first
+    "all-unplaced": lambda g, r: [(np.arange(g.n // 2), None), (np.arange(g.n // 2, g.n), None)],
+    # floored at the stored words, as the partition's traffic weights are
+    "weights": lambda g, r: [
+        (np.arange(g.n), g.degrees + r.integers(0, 9, g.n)),
+        (np.arange(0, g.n, 3), g.degrees[::3] + r.integers(0, 30, (g.n + 2) // 3)),
+    ],
+}
+
+
+@pytest.mark.parametrize("case", REPACKS)
+def test_repack_data_round_equals_the_moved_words_node_by_node(case, monkeypatch, tmp_path):
+    # The data round of a repack, rebuilt node by node: a held node whose
+    # machine changed sends its stored words from its old machine and
+    # receives them on its new one.  A node on no machine stores nothing,
+    # so it moves no word.  The recorded round and its trace rows must
+    # equal these ledgers.
+    monkeypatch.setenv("MPC_TRACE_DIR", str(tmp_path))  # so that rows are recorded
+    g = generate("tree", {"n": 400}, seed=2)
+    cl = init_cluster(g, ClusterConfig.for_graph(g, 0.5))
+    M = cl.cfg.M
+    moved_total = []
+    for hold, weights in REPACKS[case](g, np.random.default_rng(4)):
+        old_machine, old_words = cl.node_machine.tolist(), cl.words.tolist()
+        rebalance(cl, hold, weights=weights)
+        sent, received, loads = [0] * M, [0] * M, [0] * M
+        for v in hold.tolist():
+            old, new, w = old_machine[v], int(cl.node_machine[v]), old_words[v]
+            if old != new and w:
+                sent[old] += w
+                received[new] += w
+        for v in range(g.n):
+            if cl.node_machine[v] >= 0:
+                loads[cl.node_machine[v]] += int(cl.words[v])
+        t = cl.traces[-1]
+        assert t.label == "rebalance"
+        got = (t.max_sent, t.max_sent_machine, t.max_received, t.max_received_machine,
+               t.total_sent, t.total_received)
+        assert got == (max(sent), sent.index(max(sent)), max(received),
+                       received.index(max(received)), sum(sent), sum(received))
+        rows = [row for row in cl._trace_rows if row[2] == t.round]
+        assert rows == [(m, received[m], t.round, sent[m], loads[m])
+                        for m in range(M) if loads[m] or sent[m] or received[m]]
+        moved_total.append(sum(sent))
+    if case == "all-unplaced":
+        assert moved_total[-1] == 0
+    else:
+        assert moved_total[-1] > 0  # the last repack moved words
 
 
 def _state(cl):
